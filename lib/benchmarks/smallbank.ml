@@ -21,9 +21,29 @@ let conflict = "sb_conflict" (* the materialised-conflict table (§2.6.1) *)
 
 type fix = No_fix | Materialize_wt | Promote_wt | Materialize_bw | Promote_bw
 
-let name_of i = Printf.sprintf "cust%06d" i
+(* [prefix] then [i] zero-padded to six digits, the string
+   [Printf.sprintf "%s%06d" prefix i] makes, in one allocation. *)
+let padded prefix i =
+  if i < 0 then Printf.sprintf "%s%06d" prefix i
+  else begin
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let p = String.length prefix in
+    let len = p + max 6 (digits i) in
+    let b = Bytes.make len '0' in
+    Bytes.blit_string prefix 0 b 0 p;
+    let rec write j v =
+      if v > 0 then begin
+        Bytes.unsafe_set b j (Char.unsafe_chr (48 + (v mod 10)));
+        write (j - 1) (v / 10)
+      end
+    in
+    write (len - 1) i;
+    Bytes.unsafe_to_string b
+  end
 
-let id_of i = Printf.sprintf "id%06d" i
+let name_of i = padded "cust" i
+
+let id_of i = padded "id" i
 
 (* Populate the schema for [customers] accounts, each with both balances
    set to [initial_balance] (cents). *)

@@ -32,6 +32,9 @@ type 'a t = {
   fanout : int; (* max keys per leaf and max children per internal *)
   mutable next_id : int;
   mutable size : int;
+  mutable last_leaf : 'a leaf;
+      (* the leaf the latest [descend] reached: one descent yields both the
+         path and the leaf without a tuple *)
 }
 
 type access = {
@@ -52,8 +55,8 @@ let fresh_id t =
 
 let create ?(fanout = 64) () =
   if fanout < 4 then invalid_arg "Btree.create: fanout must be >= 4";
-  let t = { root = Leaf { lid = 0; lkeys = [||]; lvals = [||]; lnext = None }; fanout; next_id = 1; size = 0 } in
-  t
+  let leaf = { lid = 0; lkeys = [||]; lvals = [||]; lnext = None } in
+  { root = Leaf leaf; fanout; next_id = 1; size = 0; last_leaf = leaf }
 
 let length t = t.size
 
@@ -71,16 +74,17 @@ let child_index n key =
   done;
   !lo
 
-(* Position of [key] in a sorted array, or the insertion point.
-   Returns (index, found). *)
+(* Position of [key] in a sorted array, or the insertion point. *)
 let search_keys keys key =
   let lo = ref 0 and hi = ref (Array.length keys) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if keys.(mid) < key then lo := mid + 1 else hi := mid
   done;
-  let i = !lo in
-  (i, i < Array.length keys && keys.(i) = key)
+  !lo
+
+(* Whether position [i] (from [search_keys]) holds [key] itself. *)
+let found_at keys i key = i < Array.length keys && String.equal keys.(i) key
 
 let array_insert a i x =
   let n = Array.length a in
@@ -95,18 +99,31 @@ let array_remove a i =
   Array.blit a (i + 1) b i (n - 1 - i);
   b
 
-let rec descend_to_leaf node key acc =
+(* The leaf covering [key]. *)
+let rec leaf_of node key =
+  match node with Leaf l -> l | Internal n -> leaf_of n.ichildren.(child_index n key) key
+
+(* One descent to the leaf covering [key]: returns the page ids on the way,
+   root first (consed as the recursion unwinds), and leaves the leaf in
+   [t.last_leaf]. *)
+let rec descend t node key =
   match node with
-  | Leaf l -> (l, List.rev (l.lid :: acc))
-  | Internal n -> descend_to_leaf n.ichildren.(child_index n key) key (n.iid :: acc)
+  | Leaf l ->
+      t.last_leaf <- l;
+      [ l.lid ]
+  | Internal n -> n.iid :: descend t n.ichildren.(child_index n key) key
 
 let find_path t key =
-  let leaf, path = descend_to_leaf t.root key [] in
-  let i, found = search_keys leaf.lkeys key in
-  let v = if found then Some leaf.lvals.(i) else None in
+  let path = descend t t.root key in
+  let leaf = t.last_leaf in
+  let i = search_keys leaf.lkeys key in
+  let v = if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None in
   (v, { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
 
-let find t key = fst (find_path t key)
+let find t key =
+  let leaf = leaf_of t.root key in
+  let i = search_keys leaf.lkeys key in
+  if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None
 
 let mem t key = find t key <> None
 
@@ -152,8 +169,8 @@ let split_internal t n : string * 'a node =
 let rec insert_rec t node key v : bool * 'a split * int list * (int * int) list =
   match node with
   | Leaf l ->
-      let i, found = search_keys l.lkeys key in
-      if found then begin
+      let i = search_keys l.lkeys key in
+      if found_at l.lkeys i key then begin
         l.lvals.(i) <- v;
         (true, None, [], [])
       end
@@ -184,7 +201,8 @@ let rec insert_rec t node key v : bool * 'a split * int list * (int * int) list 
           else (replaced, None, n.iid :: modified, splits))
 
 let insert t key v =
-  let _, path_acc = descend_to_leaf t.root key [] in
+  let path = descend t t.root key in
+  let leaf_id = t.last_leaf.lid in
   let replaced, split, modified, splits = insert_rec t t.root key v in
   if not replaced then t.size <- t.size + 1;
   let modified, splits =
@@ -200,19 +218,14 @@ let insert t key v =
         t.root <- new_root;
         (id :: modified, (old_root_id, id) :: splits)
   in
-  {
-    path = path_acc;
-    leaves = [ List.nth path_acc (List.length path_acc - 1) ];
-    modified;
-    splits;
-  }
+  { path; leaves = [ leaf_id ]; modified; splits }
 
 let remove t key =
   let rec go node =
     match node with
     | Leaf l ->
-        let i, found = search_keys l.lkeys key in
-        if found then begin
+        let i = search_keys l.lkeys key in
+        if found_at l.lkeys i key then begin
           l.lkeys <- array_remove l.lkeys i;
           l.lvals <- array_remove l.lvals i;
           true
@@ -256,20 +269,20 @@ let max_key t =
 
 (* Least key strictly greater than [key], if any. *)
 let successor t key =
-  let leaf, _ = descend_to_leaf t.root key [] in
+  let leaf = leaf_of t.root key in
   let rec from_leaf l i =
     if i < Array.length l.lkeys then
       if l.lkeys.(i) > key then Some l.lkeys.(i) else from_leaf l (i + 1)
     else match l.lnext with None -> None | Some l' -> from_leaf l' 0
   in
-  let i, _ = search_keys leaf.lkeys key in
-  from_leaf leaf i
+  from_leaf leaf (search_keys leaf.lkeys key)
 
 (* Inclusive range iteration; [f] may not modify the tree. Returns the access
    footprint (descent path for [lo] plus all leaves visited). *)
 let iter_range_access t ?lo ?hi f =
   let start_key = match lo with Some k -> k | None -> "" in
-  let leaf, path = descend_to_leaf t.root start_key [] in
+  let path = descend t t.root start_key in
+  let leaf = t.last_leaf in
   let leaves = ref [] in
   let rec walk l i =
     if i = 0 then leaves := l.lid :: !leaves;

@@ -42,7 +42,9 @@ let create ?(config = Config.test ()) sim =
     summary = Hashtbl.create 64;
     summary_expiry = Queue.create ();
     obs = Obs.disabled;
-    page_stamps = Hashtbl.create 4096;
+    (* Small at first: nothing iterates page_stamps, and the DPOR explorer
+       builds one engine per schedule. *)
+    page_stamps = Hashtbl.create 64;
     history = [];
     stats = Internal.new_stats ();
     on_touch = None;
@@ -108,7 +110,7 @@ let begin_txn ?(read_only = false) (t : t) isolation =
       reads_log = [];
       in_edges = [];
       out_edges = [];
-      page_reads = Hashtbl.create 4;
+      page_reads = (if Internal.bounded t then Some (Hashtbl.create 4) else None);
     }
   in
   Hashtbl.replace t.txn_by_id txn.id txn;

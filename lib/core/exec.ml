@@ -110,7 +110,7 @@ let acquire t mode resource =
 
 (* SIREAD acquisition: never blocks, at most one entry per resource. *)
 let acquire_siread ?(charge = true) t resource =
-  if not (List.mem Lockmgr.Siread (Lockmgr.holds_of t.db.locks ~owner:t.id resource)) then begin
+  if not (Lockmgr.holds_mode t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource) then begin
     if charge then charge_lock_ops t.db 1;
     Lockmgr.acquire t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource;
     t.siread_count <- t.siread_count + 1;
@@ -137,7 +137,7 @@ let promote_page t table_name page pr =
   List.iter
     (fun key ->
       let r = row_resource table_name key in
-      if List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner:t.id r) then begin
+      if Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r then begin
         Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
         t.siread_count <- t.siread_count - 1;
         db.n_siread_entries <- db.n_siread_entries - 1
@@ -159,14 +159,14 @@ let promote_page t table_name page pr =
    row itself). *)
 let siread_row t table_name key ~leaves =
   let db = t.db in
-  match leaves with
-  | page :: _ when bounded db ->
+  match (leaves, t.page_reads) with
+  | page :: _, Some page_reads ->
       let pr =
-        match Hashtbl.find_opt t.page_reads (table_name, page) with
+        match Hashtbl.find_opt page_reads (table_name, page) with
         | Some pr -> pr
         | None ->
             let pr = { pr_rows = []; pr_count = 0; pr_promoted = false } in
-            Hashtbl.replace t.page_reads (table_name, page) pr;
+            Hashtbl.replace page_reads (table_name, page) pr;
             pr
       in
       if not pr.pr_promoted then begin
@@ -223,32 +223,35 @@ let mark_siread_holders ?(source = Obs.Siread_vs_x) t resource =
    Because committed transactions are retained while any overlapping
    transaction runs, a creator of a version newer than our snapshot is
    always findable; if it is somehow gone (bulk-loaded data), we set our
-   outgoing flag conservatively. *)
+   outgoing flag conservatively. The row's name is only built when some
+   version is newer. *)
 let mark_newer_versions t table_name key chain snap =
-  let resource = row_resource table_name key in
-  touch t resource;
-  List.iter
-    (fun (v : Mvstore.version) ->
-      if v.creator <> t.id then
-        match find_txn t.db v.creator with
-        | Some writer -> Conflict.mark ~source:Obs.Newer_version ~resource ~self:t ~reader:t ~writer
-        | None ->
-            if v.creator <> 0 then (
-              (* Bounded-memory mode: a creator newer than our snapshot can
-                 also be gone because it was summarized; its folded out-flag
-                 (if any) survives in the summary entry for this row. *)
-              match find_summary t.db resource with
-              | Some s ->
-                  Conflict.mark_summarized_writer ~source:Obs.Newer_version ~resource ~self:t
-                    ~sm_out:s.sm_out t
-              | None -> Conflict.mark_unknown_writer ~resource ~self:t t))
-    (Mvstore.newer_versions chain ~than:snap)
+  touch_row t table_name key;
+  if Mvstore.has_newer chain ~than:snap then begin
+    let resource = row_resource table_name key in
+    List.iter
+      (fun (v : Mvstore.version) ->
+        if v.creator <> t.id then
+          match find_txn t.db v.creator with
+          | Some writer -> Conflict.mark ~source:Obs.Newer_version ~resource ~self:t ~reader:t ~writer
+          | None ->
+              if v.creator <> 0 then (
+                (* Bounded-memory mode: a creator newer than our snapshot can
+                   also be gone because it was summarized; its folded out-flag
+                   (if any) survives in the summary entry for this row. *)
+                match find_summary t.db resource with
+                | Some s ->
+                    Conflict.mark_summarized_writer ~source:Obs.Newer_version ~resource ~self:t
+                      ~sm_out:s.sm_out t
+                | None -> Conflict.mark_unknown_writer ~resource ~self:t t))
+      (Mvstore.newer_versions chain ~than:snap)
+  end
 
 (* Page-granularity analogue: the Berkeley DB prototype versions whole pages,
    so a page updated after our snapshot is an ignored newer version of
    everything on it (the false-positive source of §6.1.5). *)
 let mark_page_stamp t table_name page snap =
-  touch t (page_resource table_name page);
+  touch_page t table_name page;
   match Hashtbl.find_opt t.db.page_stamps (table_name, page) with
   | Some (ts, writer_id) when ts > snap && writer_id <> t.id -> (
       let resource = page_resource table_name page in
@@ -307,7 +310,7 @@ let propagate_splits db table_name (access : Btree.access) =
           (fun (owner, mode) ->
             if
               mode = Lockmgr.Siread
-              && not (List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner new_r))
+              && not (Lockmgr.holds_mode db.locks ~owner ~mode:Lockmgr.Siread new_r)
             then begin
               Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r;
               db.n_siread_entries <- db.n_siread_entries + 1;
@@ -354,11 +357,12 @@ let lock_pages_for_read t table_name (access : Btree.access) =
 
 (* A page anywhere on the descent path updated since our snapshot is an
    ignored newer page version — including root/internal pages modified by
-   splits, the false-positive source of §6.1.5. *)
+   splits, the false-positive source of §6.1.5. The path ends at the leaf,
+   which is checked again with the leaves (and its rw-edges counted
+   twice). *)
 let mark_path_stamps t table_name (access : Btree.access) snap =
-  List.iter
-    (fun p -> mark_page_stamp t table_name p snap)
-    (access.Btree.path @ access.Btree.leaves)
+  List.iter (fun p -> mark_page_stamp t table_name p snap) access.Btree.path;
+  List.iter (fun p -> mark_page_stamp t table_name p snap) access.Btree.leaves
 
 let visible_value (v : Mvstore.version option) =
   match v with Some { value = Some s; _ } -> Some s | _ -> None
@@ -377,7 +381,7 @@ let do_read t table_name key =
           check_doom t;
           (* Footprint: every isolation level reads this key's version
              chain, with or without locks (RC/SI take none). *)
-          touch t (row_resource table_name key);
+          touch_row t table_name key;
           match t.isolation with
           | Read_committed ->
               let chain, access = Mvstore.find_chain_path table key in
@@ -444,13 +448,13 @@ let lock_for_write t table_name key ~will_write =
   let config = db.config in
   (* Footprint: the row's chain is read (first-committer-wins) and will gain
      a version — at Page granularity no row lock reports it. *)
-  touch_w t (row_resource table_name key);
+  touch_w_row t table_name key;
   (match config.Config.granularity with
   | Config.Row ->
       let r = row_resource table_name key in
       if
         config.Config.upgrade_siread && is_ssi t && will_write
-        && List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner:t.id r)
+        && Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r
       then begin
         Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
         t.siread_count <- t.siread_count - 1;
@@ -464,7 +468,7 @@ let lock_for_write t table_name key ~will_write =
           let r = page_resource table_name p in
           if
             config.Config.upgrade_siread && is_ssi t && will_write
-            && List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner:t.id r)
+            && Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r
           then begin
             Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
             t.siread_count <- t.siread_count - 1;
@@ -530,9 +534,9 @@ let lock_for_write t table_name key ~will_write =
             (fun p -> mark_siread_holders t (page_resource table_name p))
             access.Btree.leaves
     | Config.Page ->
-        List.iter
-          (fun p -> mark_siread_holders t (page_resource table_name p))
-          (access.Btree.leaves @ access.Btree.modified))
+        let mark p = mark_siread_holders t (page_resource table_name p) in
+        List.iter mark access.Btree.leaves;
+        List.iter mark access.Btree.modified)
   end;
   chain
 
@@ -865,29 +869,26 @@ let do_scan ?lo ?hi ?limit t table_name =
 
 (* {1 Commit / rollback} *)
 
+(* [write_order] holds each written key once ([buffer_write]). *)
 let install_writes t commit_ts =
   let db = t.db in
-  let seen = Hashtbl.create 16 in
   List.iter
     (fun (table_name, key) ->
-      if not (Hashtbl.mem seen (table_name, key)) then begin
-        Hashtbl.add seen (table_name, key) ();
-        let table = table_exn db table_name in
-        let chain, access = Mvstore.ensure_chain table key in
-        propagate_splits db table_name access;
-        let value = Hashtbl.find t.writes (table_name, key) in
-        Mvstore.install chain ~value ~commit_ts ~creator:t.id;
-        if db.config.Config.granularity = Config.Page then begin
-          let _, access = Mvstore.find_chain_path table key in
-          List.iter
-            (fun p ->
-              Hashtbl.replace db.page_stamps (table_name, p) (commit_ts, t.id);
-              (* Remembered so a later summarization of this transaction can
-                 leave its out-flag on the stamped pages' summary entries. *)
-              if not (List.mem (table_name, p) t.touched_pages) then
-                t.touched_pages <- (table_name, p) :: t.touched_pages)
-            access.Btree.leaves
-        end
+      let table = table_exn db table_name in
+      let chain, access = Mvstore.ensure_chain table key in
+      propagate_splits db table_name access;
+      let value = Hashtbl.find t.writes (table_name, key) in
+      Mvstore.install chain ~value ~commit_ts ~creator:t.id;
+      if db.config.Config.granularity = Config.Page then begin
+        let _, access = Mvstore.find_chain_path table key in
+        List.iter
+          (fun p ->
+            Hashtbl.replace db.page_stamps (table_name, p) (commit_ts, t.id);
+            (* Remembered so a later summarization of this transaction can
+               leave its out-flag on the stamped pages' summary entries. *)
+            if not (List.mem (table_name, p) t.touched_pages) then
+              t.touched_pages <- (table_name, p) :: t.touched_pages)
+          access.Btree.leaves
       end)
     (List.rev t.write_order);
   if db.config.Config.granularity = Config.Page then
@@ -978,9 +979,7 @@ let drain_summary db min_snap =
         (match Hashtbl.find_opt db.summary resource with
         | Some s when s.sm_commit_ts <= min_snap ->
             Hashtbl.remove db.summary resource;
-            if
-              List.mem Lockmgr.Siread
-                (Lockmgr.holds_of db.locks ~owner:summary_owner resource)
+            if Lockmgr.holds_mode db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource
             then begin
               Lockmgr.release_one db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource;
               db.n_siread_entries <- db.n_siread_entries - 1
@@ -1068,16 +1067,12 @@ let do_commit t =
             Obs.emit db.obs ~ts:(Sim.now db.sim)
               (Obs.Span_b { tid = t.id; name = "log-flush"; cat = "wal" });
           Wal.append db.wal (Wal.Begin { txn = t.id });
-          let seen = Hashtbl.create 16 in
           List.iter
             (fun (table_name, key) ->
-              if not (Hashtbl.mem seen (table_name, key)) then begin
-                Hashtbl.add seen (table_name, key) ();
-                match Hashtbl.find t.writes (table_name, key) with
-                | Some value ->
-                    Wal.append db.wal (Wal.Write { txn = t.id; table = table_name; key; value })
-                | None -> Wal.append db.wal (Wal.Delete { txn = t.id; table = table_name; key })
-              end)
+              match Hashtbl.find t.writes (table_name, key) with
+              | Some value ->
+                  Wal.append db.wal (Wal.Write { txn = t.id; table = table_name; key; value })
+              | None -> Wal.append db.wal (Wal.Delete { txn = t.id; table = table_name; key }))
             (List.rev t.write_order);
           Wal.append db.wal (Wal.Commit { txn = t.id; ts = commit_ts });
           t.logged <- true;

@@ -38,10 +38,11 @@ and txn = {
          Recorded only when the sink has provenance on (abort certificates
          cite the resource and detection source behind each pivot edge). *)
   mutable out_edges : Obs.cert_edge list; (* rw edges t ->rw w; newest first *)
-  page_reads : (string * int, page_reads) Hashtbl.t;
-      (* bounded-memory mode only: per (table, leaf page), the row SIREADs
-         this txn holds there, so granularity promotion can collapse them
-         into one page SIREAD once Config.promote_threshold is reached *)
+  page_reads : (string * int, page_reads) Hashtbl.t option;
+      (* bounded-memory mode only (None otherwise): per (table, leaf page),
+         the row SIREADs this txn holds there, so granularity promotion can
+         collapse them into one page SIREAD once Config.promote_threshold is
+         reached *)
 }
 
 and page_reads = {
@@ -186,15 +187,45 @@ let ref_commit_time ~if_self = function
 
 let ref_is_set = function No_conflict -> false | Self_conflict | Conflict_with _ -> true
 
-(* {1 Lock resource encodings} *)
+(* {1 Lock resource encodings}
 
-let row_resource table key = "r/" ^ table ^ "/" ^ key
+   Each name is built in one allocation: they are made on every access. *)
 
-let gap_resource table key = "g/" ^ table ^ "/" ^ key
+(* [prefix ^ table ^ "/" ^ key]. *)
+let resource_name prefix table key =
+  let p = String.length prefix and n = String.length table and k = String.length key in
+  let b = Bytes.create (p + n + 1 + k) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Bytes.blit_string table 0 b p n;
+  Bytes.unsafe_set b (p + n) '/';
+  Bytes.blit_string key 0 b (p + n + 1) k;
+  Bytes.unsafe_to_string b
 
-let gap_supremum table = "g/" ^ table ^ "/\xff\xff(sup)"
+let row_resource table key = resource_name "r/" table key
 
-let page_resource table page = Printf.sprintf "p/%s/%d" table page
+let gap_resource table key = resource_name "g/" table key
+
+let gap_supremum table = resource_name "g/" table "\xff\xff(sup)"
+
+(* "p/<table>/<page>", the decimal page id written in place. *)
+let page_resource table page =
+  if page < 0 then resource_name "p/" table (string_of_int page)
+  else begin
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let n = String.length table in
+    let len = 3 + n + digits page in
+    let b = Bytes.create len in
+    Bytes.unsafe_set b 0 'p';
+    Bytes.unsafe_set b 1 '/';
+    Bytes.blit_string table 0 b 2 n;
+    Bytes.unsafe_set b (2 + n) '/';
+    let rec write i v =
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (v mod 10)));
+      if v >= 10 then write (i - 1) (v / 10)
+    in
+    write (len - 1) page;
+    Bytes.unsafe_to_string b
+  end
 
 (* Per-transaction doom flag, as a resource name for the DPOR footprint:
    Conflict.claim_victim writes it, every check_doom reads its own. The "x/"
@@ -206,13 +237,24 @@ let doom_resource id = "x/" ^ string_of_int id
    [touch t resource] records that the operation currently executing on
    behalf of [t] read shared state named [resource] outside the lock manager
    (which reports its own acquisitions); [touch_w] records a write. No-ops
-   (one branch) unless an explorer installed a hook via Db.set_on_touch. *)
+   (one branch) unless an explorer installed a hook via Db.set_on_touch.
+   The [touch_row]/[touch_page] forms build the name only when a hook is
+   installed. *)
 
 let touch t resource =
   match t.db.on_touch with Some f -> f t.id false resource | None -> ()
 
 let touch_w t resource =
   match t.db.on_touch with Some f -> f t.id true resource | None -> ()
+
+let touch_row t table key =
+  match t.db.on_touch with Some f -> f t.id false (row_resource table key) | None -> ()
+
+let touch_w_row t table key =
+  match t.db.on_touch with Some f -> f t.id true (row_resource table key) | None -> ()
+
+let touch_page t table page =
+  match t.db.on_touch with Some f -> f t.id false (page_resource table page) | None -> ()
 
 let touch_doom_read t =
   match t.db.on_touch with Some f -> f t.id false (doom_resource t.id) | None -> ()

@@ -42,12 +42,31 @@ let add_count c m n =
 type waiter = { wowner : owner; wmode : mode; waker : Sim.waker }
 
 type lock = {
-  resource : string;
+  mutable resource : string; (* reassigned when a free-listed entry is reused *)
   holds : (owner, counts) Hashtbl.t;
   mutable queue : waiter list; (* FIFO: head is served first *)
 }
 
 type detection = Immediate | Periodic of float
+
+(* A LIFO stack of emptied objects kept for reuse. *)
+type 'a pool = { mutable items : 'a array; mutable len : int }
+
+let pool () = { items = [||]; len = 0 }
+
+let pool_push p x =
+  if p.len = Array.length p.items then begin
+    let items = Array.make (max 8 (2 * p.len)) x in
+    Array.blit p.items 0 items 0 p.len;
+    p.items <- items
+  end;
+  p.items.(p.len) <- x;
+  p.len <- p.len + 1
+
+(* Callers check [p.len > 0] first. *)
+let pool_take p =
+  p.len <- p.len - 1;
+  p.items.(p.len)
 
 type t = {
   sim : Sim.t;
@@ -55,6 +74,14 @@ type t = {
   table : (string, lock) Hashtbl.t;
   owned : (owner, (string, unit) Hashtbl.t) Hashtbl.t;
   waiting : (owner, string) Hashtbl.t; (* owner -> resource it blocks on *)
+  (* Lock entries and held sets are recycled instead of allocated afresh for
+     every new lock and owner. Each is reset to its initial size before it
+     is pooled, so a reused table iterates exactly like a fresh one: the
+     order of a lock's holders and of an owner's held set decides
+     conflict-marking order and wake order, which are part of the
+     simulation. *)
+  free_locks : lock pool;
+  free_sets : (string, unit) Hashtbl.t pool;
   mutable requests : int;
   mutable waits : int;
   mutable deadlocks : int;
@@ -66,13 +93,17 @@ type t = {
   mutable on_touch : (int -> bool -> string -> unit) option;
 }
 
+(* The lock table starts small: nothing depends on its iteration order, and
+   the DPOR explorer builds one engine per schedule. *)
 let create ?(detection = Immediate) sim =
   {
     sim;
     detection;
-    table = Hashtbl.create 4096;
-    owned = Hashtbl.create 256;
-    waiting = Hashtbl.create 64;
+    table = Hashtbl.create 64;
+    owned = Hashtbl.create 16;
+    waiting = Hashtbl.create 16;
+    free_locks = pool ();
+    free_sets = pool ();
     requests = 0;
     waits = 0;
     deadlocks = 0;
@@ -93,33 +124,62 @@ let owned_resources t owner =
   | Some set -> List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) set [])
 
 let get_lock t resource =
-  match Hashtbl.find_opt t.table resource with
-  | Some l -> l
-  | None ->
-      let l = { resource; holds = Hashtbl.create 4; queue = [] } in
+  match Hashtbl.find t.table resource with
+  | l -> l
+  | exception Not_found ->
+      let l =
+        if t.free_locks.len > 0 then begin
+          let l = pool_take t.free_locks in
+          l.resource <- resource;
+          l
+        end
+        else { resource; holds = Hashtbl.create 4; queue = [] }
+      in
       Hashtbl.replace t.table resource l;
       l
 
+(* Drop an entry nobody holds or waits for, keeping it for reuse. *)
+let drop_lock t l =
+  Hashtbl.remove t.table l.resource;
+  Hashtbl.reset l.holds;
+  pool_push t.free_locks l
+
+let drop_if_unused t l = if Hashtbl.length l.holds = 0 && l.queue = [] then drop_lock t l
+
 let note_owned t owner resource =
   let set =
-    match Hashtbl.find_opt t.owned owner with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 16 in
+    match Hashtbl.find t.owned owner with
+    | s -> s
+    | exception Not_found ->
+        let s = if t.free_sets.len > 0 then pool_take t.free_sets else Hashtbl.create 16 in
         Hashtbl.replace t.owned owner s;
         s
   in
   Hashtbl.replace set resource ()
 
+(* Forget an owner whose held set emptied, keeping the set for reuse. *)
+let drop_owned_if_empty t owner set =
+  if Hashtbl.length set = 0 then begin
+    Hashtbl.remove t.owned owner;
+    Hashtbl.reset set;
+    pool_push t.free_sets set
+  end
+
+let counts_of t ~owner resource =
+  match Hashtbl.find t.table resource with
+  | l -> Hashtbl.find_opt l.holds owner
+  | exception Not_found -> None
+
 (* Modes currently held by [owner] on [resource]. *)
 let holds_of t ~owner resource =
-  match Hashtbl.find_opt t.table resource with
+  match counts_of t ~owner resource with
   | None -> []
-  | Some l -> (
-      match Hashtbl.find_opt l.holds owner with
-      | None -> []
-      | Some c ->
-          List.filter (fun m -> count_of c m > 0) [ X; S; Siread ])
+  | Some c -> List.filter (fun m -> count_of c m > 0) [ X; S; Siread ]
+
+let holds_mode t ~owner ~mode resource =
+  match Hashtbl.find t.table resource with
+  | l -> ( match Hashtbl.find l.holds owner with c -> count_of c mode > 0 | exception Not_found -> false)
+  | exception Not_found -> false
 
 let holders t resource =
   match Hashtbl.find_opt t.table resource with
@@ -132,25 +192,31 @@ let holders t resource =
             acc [ X; S; Siread ])
         l.holds []
 
+let queued t resource =
+  match Hashtbl.find_opt t.table resource with
+  | None -> []
+  | Some l ->
+      List.filter_map
+        (fun w -> if Sim.waker_fired w.waker then None else Some (w.wowner, w.wmode))
+        l.queue
+
+(* Whether holding [c] blocks a request for [mode]. SIREAD blocks nothing. *)
+let holding_blocks c mode = (c.x > 0 && blocks mode X) || (c.s > 0 && blocks mode S)
+
+let live w = not (Sim.waker_fired w.waker)
+
 (* Would a request by [owner] for [mode] conflict with current holders? *)
 let conflicts_with_holders l ~owner ~mode =
-  Hashtbl.fold
-    (fun o c acc ->
-      acc
-      || (o <> owner
-         && List.exists (fun m -> count_of c m > 0 && blocks mode m) [ X; S; Siread ]))
-    l.holds false
+  Hashtbl.fold (fun o c acc -> acc || (o <> owner && holding_blocks c mode)) l.holds false
 
 let conflicts_with_queue l ~owner ~mode =
-  List.exists
-    (fun w -> (not (Sim.waker_fired w.waker)) && w.wowner <> owner && blocks mode w.wmode)
-    l.queue
+  List.exists (fun w -> live w && w.wowner <> owner && blocks mode w.wmode) l.queue
 
 let do_grant t l ~owner ~mode =
   let c =
-    match Hashtbl.find_opt l.holds owner with
-    | Some c -> c
-    | None ->
+    match Hashtbl.find l.holds owner with
+    | c -> c
+    | exception Not_found ->
         let c = { s = 0; x = 0; siread = 0 } in
         Hashtbl.replace l.holds owner c;
         c
@@ -158,33 +224,74 @@ let do_grant t l ~owner ~mode =
   add_count c mode 1;
   note_owned t owner l.resource
 
-(* Blocked owners and who they wait for: edges from a waiter to every
-   conflicting holder and every conflicting earlier waiter. *)
+(* The one definition of a waits-for edge. A request by [owner] for [mode]
+   on [l] waits for every other owner holding a mode it conflicts with, and
+   for every live waiter in [ahead] that asks for a conflicting mode, up to
+   the request's own entry: [ahead] is the whole queue for a request not yet
+   queued, or [[]] for a conversion, which goes to the queue front. [f] is
+   called once per edge. *)
+let iter_blockers l ~owner ~mode ahead f =
+  Hashtbl.iter (fun o c -> if o <> owner && holding_blocks c mode then f o) l.holds;
+  let rec go = function
+    | [] -> ()
+    | w :: rest ->
+        if not (live w) then go rest
+        else if w.wowner <> owner then begin
+          if blocks mode w.wmode then f w.wowner;
+          go rest
+        end
+  in
+  go ahead
+
+(* Blocked owners and who they wait for, over the whole lock table. Only
+   the periodic detector and deadlock certificates need the full graph. *)
 let waits_for_edges t =
   let edges = ref [] in
   Hashtbl.iter
     (fun _ l ->
-      let earlier = ref [] in
       List.iter
         (fun w ->
-          if not (Sim.waker_fired w.waker) then begin
-            Hashtbl.iter
-              (fun o c ->
-                if
-                  o <> w.wowner
-                  && List.exists (fun m -> count_of c m > 0 && blocks w.wmode m) [ X; S; Siread ]
-                then edges := (w.wowner, o) :: !edges)
-              l.holds;
-            List.iter
-              (fun w' ->
-                if w'.wowner <> w.wowner && blocks w.wmode w'.wmode then
-                  edges := (w.wowner, w'.wowner) :: !edges)
-              !earlier;
-            earlier := w :: !earlier
-          end)
+          if live w then
+            iter_blockers l ~owner:w.wowner ~mode:w.wmode l.queue (fun o ->
+                edges := (w.wowner, o) :: !edges))
         l.queue)
     t.table;
   !edges
+
+(* The edges a request by [owner] for [mode] on [l] would add. *)
+let request_edges l ~owner ~mode ahead =
+  let edges = ref [] in
+  iter_blockers l ~owner ~mode ahead (fun o -> edges := (owner, o) :: !edges);
+  !edges
+
+(* Would [owner], waiting on [l] for [mode] behind [ahead], close a
+   waits-for cycle? A depth-first search from the requester: a blocked
+   owner's successors are the blockers of its one live request. It visits
+   only what the requester can reach, instead of building the graph of the
+   whole lock table. *)
+let closes_cycle t l ~owner ~mode ahead =
+  let visited = Hashtbl.create 8 in
+  let rec reaches_owner l ~owner:o ~mode ahead =
+    match iter_blockers l ~owner:o ~mode ahead (fun b -> if visit b then raise_notrace Exit) with
+    | () -> false
+    | exception Exit -> true
+  and visit b =
+    b = owner
+    || (not (Hashtbl.mem visited b))
+       && begin
+            Hashtbl.replace visited b ();
+            match Hashtbl.find_opt t.waiting b with
+            | None -> false
+            | Some r -> (
+                match Hashtbl.find_opt t.table r with
+                | None -> false
+                | Some l' -> (
+                    match List.find_opt (fun w -> live w && w.wowner = b) l'.queue with
+                    | None -> false
+                    | Some w -> reaches_owner l' ~owner:b ~mode:w.wmode l'.queue))
+          end
+  in
+  reaches_owner l ~owner ~mode ahead
 
 (* Is [start] part of a waits-for cycle reachable from itself? *)
 let in_cycle edges start =
@@ -375,82 +482,40 @@ let acquire t ~owner ~mode resource =
   t.requests <- t.requests + 1;
   (match t.on_touch with Some f -> f owner (mode = X) resource | None -> ());
   let l = get_lock t resource in
-  let emit_granted () =
-    if Obs.tracing t.obs then
-      Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Lock_acquire { owner; mode = mode_to_string mode; resource })
-  in
   (* Re-entrant and conversion requests by an existing holder must not queue
      behind strangers (a holder waiting behind someone who waits for it
      would self-deadlock); they only wait for conflicting *holders*, and
      when they do wait, they wait at the front of the queue. *)
   let already_holds =
-    match Hashtbl.find_opt l.holds owner with
-    | Some c -> c.s > 0 || c.x > 0 || c.siread > 0
-    | None -> false
+    match Hashtbl.find l.holds owner with
+    | c -> c.s > 0 || c.x > 0 || c.siread > 0
+    | exception Not_found -> false
   in
-  if mode = Siread then begin
-    do_grant t l ~owner ~mode;
-    emit_granted ()
-  end
-  else if
-    (not (conflicts_with_holders l ~owner ~mode))
-    && (already_holds || not (conflicts_with_queue l ~owner ~mode))
+  if
+    mode = Siread
+    || (not (conflicts_with_holders l ~owner ~mode))
+       && (already_holds || not (conflicts_with_queue l ~owner ~mode))
   then begin
     do_grant t l ~owner ~mode;
-    emit_granted ()
+    if Obs.tracing t.obs then
+      Obs.emit t.obs ~ts:(Sim.now t.sim)
+        (Obs.Lock_acquire { owner; mode = mode_to_string mode; resource })
   end
   else begin
     t.waits <- t.waits + 1;
     (match t.detection with
     | Immediate ->
-        (* Would waiting close a cycle? Check with the hypothetical edge set
-           including our new wait. *)
-        let hypothetical =
-          let held_edges =
-            Hashtbl.fold
-              (fun o c acc ->
-                if
-                  o <> owner
-                  && List.exists (fun m -> count_of c m > 0 && blocks mode m) [ X; S; Siread ]
-                then (owner, o) :: acc
-                else acc)
-              l.holds []
-          in
-          (* A conversion (already_holds) goes to the queue front: it never
-             waits behind queued strangers, so they add no edges. *)
-          let queue_edges =
-            if already_holds then []
-            else
-              List.filter_map
-                (fun w ->
-                  if
-                    (not (Sim.waker_fired w.waker))
-                    && w.wowner <> owner && blocks mode w.wmode
-                  then Some (owner, w.wowner)
-                  else None)
-                l.queue
-          in
-          held_edges @ queue_edges @ waits_for_edges t
-        in
-        if in_cycle hypothetical owner then begin
+        (* Would waiting close a cycle? A conversion (already_holds) goes to
+           the queue front: it never waits behind queued strangers, so they
+           add no edges. *)
+        let ahead = if already_holds then [] else l.queue in
+        if closes_cycle t l ~owner ~mode ahead then begin
           (* Certificate first: the requester is the victim, and its wait is
              only hypothetical (never entered into [t.waiting]), so the
              resource is supplied explicitly. *)
-          emit_deadlock_cert t ~extra:(owner, resource) ~victim:owner hypothetical;
-          (if Sys.getenv_opt "LOCKMGR_DEBUG" <> None then begin
-             Printf.eprintf "DEADLOCK owner=%d mode=%s res=%s\n" owner (mode_to_string mode) resource;
-             List.iter (fun (a, b) -> Printf.eprintf "  edge %d -> %d\n" a b) hypothetical;
-             Hashtbl.iter (fun o r -> Printf.eprintf "  waiting: %d on %s\n" o r) t.waiting;
-             Hashtbl.iter
-               (fun o set ->
-                 Hashtbl.iter
-                   (fun r () ->
-                     Printf.eprintf "  owned: %d %s [%s]\n" o r
-                       (String.concat "," (List.map mode_to_string (holds_of t ~owner:o r))))
-                   set)
-               t.owned
-           end);
+          if Obs.provenance_on t.obs then
+            emit_deadlock_cert t ~extra:(owner, resource) ~victim:owner
+              (request_edges l ~owner ~mode ahead @ waits_for_edges t);
           t.deadlocks <- t.deadlocks + 1;
           if Obs.tracing t.obs then
             Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Deadlock { victim = owner; resource });
@@ -490,22 +555,22 @@ let acquire t ~owner ~mode resource =
   end
 
 let release_one t ~owner ~mode resource =
-  match Hashtbl.find_opt t.table resource with
-  | None -> ()
-  | Some l -> (
-      match Hashtbl.find_opt l.holds owner with
-      | None -> ()
-      | Some c ->
+  match Hashtbl.find t.table resource with
+  | exception Not_found -> ()
+  | l -> (
+      match Hashtbl.find l.holds owner with
+      | exception Not_found -> ()
+      | c ->
           if count_of c mode > 0 then begin
             add_count c mode (-count_of c mode);
             if c.s = 0 && c.x = 0 && c.siread = 0 then begin
               Hashtbl.remove l.holds owner;
-              (match Hashtbl.find_opt t.owned owner with
-              | Some set -> Hashtbl.remove set resource
-              | None -> ())
+              match Hashtbl.find t.owned owner with
+              | set -> Hashtbl.remove set resource
+              | exception Not_found -> ()
             end;
             grant_waiters t l;
-            if Hashtbl.length l.holds = 0 && l.queue = [] then Hashtbl.remove t.table resource
+            drop_if_unused t l
           end)
 
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
@@ -513,18 +578,18 @@ let release_one t ~owner ~mode resource =
 let release_all ?(keep_siread = false) t owner =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
-  match Hashtbl.find_opt t.owned owner with
-  | None -> ()
-  | Some set ->
+  match Hashtbl.find t.owned owner with
+  | exception Not_found -> ()
+  | set ->
       let resources = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
       List.iter
         (fun resource ->
-          match Hashtbl.find_opt t.table resource with
-          | None -> Hashtbl.remove set resource
-          | Some l -> (
-              match Hashtbl.find_opt l.holds owner with
-              | None -> Hashtbl.remove set resource
-              | Some c ->
+          match Hashtbl.find t.table resource with
+          | exception Not_found -> Hashtbl.remove set resource
+          | l -> (
+              match Hashtbl.find l.holds owner with
+              | exception Not_found -> Hashtbl.remove set resource
+              | c ->
                   c.s <- 0;
                   c.x <- 0;
                   if not keep_siread then c.siread <- 0;
@@ -533,10 +598,9 @@ let release_all ?(keep_siread = false) t owner =
                     Hashtbl.remove set resource
                   end;
                   grant_waiters t l;
-                  if Hashtbl.length l.holds = 0 && l.queue = [] then
-                    Hashtbl.remove t.table resource))
+                  drop_if_unused t l))
         resources;
-      if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner
+      drop_owned_if_empty t owner set
 
 (* Move every SIREAD annotation of [owner] onto [to_owner], merging with any
    the target already holds there (SIREAD is a set-like annotation: one entry
@@ -548,23 +612,23 @@ let release_all ?(keep_siread = false) t owner =
    resource paired with whether the target already held a SIREAD there (the
    table shrinks by one entry in that case). *)
 let transfer_sireads t ~owner ~to_owner =
-  match Hashtbl.find_opt t.owned owner with
-  | None -> []
-  | Some set ->
+  match Hashtbl.find t.owned owner with
+  | exception Not_found -> []
+  | set ->
       let resources = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
       let moved =
         List.filter_map
           (fun resource ->
-            match Hashtbl.find_opt t.table resource with
-            | None ->
+            match Hashtbl.find t.table resource with
+            | exception Not_found ->
                 Hashtbl.remove set resource;
                 None
-            | Some l -> (
-                match Hashtbl.find_opt l.holds owner with
-                | None ->
+            | l -> (
+                match Hashtbl.find l.holds owner with
+                | exception Not_found ->
                     Hashtbl.remove set resource;
                     None
-                | Some c ->
+                | c ->
                     if c.siread = 0 then None
                     else begin
                       c.siread <- 0;
@@ -573,12 +637,12 @@ let transfer_sireads t ~owner ~to_owner =
                         Hashtbl.remove set resource
                       end;
                       let merged =
-                        match Hashtbl.find_opt l.holds to_owner with
-                        | Some tc ->
+                        match Hashtbl.find l.holds to_owner with
+                        | tc ->
                             let had = tc.siread > 0 in
                             if not had then tc.siread <- 1;
                             had
-                        | None ->
+                        | exception Not_found ->
                             Hashtbl.replace l.holds to_owner { s = 0; x = 0; siread = 1 };
                             false
                       in
@@ -587,7 +651,7 @@ let transfer_sireads t ~owner ~to_owner =
                     end))
           resources
       in
-      if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner;
+      drop_owned_if_empty t owner set;
       moved
 
 (* Abort an owner that is currently blocked: raise [exn] inside it. *)

@@ -57,6 +57,11 @@ val holders : t -> string -> (owner * mode) list
 (** Modes [owner] currently holds on [resource]. *)
 val holds_of : t -> owner:owner -> string -> mode list
 
+(** Whether [owner] currently holds [mode] on [resource]; the same answer as
+    [List.mem mode (holds_of t ~owner resource)], without building the
+    list. *)
+val holds_mode : t -> owner:owner -> mode:mode -> string -> bool
+
 (** Drop one mode (all its recursive acquisitions) of [owner] on [resource];
     wakes newly compatible waiters. *)
 val release_one : t -> owner:owner -> mode:mode -> string -> unit
@@ -79,9 +84,14 @@ val transfer_sireads : t -> owner:owner -> to_owner:owner -> (string * bool) lis
 
 (** {1 Waits-for introspection} *)
 
-(** Current waits-for edges: a blocked owner points at every conflicting
-    holder and every conflicting earlier waiter. *)
+(** Current waits-for edges over the whole lock table: a blocked owner
+    points at every conflicting holder and every conflicting earlier waiter.
+    [Immediate] detection does not build this graph; it searches it from the
+    requester, and builds it only for a deadlock certificate. *)
 val waits_for_edges : t -> (owner * owner) list
+
+(** The live waiters queued on a resource, head (next served) first. *)
+val queued : t -> string -> (owner * mode) list
 
 (** The waits-for cycle through [start] in [edges]: a path
     [[start; a; b; ...]] where each owner waits for the next and the last

@@ -1,71 +1,92 @@
 (* Binary min-heap keyed by (time, sequence-number); the sequence number
-   makes event ordering total and hence the simulation deterministic. *)
+   makes event ordering total and hence the simulation deterministic.
 
-type 'a entry = { time : float; seq : int; payload : 'a }
+   The heap is three parallel arrays: times unboxed in a float array,
+   sequence numbers, payloads. Pushing allocates nothing but array growth,
+   and popping allocates nothing at all. *)
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
 }
 
-let create () = { data = [||]; size = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0 }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow t entry =
-  let cap = Array.length t.data in
+let grow t payload =
+  let cap = Array.length t.payloads in
   if t.size = cap then begin
     let cap' = max 16 (2 * cap) in
-    let data' = Array.make cap' entry in
-    Array.blit t.data 0 data' 0 t.size;
-    t.data <- data'
+    let times = Array.make cap' 0.0 and seqs = Array.make cap' 0 in
+    let payloads = Array.make cap' payload in
+    Array.blit t.times 0 times 0 t.size;
+    Array.blit t.seqs 0 seqs 0 t.size;
+    Array.blit t.payloads 0 payloads 0 t.size;
+    t.times <- times;
+    t.seqs <- seqs;
+    t.payloads <- payloads
   end
+
+(* Move the entry at [src] to [dst]. *)
+let move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.payloads.(dst) <- t.payloads.(src)
 
 let push t ~time ~seq payload =
-  let entry = { time; seq; payload } in
-  grow t entry;
-  t.data.(t.size) <- entry;
-  t.size <- t.size + 1;
-  (* sift up *)
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before t.data.(i) t.data.(parent) then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(parent);
-        t.data.(parent) <- tmp;
-        up parent
-      end
+  grow t payload;
+  (* sift up: move parents down into the hole until the new entry fits *)
+  let i = ref t.size in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pt = t.times.(parent) in
+    if time < pt || (time = pt && seq < t.seqs.(parent)) then begin
+      move t ~src:parent ~dst:!i;
+      i := parent
     end
-  in
-  up (t.size - 1)
+    else continue := false
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.payloads.(!i) <- payload;
+  t.size <- t.size + 1
 
-let peek t = if t.size = 0 then None else Some (t.data.(0).time, t.data.(0).payload)
+let min_time t = if t.size = 0 then infinity else t.times.(0)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let smallest = ref i in
-        if l < t.size && before t.data.(l) t.data.(!smallest) then smallest := l;
-        if r < t.size && before t.data.(r) t.data.(!smallest) then smallest := r;
-        if !smallest <> i then begin
-          let tmp = t.data.(i) in
-          t.data.(i) <- t.data.(!smallest);
-          t.data.(!smallest) <- tmp;
-          down !smallest
+  if t.size = 0 then invalid_arg "Pqueue.pop: empty queue";
+  let top = t.payloads.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    (* sift the last entry down from the root *)
+    let time = t.times.(n) and seq = t.seqs.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (t.times.(r) < t.times.(l) || (t.times.(r) = t.times.(l) && t.seqs.(r) < t.seqs.(l)))
+          then r
+          else l
+        in
+        let ct = t.times.(c) in
+        if ct < time || (ct = time && t.seqs.(c) < seq) then begin
+          move t ~src:c ~dst:!i;
+          i := c
         end
-      in
-      down 0
-    end;
-    Some (top.time, top.payload)
-  end
+        else continue := false
+      end
+    done;
+    move t ~src:n ~dst:!i
+  end;
+  top

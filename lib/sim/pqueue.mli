@@ -16,8 +16,9 @@ val is_empty : 'a t -> bool
     increasing across pushes to keep ordering total. *)
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
-(** Smallest (time, payload) without removing it. *)
-val peek : 'a t -> (float * 'a) option
+(** Time of the smallest entry; [infinity] when the queue is empty. *)
+val min_time : 'a t -> float
 
-(** Remove and return the smallest (time, payload). *)
-val pop : 'a t -> (float * 'a) option
+(** Remove the smallest entry and return its payload.
+    @raise Invalid_argument when the queue is empty. *)
+val pop : 'a t -> 'a

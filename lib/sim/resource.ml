@@ -87,7 +87,13 @@ let use t dt f =
       finish ();
       raise e
 
-let consume t dt = use t dt (fun () -> ())
+(* [use] with nothing to run: no closures, and no handler (a delay cannot
+   raise). *)
+let consume t dt =
+  acquire t;
+  Sim.delay t.sim dt;
+  t.busy_time <- t.busy_time +. dt;
+  release t
 
 let busy_time t = t.busy_time
 

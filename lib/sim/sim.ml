@@ -92,45 +92,39 @@ let spawn t f =
   in
   schedule t ~after:0.0 body
 
-(* Condition variables: broadcast-only wakeups over a waiter list. *)
+(* Condition variables: wakeups over a FIFO queue of waiters. Waking only
+   schedules the waiter, so nothing joins the queue while it drains. *)
 
-type cond = { mutable waiters : waker list }
+type cond = { waiters : waker Queue.t }
 
-let cond () = { waiters = [] }
+let cond () = { waiters = Queue.create () }
 
-let wait t c = suspend t (fun w -> c.waiters <- c.waiters @ [ w ])
+let wait t c = suspend t (fun w -> Queue.add w c.waiters)
 
 let broadcast t c =
-  let ws = c.waiters in
-  c.waiters <- [];
-  List.iter (fun w -> wake t w) ws
+  while not (Queue.is_empty c.waiters) do
+    wake t (Queue.pop c.waiters)
+  done
 
-let signal t c =
-  match c.waiters with
-  | [] -> ()
-  | w :: rest ->
-      c.waiters <- rest;
-      wake t w
+let signal t c = if not (Queue.is_empty c.waiters) then wake t (Queue.pop c.waiters)
 
 let run ?(until = infinity) t =
   let continue_ = ref true in
   while !continue_ do
-    match Pqueue.peek t.events with
-    | None -> continue_ := false
-    | Some (time, _) ->
-        if time > until then begin
-          (* Leave the clock at the horizon; remaining events stay queued
-             (peek, don't pop: a later [run] must be able to resume). *)
-          t.now <- until;
-          continue_ := false
-        end
-        else begin
-          (match Pqueue.pop t.events with
-          | Some (time', thunk) ->
-              t.now <- time';
-              thunk ()
-          | None -> continue_ := false)
-        end
+    if Pqueue.is_empty t.events then continue_ := false
+    else begin
+      let time = Pqueue.min_time t.events in
+      if time > until then begin
+        (* Leave the clock at the horizon; remaining events stay queued
+           (look, don't pop: a later [run] must be able to resume). *)
+        t.now <- until;
+        continue_ := false
+      end
+      else begin
+        t.now <- time;
+        (Pqueue.pop t.events) ()
+      end
+    end
   done
 
 let pending_events t = Pqueue.length t.events

@@ -46,22 +46,106 @@ let plain c =
   | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | ',' | '~' | '/' | '-' -> true
   | _ -> false
 
-let esc s =
-  let n = String.length s in
-  let plain_only = ref true in
-  for i = 0 to n - 1 do
-    if not (plain s.[i]) then plain_only := false
+(* {2 Encoder}
+
+   A frame is "<payload length>:<payload>\n". The payload's length is
+   computed first, so the frame is written straight into the destination
+   buffer: no payload string, no Printf. Every group flush and [Db.load]
+   (which hardens every loaded row) go through here. *)
+
+let hex = "0123456789ABCDEF"
+
+let esc_length s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    n := !n + if plain (String.unsafe_get s i) then 1 else 3
   done;
-  if !plain_only then s
+  !n
+
+let add_esc buf s =
+  if esc_length s = String.length s then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      let c = String.unsafe_get s i in
+      if plain c then Buffer.add_char buf c
+      else begin
+        Buffer.add_char buf '%';
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 15]
+      end
+    done
+
+(* Decimal digits of [n], as "%d" prints it. *)
+let rec int_length n =
+  if n < 0 then String.length (string_of_int n) else if n < 10 then 1 else 1 + int_length (n / 10)
+
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
   else begin
-    let buf = Buffer.create (n + 8) in
-    String.iter
-      (fun c ->
-        if plain c then Buffer.add_char buf c
-        else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-      s;
-    Buffer.contents buf
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
   end
+
+(* Payload fields after the one-letter tag, each preceded by a space. *)
+let payload_length r =
+  2
+  +
+  match r with
+  | Begin { txn } | Abort { txn } -> int_length txn
+  | Write { txn; table; key; value } | Insert { txn; table; key; value } ->
+      int_length txn + esc_length table + esc_length key + esc_length value + 3
+  | Delete { txn; table; key } -> int_length txn + esc_length table + esc_length key + 2
+  | Commit { txn; ts } -> int_length txn + int_length ts + 1
+  | Checkpoint { watermark; next_ts } -> int_length watermark + int_length next_ts + 1
+
+let add_int_field buf n =
+  Buffer.add_char buf ' ';
+  add_int buf n
+
+let add_field buf s =
+  Buffer.add_char buf ' ';
+  add_esc buf s
+
+let add_payload buf r =
+  match r with
+  | Begin { txn } ->
+      Buffer.add_char buf 'B';
+      add_int_field buf txn
+  | Write { txn; table; key; value } | Insert { txn; table; key; value } ->
+      Buffer.add_char buf (match r with Insert _ -> 'I' | _ -> 'W');
+      add_int_field buf txn;
+      add_field buf table;
+      add_field buf key;
+      add_field buf value
+  | Delete { txn; table; key } ->
+      Buffer.add_char buf 'D';
+      add_int_field buf txn;
+      add_field buf table;
+      add_field buf key
+  | Commit { txn; ts } ->
+      Buffer.add_char buf 'C';
+      add_int_field buf txn;
+      add_int_field buf ts
+  | Abort { txn } ->
+      Buffer.add_char buf 'A';
+      add_int_field buf txn
+  | Checkpoint { watermark; next_ts } ->
+      Buffer.add_char buf 'K';
+      add_int_field buf watermark;
+      add_int_field buf next_ts
+
+let add_frame buf r =
+  add_int buf (payload_length r);
+  Buffer.add_char buf ':';
+  add_payload buf r;
+  Buffer.add_char buf '\n'
+
+let frame r =
+  let buf = Buffer.create 32 in
+  add_frame buf r;
+  Buffer.contents buf
+
+(* {2 Decoder} *)
 
 let unesc s =
   let n = String.length s in
@@ -84,22 +168,6 @@ let unesc s =
     end
   done;
   if !ok then Some (Buffer.contents buf) else None
-
-let payload_of_record r =
-  match r with
-  | Begin { txn } -> Printf.sprintf "B %d" txn
-  | Write { txn; table; key; value } ->
-      Printf.sprintf "W %d %s %s %s" txn (esc table) (esc key) (esc value)
-  | Insert { txn; table; key; value } ->
-      Printf.sprintf "I %d %s %s %s" txn (esc table) (esc key) (esc value)
-  | Delete { txn; table; key } -> Printf.sprintf "D %d %s %s" txn (esc table) (esc key)
-  | Commit { txn; ts } -> Printf.sprintf "C %d %d" txn ts
-  | Abort { txn } -> Printf.sprintf "A %d" txn
-  | Checkpoint { watermark; next_ts } -> Printf.sprintf "K %d %d" watermark next_ts
-
-let frame r =
-  let p = payload_of_record r in
-  Printf.sprintf "%d:%s\n" (String.length p) p
 
 let record_of_payload p =
   let fields = String.split_on_char ' ' p in
@@ -132,7 +200,7 @@ let record_of_payload p =
 let encode records =
   let buf = Buffer.create 256 in
   Buffer.add_string buf header;
-  List.iter (fun r -> Buffer.add_string buf (frame r)) records;
+  List.iter (add_frame buf) records;
   Buffer.contents buf
 
 (* Decode a log image. Truncation anywhere — inside the header, inside a
@@ -212,7 +280,9 @@ type t = {
   mutable flushed : int; (* highest hardened batch *)
   mutable flusher_active : bool;
   flushed_cond : Sim.cond;
-  mutable pending : (int * record) list; (* (epoch, record), newest first *)
+  pending : (int * record) Queue.t;
+      (* (epoch, record) in append order; epochs never decrease, so every
+         sealed batch is a prefix *)
   durable : Buffer.t; (* the durable log image, header included *)
   mutable appends : int;
   mutable flushes : int;
@@ -237,7 +307,7 @@ let create sim ~mode =
     flushed = -1;
     flusher_active = false;
     flushed_cond = Sim.cond ();
-    pending = [];
+    pending = Queue.create ();
     durable;
     appends = 0;
     flushes = 0;
@@ -275,17 +345,15 @@ let append t r =
       if t.p_appends = n then crash t p
   | Some _ -> t.p_appends <- t.p_appends + 1
   | None -> ());
-  t.pending <- (t.epoch, r) :: t.pending;
+  Queue.add (t.epoch, r) t.pending;
   t.appends <- t.appends + 1
 
-(* Move every pending record of epoch <= target into the durable image.
-   [pending] is newest-first and epochs only grow, so the kept/hardened
-   split preserves append order (the hardened part is an exact prefix of
-   the pending log). *)
+(* Move every pending record of epoch <= target into the durable image, in
+   append order: they are a prefix of [pending], since epochs only grow. *)
 let harden_upto t target =
-  let hardened, kept = List.partition (fun (e, _) -> e <= target) t.pending in
-  t.pending <- kept;
-  List.iter (fun (_, r) -> Buffer.add_string t.durable (frame r)) (List.rev hardened);
+  while (not (Queue.is_empty t.pending)) && fst (Queue.peek t.pending) <= target do
+    add_frame t.durable (snd (Queue.pop t.pending))
+  done;
   if t.flushed < target then t.flushed <- target
 
 (* Injected mid-flush failure: harden [keep] whole frames of the sealed
@@ -293,8 +361,9 @@ let harden_upto t target =
    the tear is always a strict frame prefix (a whole extra frame would be a
    clean boundary, not a tear). *)
 let tear_and_crash t target ~keep ~torn plan =
-  let batch = List.rev (List.filter (fun (e, _) -> e <= target) t.pending) in
-  let frames = List.map (fun (_, r) -> frame r) batch in
+  let frames =
+    List.rev (Queue.fold (fun acc (e, r) -> if e <= target then frame r :: acc else acc) [] t.pending)
+  in
   let keep = max 0 (min keep (List.length frames)) in
   List.iteri (fun i f -> if i < keep then Buffer.add_string t.durable f) frames;
   (match List.nth_opt frames keep with
@@ -328,7 +397,7 @@ let rec ensure_flushed t ~latency ~upto =
     Obs.record_wal_flush t.obs;
     if Obs.tracing t.obs then
       Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Wal_flush { epoch = target; latency; queued = List.length t.pending });
+        (Obs.Wal_flush { epoch = target; latency; queued = Queue.length t.pending });
     t.flusher_active <- false;
     Sim.broadcast t.sim t.flushed_cond;
     ensure_flushed t ~latency ~upto
@@ -357,7 +426,7 @@ let commit_window_check t =
    max-guard on [flushed] keeps the watermark monotone) and write it plus
    the checkpoint record synchronously. *)
 let checkpoint t ~watermark ~next_ts =
-  t.pending <- (t.epoch, Checkpoint { watermark; next_ts }) :: t.pending;
+  Queue.add (t.epoch, Checkpoint { watermark; next_ts }) t.pending;
   let target = t.epoch in
   t.epoch <- t.epoch + 1;
   harden_upto t target;

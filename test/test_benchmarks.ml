@@ -581,9 +581,21 @@ let test_driver_window () =
   let tput_ratio = r2.Driver.throughput /. r.Driver.throughput in
   Alcotest.(check bool) "throughput roughly stable" true (tput_ratio > 0.7 && tput_ratio < 1.4)
 
+(* The customer names and ids are written digit by digit; they must be the
+   strings "%06d" formatting makes (keys, and so page layout, depend on
+   them). *)
+let test_smallbank_names () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "name_of" (Printf.sprintf "cust%06d" i) (Smallbank.name_of i);
+      Alcotest.(check string) "id_of" (Printf.sprintf "id%06d" i) (Smallbank.id_of i))
+    ([ 0; 9; 10; 99_999; 999_999; 1_000_000; 1_234_567; max_int; -1; -7; min_int ]
+    @ List.init 1000 (fun i -> i * 37))
+
 let suite =
   [
     ("smallbank program semantics", `Quick, test_smallbank_programs);
+    ("smallbank names match printf", `Quick, test_smallbank_names);
     ("smallbank TS overdraft rolls back", `Quick, test_smallbank_ts_overdraft_rolls_back);
     ("smallbank write skew under SI", `Quick, test_smallbank_skew_si);
     ("smallbank skew prevented under SSI", `Quick, test_smallbank_skew_ssi);

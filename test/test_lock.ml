@@ -315,6 +315,373 @@ let test_siread_retained_vs_new_x () =
             [ (1, "SIREAD"); (2, "X") ]
             (List.map (fun (o, m) -> (o, Lockmgr.mode_to_string m)) holders)))
 
+(* {1 Properties over random operation sequences} *)
+
+let mode_gen = QCheck.Gen.oneofl [ Lockmgr.S; Lockmgr.X; Lockmgr.Siread ]
+
+let all_modes = [ Lockmgr.X; Lockmgr.S; Lockmgr.Siread ]
+
+(* A reference lock table built the way the lock manager used to build its
+   own: a fresh holder table for every new lock entry and a fresh held set
+   for every new owner. Hashtable iteration order depends on a table's
+   history, so [holders] and [transfer_sireads] only return the same lists
+   in the same order if the recycled tables behave exactly like fresh
+   ones. No request here ever blocks, so there are no queues to model. *)
+module Ref = struct
+  type counts = { mutable s : int; mutable x : int; mutable siread : int }
+
+  type t = {
+    table : (string, (int, counts) Hashtbl.t) Hashtbl.t;
+    owned : (int, (string, unit) Hashtbl.t) Hashtbl.t;
+  }
+
+  let create () = { table = Hashtbl.create 16; owned = Hashtbl.create 16 }
+
+  let count c = function Lockmgr.S -> c.s | Lockmgr.X -> c.x | Lockmgr.Siread -> c.siread
+
+  let set_count c m n =
+    match m with Lockmgr.S -> c.s <- n | Lockmgr.X -> c.x <- n | Lockmgr.Siread -> c.siread <- n
+
+  let empty c = c.s = 0 && c.x = 0 && c.siread = 0
+
+  let note_owned t owner r =
+    let set =
+      match Hashtbl.find_opt t.owned owner with
+      | Some s -> s
+      | None ->
+          let s = Hashtbl.create 16 in
+          Hashtbl.replace t.owned owner s;
+          s
+    in
+    Hashtbl.replace set r ()
+
+  let holders t r =
+    match Hashtbl.find_opt t.table r with
+    | None -> []
+    | Some holds ->
+        Hashtbl.fold
+          (fun o c acc ->
+            List.fold_left (fun acc m -> if count c m > 0 then (o, m) :: acc else acc) acc all_modes)
+          holds []
+
+  let would_block t ~owner ~mode r =
+    List.exists (fun (o, m) -> o <> owner && Lockmgr.blocks mode m) (holders t r)
+
+  let acquire t ~owner ~mode r =
+    let holds =
+      match Hashtbl.find_opt t.table r with
+      | Some h -> h
+      | None ->
+          let h = Hashtbl.create 4 in
+          Hashtbl.replace t.table r h;
+          h
+    in
+    let c =
+      match Hashtbl.find_opt holds owner with
+      | Some c -> c
+      | None ->
+          let c = { s = 0; x = 0; siread = 0 } in
+          Hashtbl.replace holds owner c;
+          c
+    in
+    set_count c mode (count c mode + 1);
+    note_owned t owner r
+
+  let drop_if_empty t r holds = if Hashtbl.length holds = 0 then Hashtbl.remove t.table r
+
+  let release_one t ~owner ~mode r =
+    match Hashtbl.find_opt t.table r with
+    | None -> ()
+    | Some holds -> (
+        match Hashtbl.find_opt holds owner with
+        | Some c when count c mode > 0 ->
+            set_count c mode 0;
+            if empty c then begin
+              Hashtbl.remove holds owner;
+              match Hashtbl.find_opt t.owned owner with
+              | Some set -> Hashtbl.remove set r
+              | None -> ()
+            end;
+            drop_if_empty t r holds
+        | _ -> ())
+
+  let release_all ~keep_siread t owner =
+    match Hashtbl.find_opt t.owned owner with
+    | None -> ()
+    | Some set ->
+        List.iter
+          (fun r ->
+            match Hashtbl.find_opt t.table r with
+            | None -> Hashtbl.remove set r
+            | Some holds -> (
+                match Hashtbl.find_opt holds owner with
+                | None -> Hashtbl.remove set r
+                | Some c ->
+                    c.s <- 0;
+                    c.x <- 0;
+                    if not keep_siread then c.siread <- 0;
+                    if c.siread = 0 then begin
+                      Hashtbl.remove holds owner;
+                      Hashtbl.remove set r
+                    end;
+                    drop_if_empty t r holds))
+          (Hashtbl.fold (fun r () acc -> r :: acc) set []);
+        if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner
+
+  let transfer_sireads t ~owner ~to_owner =
+    match Hashtbl.find_opt t.owned owner with
+    | None -> []
+    | Some set ->
+        let moved =
+          List.filter_map
+            (fun r ->
+              match Hashtbl.find_opt t.table r with
+              | None ->
+                  Hashtbl.remove set r;
+                  None
+              | Some holds -> (
+                  match Hashtbl.find_opt holds owner with
+                  | None ->
+                      Hashtbl.remove set r;
+                      None
+                  | Some c when c.siread = 0 -> None
+                  | Some c ->
+                      c.siread <- 0;
+                      if c.s = 0 && c.x = 0 then begin
+                        Hashtbl.remove holds owner;
+                        Hashtbl.remove set r
+                      end;
+                      let merged =
+                        match Hashtbl.find_opt holds to_owner with
+                        | Some tc ->
+                            let had = tc.siread > 0 in
+                            tc.siread <- 1;
+                            had
+                        | None ->
+                            Hashtbl.replace holds to_owner { s = 0; x = 0; siread = 1 };
+                            false
+                      in
+                      note_owned t to_owner r;
+                      Some (r, merged)))
+            (Hashtbl.fold (fun r () acc -> r :: acc) set [])
+        in
+        if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner;
+        moved
+end
+
+type op =
+  | Acquire of int * Lockmgr.mode * int
+  | Release_one of int * Lockmgr.mode * int
+  | Release_all of int * bool
+  | Transfer of int * int
+  | Spread of int * int  (** owner SIREADs resources 0..n-1: grows its held set *)
+  | Crowd of int * int  (** owners 0..n-1 SIREAD one resource: grows its holders *)
+  | Drain  (** every owner releases everything: all tables go back for reuse *)
+
+let n_owners = 48
+
+let n_resources = 40
+
+let resource i = "r" ^ string_of_int i
+
+let op_gen =
+  let open QCheck.Gen in
+  let owner = int_bound (n_owners - 1) and res = int_bound (n_resources - 1) in
+  frequency
+    [
+      (10, map3 (fun o m r -> Acquire (o, m, r)) owner mode_gen res);
+      (3, map3 (fun o m r -> Release_one (o, m, r)) owner mode_gen res);
+      (3, map2 (fun o k -> Release_all (o, k)) owner bool);
+      (2, map2 (fun o o' -> Transfer (o, o')) owner owner);
+      (1, map2 (fun o n -> Spread (o, n)) owner (int_range 20 n_resources));
+      (1, map2 (fun r n -> Crowd (r, n)) res (int_range 20 n_owners));
+      (1, return Drain);
+    ]
+
+let show_op = function
+  | Acquire (o, m, r) -> Printf.sprintf "acquire %d %s r%d" o (Lockmgr.mode_to_string m) r
+  | Release_one (o, m, r) -> Printf.sprintf "release_one %d %s r%d" o (Lockmgr.mode_to_string m) r
+  | Release_all (o, k) -> Printf.sprintf "release_all %d keep=%b" o k
+  | Transfer (o, o') -> Printf.sprintf "transfer %d -> %d" o o'
+  | Spread (o, n) -> Printf.sprintf "spread %d %d" o n
+  | Crowd (r, n) -> Printf.sprintf "crowd r%d %d" r n
+  | Drain -> "drain"
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(list_size (int_range 50 300) op_gen)
+
+(* Apply [ops] to a lock manager and to the reference, checking after every
+   step that they agree: [holders] (order included) on every resource,
+   [holds_mode] against [holds_of] and the reference, [transfer_sireads]
+   results, the table size and each owner's held resources. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"holders and holds_mode match a fresh-table reference" ~count:100
+    arb_ops (fun ops ->
+      let lm = Lockmgr.create (Sim.create ()) and rf = Ref.create () in
+      let acquire owner mode r =
+        let r = resource r in
+        if not (Ref.would_block rf ~owner ~mode r) then begin
+          Lockmgr.acquire lm ~owner ~mode r;
+          Ref.acquire rf ~owner ~mode r
+        end
+      in
+      let release_all owner keep_siread =
+        Lockmgr.release_all ~keep_siread lm owner;
+        Ref.release_all ~keep_siread rf owner
+      in
+      (* Holders are compared after every step, the rest every 20 steps
+         and at the end. *)
+      let check_holders () =
+        for i = 0 to n_resources - 1 do
+          let r = resource i in
+          if Lockmgr.holders lm r <> Ref.holders rf r then
+            QCheck.Test.fail_reportf "holders of %s differ" r
+        done
+      in
+      let check_all () =
+        for i = 0 to n_resources - 1 do
+          let r = resource i in
+          let ref_holders = Ref.holders rf r in
+          for owner = 0 to n_owners - 1 do
+            List.iter
+              (fun mode ->
+                let got = Lockmgr.holds_mode lm ~owner ~mode r in
+                if got <> List.mem mode (Lockmgr.holds_of lm ~owner r) then
+                  QCheck.Test.fail_reportf "holds_mode disagrees with holds_of on %s" r;
+                if got <> List.mem (owner, mode) ref_holders then
+                  QCheck.Test.fail_reportf "holds_mode disagrees with the reference on %s" r)
+              all_modes
+          done
+        done;
+        let ref_size =
+          Hashtbl.fold
+            (fun _ holds acc ->
+              acc + Hashtbl.fold (fun _ c acc -> if Ref.empty c then acc else acc + 1) holds 0)
+            rf.Ref.table 0
+        in
+        if Lockmgr.lock_table_size lm <> ref_size then QCheck.Test.fail_reportf "table sizes differ";
+        for owner = 0 to n_owners - 1 do
+          let ref_owned =
+            match Hashtbl.find_opt rf.Ref.owned owner with
+            | None -> []
+            | Some set -> List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) set [])
+          in
+          if Lockmgr.owned_resources lm owner <> ref_owned then
+            QCheck.Test.fail_reportf "held resources of %d differ" owner
+        done
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Acquire (o, m, r) -> acquire o m r
+          | Release_one (o, mode, r) ->
+              Lockmgr.release_one lm ~owner:o ~mode (resource r);
+              Ref.release_one rf ~owner:o ~mode (resource r)
+          | Release_all (o, k) -> release_all o k
+          | Transfer (owner, to_owner) ->
+              let got = Lockmgr.transfer_sireads lm ~owner ~to_owner in
+              if got <> Ref.transfer_sireads rf ~owner ~to_owner then
+                QCheck.Test.fail_reportf "transfer_sireads %d -> %d differs" owner to_owner
+          | Spread (o, n) -> for r = 0 to n - 1 do acquire o Lockmgr.Siread r done
+          | Crowd (r, n) -> for o = 0 to n - 1 do acquire o Lockmgr.Siread r done
+          | Drain -> for o = 0 to n_owners - 1 do release_all o false done);
+          check_holders ();
+          if i mod 20 = 19 then check_all ())
+        ops;
+      check_all ();
+      true)
+
+(* Immediate detection: a request raises [Deadlock_victim] exactly when the
+   whole waits-for graph plus the request's own edges has a cycle through
+   the requester. The expected verdict is computed here from public
+   introspection only ([holders], [queued], [waits_for_edges]); the lock
+   manager itself only searches from the requester. *)
+
+let reaches edges ~from ~target =
+  let visited = Hashtbl.create 8 in
+  let rec go n =
+    n = target
+    || (not (Hashtbl.mem visited n))
+       && begin
+            Hashtbl.replace visited n ();
+            List.exists (fun (a, b) -> a = n && go b) edges
+          end
+  in
+  List.exists (fun (a, b) -> a = from && go b) edges
+
+type step = Request of int * Lockmgr.mode * int | Release of int
+
+let step_gen =
+  let open QCheck.Gen in
+  let owner = int_range 1 4 and res = int_bound 2 in
+  frequency
+    [
+      (6, map3 (fun o m r -> Request (o, m, r)) owner (oneofl [ Lockmgr.S; Lockmgr.X ]) res);
+      (1, map (fun o -> Release o) owner);
+    ]
+
+let arb_steps =
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "; "
+        (List.map
+           (function
+             | Request (o, m, r) -> Printf.sprintf "%d %s r%d" o (Lockmgr.mode_to_string m) r
+             | Release o -> Printf.sprintf "%d release" o)
+           steps))
+    QCheck.Gen.(list_size (int_range 5 40) step_gen)
+
+let deadlocks_seen = ref 0
+
+let waits_seen = ref 0
+
+let prop_immediate_verdict =
+  QCheck.Test.make ~name:"immediate detection matches the full waits-for graph" ~count:400
+    arb_steps (fun steps ->
+      let sim = Sim.create () in
+      let lm = Lockmgr.create ~detection:Lockmgr.Immediate sim in
+      let busy = Array.make 5 false in
+      let ok = ref true in
+      List.iteri
+        (fun i step ->
+          Sim.schedule sim ~after:(float_of_int i) (fun () ->
+              Sim.spawn sim (fun () ->
+                  match step with
+                  | Release o -> if not busy.(o) then Lockmgr.release_all lm o
+                  | Request (owner, mode, r) when not busy.(owner) ->
+                      let r = resource r in
+                      let blocking = List.filter (fun (o, m) -> o <> owner && Lockmgr.blocks mode m) in
+                      let already = Lockmgr.holds_of lm ~owner r <> [] in
+                      let held = blocking (Lockmgr.holders lm r) in
+                      let queued = if already then [] else blocking (Lockmgr.queued lm r) in
+                      let edges = List.map (fun (o, _) -> (owner, o)) (held @ queued) in
+                      let waits = edges <> [] in
+                      let expected =
+                        waits && reaches (edges @ Lockmgr.waits_for_edges lm) ~from:owner ~target:owner
+                      in
+                      if waits then incr waits_seen;
+                      if expected then incr deadlocks_seen;
+                      busy.(owner) <- true;
+                      let raised =
+                        match Lockmgr.acquire lm ~owner ~mode r with
+                        | () -> false
+                        | exception Lockmgr.Deadlock_victim ->
+                            Lockmgr.release_all lm owner;
+                            true
+                      in
+                      busy.(owner) <- false;
+                      if raised <> expected then ok := false
+                  | Request _ -> ())))
+        steps;
+      Sim.run sim;
+      !ok)
+
+let test_immediate_verdict_not_vacuous () =
+  Alcotest.(check bool) "some requests waited" true (!waits_seen > 0);
+  Alcotest.(check bool) "some requests closed a cycle" true (!deadlocks_seen > 0)
+
 let suite =
   [
     ("conflict matrix", `Quick, test_conflict_matrix);
@@ -334,6 +701,9 @@ let suite =
     ("reentrant bypasses queue", `Quick, test_reentrant_bypasses_queue);
     ("conversion at queue front", `Quick, test_conversion_goes_to_queue_front);
     ("retained SIREAD visible to X", `Quick, test_siread_retained_vs_new_x);
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_immediate_verdict;
+    ("immediate verdict property saw deadlocks", `Quick, test_immediate_verdict_not_vacuous);
   ]
 
 let () = Alcotest.run "lockmgr" [ ("lockmgr", suite) ]

@@ -86,6 +86,43 @@ let prop_codec_torn_tail =
       done;
       !ok)
 
+(* The frame bytes are part of the durable image (and of every WAL byte
+   count), so the encoder must keep writing exactly what the earlier
+   Printf-based one did: this is that encoder, as the reference. *)
+let printf_frame r =
+  let esc s =
+    String.concat ""
+      (List.map
+         (fun c ->
+           match c with
+           | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | ',' | '~' | '/' | '-' ->
+               String.make 1 c
+           | _ -> Printf.sprintf "%%%02X" (Char.code c))
+         (List.init (String.length s) (String.get s)))
+  in
+  let p =
+    match r with
+    | Wal.Begin { txn } -> Printf.sprintf "B %d" txn
+    | Wal.Write { txn; table; key; value } ->
+        Printf.sprintf "W %d %s %s %s" txn (esc table) (esc key) (esc value)
+    | Wal.Insert { txn; table; key; value } ->
+        Printf.sprintf "I %d %s %s %s" txn (esc table) (esc key) (esc value)
+    | Wal.Delete { txn; table; key } -> Printf.sprintf "D %d %s %s" txn (esc table) (esc key)
+    | Wal.Commit { txn; ts } -> Printf.sprintf "C %d %d" txn ts
+    | Wal.Abort { txn } -> Printf.sprintf "A %d" txn
+    | Wal.Checkpoint { watermark; next_ts } -> Printf.sprintf "K %d %d" watermark next_ts
+  in
+  Printf.sprintf "%d:%s\n" (String.length p) p
+
+let prop_codec_matches_printf =
+  QCheck.Test.make ~name:"wal frames are the printf-encoded bytes" ~count:500 arb_records
+    (fun rs ->
+      let extremes =
+        [ Wal.Commit { txn = max_int; ts = min_int }; Wal.Checkpoint { watermark = -1; next_ts = 0 } ]
+      in
+      let rs = rs @ extremes in
+      Wal.encode rs = Wal.header ^ String.concat "" (List.map printf_frame rs))
+
 let test_codec_corruption () =
   let reject what s =
     match Wal.decode s with
@@ -387,6 +424,7 @@ let () =
         [
           qt prop_codec_roundtrip;
           qt prop_codec_torn_tail;
+          qt prop_codec_matches_printf;
           Alcotest.test_case "corruption rejected" `Quick test_codec_corruption;
         ] );
       ( "durability",

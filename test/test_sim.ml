@@ -5,17 +5,20 @@ let test_pqueue_ordering () =
   Pqueue.push q ~time:3.0 ~seq:1 "c";
   Pqueue.push q ~time:1.0 ~seq:2 "a";
   Pqueue.push q ~time:2.0 ~seq:3 "b";
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "a")) (Pqueue.peek q);
-  let order = List.init 3 (fun _ -> match Pqueue.pop q with Some (_, x) -> x | None -> "?") in
+  Alcotest.(check (float 0.0)) "min time" 1.0 (Pqueue.min_time q);
+  let order = List.init 3 (fun _ -> Pqueue.pop q) in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
+  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
+  Alcotest.(check (float 0.0)) "empty min time" infinity (Pqueue.min_time q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Pqueue.pop: empty queue") (fun () ->
+      ignore (Pqueue.pop q))
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   for i = 1 to 100 do
     Pqueue.push q ~time:1.0 ~seq:i i
   done;
-  let out = List.init 100 (fun _ -> match Pqueue.pop q with Some (_, x) -> x | None -> -1) in
+  let out = List.init 100 (fun _ -> Pqueue.pop q) in
   Alcotest.(check (list int)) "seq order on equal times" (List.init 100 (fun i -> i + 1)) out
 
 let test_pqueue_random_heap_property () =
@@ -24,11 +27,13 @@ let test_pqueue_random_heap_property () =
   let times = List.init 500 (fun i -> (Random.State.float st 100.0, i)) in
   List.iter (fun (tm, i) -> Pqueue.push q ~time:tm ~seq:i tm) times;
   let rec drain last acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (tm, _) ->
-        Alcotest.(check bool) "non-decreasing" true (tm >= last);
-        drain tm (tm :: acc)
+    if Pqueue.is_empty q then List.rev acc
+    else begin
+      let tm = Pqueue.min_time q in
+      Alcotest.(check (float 0.0)) "payload at min time" tm (Pqueue.pop q);
+      Alcotest.(check bool) "non-decreasing" true (tm >= last);
+      drain tm (tm :: acc)
+    end
   in
   let out = drain neg_infinity [] in
   Alcotest.(check int) "all drained" 500 (List.length out)
