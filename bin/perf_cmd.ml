@@ -26,44 +26,60 @@ let rate e = if e.e_wall > 0.0 then float_of_int e.e_runs /. e.e_wall else 0.0
 
 (* {1 Microbenchmarks} *)
 
+(* Words allocated on the minor heap so far, read exactly: in OCaml 5.1
+   [Gc.quick_stat] counts only minor heaps already collected, and its
+   major-minus-promoted words move by a few words with GC timing, while
+   [Gc.minor_words] includes the heap being filled. Deterministic on one
+   domain. *)
+let words () = Gc.minor_words ()
+
+(* Run [body] as the measured loop, storing the words it allocated (the
+   event loop's work included) in [words_out] when given. *)
+let measured ?words_out body () =
+  let w0 = words () in
+  body ();
+  Option.iter (fun r -> r := words () -. w0) words_out
+
 (* Full read+update transactions against a populated table: begin, snapshot
    read, write, first-committer-wins check, commit. [null_sink] attaches an
    observability sink with every channel off — the A/B side of the
    obs-overhead guard below. *)
-let bench_commit_path ?(null_sink = false) runs () =
+let bench_commit_path ?words_out ?(null_sink = false) runs () =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
   if null_sink then Core.Db.set_obs db (Obs.create ~trace:false ~metrics:false ());
   let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
   ignore (Core.Db.create_table db "t");
   Core.Db.load db "t" rows;
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let key = Printf.sprintf "k%03d" (i mod 256) in
-        match
-          Core.Db.run db Core.Types.Serializable (fun t ->
-              let v = Core.Txn.read_exn t "t" key in
-              Core.Txn.write t "t" key (string_of_int (String.length v)))
-        with
-        | Ok () -> ()
-        | Error _ -> ()
-      done);
+  Sim.spawn sim
+    (measured ?words_out (fun () ->
+         for i = 0 to runs - 1 do
+           let key = Printf.sprintf "k%03d" (i mod 256) in
+           match
+             Core.Db.run db Core.Types.Serializable (fun t ->
+                 let v = Core.Txn.read_exn t "t" key in
+                 Core.Txn.write t "t" key (string_of_int (String.length v)))
+           with
+           | Ok () -> ()
+           | Error _ -> ()
+         done));
   Sim.run sim;
   float_of_int (Core.Db.stats db).Core.Internal.commits
 
 (* Raw lock-manager work: S grant, S->X upgrade, release, over a small hot
    set of resources (uncontended: measures table/queue bookkeeping). *)
-let bench_lock_path ?(null_sink = false) runs () =
+let bench_lock_path ?words_out ?(null_sink = false) runs () =
   let sim = Sim.create () in
   let lm = Lockmgr.create sim in
   if null_sink then Lockmgr.set_obs lm (Obs.create ~trace:false ~metrics:false ());
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let r = "r" ^ string_of_int (i mod 64) in
-        Lockmgr.acquire lm ~owner:i ~mode:Lockmgr.S r;
-        Lockmgr.acquire lm ~owner:i ~mode:Lockmgr.X r;
-        Lockmgr.release_all lm i
-      done);
+  Sim.spawn sim
+    (measured ?words_out (fun () ->
+         for i = 0 to runs - 1 do
+           let r = "r" ^ string_of_int (i mod 64) in
+           Lockmgr.acquire lm ~owner:i ~mode:Lockmgr.S r;
+           Lockmgr.acquire lm ~owner:i ~mode:Lockmgr.X r;
+           Lockmgr.release_all lm i
+         done));
   Sim.run sim;
   float_of_int runs
 
@@ -195,10 +211,10 @@ let micros ~quick =
 (* Timeline-build arm: both sides run the same traced commit-path workload;
    the B side additionally builds the windowed timeline (64 windows), runs
    change-point detection and renders the CSV from the captured buffer. The
-   delta therefore bounds the cost of the timeline layer itself on top of a
-   traced run — a single post-hoc pass over the event list, far off the
-   simulation's own cost — and is gated by the same OBS_OVERHEAD_MAX as the
-   disabled-sink arms. *)
+   delta is the cost of the timeline layer itself on top of a traced run —
+   a single post-hoc pass over the event list, far off the simulation's own
+   cost. The B side does more work by design, so the delta is reported, not
+   gated. *)
 let bench_timeline_path ?(null_sink = false) runs () =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
@@ -233,8 +249,8 @@ let bench_timeline_path ?(null_sink = false) runs () =
 (* Sketch arm: the B side attaches a sink with *only* the attribution
    sketch on, so the measured delta bounds the cost of the per-resource
    heavy-hitter updates (one hash probe + counter bump per conflict edge,
-   SIREAD grant or lock wait) in the live commit path. Gated by the same
-   OBS_OVERHEAD_MAX as the channels-off arms. *)
+   SIREAD grant or lock wait) in the live commit path. Like the timeline
+   arm, it prices a feature that is on, so it is reported, not gated. *)
 let bench_commit_path_sketch ?(null_sink = false) runs () =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
@@ -260,22 +276,34 @@ let bench_commit_path_sketch ?(null_sink = false) runs () =
 
    "Zero cost when no sink is installed": every hot-path observability call
    is guarded on the sink's channel flags, and the default sink
-   [Obs.disabled] has every channel off. The A/B below runs the two hottest
-   microbenches in both modes — stock (no sink installed) and with a
-   freshly created sink attached whose channels are all off — back to back,
-   gating on the best paired ratio so scheduler noise largely cancels. The
+   [Obs.disabled] has every channel off. The A/B below runs the hottest
+   microbenches in both modes — stock (no sink installed) and with a freshly
+   created sink attached whose channels are all off — back to back. The
    attached run does strictly more work than the no-sink run (installation
    propagates the sink to the lock manager, WAL and resources), so the
    measured delta bounds the cost of carrying the instrumentation in the
-   disabled hot paths. tools/check_bench.sh fails `@ci` when any delta
-   exceeds OBS_OVERHEAD_MAX percent (default 2). *)
+   disabled hot paths.
+
+   Two measures of these channels-off arms, both gated by
+   tools/check_bench.sh:
+   - Words allocated by the measured loop, counted once per mode. They are
+     deterministic, so any allocation that depends on a sink being
+     installed makes them differ, and the gate requires them equal.
+   - Wall clock: the median of the per-rep paired ratios, so one-sided
+     noise in a few reps neither hides nor fakes a systematic overhead. Any
+     delta above OBS_OVERHEAD_MAX percent fails; the default (10) sits above
+     the spread identical code shows on a shared machine.
+   The timeline and sketch arms price features that are on; their deltas
+   are reported only. *)
 
 type ab = {
   ab_name : string;
   ab_runs : int;
   ab_off : float;  (** median wall, no sink installed *)
   ab_null : float;  (** median wall, channels-off sink installed *)
-  ab_delta_pct : float;  (** best (smallest) paired per-rep ratio, as a percentage *)
+  ab_delta_pct : float;  (** median paired per-rep ratio, as a percentage *)
+  ab_words : (float * float) option;
+      (** words allocated by the measured loop: no sink, channels-off sink *)
 }
 
 let median l =
@@ -284,37 +312,45 @@ let median l =
 
 let obs_overhead ~quick =
   (* Each rep measures the two modes back to back and contributes one
-     paired ratio; the reported delta is the *best* ratio across reps.
-     Pairing cancels slow drift (thermal, co-tenants), and taking the best
-     pair makes the gate robust to one-sided noise spikes on a shared
-     machine: a real systematic overhead shifts every ratio up, so even the
-     best pair exceeds the threshold, while scheduler noise leaves at least
-     one clean pair. The per-rep workloads are larger than the plain
-     microbenches so timer noise shrinks relative to the run. *)
+     paired ratio; pairing cancels slow drift (thermal, co-tenants), and
+     which side runs first alternates. The per-rep workloads are larger than
+     the plain microbenches so timer noise shrinks relative to the run. *)
   let s = if quick then 8 else 32 in
-  let reps = if quick then 7 else 9 in
-  let measure name runs (f : ?null_sink:bool -> int -> unit -> float) =
+  let reps = if quick then 11 else 15 in
+  let measure ?(count_words = false) name runs
+      (f : ?words_out:float ref -> ?null_sink:bool -> int -> unit -> float) =
     let pairs =
-      List.init reps (fun _ ->
-          let w, _ = time (fun () -> f ~null_sink:false runs ()) in
-          let w', _ = time (fun () -> f ~null_sink:true runs ()) in
-          (w, w'))
+      List.init reps (fun i ->
+          let run null_sink = fst (time (fun () -> f ~null_sink runs ())) in
+          if i mod 2 = 0 then
+            let w = run false in
+            (w, run true)
+          else
+            let w' = run true in
+            (run false, w'))
     in
     let ratio (w, w') = if w > 0.0 then w' /. w else 1.0 in
+    let words null_sink =
+      let r = ref 0.0 in
+      ignore (f ~words_out:r ~null_sink runs ());
+      !r
+    in
     {
       ab_name = name;
       ab_runs = runs;
       ab_off = median (List.map fst pairs);
       ab_null = median (List.map snd pairs);
-      ab_delta_pct =
-        100.0 *. (List.fold_left min infinity (List.map ratio pairs) -. 1.0);
+      ab_delta_pct = 100.0 *. (median (List.map ratio pairs) -. 1.0);
+      ab_words = (if count_words then Some (words false, words true) else None);
     }
   in
+  (* the feature arms count no words *)
+  let no_words f ?words_out:_ = f in
   [
-    measure "commit-path" (1000 * s) bench_commit_path;
-    measure "lock-acquire-release" (5000 * s) bench_lock_path;
-    measure "timeline-build" (1000 * s) bench_timeline_path;
-    measure "commit-path-sketch" (1000 * s) bench_commit_path_sketch;
+    measure ~count_words:true "commit-path" (1000 * s) bench_commit_path;
+    measure ~count_words:true "lock-acquire-release" (5000 * s) bench_lock_path;
+    measure "timeline-build" (1000 * s) (no_words bench_timeline_path);
+    measure "commit-path-sketch" (1000 * s) (no_words bench_commit_path_sketch);
   ]
 
 (* {1 Timeline probe}
@@ -695,8 +731,11 @@ let emit_json oc ~quick entries sweep_points ab_entries tp mp rv xp ap =
     (fun i a ->
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"runs\": %d, \"no_sink_s\": %.6f, \"null_sink_s\": %.6f, \
-         \"delta_pct\": %.3f}%s\n"
+         \"delta_pct\": %.3f%s}%s\n"
         a.ab_name a.ab_runs a.ab_off a.ab_null a.ab_delta_pct
+        (match a.ab_words with
+        | Some (w, w') -> Printf.sprintf ", \"no_sink_words\": %.0f, \"null_sink_words\": %.0f" w w'
+        | None -> "")
         (if i = k - 1 then "" else ","))
     ab_entries;
   Printf.fprintf oc "  ],\n";
@@ -819,12 +858,15 @@ let run quick out baseline max_regress =
   List.iter
     (fun p -> Printf.printf "    -j %d  %8.3fs  speedup x%.2f\n%!" p.sp_j p.sp_wall p.sp_speedup)
     sw;
-  print_endline "  obs overhead (best wall, no sink vs channels-off sink installed):";
+  print_endline "  obs overhead (median wall and loop words, no sink vs channels-off sink installed):";
   let ab = obs_overhead ~quick in
   List.iter
     (fun a ->
-      Printf.printf "    %-22s %8.3fs vs %8.3fs  delta %+.2f%%\n%!" a.ab_name a.ab_off a.ab_null
-        a.ab_delta_pct)
+      Printf.printf "    %-22s %8.3fs vs %8.3fs  delta %+.2f%%%s\n%!" a.ab_name a.ab_off a.ab_null
+        a.ab_delta_pct
+        (match a.ab_words with
+        | Some (w, w') -> Printf.sprintf "  words %.0f vs %.0f" w w'
+        | None -> ""))
     ab;
   print_endline "  timeline probe (traced contended run, deterministic checks):";
   let tp = timeline_probe ~quick in

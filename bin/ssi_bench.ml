@@ -44,6 +44,27 @@ let jobs_arg =
 let with_jobs j f =
   if j <= 1 then f None else Par.with_pool ~j (fun p -> f (Some p))
 
+(* Shared [--memory-budget N] of bench, timeline and attribute: 0 (the
+   default) means unbounded, and a negative N is rejected rather than
+   silently running unbounded. *)
+let memory_budget_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ -> Error (`Msg "must be 0 (unbounded) or a positive number of entries")
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 0
+    & info [ "memory-budget" ] ~docv:"N"
+        ~doc:
+          "Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded): row \
+           SIREADs promote to page granularity and old committed transactions are folded into \
+           a conservative summary under pressure")
+
+let with_memory_budget n c = if n > 0 then { c with Core.Config.memory_budget = Some n } else c
+
 let read_file f =
   let ic = open_in_bin f in
   let n = in_channel_length ic in
@@ -159,15 +180,6 @@ let bench_cmd =
             "Aggregate over $(docv) seeds (base seed, base+1, ...) instead of one detailed run; \
              pairs with -j to run the seeds in parallel")
   in
-  let memb_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "memory-budget" ] ~docv:"N"
-          ~doc:
-            "Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded): \
-             row SIREADs promote to page granularity and old committed transactions are \
-             folded into a conservative summary under pressure")
-  in
   let run workload mpl duration warmup seed iso trace metrics nseeds mem_budget jobs =
     let isolation =
       match isolation_of_string iso with
@@ -176,11 +188,8 @@ let bench_cmd =
           prerr_endline ("unknown isolation: " ^ iso);
           exit 1
     in
-    let tweak c =
-      if mem_budget > 0 then { c with Core.Config.memory_budget = Some mem_budget } else c
-    in
     let make_db, mix =
-      match workload_of_string ~tweak workload with
+      match workload_of_string ~tweak:(with_memory_budget mem_budget) workload with
       | Some w -> w
       | None ->
           prerr_endline ("unknown workload: " ^ workload);
@@ -269,7 +278,7 @@ let bench_cmd =
        ~doc:"One measured benchmark run; optionally capture a Chrome trace and engine metrics")
     Term.(
       const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ trace_arg $ metrics_arg $ bench_seeds_arg $ memb_arg $ jobs_arg)
+      $ trace_arg $ metrics_arg $ bench_seeds_arg $ memory_budget_arg $ jobs_arg)
 
 (* Windowed sim-time telemetry: run a workload under a tracing sink, build
    a Timeline (lib/obs/timeline.ml) per seed, merge, and export. Stdout is
@@ -351,12 +360,6 @@ let timeline_cmd =
             "Write one Chrome-trace file combining lifecycle spans, resource counters and the \
              timeline series as counter tracks (requires --seeds 1)")
   in
-  let memb_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "memory-budget" ] ~docv:"N"
-          ~doc:"Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded)")
-  in
   let run workload mpl duration warmup seed iso nseeds window series_sel csv ndjson slo annotate
       trace mem_budget jobs =
     if window <= 0.0 then begin
@@ -401,11 +404,8 @@ let timeline_cmd =
               prerr_endline ("unknown isolation: " ^ iso);
               exit 1
         in
-        let tweak c =
-          if mem_budget > 0 then { c with Core.Config.memory_budget = Some mem_budget } else c
-        in
         let make_db, mix =
-          match workload_of_string ~tweak workload with
+          match workload_of_string ~tweak:(with_memory_budget mem_budget) workload with
           | Some w -> w
           | None ->
               prerr_endline ("unknown workload: " ^ workload);
@@ -504,7 +504,7 @@ let timeline_cmd =
     Term.(
       const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
       $ tl_seeds_arg $ window_arg $ series_arg $ csv_arg $ ndjson_arg $ slo_arg $ annotate_arg
-      $ trace_arg $ memb_arg $ jobs_arg)
+      $ trace_arg $ memory_budget_arg $ jobs_arg)
 
 let attribute_cmd =
   let workload_arg =
@@ -580,12 +580,6 @@ let attribute_cmd =
       & info [ "bundle" ] ~docv:"FILE"
           ~doc:"Write the post-mortem bundle to $(docv) when the trigger fires")
   in
-  let memb_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "memory-budget" ] ~docv:"N"
-          ~doc:"Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded)")
-  in
   let run workload mpl duration warmup seed iso nseeds window top sketch_cap csv ndjson
       flightrec trigger bundle mem_budget jobs =
     if window <= 0.0 then begin
@@ -616,11 +610,8 @@ let attribute_cmd =
           prerr_endline ("unknown isolation: " ^ iso);
           exit 1
     in
-    let tweak c =
-      if mem_budget > 0 then { c with Core.Config.memory_budget = Some mem_budget } else c
-    in
     let make_db, mix =
-      match workload_of_string ~tweak workload with
+      match workload_of_string ~tweak:(with_memory_budget mem_budget) workload with
       | Some w -> w
       | None ->
           prerr_endline ("unknown workload: " ^ workload);
@@ -702,7 +693,7 @@ let attribute_cmd =
     Term.(
       const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
       $ at_seeds_arg $ window_arg $ top_arg $ sketch_arg $ csv_arg $ ndjson_arg $ flightrec_arg
-      $ trigger_arg $ bundle_arg $ memb_arg $ jobs_arg)
+      $ trigger_arg $ bundle_arg $ memory_budget_arg $ jobs_arg)
 
 let sdg_cmd =
   let name_arg =

@@ -663,16 +663,18 @@ let prop_immediate_verdict =
                       in
                       if waits then incr waits_seen;
                       if expected then incr deadlocks_seen;
+                      (* The victim is told before it would wait, so by half a
+                         step later the request has raised, or else it has
+                         been granted or is still waiting. *)
+                      let raised = ref false in
+                      Sim.schedule sim ~after:0.5 (fun () -> if !raised <> expected then ok := false);
                       busy.(owner) <- true;
-                      let raised =
-                        match Lockmgr.acquire lm ~owner ~mode r with
-                        | () -> false
-                        | exception Lockmgr.Deadlock_victim ->
-                            Lockmgr.release_all lm owner;
-                            true
-                      in
-                      busy.(owner) <- false;
-                      if raised <> expected then ok := false
+                      (match Lockmgr.acquire lm ~owner ~mode r with
+                      | () -> ()
+                      | exception Lockmgr.Deadlock_victim ->
+                          raised := true;
+                          Lockmgr.release_all lm owner);
+                      busy.(owner) <- false
                   | Request _ -> ())))
         steps;
       Sim.run sim;
