@@ -29,15 +29,13 @@ let padded prefix i =
     let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
     let p = String.length prefix in
     let len = p + max 6 (digits i) in
-    let b = Bytes.make len '0' in
+    let b = Bytes.create len in
     Bytes.blit_string prefix 0 b 0 p;
-    let rec write j v =
-      if v > 0 then begin
-        Bytes.unsafe_set b j (Char.unsafe_chr (48 + (v mod 10)));
-        write (j - 1) (v / 10)
-      end
-    in
-    write (len - 1) i;
+    let v = ref i in
+    for j = len - 1 downto p do
+      Bytes.unsafe_set b j (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
     Bytes.unsafe_to_string b
   end
 

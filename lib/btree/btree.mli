@@ -13,7 +13,11 @@
 
     Deletion is lazy (no rebalancing): version-chain entries are only removed
     by garbage collection, so underflowing pages are harmless and simply
-    stay. *)
+    stay.
+
+    A tree belongs to one domain: lookups that report a path record the leaf
+    they reached in the tree, so even reads must not run on two domains at
+    once. *)
 
 type 'a t
 

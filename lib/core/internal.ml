@@ -219,11 +219,11 @@ let page_resource table page =
     Bytes.unsafe_set b 1 '/';
     Bytes.blit_string table 0 b 2 n;
     Bytes.unsafe_set b (2 + n) '/';
-    let rec write i v =
-      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (v mod 10)));
-      if v >= 10 then write (i - 1) (v / 10)
-    in
-    write (len - 1) page;
+    let v = ref page in
+    for i = len - 1 downto 3 + n do
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
     Bytes.unsafe_to_string b
   end
 

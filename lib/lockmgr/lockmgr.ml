@@ -139,12 +139,12 @@ let get_lock t resource =
       l
 
 (* Drop an entry nobody holds or waits for, keeping it for reuse. *)
-let drop_lock t l =
-  Hashtbl.remove t.table l.resource;
-  Hashtbl.reset l.holds;
-  pool_push t.free_locks l
-
-let drop_if_unused t l = if Hashtbl.length l.holds = 0 && l.queue = [] then drop_lock t l
+let drop_if_unused t l =
+  if Hashtbl.length l.holds = 0 && l.queue = [] then begin
+    Hashtbl.remove t.table l.resource;
+    Hashtbl.reset l.holds;
+    pool_push t.free_locks l
+  end
 
 let note_owned t owner resource =
   let set =
@@ -165,21 +165,14 @@ let drop_owned_if_empty t owner set =
     pool_push t.free_sets set
   end
 
-let counts_of t ~owner resource =
-  match Hashtbl.find t.table resource with
-  | l -> Hashtbl.find_opt l.holds owner
-  | exception Not_found -> None
-
-(* Modes currently held by [owner] on [resource]. *)
-let holds_of t ~owner resource =
-  match counts_of t ~owner resource with
-  | None -> []
-  | Some c -> List.filter (fun m -> count_of c m > 0) [ X; S; Siread ]
-
 let holds_mode t ~owner ~mode resource =
   match Hashtbl.find t.table resource with
   | l -> ( match Hashtbl.find l.holds owner with c -> count_of c mode > 0 | exception Not_found -> false)
   | exception Not_found -> false
+
+(* Modes currently held by [owner] on [resource]. *)
+let holds_of t ~owner resource =
+  List.filter (fun mode -> holds_mode t ~owner ~mode resource) [ X; S; Siread ]
 
 let holders t resource =
   match Hashtbl.find_opt t.table resource with
