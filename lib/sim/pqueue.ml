@@ -32,7 +32,6 @@ let grow t payload =
     t.payloads <- payloads
   end
 
-(* Move the entry at [src] to [dst]. *)
 let move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
   t.seqs.(dst) <- t.seqs.(src);
