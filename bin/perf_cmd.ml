@@ -213,8 +213,8 @@ let micros ~quick =
    change-point detection and renders the CSV from the captured buffer. The
    delta is the cost of the timeline layer itself on top of a traced run —
    a single post-hoc pass over the event list, far off the simulation's own
-   cost. The B side does more work by design, so the delta is reported, not
-   gated. *)
+   cost. The B side does more work by design, so tools/check_bench.sh gates
+   this delta at its own, wider bound. *)
 let bench_timeline_path ?(null_sink = false) runs () =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
@@ -249,8 +249,7 @@ let bench_timeline_path ?(null_sink = false) runs () =
 (* Sketch arm: the B side attaches a sink with *only* the attribution
    sketch on, so the measured delta bounds the cost of the per-resource
    heavy-hitter updates (one hash probe + counter bump per conflict edge,
-   SIREAD grant or lock wait) in the live commit path. Like the timeline
-   arm, it prices a feature that is on, so it is reported, not gated. *)
+   SIREAD grant or lock wait) in the live commit path. *)
 let bench_commit_path_sketch ?(null_sink = false) runs () =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
@@ -293,8 +292,9 @@ let bench_commit_path_sketch ?(null_sink = false) runs () =
      noise in a few reps neither hides nor fakes a systematic overhead. Any
      delta above OBS_OVERHEAD_MAX percent fails; the default (10) sits above
      the spread identical code shows on a shared machine.
-   The timeline and sketch arms price features that are on; their deltas
-   are reported only. *)
+   The timeline and sketch arms price features that are on. Their wall
+   deltas are gated too: the sketch arm's at the same bound, the timeline
+   arm's at a fixed, wider one. *)
 
 type ab = {
   ab_name : string;

@@ -47,43 +47,53 @@ if [ "$j" -lt 3 ]; then
   exit 1
 fi
 
-# Observability-overhead gate: with no sink installed the engine hot paths
-# must carry no observability cost. `perf` measures the commit-path and
-# lock-manager microbenches with and without a channels-off sink attached
-# (see bin/perf_cmd.ml). Two checks on those arms:
-# - the words allocated by each arm's measured loop, a deterministic count,
-#   must be equal in both modes (an allocation that depends on a sink being
-#   installed fails here, however small);
-# - the wall-clock delta, the median of paired per-rep ratios, must not
-#   exceed OBS_OVERHEAD_MAX percent (default 10: identical code measured
-#   -6.6% to +5.9% here, so a tighter wall bound fails on noise).
-# The timeline-build and sketch arms price features that are switched on;
-# their deltas are reported in the JSON, not gated.
+# Observability-overhead gate. `perf` times four arms with and without a
+# sink attached (see bin/perf_cmd.ml); each arm's wall-clock delta is the
+# median of paired per-rep ratios.
+# - commit-path and lock-acquire-release attach a sink with every channel
+#   off: with no sink installed the engine hot paths must carry no
+#   observability cost. The words allocated by each arm's measured loop, a
+#   deterministic count, must be equal in both modes (an allocation that
+#   depends on a sink being installed fails here, however small).
+# - commit-path-sketch attaches a sink with only the attribution sketch on.
+# These three deltas must not exceed OBS_OVERHEAD_MAX percent (default 10:
+# identical code measured -6.6% to +5.9% here, so a tighter wall bound
+# fails on noise).
+# - timeline-build also builds the timeline of its traced run, work the
+#   other side does not do (+7% to +18% measured here), so its delta has a
+#   fixed bound of 30 percent.
 grep -q '"obs_overhead": \[' "$out" || { echo "check_bench: missing obs_overhead section" >&2; exit 1; }
 obs_max="${OBS_OVERHEAD_MAX:-10.0}"
-arms=$(sed -n 's/.*"name": "\([^"]*\)".*"delta_pct": \(-\{0,1\}[0-9.][0-9.]*\), "no_sink_words": \([0-9][0-9]*\), "null_sink_words": \([0-9][0-9]*\).*/\1:\2:\3:\4/p' "$out")
+timeline_max=30.0
+arms=$(sed -n 's/.*"name": "\([^"]*\)".*"delta_pct": \(-\{0,1\}[0-9.][0-9.]*\).*/\1:\2/p' "$out")
 k=0
 for arm in $arms; do
   k=$((k + 1))
+  name=${arm%%:*}; d=${arm#*:}
+  max=$obs_max
+  [ "$name" = timeline-build ] && max=$timeline_max
+  if awk -v d="$d" -v max="$max" 'BEGIN { exit !(d > max) }'; then
+    echo "check_bench: $name observability overhead ${d}% exceeds ${max}%" >&2
+    exit 1
+  fi
+done
+if [ "$k" -lt 4 ]; then
+  echo "check_bench: expected >= 4 gated obs_overhead arms (commit path, lock manager, timeline build, sketch-on commit path), found $k" >&2
+  exit 1
+fi
+counted=$(sed -n 's/.*"name": "\([^"]*\)".*"no_sink_words": \([0-9][0-9]*\), "null_sink_words": \([0-9][0-9]*\).*/\1:\2:\3/p' "$out")
+w=0
+for arm in $counted; do
+  w=$((w + 1))
   name=${arm%%:*}; rest=${arm#*:}
-  d=${rest%%:*}; rest=${rest#*:}
   w0=${rest%%:*}; w1=${rest#*:}
   if [ "$w0" != "$w1" ]; then
     echo "check_bench: $name allocates $w1 words with a channels-off sink but $w0 with none" >&2
     exit 1
   fi
-  if awk -v d="$d" -v max="$obs_max" 'BEGIN { exit !(d > max) }'; then
-    echo "check_bench: $name observability overhead ${d}% exceeds ${obs_max}% with no sink installed" >&2
-    exit 1
-  fi
 done
-if [ "$k" -lt 2 ]; then
-  echo "check_bench: expected >= 2 gated obs_overhead arms (commit path, lock manager), found $k" >&2
-  exit 1
-fi
-n_arms=$(grep -c '"delta_pct": ' "$out")
-if [ "$n_arms" -lt 4 ]; then
-  echo "check_bench: expected >= 4 obs_overhead entries (commit path, lock manager, timeline build, sketch-on commit path), found $n_arms" >&2
+if [ "$w" -lt 2 ]; then
+  echo "check_bench: expected >= 2 obs_overhead arms with word counts (commit path, lock manager), found $w" >&2
   exit 1
 fi
 
@@ -167,4 +177,4 @@ if awk -v r="$atns" 'BEGIN { exit !(r <= 0.0) }'; then
   exit 1
 fi
 
-echo "check_bench: OK ($n benches within ${MAX_REGRESS:-2.0}x of baseline, $j speedup points, obs overhead <= ${obs_max}% and 0 extra words on $k hot paths, bounded run within budget with $summarized txns summarized, recovery replayed $replayed records / $recovered commits, DPOR reduction ${reduction}x at ${schedrate} schedules/s, timeline ledger conserved over $tlwin windows, attribution sketch $atupd updates at ${atns} ns/update)"
+echo "check_bench: OK ($n benches within ${MAX_REGRESS:-2.0}x of baseline, $j speedup points, obs overhead within bounds on $k arms (${obs_max}%, timeline build ${timeline_max}%) and 0 extra words on $w hot paths, bounded run within budget with $summarized txns summarized, recovery replayed $replayed records / $recovered commits, DPOR reduction ${reduction}x at ${schedrate} schedules/s, timeline ledger conserved over $tlwin windows, attribution sketch $atupd updates at ${atns} ns/update)"
