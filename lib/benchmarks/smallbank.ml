@@ -21,23 +21,14 @@ let conflict = "sb_conflict" (* the materialised-conflict table (§2.6.1) *)
 
 type fix = No_fix | Materialize_wt | Promote_wt | Materialize_bw | Promote_bw
 
-(* [prefix] then [i] zero-padded to six digits, the string
-   [Printf.sprintf "%s%06d" prefix i] makes, in one allocation. *)
+(* [prefix] then the customer number [i >= 0] zero-padded to six digits, the
+   string [Printf.sprintf "%s%06d" prefix i] makes, in one allocation. *)
 let padded prefix i =
-  if i < 0 then Printf.sprintf "%s%06d" prefix i
-  else begin
-    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
-    let p = String.length prefix in
-    let len = p + max 6 (digits i) in
-    let b = Bytes.create len in
-    Bytes.blit_string prefix 0 b 0 p;
-    let v = ref i in
-    for j = len - 1 downto p do
-      Bytes.unsafe_set b j (Char.unsafe_chr (48 + (!v mod 10)));
-      v := !v / 10
-    done;
-    Bytes.unsafe_to_string b
-  end
+  let p = String.length prefix and width = max 6 (Decimal.length i) in
+  let b = Bytes.create (p + width) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Decimal.blit i b ~pos:p ~width;
+  Bytes.unsafe_to_string b
 
 let name_of i = padded "cust" i
 

@@ -209,23 +209,14 @@ let gap_supremum table = resource_name "g/" table "\xff\xff(sup)"
 
 (* "p/<table>/<page>", the decimal page id written in place. *)
 let page_resource table page =
-  if page < 0 then resource_name "p/" table (string_of_int page)
-  else begin
-    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
-    let n = String.length table in
-    let len = 3 + n + digits page in
-    let b = Bytes.create len in
-    Bytes.unsafe_set b 0 'p';
-    Bytes.unsafe_set b 1 '/';
-    Bytes.blit_string table 0 b 2 n;
-    Bytes.unsafe_set b (2 + n) '/';
-    let v = ref page in
-    for i = len - 1 downto 3 + n do
-      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!v mod 10)));
-      v := !v / 10
-    done;
-    Bytes.unsafe_to_string b
-  end
+  let n = String.length table and width = Decimal.length page in
+  let b = Bytes.create (3 + n + width) in
+  Bytes.unsafe_set b 0 'p';
+  Bytes.unsafe_set b 1 '/';
+  Bytes.blit_string table 0 b 2 n;
+  Bytes.unsafe_set b (2 + n) '/';
+  Decimal.blit page b ~pos:(3 + n) ~width;
+  Bytes.unsafe_to_string b
 
 (* Per-transaction doom flag, as a resource name for the DPOR footprint:
    Conflict.claim_victim writes it, every check_doom reads its own. The "x/"

@@ -49,25 +49,6 @@ type lock = {
 
 type detection = Immediate | Periodic of float
 
-(* A LIFO stack of emptied objects kept for reuse. *)
-type 'a pool = { mutable items : 'a array; mutable len : int }
-
-let pool () = { items = [||]; len = 0 }
-
-let pool_push p x =
-  if p.len = Array.length p.items then begin
-    let items = Array.make (max 8 (2 * p.len)) x in
-    Array.blit p.items 0 items 0 p.len;
-    p.items <- items
-  end;
-  p.items.(p.len) <- x;
-  p.len <- p.len + 1
-
-(* Callers check [p.len > 0] first. *)
-let pool_take p =
-  p.len <- p.len - 1;
-  p.items.(p.len)
-
 type t = {
   sim : Sim.t;
   detection : detection;
@@ -80,8 +61,8 @@ type t = {
      order of a lock's holders and of an owner's held set decides
      conflict-marking order and wake order, which are part of the
      simulation. *)
-  free_locks : lock pool;
-  free_sets : (string, unit) Hashtbl.t pool;
+  free_locks : lock Stack.t;
+  free_sets : (string, unit) Hashtbl.t Stack.t;
   mutable requests : int;
   mutable waits : int;
   mutable deadlocks : int;
@@ -102,8 +83,8 @@ let create ?(detection = Immediate) sim =
     table = Hashtbl.create 64;
     owned = Hashtbl.create 16;
     waiting = Hashtbl.create 16;
-    free_locks = pool ();
-    free_sets = pool ();
+    free_locks = Stack.create ();
+    free_sets = Stack.create ();
     requests = 0;
     waits = 0;
     deadlocks = 0;
@@ -128,12 +109,12 @@ let get_lock t resource =
   | l -> l
   | exception Not_found ->
       let l =
-        if t.free_locks.len > 0 then begin
-          let l = pool_take t.free_locks in
+        if Stack.is_empty t.free_locks then { resource; holds = Hashtbl.create 4; queue = [] }
+        else begin
+          let l = Stack.pop t.free_locks in
           l.resource <- resource;
           l
         end
-        else { resource; holds = Hashtbl.create 4; queue = [] }
       in
       Hashtbl.replace t.table resource l;
       l
@@ -143,7 +124,7 @@ let drop_if_unused t l =
   if Hashtbl.length l.holds = 0 && l.queue = [] then begin
     Hashtbl.remove t.table l.resource;
     Hashtbl.reset l.holds;
-    pool_push t.free_locks l
+    Stack.push l t.free_locks
   end
 
 let note_owned t owner resource =
@@ -151,7 +132,9 @@ let note_owned t owner resource =
     match Hashtbl.find t.owned owner with
     | s -> s
     | exception Not_found ->
-        let s = if t.free_sets.len > 0 then pool_take t.free_sets else Hashtbl.create 16 in
+        let s =
+          if Stack.is_empty t.free_sets then Hashtbl.create 16 else Stack.pop t.free_sets
+        in
         Hashtbl.replace t.owned owner s;
         s
   in
@@ -162,7 +145,7 @@ let drop_owned_if_empty t owner set =
   if Hashtbl.length set = 0 then begin
     Hashtbl.remove t.owned owner;
     Hashtbl.reset set;
-    pool_push t.free_sets set
+    Stack.push set t.free_sets
   end
 
 let holds_mode t ~owner ~mode resource =

@@ -76,15 +76,9 @@ let add_esc buf s =
     done
 
 (* Decimal digits of [n], as "%d" prints it. *)
-let rec int_length n =
-  if n < 0 then String.length (string_of_int n) else if n < 10 then 1 else 1 + int_length (n / 10)
+let int_length n = if n < 0 then String.length (string_of_int n) else Decimal.length n
 
-let rec add_int buf n =
-  if n < 0 then Buffer.add_string buf (string_of_int n)
-  else begin
-    if n >= 10 then add_int buf (n / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
-  end
+let add_int buf n = if n < 0 then Buffer.add_string buf (string_of_int n) else Decimal.add buf n
 
 (* Payload fields after the one-letter tag, each preceded by a space. *)
 let payload_length r =

@@ -17,9 +17,9 @@ let tolerance = 0.05
    exploration (734 schedules), measured with OCaml 5.1.1 when the hot path
    was last trimmed, running the whole executable: the exploration runs
    after the SmallBank point, and run alone it allocates about 0.3% less. *)
-let smallbank_pin = 4_277_303.0
+let smallbank_pin = 4_301_681.0
 
-let explore_pin = 15_142_888.0
+let explore_pin = 15_133_372.0
 
 (* Minor words plus words allocated directly in the major heap, as the
    benchmark counts them, but with the minor count read exactly: in OCaml

@@ -589,7 +589,7 @@ let test_smallbank_names () =
     (fun i ->
       Alcotest.(check string) "name_of" (Printf.sprintf "cust%06d" i) (Smallbank.name_of i);
       Alcotest.(check string) "id_of" (Printf.sprintf "id%06d" i) (Smallbank.id_of i))
-    ([ 0; 9; 10; 99_999; 999_999; 1_000_000; 1_234_567; max_int; -1; -7; min_int ]
+    ([ 0; 9; 10; 99_999; 999_999; 1_000_000; 1_234_567; max_int ]
     @ List.init 1000 (fun i -> i * 37))
 
 let suite =
