@@ -64,8 +64,7 @@ let claim_victim ~self victim reason =
     | None -> ());
     victim.doomed <- Some reason;
     let db = victim.db in
-    Obs.record_doomed db.obs;
-    if Obs.tracing db.obs then
+    if Obs.on db.obs then
       Obs.emit db.obs ~ts:(Sim.now db.sim)
         (Obs.Victim_doomed
            { victim = victim.id; by = self.id; reason = abort_reason_to_string reason });
@@ -86,15 +85,13 @@ let set_in t other =
     | Conflict_with u when u == other -> Conflict_with other
     | _ -> Self_conflict)
 
-(* Record an rw-edge for observability: counter split by detection source
-   (§6.1.5's false-positive analysis) and an optional trace event. *)
-let observe_edge ~self ~reader ~writer ~resource source =
-  let db = self.db in
-  Obs.record_conflict db.obs source;
-  Obs.attrib_conflict db.obs resource;
-  if Obs.tracing db.obs then
-    Obs.emit db.obs ~ts:(Sim.now db.sim)
-      (Obs.Conflict_edge { reader = reader.id; writer = writer.id; source })
+(* Report a recorded rw-edge to the probe: its detection source splits the
+   conflict counters (§6.1.5's false-positive analysis) and its resource
+   feeds the sketch. Ids rather than records, since a summarized endpoint
+   is only [summary_owner]. *)
+let observe_edge db ~reader ~writer ~resource source =
+  if Obs.on db.obs then
+    Obs.emit db.obs ~ts:(Sim.now db.sim) (Obs.Conflict_edge { reader; writer; source; resource })
 
 let policy_name = function
   | Config.Prefer_pivot -> "prefer-pivot"
@@ -175,7 +172,7 @@ let mark ~source ~resource ~self ~reader ~writer =
         else begin
           set_out reader writer;
           set_in writer reader;
-          observe_edge ~self ~reader ~writer ~resource source;
+          observe_edge self.db ~reader:reader.id ~writer:writer.id ~resource source;
           abort_early_check ()
         end
     | Config.Precise ->
@@ -195,7 +192,7 @@ let mark ~source ~resource ~self ~reader ~writer =
         else begin
           set_out reader writer;
           set_in writer reader;
-          observe_edge ~self ~reader ~writer ~resource source;
+          observe_edge self.db ~reader:reader.id ~writer:writer.id ~resource source;
           abort_early_check ()
         end
   end
@@ -207,13 +204,8 @@ let mark_unknown_writer ~resource ~self reader =
   if reader.state = Aborted || reader.doomed <> None then ()
   else if reader.isolation = Serializable then begin
     reader.out_conflict <- Self_conflict;
-    let db = reader.db in
     Provenance.record_unknown_edge ~reader ~resource;
-    Obs.record_conflict db.obs Obs.Unknown_writer;
-    Obs.attrib_conflict db.obs resource;
-    if Obs.tracing db.obs then
-      Obs.emit db.obs ~ts:(Sim.now db.sim)
-        (Obs.Conflict_edge { reader = reader.id; writer = 0; source = Obs.Unknown_writer });
+    observe_edge reader.db ~reader:reader.id ~writer:0 ~resource Obs.Unknown_writer;
     let config = reader.db.config in
     if config.Config.abort_early && reader.state = Active && is_dangerous config reader then begin
       Provenance.emit_ssi ~victim:reader ~policy:"unknown-writer" ~pivot:reader
@@ -251,11 +243,7 @@ let mark_summarized_reader ~source ~resource ~self ~sm_in =
     let db = self.db in
     let config = db.config in
     Provenance.record_summary_edge ~self ~source ~resource ~incoming:true;
-    Obs.record_conflict db.obs source;
-    Obs.attrib_conflict db.obs resource;
-    if Obs.tracing db.obs then
-      Obs.emit db.obs ~ts:(Sim.now db.sim)
-        (Obs.Conflict_edge { reader = summary_owner; writer = self.id; source });
+    observe_edge db ~reader:summary_owner ~writer:self.id ~resource source;
     if config.Config.ssi = Config.Basic && sm_in then begin
       Provenance.emit_ssi ~victim:self ~policy:"summarized-pivot" ~pivot:self
         ~t_in:(Provenance.Nb_ref self.in_conflict)
@@ -285,13 +273,8 @@ let mark_summarized_writer ~source ~resource ~self ~sm_out reader =
   if reader.state = Aborted || reader.doomed <> None then ()
   else if reader.isolation = Serializable then begin
     if sm_out then begin
-      let db = reader.db in
       Provenance.record_summary_edge ~self:reader ~source ~resource ~incoming:false;
-      Obs.record_conflict db.obs source;
-      Obs.attrib_conflict db.obs resource;
-      if Obs.tracing db.obs then
-        Obs.emit db.obs ~ts:(Sim.now db.sim)
-          (Obs.Conflict_edge { reader = reader.id; writer = summary_owner; source });
+      observe_edge reader.db ~reader:reader.id ~writer:summary_owner ~resource source;
       Provenance.emit_ssi ~victim:reader ~policy:"summarized-pivot" ~pivot:reader
         ~t_in:(Provenance.Nb_ref reader.in_conflict)
         ~t_out:(Provenance.Nb_ref reader.out_conflict);

@@ -116,12 +116,10 @@ let begin_txn ?(read_only = false) (t : t) isolation =
   Hashtbl.replace t.txn_by_id txn.id txn;
   Hashtbl.replace t.active txn.id txn;
   t.work_ledger <- t.work_ledger -. txn.start_time;
-  if Obs.tracing t.obs then begin
+  if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim)
       (Obs.Txn_begin
          { txn = txn.id; iso = Types.isolation_to_string isolation; ro = read_only });
-    Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Span_b { tid = txn.id; name = "txn"; cat = "txn" })
-  end;
   txn
 
 (* Run [body] in a fresh transaction; commit on success, roll back on any
@@ -359,8 +357,7 @@ let recover ?(config = Config.test ()) ?obs sim ~log =
          crash of the recovered instance knows its base horizon. *)
       Wal.append db.wal (Wal.Checkpoint { watermark = !horizon; next_ts = !horizon });
       Wal.harden db.wal;
-      Obs.record_replayed db.obs ~n:(List.length records);
-      if Obs.tracing db.obs then
+      if Obs.on db.obs then
         Obs.emit db.obs ~ts:(Sim.now sim)
           (Obs.Recovery
              { replayed = List.length records; committed = !committed; in_doubt; torn_bytes });

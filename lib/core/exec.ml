@@ -60,15 +60,10 @@ let rollback_now t reason =
       let abort_now = Sim.now t.db.sim in
       t.db.work_wasted <- t.db.work_wasted +. (abort_now -. t.start_time);
       t.db.work_ledger <- t.db.work_ledger +. abort_now;
-      let obs = t.db.obs in
-      if Obs.metrics_on obs then
-        Obs.record_abort obs ~latency:(Sim.now t.db.sim -. t.start_time);
-      if Obs.tracing obs then begin
-        Obs.emit obs ~ts:(Sim.now t.db.sim)
+      if Obs.on t.db.obs then
+        Obs.emit t.db.obs ~ts:abort_now
           (Obs.Txn_abort
-             { txn = t.id; start = t.start_time; reason = abort_reason_to_string reason });
-        Obs.emit obs ~ts:(Sim.now t.db.sim) (Obs.Span_e { tid = t.id; name = "txn"; cat = "txn" })
-      end
+             { txn = t.id; start = t.start_time; reason = abort_reason_to_string reason })
   | Committed | Aborted -> ()
 
 let reject_ro t =
@@ -115,9 +110,9 @@ let acquire_siread ?(charge = true) t resource =
     Lockmgr.acquire t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource;
     t.siread_count <- t.siread_count + 1;
     t.db.n_siread_entries <- t.db.n_siread_entries + 1;
-    Obs.note_siread t.db.obs t.siread_count;
-    Obs.note_siread_live t.db.obs t.db.n_siread_entries;
-    Obs.attrib_siread t.db.obs resource
+    if Obs.on t.db.obs then
+      Obs.emit t.db.obs ~ts:(Sim.now t.db.sim)
+        (Obs.Siread_grant { resource; held = t.siread_count; live = t.db.n_siread_entries })
   end
 
 (* {1 Granularity promotion (bounded-memory mode)}
@@ -145,13 +140,12 @@ let promote_page t table_name page pr =
     pr.pr_rows;
   pr.pr_rows <- [];
   pr.pr_promoted <- true;
-  acquire_siread ~charge:false t (page_resource table_name page);
+  let resource = page_resource table_name page in
+  acquire_siread ~charge:false t resource;
   db.n_promotions <- db.n_promotions + 1;
-  Obs.record_promotion db.obs;
-  Obs.attrib_promotion db.obs (page_resource table_name page);
-  if Obs.tracing db.obs then
+  if Obs.on db.obs then
     Obs.emit db.obs ~ts:(Sim.now db.sim)
-      (Obs.Promotion { txn = t.id; table = table_name; page; rows = pr.pr_count })
+      (Obs.Promotion { txn = t.id; table = table_name; page; rows = pr.pr_count; resource })
 
 (* Row SIREAD for a point read, routed through the promotion tracker when a
    memory budget is configured. A promoted page already covers the row, so
@@ -943,7 +937,7 @@ let summarize_oldest db =
          entry; a fresh sentinel entry keeps the count unchanged. *)
       if merged then db.n_siread_entries <- db.n_siread_entries - 1;
       summary_add db resource ~commit_ts ~in_conflict ~out_conflict;
-      Obs.attrib_summarized db.obs resource;
+      if Obs.on db.obs then Obs.emit db.obs ~ts:(Sim.now db.sim) (Obs.Summarized { resource });
       incr entries)
     moved;
   if out_conflict then begin
@@ -1016,13 +1010,9 @@ let cleanup_suspended db =
   in
   drain ();
   if bounded db then drain_summary db min_snap;
-  if !released > 0 then begin
-    let obs = db.obs in
-    Obs.record_cleanup obs ~released:!released ~retained:(Queue.length db.suspended);
-    if Obs.tracing obs then
-      Obs.emit obs ~ts:(Sim.now db.sim)
-        (Obs.Cleanup { released = !released; retained = Queue.length db.suspended })
-  end
+  if !released > 0 && Obs.on db.obs then
+    Obs.emit db.obs ~ts:(Sim.now db.sim)
+      (Obs.Cleanup { released = !released; retained = Queue.length db.suspended })
 
 let do_commit t =
   guard t (fun () ->
@@ -1140,15 +1130,17 @@ let do_commit t =
       if t.siread_count > 0 then db.n_retained_siread <- db.n_retained_siread + 1
       else db.n_retained_record <- db.n_retained_record + 1;
       let obs = db.obs in
-      if Obs.metrics_on obs then begin
-        Obs.record_commit obs ~latency:(Sim.now db.sim -. t.start_time);
-        Obs.note_retained obs ~siread:db.n_retained_siread ~record:db.n_retained_record
-      end;
-      if Obs.tracing obs then begin
-        Obs.emit obs ~ts:(Sim.now db.sim)
-          (Obs.Txn_commit { txn = t.id; start = t.start_time; commit_ts; n_writes });
-        Obs.emit obs ~ts:(Sim.now db.sim) (Obs.Span_e { tid = t.id; name = "txn"; cat = "txn" })
-      end;
+      if Obs.on obs then
+        Obs.emit obs ~ts:commit_now
+          (Obs.Txn_commit
+             {
+               txn = t.id;
+               start = t.start_time;
+               commit_ts;
+               n_writes;
+               retained_siread = db.n_retained_siread;
+               retained_record = db.n_retained_record;
+             });
       cleanup_suspended db;
       (* Budget enforcement: after the watermark cleanup, if retained records
          plus live SIREAD lock-table entries still exceed the budget, fold
@@ -1165,16 +1157,14 @@ let do_commit t =
               entries := !entries + summarize_oldest db;
               incr txns
             done;
-            Obs.record_budget_pressure obs;
-            Obs.record_summarized obs ~txns:!txns;
-            Obs.note_summary obs (Hashtbl.length db.summary);
-            if Obs.tracing obs then
+            if Obs.on obs then
               Obs.emit obs ~ts:(Sim.now db.sim)
                 (Obs.Summarize
                    {
                      txns = !txns;
                      entries = !entries;
                      retained = Queue.length db.suspended;
+                     summary = Hashtbl.length db.summary;
                    })
           end);
       (* Retention gauges for the timeline: sample after watermark cleanup

@@ -184,7 +184,7 @@ let emit_fcw (t : txn) ~resource ~blocking_commit ~blocking_writer =
   let db = t.db in
   (* FCW blame feeds the sketch live (unlike pivot blame, which needs the
      certificate's edge roles) so it works with provenance off. *)
-  Obs.attrib_fcw db.obs resource;
+  if Obs.on db.obs then Obs.emit db.obs ~ts:(Sim.now db.sim) (Obs.Fcw_abort { resource });
   if on db then
     Obs.add_cert db.obs
       {

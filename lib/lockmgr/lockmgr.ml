@@ -500,12 +500,9 @@ let acquire t ~owner ~mode resource =
     | Periodic _ -> start_detector t);
     Hashtbl.replace t.waiting owner resource;
     let blocked_at = Sim.now t.sim in
-    if Obs.tracing t.obs then begin
+    if Obs.tracing t.obs then
       Obs.emit t.obs ~ts:blocked_at
         (Obs.Lock_block { owner; mode = mode_to_string mode; resource });
-      Obs.emit t.obs ~ts:blocked_at
-        (Obs.Span_b { tid = owner; name = "lock-wait"; cat = "lock" })
-    end;
     let enqueue w =
       let entry = { wowner = owner; wmode = mode; waker = w } in
       if already_holds then l.queue <- entry :: l.queue
@@ -519,14 +516,11 @@ let acquire t ~owner ~mode resource =
            (Obs.Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
        raise e);
     (* When woken normally the grant was already performed by grant_waiters. *)
-    let waited = Sim.now t.sim -. blocked_at in
-    Obs.record_lock_wait t.obs waited;
-    Obs.attrib_lock_wait t.obs resource waited;
-    if Obs.tracing t.obs then begin
-      Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
-      Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Lock_grant { owner; mode = mode_to_string mode; resource; waited })
+    if Obs.on t.obs then begin
+      let now = Sim.now t.sim in
+      Obs.emit t.obs ~ts:now
+        (Obs.Lock_grant
+           { owner; mode = mode_to_string mode; resource; waited = now -. blocked_at })
     end
   end
 

@@ -6,8 +6,8 @@
     that completed the dangerous structure) and the resource of the
     incoming edge as [st_blame_in] — one abort can blame up to two
     resources, one per role. First-committer-wins aborts blame the blocking
-    resource as [st_blame_fcw]; those are fed live at the abort site
-    ({!Obs.attrib_fcw}) and deliberately skipped here, so running
+    resource as [st_blame_fcw]; those are fed live at the abort site (the
+    sketch fold of {!Obs.Fcw_abort}) and deliberately skipped here, so running
     {!blame} after a sketch-fed run never double-counts.
 
     Everything renders through {!Obs.res_id_escape} with fixed numeric

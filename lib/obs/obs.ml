@@ -1,12 +1,15 @@
-(* Observability subsystem: a structured event sink with a Chrome-trace
-   exporter, plus low-overhead metrics (log-bucket latency histograms and
-   conflict-source counters).
+(* Observability subsystem: one engine probe. A choke point builds one
+   typed [event] and calls [emit]; the sink hands it to the consumers it was
+   created with: the trace buffer (Chrome-trace exporter, timeline, flight
+   recorder), the metrics fold (log-bucket latency histograms, conflict
+   counters, high-water marks) and the sketch fold (per-resource
+   attribution). Which counters exist and what feeds them is decided here.
 
    Design constraints (see DESIGN.md "Observability"):
 
-   - Zero overhead when off. Every hot-path call site guards with
-     [tracing]/[metrics_on] (single mutable-field loads) before building any
-     event or computing any latency, so a disabled [t] costs one branch.
+   - Zero overhead when off. Every call site guards with [on] (events some
+     counter reads) or [tracing] (events only the trace reads) before
+     building its event, so a disabled [t] costs one branch.
 
    - Determinism. Events and metrics derive only from simulated time,
      transaction ids and resource names. Recording them never touches the
@@ -237,10 +240,6 @@ type metrics = {
   mutable m_budget_pressure : int; (* commits that triggered summarization *)
   mutable m_checkpoints : int; (* WAL checkpoint records hardened *)
   mutable m_replayed : int; (* log records replayed by recovery *)
-  mutable m_explored : int; (* schedules the DPOR explorer executed *)
-  mutable m_explore_bound : int; (* sum of the multinomial bounds *)
-  mutable m_backtracks : int; (* backtrack points added by race analysis *)
-  mutable m_sleep_hits : int; (* candidates suppressed by a sleep set *)
 }
 
 let metrics_create () =
@@ -268,10 +267,6 @@ let metrics_create () =
     m_budget_pressure = 0;
     m_checkpoints = 0;
     m_replayed = 0;
-    m_explored = 0;
-    m_explore_bound = 0;
-    m_backtracks = 0;
-    m_sleep_hits = 0;
   }
 
 let metrics_copy m =
@@ -308,11 +303,7 @@ let metrics_merge ~into m =
   if m.m_summary_hwm > into.m_summary_hwm then into.m_summary_hwm <- m.m_summary_hwm;
   into.m_budget_pressure <- into.m_budget_pressure + m.m_budget_pressure;
   into.m_checkpoints <- into.m_checkpoints + m.m_checkpoints;
-  into.m_replayed <- into.m_replayed + m.m_replayed;
-  into.m_explored <- into.m_explored + m.m_explored;
-  into.m_explore_bound <- into.m_explore_bound + m.m_explore_bound;
-  into.m_backtracks <- into.m_backtracks + m.m_backtracks;
-  into.m_sleep_hits <- into.m_sleep_hits + m.m_sleep_hits
+  into.m_replayed <- into.m_replayed + m.m_replayed
 
 let conflict_sources m =
   [
@@ -357,17 +348,22 @@ let pp_metrics fmt m =
       m.m_promotions m.m_summarized m.m_summary_hwm m.m_budget_pressure;
   if m.m_checkpoints + m.m_replayed > 0 then
     Format.fprintf fmt "durability:     checkpoints=%d replayed-records=%d@." m.m_checkpoints
-      m.m_replayed;
-  if m.m_explored > 0 then
-    Format.fprintf fmt
-      "exploration:    schedules=%d bound=%d backtracks=%d sleep-hits=%d@." m.m_explored
-      m.m_explore_bound m.m_backtracks m.m_sleep_hits
+      m.m_replayed
 
 (* {1 Events} *)
 
 type event =
   | Txn_begin of { txn : int; iso : string; ro : bool }
-  | Txn_commit of { txn : int; start : float; commit_ts : int; n_writes : int }
+  | Txn_commit of {
+      txn : int;
+      start : float;
+      commit_ts : int;
+      n_writes : int;
+      retained_siread : int;
+      retained_record : int;
+    }
+    (* [retained_*]: retained committed txns by kind, including this one,
+       sampled before the cleanup pass this commit triggers *)
   | Txn_abort of { txn : int; start : float; reason : string }
   | Lock_acquire of { owner : int; mode : string; resource : string }
   | Lock_block of { owner : int; mode : string; resource : string }
@@ -375,23 +371,25 @@ type event =
   | Lock_release_all of { owner : int; kept_siread : bool }
   | Deadlock of { victim : int; resource : string }
   | Wal_flush of { epoch : int; latency : float; queued : int }
-  | Conflict_edge of { reader : int; writer : int; source : conflict_source }
+  | Conflict_edge of { reader : int; writer : int; source : conflict_source; resource : string }
   | Victim_doomed of { victim : int; by : int; reason : string }
   | Cleanup of { released : int; retained : int }
   (* Bounded-memory mode (Config.memory_budget): a row->page SIREAD
-     granularity promotion, and a budget-pressure summarization pass folding
-     the oldest retained committed txns into the summary table. *)
-  | Promotion of { txn : int; table : string; page : int; rows : int }
-  | Summarize of { txns : int; entries : int; retained : int }
-  (* Profiler spans (Chrome-trace "B"/"E" duration events). The engine opens
-     a [txn] span at begin, nests a [span] per lock wait and log flush, and
-     closes the txn span at commit/abort. Pairing is by (tid, nesting). *)
+     granularity promotion onto page resource [resource], and a
+     budget-pressure summarization pass folding the oldest retained
+     committed txns into the summary table ([summary] entries after it). *)
+  | Promotion of { txn : int; table : string; page : int; rows : int; resource : string }
+  | Summarize of { txns : int; entries : int; retained : int; summary : int }
   (* Durability subsystem: a hardened checkpoint record, an injected crash
      (the fault plan that fired, rendered as its compact string form), and a
      completed recovery replay. *)
   | Wal_checkpoint of { epoch : int; watermark : int; next_ts : int }
   | Crash_inject of { plan : string }
   | Recovery of { replayed : int; committed : int; in_doubt : int; torn_bytes : int }
+  (* Profiler spans (Chrome-trace "B"/"E" duration events), paired by (tid,
+     nesting). The txn span and the lock-wait span are implied by the
+     begin/commit/abort and block/grant events (see [trace]); explicit spans
+     cover the log flush and the driver's per-program lifecycle. *)
   | Span_b of { tid : int; name : string; cat : string }
   | Span_e of { tid : int; name : string; cat : string }
   (* Per-resource state sample, emitted by the simulator's k-server
@@ -401,15 +399,25 @@ type event =
   (* Memory-pressure sample, emitted by the engine at each commit when
      tracing: live SIREAD lock-table entries, retained committed txns (by
      kind) and summary-table size. The timeline layer turns these into
-     per-window retention-growth series the PR 5 high-water marks hide. *)
+     per-window retention-growth series the high-water marks hide. *)
   | Mem_sample of { siread : int; retained_siread : int; retained_record : int; summary : int }
   (* Workload-driver outcome of one transaction attempt: the program
      (transaction class) name, the outcome ("commit", "user-abort", or an
      abort-reason string) and the attempt's response time. Feeds per-class
      SLO accounting in the timeline layer. *)
   | Class_outcome of { cls : string; outcome : string; latency : float }
+  (* Counter-only events: the folds read them, the trace buffer drops them.
+     A SIREAD grant (with the holder's and the lock table's SIREAD counts
+     after it), a first-committer-wins abort blocked on [resource], and one
+     resource folded into the summary table. *)
+  | Siread_grant of { resource : string; held : int; live : int }
+  | Fcw_abort of { resource : string }
+  | Summarized of { resource : string }
+
+(* {1 The sink} *)
 
 type t = {
+  t_on : bool; (* any consumer installed: trace, metrics or sketch *)
   t_tracing : bool;
   t_metrics : bool;
   t_prov : bool;
@@ -422,14 +430,15 @@ type t = {
 }
 
 let create ?(trace = false) ?(metrics = true) ?(provenance = false) ?sketch () =
+  let t_sketch =
+    match sketch with Some cap when cap > 0 -> Some (Sketch.create ~capacity:cap) | _ -> None
+  in
   {
+    t_on = trace || metrics || t_sketch <> None;
     t_tracing = trace;
     t_metrics = metrics;
     t_prov = provenance;
-    t_sketch =
-      (match sketch with
-      | Some cap when cap > 0 -> Some (Sketch.create ~capacity:cap)
-      | _ -> None);
+    t_sketch;
     t_events = [];
     t_event_count = 0;
     t_certs = [];
@@ -439,17 +448,13 @@ let create ?(trace = false) ?(metrics = true) ?(provenance = false) ?sketch () =
 
 let disabled = create ~trace:false ~metrics:false ()
 
-let tracing t = t.t_tracing [@@inline]
+let on t = t.t_on [@@inline]
 
-let metrics_on t = t.t_metrics [@@inline]
+let tracing t = t.t_tracing [@@inline]
 
 let provenance_on t = t.t_prov [@@inline]
 
 let sketch t = t.t_sketch [@@inline]
-
-let sketch_on t = t.t_sketch <> None [@@inline]
-
-let enabled t = t.t_tracing || t.t_metrics || t.t_prov || t.t_sketch <> None
 
 let add_cert t c =
   if t.t_prov then begin
@@ -461,11 +466,97 @@ let cert_count t = t.t_cert_count
 
 let certs t = List.rev t.t_certs
 
-let emit t ~ts e =
-  if t.t_tracing then begin
+(* {2 Consumers} *)
+
+(* The trace buffer. Begin/commit/abort also open/close the txn span, and a
+   lock block/grant the lock-wait span, so each of those happenings is one
+   emit at its choke point. Counter-only events are not kept. *)
+let trace t ts e =
+  let push e =
     t.t_events <- (ts, e) :: t.t_events;
     t.t_event_count <- t.t_event_count + 1
-  end
+  in
+  match e with
+  | Siread_grant _ | Fcw_abort _ | Summarized _ -> ()
+  | Txn_begin { txn; _ } ->
+      push e;
+      push (Span_b { tid = txn; name = "txn"; cat = "txn" })
+  | Txn_commit { txn; _ } | Txn_abort { txn; _ } ->
+      push e;
+      push (Span_e { tid = txn; name = "txn"; cat = "txn" })
+  | Lock_block { owner; _ } ->
+      push e;
+      push (Span_b { tid = owner; name = "lock-wait"; cat = "lock" })
+  | Lock_grant { owner; _ } ->
+      push (Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
+      push e
+  | _ -> push e
+
+(* The metrics fold. Retained high-water marks advance at commit only: the
+   post-cleanup count never exceeds what the commit itself sampled. *)
+let count m ts = function
+  | Txn_commit { start; retained_siread = s; retained_record = r; _ } ->
+      hist_add m.m_commit_latency (ts -. start);
+      if s + r > m.m_retained_hwm then m.m_retained_hwm <- s + r;
+      if s > m.m_retained_siread_hwm then m.m_retained_siread_hwm <- s;
+      if r > m.m_retained_record_hwm then m.m_retained_record_hwm <- r
+  | Txn_abort { start; _ } -> hist_add m.m_abort_latency (ts -. start)
+  | Lock_grant { waited; _ } -> hist_add m.m_lock_wait waited
+  | Conflict_edge { source = Newer_version; _ } ->
+      m.m_conflict_newer_version <- m.m_conflict_newer_version + 1
+  | Conflict_edge { source = Siread_vs_x; _ } ->
+      m.m_conflict_siread_x <- m.m_conflict_siread_x + 1
+  | Conflict_edge { source = Page_stamp; _ } ->
+      m.m_conflict_page_stamp <- m.m_conflict_page_stamp + 1
+  | Conflict_edge { source = Gap; _ } -> m.m_conflict_gap <- m.m_conflict_gap + 1
+  | Conflict_edge { source = Unknown_writer; _ } ->
+      m.m_conflict_unknown <- m.m_conflict_unknown + 1
+  | Victim_doomed _ -> m.m_doomed <- m.m_doomed + 1
+  | Wal_flush _ -> m.m_wal_flushes <- m.m_wal_flushes + 1
+  | Cleanup { released; _ } ->
+      m.m_cleanup_runs <- m.m_cleanup_runs + 1;
+      m.m_cleanup_released <- m.m_cleanup_released + released
+  | Siread_grant { held; live; _ } ->
+      if held > m.m_siread_hwm then m.m_siread_hwm <- held;
+      if live > m.m_siread_live_hwm then m.m_siread_live_hwm <- live
+  | Promotion _ -> m.m_promotions <- m.m_promotions + 1
+  | Summarize { txns; summary; _ } ->
+      m.m_budget_pressure <- m.m_budget_pressure + 1;
+      m.m_summarized <- m.m_summarized + txns;
+      if summary > m.m_summary_hwm then m.m_summary_hwm <- summary
+  | Wal_checkpoint _ -> m.m_checkpoints <- m.m_checkpoints + 1
+  | Recovery { replayed; _ } -> m.m_replayed <- m.m_replayed + replayed
+  | _ -> ()
+
+(* The sketch fold: one touch of the event's resource, bumping the matching
+   attribution counter. Pivot in/out-edge blame is folded from certificates
+   after the run ({!Attrib.blame}); first-committer-wins blame is live. *)
+let attribute sk = function
+  | Conflict_edge { resource; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_conflicts <- s.Sketch.st_conflicts + 1
+  | Lock_grant { resource; waited; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_lock_waits <- s.Sketch.st_lock_waits + 1;
+      s.Sketch.st_lock_wait <- s.Sketch.st_lock_wait +. waited
+  | Siread_grant { resource; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_siread <- s.Sketch.st_siread + 1
+  | Fcw_abort { resource } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_blame_fcw <- s.Sketch.st_blame_fcw + 1
+  | Promotion { resource; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_promotions <- s.Sketch.st_promotions + 1
+  | Summarized { resource } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_summarized <- s.Sketch.st_summarized + 1
+  | _ -> ()
+
+let emit t ~ts e =
+  if t.t_tracing then trace t ts e;
+  if t.t_metrics then count t.t_m ts e;
+  match t.t_sketch with Some sk -> attribute sk e | None -> ()
 
 let event_count t = t.t_event_count
 
@@ -474,132 +565,6 @@ let events t = List.rev t.t_events
 let metrics t = t.t_m
 
 let metrics_snapshot t = metrics_copy t.t_m
-
-(* {2 Metric recorders} — each checks [t_metrics] so call sites may skip the
-   guard when no argument computation is needed. *)
-
-let record_commit t ~latency = if t.t_metrics then hist_add t.t_m.m_commit_latency latency
-
-let record_abort t ~latency = if t.t_metrics then hist_add t.t_m.m_abort_latency latency
-
-let record_lock_wait t w = if t.t_metrics then hist_add t.t_m.m_lock_wait w
-
-let record_conflict t source =
-  if t.t_metrics then
-    match source with
-    | Newer_version -> t.t_m.m_conflict_newer_version <- t.t_m.m_conflict_newer_version + 1
-    | Siread_vs_x -> t.t_m.m_conflict_siread_x <- t.t_m.m_conflict_siread_x + 1
-    | Page_stamp -> t.t_m.m_conflict_page_stamp <- t.t_m.m_conflict_page_stamp + 1
-    | Gap -> t.t_m.m_conflict_gap <- t.t_m.m_conflict_gap + 1
-    | Unknown_writer -> t.t_m.m_conflict_unknown <- t.t_m.m_conflict_unknown + 1
-
-let record_doomed t = if t.t_metrics then t.t_m.m_doomed <- t.t_m.m_doomed + 1
-
-let record_wal_flush t = if t.t_metrics then t.t_m.m_wal_flushes <- t.t_m.m_wal_flushes + 1
-
-(* [retained] is the post-cleanup queue length; it can never exceed the
-   value {!note_retained} saw when the newest entry was appended, so this
-   recorder no longer advances the high-water mark (it used to, which
-   double-counted the probe: the mark moved both when a record was added and
-   again when its neighbours were cleaned). *)
-let record_cleanup t ~released ~retained:_ =
-  if t.t_metrics && released > 0 then begin
-    t.t_m.m_cleanup_runs <- t.t_m.m_cleanup_runs + 1;
-    t.t_m.m_cleanup_released <- t.t_m.m_cleanup_released + released
-  end
-
-let note_siread t n =
-  if t.t_metrics && n > t.t_m.m_siread_hwm then t.t_m.m_siread_hwm <- n
-
-let note_retained t ~siread ~record =
-  if t.t_metrics then begin
-    let m = t.t_m in
-    if siread + record > m.m_retained_hwm then m.m_retained_hwm <- siread + record;
-    if siread > m.m_retained_siread_hwm then m.m_retained_siread_hwm <- siread;
-    if record > m.m_retained_record_hwm then m.m_retained_record_hwm <- record
-  end
-
-let note_siread_live t n =
-  if t.t_metrics && n > t.t_m.m_siread_live_hwm then t.t_m.m_siread_live_hwm <- n
-
-let record_promotion t = if t.t_metrics then t.t_m.m_promotions <- t.t_m.m_promotions + 1
-
-let record_summarized t ~txns =
-  if t.t_metrics then t.t_m.m_summarized <- t.t_m.m_summarized + txns
-
-let note_summary t n =
-  if t.t_metrics && n > t.t_m.m_summary_hwm then t.t_m.m_summary_hwm <- n
-
-let record_explored t ~schedules ~bound =
-  if t.t_metrics then begin
-    t.t_m.m_explored <- t.t_m.m_explored + schedules;
-    t.t_m.m_explore_bound <- t.t_m.m_explore_bound + bound
-  end
-
-let record_backtracks t ~n = if t.t_metrics then t.t_m.m_backtracks <- t.t_m.m_backtracks + n
-
-let record_sleep_hits t ~n = if t.t_metrics then t.t_m.m_sleep_hits <- t.t_m.m_sleep_hits + n
-
-let record_budget_pressure t =
-  if t.t_metrics then t.t_m.m_budget_pressure <- t.t_m.m_budget_pressure + 1
-
-let record_checkpoint t = if t.t_metrics then t.t_m.m_checkpoints <- t.t_m.m_checkpoints + 1
-
-let record_replayed t ~n = if t.t_metrics then t.t_m.m_replayed <- t.t_m.m_replayed + n
-
-(* {2 Attribution recorders} — feed the per-resource space-saving sketch.
-   Each is one branch when no sketch is installed; with one installed the
-   cost is a hash lookup plus a counter bump (the eviction scan runs only
-   when the sketch is full AND the key untracked). Like every recorder,
-   these derive only from resource names and sim-time values already in the
-   caller's hands, so the engine's behaviour is byte-identical with the
-   sketch on or off. *)
-
-let attrib_conflict t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_conflicts <- s.Sketch.st_conflicts + 1
-
-let attrib_lock_wait t resource waited =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_lock_waits <- s.Sketch.st_lock_waits + 1;
-      s.Sketch.st_lock_wait <- s.Sketch.st_lock_wait +. waited
-
-let attrib_siread t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_siread <- s.Sketch.st_siread + 1
-
-(* First-committer-wins blocks are blamed live (the blocking resource is in
-   hand at the abort site and needs no certificate), unlike the pivot
-   in/out-edge blame which Attrib folds from certificates post-run. *)
-let attrib_fcw t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_blame_fcw <- s.Sketch.st_blame_fcw + 1
-
-let attrib_promotion t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_promotions <- s.Sketch.st_promotions + 1
-
-let attrib_summarized t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_summarized <- s.Sketch.st_summarized + 1
 
 (* {1 Chrome-trace export}
 
@@ -739,7 +704,7 @@ let event_to_buf buf (ts, e) =
   | Txn_begin { txn; iso; ro } ->
       trace_record buf ~name:"begin" ~cat:"txn" ~ph:"i" ~ts ~tid:txn
         [ ("iso", str iso); ("read_only", bool_ ro) ]
-  | Txn_commit { txn; start; commit_ts; n_writes } ->
+  | Txn_commit { txn; start; commit_ts; n_writes; _ } ->
       trace_record buf ~name:"txn" ~cat:"txn" ~ph:"X" ~ts:start ~dur:(ts -. start) ~tid:txn
         [ ("outcome", str "commit"); ("commit_ts", string_of_int commit_ts);
           ("writes", string_of_int n_writes) ]
@@ -765,7 +730,7 @@ let event_to_buf buf (ts, e) =
   | Wal_flush { epoch; latency; queued } ->
       trace_record buf ~name:"flush" ~cat:"wal" ~ph:"X" ~ts:(ts -. latency) ~dur:latency ~tid:0
         [ ("epoch", string_of_int epoch); ("queued", string_of_int queued) ]
-  | Conflict_edge { reader; writer; source } ->
+  | Conflict_edge { reader; writer; source; _ } ->
       trace_record buf ~name:"rw-edge" ~cat:"ssi" ~ph:"i" ~ts ~tid:reader
         [ ("writer", string_of_int writer); ("source", str (conflict_source_to_string source)) ]
   | Victim_doomed { victim; by; reason } ->
@@ -774,10 +739,10 @@ let event_to_buf buf (ts, e) =
   | Cleanup { released; retained } ->
       trace_record buf ~name:"cleanup" ~cat:"gc" ~ph:"i" ~ts ~tid:0
         [ ("released", string_of_int released); ("retained", string_of_int retained) ]
-  | Promotion { txn; table; page; rows } ->
+  | Promotion { txn; table; page; rows; _ } ->
       trace_record buf ~name:"promotion" ~cat:"budget" ~ph:"i" ~ts ~tid:txn
         [ ("table", str table); ("page", string_of_int page); ("rows", string_of_int rows) ]
-  | Summarize { txns; entries; retained } ->
+  | Summarize { txns; entries; retained; _ } ->
       trace_record buf ~name:"summarize" ~cat:"budget" ~ph:"i" ~ts ~tid:0
         [ ("txns", string_of_int txns); ("entries", string_of_int entries);
           ("retained", string_of_int retained) ]
@@ -805,6 +770,7 @@ let event_to_buf buf (ts, e) =
   | Class_outcome { cls; outcome; latency } ->
       trace_record buf ~name:("class:" ^ cls) ~cat:"driver" ~ph:"i" ~ts ~tid:0
         [ ("outcome", str outcome); ("latency", Printf.sprintf "%.9f" latency) ]
+  | Siread_grant _ | Fcw_abort _ | Summarized _ -> invalid_arg "Obs: counter-only event"
 
 (* Render one Chrome-trace counter ("C") record — the form the timeline
    layer uses to append its per-window series to a trace file, so spans,

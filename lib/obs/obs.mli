@@ -1,12 +1,15 @@
-(** Observability: structured engine events with a Chrome-trace exporter,
-    plus allocation-free metrics (log-bucket latency histograms, conflict
-    counters, high-water marks).
+(** Observability: one engine probe. Each choke point builds one typed
+    {!event} and calls {!emit}; the sink passes it to the consumers it was
+    created with — the trace buffer (Chrome-trace exporter, timeline, flight
+    recorder), the metrics fold (log-bucket latency histograms, conflict
+    counters, high-water marks) and the per-resource sketch fold.
 
     Everything recorded derives only from simulated time, transaction ids
     and resource names; recording never touches the simulator or any RNG, so
-    benchmark results are byte-identical with tracing on or off. Hot-path
-    call sites must guard with {!tracing}/{!metrics_on} before building
-    events, making a disabled sink cost a single branch. *)
+    benchmark results are byte-identical with any consumer on or off. Call
+    sites guard with {!on} (events a counter reads) or {!tracing} (events
+    only the trace reads) before building an event, making a disabled sink
+    cost a single branch. *)
 
 (** {1 Conflict-edge sources} *)
 
@@ -163,10 +166,6 @@ type metrics = {
   mutable m_budget_pressure : int;  (** commits that triggered summarization *)
   mutable m_checkpoints : int;  (** WAL checkpoint records hardened *)
   mutable m_replayed : int;  (** log records replayed by recovery *)
-  mutable m_explored : int;  (** schedules the DPOR explorer executed *)
-  mutable m_explore_bound : int;  (** sum of the multinomial bounds *)
-  mutable m_backtracks : int;  (** backtrack points added by race analysis *)
-  mutable m_sleep_hits : int;  (** candidates suppressed by a sleep set *)
 }
 
 val metrics_create : unit -> metrics
@@ -181,79 +180,114 @@ val conflict_total : metrics -> int
 
 val pp_metrics : Format.formatter -> metrics -> unit
 
-(** {1 Events} *)
+(** {1 Events}
+
+    The trace buffer keeps every event except the counter-only ones; the
+    metrics and sketch folds read the events noted below. *)
 
 type event =
   | Txn_begin of { txn : int; iso : string; ro : bool }
-  | Txn_commit of { txn : int; start : float; commit_ts : int; n_writes : int }
+      (** trace only; also opens the ["txn"] span *)
+  | Txn_commit of {
+      txn : int;
+      start : float;
+      commit_ts : int;
+      n_writes : int;
+      retained_siread : int;
+      retained_record : int;
+    }
+      (** closes the ["txn"] span; metrics: commit latency and the retained
+          high-water marks ([retained_*] are the retained committed txns by
+          kind, this one included, sampled before cleanup) *)
   | Txn_abort of { txn : int; start : float; reason : string }
-  | Lock_acquire of { owner : int; mode : string; resource : string }
+      (** closes the ["txn"] span; metrics: abort latency *)
+  | Lock_acquire of { owner : int; mode : string; resource : string }  (** trace only *)
   | Lock_block of { owner : int; mode : string; resource : string }
+      (** trace only; also opens the ["lock-wait"] span *)
   | Lock_grant of { owner : int; mode : string; resource : string; waited : float }
-  | Lock_release_all of { owner : int; kept_siread : bool }
-  | Deadlock of { victim : int; resource : string }
+      (** a blocked acquisition granted; closes the ["lock-wait"] span;
+          metrics: lock-wait histogram; sketch: lock waits *)
+  | Lock_release_all of { owner : int; kept_siread : bool }  (** trace only *)
+  | Deadlock of { victim : int; resource : string }  (** trace only *)
   | Wal_flush of { epoch : int; latency : float; queued : int }
       (** group-commit flush completion; [queued] is the number of records
-          still pending (later epochs) when the flush hardened *)
-  | Conflict_edge of { reader : int; writer : int; source : conflict_source }
-  | Victim_doomed of { victim : int; by : int; reason : string }
+          still pending (later epochs) when the flush hardened; metrics *)
+  | Conflict_edge of { reader : int; writer : int; source : conflict_source; resource : string }
+      (** an rw-antidependency detected on [resource]; metrics: per-source
+          counter; sketch: conflicts *)
+  | Victim_doomed of { victim : int; by : int; reason : string }  (** metrics *)
   | Cleanup of { released : int; retained : int }
-  | Promotion of { txn : int; table : string; page : int; rows : int }
+      (** a cleanup pass that released [released > 0] records; metrics *)
+  | Promotion of { txn : int; table : string; page : int; rows : int; resource : string }
       (** bounded-memory mode: [rows] row SIREADs on [page] collapsed into
-          one page SIREAD *)
-  | Summarize of { txns : int; entries : int; retained : int }
+          one page SIREAD on [resource]; metrics; sketch *)
+  | Summarize of { txns : int; entries : int; retained : int; summary : int }
       (** bounded-memory mode: a budget-pressure pass folded [txns] retained
-          committed txns into [entries] summary-table records *)
+          committed txns into [entries] summary-table records, leaving
+          [summary] entries in the table; metrics *)
   | Wal_checkpoint of { epoch : int; watermark : int; next_ts : int }
       (** a checkpoint record was hardened: [watermark] is the oldest active
-          snapshot, [next_ts] the commit-ts allocator at checkpoint time *)
+          snapshot, [next_ts] the commit-ts allocator at checkpoint time;
+          metrics *)
   | Crash_inject of { plan : string }
-      (** a seeded fault plan fired (compact [Wal.plan_to_string] form) *)
+      (** a seeded fault plan fired (compact [Wal.plan_to_string] form);
+          trace only *)
   | Recovery of { replayed : int; committed : int; in_doubt : int; torn_bytes : int }
-      (** recovery replayed the durable log prefix *)
+      (** recovery replayed the durable log prefix; metrics *)
   | Span_b of { tid : int; name : string; cat : string }
-      (** Profiler span open (Chrome-trace ["B"]); paired by (tid, nesting). *)
+      (** Profiler span open (Chrome-trace ["B"]); paired by (tid, nesting).
+          Trace only. *)
   | Span_e of { tid : int; name : string; cat : string }
-      (** Profiler span close (Chrome-trace ["E"]). *)
+      (** Profiler span close (Chrome-trace ["E"]). Trace only. *)
   | Res_sample of { res : string; in_use : int; queued : int }
       (** k-server resource state at a state change: busy servers and queue
-          depth (exported as Chrome-trace ["C"] counter events). *)
+          depth (exported as Chrome-trace ["C"] counter events). Trace
+          only. *)
   | Mem_sample of { siread : int; retained_siread : int; retained_record : int; summary : int }
       (** per-commit memory-pressure sample: live SIREAD lock-table entries,
-          retained committed txns by kind, summary-table size *)
+          retained committed txns by kind, summary-table size. Trace only. *)
   | Class_outcome of { cls : string; outcome : string; latency : float }
       (** workload-driver outcome of one transaction attempt: program
           (class) name, outcome (["commit"], ["user-abort"], or an
-          abort-reason string) and response time *)
+          abort-reason string) and response time. Trace only. *)
+  | Siread_grant of { resource : string; held : int; live : int }
+      (** counter-only: a SIREAD lock granted on [resource]; [held] is the
+          holder's SIREAD count and [live] the lock table's after the grant;
+          metrics: SIREAD high-water marks; sketch: SIREAD grants *)
+  | Fcw_abort of { resource : string }
+      (** counter-only: a first-committer-wins abort blocked by a version or
+          page stamp on [resource]; sketch: FCW blame *)
+  | Summarized of { resource : string }
+      (** counter-only: one resource folded into the summary table; sketch *)
 
 (** {1 The sink} *)
 
 type t
 
 (** [create ~trace ~metrics ~provenance ~sketch ()]: [trace] buffers
-    structured events for {!write_trace}; [metrics] enables the
-    counters/histograms; [provenance] makes the engine record per-edge
+    structured events for {!write_trace}; [metrics] installs the
+    counter/histogram fold; [provenance] makes the engine record per-edge
     conflict detail and attach a {!certificate} to every abort; [sketch]
     (a capacity, 0 or absent = off) installs a per-resource attribution
-    {!Sketch.t} fed by the [attrib_*] recorders. Defaults: trace off,
-    metrics on, provenance off, sketch off. *)
+    {!Sketch.t} fold. Defaults: trace off, metrics on, provenance off,
+    sketch off. *)
 val create : ?trace:bool -> ?metrics:bool -> ?provenance:bool -> ?sketch:int -> unit -> t
 
 (** A shared, permanently-off sink; the default carried by a database. *)
 val disabled : t
 
+(** Some consumer of events is installed (trace, metrics or sketch): guard
+    for events a counter reads. *)
+val on : t -> bool
+
+(** The trace buffer is installed: guard for trace-only events. *)
 val tracing : t -> bool
 
-val metrics_on : t -> bool
-
+(** Certificates are recorded: guard for building a {!certificate}. *)
 val provenance_on : t -> bool
 
 (** The attribution sketch, when one was installed at {!create}. *)
 val sketch : t -> Sketch.t option
-
-val sketch_on : t -> bool
-
-val enabled : t -> bool
 
 (** Append a certificate. No-op unless {!provenance_on}. *)
 val add_cert : t -> certificate -> unit
@@ -266,8 +300,8 @@ val certs : t -> certificate list
 (** Certificates as JSON, one object per line. *)
 val write_certs : out_channel -> t -> unit
 
-(** Append an event at simulated time [ts]. No-op unless {!tracing}; call
-    sites should still guard to avoid building the event. *)
+(** Pass an event at simulated time [ts] to every installed consumer. Call
+    sites guard with {!on} or {!tracing} to avoid building the event. *)
 val emit : t -> ts:float -> event -> unit
 
 val event_count : t -> int
@@ -280,100 +314,6 @@ val metrics : t -> metrics
 
 (** An independent copy of the current metrics. *)
 val metrics_snapshot : t -> metrics
-
-(** {2 Metric recorders} — each is a no-op unless {!metrics_on}. *)
-
-val record_commit : t -> latency:float -> unit
-
-val record_abort : t -> latency:float -> unit
-
-val record_lock_wait : t -> float -> unit
-
-val record_conflict : t -> conflict_source -> unit
-
-val record_doomed : t -> unit
-
-val record_wal_flush : t -> unit
-
-(** [record_cleanup ~released ~retained] after a suspended-list cleanup
-    pass. Does not advance the retained high-water marks: the post-cleanup
-    count never exceeds what {!note_retained} already saw at append time
-    (advancing it here double-counted the probe). *)
-val record_cleanup : t -> released:int -> retained:int -> unit
-
-(** Advance the per-transaction SIREAD-count high-water mark. *)
-val note_siread : t -> int -> unit
-
-(** [note_retained ~siread ~record] advances the retained high-water marks:
-    committed txns still holding SIREADs, plain committed records, and their
-    sum. *)
-val note_retained : t -> siread:int -> record:int -> unit
-
-(** Advance the live SIREAD lock-table-entry high-water mark. *)
-val note_siread_live : t -> int -> unit
-
-(** {2 Bounded-memory mode recorders} ([Config.memory_budget]) *)
-
-(** Count one row→page SIREAD granularity promotion. *)
-val record_promotion : t -> unit
-
-(** Count [txns] committed transactions folded into the summary table. *)
-val record_summarized : t -> txns:int -> unit
-
-(** Advance the summary-table-size high-water mark. *)
-val note_summary : t -> int -> unit
-
-(** Count one budget-pressure event (a commit that forced summarization). *)
-val record_budget_pressure : t -> unit
-
-(** {2 Durability recorders} *)
-
-(** Count one hardened WAL checkpoint record. *)
-val record_checkpoint : t -> unit
-
-(** Count [n] log records replayed by a recovery pass. *)
-val record_replayed : t -> n:int -> unit
-
-(** {2 Exploration recorders (the DPOR schedule explorer)} *)
-
-(** Count one exploration: [schedules] executed against a multinomial bound
-    of [bound]. *)
-val record_explored : t -> schedules:int -> bound:int -> unit
-
-(** Count [n] backtrack points added by race analysis. *)
-val record_backtracks : t -> n:int -> unit
-
-(** Count [n] sleep-set suppressions (a backtrack candidate whose subtree
-    was already covered elsewhere). *)
-val record_sleep_hits : t -> n:int -> unit
-
-(** {2 Attribution recorders} — each feeds the per-resource space-saving
-    sketch and is a single branch unless one was installed ([?sketch] at
-    {!create}). Resource ids are the canonical encodings
-    (["r|p|g/<table>/<key>"]). Recording derives only from values already in
-    the caller's hands, so engine behaviour is identical with the sketch on
-    or off. *)
-
-(** One rw-antidependency edge detected on the resource. *)
-val attrib_conflict : t -> string -> unit
-
-(** One blocking lock acquisition on the resource that waited [float]
-    simulated seconds. *)
-val attrib_lock_wait : t -> string -> float -> unit
-
-(** One SIREAD grant on the resource (residency proxy). *)
-val attrib_siread : t -> string -> unit
-
-(** One first-committer-wins abort blocked by a version/stamp on the
-    resource. Blamed live at the abort site — the pivot in/out-edge blame,
-    by contrast, is folded from certificates by {!Attrib.blame}. *)
-val attrib_fcw : t -> string -> unit
-
-(** One row→page SIREAD promotion landing on the (page) resource. *)
-val attrib_promotion : t -> string -> unit
-
-(** One summarization fold touching the resource's summary entry. *)
-val attrib_summarized : t -> string -> unit
 
 (** {1 Chrome-trace export}
 
@@ -394,7 +334,9 @@ val write_trace_file : ?extra:string list -> string -> t -> unit
 val trace_counter : Buffer.t -> name:string -> ts:float -> (string * string) list -> unit
 
 (** One event as its standalone trace-record JSON object (no trailing
-    newline) — the flight recorder's ring-dump line format. *)
+    newline) — the flight recorder's ring-dump line format. Raises
+    [Invalid_argument] on a counter-only event, which never reaches the
+    trace buffer. *)
 val event_json : float * event -> string
 
 (** Canonical exporter-safe form of a resource id: bytes outside printable

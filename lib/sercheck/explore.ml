@@ -461,7 +461,7 @@ let analyze ?(on_run = fun _ -> ()) w br (result, steps, sleep_blocked) =
 
 (* {1 The frontier loop} *)
 
-let explore ?config ?obs ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.spec list) :
+let explore ?config ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.spec list) :
     string list * stats =
   let config = match config with Some c -> c | None -> default_config () in
   let config = { config with Config.record_history = true } in
@@ -494,7 +494,7 @@ let explore ?config ?obs ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.
     in
     List.iter2 (analyze ?on_run w) batch runs
   done;
-  let stats =
+  ( SSet.elements w.digests,
     {
       executed = w.executed;
       bound = Interleave.count_interleavings specs;
@@ -502,15 +502,7 @@ let explore ?config ?obs ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.
       sleep_hits = w.sleep_hits;
       sleep_blocked = w.sleep_blocked;
       duplicates = w.duplicates;
-    }
-  in
-  (match obs with
-  | Some o ->
-      Obs.record_explored o ~schedules:stats.executed ~bound:stats.bound;
-      Obs.record_backtracks o ~n:stats.backtracks;
-      Obs.record_sleep_hits o ~n:stats.sleep_hits
-  | None -> ());
-  (SSet.elements w.digests, stats)
+    } )
 
 (* {1 Full-enumeration digests and cross-validation} *)
 

@@ -45,8 +45,7 @@ val needs_begin_marker : Core.Config.t -> bool
     [config] defaults to the history-recording test configuration
     ([record_history] is forced on regardless). [pool] parallelises
     frontier batches — results are byte-identical at any pool size.
-    [obs] receives the reduction metrics ({!Obs.record_explored} etc.);
-    per-run engines are not instrumented. [on_run] fires once per executed
+    [on_run] fires once per executed
     schedule, on the submitting thread, in deterministic order (oracles over
     explored runs — e.g. asserting zero MVSG violations). [init]/[ro] as in
     {!Interleave.run_interleaving}.
@@ -57,7 +56,6 @@ val needs_begin_marker : Core.Config.t -> bool
     them with {!Interleave.sweep} instead. *)
 val explore :
   ?config:Core.Config.t ->
-  ?obs:Obs.t ->
   ?pool:Par.t ->
   ?on_run:(Interleave.result -> unit) ->
   ?init:(string * string) list ->

@@ -388,8 +388,7 @@ let rec ensure_flushed t ~latency ~upto =
     | Some _ -> t.p_flushes <- t.p_flushes + 1
     | None -> ());
     harden_upto t target;
-    Obs.record_wal_flush t.obs;
-    if Obs.tracing t.obs then
+    if Obs.on t.obs then
       Obs.emit t.obs ~ts:(Sim.now t.sim)
         (Obs.Wal_flush { epoch = target; latency; queued = Queue.length t.pending });
     t.flusher_active <- false;
@@ -425,8 +424,7 @@ let checkpoint t ~watermark ~next_ts =
   t.epoch <- t.epoch + 1;
   harden_upto t target;
   t.checkpoints <- t.checkpoints + 1;
-  Obs.record_checkpoint t.obs;
-  if Obs.tracing t.obs then
+  if Obs.on t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim)
       (Obs.Wal_checkpoint { epoch = target; watermark; next_ts })
 

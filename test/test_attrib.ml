@@ -55,7 +55,17 @@ let fcw_cert ~ts resource =
     c_dot = "";
   }
 
-let commit ~ts = (ts, Obs.Txn_commit { txn = 1; start = 0.0; commit_ts = 1; n_writes = 1 })
+let commit ~ts =
+  ( ts,
+    Obs.Txn_commit
+      {
+        txn = 1;
+        start = 0.0;
+        commit_ts = 1;
+        n_writes = 1;
+        retained_siread = 0;
+        retained_record = 0;
+      } )
 
 let abort ~ts reason = (ts, Obs.Txn_abort { txn = 1; start = 0.0; reason })
 

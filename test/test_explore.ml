@@ -165,25 +165,6 @@ let test_streaming_is_lazy () =
     true
     (allocated < 8_000_000.)
 
-(* {1 Reduction metrics through Obs} *)
-
-let test_obs_metrics () =
-  let obs = Obs.create () in
-  let _, st = Explore.explore ~obs ~isolation:Types.Snapshot Interleave.write_skew_spec in
-  let m = Obs.metrics obs in
-  Alcotest.(check int) "m_explored = executed" st.Explore.executed m.Obs.m_explored;
-  Alcotest.(check int) "m_explore_bound = bound" st.Explore.bound m.Obs.m_explore_bound;
-  Alcotest.(check int) "m_backtracks = backtracks" st.Explore.backtracks m.Obs.m_backtracks;
-  Alcotest.(check int) "m_sleep_hits = sleep hits" st.Explore.sleep_hits m.Obs.m_sleep_hits;
-  let rendered = Fmt.str "%a" Obs.pp_metrics m in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "pp_metrics shows the exploration line" true
-    (contains rendered "exploration:")
-
 let () =
   Alcotest.run "explore"
     [
@@ -200,5 +181,4 @@ let () =
           ("streamed enumeration count", `Quick, test_streaming_count);
           ("enumeration is lazy", `Quick, test_streaming_is_lazy);
         ] );
-      ("metrics", [ ("reduction metrics through Obs", `Quick, test_obs_metrics) ]);
     ]

@@ -152,6 +152,83 @@ let test_conflict_sources_split () =
   Alcotest.(check bool) "siread-x edges counted" true (m.Obs.m_conflict_siread_x > 0);
   Alcotest.(check int) "no page-stamp edges in row mode" 0 m.Obs.m_conflict_page_stamp
 
+(* {1 Consumers agree whatever else is installed}
+
+   Each consumer folds the same events whatever else the sink carries: a
+   counted event emitted under the trace guard by mistake would reach the
+   all-on sink but not the metrics-only or sketch-only one. *)
+
+(* A contended SmallBank point with every counter family in play: row
+   SIREADs under a memory budget (promotions, summarization), group-commit
+   flushes and periodic checkpoints. *)
+let contended_smallbank ?obs () =
+  let make_db sim =
+    let config =
+      {
+        (Config.innodb ~wal_mode:(Wal.Flush_per_commit 0.001) ()) with
+        Config.memory_budget = Some 64;
+        promote_threshold = 1;
+        checkpoint_interval = Some 100;
+      }
+    in
+    let db = Db.create ~config sim in
+    Smallbank.setup db ~customers:200 ();
+    db
+  in
+  Driver.run_once ?obs ~make_db ~mix:(Smallbank.mix ~customers:200 ())
+    { Driver.default_config with Driver.isolation = ssi; mpl = 20; warmup = 0.05; duration = 0.2 }
+
+let test_consumers_agree () =
+  let cap = 1024 (* above the resource count: no evictions, exact payloads *) in
+  let metrics_only = Obs.create ~trace:false ~metrics:true () in
+  let sketch_only = Obs.create ~trace:false ~metrics:false ~sketch:cap () in
+  let all = Obs.create ~trace:true ~metrics:true ~provenance:true ~sketch:cap () in
+  let commits =
+    List.map
+      (fun obs -> (contended_smallbank ~obs ()).Driver.commits)
+      [ metrics_only; sketch_only; all ]
+  in
+  Alcotest.(check (list int))
+    "same run under every sink"
+    (List.map (fun _ -> List.hd commits) commits)
+    commits;
+  (* Every counter family and sketch field moved, so equality is not vacuous. *)
+  let m = Obs.metrics metrics_only in
+  let entries obs = Sketch.entries (Option.get (Obs.sketch obs)) in
+  let total f = List.fold_left (fun a (_, s) -> a + f s) 0 (entries sketch_only) in
+  List.iter
+    (fun (name, n) -> Alcotest.(check bool) (name ^ " counted") true (n > 0))
+    [
+      ("commit latency", Obs.hist_count m.Obs.m_commit_latency);
+      ("abort latency", Obs.hist_count m.Obs.m_abort_latency);
+      ("lock waits", Obs.hist_count m.Obs.m_lock_wait);
+      ("conflict edges", Obs.conflict_total m);
+      ("doomed", m.Obs.m_doomed);
+      ("wal flushes", m.Obs.m_wal_flushes);
+      ("cleanup", m.Obs.m_cleanup_released);
+      ("siread hwm", m.Obs.m_siread_hwm);
+      ("siread-live hwm", m.Obs.m_siread_live_hwm);
+      ("retained hwm", m.Obs.m_retained_hwm);
+      ("promotions", m.Obs.m_promotions);
+      ("summarized", m.Obs.m_summarized);
+      ("summary hwm", m.Obs.m_summary_hwm);
+      ("checkpoints", m.Obs.m_checkpoints);
+      ("sketch conflicts", total (fun s -> s.Sketch.st_conflicts));
+      ("sketch lock waits", total (fun s -> s.Sketch.st_lock_waits));
+      ("sketch sireads", total (fun s -> s.Sketch.st_siread));
+      ("sketch fcw", total (fun s -> s.Sketch.st_blame_fcw));
+      ("sketch promotions", total (fun s -> s.Sketch.st_promotions));
+      ("sketch summarized", total (fun s -> s.Sketch.st_summarized));
+    ];
+  let metrics_t = Alcotest.testable Obs.pp_metrics ( = ) in
+  Alcotest.check metrics_t "metrics-only sink = all consumers" m (Obs.metrics all);
+  let sketch_t =
+    Alcotest.testable
+      (Fmt.Dump.list (fun ppf (r, s) -> Fmt.pf ppf "%s:%d" r s.Sketch.st_count))
+      ( = )
+  in
+  Alcotest.check sketch_t "sketch-only sink = all consumers" (entries sketch_only) (entries all)
+
 (* {1 Stats satellites} *)
 
 (* User aborts are booked under their own counter, not aborts_other, and are
@@ -558,6 +635,7 @@ let () =
         [
           ("metrics populated by a run", `Quick, test_metrics_populated);
           ("conflict sources split", `Quick, test_conflict_sources_split);
+          ("consumers agree whatever else is installed", `Quick, test_consumers_agree);
         ] );
       ( "stats",
         [

@@ -14,7 +14,9 @@ let feq = Alcotest.float 1e-9
 (* {1 Synthetic-event helpers} *)
 
 let commit ~ts ~start =
-  (ts, Obs.Txn_commit { txn = 1; start; commit_ts = 1; n_writes = 1 })
+  ( ts,
+    Obs.Txn_commit
+      { txn = 1; start; commit_ts = 1; n_writes = 1; retained_siread = 0; retained_record = 0 } )
 
 let abort ~ts ~start reason = (ts, Obs.Txn_abort { txn = 1; start; reason })
 
