@@ -12,7 +12,7 @@ if command -v ocamlformat >/dev/null 2>&1; then
     # A dune action may not invoke dune recursively (the build lock is
     # held), so when the @ci alias runs this script we check the sources
     # directly instead of via @fmt.
-    find bin bench examples lib test -name '.*' -type d -prune -o \
+    find bin examples lib test -name '.*' -type d -prune -o \
       \( -name '*.ml' -o -name '*.mli' \) -print0 \
       | xargs -0 ocamlformat --check
   else

@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Generate EXPERIMENTS.md from bench_output.txt: for each experiment, the
-paper's expected result, our measured table, and a verdict."""
-import re, sys
+"""Generate EXPERIMENTS.md from bench_output.txt, the output of
+
+    ssi_bench run --seeds 3 --duration 0.8 --mpl 1,2,5,10,20,50 > bench_output.txt
+
+For each experiment: the paper's expected result, our measured table, and a
+verdict."""
+import re
 
 src = open('bench_output.txt').read()
 
+# `ssi_bench run` opens each figure with a "=== id: title ===" line; its
+# tables run to the next such line.
+parts = re.split(r"^=== (\S+): (.*?) ===$", src, flags=re.M)
 blocks = {}
-for m in re.finditer(r"=== (\S+): (.*?) ===\n(.*?)\n\[(\S+) took", src, re.S):
-    fig, title, body, _ = m.groups()
+for fig, title, body in zip(parts[1::3], parts[2::3], parts[3::3]):
     blocks[fig] = (title, body.strip())
 
 verdicts = {
@@ -72,10 +78,11 @@ out = []
 out.append("""# EXPERIMENTS — paper vs. measured
 
 Every figure of the paper's evaluation (Chapter 6) regenerated by
-`dune exec bench/main.exe` (full tables in `bench_output.txt`, reproduced
-below). Throughput is commits per **simulated** second on the substitute
-substrates described in DESIGN.md, so absolute values are not comparable
-with the paper's 2008 hardware; the reproduced claims are the **shapes**:
+`ssi_bench run --seeds 3 --duration 0.8 --mpl 1,2,5,10,20,50` (full tables
+in `bench_output.txt`, reproduced below). Throughput is commits per
+**simulated** second on the substitute substrates described in DESIGN.md,
+so absolute values are not comparable with the paper's 2008 hardware; the
+reproduced claims are the **shapes**:
 which algorithm wins, by roughly what factor, and where behaviour changes.
 All points are means over 3 seeds with 95% confidence half-widths; abort
 columns are deadlock / first-committer-wins / unsafe percentages per commit
@@ -109,11 +116,6 @@ for fig in order:
     out.append(f"**Paper:** {paper}\n")
     out.append(f"**Verdict:** {verdict}\n")
     out.append("```\n" + body + "\n```\n")
-
-micro = re.search(r"=== Bechamel micro-benchmarks.*", src, re.S)
-if micro:
-    out.append("## Engine micro-benchmarks (Bechamel, wall-clock)\n")
-    out.append("```\n" + micro.group(0).strip() + "\n```\n")
 
 open('EXPERIMENTS.md','w').write("\n".join(out))
 print("wrote EXPERIMENTS.md,", len(blocks), "blocks")
