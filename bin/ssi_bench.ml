@@ -44,19 +44,27 @@ let jobs_arg =
 let with_jobs j f =
   if j <= 1 then f None else Par.with_pool ~j (fun p -> f (Some p))
 
-(* Shared [--memory-budget N] of bench, timeline and attribute: 0 (the
-   default) means unbounded, and a negative N is rejected rather than
-   silently running unbounded. *)
-let memory_budget_arg =
+(* Integer options with a lower bound: a value below [min] is a
+   command-line error naming the flag (exit 124), not a silently clamped,
+   empty or unbounded run. *)
+let int_at_least min ~msg =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ -> Error (`Msg "must be 0 (unbounded) or a positive number of entries")
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg msg)
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Client and seed counts. *)
+let count = int_at_least 1 ~msg:"must be at least 1"
+
+(* Shared [--memory-budget N] of bench, timeline and attribute: 0 (the
+   default) means unbounded. *)
+let memory_budget_arg =
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_int)) 0
+    & opt (int_at_least 0 ~msg:"must be 0 (unbounded) or a positive number of entries") 0
     & info [ "memory-budget" ] ~docv:"N"
         ~doc:
           "Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded): row \
@@ -85,25 +93,31 @@ let isolation_of_string = function
   | "rc" -> Some Core.Types.Read_committed
   | _ -> None
 
-let workload_of_string ?(tweak = fun c -> c) = function
-  | "smallbank" ->
-      Some
-        ( (fun sim ->
-            let db = Core.Db.create ~config:(tweak (Core.Config.bdb ())) sim in
-            Smallbank.setup db ~customers:20_000 ();
-            db),
-          Smallbank.mix ~customers:20_000 () )
-  | "sibench" ->
-      Some
-        ( (fun sim ->
-            let db = Core.Db.create ~config:(tweak (Core.Config.innodb ())) sim in
-            Sibench.setup db ~items:100 ();
-            db),
-          Sibench.mix ~items:100 () )
-  | _ -> None
+(* Shared [--workload] of bench, timeline, attribute and report: one enum
+   over [Experiments.workloads] ([extra] adds a subcommand's own names,
+   documented in [extra_doc]). *)
+let workload_arg ?(extra = []) ?(extra_doc = "") ~default ~doc () =
+  let names = List.map fst Experiments.workloads @ extra in
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) names)) default
+    & info [ "workload" ] ~docv:"NAME"
+        ~doc:(Printf.sprintf "%s: %s%s" doc (String.concat " | " names) extra_doc))
+
+(* A registry workload by name (already validated by [workload_arg]). *)
+let workload ?(memory_budget = 0) name =
+  List.assoc name Experiments.workloads (with_memory_budget memory_budget)
+
+(* Unknown experiment ids fail before anything runs. *)
+let check_experiments ids =
+  match List.filter (fun id -> Experiments.find_figure id = None) ids with
+  | [] -> ()
+  | unknown ->
+      prerr_endline ("unknown experiment: " ^ String.concat ", " unknown ^ " (see list)");
+      exit 1
 
 let seeds_arg =
-  Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Number of random seeds per point")
+  Arg.(value & opt count 2 & info [ "seeds" ] ~doc:"Number of random seeds per point")
 
 let duration_arg =
   Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds per run")
@@ -111,7 +125,7 @@ let duration_arg =
 let mpl_arg =
   Arg.(
     value
-    & opt (list int) [ 1; 2; 5; 10; 20 ]
+    & opt (list count) [ 1; 2; 5; 10; 20 ]
     & info [ "mpl" ] ~doc:"Comma-separated multiprogramming levels")
 
 let metrics_arg =
@@ -134,6 +148,7 @@ let run_cmd =
         }
     in
     let ids = if ids = [] then List.map fst Experiments.all_figures else ids in
+    check_experiments ids;
     with_jobs jobs (fun pool -> Experiments.run_many ?pool ~budget Fmt.stdout ids)
   in
   Cmd.v
@@ -146,15 +161,8 @@ let run_cmd =
    stdout report is byte-identical with or without --trace: tracing records
    events out-of-band and never perturbs the simulation. *)
 let bench_cmd =
-  let workload_arg =
-    Arg.(
-      value
-      & opt string "smallbank"
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload: smallbank | sibench")
-  in
-  let mpl_arg =
-    Arg.(value & opt int 10 & info [ "mpl" ] ~doc:"Number of concurrent clients")
-  in
+  let workload_arg = workload_arg ~default:"smallbank" ~doc:"Workload" () in
+  let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
   let duration_arg =
     Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
   in
@@ -174,13 +182,13 @@ let bench_cmd =
   in
   let bench_seeds_arg =
     Arg.(
-      value & opt int 1
+      value & opt count 1
       & info [ "seeds" ] ~docv:"N"
           ~doc:
             "Aggregate over $(docv) seeds (base seed, base+1, ...) instead of one detailed run; \
              pairs with -j to run the seeds in parallel")
   in
-  let run workload mpl duration warmup seed iso trace metrics nseeds mem_budget jobs =
+  let run name mpl duration warmup seed iso trace metrics nseeds mem_budget jobs =
     let isolation =
       match isolation_of_string iso with
       | Some i -> i
@@ -188,13 +196,7 @@ let bench_cmd =
           prerr_endline ("unknown isolation: " ^ iso);
           exit 1
     in
-    let make_db, mix =
-      match workload_of_string ~tweak:(with_memory_budget mem_budget) workload with
-      | Some w -> w
-      | None ->
-          prerr_endline ("unknown workload: " ^ workload);
-          exit 1
-    in
+    let make_db, mix = workload ~memory_budget:mem_budget name in
     let cfg =
       { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed }
     in
@@ -222,8 +224,8 @@ let bench_cmd =
               ~with_metrics:(metrics || mem_budget > 0)
               ~make_db ~mix ~seeds cfg)
       in
-      Printf.printf "workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.2fs\n" workload iso
-        mpl seed (seed + nseeds - 1) duration;
+      Printf.printf "workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.2fs\n" name iso mpl
+        seed (seed + nseeds - 1) duration;
       Printf.printf "  throughput:       %.1f +/- %.1f tps (95%% ci)\n" s.Driver.s_throughput
         s.Driver.s_ci;
       Printf.printf "  deadlocks/commit: %.4f\n" s.Driver.s_deadlock_rate;
@@ -246,8 +248,8 @@ let bench_cmd =
       else None
     in
     let r = Driver.run_once ?obs ~make_db ~mix cfg in
-    Printf.printf "workload=%s isolation=%s mpl=%d seed=%d window=%.2fs\n" workload iso mpl
-      seed duration;
+    Printf.printf "workload=%s isolation=%s mpl=%d seed=%d window=%.2fs\n" name iso mpl seed
+      duration;
     Printf.printf "  commits:          %d (%.0f tps)\n" r.Driver.commits r.Driver.throughput;
     Printf.printf "  user aborts:      %d\n" r.Driver.user_aborts;
     Printf.printf "  deadlocks:        %d\n" r.Driver.deadlocks;
@@ -286,15 +288,13 @@ let bench_cmd =
    order-insensitive), which the dune rules diff to enforce. *)
 let timeline_cmd =
   let workload_arg =
-    Arg.(
-      value
-      & opt string "sibench"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:
-            "Workload: smallbank | sibench | retention (bounded-memory loop with a pinned \
-             snapshot released at 60% of the horizon; ignores --isolation)")
+    workload_arg ~default:"sibench" ~doc:"Workload" ~extra:[ "retention" ]
+      ~extra_doc:
+        " (retention: bounded-memory loop with a pinned snapshot released at 60% of the \
+         horizon; ignores --isolation)"
+      ()
   in
-  let mpl_arg = Arg.(value & opt int 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
+  let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
   let duration_arg =
     Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
   in
@@ -307,7 +307,7 @@ let timeline_cmd =
   in
   let tl_seeds_arg =
     Arg.(
-      value & opt int 1
+      value & opt count 1
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Merge timelines over $(docv) seeds (base, base+1, ...); pairs with -j")
   in
@@ -360,8 +360,8 @@ let timeline_cmd =
             "Write one Chrome-trace file combining lifecycle spans, resource counters and the \
              timeline series as counter tracks (requires --seeds 1)")
   in
-  let run workload mpl duration warmup seed iso nseeds window series_sel csv ndjson slo annotate
-      trace mem_budget jobs =
+  let run name mpl duration warmup seed iso nseeds window series_sel csv ndjson slo annotate trace
+      mem_budget jobs =
     if window <= 0.0 then begin
       prerr_endline "--window must be positive";
       exit 1
@@ -390,7 +390,7 @@ let timeline_cmd =
     let horizon = warmup +. duration in
     let memory_budget = if mem_budget > 0 then Some mem_budget else None in
     let run_seed s : Timeline.t * Obs.t =
-      if workload = "retention" then begin
+      if name = "retention" then begin
         let obs, hz =
           Experiments.retention_timeline_run ?memory_budget ~mpl ~warmup ~duration ~seed:s ()
         in
@@ -404,13 +404,7 @@ let timeline_cmd =
               prerr_endline ("unknown isolation: " ^ iso);
               exit 1
         in
-        let make_db, mix =
-          match workload_of_string ~tweak:(with_memory_budget mem_budget) workload with
-          | Some w -> w
-          | None ->
-              prerr_endline ("unknown workload: " ^ workload);
-              exit 1
-        in
+        let make_db, mix = workload ~memory_budget:mem_budget name in
         let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
         let cfg =
           { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed = s }
@@ -423,8 +417,8 @@ let timeline_cmd =
     let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed seeds) in
     let tl = Timeline.merge (List.map fst per_seed) in
     Printf.printf "timeline workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.4fs windows=%d\n"
-      workload
-      (if workload = "retention" then "ssi" else iso)
+      name
+      (if name = "retention" then "ssi" else iso)
       mpl seed
       (seed + nseeds - 1)
       tl.Timeline.tl_width
@@ -507,13 +501,8 @@ let timeline_cmd =
       $ trace_arg $ memory_budget_arg $ jobs_arg)
 
 let attribute_cmd =
-  let workload_arg =
-    Arg.(
-      value
-      & opt string "sibench"
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload: smallbank | sibench")
-  in
-  let mpl_arg = Arg.(value & opt int 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
+  let workload_arg = workload_arg ~default:"sibench" ~doc:"Workload" () in
+  let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
   let duration_arg =
     Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
   in
@@ -526,7 +515,7 @@ let attribute_cmd =
   in
   let at_seeds_arg =
     Arg.(
-      value & opt int 1
+      value & opt count 1
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Merge sketches over $(docv) seeds (base, base+1, ...); pairs with -j")
   in
@@ -580,8 +569,8 @@ let attribute_cmd =
       & info [ "bundle" ] ~docv:"FILE"
           ~doc:"Write the post-mortem bundle to $(docv) when the trigger fires")
   in
-  let run workload mpl duration warmup seed iso nseeds window top sketch_cap csv ndjson
-      flightrec trigger bundle mem_budget jobs =
+  let run name mpl duration warmup seed iso nseeds window top sketch_cap csv ndjson flightrec
+      trigger bundle mem_budget jobs =
     if window <= 0.0 then begin
       prerr_endline "--window must be positive";
       exit 1
@@ -610,13 +599,7 @@ let attribute_cmd =
           prerr_endline ("unknown isolation: " ^ iso);
           exit 1
     in
-    let make_db, mix =
-      match workload_of_string ~tweak:(with_memory_budget mem_budget) workload with
-      | Some w -> w
-      | None ->
-          prerr_endline ("unknown workload: " ^ workload);
-          exit 1
-    in
+    let make_db, mix = workload ~memory_budget:mem_budget name in
     let horizon = warmup +. duration in
     let run_seed s : Obs.t =
       let obs = Obs.create ~trace:true ~provenance:true ~metrics:true ~sketch:sketch_cap () in
@@ -637,7 +620,7 @@ let attribute_cmd =
     Attrib.blame sk all_certs;
     Printf.printf
       "attribution workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.4fs sketch-capacity=%d\n"
-      workload iso mpl seed
+      name iso mpl seed
       (seed + nseeds - 1)
       window sketch_cap;
     let buf = Buffer.create 4096 in
@@ -1212,14 +1195,9 @@ let report_cmd =
       & info [ "figures" ] ~docv:"IDS"
           ~doc:"Comma-separated experiment ids to include as figure tables (see list)")
   in
-  let workload_arg =
-    Arg.(
-      value & opt string "sibench"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Workload of the profiled run: smallbank | sibench")
-  in
+  let workload_arg = workload_arg ~default:"sibench" ~doc:"Workload of the profiled run" () in
   let bmpl_arg =
-    Arg.(value & opt int 10 & info [ "bench-mpl" ] ~doc:"Clients in the profiled run")
+    Arg.(value & opt count 10 & info [ "bench-mpl" ] ~doc:"Clients in the profiled run")
   in
   let bdur_arg =
     Arg.(
@@ -1302,7 +1280,7 @@ let report_cmd =
         prerr_endline "internal error: write-skew demo emitted no certificate";
         exit 1
   in
-  let run figures quick seeds duration mpls workload bmpl bdur bwarm bseed biso fcases fseed
+  let run figures quick seeds duration mpls name bmpl bdur bwarm bseed biso fcases fseed
       matrix_name topk bins out dot check_dot jobs =
     match check_dot with
     | Some file -> (
@@ -1319,13 +1297,8 @@ let report_cmd =
               prerr_endline ("unknown isolation: " ^ biso);
               exit 1
         in
-        let make_db, mix =
-          match workload_of_string workload with
-          | Some w -> w
-          | None ->
-              prerr_endline ("unknown workload: " ^ workload);
-              exit 1
-        in
+        check_experiments figures;
+        let make_db, mix = workload name in
         let matrix =
           match Fuzzcase.matrix_of_string matrix_name with
           | Some m -> m
@@ -1344,16 +1317,7 @@ let report_cmd =
               with_metrics = false;
             }
         in
-        let plans =
-          List.filter_map
-            (fun id ->
-              match Experiments.find_figure id with
-              | Some mk -> Some (mk budget)
-              | None ->
-                  Printf.eprintf "unknown experiment %s (skipped)\n%!" id;
-                  None)
-            figures
-        in
+        let plans = List.map (fun id -> Option.get (Experiments.find_figure id) budget) figures in
         let figs = with_jobs jobs (fun pool -> Experiments.eval_plans ?pool plans) in
         (* Profiled run: trace on (lifecycle spans + resource samples),
            metrics on, plus the contention sketch and certificates feeding
@@ -1375,7 +1339,7 @@ let report_cmd =
         let bench =
           {
             Report.b_label =
-              Printf.sprintf "%s %s mpl=%d seed=%d window=%.2fs" workload biso bmpl bseed bdur;
+              Printf.sprintf "%s %s mpl=%d seed=%d window=%.2fs" name biso bmpl bseed bdur;
             b_result = r;
             b_obs = obs;
             b_t0 = bwarm;
@@ -1404,7 +1368,7 @@ let report_cmd =
               budget.Experiments.duration
               (String.concat "," (List.map string_of_int budget.Experiments.mpls));
             Printf.sprintf "- profiled run: %s at %s, mpl=%d, seed=%d, %.2fs after %.2fs warmup"
-              workload biso bmpl bseed bdur bwarm;
+              name biso bmpl bseed bdur bwarm;
             Printf.sprintf "- abort provenance: %d fuzz cases, seed=%d, matrix=%s" fcases fseed
               matrix_name;
           ]

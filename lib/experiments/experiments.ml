@@ -191,9 +191,9 @@ let print_figure fmt f =
 let bdb_budget (b : budget) =
   { b with duration = Float.max b.duration 1.5; warmup = Float.max b.warmup 0.25 }
 
-let smallbank_db ?(customers = 20_000) ?(wal_mode = Wal.No_flush) () =
+let smallbank_db ?(customers = 20_000) ?(wal_mode = Wal.No_flush) ?(tweak = Fun.id) () =
  fun sim ->
-  let db = Db.create ~config:(Config.bdb ~wal_mode ()) sim in
+  let db = Db.create ~config:(tweak (Config.bdb ~wal_mode ())) sim in
   Smallbank.setup db ~customers ();
   db
 
@@ -315,9 +315,9 @@ let fig6_11 = sibench_fig ~fig_id:"fig6.11" ~items:1000 ~queries_per_update:10
 
 (* {1 InnoDB / TPC-C++ experiments (§6.4)} *)
 
-let tpcc_db ?(read_miss = 0.0) ~scale () =
+let tpcc_db ?(read_miss = 0.0) ?(tweak = Fun.id) ~scale () =
  fun sim ->
-  let config = { (Config.innodb ()) with Config.read_miss } in
+  let config = tweak { (Config.innodb ()) with Config.read_miss } in
   let db = Db.create ~config sim in
   Tpcc.setup db ~scale ();
   db
@@ -835,23 +835,32 @@ let titles =
 
 let find_figure id = List.assoc_opt id all_figures
 
+(* {1 Single-point workloads}
+
+   The one registry behind the CLI's [--workload]: the MPL-sweep workload
+   of a figure, reduced to one database builder and one mix. [tweak]
+   adjusts each fresh database's configuration (e.g. a memory budget). *)
+type workload = (Config.t -> Config.t) -> (Sim.t -> Db.t) * Driver.program list
+
+let workloads : (string * workload) list =
+  let tpcc = Tpcc.standard ~warehouses:1 in
+  [
+    ("smallbank", fun tweak -> (smallbank_db ~tweak (), Smallbank.mix ~customers:20_000 ()));
+    ( "sibench",
+      fun tweak ->
+        (sibench_db ~config:(tweak (Config.innodb ())) ~items:100 (), Sibench.mix ~items:100 ()) );
+    ("tpcc", fun tweak -> (tpcc_db ~tweak ~scale:tpcc (), Tpcc.mix ~skip_ytd:true tpcc));
+  ]
+
 (* Run a batch of experiments: every (figure, series, MPL) point across
    all requested ids is submitted to the pool as one flat job list, then
    the figures print in request order — identical bytes to a sequential
-   run, arbitrary parallelism across sweeps and figures. *)
+   run, arbitrary parallelism across sweeps and figures. Raises
+   [Invalid_argument] on an unknown id, before anything runs. *)
 let run_many ?pool ?(budget = full_budget) fmt ids =
-  let items = List.map (fun id -> (id, Option.map (fun mk -> mk budget) (find_figure id))) ids in
-  let figures = ref (eval_plans ?pool (List.filter_map snd items)) in
-  List.iter
-    (fun (id, plan) ->
-      match plan with
-      | None -> Fmt.pf fmt "unknown experiment %s@." id
-      | Some _ -> (
-          match !figures with
-          | f :: rest ->
-              figures := rest;
-              print_figure fmt f
-          | [] -> assert false))
-    items
-
-let run_and_print ?pool ?(budget = full_budget) fmt id = run_many ?pool ~budget fmt [ id ]
+  let plan id =
+    match find_figure id with
+    | Some mk -> mk budget
+    | None -> invalid_arg ("unknown experiment " ^ id)
+  in
+  List.iter (print_figure fmt) (eval_plans ?pool (List.map plan ids))
