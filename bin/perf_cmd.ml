@@ -843,10 +843,20 @@ let compare_baseline ~max_regress entries baseline =
   !failures
 
 let run quick out baseline max_regress =
+  (* Each microbench's wall is the median of [reps] runs, so a run that
+     shares the machine with other jobs for part of its time neither fails
+     nor passes the baseline gate on its own. The check must not vary. *)
+  let reps = if quick then 7 else 3 in
   let entries =
     List.map
       (fun (name, runs, f) ->
-        let wall, check = time (fun () -> f runs ()) in
+        let timed = List.init reps (fun _ -> time (fun () -> f runs ())) in
+        let check = snd (List.hd timed) in
+        if List.exists (fun (_, c) -> c <> check) timed then begin
+          Printf.eprintf "FATAL: %s check differs between repetitions\n" name;
+          exit 2
+        end;
+        let wall = median (List.map fst timed) in
         let e = { e_name = name; e_runs = runs; e_wall = wall; e_check = check } in
         Printf.printf "  %-22s %8d runs  %8.3fs  %10.0f /s  check=%g\n%!" name runs wall
           (rate e) check;
