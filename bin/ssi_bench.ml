@@ -94,15 +94,13 @@ let isolation_of_string = function
   | _ -> None
 
 (* Shared [--workload] of bench, timeline, attribute and report: one enum
-   over [Experiments.workloads] ([extra] adds a subcommand's own names,
-   documented in [extra_doc]). *)
-let workload_arg ?(extra = []) ?(extra_doc = "") ~default ~doc () =
+   over [Experiments.workloads] ([extra] adds a subcommand's own names). *)
+let workload_arg ?(extra = []) ~default ~doc () =
   let names = List.map fst Experiments.workloads @ extra in
   Arg.(
     value
     & opt (enum (List.map (fun n -> (n, n)) names)) default
-    & info [ "workload" ] ~docv:"NAME"
-        ~doc:(Printf.sprintf "%s: %s%s" doc (String.concat " | " names) extra_doc))
+    & info [ "workload" ] ~docv:"NAME" ~doc:(doc ^ ": " ^ String.concat " | " names))
 
 (* A registry workload by name (already validated by [workload_arg]). *)
 let workload ?(memory_budget = 0) name =
@@ -288,10 +286,10 @@ let bench_cmd =
    order-insensitive), which the dune rules diff to enforce. *)
 let timeline_cmd =
   let workload_arg =
-    workload_arg ~default:"sibench" ~doc:"Workload" ~extra:[ "retention" ]
-      ~extra_doc:
-        " (retention: bounded-memory loop with a pinned snapshot released at 60% of the \
-         horizon; ignores --isolation)"
+    workload_arg ~default:"sibench" ~extra:[ "retention" ]
+      ~doc:
+        "Workload (retention: bounded-memory loop with a pinned snapshot released at 60% of \
+         the horizon; ignores --isolation)"
       ()
   in
   let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
