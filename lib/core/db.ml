@@ -357,7 +357,7 @@ let recover ?(config = Config.test ()) ?obs sim ~log =
          crash of the recovered instance knows its base horizon. *)
       Wal.append db.wal (Wal.Checkpoint { watermark = !horizon; next_ts = !horizon });
       Wal.harden db.wal;
-      if Obs.on db.obs then
+      if Obs.tracing db.obs then
         Obs.emit db.obs ~ts:(Sim.now sim)
           (Obs.Recovery
              { replayed = List.length records; committed = !committed; in_doubt; torn_bytes });

@@ -239,7 +239,6 @@ type metrics = {
   mutable m_summary_hwm : int; (* max summary-table entries *)
   mutable m_budget_pressure : int; (* commits that triggered summarization *)
   mutable m_checkpoints : int; (* WAL checkpoint records hardened *)
-  mutable m_replayed : int; (* log records replayed by recovery *)
 }
 
 let metrics_create () =
@@ -266,7 +265,6 @@ let metrics_create () =
     m_summary_hwm = 0;
     m_budget_pressure = 0;
     m_checkpoints = 0;
-    m_replayed = 0;
   }
 
 let metrics_copy m =
@@ -302,8 +300,7 @@ let metrics_merge ~into m =
   into.m_summarized <- into.m_summarized + m.m_summarized;
   if m.m_summary_hwm > into.m_summary_hwm then into.m_summary_hwm <- m.m_summary_hwm;
   into.m_budget_pressure <- into.m_budget_pressure + m.m_budget_pressure;
-  into.m_checkpoints <- into.m_checkpoints + m.m_checkpoints;
-  into.m_replayed <- into.m_replayed + m.m_replayed
+  into.m_checkpoints <- into.m_checkpoints + m.m_checkpoints
 
 let conflict_sources m =
   [
@@ -346,9 +343,8 @@ let pp_metrics fmt m =
     Format.fprintf fmt
       "memory budget:  promotions=%d summarized-txns=%d summary-hwm=%d pressure-events=%d@."
       m.m_promotions m.m_summarized m.m_summary_hwm m.m_budget_pressure;
-  if m.m_checkpoints + m.m_replayed > 0 then
-    Format.fprintf fmt "durability:     checkpoints=%d replayed-records=%d@." m.m_checkpoints
-      m.m_replayed
+  if m.m_checkpoints > 0 then
+    Format.fprintf fmt "durability:     checkpoints=%d@." m.m_checkpoints
 
 (* {1 Events} *)
 
@@ -525,7 +521,6 @@ let count m ts = function
       m.m_summarized <- m.m_summarized + txns;
       if summary > m.m_summary_hwm then m.m_summary_hwm <- summary
   | Wal_checkpoint _ -> m.m_checkpoints <- m.m_checkpoints + 1
-  | Recovery { replayed; _ } -> m.m_replayed <- m.m_replayed + replayed
   | _ -> ()
 
 (* The sketch fold: one touch of the event's resource, bumping the matching

@@ -165,7 +165,6 @@ type metrics = {
   mutable m_summary_hwm : int;  (** max summary-table entries *)
   mutable m_budget_pressure : int;  (** commits that triggered summarization *)
   mutable m_checkpoints : int;  (** WAL checkpoint records hardened *)
-  mutable m_replayed : int;  (** log records replayed by recovery *)
 }
 
 val metrics_create : unit -> metrics
@@ -233,7 +232,7 @@ type event =
       (** a seeded fault plan fired (compact [Wal.plan_to_string] form);
           trace only *)
   | Recovery of { replayed : int; committed : int; in_doubt : int; torn_bytes : int }
-      (** recovery replayed the durable log prefix; metrics *)
+      (** recovery replayed the durable log prefix; trace only *)
   | Span_b of { tid : int; name : string; cat : string }
       (** Profiler span open (Chrome-trace ["B"]); paired by (tid, nesting).
           Trace only. *)
