@@ -3,33 +3,98 @@
    - [list]         enumerate the experiments (paper figures + ablations)
    - [run IDS..]    run experiments and print their tables
    - [sdg NAME]     static dependency graph analysis (§2.6/§2.8)
-   - [interleave]   exhaustive interleaving sweeps (§4.7)
-   - [explore]      DPOR schedule exploration (same coverage, far fewer runs)
+   - [explore]      DPOR schedule exploration; --validate adds the full
+                    enumeration and its §4.7 counts
    - [fuzz]         differential history fuzzing with the MVSG oracle
 
    Examples:
      ssi_bench run fig6.1 fig6.8 --seeds 3 --duration 1.0
      ssi_bench sdg smallbank
-     ssi_bench interleave --spec write-skew --isolation si
+     ssi_bench explore --spec write-skew --isolation si --validate
      ssi_bench explore --spec write-skew-4 --isolation ssi --stats -j 4
      ssi_bench fuzz --cases 10000 --seed 1 --matrix full --shrink-anomalies
-     ssi_bench fuzz --replay fuzz-001.repro *)
+     ssi_bench fuzz --replay fuzz-001.repro
+
+   A bad flag value exits 124 before anything runs; a failed run or a file
+   error exits 1. *)
 
 open Cmdliner
 
-let list_cmd =
-  let run () =
-    print_endline "Available experiments (see DESIGN.md for the per-figure index):";
-    List.iter
-      (fun (id, title) -> Printf.printf "  %-18s %s\n" id title)
-      Experiments.titles
+(* {1 Converters}
+
+   A value outside its converter's range is a command-line error naming
+   the flag (exit 124) before anything runs, not a silently clamped, empty
+   or unbounded run. *)
+
+let checked of_string pp ~expected ~ok ~msg =
+  let parse s =
+    match of_string s with
+    | Some n when ok n -> Ok n
+    | Some _ -> Error (`Msg msg)
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
   in
-  Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const run $ const ())
+  Arg.conv (parse, pp)
 
-let ids_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see list)")
+let int_at_least min =
+  checked int_of_string_opt Format.pp_print_int ~expected:"an integer" ~ok:(( <= ) min)
 
-let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Fast smoke budget")
+let float_where ok ~msg =
+  checked float_of_string_opt Format.pp_print_float ~expected:"a number" ~ok ~msg
+
+(* Client, seed and case counts, table rows, sketch capacity. *)
+let count = int_at_least 1 ~msg:"must be at least 1"
+
+(* Sizes where 0 means none or off. *)
+let size = int_at_least 0 ~msg:"must be 0 or more"
+
+(* Simulated seconds. *)
+let positive = float_where (fun x -> x > 0.0) ~msg:"must be positive"
+
+let non_negative = float_where (fun x -> x >= 0.0) ~msg:"must be 0 or more"
+
+(* One converter per name table; [alts] lists a table's names for the help. *)
+let alts table = String.concat " | " (List.map fst table)
+
+(* Converts to the (name, entry) pair, for outputs that echo the name. *)
+let named table = Arg.enum (List.map (fun ((n, _) as e) -> (n, e)) table)
+
+let isolation = Arg.enum Core.Types.isolation_names
+
+let specs =
+  Interleave.
+    [
+      ("write-skew", write_skew_spec);
+      ("read-only-anomaly", read_only_anomaly_spec);
+      ("paper-4.7", paper_spec);
+      ("paper-4.7-4", paper_spec_4);
+      ("paper-4.7-5", paper_spec_5);
+      ("write-skew-3", write_skew_spec_3);
+      ("write-skew-4", write_skew_spec_4);
+      ("read-only-anomaly-4", read_only_anomaly_spec_4);
+    ]
+
+let spec = named specs
+
+let matrix = named Fuzzcase.matrices
+
+let series = Arg.enum (List.map (fun n -> (n, n)) Timeline.series_names)
+
+(* [--slo RATE,P95]: the per-class abort-rate and p95 targets. *)
+let slo =
+  let parse s =
+    match List.map float_of_string_opt (String.split_on_char ',' s) with
+    | [ Some slo_abort_rate; Some slo_p95 ] -> Ok { Timeline.slo_abort_rate; slo_p95 }
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected RATE,P95" s))
+  in
+  Arg.conv (parse, fun ppf s -> Format.fprintf ppf "%g,%g" s.Timeline.slo_abort_rate s.slo_p95)
+
+let trigger =
+  let parse s = Result.map_error (fun e -> `Msg e) (Flightrec.trigger_of_string s) in
+  Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Flightrec.trigger_to_string t))
+
+let plan =
+  let parse s = Option.to_result ~none:(`Msg ("bad plan: " ^ s)) (Wal.plan_of_string s) in
+  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Wal.plan_to_string p))
 
 (* Shared [-j N]: run independent jobs (experiment points, per-seed runs,
    fuzz shards) on a domain pool. The output contract is that results are
@@ -44,67 +109,49 @@ let jobs_arg =
 let with_jobs j f =
   if j <= 1 then f None else Par.with_pool ~j (fun p -> f (Some p))
 
-(* Integer options with a lower bound: a value below [min] is a
-   command-line error naming the flag (exit 124), not a silently clamped,
-   empty or unbounded run. *)
-let int_at_least min ~msg =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | Some _ -> Error (`Msg msg)
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-(* Client and seed counts. *)
-let count = int_at_least 1 ~msg:"must be at least 1"
-
-(* Shared [--memory-budget N] of bench, timeline and attribute: 0 (the
-   default) means unbounded. *)
-let memory_budget_arg =
+let metrics_arg =
   Arg.(
-    value
-    & opt (int_at_least 0 ~msg:"must be 0 (unbounded) or a positive number of entries") 0
-    & info [ "memory-budget" ] ~docv:"N"
-        ~doc:
-          "Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded): row \
-           SIREADs promote to page granularity and old committed transactions are folded into \
-           a conservative summary under pressure")
+    value & flag
+    & info [ "metrics" ]
+        ~doc:"Collect and print engine metrics (conflict-edge sources, lock waits, high-water marks)")
 
-let with_memory_budget n c = if n > 0 then { c with Core.Config.memory_budget = Some n } else c
+(* {1 Files}
 
-let read_file f =
-  let ic = open_in_bin f in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+   Every file the CLI reads or writes goes through [on_file]: an I/O error
+   is one line naming the file and exit 1, not an uncaught exception. *)
 
-let write_file f s =
-  let oc = open_out_bin f in
-  output_string oc s;
-  close_out oc
+let on_file file f =
+  try f file
+  with Sys_error e ->
+    let e = if String.starts_with ~prefix:file e then e else file ^ ": " ^ e in
+    prerr_endline ("ssi_bench: " ^ e);
+    exit 1
 
-(* Shared by [bench] and [report]. *)
-let isolation_of_string = function
-  | "si" -> Some Core.Types.Snapshot
-  | "ssi" -> Some Core.Types.Serializable
-  | "s2pl" -> Some Core.Types.S2pl
-  | "rc" -> Some Core.Types.Read_committed
-  | _ -> None
+let read_file file = on_file file In_channel.(fun f -> with_open_bin f input_all)
 
-(* Shared [--workload] of bench, timeline, attribute and report: one enum
-   over [Experiments.workloads] ([extra] adds a subcommand's own names). *)
-let workload_arg ?(extra = []) ~default ~doc () =
-  let names = List.map fst Experiments.workloads @ extra in
-  Arg.(
-    value
-    & opt (enum (List.map (fun n -> (n, n)) names)) default
-    & info [ "workload" ] ~docv:"NAME" ~doc:(doc ^ ": " ^ String.concat " | " names))
+let write_file file s =
+  on_file file (fun f -> Out_channel.with_open_bin f (fun oc -> output_string oc s))
 
-(* A registry workload by name (already validated by [workload_arg]). *)
-let workload ?(memory_budget = 0) name =
-  List.assoc name Experiments.workloads (with_memory_budget memory_budget)
+(* Write [b] to [file] and say so on stderr, so stdout stays the same with
+   and without the file. *)
+let export file b ~what =
+  write_file file (Buffer.contents b);
+  Printf.eprintf "%s written to %s\n%!" what file
+
+(* One repro file per (text, violation) into [out], created if missing. *)
+let write_repros out ~prefix repros =
+  match out with
+  | Some dir when repros <> [] ->
+      on_file dir (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755);
+      List.iteri
+        (fun i (text, violation) ->
+          let file = Filename.concat dir (Printf.sprintf "%s-%03d.repro" prefix i) in
+          write_file file text;
+          Printf.printf "  wrote %s (%s)\n" file violation)
+        repros
+  | _ -> ()
+
+(* {1 Figure sweeps} *)
 
 (* Unknown experiment ids fail before anything runs. *)
 let check_experiments ids =
@@ -114,62 +161,172 @@ let check_experiments ids =
       prerr_endline ("unknown experiment: " ^ String.concat ", " unknown ^ " (see list)");
       exit 1
 
-let seeds_arg =
-  Arg.(value & opt count 2 & info [ "seeds" ] ~doc:"Number of random seeds per point")
+(* The sweep budget of run and report: --quick's smoke budget, or seeds
+   1..N at each --mpl. *)
+let budget_term =
+  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Fast smoke budget") in
+  let seeds =
+    Arg.(value & opt count 2 & info [ "seeds" ] ~doc:"Number of random seeds per point")
+  in
+  let duration =
+    Arg.(value & opt positive 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds per run")
+  in
+  let mpls =
+    Arg.(
+      value
+      & opt (list count) [ 1; 2; 5; 10; 20 ]
+      & info [ "mpl" ] ~doc:"Comma-separated multiprogramming levels")
+  in
+  let make quick seeds duration mpls =
+    if quick then Experiments.quick_budget
+    else
+      {
+        Experiments.seeds = List.init seeds (fun i -> i + 1);
+        duration;
+        warmup = duration /. 4.0;
+        mpls;
+        with_metrics = false;
+      }
+  in
+  Term.(const make $ quick $ seeds $ duration $ mpls)
 
-let duration_arg =
-  Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds per run")
+(* {1 The run point}
 
-let mpl_arg =
+   One measured configuration. bench, timeline and attribute read it from
+   the same flags; report's profiled run reads the bench- prefixed ones and
+   is one seed with no memory budget. *)
+
+type point = {
+  p_workload : string;
+  p_isolation : Core.Types.isolation;
+  p_mpl : int;
+  p_duration : float;
+  p_warmup : float;
+  p_seed : int;  (** base seed *)
+  p_seeds : int;  (** seeds p_seed, p_seed + 1, ... *)
+  p_memory_budget : int;  (** 0 = unbounded *)
+}
+
+(* [--workload] over [Experiments.workloads] ([extra] adds a subcommand's
+   own names). *)
+let workload_arg ?(extra = []) ~default ~doc () =
+  let names = List.map fst Experiments.workloads @ extra in
   Arg.(
     value
-    & opt (list count) [ 1; 2; 5; 10; 20 ]
-    & info [ "mpl" ] ~doc:"Comma-separated multiprogramming levels")
+    & opt (enum (List.map (fun n -> (n, n)) names)) default
+    & info [ "workload" ] ~docv:"NAME" ~doc:(doc ^ ": " ^ String.concat " | " names))
 
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:"Collect and print engine metrics (conflict-edge sources, lock waits, high-water marks)")
+(* [seeds_doc] documents --seeds; without it the point is report's. *)
+let point_term ?seeds_doc workload =
+  let profiled = seeds_doc = None in
+  let flag c default name doc =
+    let name, doc =
+      if profiled then ("bench-" ^ name, doc ^ " (profiled run)") else (name, doc)
+    in
+    Arg.(value & opt c default & info [ name ] ~doc)
+  in
+  let seeds, memory_budget =
+    match seeds_doc with
+    | None -> (Term.const 1, Term.const 0)
+    | Some doc ->
+        ( Arg.(value & opt count 1 & info [ "seeds" ] ~docv:"N" ~doc),
+          Arg.(
+            value
+            & opt (int_at_least 0 ~msg:"must be 0 (unbounded) or a positive number of entries") 0
+            & info [ "memory-budget" ] ~docv:"N"
+                ~doc:
+                  "Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded): \
+                   row SIREADs promote to page granularity and old committed transactions are \
+                   folded into a conservative summary under pressure") )
+  in
+  let make p_workload p_isolation p_mpl p_duration p_warmup p_seed p_seeds p_memory_budget =
+    { p_workload; p_isolation; p_mpl; p_duration; p_warmup; p_seed; p_seeds; p_memory_budget }
+  in
+  Term.(
+    const make $ workload
+    $ flag isolation Core.Types.Serializable "isolation"
+        ("Isolation level: " ^ alts Core.Types.isolation_names)
+    $ flag count 10 "mpl" "Concurrent clients"
+    $ flag positive 0.5 "duration" "Measured simulated seconds"
+    $ flag non_negative 0.1 "warmup" "Warmup simulated seconds"
+    $ flag Arg.int 1 "seed" "Random seed"
+    $ seeds $ memory_budget)
+
+let seed_list p = List.init p.p_seeds (fun i -> p.p_seed + i)
+
+(* [p]'s registry workload (the name is validated by [workload_arg]); a
+   positive memory budget bounds each fresh database. *)
+let workload p =
+  let tweak c =
+    if p.p_memory_budget > 0 then { c with Core.Config.memory_budget = Some p.p_memory_budget }
+    else c
+  in
+  List.assoc p.p_workload Experiments.workloads tweak
+
+let driver_config p seed =
+  {
+    Driver.default_config with
+    Driver.isolation = p.p_isolation;
+    mpl = p.p_mpl;
+    warmup = p.p_warmup;
+    duration = p.p_duration;
+    seed;
+  }
+
+(* The per-seed runner: each of [p]'s seeds under a fresh sink from
+   [sink], on [jobs] domains. Results come back in seed order, so whatever
+   is folded over them is byte-identical at any -j. *)
+let run_point ~jobs ~sink p =
+  let make_db, mix = workload p in
+  with_jobs jobs (fun pool ->
+      Par.map ?pool
+        (fun seed ->
+          let obs = sink () in
+          (Driver.run_once ~obs ~make_db ~mix (driver_config p seed), obs))
+        (seed_list p))
+
+(* Per-run traces would interleave, so --trace takes one seed. *)
+let check_trace trace p =
+  if trace <> None && p.p_seeds > 1 then begin
+    prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
+    exit 1
+  end
+
+(* {1 Subcommands} *)
+
+let list_cmd =
+  let run () =
+    print_endline "Available experiments (see DESIGN.md for the per-figure index):";
+    List.iter
+      (fun (id, title) -> Printf.printf "  %-18s %s\n" id title)
+      Experiments.titles
+  in
+  Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const run $ const ())
+
+let ids_arg =
+  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see list)")
 
 let run_cmd =
-  let run ids quick seeds duration mpls metrics jobs =
-    let budget =
-      if quick then { Experiments.quick_budget with Experiments.with_metrics = metrics }
-      else
-        {
-          Experiments.seeds = List.init seeds (fun i -> i + 1);
-          duration;
-          warmup = duration /. 4.0;
-          mpls;
-          with_metrics = metrics;
-        }
-    in
+  let run ids budget metrics jobs =
     let ids = if ids = [] then List.map fst Experiments.all_figures else ids in
     check_experiments ids;
+    let budget = { budget with Experiments.with_metrics = metrics } in
     with_jobs jobs (fun pool -> Experiments.run_many ?pool ~budget Fmt.stdout ids)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiments and print throughput/abort tables")
-    Term.(
-      const run $ ids_arg $ quick_arg $ seeds_arg $ duration_arg $ mpl_arg $ metrics_arg
-      $ jobs_arg)
+    Term.(const run $ ids_arg $ budget_term $ metrics_arg $ jobs_arg)
 
 (* One measured benchmark run, with optional Chrome-trace capture. The
    stdout report is byte-identical with or without --trace: tracing records
    events out-of-band and never perturbs the simulation. *)
 let bench_cmd =
-  let workload_arg = workload_arg ~default:"smallbank" ~doc:"Workload" () in
-  let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
-  let duration_arg =
-    Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 0.1 & info [ "warmup" ] ~doc:"Warmup simulated seconds")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed") in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
+  let point =
+    point_term
+      ~seeds_doc:
+        "Aggregate over $(docv) seeds (base seed, base+1, ...) instead of one detailed run; \
+         pairs with -j to run the seeds in parallel"
+      (workload_arg ~default:"smallbank" ~doc:"Workload" ())
   in
   let trace_arg =
     Arg.(
@@ -178,28 +335,10 @@ let bench_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Write a Chrome-trace JSON array (chrome://tracing, ui.perfetto.dev) to $(docv)")
   in
-  let bench_seeds_arg =
-    Arg.(
-      value & opt count 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:
-            "Aggregate over $(docv) seeds (base seed, base+1, ...) instead of one detailed run; \
-             pairs with -j to run the seeds in parallel")
-  in
-  let run name mpl duration warmup seed iso trace metrics nseeds mem_budget jobs =
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
-    let make_db, mix = workload ~memory_budget:mem_budget name in
-    let cfg =
-      { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed }
-    in
+  let run p trace metrics jobs =
+    let budget = p.p_memory_budget in
     let pp_memory m =
-      Printf.printf "  memory budget:    %d entries\n" mem_budget;
+      Printf.printf "  memory budget:    %d entries\n" budget;
       Printf.printf "    siread-live hwm:  %d\n" m.Obs.m_siread_live_hwm;
       Printf.printf "    retained hwm:     %d (siread=%d plain=%d)\n" m.Obs.m_retained_hwm
         m.Obs.m_retained_siread_hwm m.Obs.m_retained_record_hwm;
@@ -208,22 +347,19 @@ let bench_cmd =
       Printf.printf "    summary hwm:      %d\n" m.Obs.m_summary_hwm;
       Printf.printf "    pressure events:  %d\n" m.Obs.m_budget_pressure
     in
-    if nseeds > 1 then begin
-      (* Aggregate mode: several independent seeds, optionally in parallel.
-         Per-run traces would interleave, so --trace is single-run only. *)
-      if trace <> None then begin
-        prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
-        exit 1
-      end;
-      let seeds = List.init nseeds (fun i -> seed + i) in
+    check_trace trace p;
+    if p.p_seeds > 1 then begin
+      (* Aggregate mode: several independent seeds, optionally in parallel. *)
+      let make_db, mix = workload p in
       let s =
         with_jobs jobs (fun pool ->
-            Driver.run_seeds ?pool
-              ~with_metrics:(metrics || mem_budget > 0)
-              ~make_db ~mix ~seeds cfg)
+            Driver.run_seeds ?pool ~with_metrics:(metrics || budget > 0) ~make_db ~mix
+              ~seeds:(seed_list p) (driver_config p p.p_seed))
       in
-      Printf.printf "workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.2fs\n" name iso mpl
-        seed (seed + nseeds - 1) duration;
+      Printf.printf "workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.2fs\n" p.p_workload
+        (Fuzzrun.level_name p.p_isolation) p.p_mpl p.p_seed
+        (p.p_seed + p.p_seeds - 1)
+        p.p_duration;
       Printf.printf "  throughput:       %.1f +/- %.1f tps (95%% ci)\n" s.Driver.s_throughput
         s.Driver.s_ci;
       Printf.printf "  deadlocks/commit: %.4f\n" s.Driver.s_deadlock_rate;
@@ -232,111 +368,78 @@ let bench_cmd =
       Printf.printf "  user aborts:      %.4f /commit\n" s.Driver.s_user_abort_rate;
       Printf.printf "  mean response:    %.6fs\n" s.Driver.s_mean_response;
       Printf.printf "  lock table:       %.1f entries at close\n" s.Driver.s_lock_table;
-      (match s.Driver.s_metrics with
-      | Some m when mem_budget > 0 -> pp_memory m
-      | _ -> ());
-      match s.Driver.s_metrics with
-      | Some m when metrics -> Fmt.pr "%a@." Obs.pp_metrics m
-      | _ -> ()
+      Option.iter
+        (fun m ->
+          if budget > 0 then pp_memory m;
+          if metrics then Fmt.pr "%a@." Obs.pp_metrics m)
+        s.Driver.s_metrics
     end
     else begin
-    let obs =
-      if trace <> None || metrics || mem_budget > 0 then
-        Some (Obs.create ~trace:(trace <> None) ())
-      else None
-    in
-    let r = Driver.run_once ?obs ~make_db ~mix cfg in
-    Printf.printf "workload=%s isolation=%s mpl=%d seed=%d window=%.2fs\n" name iso mpl seed
-      duration;
-    Printf.printf "  commits:          %d (%.0f tps)\n" r.Driver.commits r.Driver.throughput;
-    Printf.printf "  user aborts:      %d\n" r.Driver.user_aborts;
-    Printf.printf "  deadlocks:        %d\n" r.Driver.deadlocks;
-    Printf.printf "  fcw conflicts:    %d\n" r.Driver.conflicts;
-    Printf.printf "  unsafe aborts:    %d\n" r.Driver.unsafe;
-    Printf.printf "  other aborts:     %d\n" r.Driver.other_aborts;
-    Printf.printf "  mean response:    %.6fs\n" r.Driver.mean_response;
-    Printf.printf "  aborts/commit:    %.4f\n" r.Driver.aborts_per_commit;
-    if mem_budget > 0 then pp_memory r.Driver.metrics;
-    List.iter
-      (fun ps ->
-        Printf.printf "  program %-10s commits=%d user_aborts=%d aborts=%d p50=%.2gs p99=%.2gs\n"
-          ps.Driver.ps_name ps.Driver.ps_commits ps.Driver.ps_user_aborts ps.Driver.ps_aborts
-          (Obs.hist_percentile ps.Driver.ps_latency 0.50)
-          (Obs.hist_percentile ps.Driver.ps_latency 0.99))
-      r.Driver.programs;
-    if metrics then Fmt.pr "%a@." Obs.pp_metrics r.Driver.metrics;
-    (match (trace, obs) with
-    | Some file, Some o ->
-        Obs.write_trace_file file o;
-        (* stderr, so stdout stays identical with and without --trace *)
-        Printf.eprintf "trace: %d events written to %s\n%!" (Obs.event_count o) file
-    | _ -> ())
+      let sink () = Obs.create ~trace:(trace <> None) ~metrics:(metrics || budget > 0) () in
+      let r, obs = List.hd (run_point ~jobs:1 ~sink p) in
+      Printf.printf "workload=%s isolation=%s mpl=%d seed=%d window=%.2fs\n" p.p_workload
+        (Fuzzrun.level_name p.p_isolation) p.p_mpl p.p_seed p.p_duration;
+      Printf.printf "  commits:          %d (%.0f tps)\n" r.Driver.commits r.Driver.throughput;
+      Printf.printf "  user aborts:      %d\n" r.Driver.user_aborts;
+      Printf.printf "  deadlocks:        %d\n" r.Driver.deadlocks;
+      Printf.printf "  fcw conflicts:    %d\n" r.Driver.conflicts;
+      Printf.printf "  unsafe aborts:    %d\n" r.Driver.unsafe;
+      Printf.printf "  other aborts:     %d\n" r.Driver.other_aborts;
+      Printf.printf "  mean response:    %.6fs\n" r.Driver.mean_response;
+      Printf.printf "  aborts/commit:    %.4f\n" r.Driver.aborts_per_commit;
+      if budget > 0 then pp_memory r.Driver.metrics;
+      List.iter
+        (fun ps ->
+          Printf.printf "  program %-10s commits=%d user_aborts=%d aborts=%d p50=%.2gs p99=%.2gs\n"
+            ps.Driver.ps_name ps.Driver.ps_commits ps.Driver.ps_user_aborts ps.Driver.ps_aborts
+            (Obs.hist_percentile ps.Driver.ps_latency 0.50)
+            (Obs.hist_percentile ps.Driver.ps_latency 0.99))
+        r.Driver.programs;
+      if metrics then Fmt.pr "%a@." Obs.pp_metrics r.Driver.metrics;
+      Option.iter
+        (fun file ->
+          on_file file (fun f -> Obs.write_trace_file f obs);
+          (* stderr, so stdout stays identical with and without --trace *)
+          Printf.eprintf "trace: %d events written to %s\n%!" (Obs.event_count obs) file)
+        trace
     end
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"One measured benchmark run; optionally capture a Chrome trace and engine metrics")
-    Term.(
-      const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ trace_arg $ metrics_arg $ bench_seeds_arg $ memory_budget_arg $ jobs_arg)
+    Term.(const run $ point $ trace_arg $ metrics_arg $ jobs_arg)
+
+let csv_arg doc = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+
+let ndjson_arg doc = Arg.(value & opt (some string) None & info [ "ndjson" ] ~docv:"FILE" ~doc)
+
+let window_arg doc =
+  Arg.(value & opt positive 0.05 & info [ "window" ] ~docv:"SECONDS" ~doc)
 
 (* Windowed sim-time telemetry: run a workload under a tracing sink, build
    a Timeline (lib/obs/timeline.ml) per seed, merge, and export. Stdout is
    byte-identical at any -j (per-seed worlds are independent; the merge is
    order-insensitive), which the dune rules diff to enforce. *)
 let timeline_cmd =
-  let workload_arg =
-    workload_arg ~default:"sibench" ~extra:[ "retention" ]
-      ~doc:
-        "Workload (retention: bounded-memory loop with a pinned snapshot released at 60% of \
-         the horizon; ignores --isolation)"
-      ()
-  in
-  let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
-  let duration_arg =
-    Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 0.1 & info [ "warmup" ] ~doc:"Warmup simulated seconds")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed") in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
-  let tl_seeds_arg =
-    Arg.(
-      value & opt count 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Merge timelines over $(docv) seeds (base, base+1, ...); pairs with -j")
-  in
-  let window_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "window" ] ~docv:"SECONDS" ~doc:"Window width in simulated seconds")
+  let point =
+    point_term ~seeds_doc:"Merge timelines over $(docv) seeds (base, base+1, ...); pairs with -j"
+      (workload_arg ~default:"sibench" ~extra:[ "retention" ]
+         ~doc:
+           "Workload (retention: bounded-memory loop with a pinned snapshot released at 60% of \
+            the horizon; ignores --isolation)"
+         ())
   in
   let series_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (list series)) None
       & info [ "series" ] ~docv:"NAMES"
           ~doc:"Comma-separated series to export (default: all; see the CSV header)")
-  in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Write the CSV to $(docv) instead of stdout")
-  in
-  let ndjson_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ndjson" ] ~docv:"FILE" ~doc:"Also write one JSON object per window to $(docv)")
   in
   let slo_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some slo) None
       & info [ "slo" ] ~docv:"RATE,P95"
           ~doc:
             "Evaluate per-class SLOs: max error aborts per completed transaction and max p95 \
@@ -345,7 +448,7 @@ let timeline_cmd =
   let annotate_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some series) None
       & info [ "annotate" ] ~docv:"SERIES"
           ~doc:"Detect regime shifts (Page-Hinkley) on $(docv) and print the marks")
   in
@@ -358,69 +461,34 @@ let timeline_cmd =
             "Write one Chrome-trace file combining lifecycle spans, resource counters and the \
              timeline series as counter tracks (requires --seeds 1)")
   in
-  let run name mpl duration warmup seed iso nseeds window series_sel csv ndjson slo annotate trace
-      mem_budget jobs =
-    if window <= 0.0 then begin
-      prerr_endline "--window must be positive";
-      exit 1
-    end;
-    if trace <> None && nseeds > 1 then begin
-      prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
-      exit 1
-    end;
-    let columns =
-      match series_sel with
-      | None -> None
-      | Some s ->
-          let cols = String.split_on_char ',' s |> List.filter (fun c -> c <> "") in
-          List.iter
-            (fun c ->
-              if not (List.mem c Timeline.series_names) then begin
-                prerr_endline
-                  ("unknown series: " ^ c ^ " (known: "
-                  ^ String.concat ", " Timeline.series_names
-                  ^ ")");
-                exit 1
-              end)
-            cols;
-          Some cols
+  let run p window columns csv ndjson slo annotate trace jobs =
+    check_trace trace p;
+    let retention = p.p_workload = "retention" in
+    let sinks =
+      if retention then
+        let memory_budget = if p.p_memory_budget > 0 then Some p.p_memory_budget else None in
+        with_jobs jobs (fun pool ->
+            Par.map ?pool
+              (fun seed ->
+                fst
+                  (Experiments.retention_timeline_run ?memory_budget ~mpl:p.p_mpl
+                     ~warmup:p.p_warmup ~duration:p.p_duration ~seed ()))
+              (seed_list p))
+      else
+        let sink () = Obs.create ~trace:true ~provenance:true ~metrics:true () in
+        List.map snd (run_point ~jobs ~sink p)
     in
-    let horizon = warmup +. duration in
-    let memory_budget = if mem_budget > 0 then Some mem_budget else None in
-    let run_seed s : Timeline.t * Obs.t =
-      if name = "retention" then begin
-        let obs, hz =
-          Experiments.retention_timeline_run ?memory_budget ~mpl ~warmup ~duration ~seed:s ()
-        in
-        (Option.get (Timeline.of_obs ~window ~horizon:hz obs), obs)
-      end
-      else begin
-        let isolation =
-          match isolation_of_string iso with
-          | Some i -> i
-          | None ->
-              prerr_endline ("unknown isolation: " ^ iso);
-              exit 1
-        in
-        let make_db, mix = workload ~memory_budget:mem_budget name in
-        let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
-        let cfg =
-          { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed = s }
-        in
-        ignore (Driver.run_once ~obs ~make_db ~mix cfg);
-        (Option.get (Timeline.of_obs ~window ~horizon obs), obs)
-      end
+    let horizon = p.p_warmup +. p.p_duration in
+    let tl =
+      Timeline.merge (List.map (fun o -> Option.get (Timeline.of_obs ~window ~horizon o)) sinks)
     in
-    let seeds = List.init nseeds (fun i -> seed + i) in
-    let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed seeds) in
-    let tl = Timeline.merge (List.map fst per_seed) in
+    let windows = Array.length tl.Timeline.tl_windows in
     Printf.printf "timeline workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.4fs windows=%d\n"
-      name
-      (if name = "retention" then "ssi" else iso)
-      mpl seed
-      (seed + nseeds - 1)
-      tl.Timeline.tl_width
-      (Array.length tl.Timeline.tl_windows);
+      p.p_workload
+      (if retention then "ssi" else Fuzzrun.level_name p.p_isolation)
+      p.p_mpl p.p_seed
+      (p.p_seed + p.p_seeds - 1)
+      tl.Timeline.tl_width windows;
     let tt = Timeline.totals tl in
     Printf.printf
       "totals: commits=%d aborts=%d user-aborts=%d work-committed=%.6fs work-wasted=%.6fs\n"
@@ -430,33 +498,15 @@ let timeline_cmd =
     Timeline.to_csv ?columns csv_buf tl;
     (match csv with
     | None -> print_string (Buffer.contents csv_buf)
-    | Some file ->
-        write_file file (Buffer.contents csv_buf);
-        Printf.eprintf "csv: %d windows written to %s\n%!" (Array.length tl.Timeline.tl_windows)
-          file);
-    (match ndjson with
-    | None -> ()
-    | Some file ->
+    | Some file -> export file csv_buf ~what:(Printf.sprintf "csv: %d windows" windows));
+    Option.iter
+      (fun file ->
         let buf = Buffer.create 4096 in
         Timeline.to_ndjson buf tl;
-        write_file file (Buffer.contents buf);
-        Printf.eprintf "ndjson: %d windows written to %s\n%!"
-          (Array.length tl.Timeline.tl_windows) file);
-    (match slo with
-    | None -> ()
-    | Some spec ->
-        let slo =
-          match String.split_on_char ',' spec with
-          | [ a; p ] -> (
-              match (float_of_string_opt a, float_of_string_opt p) with
-              | Some slo_abort_rate, Some slo_p95 -> { Timeline.slo_abort_rate; slo_p95 }
-              | _ ->
-                  prerr_endline ("bad --slo (want RATE,P95): " ^ spec);
-                  exit 1)
-          | _ ->
-              prerr_endline ("bad --slo (want RATE,P95): " ^ spec);
-              exit 1
-        in
+        export file buf ~what:(Printf.sprintf "ndjson: %d windows" windows))
+      ndjson;
+    Option.iter
+      (fun slo ->
         List.iter
           (fun sr ->
             Printf.printf
@@ -465,14 +515,10 @@ let timeline_cmd =
               sr.Timeline.sr_class sr.Timeline.sr_active sr.Timeline.sr_violations
               sr.Timeline.sr_abort_viol sr.Timeline.sr_p95_viol sr.Timeline.sr_time_in_violation
               sr.Timeline.sr_worst_abort_rate sr.Timeline.sr_worst_p95)
-          (Timeline.slo_eval tl slo));
-    (match annotate with
-    | None -> ()
-    | Some name ->
-        if not (List.mem name Timeline.series_names) then begin
-          prerr_endline ("unknown series: " ^ name);
-          exit 1
-        end;
+          (Timeline.slo_eval tl slo))
+      slo;
+    Option.iter
+      (fun name ->
         let marks = Timeline.change_points tl ~series:name in
         Printf.printf "regime-shifts series=%s count=%d\n" name (List.length marks);
         List.iter
@@ -480,13 +526,16 @@ let timeline_cmd =
             Printf.printf "mark series=%s window=%d t0=%.4fs direction=%s\n" mk.Timeline.mk_series
               mk.Timeline.mk_window mk.Timeline.mk_ts
               (match mk.Timeline.mk_direction with `Up -> "up" | `Down -> "down"))
-          marks);
-    match (trace, per_seed) with
-    | Some file, (_, o) :: _ ->
-        Obs.write_trace_file ~extra:(Timeline.counter_records ?columns tl) file o;
+          marks)
+      annotate;
+    Option.iter
+      (fun file ->
+        let o = List.hd sinks in
+        let extra = Timeline.counter_records ?columns tl in
+        on_file file (fun f -> Obs.write_trace_file ~extra f o);
         Printf.eprintf "trace: %d events + timeline counters written to %s\n%!"
-          (Obs.event_count o) file
-    | _ -> ()
+          (Obs.event_count o) file)
+      trace
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -494,60 +543,30 @@ let timeline_cmd =
          "Windowed sim-time telemetry: throughput, abort taxonomy, latency percentiles, \
           retention gauges, wasted work, per-class SLOs and regime-shift marks")
     Term.(
-      const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ tl_seeds_arg $ window_arg $ series_arg $ csv_arg $ ndjson_arg $ slo_arg $ annotate_arg
-      $ trace_arg $ memory_budget_arg $ jobs_arg)
+      const run $ point
+      $ window_arg "Window width in simulated seconds"
+      $ series_arg
+      $ csv_arg "Write the CSV to $(docv) instead of stdout"
+      $ ndjson_arg "Also write one JSON object per window to $(docv)"
+      $ slo_arg $ annotate_arg $ trace_arg $ jobs_arg)
 
 let attribute_cmd =
-  let workload_arg = workload_arg ~default:"sibench" ~doc:"Workload" () in
-  let mpl_arg = Arg.(value & opt count 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
-  let duration_arg =
-    Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 0.1 & info [ "warmup" ] ~doc:"Warmup simulated seconds")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed") in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
-  let at_seeds_arg =
-    Arg.(
-      value & opt count 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Merge sketches over $(docv) seeds (base, base+1, ...); pairs with -j")
-  in
-  let window_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "window" ] ~docv:"SECONDS"
-          ~doc:"Window width for the per-window blame series, simulated seconds")
+  let point =
+    point_term ~seeds_doc:"Merge sketches over $(docv) seeds (base, base+1, ...); pairs with -j"
+      (workload_arg ~default:"sibench" ~doc:"Workload" ())
   in
   let top_arg =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Rows in the contention table")
+    Arg.(value & opt count 10 & info [ "top" ] ~docv:"K" ~doc:"Rows in the contention table")
   in
   let sketch_arg =
     Arg.(
-      value & opt int 256
+      value & opt count 256
       & info [ "sketch" ] ~docv:"CAP"
           ~doc:"Space-saving sketch capacity (distinct resources tracked; bounds the error)")
   in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Write the per-window blame series as CSV to $(docv)")
-  in
-  let ndjson_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ndjson" ] ~docv:"FILE"
-          ~doc:"Write the per-window blame series as one JSON object per line to $(docv)")
-  in
   let flightrec_arg =
     Arg.(
-      value & opt int 0
+      value & opt size 0
       & info [ "flightrec" ] ~docv:"CAP"
           ~doc:
             "Attach a flight recorder with a $(docv)-event ring to the base seed's run (0 = \
@@ -556,7 +575,7 @@ let attribute_cmd =
   let trigger_arg =
     Arg.(
       value
-      & opt string "abort_rate:0.5"
+      & opt trigger (Result.get_ok (Flightrec.trigger_of_string "abort_rate:0.5"))
       & info [ "trigger" ] ~docv:"SPEC"
           ~doc:"Trigger: abort_rate:X | slo | slo:RATE:P95 | regime | regime:SERIES")
   in
@@ -567,103 +586,54 @@ let attribute_cmd =
       & info [ "bundle" ] ~docv:"FILE"
           ~doc:"Write the post-mortem bundle to $(docv) when the trigger fires")
   in
-  let run name mpl duration warmup seed iso nseeds window top sketch_cap csv ndjson flightrec
-      trigger bundle mem_budget jobs =
-    if window <= 0.0 then begin
-      prerr_endline "--window must be positive";
-      exit 1
-    end;
-    if sketch_cap < 1 then begin
-      prerr_endline "--sketch must be at least 1";
-      exit 1
-    end;
-    if top < 1 then begin
-      prerr_endline "--top must be at least 1";
-      exit 1
-    end;
-    let trig =
-      if flightrec = 0 then None
-      else
-        match Flightrec.trigger_of_string trigger with
-        | Ok t -> Some t
-        | Error e ->
-            prerr_endline ("bad --trigger: " ^ e);
-            exit 1
-    in
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
-    let make_db, mix = workload ~memory_budget:mem_budget name in
-    let horizon = warmup +. duration in
-    let run_seed s : Obs.t =
-      let obs = Obs.create ~trace:true ~provenance:true ~metrics:true ~sketch:sketch_cap () in
-      let cfg =
-        { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed = s }
-      in
-      ignore (Driver.run_once ~obs ~make_db ~mix cfg);
-      obs
-    in
-    let seeds = List.init nseeds (fun i -> seed + i) in
-    let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed seeds) in
+  let run p window top sketch_cap csv ndjson flightrec trigger bundle jobs =
+    let sink () = Obs.create ~trace:true ~provenance:true ~metrics:true ~sketch:sketch_cap () in
+    let per_seed = List.map snd (run_point ~jobs ~sink p) in
     (* Merge per-seed sketches and fold certificate blame, both in seed
-       order — Par.map already returns in input order, so the result is
-       byte-identical at any -j. *)
+       order, so the result is byte-identical at any -j. *)
     let sk = Sketch.create ~capacity:sketch_cap in
     List.iter (fun o -> Sketch.merge ~into:sk (Option.get (Obs.sketch o))) per_seed;
     let all_certs = List.concat_map Obs.certs per_seed in
     Attrib.blame sk all_certs;
     Printf.printf
       "attribution workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.4fs sketch-capacity=%d\n"
-      name iso mpl seed
-      (seed + nseeds - 1)
+      p.p_workload (Fuzzrun.level_name p.p_isolation) p.p_mpl p.p_seed
+      (p.p_seed + p.p_seeds - 1)
       window sketch_cap;
     let buf = Buffer.create 4096 in
     Attrib.render_summary buf sk;
     Attrib.render_table buf ~top sk;
     print_string (Buffer.contents buf);
-    (match csv with
-    | None -> ()
-    | Some file ->
-        let rows = Attrib.blame_windows ~window ~horizon all_certs in
-        let b = Buffer.create 4096 in
-        Attrib.windows_csv b rows;
-        write_file file (Buffer.contents b);
-        Printf.eprintf "csv: %d blame rows written to %s\n%!" (List.length rows) file);
-    (match ndjson with
-    | None -> ()
-    | Some file ->
-        let rows = Attrib.blame_windows ~window ~horizon all_certs in
-        let b = Buffer.create 4096 in
-        Attrib.windows_ndjson b rows;
-        write_file file (Buffer.contents b);
-        Printf.eprintf "ndjson: %d blame rows written to %s\n%!" (List.length rows) file);
-    match (trig, per_seed) with
-    | Some trigger, o :: _ ->
-        let events = Obs.events o and certs = Obs.certs o in
-        let recorder, incident =
-          Flightrec.run ~capacity:flightrec ~window ~horizon ~trigger events certs
-        in
-        (match incident with
-        | None ->
-            Printf.printf "flight-recorder: no incident (trigger %s; ring %d/%d, %d dropped)\n"
-              (Flightrec.trigger_to_string trigger)
-              (Flightrec.length recorder) (Flightrec.capacity recorder)
-              (Flightrec.drops recorder)
-        | Some inc ->
-            Printf.printf "flight-recorder: incident window=%d t=%.4fs %s\n"
-              inc.Flightrec.in_window inc.Flightrec.in_ts inc.Flightrec.in_detail;
-            let b = Buffer.create 4096 in
-            Flightrec.write_bundle b ~recorder ~incident:inc ~sk ~top ~certs;
-            (match bundle with
-            | Some file ->
-                write_file file (Buffer.contents b);
-                Printf.eprintf "bundle: %d bytes written to %s\n%!" (Buffer.length b) file
-            | None -> print_string (Buffer.contents b)))
-    | _ -> ()
+    let horizon = p.p_warmup +. p.p_duration in
+    let export_rows name render =
+      Option.iter (fun file ->
+          let rows = Attrib.blame_windows ~window ~horizon all_certs in
+          let b = Buffer.create 4096 in
+          render b rows;
+          export file b ~what:(Printf.sprintf "%s: %d blame rows" name (List.length rows)))
+    in
+    export_rows "csv" Attrib.windows_csv csv;
+    export_rows "ndjson" Attrib.windows_ndjson ndjson;
+    if flightrec > 0 then begin
+      let o = List.hd per_seed in
+      let certs = Obs.certs o in
+      let recorder, incident =
+        Flightrec.run ~capacity:flightrec ~window ~horizon ~trigger (Obs.events o) certs
+      in
+      match incident with
+      | None ->
+          Printf.printf "flight-recorder: no incident (trigger %s; ring %d/%d, %d dropped)\n"
+            (Flightrec.trigger_to_string trigger)
+            (Flightrec.length recorder) (Flightrec.capacity recorder) (Flightrec.drops recorder)
+      | Some inc -> (
+          Printf.printf "flight-recorder: incident window=%d t=%.4fs %s\n" inc.Flightrec.in_window
+            inc.Flightrec.in_ts inc.Flightrec.in_detail;
+          let b = Buffer.create 4096 in
+          Flightrec.write_bundle b ~recorder ~incident:inc ~sk ~top ~certs;
+          match bundle with
+          | Some file -> export file b ~what:(Printf.sprintf "bundle: %d bytes" (Buffer.length b))
+          | None -> print_string (Buffer.contents b))
+    end
   in
   Cmd.v
     (Cmd.info "attribute"
@@ -672,9 +642,12 @@ let attribute_cmd =
           conflict edges, lock waits, SIREAD grants and FCW blocks, with abort blame split by \
           certificate edge role) plus an anomaly-triggered flight recorder")
     Term.(
-      const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ at_seeds_arg $ window_arg $ top_arg $ sketch_arg $ csv_arg $ ndjson_arg $ flightrec_arg
-      $ trigger_arg $ bundle_arg $ memory_budget_arg $ jobs_arg)
+      const run $ point
+      $ window_arg "Window width for the per-window blame series, simulated seconds"
+      $ top_arg $ sketch_arg
+      $ csv_arg "Write the per-window blame series as CSV to $(docv)"
+      $ ndjson_arg "Write the per-window blame series as one JSON object per line to $(docv)"
+      $ flightrec_arg $ trigger_arg $ bundle_arg $ jobs_arg)
 
 let sdg_cmd =
   let name_arg =
@@ -720,79 +693,27 @@ let sdg_cmd =
     (Cmd.info "sdg" ~doc:"Analyse a static dependency graph for dangerous structures")
     Term.(const run $ name_arg)
 
-(* Shared by [interleave] and [explore]. *)
-let spec_of_string = function
-  | "write-skew" -> Some Interleave.write_skew_spec
-  | "read-only-anomaly" -> Some Interleave.read_only_anomaly_spec
-  | "paper-4.7" -> Some Interleave.paper_spec
-  | "paper-4.7-4" -> Some Interleave.paper_spec_4
-  | "paper-4.7-5" -> Some Interleave.paper_spec_5
-  | "write-skew-3" -> Some Interleave.write_skew_spec_3
-  | "write-skew-4" -> Some Interleave.write_skew_spec_4
-  | "read-only-anomaly-4" -> Some Interleave.read_only_anomaly_spec_4
-  | _ -> None
-
-let spec_doc =
-  "write-skew | read-only-anomaly | paper-4.7 | paper-4.7-4 | paper-4.7-5 | write-skew-3 | \
-   write-skew-4 | read-only-anomaly-4"
-
-let interleave_cmd =
-  let spec_arg =
-    Arg.(
-      value
-      & opt string "write-skew"
-      & info [ "spec" ] ~doc:("Transaction set: " ^ spec_doc))
-  in
-  let iso_arg =
-    Arg.(value & opt string "si" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
-  let run spec iso =
-    let spec_txns =
-      match spec_of_string spec with
-      | Some s -> s
-      | None ->
-          prerr_endline ("unknown spec: " ^ spec);
-          exit 1
-    in
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
-    let s = Interleave.sweep ~isolation spec_txns in
-    Printf.printf
-      "spec=%s isolation=%s: %d interleavings\n\
-      \  all-committed:    %d\n\
-      \  non-serializable: %d\n\
-      \  unsafe aborts:    %d\n\
-      \  other aborts:     %d\n"
-      spec iso s.Interleave.total s.Interleave.all_committed s.Interleave.non_serializable
-      s.Interleave.unsafe_aborts s.Interleave.other_aborts
-  in
-  Cmd.v
-    (Cmd.info "interleave"
-       ~doc:"Exhaustively execute all interleavings of a transaction set (§4.7)")
-    Term.(const run $ spec_arg $ iso_arg)
-
-(* [explore]: the DPOR schedule explorer — same outcome coverage as a full
-   [interleave] sweep at a fraction of the executions. Output is sorted and
-   deterministic, byte-identical at any -j (bin/dune diffs -j1 vs -j4). *)
+(* [explore]: the DPOR schedule explorer. --validate also runs the full
+   enumeration of §4.7 and prints its counts from the same pass that
+   checks the outcome-digest set. Output is sorted and deterministic,
+   byte-identical at any -j (bin/dune diffs -j1 vs -j4). *)
 let explore_cmd =
   let spec_arg =
     Arg.(
       value
-      & opt string "write-skew"
-      & info [ "spec" ] ~doc:("Transaction set: " ^ spec_doc))
+      & opt spec (List.hd specs)
+      & info [ "spec" ] ~docv:"NAME" ~doc:("Transaction set: " ^ alts specs))
   in
   let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
+    Arg.(
+      value
+      & opt isolation Core.Types.Serializable
+      & info [ "isolation" ] ~docv:"LEVEL" ~doc:(alts Core.Types.isolation_names))
   in
   let matrix_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some matrix) None
       & info [ "matrix" ] ~docv:"NAME"
           ~doc:
             "Explore once per configuration point of the named matrix (default | full) \
@@ -809,46 +730,21 @@ let explore_cmd =
       value & flag
       & info [ "validate" ]
           ~doc:
-            "Also run the full enumeration and fail unless its outcome-digest set matches \
-             (multinomial cost: small specs only)")
+            "Also run the full enumeration, print its counts (all-committed, \
+             non-serializable, unsafe and other aborts) and fail unless its outcome-digest set \
+             matches (multinomial cost: small specs only)")
   in
-  let run spec iso matrix stats validate jobs =
-    let spec_txns =
-      match spec_of_string spec with
-      | Some s -> s
-      | None ->
-          prerr_endline ("unknown spec: " ^ spec);
-          exit 1
-    in
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
-    let points =
-      match matrix with
-      | None -> [ None ]
-      | Some name -> (
-          match Fuzzcase.matrix_of_string name with
-          | Some m -> List.map (fun p -> Some p) m
-          | None ->
-              prerr_endline ("unknown matrix: " ^ name);
-              exit 1)
-    in
+  let run (spec_name, spec) isolation matrix stats validate jobs =
+    let points = match matrix with None -> [ None ] | Some (_, m) -> List.map Option.some m in
     let failed = ref false in
     with_jobs jobs (fun pool ->
         List.iter
           (fun point ->
             let config = Option.map Fuzzcase.config_of_point point in
-            let label =
-              match point with
-              | None -> "test"
-              | Some p -> Fuzzcase.point_to_string p
-            in
-            let digests, st = Explore.explore ?config ?pool ~isolation spec_txns in
-            Printf.printf "spec=%s isolation=%s config=%s\n" spec iso label;
+            let label = match point with None -> "test" | Some p -> Fuzzcase.point_to_string p in
+            let digests, st = Explore.explore ?config ?pool ~isolation spec in
+            Printf.printf "spec=%s isolation=%s config=%s\n" spec_name
+              (Fuzzrun.level_name isolation) label;
             Printf.printf "  schedules executed: %d of %d (%.1fx reduction)\n"
               st.Explore.executed st.Explore.bound
               (float_of_int st.Explore.bound /. float_of_int (max 1 st.Explore.executed));
@@ -861,7 +757,15 @@ let explore_cmd =
             end;
             List.iter (fun d -> Printf.printf "  outcome %s\n" d) digests;
             if validate then begin
-              let full = Explore.sweep_digests ?config ~isolation spec_txns in
+              let full, s = Explore.sweep_digests ?config ~isolation spec in
+              Printf.printf
+                "  interleavings:      %d\n\
+                \  all-committed:      %d\n\
+                \  non-serializable:   %d\n\
+                \  unsafe aborts:      %d\n\
+                \  other aborts:       %d\n"
+                s.Interleave.total s.Interleave.all_committed s.Interleave.non_serializable
+                s.Interleave.unsafe_aborts s.Interleave.other_aborts;
               if full = digests then
                 Printf.printf "  validate: OK (full enumeration agrees, %d outcomes)\n"
                   (List.length full)
@@ -878,18 +782,20 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "DPOR schedule explorer: exhaustively check a transaction set's outcomes while \
-          executing only race-distinct interleavings")
+          executing only race-distinct interleavings (§4.7); --validate cross-checks them \
+          against the full enumeration")
     Term.(const run $ spec_arg $ iso_arg $ matrix_arg $ stats_arg $ validate_arg $ jobs_arg)
 
 let fuzz_cmd =
   let cases_arg =
-    Arg.(value & opt int 1000 & info [ "cases" ] ~doc:"Number of generated cases")
+    Arg.(value & opt count 1000 & info [ "cases" ] ~doc:"Number of generated cases")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed") in
   let matrix_arg =
     Arg.(
-      value & opt string "full"
-      & info [ "matrix" ]
+      value
+      & opt matrix ("full", Fuzzcase.matrix_full)
+      & info [ "matrix" ] ~docv:"NAME"
           ~doc:"Configuration matrix: full (all knob combinations) | default (paper profiles)")
   in
   let out_arg =
@@ -954,8 +860,8 @@ let fuzz_cmd =
             print_endline "replay FAILED";
             exit 1)
   in
-  let do_replay file =
-    match Fuzz.replay_string (read_file file) with
+  let do_replay file content =
+    match Fuzz.replay_string content with
     | Error e ->
         Printf.eprintf "replay %s: %s\n" file e;
         exit 1
@@ -982,14 +888,7 @@ let fuzz_cmd =
           exit 1
         end
   in
-  let campaign cases seed matrix_name out shrink demo jobs =
-    let matrix =
-      match Fuzzcase.matrix_of_string matrix_name with
-      | Some m -> m
-      | None ->
-          prerr_endline ("unknown matrix: " ^ matrix_name);
-          exit 1
-    in
+  let campaign cases seed (matrix_name, matrix) out shrink demo jobs =
     let on_progress p =
       Printf.eprintf "  %d/%d cases (si anomalies %d, unsafe %d)\n%!" p.Fuzz.pr_done
         p.Fuzz.pr_total p.Fuzz.pr_anomalies p.Fuzz.pr_unsafe
@@ -1010,20 +909,12 @@ let fuzz_cmd =
       (if s.Fuzz.s_ssi_unsafe = 0 then 0.0
        else 100.0 *. float_of_int s.Fuzz.s_false_positives /. float_of_int s.Fuzz.s_ssi_unsafe)
       (List.length s.Fuzz.s_failures);
-    (match out with
-    | Some dir when s.Fuzz.s_failures <> [] ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        List.iteri
-          (fun i f ->
-            let file = Filename.concat dir (Printf.sprintf "fuzz-%03d.repro" i) in
-            write_file file
-              (Fuzz.repro_string
-                 ~comment:[ Fuzzrun.violation_to_string f.Fuzz.f_violation ]
-                 f.Fuzz.f_shrunk);
-            Printf.printf "  wrote %s (%s)\n" file
-              (Fuzzrun.violation_to_string f.Fuzz.f_violation))
-          s.Fuzz.s_failures
-    | _ -> ());
+    write_repros out ~prefix:"fuzz"
+      (List.map
+         (fun f ->
+           let v = Fuzzrun.violation_to_string f.Fuzz.f_violation in
+           (Fuzz.repro_string ~comment:[ v ] f.Fuzz.f_shrunk, v))
+         s.Fuzz.s_failures);
     if shrink_anomalies then
       List.iter
         (fun (cls, c) ->
@@ -1035,8 +926,7 @@ let fuzz_cmd =
         match
           match List.assoc_opt "write-skew" s.Fuzz.s_anomalies with
           | Some c -> Some ("write-skew", c)
-          | None -> (
-              match s.Fuzz.s_anomalies with a :: _ -> Some a | [] -> None)
+          | None -> ( match s.Fuzz.s_anomalies with a :: _ -> Some a | [] -> None)
         with
         | Some (cls, c) ->
             write_file file (Fuzz.repro_string ~comment:[ "shrunk SI anomaly: " ^ cls ] c);
@@ -1053,14 +943,7 @@ let fuzz_cmd =
       s.Fuzz.s_failures;
     if s.Fuzz.s_failures <> [] then exit 1
   in
-  let crash_campaign cases seed matrix_name out jobs =
-    let matrix =
-      match Fuzzcase.matrix_of_string matrix_name with
-      | Some m -> m
-      | None ->
-          prerr_endline ("unknown matrix: " ^ matrix_name);
-          exit 1
-    in
+  let crash_campaign cases seed (matrix_name, matrix) out jobs =
     let on_progress p =
       Printf.eprintf "  %d/%d cases (%d crash runs, %d failures)\n%!" p.Fuzzrecover.cp_done
         p.Fuzzrecover.cp_total p.Fuzzrecover.cp_runs p.Fuzzrecover.cp_failures
@@ -1082,17 +965,12 @@ let fuzz_cmd =
       s.Fuzzrecover.cs_torn s.Fuzzrecover.cs_replayed s.Fuzzrecover.cs_committed
       s.Fuzzrecover.cs_in_doubt s.Fuzzrecover.cs_aborted
       (List.length s.Fuzzrecover.cs_failures);
-    (match out with
-    | Some dir when s.Fuzzrecover.cs_failures <> [] ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        List.iteri
-          (fun i f ->
-            let file = Filename.concat dir (Printf.sprintf "crash-%03d.repro" i) in
-            write_file file (Fuzzrecover.repro_string f);
-            Printf.printf "  wrote %s (%s)\n" file
-              (Fuzzrecover.violation_to_string f.Fuzzrecover.cf_violation))
-          s.Fuzzrecover.cs_failures
-    | _ -> ());
+    write_repros out ~prefix:"crash"
+      (List.map
+         (fun f ->
+           ( Fuzzrecover.repro_string f,
+             Fuzzrecover.violation_to_string f.Fuzzrecover.cf_violation ))
+         s.Fuzzrecover.cs_failures);
     List.iter
       (fun f ->
         Printf.printf "\nVIOLATION at case %d, plan %s: %s\ncase:\n" f.Fuzzrecover.cf_index
@@ -1108,12 +986,10 @@ let fuzz_cmd =
         let content = read_file file in
         let is_crash_repro =
           List.exists
-            (fun l ->
-              let l = String.trim l in
-              String.length l > 7 && String.sub l 0 8 = "# crash ")
+            (fun l -> String.starts_with ~prefix:"# crash " (String.trim l))
             (String.split_on_char '\n' content)
         in
-        if is_crash_repro then do_crash_replay file content else do_replay file
+        if is_crash_repro then do_crash_replay file content else do_replay file content
     | None ->
         if crash then crash_campaign cases seed matrix out jobs
         else campaign cases seed matrix out shrink demo jobs
@@ -1135,23 +1011,13 @@ let recover_cmd =
   let plan_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some plan) None
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
             "Fault plan: append:N | flush:F:K:T | window:N (default: crash halfway through \
              the case's WAL appends)")
   in
   let run seed plan =
-    let plan =
-      match plan with
-      | None -> None
-      | Some s -> (
-          match Wal.plan_of_string s with
-          | Some p -> Some p
-          | None ->
-              prerr_endline ("bad plan: " ^ s);
-              exit 1)
-    in
     let d = Fuzzrecover.demo ?plan ~seed () in
     Printf.printf "case (seed %d):\n%s" seed (Fuzzcase.to_string d.Fuzzrecover.d_case);
     Printf.printf "crash plan: %s\n" (Wal.plan_to_string d.Fuzzrecover.d_plan);
@@ -1193,31 +1059,12 @@ let report_cmd =
       & info [ "figures" ] ~docv:"IDS"
           ~doc:"Comma-separated experiment ids to include as figure tables (see list)")
   in
-  let workload_arg = workload_arg ~default:"sibench" ~doc:"Workload of the profiled run" () in
-  let bmpl_arg =
-    Arg.(value & opt count 10 & info [ "bench-mpl" ] ~doc:"Clients in the profiled run")
-  in
-  let bdur_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "bench-duration" ] ~doc:"Measured simulated seconds of the profiled run")
-  in
-  let bwarm_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "bench-warmup" ] ~doc:"Warmup simulated seconds of the profiled run")
-  in
-  let bseed_arg =
-    Arg.(value & opt int 1 & info [ "bench-seed" ] ~doc:"Seed of the profiled run")
-  in
-  let biso_arg =
-    Arg.(
-      value & opt string "ssi"
-      & info [ "bench-isolation" ] ~doc:"Isolation of the profiled run: si | ssi | s2pl | rc")
+  let point =
+    point_term (workload_arg ~default:"sibench" ~doc:"Workload of the profiled run" ())
   in
   let fcases_arg =
     Arg.(
-      value & opt int 200
+      value & opt size 200
       & info [ "fuzz-cases" ] ~doc:"Cases in the provenance-harvest fuzz campaign")
   in
   let fseed_arg =
@@ -1225,17 +1072,18 @@ let report_cmd =
   in
   let matrix_arg =
     Arg.(
-      value & opt string "default"
-      & info [ "matrix" ] ~doc:"Fuzz configuration matrix: full | default")
+      value
+      & opt matrix ("default", Fuzzcase.matrix_default)
+      & info [ "matrix" ] ~docv:"NAME" ~doc:"Fuzz configuration matrix: full | default")
   in
   let topk_arg =
     Arg.(
-      value & opt int 5
+      value & opt size 5
       & info [ "topk" ] ~doc:"Distinct certificate shapes detailed in the provenance section")
   in
   let bins_arg =
     Arg.(
-      value & opt int 64 & info [ "bins" ] ~doc:"Width of the utilisation sparklines, in bins")
+      value & opt count 64 & info [ "bins" ] ~doc:"Width of the utilisation sparklines, in bins")
   in
   let out_arg =
     Arg.(
@@ -1278,8 +1126,7 @@ let report_cmd =
         prerr_endline "internal error: write-skew demo emitted no certificate";
         exit 1
   in
-  let run figures quick seeds duration mpls name bmpl bdur bwarm bseed biso fcases fseed
-      matrix_name topk bins out dot check_dot jobs =
+  let run figures budget p fcases fseed (matrix_name, matrix) topk bins out dot check_dot jobs =
     match check_dot with
     | Some file -> (
         match Obs.dot_validate (read_file file) with
@@ -1288,33 +1135,7 @@ let report_cmd =
             Printf.eprintf "%s: invalid DOT: %s\n" file e;
             exit 1)
     | None ->
-        let isolation =
-          match isolation_of_string biso with
-          | Some i -> i
-          | None ->
-              prerr_endline ("unknown isolation: " ^ biso);
-              exit 1
-        in
         check_experiments figures;
-        let make_db, mix = workload name in
-        let matrix =
-          match Fuzzcase.matrix_of_string matrix_name with
-          | Some m -> m
-          | None ->
-              prerr_endline ("unknown matrix: " ^ matrix_name);
-              exit 1
-        in
-        let budget =
-          if quick then Experiments.quick_budget
-          else
-            {
-              Experiments.seeds = List.init seeds (fun i -> i + 1);
-              duration;
-              warmup = duration /. 4.0;
-              mpls;
-              with_metrics = false;
-            }
-        in
         let plans = List.map (fun id -> Option.get (Experiments.find_figure id) budget) figures in
         let figs = with_jobs jobs (fun pool -> Experiments.eval_plans ?pool plans) in
         (* Profiled run: trace on (lifecycle spans + resource samples),
@@ -1322,26 +1143,18 @@ let report_cmd =
            the report's hot-resources and incidents sections. Tracing is
            out-of-band, so the measured numbers are identical to an
            untraced run. *)
-        let obs = Obs.create ~trace:true ~provenance:true ~sketch:256 () in
-        let cfg =
-          {
-            Driver.default_config with
-            Driver.isolation;
-            mpl = bmpl;
-            warmup = bwarm;
-            duration = bdur;
-            seed = bseed;
-          }
-        in
-        let r = Driver.run_once ~obs ~make_db ~mix cfg in
+        let sink () = Obs.create ~trace:true ~provenance:true ~sketch:256 () in
+        let r, obs = List.hd (run_point ~jobs:1 ~sink p) in
+        let iso = Fuzzrun.level_name p.p_isolation in
         let bench =
           {
             Report.b_label =
-              Printf.sprintf "%s %s mpl=%d seed=%d window=%.2fs" name biso bmpl bseed bdur;
+              Printf.sprintf "%s %s mpl=%d seed=%d window=%.2fs" p.p_workload iso p.p_mpl p.p_seed
+                p.p_duration;
             b_result = r;
             b_obs = obs;
-            b_t0 = bwarm;
-            b_t1 = bwarm +. bdur;
+            b_t0 = p.p_warmup;
+            b_t1 = p.p_warmup +. p.p_duration;
           }
         in
         let certs = Fuzzcert.collect_certs ~seed:fseed ~cases:fcases ~matrix () in
@@ -1366,7 +1179,7 @@ let report_cmd =
               budget.Experiments.duration
               (String.concat "," (List.map string_of_int budget.Experiments.mpls));
             Printf.sprintf "- profiled run: %s at %s, mpl=%d, seed=%d, %.2fs after %.2fs warmup"
-              name biso bmpl bseed bdur bwarm;
+              p.p_workload iso p.p_mpl p.p_seed p.p_duration p.p_warmup;
             Printf.sprintf "- abort provenance: %d fuzz cases, seed=%d, matrix=%s" fcases fseed
               matrix_name;
           ]
@@ -1380,9 +1193,8 @@ let report_cmd =
         | file ->
             write_file file doc;
             Printf.eprintf "report: %d bytes written to %s\n%!" (String.length doc) file);
-        match dot with
-        | None -> ()
-        | Some file ->
+        Option.iter
+          (fun file ->
             let d =
               match
                 List.find_opt
@@ -1391,8 +1203,7 @@ let report_cmd =
                   certs
               with
               | Some (c, _) -> c.Obs.c_dot
-              | None -> (
-                  match certs with (c, _) :: _ -> c.Obs.c_dot | [] -> demo_dot ())
+              | None -> ( match certs with (c, _) :: _ -> c.Obs.c_dot | [] -> demo_dot ())
             in
             (match Obs.dot_validate d with
             | Ok () -> ()
@@ -1400,7 +1211,8 @@ let report_cmd =
                 Printf.eprintf "internal error: emitted invalid DOT: %s\n" e;
                 exit 1);
             write_file file d;
-            Printf.eprintf "dot: %d bytes written to %s\n%!" (String.length d) file
+            Printf.eprintf "dot: %d bytes written to %s\n%!" (String.length d) file)
+          dot
   in
   Cmd.v
     (Cmd.info "report"
@@ -1408,9 +1220,8 @@ let report_cmd =
          "Render one self-contained Markdown report: figure tables, a profiled run with \
           utilisation sparklines, and top-k abort certificates from a fuzz campaign")
     Term.(
-      const run $ figures_arg $ quick_arg $ seeds_arg $ duration_arg $ mpl_arg $ workload_arg
-      $ bmpl_arg $ bdur_arg $ bwarm_arg $ bseed_arg $ biso_arg $ fcases_arg $ fseed_arg
-      $ matrix_arg $ topk_arg $ bins_arg $ out_arg $ dot_arg $ check_dot_arg $ jobs_arg)
+      const run $ figures_arg $ budget_term $ point $ fcases_arg $ fseed_arg $ matrix_arg
+      $ topk_arg $ bins_arg $ out_arg $ dot_arg $ check_dot_arg $ jobs_arg)
 
 let () =
   let info =
@@ -1428,7 +1239,6 @@ let () =
             attribute_cmd;
             report_cmd;
             sdg_cmd;
-            interleave_cmd;
             explore_cmd;
             fuzz_cmd;
             recover_cmd;

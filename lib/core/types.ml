@@ -14,6 +14,10 @@ let isolation_to_string = function
   | Serializable -> "SSI"
   | S2pl -> "S2PL"
 
+(** The lowercase names flags and repro files spell the levels with. *)
+let isolation_names =
+  [ ("si", Snapshot); ("ssi", Serializable); ("s2pl", S2pl); ("rc", Read_committed) ]
+
 (** Why a transaction aborted. Matches the error taxonomy of the paper's
     evaluation (Fig 6.1(b) etc.): deadlocks, first-committer-wins conflicts
     and the new "unsafe" errors introduced by Serializable SI. *)

@@ -100,10 +100,8 @@ let matrix_default =
     { default_point with granularity = Config.Page; gap_locking = false; ssi = Config.Basic };
   ]
 
-let matrix_of_string = function
-  | "full" -> Some matrix_full
-  | "default" -> Some matrix_default
-  | _ -> None
+(* The matrices by the names --matrix takes. *)
+let matrices = [ ("full", matrix_full); ("default", matrix_default) ]
 
 (* Engine configuration for a matrix point: the plain test substrate (no
    I/O waits, no kernel mutex, history recording on) with the point's knobs

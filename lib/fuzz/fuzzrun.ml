@@ -20,18 +20,7 @@
 
 open Core.Types
 
-let level_name = function
-  | Serializable -> "ssi"
-  | Snapshot -> "si"
-  | S2pl -> "s2pl"
-  | Read_committed -> "rc"
-
-let level_of_name = function
-  | "ssi" -> Some Serializable
-  | "si" -> Some Snapshot
-  | "s2pl" -> Some S2pl
-  | "rc" -> Some Read_committed
-  | _ -> None
+let level_name iso = fst (List.find (fun (_, i) -> i = iso) isolation_names)
 
 (* Canonical one-line-per-transaction serialization of a committed history;
    replay compares digests of this string, so equality here is the

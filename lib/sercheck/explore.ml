@@ -506,18 +506,13 @@ let explore ?config ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.spec 
 
 (* {1 Full-enumeration digests and cross-validation} *)
 
-let sweep_digests ?config ?init ?ro ~isolation (specs : Interleave.spec list) : string list =
+let sweep_digests ?config ?init ?ro ~isolation (specs : Interleave.spec list) =
   let config = match config with Some c -> c | None -> default_config () in
   let config = { config with Config.record_history = true } in
-  let digests =
-    Seq.fold_left
-      (fun acc order ->
-        let r = Interleave.run_interleaving ~config ?init ?ro ~isolation specs order in
-        SSet.add (outcome_digest r) acc)
-      SSet.empty
-      (Interleave.interleavings_seq specs)
-  in
-  SSet.elements digests
+  let digests = ref SSet.empty in
+  let on_run r = digests := SSet.add (outcome_digest r) !digests in
+  let summary = Interleave.sweep ~config ?init ?ro ~on_run ~isolation specs in
+  (SSet.elements !digests, summary)
 
 type validation = {
   v_match : bool;
@@ -528,5 +523,5 @@ type validation = {
 
 let cross_validate ?config ?pool ?init ?ro ~isolation specs =
   let v_dpor, v_stats = explore ?config ?pool ?init ?ro ~isolation specs in
-  let v_full = sweep_digests ?config ?init ?ro ~isolation specs in
+  let v_full, _ = sweep_digests ?config ?init ?ro ~isolation specs in
   { v_match = v_dpor = v_full; v_dpor; v_full; v_stats }

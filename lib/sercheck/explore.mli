@@ -64,15 +64,17 @@ val explore :
   Interleave.spec list ->
   string list * stats
 
-(** The ground truth: run {e every} interleaving and collect the distinct
-    outcome digests (sorted). Multinomial cost — small programs only. *)
+(** The ground truth: run {e every} interleaving through {!Interleave.sweep}
+    and collect the distinct outcome digests (sorted), with the sweep's
+    §4.7 counts from the same pass. Multinomial cost — small programs
+    only. *)
 val sweep_digests :
   ?config:Core.Config.t ->
   ?init:(string * string) list ->
   ?ro:bool list ->
   isolation:Core.Types.isolation ->
   Interleave.spec list ->
-  string list
+  string list * Interleave.summary
 
 type validation = {
   v_match : bool;  (** digest sets identical *)

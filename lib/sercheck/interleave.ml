@@ -440,13 +440,15 @@ type summary = {
   other_aborts : int;
 }
 
-(* Run every interleaving of [specs] at [isolation] and summarise. Streams
-   the enumeration: memory stays constant in the number of schedules. *)
-let sweep ?config ~isolation specs =
+(* Run every interleaving of [specs] at [isolation] and summarise, passing
+   each result to [on_run]. Streams the enumeration: memory stays constant
+   in the number of schedules. *)
+let sweep ?config ?init ?ro ?(on_run = fun _ -> ()) ~isolation specs =
   let all = interleavings_seq specs in
   Seq.fold_left
     (fun acc order ->
-      let r = run_interleaving ?config ~isolation specs order in
+      let r = run_interleaving ?config ?init ?ro ~isolation specs order in
+      on_run r;
       let committed_all = List.for_all (( = ) None) r.outcomes in
       {
         total = acc.total + 1;

@@ -136,8 +136,16 @@ type summary = {
   other_aborts : int;
 }
 
-(** Run every interleaving and summarise. *)
-val sweep : ?config:Core.Config.t -> isolation:Core.Types.isolation -> spec list -> summary
+(** Run every interleaving and summarise. [on_run] sees each result in
+    enumeration order; [init]/[ro] as in {!run_interleaving}. *)
+val sweep :
+  ?config:Core.Config.t ->
+  ?init:(string * string) list ->
+  ?ro:bool list ->
+  ?on_run:(result -> unit) ->
+  isolation:Core.Types.isolation ->
+  spec list ->
+  summary
 
 (** The paper's §4.7 detection set: T1: r(x); T2: r(y) w(x); T3: w(y) —
     a dependency path, always serializable, but SSI must flag T2. *)

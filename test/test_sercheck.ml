@@ -124,6 +124,21 @@ let test_write_skew_spec_sweep () =
   let s2pl = Interleave.sweep ~isolation:S2pl Interleave.write_skew_spec in
   Alcotest.(check int) "S2PL: never" 0 s2pl.Interleave.non_serializable
 
+(* [sweep] hands every interleaving to [on_run] once, and
+   [Explore.sweep_digests] reports the counts of its own pass through it. *)
+let test_sweep_on_run () =
+  let runs = ref 0 and non_ser = ref 0 in
+  let on_run r =
+    incr runs;
+    if not r.Interleave.serializable then incr non_ser
+  in
+  let s = Interleave.sweep ~on_run ~isolation:Snapshot Interleave.write_skew_spec in
+  Alcotest.(check int) "one call per interleaving" s.Interleave.total !runs;
+  Alcotest.(check int) "the runs it counts" s.Interleave.non_serializable !non_ser;
+  let digests, s' = Explore.sweep_digests ~isolation:Snapshot Interleave.write_skew_spec in
+  Alcotest.(check bool) "sweep_digests counts the same pass" true (s = s');
+  Alcotest.(check int) "distinct outcomes" 3 (List.length digests)
+
 let test_si_cycles_satisfy_theorem2 () =
   (* Every non-serializable SI interleaving exhibits the dangerous
      structure with Tout committing first (Theorem 2). *)
@@ -437,6 +452,7 @@ let suite =
     ("paper spec detection (4.7)", `Quick, test_paper_spec_detection);
     ("read-only anomaly spec sweep", `Quick, test_read_only_anomaly_spec_si_has_anomalies);
     ("write skew spec sweep", `Quick, test_write_skew_spec_sweep);
+    ("sweep on_run and sweep_digests counts", `Quick, test_sweep_on_run);
     ("SI cycles satisfy theorem 2", `Quick, test_si_cycles_satisfy_theorem2);
     ("basic vs precise abort counts", `Quick, test_basic_mode_more_aborts_than_precise);
     ("explore matrix: granularity x variant", `Quick, test_sweep_matrix_granularity_variant);
