@@ -40,31 +40,43 @@ let measured ?words_out body () =
   body ();
   Option.iter (fun r -> r := words () -. w0) words_out
 
-(* Full read+update transactions against a populated table: begin, snapshot
-   read, write, first-committer-wins check, commit. [null_sink] attaches an
-   observability sink with every channel off — the A/B side of the
-   obs-overhead guard below. *)
-let bench_commit_path ?words_out ?(null_sink = false) runs () =
+(* The one table every engine workload below runs on: a fresh BDB-configured
+   engine holding rows k000.. of table "t", with [obs] attached first. *)
+let bdb_table ?obs keys =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  if null_sink then Core.Db.set_obs db (Obs.create ~trace:false ~metrics:false ());
-  let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
+  Option.iter (Core.Db.set_obs db) obs;
   ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" rows;
+  Core.Db.load db "t" (List.init keys (fun i -> (Printf.sprintf "k%03d" i, "0")));
+  (sim, db)
+
+let commits db = float_of_int (Core.Db.stats db).Core.Internal.commits
+
+(* [runs] SSI transactions round-robin over 256 rows, [body] given each
+   row's key, run to completion; returns the commit count. *)
+let round_robin ?obs ?words_out runs body =
+  let sim, db = bdb_table ?obs 256 in
   Sim.spawn sim
     (measured ?words_out (fun () ->
          for i = 0 to runs - 1 do
            let key = Printf.sprintf "k%03d" (i mod 256) in
-           match
-             Core.Db.run db Core.Types.Serializable (fun t ->
-                 let v = Core.Txn.read_exn t "t" key in
-                 Core.Txn.write t "t" key (string_of_int (String.length v)))
-           with
-           | Ok () -> ()
-           | Error _ -> ()
+           ignore (Core.Db.run db Core.Types.Serializable (fun t -> body t key))
          done));
   Sim.run sim;
-  float_of_int (Core.Db.stats db).Core.Internal.commits
+  (sim, commits db)
+
+(* Full read+update transaction: begin, snapshot read, write,
+   first-committer-wins check, commit. *)
+let read_update t key =
+  let v = Core.Txn.read_exn t "t" key in
+  Core.Txn.write t "t" key (string_of_int (String.length v))
+
+(* Read+update transactions against a populated table. [null_sink]
+   attaches an observability sink with every channel off — the A/B side of
+   the obs-overhead guard below. *)
+let bench_commit_path ?words_out ?(null_sink = false) runs () =
+  let obs = if null_sink then Some (Obs.create ~trace:false ~metrics:false ()) else None in
+  snd (round_robin ?obs ?words_out runs read_update)
 
 (* Raw lock-manager work: S grant, S->X upgrade, release, over a small hot
    set of resources (uncontended: measures table/queue bookkeeping). *)
@@ -86,24 +98,10 @@ let bench_lock_path ?words_out ?(null_sink = false) runs () =
 (* Read-only SSI transactions: every read takes a SIREAD lock and the commit
    path suspends/cleans the transaction record (§3.3 bookkeeping). *)
 let bench_siread_path runs () =
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "v")) in
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" rows;
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let key = Printf.sprintf "k%03d" (i mod 256) in
-        match
-          Core.Db.run db Core.Types.Serializable (fun t ->
-              ignore (Core.Txn.read t "t" key);
-              ignore (Core.Txn.read t "t" "k000"))
-        with
-        | Ok () -> ()
-        | Error _ -> ()
-      done);
-  Sim.run sim;
-  float_of_int (Core.Db.stats db).Core.Internal.commits
+  snd
+    (round_robin runs (fun t key ->
+         ignore (Core.Txn.read t "t" key);
+         ignore (Core.Txn.read t "t" "k000")))
 
 (* Shared bounded-memory workload: read-modify-write SSI transactions over a
    32-key hot set under a pinned snapshot and a small memory budget, so every
@@ -208,6 +206,14 @@ let micros ~quick =
     ("mvsg-check", 50 * s, bench_mvsg);
   ]
 
+(* The timeline over [obs] in 64 windows up to [horizon], rendered as CSV
+   and scanned for regime shifts. *)
+let build_timeline obs horizon =
+  let tl = Option.get (Timeline.of_obs ~window:(horizon /. 64.0) ~horizon obs) in
+  Timeline.to_csv (Buffer.create 4096) tl;
+  ignore (Timeline.change_points tl ~series:"throughput");
+  tl
+
 (* Timeline-build arm: both sides run the same traced commit-path workload;
    the B side additionally builds the windowed timeline (64 windows), runs
    change-point detection and renders the CSV from the captured buffer. The
@@ -216,60 +222,20 @@ let micros ~quick =
    cost. The B side does more work by design, so tools/check_bench.sh gates
    this delta at its own, wider bound. *)
 let bench_timeline_path ?(null_sink = false) runs () =
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
   let obs = Obs.create ~trace:true ~provenance:true () in
-  Core.Db.set_obs db obs;
-  let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" rows;
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let key = Printf.sprintf "k%03d" (i mod 256) in
-        match
-          Core.Db.run db Core.Types.Serializable (fun t ->
-              let v = Core.Txn.read_exn t "t" key in
-              Core.Txn.write t "t" key (string_of_int (String.length v)))
-        with
-        | Ok () -> ()
-        | Error _ -> ()
-      done);
-  Sim.run sim;
-  let commits = float_of_int (Core.Db.stats db).Core.Internal.commits in
-  if not null_sink then commits
-  else
-    match Timeline.of_obs ~window:(Sim.now sim /. 64.0) ~horizon:(Sim.now sim) obs with
-    | None -> commits
-    | Some tl ->
-        let buf = Buffer.create 4096 in
-        Timeline.to_csv buf tl;
-        ignore (Timeline.change_points tl ~series:"throughput");
-        commits
+  let sim, commits = round_robin ~obs runs read_update in
+  if null_sink then ignore (build_timeline obs (Sim.now sim));
+  commits
 
 (* Sketch arm: the B side attaches a sink with *only* the attribution
    sketch on, so the measured delta bounds the cost of the per-resource
    heavy-hitter updates (one hash probe + counter bump per conflict edge,
    SIREAD grant or lock wait) in the live commit path. *)
 let bench_commit_path_sketch ?(null_sink = false) runs () =
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  if null_sink then Core.Db.set_obs db (Obs.create ~trace:false ~metrics:false ~sketch:256 ());
-  let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" rows;
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let key = Printf.sprintf "k%03d" (i mod 256) in
-        match
-          Core.Db.run db Core.Types.Serializable (fun t ->
-              let v = Core.Txn.read_exn t "t" key in
-              Core.Txn.write t "t" key (string_of_int (String.length v)))
-        with
-        | Ok () -> ()
-        | Error _ -> ()
-      done);
-  Sim.run sim;
-  float_of_int (Core.Db.stats db).Core.Internal.commits
+  let obs =
+    if null_sink then Some (Obs.create ~trace:false ~metrics:false ~sketch:256 ()) else None
+  in
+  snd (round_robin ?obs runs read_update)
 
 (* {1 Observability-overhead guard}
 
@@ -372,54 +338,44 @@ type timeline_probe = {
   tp_build_s : float;  (** median wall seconds per build+CSV render *)
 }
 
-let timeline_probe ~quick =
-  let clients = 8 in
+(* The timeline and attribution probes' workload: 8 clients running
+   read-one-write-one SSI transactions over 64 keys under [obs], contended
+   so the run carries real aborts and the wasted-work side of the ledger is
+   exercised, not just commits. *)
+let contended_run ~quick obs =
+  let clients = 8 and keys = 64 in
   let per_client = (if quick then 4000 else 16_000) / clients in
-  let keys = 64 in
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  let obs = Obs.create ~trace:true ~provenance:true () in
-  Core.Db.set_obs db obs;
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" (List.init keys (fun i -> (Printf.sprintf "k%03d" i, "0")));
-  (* Contended read+write mix so the trace carries real aborts and the
-     wasted-work side of the ledger is exercised, not just commits. *)
+  let sim, db = bdb_table ~obs keys in
   for client = 1 to clients do
     Sim.spawn sim (fun () ->
         let st = Random.State.make [| 7; client |] in
         for _ = 1 to per_client do
           let r = Printf.sprintf "k%03d" (Random.State.int st keys) in
           let w = Printf.sprintf "k%03d" (Random.State.int st keys) in
-          match
-            Core.Db.run db Core.Types.Serializable (fun t ->
-                ignore (Core.Txn.read t "t" r);
-                Core.Txn.write t "t" w "1")
-          with
-          | Ok () | Error _ -> ()
+          ignore
+            (Core.Db.run db Core.Types.Serializable (fun t ->
+                 ignore (Core.Txn.read t "t" r);
+                 Core.Txn.write t "t" w "1"))
         done)
   done;
   Sim.run sim;
-  let conserved = Core.Db.work_conserved db in
-  let wp = Core.Db.work_profile db in
+  (sim, db)
+
+let timeline_probe ~quick =
+  let obs = Obs.create ~trace:true ~provenance:true () in
+  let sim, db = contended_run ~quick obs in
   let horizon = Sim.now sim in
-  let build () =
-    match Timeline.of_obs ~window:(horizon /. 64.0) ~horizon obs with
-    | None -> assert false
-    | Some tl ->
-        let buf = Buffer.create 4096 in
-        Timeline.to_csv buf tl;
-        ignore (Timeline.change_points tl ~series:"throughput");
-        tl
+  let walls =
+    List.init 5 (fun _ -> fst (time (fun () -> ignore (build_timeline obs horizon); 0.0)))
   in
-  let walls = List.init 5 (fun _ -> fst (time (fun () -> ignore (build ()); 0.0))) in
-  let tl = build () in
+  let tl = build_timeline obs horizon in
   let tt = Timeline.totals tl in
   {
     tp_commits = tt.Timeline.tt_commits;
     tp_aborts = tt.Timeline.tt_aborts;
     tp_windows = Array.length tl.Timeline.tl_windows;
-    tp_wasted = wp.Core.Db.wp_wasted;
-    tp_conserved = conserved;
+    tp_wasted = (Core.Db.work_profile db).Core.Db.wp_wasted;
+    tp_conserved = Core.Db.work_conserved db;
     tp_build_s = median walls;
   }
 
@@ -604,30 +560,8 @@ type attrib_probe = {
 }
 
 let attrib_probe ~quick =
-  let clients = 8 in
-  let per_client = (if quick then 4000 else 16_000) / clients in
-  let keys = 64 in
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
   let obs = Obs.create ~trace:false ~metrics:false ~provenance:true ~sketch:256 () in
-  Core.Db.set_obs db obs;
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" (List.init keys (fun i -> (Printf.sprintf "k%03d" i, "0")));
-  for client = 1 to clients do
-    Sim.spawn sim (fun () ->
-        let st = Random.State.make [| 7; client |] in
-        for _ = 1 to per_client do
-          let r = Printf.sprintf "k%03d" (Random.State.int st keys) in
-          let w = Printf.sprintf "k%03d" (Random.State.int st keys) in
-          match
-            Core.Db.run db Core.Types.Serializable (fun t ->
-                ignore (Core.Txn.read t "t" r);
-                Core.Txn.write t "t" w "1")
-          with
-          | Ok () | Error _ -> ()
-        done)
-  done;
-  Sim.run sim;
+  ignore (contended_run ~quick obs);
   let sk = Option.get (Obs.sketch obs) in
   Attrib.blame sk (Obs.certs obs);
   let blame =
