@@ -35,6 +35,7 @@ type 'a t = {
   mutable last_leaf : 'a leaf;
       (* the leaf the latest [descend] reached: one descent yields both the
          path and the leaf without a tuple *)
+  mutable descents : int; (* walks from the root so far *)
 }
 
 type access = {
@@ -56,13 +57,15 @@ let fresh_id t =
 let create ?(fanout = 64) () =
   if fanout < 4 then invalid_arg "Btree.create: fanout must be >= 4";
   let leaf = { lid = 0; lkeys = [||]; lvals = [||]; lnext = None } in
-  { root = Leaf leaf; fanout; next_id = 1; size = 0; last_leaf = leaf }
+  { root = Leaf leaf; fanout; next_id = 1; size = 0; last_leaf = leaf; descents = 0 }
 
 let length t = t.size
 
 let fanout t = t.fanout
 
 let root_id t = node_id t.root
+
+let descents t = t.descents
 
 (* Index of the child covering [key]: the number of separators <= key. *)
 let child_index n key =
@@ -114,6 +117,7 @@ let rec descend t node key =
   | Internal n -> n.iid :: descend t n.ichildren.(child_index n key) key
 
 let find_path t key =
+  t.descents <- t.descents + 1;
   let path = descend t t.root key in
   let leaf = t.last_leaf in
   let i = search_keys leaf.lkeys key in
@@ -121,6 +125,7 @@ let find_path t key =
   (v, { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
 
 let find t key =
+  t.descents <- t.descents + 1;
   let leaf = leaf_of t.root key in
   let i = search_keys leaf.lkeys key in
   if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None
@@ -201,8 +206,10 @@ let rec insert_rec t node key v : bool * 'a split * int list * (int * int) list 
           else (replaced, None, n.iid :: modified, splits))
 
 let insert t key v =
+  t.descents <- t.descents + 1;
   let path = descend t t.root key in
   let leaf_id = t.last_leaf.lid in
+  t.descents <- t.descents + 1;
   let replaced, split, modified, splits = insert_rec t t.root key v in
   if not replaced then t.size <- t.size + 1;
   let modified, splits =
@@ -233,6 +240,7 @@ let remove t key =
         else false
     | Internal n -> go n.ichildren.(child_index n key)
   in
+  t.descents <- t.descents + 1;
   let removed = go t.root in
   if removed then t.size <- t.size - 1;
   removed
@@ -269,6 +277,7 @@ let max_key t =
 
 (* Least key strictly greater than [key], if any. *)
 let successor t key =
+  t.descents <- t.descents + 1;
   let leaf = leaf_of t.root key in
   let rec from_leaf l i =
     if i < Array.length l.lkeys then
@@ -281,6 +290,7 @@ let successor t key =
    footprint (descent path for [lo] plus all leaves visited). *)
 let iter_range_access t ?lo ?hi f =
   let start_key = match lo with Some k -> k | None -> "" in
+  t.descents <- t.descents + 1;
   let path = descend t t.root start_key in
   let leaf = t.last_leaf in
   let leaves = ref [] in

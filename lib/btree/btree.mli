@@ -45,6 +45,9 @@ val fanout : 'a t -> int
 (** Current root page id (changes when the root splits). *)
 val root_id : 'a t -> int
 
+(** Walks from the root so far: one per lookup, scan, successor or remove, two per insert. *)
+val descents : 'a t -> int
+
 val find : 'a t -> string -> 'a option
 
 (** Like {!find} but also reports the pages read. *)

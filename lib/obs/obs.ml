@@ -804,8 +804,7 @@ let write_trace_file ?extra path t =
 (* {1 Certificate JSON}
 
    One self-contained JSON object per certificate (one line, no trailing
-   newline); parseable without a JSON library for the same reason
-   BENCH_ssi.json is. *)
+   newline), so line tools can read it without a JSON library. *)
 
 let edge_to_json e =
   Printf.sprintf {|{"reader":%d,"writer":%d,"source":%s,"resource":%s}|} e.ce_reader e.ce_writer

@@ -128,3 +128,5 @@ let run ?(until = infinity) t =
   done
 
 let pending_events t = Pqueue.length t.events
+
+let events t = t.seq

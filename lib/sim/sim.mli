@@ -23,6 +23,9 @@ val live_procs : t -> int
 (** Number of events still queued. *)
 val pending_events : t -> int
 
+(** Events scheduled so far: one per spawn, delay, wake, kill or schedule. *)
+val events : t -> int
+
 (** [spawn t f] creates a process running [f ()]; it starts when the event
     loop reaches the current time. Uncaught exceptions propagate out of
     {!run}. *)

@@ -65,6 +65,25 @@ let test_descent_path () =
   Alcotest.(check int) "path length = height" (Btree.height t) (List.length access.Btree.path);
   Alcotest.(check int) "first is root" (Btree.root_id t) (List.hd access.Btree.path)
 
+(* Every operation walks from the root once, at any height, except insert,
+   which walks once for its path and again to insert. *)
+let test_descents () =
+  let t = Btree.create ~fanout:4 () in
+  let adds n what f =
+    let before = Btree.descents t in
+    f ();
+    Alcotest.(check int) what n (Btree.descents t - before)
+  in
+  adds 2 "insert into a fresh tree" (fun () -> ignore (Btree.insert t (key 0) 0));
+  for i = 1 to 199 do
+    adds 2 "insert" (fun () -> ignore (Btree.insert t (key i) i))
+  done;
+  adds 1 "find" (fun () -> ignore (Btree.find t (key 57)));
+  adds 1 "find_path" (fun () -> ignore (Btree.find_path t (key 57)));
+  adds 1 "iter_range" (fun () -> Btree.iter_range t ~lo:(key 10) (fun _ _ -> ()));
+  adds 1 "successor" (fun () -> ignore (Btree.successor t (key 57)));
+  adds 1 "remove" (fun () -> ignore (Btree.remove t (key 57)))
+
 let test_reverse_and_random_insertion_orders () =
   let mk order =
     let t = Btree.create ~fanout:5 () in
@@ -376,6 +395,7 @@ let suite =
     ("splits grow height", `Quick, test_splits_grow_height);
     ("root split reported", `Quick, test_root_split_reports_new_root);
     ("descent path", `Quick, test_descent_path);
+    ("descent count", `Quick, test_descents);
     ("insertion order independence", `Quick, test_reverse_and_random_insertion_orders);
     ("remove", `Quick, test_remove);
     ("successor", `Quick, test_successor);

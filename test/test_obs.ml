@@ -567,11 +567,14 @@ let test_retention_linear_10k () =
 
 (* Bounded-memory twin of the pinned-snapshot test: same 10k commits under a
    pinned reader, but with [memory_budget] set. The writers are SSI
-   read-modify-writes over a fixed 32-key universe, so each retained record
-   holds a SIREAD and the sentinel pool stays bounded by the key universe.
-   Retained records plus live SIREAD lock-table entries must never exceed
-   the budget — summarization, not the cleanup horizon, bounds memory. *)
-let test_retention_bounded_10k () =
+   transactions over a fixed 32-key universe, so each retained record holds
+   a SIREAD and the sentinel pool stays bounded by the key universe. They
+   read the key they write, or, with [read_ahead] 7, another key: that
+   SIREAD then outlives the commit (no upgrade-release), so summarization
+   has lock-table entries to fold. Retained records plus live SIREAD
+   lock-table entries must never exceed the budget — summarization, not the
+   cleanup horizon, bounds memory. *)
+let retention_bounded_10k read_ahead =
   let budget = 64 in
   let config =
     {
@@ -601,9 +604,8 @@ let test_retention_bounded_10k () =
       for i = 1 to n do
         ignore
           (Db.run env.db ssi (fun t ->
-               let k = keys.(i mod 32) in
-               ignore (Txn.read t "t" k);
-               Txn.write t "t" k (string_of_int i)));
+               ignore (Txn.read t "t" keys.((i + read_ahead) mod 32));
+               Txn.write t "t" keys.(i mod 32) (string_of_int i)));
         let p = Db.retained_count env.db + Db.siread_entry_count env.db in
         if p > !max_pressure then max_pressure := p
       done;
@@ -620,6 +622,8 @@ let test_retention_bounded_10k () =
       Alcotest.(check int) "summary drained after the pin lifts" 0 (Db.summary_size env.db));
   Sim.run env.sim;
   Alcotest.(check int) "all commits went through" (n + 2) (Db.stats env.db).Internal.commits
+
+let test_retention_bounded_10k () = List.iter retention_bounded_10k [ 0; 7 ]
 
 let () =
   Alcotest.run "obs"

@@ -277,6 +277,17 @@ let test_nested_spawn () =
   Alcotest.(check bool) "child process ran" true !done_;
   Alcotest.(check (float 1e-9)) "time advanced" 2.0 (Sim.now sim)
 
+let test_events_count () =
+  let sim = Sim.create () in
+  let c = Sim.cond () in
+  Sim.spawn sim (fun () -> Sim.wait sim c);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 1.0;
+      Sim.signal sim c);
+  Alcotest.(check int) "one per spawn" 2 (Sim.events sim);
+  Sim.run sim;
+  Alcotest.(check int) "one more per delay and wake" 4 (Sim.events sim)
+
 let test_live_procs_accounting () =
   let sim = Sim.create () in
   Sim.spawn sim (fun () -> Sim.delay sim 1.0);
@@ -337,6 +348,7 @@ let suite =
     ("yield interleaves", `Quick, test_yield_interleaves);
     ("nested spawn", `Quick, test_nested_spawn);
     ("live procs accounting", `Quick, test_live_procs_accounting);
+    ("event count", `Quick, test_events_count);
   ]
   @ [ qcheck_group_commit ]
 
