@@ -33,9 +33,14 @@ type 'a t = {
   mutable next_id : int;
   mutable size : int;
   mutable last_leaf : 'a leaf;
-      (* the leaf the latest [descend] reached: one descent yields both the
-         path and the leaf without a tuple *)
+      (* the leaf the latest [descend] or [walk] reached: one descent yields
+         both the path and the leaf without a tuple *)
   mutable descents : int; (* walks from the root so far *)
+  mutable stamp : int; (* structure changes so far: new keys, splits, removes *)
+  mutable trail : 'a internal array;
+  mutable trail_ci : int array;
+      (* the internal nodes the latest [walk] passed, root first, and the
+         child taken at each: an insert splits its way back up along them *)
 }
 
 type access = {
@@ -57,7 +62,17 @@ let fresh_id t =
 let create ?(fanout = 64) () =
   if fanout < 4 then invalid_arg "Btree.create: fanout must be >= 4";
   let leaf = { lid = 0; lkeys = [||]; lvals = [||]; lnext = None } in
-  { root = Leaf leaf; fanout; next_id = 1; size = 0; last_leaf = leaf; descents = 0 }
+  {
+    root = Leaf leaf;
+    fanout;
+    next_id = 1;
+    size = 0;
+    last_leaf = leaf;
+    descents = 0;
+    stamp = 0;
+    trail = [||];
+    trail_ci = [||];
+  }
 
 let length t = t.size
 
@@ -66,6 +81,8 @@ let fanout t = t.fanout
 let root_id t = node_id t.root
 
 let descents t = t.descents
+
+let stamp t = t.stamp
 
 (* Index of the child covering [key]: the number of separators <= key. *)
 let child_index n key =
@@ -132,10 +149,6 @@ let find t key =
 
 let mem t key = find t key <> None
 
-(* Result of inserting into a subtree: possibly a promoted separator and a
-   new right sibling for the parent to absorb, plus modified page ids. *)
-type 'a split = (string * 'a node) option
-
 let split_leaf t l : string * 'a node =
   let n = Array.length l.lkeys in
   let mid = (n + 1) / 2 in
@@ -167,65 +180,98 @@ let split_internal t n : string * 'a node =
   n.ichildren <- Array.sub n.ichildren 0 (mid + 1);
   (promoted, Internal right)
 
-(* [insert_rec] returns (replaced_existing, split, modified_ids, splits).
-   [splits] pairs each split page with its freshly allocated right sibling so
-   the engine above can carry page stamps and SIREAD locks across the split
-   (entries that lived on the old page may now live on the new one). *)
-let rec insert_rec t node key v : bool * 'a split * int list * (int * int) list =
+(* One descent to the leaf covering [key] that remembers the internal nodes
+   and child indices in [t.trail]; leaves the leaf in [t.last_leaf] and
+   returns the number of internal levels. *)
+let rec walk t key node d =
   match node with
   | Leaf l ->
-      let i = search_keys l.lkeys key in
-      if found_at l.lkeys i key then begin
-        l.lvals.(i) <- v;
-        (true, None, [], [])
+      t.last_leaf <- l;
+      d
+  | Internal n ->
+      if d = Array.length t.trail then begin
+        let size = max 8 (2 * d) in
+        t.trail <- Array.init size (fun i -> if i < d then t.trail.(i) else n);
+        t.trail_ci <- Array.init size (fun i -> if i < d then t.trail_ci.(i) else 0)
+      end;
+      let ci = child_index n key in
+      t.trail.(d) <- n;
+      t.trail_ci.(d) <- ci;
+      walk t key n.ichildren.(ci) (d + 1)
+
+(* The page ids of a [walk] of [depth] internal levels, root first. *)
+let trail_path t depth =
+  let path = ref [ t.last_leaf.lid ] in
+  for d = depth - 1 downto 0 do
+    path := t.trail.(d).iid :: !path
+  done;
+  !path
+
+(* Add [key] at position [i] of the leaf a [walk] of [depth] levels reached,
+   splitting back up the trail as far as pages overflow. [path] is the
+   walk's; the leaf reported is the one reached, before any split. Split
+   pages are listed top-down: each parent before the pages it split or
+   absorbed, and each split as (old page, new right sibling). *)
+let add t depth i key v ~path =
+  let l = t.last_leaf in
+  l.lkeys <- array_insert l.lkeys i key;
+  l.lvals <- array_insert l.lvals i v;
+  t.size <- t.size + 1;
+  t.stamp <- t.stamp + 1;
+  if Array.length l.lkeys <= t.fanout then { path; leaves = [ l.lid ]; modified = []; splits = [] }
+  else begin
+    let sep, right = split_leaf t l in
+    let modified = ref [ l.lid; node_id right ] and splits = ref [ (l.lid, node_id right) ] in
+    (* The parent at trail level [d] absorbs its child's split. *)
+    let rec absorb d sep right =
+      if d < 0 then begin
+        (* Root split: the tree grows a level. *)
+        let old_root_id = node_id t.root in
+        let id = fresh_id t in
+        t.root <- Internal { iid = id; ikeys = [| sep |]; ichildren = [| t.root; right |] };
+        modified := id :: !modified;
+        splits := (old_root_id, id) :: !splits
       end
       else begin
-        l.lkeys <- array_insert l.lkeys i key;
-        l.lvals <- array_insert l.lvals i v;
-        if Array.length l.lkeys > t.fanout then begin
-          let sep, right = split_leaf t l in
-          (false, Some (sep, right), [ l.lid; node_id right ], [ (l.lid, node_id right) ])
+        let n = t.trail.(d) and ci = t.trail_ci.(d) in
+        n.ikeys <- array_insert n.ikeys ci sep;
+        n.ichildren <- array_insert n.ichildren (ci + 1) right;
+        if Array.length n.ichildren > t.fanout then begin
+          let sep', right' = split_internal t n in
+          modified := n.iid :: node_id right' :: !modified;
+          splits := (n.iid, node_id right') :: !splits;
+          absorb (d - 1) sep' right'
         end
-        else (false, None, [], [])
+        else modified := n.iid :: !modified
       end
-  | Internal n -> (
-      let ci = child_index n key in
-      let replaced, split, modified, splits = insert_rec t n.ichildren.(ci) key v in
-      match split with
-      | None -> (replaced, None, modified, splits)
-      | Some (sep, right) ->
-          n.ikeys <- array_insert n.ikeys ci sep;
-          n.ichildren <- array_insert n.ichildren (ci + 1) right;
-          if Array.length n.ichildren > t.fanout then begin
-            let sep', right' = split_internal t n in
-            ( replaced,
-              Some (sep', right'),
-              n.iid :: node_id right' :: modified,
-              (n.iid, node_id right') :: splits )
-          end
-          else (replaced, None, n.iid :: modified, splits))
+    in
+    absorb (depth - 1) sep right;
+    { path; leaves = [ l.lid ]; modified = !modified; splits = !splits }
+  end
 
 let insert t key v =
   t.descents <- t.descents + 1;
-  let path = descend t t.root key in
-  let leaf_id = t.last_leaf.lid in
+  let depth = walk t key t.root 0 in
+  let leaf = t.last_leaf in
+  let path = trail_path t depth in
+  let i = search_keys leaf.lkeys key in
+  if found_at leaf.lkeys i key then begin
+    leaf.lvals.(i) <- v;
+    { path; leaves = [ leaf.lid ]; modified = []; splits = [] }
+  end
+  else add t depth i key v ~path
+
+let find_or_add t key make =
   t.descents <- t.descents + 1;
-  let replaced, split, modified, splits = insert_rec t t.root key v in
-  if not replaced then t.size <- t.size + 1;
-  let modified, splits =
-    match split with
-    | None -> (modified, splits)
-    | Some (sep, right) ->
-        (* Root split: the tree grows a level. *)
-        let old_root_id = node_id t.root in
-        let new_root =
-          Internal { iid = fresh_id t; ikeys = [| sep |]; ichildren = [| t.root; right |] }
-        in
-        let id = node_id new_root in
-        t.root <- new_root;
-        (id :: modified, (old_root_id, id) :: splits)
-  in
-  { path; leaves = [ leaf_id ]; modified; splits }
+  let depth = walk t key t.root 0 in
+  let leaf = t.last_leaf in
+  let path = trail_path t depth in
+  let i = search_keys leaf.lkeys key in
+  if found_at leaf.lkeys i key then
+    (leaf.lvals.(i), { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
+  else
+    let v = make () in
+    (v, add t depth i key v ~path)
 
 let remove t key =
   let rec go node =
@@ -242,7 +288,10 @@ let remove t key =
   in
   t.descents <- t.descents + 1;
   let removed = go t.root in
-  if removed then t.size <- t.size - 1;
+  if removed then begin
+    t.size <- t.size - 1;
+    t.stamp <- t.stamp + 1
+  end;
   removed
 
 let rec leftmost_leaf = function
@@ -275,16 +324,19 @@ let max_key t =
       walk (leftmost_leaf t.root);
       !best
 
-(* Least key strictly greater than [key], if any. *)
-let successor t key =
+(* Least key strictly greater than [key] whose value satisfies [p], if any:
+   one descent, then along the leaf chain. *)
+let successor_where t key p =
   t.descents <- t.descents + 1;
   let leaf = leaf_of t.root key in
   let rec from_leaf l i =
     if i < Array.length l.lkeys then
-      if l.lkeys.(i) > key then Some l.lkeys.(i) else from_leaf l (i + 1)
+      if l.lkeys.(i) > key && p l.lvals.(i) then Some l.lkeys.(i) else from_leaf l (i + 1)
     else match l.lnext with None -> None | Some l' -> from_leaf l' 0
   in
   from_leaf leaf (search_keys leaf.lkeys key)
+
+let successor t key = successor_where t key (fun _ -> true)
 
 (* Inclusive range iteration; [f] may not modify the tree. Returns the access
    footprint (descent path for [lo] plus all leaves visited). *)

@@ -45,8 +45,17 @@ val fanout : 'a t -> int
 (** Current root page id (changes when the root splits). *)
 val root_id : 'a t -> int
 
-(** Walks from the root so far: one per lookup, scan, successor or remove, two per insert. *)
+(** Walks from the root so far: one per lookup, insert, scan, successor or
+    remove. *)
 val descents : 'a t -> int
+
+(** The structure stamp: moves on every insert of a new key (splits
+    included) and every remove of a present key, and on nothing else (not
+    on a find, a replace, a scan or a successor). While it has not moved,
+    every key keeps its leaf and descent path, and the tree its key set, so
+    an {!access} or value found earlier is still what a new lookup would
+    find. *)
+val stamp : 'a t -> int
 
 val find : 'a t -> string -> 'a option
 
@@ -55,10 +64,16 @@ val find_path : 'a t -> string -> 'a option * access
 
 val mem : 'a t -> string -> bool
 
-(** Insert or replace. The returned access lists split-modified pages, which
-    is how page-level writers conflict with concurrent readers of internal
-    pages. *)
+(** Insert or replace, in one walk from the root. The returned access is the
+    walk's path and the leaf it reached (before any split), and lists
+    split-modified pages, which is how page-level writers conflict with
+    concurrent readers of internal pages. *)
 val insert : 'a t -> string -> 'a -> access
+
+(** [find_or_add t key make] is the value of [key], inserting [make ()] if
+    it is absent, in one walk: the access is {!find_path}'s when the key is
+    present and {!insert}'s when it is added. *)
+val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * access
 
 (** Physically remove a key (used by garbage collection, not by transactions,
     which write tombstones instead). Returns whether the key was present. *)
@@ -71,6 +86,11 @@ val max_key : 'a t -> string option
 (** Least key strictly greater than the argument — the "next key" of
     next-key/gap locking (Figs 3.6/3.7). *)
 val successor : 'a t -> string -> string option
+
+(** [successor_where t key p]: the least key strictly greater than [key]
+    whose value satisfies [p], in one descent and a walk along the leaf
+    chain. *)
+val successor_where : 'a t -> string -> ('a -> bool) -> string option
 
 (** Inclusive range iteration in key order. *)
 val iter_range : 'a t -> ?lo:string -> ?hi:string -> (string -> 'a -> unit) -> unit

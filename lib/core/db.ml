@@ -42,9 +42,6 @@ let create ?(config = Config.test ()) sim =
     summary = Hashtbl.create 64;
     summary_expiry = Queue.create ();
     obs = Obs.disabled;
-    (* Small at first: nothing iterates page_stamps, and the DPOR explorer
-       builds one engine per schedule. *)
-    page_stamps = Hashtbl.create 64;
     history = [];
     stats = Internal.new_stats ();
     on_touch = None;
@@ -301,9 +298,7 @@ let recover ?(config = Config.test ()) ?obs sim ~log =
             Mvstore.install chain ~value:(Hashtbl.find final (tbl, key)) ~commit_ts:ts
               ~creator:txn;
             if config.Config.granularity = Config.Page then
-              List.iter
-                (fun p -> Hashtbl.replace db.page_stamps (tbl, p) (ts, txn))
-                access.Btree.leaves;
+              List.iter (fun p -> Mvstore.stamp_page table p ~ts ~writer:txn) access.Btree.leaves;
             (* Volatile-SIREAD conservatism: flag the written rows of every
                recovered commit still above the watermark in both directions,
                so post-recovery SSI errs toward aborting. *)

@@ -244,29 +244,24 @@ let mark_newer_versions t table_name key chain snap =
 (* Page-granularity analogue: the Berkeley DB prototype versions whole pages,
    so a page updated after our snapshot is an ignored newer version of
    everything on it (the false-positive source of §6.1.5). *)
-let mark_page_stamp t table_name page snap =
+let mark_page_stamp t table page snap =
+  let table_name = Mvstore.name table in
   touch_page t table_name page;
-  match Hashtbl.find_opt t.db.page_stamps (table_name, page) with
-  | Some (ts, writer_id) when ts > snap && writer_id <> t.id -> (
-      let resource = page_resource table_name page in
-      match find_txn t.db writer_id with
-      | Some writer -> Conflict.mark ~source:Obs.Page_stamp ~resource ~self:t ~reader:t ~writer
-      | None ->
-          (* With unbounded retention a stamping writer newer than our
-             snapshot is always findable; in bounded mode it may have been
-             summarized, leaving its out-flag on the page's summary entry. *)
-          if writer_id <> 0 then (
-            match find_summary t.db resource with
-            | Some s ->
-                Conflict.mark_summarized_writer ~source:Obs.Page_stamp ~resource ~self:t
-                  ~sm_out:s.sm_out t
-            | None -> ()))
-  | _ -> ()
-
-let page_newer_than db table_name page snap =
-  match Hashtbl.find_opt db.page_stamps (table_name, page) with
-  | Some (ts, _) -> ts > snap
-  | None -> false
+  let writer_id = Mvstore.page_writer table page in
+  if Mvstore.page_ts table page > snap && writer_id <> t.id then
+    let resource = page_resource table_name page in
+    match find_txn t.db writer_id with
+    | Some writer -> Conflict.mark ~source:Obs.Page_stamp ~resource ~self:t ~reader:t ~writer
+    | None ->
+        (* With unbounded retention a stamping writer newer than our
+           snapshot is always findable; in bounded mode it may have been
+           summarized, leaving its out-flag on the page's summary entry. *)
+        if writer_id <> 0 then (
+          match find_summary t.db resource with
+          | Some s ->
+              Conflict.mark_summarized_writer ~source:Obs.Page_stamp ~resource ~self:t
+                ~sm_out:s.sm_out t
+          | None -> ())
 
 (* Carry page-level conflict state across B+tree splits (the paper's
    Berkeley DB change #3, §4.4: "propagate SIREAD locks appropriately during
@@ -279,7 +274,8 @@ let page_newer_than db table_name page snap =
    index restructuring is not versioned), so propagation must happen at split
    time, not at the splitter's commit. SIREAD grants never block, so this is
    safe from any context. *)
-let propagate_splits db table_name (access : Btree.access) =
+let propagate_splits db table (access : Btree.access) =
+  let table_name = Mvstore.name table in
   let page_mode = db.config.Config.granularity = Config.Page in
   (* Bounded row mode holds page SIREADs too (granularity promotion and the
      summarized-reader pool), so splits must propagate them there as well;
@@ -288,9 +284,9 @@ let propagate_splits db table_name (access : Btree.access) =
     List.iter
       (fun (old_page, new_page) ->
         (if page_mode then
-           match Hashtbl.find_opt db.page_stamps (table_name, old_page) with
-           | Some stamp -> Hashtbl.replace db.page_stamps (table_name, new_page) stamp
-           | None -> ());
+           let ts = Mvstore.page_ts table old_page in
+           if ts <> 0 then
+             Mvstore.stamp_page table new_page ~ts ~writer:(Mvstore.page_writer table old_page));
         let old_r = page_resource table_name old_page in
         let new_r = page_resource table_name new_page in
         (* A summarized reader's (or writer's) conservative remains must
@@ -321,12 +317,24 @@ let log_read t table_name key version =
   if t.db.config.Config.record_history then
     t.reads_log <- { r_table = table_name; r_key = key; r_version = version } :: t.reads_log
 
-let own_write t table_name key = Hashtbl.find_opt t.writes (table_name, key)
+(* The write this transaction buffered for the key, if any. *)
+let own_write t table_name key =
+  match Hashtbl.find_opt t.writes (table_name, key) with
+  | Some e when e.w_buffered -> Some e.w_value
+  | _ -> None
 
-let buffer_write t table_name key value =
-  if not (Hashtbl.mem t.writes (table_name, key)) then
-    t.write_order <- (table_name, key) :: t.write_order;
-  Hashtbl.replace t.writes (table_name, key) value
+let buffer_write t e value =
+  if not e.w_buffered then begin
+    e.w_buffered <- true;
+    t.write_order <- e :: t.write_order
+  end;
+  e.w_value <- value
+
+(* The key's find_path footprint: the entry's while the structure stamp has
+   not moved since the key was locked, else a new descent's. *)
+let entry_access table e =
+  if e.w_stamp = Mvstore.stamp table then e.w_access
+  else snd (Mvstore.find_chain_path table e.w_key)
 
 (* {1 Read} *)
 
@@ -354,9 +362,24 @@ let lock_pages_for_read t table_name (access : Btree.access) =
    splits, the false-positive source of §6.1.5. The path ends at the leaf,
    which is checked again with the leaves (and its rw-edges counted
    twice). *)
-let mark_path_stamps t table_name (access : Btree.access) snap =
-  List.iter (fun p -> mark_page_stamp t table_name p snap) access.Btree.path;
-  List.iter (fun p -> mark_page_stamp t table_name p snap) access.Btree.leaves
+let mark_path_stamps t table (access : Btree.access) snap =
+  List.iter (fun p -> mark_page_stamp t table p snap) access.Btree.path;
+  List.iter (fun p -> mark_page_stamp t table p snap) access.Btree.leaves
+
+(* Lock what protects a key with [lock], given [found], the key's chain and
+   footprint as of now. A lock can wait, and if the structure stamp moves
+   meanwhile (another transaction's insert may have created the key's chain
+   or split its leaf), what was found is stale: find the key again, and
+   lock again until the leaf set is stable. Returns the key's chain and
+   footprint as of return. *)
+let rec locked_until_stable table key lock found =
+  let stamp = Mvstore.stamp table in
+  lock (snd found);
+  if Mvstore.stamp table = stamp then found
+  else
+    let again = Mvstore.find_chain_path table key in
+    if (snd again).Btree.leaves = (snd found).Btree.leaves then again
+    else locked_until_stable table key lock again
 
 let visible_value (v : Mvstore.version option) =
   match v with Some { value = Some s; _ } -> Some s | _ -> None
@@ -384,22 +407,20 @@ let do_read t table_name key =
               log_read t table_name key (version_ts v);
               visible_value v
           | S2pl ->
-              (* The S acquisition can block behind a writer's X; everything
-                 observed before the wait is stale once we resume (the writer
-                 may have created the key's chain or split its leaf), so
-                 re-descend after locking until the leaf set is stable. *)
-              let rec locked_access () =
-                let _, access = Mvstore.find_chain_path table key in
-                (match db.config.Config.granularity with
-                | Config.Row -> acquire t Lockmgr.S (row_resource table_name key)
-                | Config.Page -> lock_pages_for_read t table_name access);
-                let _, access' = Mvstore.find_chain_path table key in
-                if access'.Btree.leaves <> access.Btree.leaves then locked_access ()
-                else access'
+              let chain, access =
+                locked_until_stable table key
+                  (fun access ->
+                    match db.config.Config.granularity with
+                    | Config.Row -> acquire t Lockmgr.S (row_resource table_name key)
+                    | Config.Page -> lock_pages_for_read t table_name access)
+                  (Mvstore.find_chain_path table key)
               in
-              let access = locked_access () in
+              let stamp = Mvstore.stamp table in
               touch_pages db table_name access;
-              let v = Option.bind (Mvstore.find_chain table key) Mvstore.latest in
+              let chain =
+                if Mvstore.stamp table = stamp then chain else Mvstore.find_chain table key
+              in
+              let v = Option.bind chain Mvstore.latest in
               log_read t table_name key (version_ts v);
               visible_value v
           | Snapshot | Serializable ->
@@ -413,7 +434,7 @@ let do_read t table_name key =
                     mark_x_holders t (row_resource table_name key)
                 | Config.Page ->
                     lock_pages_for_read t table_name access;
-                    mark_path_stamps t table_name access snap);
+                    mark_path_stamps t table access snap);
                 match chain with
                 | Some c -> mark_newer_versions t table_name key c snap
                 | None -> ()
@@ -426,7 +447,13 @@ let do_read t table_name key =
 
 (* Acquire the X lock protecting [key]'s row or page, honouring the SIREAD
    upgrade optimisation (§3.7.3), then run first-committer-wins and the
-   write-side conflict checks. Returns the chain to buffer against.
+   write-side conflict checks. Returns the key's write-set entry, holding
+   the chain to buffer against.
+
+   The key is looked up once: a repeat lock of the same key reuses its
+   entry, and at Page granularity the chain and leaves found to pick the
+   locks are kept across the lock wait, unless the structure stamp moved
+   while waiting.
 
    [will_write] tells us the caller is certain to buffer a write: only then
    may an existing SIREAD be discarded under §3.7.3, because the upgrade is
@@ -443,6 +470,18 @@ let lock_for_write t table_name key ~will_write =
   (* Footprint: the row's chain is read (first-committer-wins) and will gain
      a version — at Page granularity no row lock reports it. *)
   touch_w_row t table_name key;
+  let stamp = Mvstore.stamp table in
+  let slot = (table_name, key) in
+  let entry = Hashtbl.find_opt t.writes slot in
+  (* What is known of the key before its locks, as of [stamp]. *)
+  let known_chain, known_access =
+    match entry with
+    | Some e when e.w_stamp = stamp -> (Some e.w_chain, e.w_access)
+    | _ -> (
+        match config.Config.granularity with
+        | Config.Page -> Mvstore.find_chain_path table key
+        | Config.Row -> (None, Btree.no_access))
+  in
   (match config.Config.granularity with
   | Config.Row ->
       let r = row_resource table_name key in
@@ -456,7 +495,6 @@ let lock_for_write t table_name key ~will_write =
       end;
       acquire t Lockmgr.X r
   | Config.Page ->
-      let _, access = Mvstore.find_chain_path table key in
       List.iter
         (fun p ->
           let r = page_resource table_name p in
@@ -469,13 +507,42 @@ let lock_for_write t table_name key ~will_write =
             db.n_siread_entries <- db.n_siread_entries - 1
           end;
           acquire t Lockmgr.X r)
-        access.Btree.leaves);
+        known_access.Btree.leaves);
   (* Read view only after the first lock is granted (§4.5): single-statement
      updates never abort under first-committer-wins. *)
   let snap = ensure_snapshot t in
   check_doom t;
-  let chain, access = Mvstore.ensure_chain table key in
-  propagate_splits db table_name access;
+  let chain, access =
+    match known_chain with
+    | Some c when Mvstore.stamp table = stamp -> (c, known_access)
+    | _ -> Mvstore.ensure_chain table key
+  in
+  (* An insert that split reports the leaf before the split, which may no
+     longer hold the key. *)
+  let found_at = match access.Btree.splits with [] -> Mvstore.stamp table | _ -> -1 in
+  let e =
+    match entry with
+    | Some e ->
+        e.w_chain <- chain;
+        e.w_access <- access;
+        e.w_stamp <- found_at;
+        e
+    | None ->
+        let e =
+          {
+            w_table = table_name;
+            w_key = key;
+            w_buffered = false;
+            w_value = None;
+            w_chain = chain;
+            w_access = access;
+            w_stamp = found_at;
+          }
+        in
+        Hashtbl.add t.writes slot e;
+        e
+  in
+  propagate_splits db table access;
   touch_pages ~dirty:true db table_name access;
   (* Page-mode structural changes (index entry creation, splits) X-lock the
      modified pages; a root split therefore conflicts with every reader.
@@ -505,13 +572,13 @@ let lock_for_write t table_name key ~will_write =
       | Config.Page ->
           List.iter
             (fun p ->
-              match Hashtbl.find_opt db.page_stamps (table_name, p) with
-              | Some (ts, writer_id) when ts > snap ->
-                  Provenance.emit_fcw t
-                    ~resource:(page_resource table_name p)
-                    ~blocking_commit:ts ~blocking_writer:writer_id;
-                  raise (Abort Update_conflict)
-              | _ -> ())
+              let ts = Mvstore.page_ts table p in
+              if ts > snap then begin
+                Provenance.emit_fcw t
+                  ~resource:(page_resource table_name p)
+                  ~blocking_commit:ts ~blocking_writer:(Mvstore.page_writer table p);
+                raise (Abort Update_conflict)
+              end)
             access.Btree.leaves
       | Config.Row -> ())
   | Read_committed | S2pl -> ());
@@ -532,19 +599,18 @@ let lock_for_write t table_name key ~will_write =
         List.iter mark access.Btree.leaves;
         List.iter mark access.Btree.modified)
   end;
-  chain
+  e
 
 (* The SIREAD trace of a locking read that installs no version: the X lock
    subsumes SIREAD only while held, and write locks are released at commit.
    No [mark_x_holders] pass is needed — we hold the X lock ourselves, so no
    concurrent writer can. *)
-let siread_after_x t table_name key =
+let siread_after_x t e =
   match t.db.config.Config.granularity with
-  | Config.Row -> acquire_siread t (row_resource table_name key)
+  | Config.Row -> acquire_siread t (row_resource e.w_table e.w_key)
   | Config.Page ->
-      let table = table_exn t.db table_name in
-      let _, access = Mvstore.find_chain_path table key in
-      List.iter (fun p -> acquire_siread t (page_resource table_name p)) access.Btree.leaves
+      let access = entry_access (table_exn t.db e.w_table) e in
+      List.iter (fun p -> acquire_siread t (page_resource e.w_table p)) access.Btree.leaves
 
 (* Locking read (SELECT ... FOR UPDATE / the read half of an UPDATE): takes
    the exclusive lock first, then reads. Under SI/SSI this is the §4.5 fast
@@ -561,15 +627,15 @@ let do_read_for_update t table_name key =
       match own_write t table_name key with
       | Some v -> v
       | None ->
-          let chain = lock_for_write t table_name key ~will_write:false in
-          if is_ssi t then siread_after_x t table_name key;
+          let e = lock_for_write t table_name key ~will_write:false in
+          if is_ssi t then siread_after_x t e;
           let v =
             match t.isolation with
-            | Read_committed | S2pl -> Mvstore.latest chain
+            | Read_committed | S2pl -> Mvstore.latest e.w_chain
             | Snapshot | Serializable ->
                 (* The FCW check in lock_for_write guarantees the snapshot
                    version is also the latest committed one. *)
-                Mvstore.visible chain ~snapshot:(snapshot_exn t)
+                Mvstore.visible e.w_chain ~snapshot:(snapshot_exn t)
           in
           log_read t table_name key (version_ts v);
           visible_value v)
@@ -581,8 +647,8 @@ let do_write t table_name key value =
       charge_cpu db db.config.Config.cost.Config.c_write;
       charge_row_io db 1;
       check_doom t;
-      let _chain = lock_for_write t table_name key ~will_write:true in
-      buffer_write t table_name key (Some value))
+      let e = lock_for_write t table_name key ~will_write:true in
+      buffer_write t e (Some value))
 
 (* {1 Insert / Delete with phantom protection (Fig 3.7)} *)
 
@@ -590,27 +656,19 @@ let gap_of_successor table_name = function
   | Some next_key -> gap_resource table_name next_key
   | None -> gap_supremum table_name
 
-(* Next key with at least one committed version. Index entries created by
-   still-uncommitted inserts are skipped so that two inserts into the same
-   gap target the same gap lock as the scans protecting it. *)
-let committed_successor table key =
-  let rec go k =
-    match Mvstore.successor table k with
-    | None -> None
-    | Some k' -> (
-        match Mvstore.find_chain table k' with
-        | Some c when c.Mvstore.versions <> [] -> Some k'
-        | _ -> go k')
-  in
-  go key
+(* The gap protecting [key]: that of the next key with a committed version.
+   Index entries created by still-uncommitted inserts are skipped so that
+   two inserts into the same gap target the same gap lock as the scans
+   protecting it. *)
+let committed_gap table_name table key =
+  gap_of_successor table_name (Mvstore.committed_successor table key)
 
 let lock_gap_for_write t table_name key =
   let db = t.db in
   (* Footprint: an insert/delete changes what a scan of the surrounding gap
      observes even when no gap lock is configured (SI/RC scans lock
      nothing), so the gap name is always touched. *)
-  if db.on_touch <> None then
-    touch_w t (gap_of_successor table_name (committed_successor (table_exn db table_name) key));
+  if db.on_touch <> None then touch_w t (committed_gap table_name (table_exn db table_name) key);
   if db.config.Config.gap_locking && db.config.Config.granularity = Config.Row then begin
     let table = table_exn db table_name in
     (* Acquiring the gap lock can block behind another inserter into the
@@ -619,10 +677,9 @@ let lock_gap_for_write t table_name key =
        until the name is stable under the lock (next-key locking's standard
        re-check). *)
     let rec locked_gap () =
-      let gap = gap_of_successor table_name (committed_successor table key) in
+      let gap = committed_gap table_name table key in
       acquire t Lockmgr.X gap;
-      let gap' = gap_of_successor table_name (committed_successor table key) in
-      if gap' <> gap then locked_gap () else gap
+      if committed_gap table_name table key <> gap then locked_gap () else gap
     in
     let gap = locked_gap () in
     if is_ssi t then mark_siread_holders ~source:Obs.Gap t gap
@@ -636,17 +693,15 @@ let do_insert t table_name key value =
       check_doom t;
       (* Gap lock first (before the index entry appears), then the row. *)
       lock_gap_for_write t table_name key;
-      let chain = lock_for_write t table_name key ~will_write:true in
+      let e = lock_for_write t table_name key ~will_write:true in
       (* Duplicate detection: a live committed latest version, or our own
          buffered live write; our own buffered delete makes the key free. *)
-      (match own_write t table_name key with
-      | Some (Some _) -> raise (Abort Duplicate_key)
-      | Some None -> ()
-      | None -> (
-          match Mvstore.latest chain with
-          | Some { value = Some _; _ } -> raise (Abort Duplicate_key)
-          | _ -> ()));
-      buffer_write t table_name key (Some value))
+      (if e.w_buffered then (if Option.is_some e.w_value then raise (Abort Duplicate_key))
+       else
+         match Mvstore.latest e.w_chain with
+         | Some { value = Some _; _ } -> raise (Abort Duplicate_key)
+         | _ -> ());
+      buffer_write t e (Some value))
 
 let do_delete t table_name key =
   guard t (fun () ->
@@ -655,25 +710,22 @@ let do_delete t table_name key =
       charge_cpu db db.config.Config.cost.Config.c_write;
       check_doom t;
       lock_gap_for_write t table_name key;
-      let chain = lock_for_write t table_name key ~will_write:false in
+      let e = lock_for_write t table_name key ~will_write:false in
       (* A delete is a locking read of the row's visibility followed by a
          conditional write; the read is logged so the MVSG checker sees the
          rw-edge when someone re-creates the key. *)
       let existed =
-        match own_write t table_name key with
-        | Some (Some _) -> true
-        | Some None -> false
-        | None ->
-            let v =
-              match t.isolation with
-              | Read_committed | S2pl -> Mvstore.latest chain
-              | Snapshot | Serializable -> Mvstore.visible chain ~snapshot:(snapshot_exn t)
-            in
-            log_read t table_name key (version_ts v);
-            (match v with Some { value = Some _; _ } -> true | _ -> false)
+        if e.w_buffered then Option.is_some e.w_value
+        else
+          let v =
+            match t.isolation with
+            | Read_committed | S2pl -> Mvstore.latest e.w_chain
+            | Snapshot | Serializable -> Mvstore.visible e.w_chain ~snapshot:(snapshot_exn t)
+          in
+          log_read t table_name key (version_ts v);
+          match v with Some { value = Some _; _ } -> true | _ -> false
       in
-      if existed then buffer_write t table_name key None
-      else if is_ssi t then siread_after_x t table_name key;
+      if existed then buffer_write t e None else if is_ssi t then siread_after_x t e;
       existed)
 
 (* {1 Predicate read (range scan) with next-key gap locking (Fig 3.6)} *)
@@ -742,7 +794,7 @@ let do_scan ?lo ?hi ?limit t table_name =
             in
             if not stopped_early then
               let from = match hi with Some h -> h | None -> "\xff\xff(sup)" in
-              touch t (gap_of_successor table_name (committed_successor table from)))
+              touch t (committed_gap table_name table from))
       end;
       touch_pages db table_name access;
       let n = List.length visited in
@@ -773,7 +825,7 @@ let do_scan ?lo ?hi ?limit t table_name =
               | _ ->
                   acquire_siread ~charge:false t r;
                   mark_x_holders t r;
-                  mark_page_stamp t table_name p snap)
+                  mark_page_stamp t table p snap)
             pages;
           check_doom t
       | _ -> ());
@@ -823,7 +875,7 @@ let do_scan ?lo ?hi ?limit t table_name =
       let exhausted = match limit with None -> true | Some n -> !visible_seen < n in
       if exhausted && gap_lockable && (t.isolation = S2pl || is_ssi t) then begin
         let from = match hi with Some h -> h | None -> "\xff\xff(sup)" in
-        let resolve () = gap_of_successor table_name (committed_successor table from) in
+        let resolve () = committed_gap table_name table from in
         match t.isolation with
         | S2pl ->
             (* Blocking acquire: re-resolve the gap name until stable, as in
@@ -843,16 +895,14 @@ let do_scan ?lo ?hi ?limit t table_name =
       (* Buffered inserts of our own that fall inside the range. *)
       let own_inserts =
         List.filter_map
-          (fun (tbl, k) ->
+          (fun e ->
+            let k = e.w_key in
             if
-              tbl = table_name
+              e.w_table = table_name
               && (match lo with Some lo -> k >= lo | None -> true)
               && (match hi with Some hi -> k <= hi | None -> true)
               && not (List.exists (fun (k', _) -> k' = k) visited)
-            then
-              match Hashtbl.find_opt t.writes (tbl, k) with
-              | Some (Some v) -> Some (k, v)
-              | _ -> None
+            then Option.map (fun v -> (k, v)) e.w_value
             else None)
           t.write_order
       in
@@ -863,32 +913,42 @@ let do_scan ?lo ?hi ?limit t table_name =
 
 (* {1 Commit / rollback} *)
 
-(* [write_order] holds each written key once ([buffer_write]). *)
+(* [write_order] holds each written key once ([buffer_write]). A key's chain
+   and leaf come from its entry unless the structure stamp moved since it
+   was locked. *)
 let install_writes t commit_ts =
   let db = t.db in
+  let page_mode = db.config.Config.granularity = Config.Page in
+  (* The pages our inserts split while locking; the leaves added below are
+     stamped as they are added. *)
+  let split_pages = t.touched_pages in
   List.iter
-    (fun (table_name, key) ->
+    (fun e ->
+      let table_name = e.w_table in
       let table = table_exn db table_name in
-      let chain, access = Mvstore.ensure_chain table key in
-      propagate_splits db table_name access;
-      let value = Hashtbl.find t.writes (table_name, key) in
-      Mvstore.install chain ~value ~commit_ts ~creator:t.id;
-      if db.config.Config.granularity = Config.Page then begin
-        let _, access = Mvstore.find_chain_path table key in
+      let chain =
+        if e.w_stamp = Mvstore.stamp table then e.w_chain
+        else begin
+          let chain, access = Mvstore.ensure_chain table e.w_key in
+          propagate_splits db table access;
+          chain
+        end
+      in
+      Mvstore.install chain ~value:e.w_value ~commit_ts ~creator:t.id;
+      if page_mode then
         List.iter
           (fun p ->
-            Hashtbl.replace db.page_stamps (table_name, p) (commit_ts, t.id);
+            Mvstore.stamp_page table p ~ts:commit_ts ~writer:t.id;
             (* Remembered so a later summarization of this transaction can
                leave its out-flag on the stamped pages' summary entries. *)
             if not (List.mem (table_name, p) t.touched_pages) then
               t.touched_pages <- (table_name, p) :: t.touched_pages)
-          access.Btree.leaves
-      end)
+          (entry_access table e).Btree.leaves)
     (List.rev t.write_order);
-  if db.config.Config.granularity = Config.Page then
+  if page_mode then
     List.iter
-      (fun (tbl, p) -> Hashtbl.replace db.page_stamps (tbl, p) (commit_ts, t.id))
-      t.touched_pages
+      (fun (tbl, p) -> Mvstore.stamp_page (table_exn db tbl) p ~ts:commit_ts ~writer:t.id)
+      split_pages
 
 let record_history t =
   let db = t.db in
@@ -900,7 +960,7 @@ let record_history t =
         h_snapshot = (match t.snapshot with Some s -> s | None -> db.last_commit_ts);
         h_commit = (match t.commit_ts with Some c -> c | None -> 0);
         h_reads = List.rev t.reads_log;
-        h_writes = List.rev t.write_order;
+        h_writes = List.rev_map (fun e -> (e.w_table, e.w_key)) t.write_order;
       }
       :: db.history
 
@@ -942,8 +1002,8 @@ let summarize_oldest db =
     moved;
   if out_conflict then begin
     List.iter
-      (fun (table_name, key) ->
-        summary_add db (row_resource table_name key) ~commit_ts ~in_conflict:false
+      (fun e ->
+        summary_add db (row_resource e.w_table e.w_key) ~commit_ts ~in_conflict:false
           ~out_conflict:true;
         incr entries)
       s.write_order;
@@ -1032,7 +1092,7 @@ let do_commit t =
          must stay commuting. *)
       if db.on_touch <> None then begin
         List.iter (touch t) (Lockmgr.owned_resources db.locks t.id);
-        List.iter (fun (tbl, key) -> touch_w t (row_resource tbl key)) t.write_order
+        List.iter (fun e -> touch_w t (row_resource e.w_table e.w_key)) t.write_order
       end;
       (* Fig 3.2 atomic block: dangerous-structure check, then mark committed
          so later conflicts treat us as such. *)
@@ -1058,11 +1118,11 @@ let do_commit t =
               (Obs.Span_b { tid = t.id; name = "log-flush"; cat = "wal" });
           Wal.append db.wal (Wal.Begin { txn = t.id });
           List.iter
-            (fun (table_name, key) ->
-              match Hashtbl.find t.writes (table_name, key) with
-              | Some value ->
-                  Wal.append db.wal (Wal.Write { txn = t.id; table = table_name; key; value })
-              | None -> Wal.append db.wal (Wal.Delete { txn = t.id; table = table_name; key }))
+            (fun e ->
+              let table = e.w_table and key = e.w_key in
+              match e.w_value with
+              | Some value -> Wal.append db.wal (Wal.Write { txn = t.id; table; key; value })
+              | None -> Wal.append db.wal (Wal.Delete { txn = t.id; table; key }))
             (List.rev t.write_order);
           Wal.append db.wal (Wal.Commit { txn = t.id; ts = commit_ts });
           t.logged <- true;
@@ -1102,9 +1162,7 @@ let do_commit t =
          every begin and destroy the reduction. *)
       if db.on_touch <> None then begin
         List.iter (fun res -> touch_w t ("c/" ^ res)) (Lockmgr.owned_resources db.locks t.id);
-        List.iter
-          (fun (tbl, key) -> touch_w t ("c/" ^ row_resource tbl key))
-          t.write_order;
+        List.iter (fun e -> touch_w t ("c/" ^ row_resource e.w_table e.w_key)) t.write_order;
         List.iter
           (fun (tbl, p) -> touch_w t ("c/" ^ page_resource tbl p))
           t.touched_pages

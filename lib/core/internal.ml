@@ -27,8 +27,9 @@ and txn = {
   mutable doomed : abort_reason option; (* set by others, noticed at next op *)
   mutable in_conflict : conflict_ref;
   mutable out_conflict : conflict_ref;
-  writes : (string * string, string option) Hashtbl.t; (* buffered writes *)
-  mutable write_order : (string * string) list; (* newest first *)
+  writes : (string * string, write_entry) Hashtbl.t;
+      (* every key X-locked for writing, by (table, key) *)
+  mutable write_order : write_entry list; (* buffered writes, newest first *)
   mutable siread_count : int; (* distinct resources SIREAD-locked *)
   mutable logged : bool; (* redo records appended to the WAL this commit *)
   mutable touched_pages : (string * int) list; (* pages split by our writes *)
@@ -43,6 +44,21 @@ and txn = {
          the row SIREADs this txn holds there, so granularity promotion can
          collapse them into one page SIREAD once Config.promote_threshold is
          reached *)
+}
+
+(* A key the transaction X-locked for writing ([Exec.lock_for_write]): the
+   value it buffered, if any, and what the lock found. [w_chain] and
+   [w_access] (the key's find_path footprint) are what a new lookup would
+   find while the table's structure stamp still reads [w_stamp]; -1 marks
+   them stale. *)
+and write_entry = {
+  w_table : string;
+  w_key : string;
+  mutable w_buffered : bool; (* a write is buffered (and in [write_order]) *)
+  mutable w_value : string option; (* the buffered value; None = delete *)
+  mutable w_chain : Mvstore.chain;
+  mutable w_access : Btree.access;
+  mutable w_stamp : int;
 }
 
 and page_reads = {
@@ -110,8 +126,6 @@ and db = {
       (* observability sink (events + metrics); Obs.disabled costs one
          branch per hook. Attach via Db.set_obs so the lock manager and WAL
          share it. *)
-  page_stamps : (string * int, int * int) Hashtbl.t;
-      (* (table, page) -> (last commit ts, last writer id); page-level FCW *)
   mutable history : committed_record list; (* newest first *)
   stats : stats;
   (* Wasted-work ledger (sim-time seconds; always on — three float adds per

@@ -25,9 +25,13 @@ type chain = { mutable versions : version list (* newest first *) }
 type t = {
   name : string;
   tree : chain Btree.t;
+  mutable page_ts : int array;
+  mutable page_writer : int array;
+      (* page id -> commit timestamp and creator of the page's latest
+         version (page granularity); 0 = never stamped *)
 }
 
-let create ?fanout name = { name; tree = Btree.create ?fanout () }
+let create ?fanout name = { name; tree = Btree.create ?fanout (); page_ts = [||]; page_writer = [||] }
 
 let name t = t.name
 
@@ -38,15 +42,29 @@ let find_chain t key = Btree.find t.tree key
 
 let find_chain_path t key = Btree.find_path t.tree key
 
+let new_chain () = { versions = [] }
+
 (* Chain for [key], creating an empty one (and its index entry) if missing.
    Returns the btree access so page-level locking can cover index writes. *)
-let ensure_chain t key =
-  match Btree.find_path t.tree key with
-  | Some c, access -> (c, access)
-  | None, _ ->
-      let c = { versions = [] } in
-      let access = Btree.insert t.tree key c in
-      (c, access)
+let ensure_chain t key = Btree.find_or_add t.tree key new_chain
+
+let stamp t = Btree.stamp t.tree
+
+(* Page versions: the Berkeley DB configuration versions whole pages. The
+   arrays grow to the highest page stamped. *)
+let page_ts t page = if page < Array.length t.page_ts then t.page_ts.(page) else 0
+
+let page_writer t page = if page < Array.length t.page_writer then t.page_writer.(page) else 0
+
+let stamp_page t page ~ts ~writer =
+  let n = Array.length t.page_ts in
+  if page >= n then begin
+    let grow a = Array.init (max (page + 1) (2 * n)) (fun i -> if i < n then a.(i) else 0) in
+    t.page_ts <- grow t.page_ts;
+    t.page_writer <- grow t.page_writer
+  end;
+  t.page_ts.(page) <- ts;
+  t.page_writer.(page) <- writer
 
 (* Newest version with commit_ts <= snapshot: what an SI read sees. *)
 let visible chain ~snapshot =
@@ -95,6 +113,12 @@ let read_latest t key =
 (* Next key in index order after [key] — the gap-locking successor. [None]
    means the supremum (Figs 3.6/3.7). *)
 let successor t key = Btree.successor t.tree key
+
+let has_versions c = c.versions <> []
+
+(* Next key with at least one committed version: entries created by
+   uncommitted inserts hold empty chains and are skipped. *)
+let committed_successor t key = Btree.successor_where t.tree key has_versions
 
 let min_key t = Btree.min_key t.tree
 

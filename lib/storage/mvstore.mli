@@ -31,8 +31,27 @@ val find_chain : t -> string -> chain option
 
 val find_chain_path : t -> string -> chain option * Btree.access
 
-(** Chain for a key, creating an empty one (and the index entry) if missing. *)
+(** Chain for a key, creating an empty one (and the index entry) if missing,
+    in one walk ({!Btree.find_or_add}). *)
 val ensure_chain : t -> string -> chain * Btree.access
+
+(** The index's structure stamp ({!Btree.stamp}): while it has not moved, a
+    chain and access found earlier are what a new lookup would find. *)
+val stamp : t -> int
+
+(** {2 Page versions}
+
+    At page granularity (the Berkeley DB configuration) a committed write
+    versions the whole leaf page: each page keeps the commit timestamp and
+    creator of its latest version, indexed by page id. *)
+
+(** Commit timestamp of the page's latest version; [0] if never stamped. *)
+val page_ts : t -> int -> ts
+
+(** Creator of the page's latest version ([0] if never stamped). *)
+val page_writer : t -> int -> txn_id
+
+val stamp_page : t -> int -> ts:ts -> writer:txn_id -> unit
 
 (** Newest version with [commit_ts <= snapshot] — what an SI read sees. *)
 val visible : chain -> snapshot:ts -> version option
@@ -54,8 +73,13 @@ val read : t -> string -> snapshot:ts -> string option
 
 val read_latest : t -> string -> string option
 
-(** Next index key after [key] ([None] = supremum) for gap locking. *)
+(** Next index key after [key] ([None] = supremum). *)
 val successor : t -> string -> string option
+
+(** Next index key after [key] whose chain has a committed version ([None]
+    = supremum): the key whose gap lock protects [key] (Figs 3.6/3.7). One
+    descent, then a walk along the leaf chain. *)
+val committed_successor : t -> string -> string option
 
 val min_key : t -> string option
 

@@ -65,8 +65,8 @@ let test_descent_path () =
   Alcotest.(check int) "path length = height" (Btree.height t) (List.length access.Btree.path);
   Alcotest.(check int) "first is root" (Btree.root_id t) (List.hd access.Btree.path)
 
-(* Every operation walks from the root once, at any height, except insert,
-   which walks once for its path and again to insert. *)
+(* Every operation walks from the root once, at any height, an insert
+   included. *)
 let test_descents () =
   let t = Btree.create ~fanout:4 () in
   let adds n what f =
@@ -74,15 +74,80 @@ let test_descents () =
     f ();
     Alcotest.(check int) what n (Btree.descents t - before)
   in
-  adds 2 "insert into a fresh tree" (fun () -> ignore (Btree.insert t (key 0) 0));
+  adds 1 "insert into a fresh tree" (fun () -> ignore (Btree.insert t (key 0) 0));
   for i = 1 to 199 do
-    adds 2 "insert" (fun () -> ignore (Btree.insert t (key i) i))
+    adds 1 "insert" (fun () -> ignore (Btree.insert t (key i) i))
   done;
+  adds 1 "find_or_add of a present key" (fun () -> ignore (Btree.find_or_add t (key 57) (fun () -> 57)));
+  adds 1 "find_or_add of a new key" (fun () -> ignore (Btree.find_or_add t (key 500) (fun () -> 500)));
   adds 1 "find" (fun () -> ignore (Btree.find t (key 57)));
   adds 1 "find_path" (fun () -> ignore (Btree.find_path t (key 57)));
   adds 1 "iter_range" (fun () -> Btree.iter_range t ~lo:(key 10) (fun _ _ -> ()));
   adds 1 "successor" (fun () -> ignore (Btree.successor t (key 57)));
+  adds 1 "successor_where" (fun () -> ignore (Btree.successor_where t (key 57) (fun v -> v > 150)));
   adds 1 "remove" (fun () -> ignore (Btree.remove t (key 57)))
+
+(* The structure stamp moves on a new key, a split and a remove, and only
+   then. *)
+let test_stamp () =
+  let t = Btree.create ~fanout:4 () in
+  let moves what expected f =
+    let before = Btree.stamp t in
+    f ();
+    Alcotest.(check bool) what expected (Btree.stamp t <> before)
+  in
+  for i = 0 to 3 do
+    moves "new key" true (fun () -> ignore (Btree.insert t (key i) i))
+  done;
+  moves "new key that splits" true (fun () ->
+      let a = Btree.insert t (key 4) 4 in
+      Alcotest.(check bool) "split reported" true (a.Btree.splits <> []));
+  moves "new key by find_or_add" true (fun () -> ignore (Btree.find_or_add t (key 5) (fun () -> 5)));
+  moves "remove" true (fun () -> ignore (Btree.remove t (key 5)));
+  moves "find" false (fun () -> ignore (Btree.find t (key 2)));
+  moves "find_path" false (fun () -> ignore (Btree.find_path t (key 2)));
+  moves "find_or_add of a present key" false (fun () ->
+      Alcotest.(check int) "present value" 2 (fst (Btree.find_or_add t (key 2) (fun () -> -1))));
+  moves "replace" false (fun () -> ignore (Btree.insert t (key 2) 20));
+  moves "scan" false (fun () -> Btree.iter_range t (fun _ _ -> ()));
+  moves "successor" false (fun () -> ignore (Btree.successor t (key 2)));
+  moves "remove of an absent key" false (fun () -> ignore (Btree.remove t (key 99)));
+  Btree.check_invariants t
+
+(* One walk finds or adds: the access is find_path's for a present key and
+   insert's for a new one, and [make] runs only for a new key. *)
+let test_find_or_add () =
+  let build () =
+    let t = Btree.create ~fanout:4 () in
+    for i = 0 to 99 do
+      ignore (Btree.insert t (key (2 * i)) (2 * i))
+    done;
+    t
+  in
+  let t = build () and reference = build () in
+  let made = ref 0 in
+  let make v () =
+    incr made;
+    v
+  in
+  for i = 0 to 199 do
+    let k = key i in
+    if i mod 2 = 0 then begin
+      let v, a = Btree.find_or_add t k (make (-1)) in
+      let v', a' = Btree.find_path reference k in
+      Alcotest.(check (option int)) "present value" v' (Some v);
+      Alcotest.(check bool) "find_path's access" true (a = a')
+    end
+    else begin
+      let v, a = Btree.find_or_add t k (make i) in
+      let a' = Btree.insert reference k i in
+      Alcotest.(check int) "added value" i v;
+      Alcotest.(check bool) "insert's access" true (a = a')
+    end
+  done;
+  Alcotest.(check int) "made once per new key" 100 !made;
+  Btree.check_invariants t;
+  Alcotest.(check bool) "same tree" true (Btree.to_list t = Btree.to_list reference)
 
 let test_reverse_and_random_insertion_orders () =
   let mk order =
@@ -280,10 +345,15 @@ let prop_successor_matches_model ops =
       | Find _ -> ())
     ops;
   let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model []) in
+  let even v = v mod 2 = 0 in
   List.for_all
     (fun probe ->
       let expected = List.find_opt (fun k -> k > key probe) keys in
-      Btree.successor t (key probe) = expected)
+      let expected_even =
+        List.find_opt (fun k -> k > key probe && even (Hashtbl.find model k)) keys
+      in
+      Btree.successor t (key probe) = expected
+      && Btree.successor_where t (key probe) even = expected_even)
     (List.init 20 (fun i -> i * 10))
 
 (* Range scans after a random insert/remove script agree with the sorted
@@ -396,6 +466,8 @@ let suite =
     ("root split reported", `Quick, test_root_split_reports_new_root);
     ("descent path", `Quick, test_descent_path);
     ("descent count", `Quick, test_descents);
+    ("structure stamp", `Quick, test_stamp);
+    ("find_or_add", `Quick, test_find_or_add);
     ("insertion order independence", `Quick, test_reverse_and_random_insertion_orders);
     ("remove", `Quick, test_remove);
     ("successor", `Quick, test_successor);

@@ -347,6 +347,34 @@ let test_duplicate_insert_aborts () =
   run_procs env [];
   check_outcome "duplicate key" (Aborted Types.Duplicate_key) r
 
+(* Next-key locking's re-check (Fig 3.7): an insert that waits on its gap's
+   X lock while another insert into the same gap commits must look the gap
+   up again, and end up holding X on the gap of the new committed
+   successor. T1 inserts k5 and holds k7's gap; T2 inserts k4, whose gap
+   is k7's too while k5 is uncommitted, and waits; once T1 commits, k4's
+   gap is k5's. *)
+let test_insert_rechecks_gap_after_wait () =
+  let env = make_env ~tables:[ "t" ] ~rows:[ ("t", [ ("k3", "0"); ("k7", "0") ]) ] () in
+  let r1 = script env ~at:0.0 ~gap:0.1 ~isolation:si [ (fun t -> Txn.insert t "t" "k5" "1") ] in
+  let held = ref [] in
+  let r2 =
+    script env ~at:0.01 ~isolation:si
+      [
+        (fun t ->
+          Txn.insert t "t" "k4" "1";
+          held :=
+            List.filter
+              (fun k ->
+                Lockmgr.holds_mode (Db.locks env.db) ~owner:(Txn.id t) ~mode:Lockmgr.X
+                  (Internal.gap_resource "t" k))
+              [ "k5"; "k7" ]);
+      ]
+  in
+  run_procs env [];
+  check_outcome "first insert" Committed r1;
+  check_outcome "second insert" Committed r2;
+  Alcotest.(check (list string)) "gaps X-locked by the second insert" [ "k5"; "k7" ] !held
+
 (* {1 S2PL} *)
 
 let test_s2pl_reader_blocks_writer () =
@@ -534,6 +562,7 @@ let suite =
     ("scan sees own inserts", `Quick, test_scan_sees_own_inserts);
     ("scan skips own deletes", `Quick, test_scan_skips_own_deletes);
     ("duplicate insert aborts", `Quick, test_duplicate_insert_aborts);
+    ("insert rechecks its gap after a wait", `Quick, test_insert_rechecks_gap_after_wait);
     ("S2PL reader blocks writer", `Quick, test_s2pl_reader_blocks_writer);
     ("SI reader does not block writer", `Quick, test_si_reader_does_not_block_writer);
     ("S2PL write skew prevented", `Quick, test_s2pl_write_skew_prevented);
