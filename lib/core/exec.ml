@@ -445,6 +445,26 @@ let do_read t table_name key =
 
 (* {1 Write (update / logical delete of an existing key)} *)
 
+(* X-lock [r] for a write, first dropping our SIREAD on it when the SIREAD
+   upgrade optimisation (§3.7.3) applies. *)
+let acquire_x_for_write t ~will_write r =
+  let db = t.db in
+  if
+    db.config.Config.upgrade_siread && is_ssi t && will_write
+    && Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r
+  then begin
+    Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
+    t.siread_count <- t.siread_count - 1;
+    db.n_siread_entries <- db.n_siread_entries - 1
+  end;
+  acquire t Lockmgr.X r
+
+let rec x_lock_pages t ~will_write table_name = function
+  | [] -> ()
+  | p :: pages ->
+      acquire_x_for_write t ~will_write (page_resource table_name p);
+      x_lock_pages t ~will_write table_name pages
+
 (* Acquire the X lock protecting [key]'s row or page, honouring the SIREAD
    upgrade optimisation (§3.7.3), then run first-committer-wins and the
    write-side conflict checks. Returns the key's write-set entry, holding
@@ -452,8 +472,9 @@ let do_read t table_name key =
 
    The key is looked up once: a repeat lock of the same key reuses its
    entry, and at Page granularity the chain and leaves found to pick the
-   locks are kept across the lock wait, unless the structure stamp moved
-   while waiting.
+   locks are kept across the lock wait. If the structure stamp moved while
+   waiting, an insert may have split the leaf and moved the key: the key is
+   found again and its new leaf locked too, until the leaf set is stable.
 
    [will_write] tells us the caller is certain to buffer a write: only then
    may an existing SIREAD be discarded under §3.7.3, because the upgrade is
@@ -470,9 +491,9 @@ let lock_for_write t table_name key ~will_write =
   (* Footprint: the row's chain is read (first-committer-wins) and will gain
      a version — at Page granularity no row lock reports it. *)
   touch_w_row t table_name key;
-  let stamp = Mvstore.stamp table in
   let slot = (table_name, key) in
   let entry = Hashtbl.find_opt t.writes slot in
+  let stamp = Mvstore.stamp table in
   (* What is known of the key before its locks, as of [stamp]. *)
   let known_chain, known_access =
     match entry with
@@ -482,40 +503,26 @@ let lock_for_write t table_name key ~will_write =
         | Config.Page -> Mvstore.find_chain_path table key
         | Config.Row -> (None, Btree.no_access))
   in
-  (match config.Config.granularity with
-  | Config.Row ->
-      let r = row_resource table_name key in
-      if
-        config.Config.upgrade_siread && is_ssi t && will_write
-        && Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r
-      then begin
-        Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
-        t.siread_count <- t.siread_count - 1;
-        db.n_siread_entries <- db.n_siread_entries - 1
-      end;
-      acquire t Lockmgr.X r
-  | Config.Page ->
-      List.iter
-        (fun p ->
-          let r = page_resource table_name p in
-          if
-            config.Config.upgrade_siread && is_ssi t && will_write
-            && Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r
-          then begin
-            Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
-            t.siread_count <- t.siread_count - 1;
-            db.n_siread_entries <- db.n_siread_entries - 1
-          end;
-          acquire t Lockmgr.X r)
-        known_access.Btree.leaves);
+  (* What is known of the key once locked, if still current. *)
+  let known_chain, known_access =
+    match config.Config.granularity with
+    | Config.Row ->
+        acquire_x_for_write t ~will_write (row_resource table_name key);
+        if Mvstore.stamp table = stamp then (known_chain, known_access)
+        else (None, Btree.no_access)
+    | Config.Page ->
+        locked_until_stable table key
+          (fun access -> x_lock_pages t ~will_write table_name access.Btree.leaves)
+          (known_chain, known_access)
+  in
   (* Read view only after the first lock is granted (§4.5): single-statement
      updates never abort under first-committer-wins. *)
   let snap = ensure_snapshot t in
   check_doom t;
   let chain, access =
     match known_chain with
-    | Some c when Mvstore.stamp table = stamp -> (c, known_access)
-    | _ -> Mvstore.ensure_chain table key
+    | Some c -> (c, known_access)
+    | None -> Mvstore.ensure_chain table key
   in
   (* An insert that split reports the leaf before the split, which may no
      longer hold the key. *)

@@ -276,6 +276,51 @@ let test_page_mode_split_conflicts_with_readers () =
   run_procs env [];
   Alcotest.(check bool) "reader observed rw edge from structural change" true !seen_conflict
 
+(* A writer X-locks the leaf that holds its key, and an insert queued ahead
+   of it can split that leaf and move the key while it waits: it must then
+   lock the key's new leaf too. T1 writes k1; T3 (inserting k0a) and then
+   T2 (locking k3 for update) queue behind it; T3 splits the leaf, moving
+   k2 and k3 to a new one, and commits. T4 reads k2 and writes k3; T2
+   writes k2 from the value it read for k3. Holding only the old leaf, T2
+   let T4 pass: under S2PL both committed a non-serializable history, under
+   SI and SSI T2 failed first-committer-wins on the new leaf. *)
+let test_page_mode_lock_follows_split () =
+  List.iter
+    (fun isolation ->
+      let name = Types.isolation_to_string isolation in
+      let rows = ("t", List.init 4 (fun i -> (Printf.sprintf "k%d" i, "0"))) in
+      let env = make_env ~config:(page_config ()) ~tables:[ "t" ] ~rows:[ rows ] () in
+      let holds_leaf = ref false and read = ref "" in
+      let r1 = script env ~at:0.0 ~gap:0.1 ~isolation [ (fun t -> Txn.write t "t" "k1" "1") ] in
+      let r3 = script env ~at:0.01 ~isolation [ (fun t -> Txn.insert t "t" "k0a" "3") ] in
+      let r2 =
+        script env ~at:0.02 ~gap:0.2 ~isolation
+          [
+            (fun t ->
+              read := Txn.read_for_update_exn t "t" "k3";
+              let _, access = Mvstore.find_chain_path (Db.table_exn env.db "t") "k3" in
+              holds_leaf :=
+                List.for_all
+                  (fun p ->
+                    Lockmgr.holds_mode (Db.locks env.db) ~owner:(Txn.id t) ~mode:Lockmgr.X
+                      (Internal.page_resource "t" p))
+                  access.Btree.leaves);
+            (fun t -> Txn.write t "t" "k2" (!read ^ "+2"));
+          ]
+      in
+      let _ =
+        script env ~at:0.2 ~isolation
+          [ (fun t -> ignore (Txn.read t "t" "k2")); (fun t -> Txn.write t "t" "k3" "4") ]
+      in
+      run_procs env [];
+      check_outcome (name ^ ": T1") Committed r1;
+      check_outcome (name ^ ": T3 splits the leaf") Committed r3;
+      Alcotest.(check bool) (name ^ ": T2 holds X on k3's leaf") true !holds_leaf;
+      check_outcome (name ^ ": T2") Committed r2;
+      Alcotest.(check bool) (name ^ ": serializable") true
+        (Mvsg.is_serializable (Db.history env.db)))
+    [ s2pl; si; ssi ]
+
 let test_page_mode_random_ssi_serializable () =
   (* Whole-engine property at page granularity: SSI histories stay
      serializable even with page-level (coarse) conflict detection. *)
@@ -559,6 +604,7 @@ let suite =
     ("page mode write skew prevented", `Quick, test_page_mode_write_skew_prevented);
     ("page mode FCW is page-level", `Quick, test_page_mode_fcw_is_page_level);
     ("page splits conflict with readers", `Quick, test_page_mode_split_conflicts_with_readers);
+    ("page lock follows a split", `Quick, test_page_mode_lock_follows_split);
     ("page mode random SSI serializable", `Slow, test_page_mode_random_ssi_serializable);
     ("victim prefer pivot", `Quick, test_victim_prefer_pivot);
     ("victim prefer younger", `Quick, test_victim_prefer_younger);
