@@ -1,9 +1,10 @@
 (* The perf gate: each count of each perf point (lib/experiments/
    perfpoints.ml) against its pin in pins.txt, whose header says how to
-   re-pin. A count may rise at most 5% above its pin, a check must equal
-   its pin, and points and pins must match one to one. Also, a sink with
-   every channel off must add no words to the commit path or the lock
-   manager. *)
+   re-pin. A count may rise at most 5% above its pin, and may fall at most
+   5% below it: a lower count makes the pin stale, so the change that
+   lowers a count re-pins it. A check must equal its pin, and points and
+   pins must match one to one. Also, a sink with every channel off must add
+   no words to the commit path or the lock manager. *)
 
 let tolerance = 0.05
 
@@ -36,6 +37,10 @@ let test_point (name, run) () =
             Some (Printf.sprintf "%s check %.8g differs from its pin %.8g" name v pin)
         | Some pin when v > pin *. (1.0 +. tolerance) ->
             Some (Printf.sprintf "%s %s %.8g is more than 5%% above its pin %.8g" name c v pin)
+        | Some pin when v < pin *. (1.0 -. tolerance) ->
+            Some
+              (Printf.sprintf "%s %s %.8g is more than 5%% below its pin %.8g: the pin is stale"
+                 name c v pin)
         | Some _ -> None)
       counts
     @ List.filter_map
