@@ -33,14 +33,15 @@ type 'a t = {
   mutable next_id : int;
   mutable size : int;
   mutable last_leaf : 'a leaf;
-      (* the leaf the latest [descend] or [walk] reached: one descent yields
-         both the path and the leaf without a tuple *)
+      (* the leaf the latest [walk] reached: one descent yields both the
+         path and the leaf without a tuple *)
   mutable descents : int; (* walks from the root so far *)
   mutable stamp : int; (* structure changes so far: new keys, splits, removes *)
   mutable trail : 'a internal array;
   mutable trail_ci : int array;
       (* the internal nodes the latest [walk] passed, root first, and the
-         child taken at each: an insert splits its way back up along them *)
+         child taken at each: the descent path, and the way an insert's
+         splits climb back up *)
 }
 
 type access = {
@@ -123,19 +124,36 @@ let array_remove a i =
 let rec leaf_of node key =
   match node with Leaf l -> l | Internal n -> leaf_of n.ichildren.(child_index n key) key
 
-(* One descent to the leaf covering [key]: returns the page ids on the way,
-   root first (consed as the recursion unwinds), and leaves the leaf in
-   [t.last_leaf]. *)
-let rec descend t node key =
+(* One descent to the leaf covering [key] that remembers the internal nodes
+   and child indices in [t.trail]; leaves the leaf in [t.last_leaf] and
+   returns the number of internal levels. *)
+let rec walk t key node d =
   match node with
   | Leaf l ->
       t.last_leaf <- l;
-      [ l.lid ]
-  | Internal n -> n.iid :: descend t n.ichildren.(child_index n key) key
+      d
+  | Internal n ->
+      if d = Array.length t.trail then begin
+        let size = max 8 (2 * d) in
+        t.trail <- Array.init size (fun i -> if i < d then t.trail.(i) else n);
+        t.trail_ci <- Array.init size (fun i -> if i < d then t.trail_ci.(i) else 0)
+      end;
+      let ci = child_index n key in
+      t.trail.(d) <- n;
+      t.trail_ci.(d) <- ci;
+      walk t key n.ichildren.(ci) (d + 1)
+
+(* The page ids of a [walk] of [depth] internal levels, root first. *)
+let trail_path t depth =
+  let path = ref [ t.last_leaf.lid ] in
+  for d = depth - 1 downto 0 do
+    path := t.trail.(d).iid :: !path
+  done;
+  !path
 
 let find_path t key =
   t.descents <- t.descents + 1;
-  let path = descend t t.root key in
+  let path = trail_path t (walk t key t.root 0) in
   let leaf = t.last_leaf in
   let i = search_keys leaf.lkeys key in
   let v = if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None in
@@ -180,33 +198,6 @@ let split_internal t n : string * 'a node =
   n.ichildren <- Array.sub n.ichildren 0 (mid + 1);
   (promoted, Internal right)
 
-(* One descent to the leaf covering [key] that remembers the internal nodes
-   and child indices in [t.trail]; leaves the leaf in [t.last_leaf] and
-   returns the number of internal levels. *)
-let rec walk t key node d =
-  match node with
-  | Leaf l ->
-      t.last_leaf <- l;
-      d
-  | Internal n ->
-      if d = Array.length t.trail then begin
-        let size = max 8 (2 * d) in
-        t.trail <- Array.init size (fun i -> if i < d then t.trail.(i) else n);
-        t.trail_ci <- Array.init size (fun i -> if i < d then t.trail_ci.(i) else 0)
-      end;
-      let ci = child_index n key in
-      t.trail.(d) <- n;
-      t.trail_ci.(d) <- ci;
-      walk t key n.ichildren.(ci) (d + 1)
-
-(* The page ids of a [walk] of [depth] internal levels, root first. *)
-let trail_path t depth =
-  let path = ref [ t.last_leaf.lid ] in
-  for d = depth - 1 downto 0 do
-    path := t.trail.(d).iid :: !path
-  done;
-  !path
-
 (* Add [key] at position [i] of the leaf a [walk] of [depth] levels reached,
    splitting back up the trail as far as pages overflow. [path] is the
    walk's; the leaf reported is the one reached, before any split. Split
@@ -218,7 +209,8 @@ let add t depth i key v ~path =
   l.lvals <- array_insert l.lvals i v;
   t.size <- t.size + 1;
   t.stamp <- t.stamp + 1;
-  if Array.length l.lkeys <= t.fanout then { path; leaves = [ l.lid ]; modified = []; splits = [] }
+  if Array.length l.lkeys <= t.fanout then
+    { path; leaves = [ l.lid ]; modified = []; splits = [] }
   else begin
     let sep, right = split_leaf t l in
     let modified = ref [ l.lid; node_id right ] and splits = ref [ (l.lid, node_id right) ] in
@@ -343,10 +335,10 @@ let successor t key = successor_where t key (fun _ -> true)
 let iter_range_access t ?lo ?hi f =
   let start_key = match lo with Some k -> k | None -> "" in
   t.descents <- t.descents + 1;
-  let path = descend t t.root start_key in
+  let path = trail_path t (walk t start_key t.root 0) in
   let leaf = t.last_leaf in
   let leaves = ref [] in
-  let rec walk l i =
+  let rec visit l i =
     if i = 0 then leaves := l.lid :: !leaves;
     if i < Array.length l.lkeys then begin
       let k = l.lkeys.(i) in
@@ -354,7 +346,7 @@ let iter_range_access t ?lo ?hi f =
       if below_hi then begin
         let above_lo = match lo with None -> true | Some lo -> k >= lo in
         if above_lo then f k l.lvals.(i);
-        walk l (i + 1)
+        visit l (i + 1)
       end
     end
     else
@@ -364,11 +356,11 @@ let iter_range_access t ?lo ?hi f =
           (* Only continue if the next leaf can contain in-range keys. *)
           match hi with
           | Some h when Array.length l'.lkeys > 0 && l'.lkeys.(0) > h -> ()
-          | _ -> walk l' 0)
+          | _ -> visit l' 0)
   in
   (* [f] may raise [Exit] to stop the scan early (LIMIT queries); the access
      footprint then covers only the pages actually visited. *)
-  (try walk leaf 0 with Exit -> ());
+  (try visit leaf 0 with Exit -> ());
   { path; leaves = List.rev !leaves; modified = []; splits = [] }
 
 let iter_range t ?lo ?hi f = ignore (iter_range_access t ?lo ?hi f)

@@ -15,9 +15,9 @@
     by garbage collection, so underflowing pages are harmless and simply
     stay.
 
-    A tree belongs to one domain: lookups that report a path record the leaf
-    they reached in the tree, so even reads must not run on two domains at
-    once. *)
+    A tree belongs to one domain: lookups that report a path record the
+    nodes they passed in the tree, so even reads must not run on two domains
+    at once. *)
 
 type 'a t
 

@@ -31,7 +31,8 @@ type t = {
          version (page granularity); 0 = never stamped *)
 }
 
-let create ?fanout name = { name; tree = Btree.create ?fanout (); page_ts = [||]; page_writer = [||] }
+let create ?fanout name =
+  { name; tree = Btree.create ?fanout (); page_ts = [||]; page_writer = [||] }
 
 let name t = t.name
 
@@ -110,14 +111,11 @@ let read_latest t key =
   | None -> None
   | Some c -> ( match latest c with Some { value = Some v; _ } -> Some v | _ -> None)
 
-(* Next key in index order after [key] — the gap-locking successor. [None]
-   means the supremum (Figs 3.6/3.7). *)
-let successor t key = Btree.successor t.tree key
-
 let has_versions c = c.versions <> []
 
-(* Next key with at least one committed version: entries created by
-   uncommitted inserts hold empty chains and are skipped. *)
+(* Next key after [key] with at least one committed version — the
+   gap-locking successor; [None] means the supremum (Figs 3.6/3.7). Entries
+   created by uncommitted inserts hold empty chains and are skipped. *)
 let committed_successor t key = Btree.successor_where t.tree key has_versions
 
 let min_key t = Btree.min_key t.tree

@@ -73,9 +73,6 @@ val read : t -> string -> snapshot:ts -> string option
 
 val read_latest : t -> string -> string option
 
-(** Next index key after [key] ([None] = supremum). *)
-val successor : t -> string -> string option
-
 (** Next index key after [key] whose chain has a committed version ([None]
     = supremum): the key whose gap lock protects [key] (Figs 3.6/3.7). One
     descent, then a walk along the leaf chain. *)

@@ -78,13 +78,16 @@ let test_descents () =
   for i = 1 to 199 do
     adds 1 "insert" (fun () -> ignore (Btree.insert t (key i) i))
   done;
-  adds 1 "find_or_add of a present key" (fun () -> ignore (Btree.find_or_add t (key 57) (fun () -> 57)));
-  adds 1 "find_or_add of a new key" (fun () -> ignore (Btree.find_or_add t (key 500) (fun () -> 500)));
+  adds 1 "find_or_add of a present key" (fun () ->
+      ignore (Btree.find_or_add t (key 57) (fun () -> 57)));
+  adds 1 "find_or_add of a new key" (fun () ->
+      ignore (Btree.find_or_add t (key 500) (fun () -> 500)));
   adds 1 "find" (fun () -> ignore (Btree.find t (key 57)));
   adds 1 "find_path" (fun () -> ignore (Btree.find_path t (key 57)));
   adds 1 "iter_range" (fun () -> Btree.iter_range t ~lo:(key 10) (fun _ _ -> ()));
   adds 1 "successor" (fun () -> ignore (Btree.successor t (key 57)));
-  adds 1 "successor_where" (fun () -> ignore (Btree.successor_where t (key 57) (fun v -> v > 150)));
+  adds 1 "successor_where" (fun () ->
+      ignore (Btree.successor_where t (key 57) (fun v -> v > 150)));
   adds 1 "remove" (fun () -> ignore (Btree.remove t (key 57)))
 
 (* The structure stamp moves on a new key, a split and a remove, and only
@@ -102,7 +105,8 @@ let test_stamp () =
   moves "new key that splits" true (fun () ->
       let a = Btree.insert t (key 4) 4 in
       Alcotest.(check bool) "split reported" true (a.Btree.splits <> []));
-  moves "new key by find_or_add" true (fun () -> ignore (Btree.find_or_add t (key 5) (fun () -> 5)));
+  moves "new key by find_or_add" true (fun () ->
+      ignore (Btree.find_or_add t (key 5) (fun () -> 5)));
   moves "remove" true (fun () -> ignore (Btree.remove t (key 5)));
   moves "find" false (fun () -> ignore (Btree.find t (key 2)));
   moves "find_path" false (fun () -> ignore (Btree.find_path t (key 2)));

@@ -51,12 +51,17 @@ let test_install_order_enforced () =
 let test_successor_and_scan () =
   let t = mk () in
   List.iter (fun k -> install_value t k ~commit_ts:1 ~creator:1 (Some k)) [ "a"; "c"; "e" ];
-  Alcotest.(check (option string)) "successor" (Some "c") (Mvstore.successor t "a");
-  Alcotest.(check (option string)) "successor mid-gap" (Some "c") (Mvstore.successor t "b");
+  Alcotest.(check (option string)) "successor" (Some "c") (Mvstore.committed_successor t "a");
+  Alcotest.(check (option string)) "successor mid-gap" (Some "c")
+    (Mvstore.committed_successor t "b");
+  Alcotest.(check (option string)) "supremum" None (Mvstore.committed_successor t "e");
   Alcotest.(check (option string)) "min" (Some "a") (Mvstore.min_key t);
   let seen = ref [] in
   let _ = Mvstore.scan_chains t ~lo:"b" ~hi:"e" (fun k _ -> seen := k :: !seen) in
-  Alcotest.(check (list string)) "scan range" [ "c"; "e" ] (List.rev !seen)
+  Alcotest.(check (list string)) "scan range" [ "c"; "e" ] (List.rev !seen);
+  ignore (Mvstore.ensure_chain t "d");
+  Alcotest.(check (option string)) "uncommitted entry skipped" (Some "e")
+    (Mvstore.committed_successor t "c")
 
 let test_gc_drops_old_versions () =
   let t = mk () in
