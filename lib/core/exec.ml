@@ -926,8 +926,9 @@ let do_scan ?lo ?hi ?limit t table_name =
 let install_writes t commit_ts =
   let db = t.db in
   let page_mode = db.config.Config.granularity = Config.Page in
-  (* The pages our inserts split while locking; the leaves added below are
-     stamped as they are added. *)
+  (* The pages our inserts split while locking are stamped after the
+     writes' leaves, as a split below copies their earlier stamp to its new
+     page; the leaves are stamped as they are found. *)
   let split_pages = t.touched_pages in
   List.iter
     (fun e ->

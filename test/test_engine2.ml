@@ -281,9 +281,10 @@ let test_page_mode_split_conflicts_with_readers () =
    lock the key's new leaf too. T1 writes k1; T3 (inserting k0a) and then
    T2 (locking k3 for update) queue behind it; T3 splits the leaf, moving
    k2 and k3 to a new one, and commits. T4 reads k2 and writes k3; T2
-   writes k2 from the value it read for k3. Holding only the old leaf, T2
-   let T4 pass: under S2PL both committed a non-serializable history, under
-   SI and SSI T2 failed first-committer-wins on the new leaf. *)
+   writes k2 from the value it read for k3. Were T2 to hold only the old
+   leaf, T4 would pass without waiting: under S2PL both would commit a
+   non-serializable history, under SI and SSI T2 would fail
+   first-committer-wins on the new leaf. *)
 let test_page_mode_lock_follows_split () =
   List.iter
     (fun isolation ->
