@@ -659,16 +659,14 @@ let do_write t table_name key value =
 
 (* {1 Insert / Delete with phantom protection (Fig 3.7)} *)
 
-let gap_of_successor table_name = function
-  | Some next_key -> gap_resource table_name next_key
-  | None -> gap_supremum table_name
-
 (* The gap protecting [key]: that of the next key with a committed version.
    Index entries created by still-uncommitted inserts are skipped so that
    two inserts into the same gap target the same gap lock as the scans
    protecting it. *)
 let committed_gap table_name table key =
-  gap_of_successor table_name (Mvstore.committed_successor table key)
+  match Mvstore.committed_successor table key with
+  | Some next_key -> gap_resource table_name next_key
+  | None -> gap_supremum table_name
 
 let lock_gap_for_write t table_name key =
   let db = t.db in

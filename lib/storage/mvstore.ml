@@ -111,12 +111,10 @@ let read_latest t key =
   | None -> None
   | Some c -> ( match latest c with Some { value = Some v; _ } -> Some v | _ -> None)
 
-let has_versions c = c.versions <> []
-
 (* Next key after [key] with at least one committed version — the
    gap-locking successor; [None] means the supremum (Figs 3.6/3.7). Entries
    created by uncommitted inserts hold empty chains and are skipped. *)
-let committed_successor t key = Btree.successor_where t.tree key has_versions
+let committed_successor t key = Btree.successor_where t.tree key (fun c -> c.versions <> [])
 
 let min_key t = Btree.min_key t.tree
 
