@@ -20,14 +20,25 @@ type victim_policy = Prefer_pivot | Prefer_younger
 
 (** Simulated CPU cost (seconds) of engine primitives. These set the scale
     of throughput numbers; relative results are insensitive to them. *)
-type cost = {
-  c_lock : float;  (** one lock-manager call *)
-  c_read : float;  (** point read (visibility check + fetch) *)
-  c_write : float;  (** buffering one write + index maintenance *)
-  c_scan_row : float;  (** per row visited by a scan *)
-  c_txn : float;  (** begin/commit bookkeeping *)
-  c_commit_install : float;  (** per written row at commit *)
-}
+
+let c_lock = 0.5e-6 (** one lock-manager call *)
+
+let c_read = 2.5e-6 (** point read (visibility check + fetch) *)
+
+let c_write = 3.0e-6 (** buffering one write + index maintenance *)
+
+let c_scan_row = 1.5e-6 (** per row visited by a scan *)
+
+let c_txn = 5.0e-6 (** begin/commit bookkeeping *)
+
+let c_commit_install = 2.0e-6 (** per written row at commit *)
+
+(** The disk behind the buffer-cache models: read latency in simulated
+    seconds, and concurrent disk operations (RAID arms). *)
+
+let miss_latency = 0.004
+
+let disk_arms = 4
 
 type t = {
   granularity : granularity;
@@ -47,7 +58,6 @@ type t = {
   lock_mutex : bool;
       (** serialise lock-manager calls through a capacity-1 resource —
           InnoDB's global kernel mutex (§4.4), the bottleneck in §6.3 *)
-  cost : cost;
   record_history : bool;  (** log committed txns for the serializability checker *)
   btree_fanout : int;
   buffer_pool : int option;
@@ -57,8 +67,6 @@ type t = {
       (** probability a row read misses the buffer cache and pays a disk
           read — the knob that makes the large-data TPC-C++ configurations
           I/O bound (§6.4.1) *)
-  miss_latency : float;  (** disk read latency in simulated seconds *)
-  disk_arms : int;  (** concurrent disk operations (RAID arms) *)
   memory_budget : int option;
       (** bound on SSI conflict-tracking memory: live lock-table entries plus
           retained committed-transaction records. [None] (the paper's
@@ -79,16 +87,6 @@ type t = {
           recovery replay length *)
 }
 
-let default_cost =
-  {
-    c_lock = 0.5e-6;
-    c_read = 2.5e-6;
-    c_write = 3.0e-6;
-    c_scan_row = 1.5e-6;
-    c_txn = 5.0e-6;
-    c_commit_install = 2.0e-6;
-  }
-
 (** Berkeley DB profile (§6.1): page-level locking and versioning, periodic
     deadlock detection (db_perf runs the detector twice per second), one CPU
     (the evaluation machine was a single-core Athlon64). *)
@@ -105,13 +103,10 @@ let bdb ?(wal_mode = Wal.No_flush) () =
     n_cpus = 1;
     wal_mode;
     lock_mutex = false;
-    cost = default_cost;
     record_history = false;
     btree_fanout = 64;
     buffer_pool = None;
     read_miss = 0.0;
-    miss_latency = 0.004;
-    disk_arms = 4;
     memory_budget = None;
     promote_threshold = 16;
     checkpoint_interval = None;
@@ -133,13 +128,10 @@ let innodb ?(wal_mode = Wal.Flush_per_commit 0.01) () =
     n_cpus = 8;
     wal_mode;
     lock_mutex = true;
-    cost = default_cost;
     record_history = false;
     btree_fanout = 64;
     buffer_pool = None;
     read_miss = 0.0;
-    miss_latency = 0.004;
-    disk_arms = 4;
     memory_budget = None;
     promote_threshold = 16;
     checkpoint_interval = None;

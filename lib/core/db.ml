@@ -4,12 +4,12 @@ type t = Internal.db
 
 let create ?(config = Config.test ()) sim =
   let open Internal in
-  let disk = Resource.create sim ~name:"disk" ~capacity:(max 1 config.Config.disk_arms) in
+  let disk = Resource.create sim ~name:"disk" ~capacity:Config.disk_arms in
   let cache =
     Option.map
       (fun capacity ->
-        Bufcache.create sim ~capacity ~disk ~read_latency:config.Config.miss_latency
-          ~write_latency:config.Config.miss_latency ())
+        Bufcache.create sim ~capacity ~disk ~read_latency:Config.miss_latency
+          ~write_latency:Config.miss_latency ())
       config.Config.buffer_pool
   in
   {

@@ -92,15 +92,18 @@ let guard t f =
    one resource use; total mutex occupancy is preserved. *)
 let charge_lock_ops db n =
   if n > 0 then begin
-    let cost = float_of_int n *. db.config.Config.cost.Config.c_lock in
+    let cost = float_of_int n *. Config.c_lock in
     match db.lock_mutex with
     | Some m -> Resource.consume m cost
     | None -> charge_cpu db cost
   end
 
+(* A lock the caller has charged for already (scans charge up front). *)
+let acquire_prepaid t mode resource = Lockmgr.acquire t.db.locks ~owner:t.id ~mode resource
+
 let acquire t mode resource =
   charge_lock_ops t.db 1;
-  Lockmgr.acquire t.db.locks ~owner:t.id ~mode resource;
+  acquire_prepaid t mode resource;
   check_doom t
 
 (* SIREAD acquisition: never blocks, at most one entry per resource. *)
@@ -336,6 +339,47 @@ let entry_access table e =
   if e.w_stamp = Mvstore.stamp table then e.w_access
   else snd (Mvstore.find_chain_path table e.w_key)
 
+(* {1 Lock, then look again} *)
+
+(* Lock [found] with [lock], where [find] found it at structure stamp
+   [stamp]. A lock can wait, and the transaction it waits for may meanwhile
+   create a chain or split a leaf: if the stamp has moved, find again and,
+   unless [same] says the new find needs the same locks, lock that too,
+   until stable. Returns what was found last. [find] and [lock] take the
+   transaction, the table and [what] (a key, or a scan's range). *)
+let rec locked_until_stable t table stamp ~find ~same ~lock what found =
+  lock t table what found;
+  let now = Mvstore.stamp table in
+  if now = stamp then found
+  else
+    let again = find t table what in
+    if same again found then again
+    else locked_until_stable t table now ~find ~same ~lock what again
+
+(* The gap protecting [key]: that of the next key with a committed version.
+   Index entries created by still-uncommitted inserts are skipped so that
+   two inserts into the same gap target the same gap lock as the scans
+   protecting it. *)
+let committed_gap table_name table key =
+  match Mvstore.committed_successor table key with
+  | Some next_key -> gap_resource table_name next_key
+  | None -> gap_supremum table_name
+
+(* Lock the gap protecting [key] with [lock]. Another inserter into the
+   gap may commit while the lock waits and so change its name: resolve the
+   name again until it is stable under the lock (next-key locking's
+   re-check). Returns the gap locked. *)
+let rec locked_gap t lock mode table_name table key =
+  let gap = committed_gap table_name table key in
+  lock t mode gap;
+  if committed_gap table_name table key = gap then gap
+  else locked_gap t lock mode table_name table key
+
+(* A key's chain and footprint, whose locks are the same while its leaves are. *)
+let find_key _ table key = Mvstore.find_chain_path table key
+
+let same_leaves (_, a) (_, b) = a.Btree.leaves = b.Btree.leaves
+
 (* {1 Read} *)
 
 (* Page-mode helper: read-lock (S or SIREAD) the leaf pages, as Berkeley DB
@@ -366,82 +410,70 @@ let mark_path_stamps t table (access : Btree.access) snap =
   List.iter (fun p -> mark_page_stamp t table p snap) access.Btree.path;
   List.iter (fun p -> mark_page_stamp t table p snap) access.Btree.leaves
 
-(* Lock what protects a key with [lock], given [found], the key's chain and
-   footprint as of now. A lock can wait, and if the structure stamp moves
-   meanwhile (another transaction's insert may have created the key's chain
-   or split its leaf), what was found is stale: find the key again, and
-   lock again until the leaf set is stable. Returns the key's chain and
-   footprint as of return. *)
-let rec locked_until_stable table key lock found =
-  let stamp = Mvstore.stamp table in
-  lock (snd found);
-  if Mvstore.stamp table = stamp then found
-  else
-    let again = Mvstore.find_chain_path table key in
-    if (snd again).Btree.leaves = (snd found).Btree.leaves then again
-    else locked_until_stable table key lock again
+(* The version of [chain] this transaction reads: the newest committed one
+   under RC and S2PL, the one its snapshot sees under SI and SSI. *)
+let read_version t chain =
+  match t.isolation with
+  | Read_committed | S2pl -> Mvstore.latest chain
+  | Snapshot | Serializable -> Mvstore.visible chain ~snapshot:(snapshot_exn t)
 
 let visible_value (v : Mvstore.version option) =
   match v with Some { value = Some s; _ } -> Some s | _ -> None
 
 let version_ts (v : Mvstore.version option) = match v with Some v -> v.commit_ts | None -> 0
 
+(* S2PL point reads lock the row, or the leaves found (Page). *)
+let s_lock_key t table key (_, access) =
+  let table_name = Mvstore.name table in
+  match t.db.config.Config.granularity with
+  | Config.Row -> acquire t Lockmgr.S (row_resource table_name key)
+  | Config.Page -> lock_pages_for_read t table_name access
+
 let do_read t table_name key =
   guard t (fun () ->
       match own_write t table_name key with
       | Some v -> v
-      | None -> (
+      | None ->
           let db = t.db in
           let table = table_exn db table_name in
-          charge_cpu db db.config.Config.cost.Config.c_read;
+          charge_cpu db Config.c_read;
           charge_row_io db 1;
           check_doom t;
           (* Footprint: every isolation level reads this key's version
              chain, with or without locks (RC/SI take none). *)
           touch_row t table_name key;
-          match t.isolation with
-          | Read_committed ->
-              let chain, access = Mvstore.find_chain_path table key in
-              touch_pages db table_name access;
-              let v = Option.bind chain Mvstore.latest in
-              log_read t table_name key (version_ts v);
-              visible_value v
-          | S2pl ->
-              let chain, access =
-                locked_until_stable table key
-                  (fun access ->
-                    match db.config.Config.granularity with
-                    | Config.Row -> acquire t Lockmgr.S (row_resource table_name key)
-                    | Config.Page -> lock_pages_for_read t table_name access)
-                  (Mvstore.find_chain_path table key)
-              in
-              let stamp = Mvstore.stamp table in
-              touch_pages db table_name access;
-              let chain =
+          let chain =
+            match t.isolation with
+            | S2pl ->
+                let stamp = Mvstore.stamp table in
+                let chain, access =
+                  locked_until_stable t table stamp ~find:find_key ~same:same_leaves
+                    ~lock:s_lock_key key (find_key t table key)
+                in
+                let stamp = Mvstore.stamp table in
+                touch_pages db table_name access;
                 if Mvstore.stamp table = stamp then chain else Mvstore.find_chain table key
-              in
-              let v = Option.bind chain Mvstore.latest in
-              log_read t table_name key (version_ts v);
-              visible_value v
-          | Snapshot | Serializable ->
-              let snap = ensure_snapshot t in
-              let chain, access = Mvstore.find_chain_path table key in
-              touch_pages db table_name access;
-              if is_ssi t then begin
-                (match db.config.Config.granularity with
-                | Config.Row ->
-                    siread_row t table_name key ~leaves:access.Btree.leaves;
-                    mark_x_holders t (row_resource table_name key)
-                | Config.Page ->
-                    lock_pages_for_read t table_name access;
-                    mark_path_stamps t table access snap);
-                match chain with
-                | Some c -> mark_newer_versions t table_name key c snap
-                | None -> ()
-              end;
-              let v = Option.bind chain (fun c -> Mvstore.visible c ~snapshot:snap) in
-              log_read t table_name key (version_ts v);
-              visible_value v))
+            | Read_committed | Snapshot | Serializable ->
+                let snap = if t.isolation = Read_committed then 0 else ensure_snapshot t in
+                let chain, access = Mvstore.find_chain_path table key in
+                touch_pages db table_name access;
+                if is_ssi t then begin
+                  (match db.config.Config.granularity with
+                  | Config.Row ->
+                      siread_row t table_name key ~leaves:access.Btree.leaves;
+                      mark_x_holders t (row_resource table_name key)
+                  | Config.Page ->
+                      lock_pages_for_read t table_name access;
+                      mark_path_stamps t table access snap);
+                  match chain with
+                  | Some c -> mark_newer_versions t table_name key c snap
+                  | None -> ()
+                end;
+                chain
+          in
+          let v = match chain with Some c -> read_version t c | None -> None in
+          log_read t table_name key (version_ts v);
+          visible_value v)
 
 (* {1 Write (update / logical delete of an existing key)} *)
 
@@ -464,6 +496,15 @@ let rec x_lock_pages t ~will_write table_name = function
   | p :: pages ->
       acquire_x_for_write t ~will_write (page_resource table_name p);
       x_lock_pages t ~will_write table_name pages
+
+(* Page-mode [lock_for_write] locks the leaves found, for a write or for a
+   locking read: two functions rather than a closure over [will_write], so
+   a write allocates none. *)
+let x_lock_to_write t table _ (_, access) =
+  x_lock_pages t ~will_write:true (Mvstore.name table) access.Btree.leaves
+
+let x_lock_to_read t table _ (_, access) =
+  x_lock_pages t ~will_write:false (Mvstore.name table) access.Btree.leaves
 
 (* Acquire the X lock protecting [key]'s row or page, honouring the SIREAD
    upgrade optimisation (§3.7.3), then run first-committer-wins and the
@@ -495,12 +536,12 @@ let lock_for_write t table_name key ~will_write =
   let entry = Hashtbl.find_opt t.writes slot in
   let stamp = Mvstore.stamp table in
   (* What is known of the key before its locks, as of [stamp]. *)
-  let known_chain, known_access =
+  let known =
     match entry with
     | Some e when e.w_stamp = stamp -> (Some e.w_chain, e.w_access)
     | _ -> (
         match config.Config.granularity with
-        | Config.Page -> Mvstore.find_chain_path table key
+        | Config.Page -> find_key t table key
         | Config.Row -> (None, Btree.no_access))
   in
   (* What is known of the key once locked, if still current. *)
@@ -508,12 +549,11 @@ let lock_for_write t table_name key ~will_write =
     match config.Config.granularity with
     | Config.Row ->
         acquire_x_for_write t ~will_write (row_resource table_name key);
-        if Mvstore.stamp table = stamp then (known_chain, known_access)
-        else (None, Btree.no_access)
+        if Mvstore.stamp table = stamp then known else (None, Btree.no_access)
     | Config.Page ->
-        locked_until_stable table key
-          (fun access -> x_lock_pages t ~will_write table_name access.Btree.leaves)
-          (known_chain, known_access)
+        locked_until_stable t table stamp ~find:find_key ~same:same_leaves
+          ~lock:(if will_write then x_lock_to_write else x_lock_to_read)
+          key known
   in
   (* Read view only after the first lock is granted (§4.5): single-statement
      updates never abort under first-committer-wins. *)
@@ -628,7 +668,7 @@ let do_read_for_update t table_name key =
   guard t (fun () ->
       reject_ro t;
       let db = t.db in
-      charge_cpu db db.config.Config.cost.Config.c_read;
+      charge_cpu db Config.c_read;
       charge_row_io db 1;
       check_doom t;
       match own_write t table_name key with
@@ -636,14 +676,9 @@ let do_read_for_update t table_name key =
       | None ->
           let e = lock_for_write t table_name key ~will_write:false in
           if is_ssi t then siread_after_x t e;
-          let v =
-            match t.isolation with
-            | Read_committed | S2pl -> Mvstore.latest e.w_chain
-            | Snapshot | Serializable ->
-                (* The FCW check in lock_for_write guarantees the snapshot
-                   version is also the latest committed one. *)
-                Mvstore.visible e.w_chain ~snapshot:(snapshot_exn t)
-          in
+          (* Under SI and SSI, the FCW check in lock_for_write guarantees the
+             snapshot version is also the latest committed one. *)
+          let v = read_version t e.w_chain in
           log_read t table_name key (version_ts v);
           visible_value v)
 
@@ -651,22 +686,13 @@ let do_write t table_name key value =
   guard t (fun () ->
       reject_ro t;
       let db = t.db in
-      charge_cpu db db.config.Config.cost.Config.c_write;
+      charge_cpu db Config.c_write;
       charge_row_io db 1;
       check_doom t;
       let e = lock_for_write t table_name key ~will_write:true in
       buffer_write t e (Some value))
 
 (* {1 Insert / Delete with phantom protection (Fig 3.7)} *)
-
-(* The gap protecting [key]: that of the next key with a committed version.
-   Index entries created by still-uncommitted inserts are skipped so that
-   two inserts into the same gap target the same gap lock as the scans
-   protecting it. *)
-let committed_gap table_name table key =
-  match Mvstore.committed_successor table key with
-  | Some next_key -> gap_resource table_name next_key
-  | None -> gap_supremum table_name
 
 let lock_gap_for_write t table_name key =
   let db = t.db in
@@ -675,18 +701,7 @@ let lock_gap_for_write t table_name key =
      nothing), so the gap name is always touched. *)
   if db.on_touch <> None then touch_w t (committed_gap table_name (table_exn db table_name) key);
   if db.config.Config.gap_locking && db.config.Config.granularity = Config.Row then begin
-    let table = table_exn db table_name in
-    (* Acquiring the gap lock can block behind another inserter into the
-       same gap; once it commits, the committed successor — and therefore
-       the gap resource protecting [key] — may have changed. Re-resolve
-       until the name is stable under the lock (next-key locking's standard
-       re-check). *)
-    let rec locked_gap () =
-      let gap = committed_gap table_name table key in
-      acquire t Lockmgr.X gap;
-      if committed_gap table_name table key <> gap then locked_gap () else gap
-    in
-    let gap = locked_gap () in
+    let gap = locked_gap t acquire Lockmgr.X table_name (table_exn db table_name) key in
     if is_ssi t then mark_siread_holders ~source:Obs.Gap t gap
   end
 
@@ -694,7 +709,7 @@ let do_insert t table_name key value =
   guard t (fun () ->
       reject_ro t;
       let db = t.db in
-      charge_cpu db db.config.Config.cost.Config.c_write;
+      charge_cpu db Config.c_write;
       check_doom t;
       (* Gap lock first (before the index entry appears), then the row. *)
       lock_gap_for_write t table_name key;
@@ -712,7 +727,7 @@ let do_delete t table_name key =
   guard t (fun () ->
       reject_ro t;
       let db = t.db in
-      charge_cpu db db.config.Config.cost.Config.c_write;
+      charge_cpu db Config.c_write;
       check_doom t;
       lock_gap_for_write t table_name key;
       let e = lock_for_write t table_name key ~will_write:false in
@@ -722,11 +737,7 @@ let do_delete t table_name key =
       let existed =
         if e.w_buffered then Option.is_some e.w_value
         else
-          let v =
-            match t.isolation with
-            | Read_committed | S2pl -> Mvstore.latest e.w_chain
-            | Snapshot | Serializable -> Mvstore.visible e.w_chain ~snapshot:(snapshot_exn t)
-          in
+          let v = read_version t e.w_chain in
           log_read t table_name key (version_ts v);
           match v with Some { value = Some _; _ } -> true | _ -> false
       in
@@ -735,168 +746,155 @@ let do_delete t table_name key =
 
 (* {1 Predicate read (range scan) with next-key gap locking (Fig 3.6)} *)
 
+(* Whether this transaction sees a row: its own buffered write, else the
+   version it reads. *)
+let sees_row t table_name key chain =
+  match own_write t table_name key with
+  | Some v -> Option.is_some v
+  | None -> ( match read_version t chain with Some { value = Some _; _ } -> true | _ -> false)
+
+(* A scan's collection: the index entries of [lo, hi] with their chains,
+   the walk's footprint, and whether the walk reached the end of the range.
+   With [limit] it stops at the [limit]-th row this transaction sees, so
+   next-key locks cover only the examined prefix, like a LIMIT scan. *)
+let collect_range t table (lo, hi, limit) =
+  let table_name = Mvstore.name table in
+  let visited = ref [] and seen = ref 0 in
+  let access =
+    Mvstore.scan_chains table ?lo ?hi (fun k c ->
+        visited := (k, c) :: !visited;
+        match limit with
+        | Some n when sees_row t table_name k c ->
+            incr seen;
+            if !seen >= n then raise Exit
+        | _ -> ())
+  in
+  let exhausted = match limit with None -> true | Some n -> !seen < n in
+  (List.rev !visited, access, exhausted)
+
+(* The key whose gap ends a scan up to [hi]: the terminal gap protects
+   inserts past the last visited key, including into an empty range. *)
+let past_range hi = match hi with Some h -> h | None -> "\xff\xff(sup)"
+
+(* A scan's locks, charged up front by [do_scan]: S under S2PL; under SSI,
+   SIREADs that mark the rw-edges they meet. Page: every page of the walk,
+   as page locks cover both the rows and the gaps (§3.5). *)
+let lock_scan_pages t table _ (_, access, _) =
+  let table_name = Mvstore.name table in
+  List.iter
+    (fun p ->
+      let r = page_resource table_name p in
+      match t.isolation with
+      | S2pl -> acquire_prepaid t Lockmgr.S r
+      | _ ->
+          acquire_siread ~charge:false t r;
+          mark_x_holders t r;
+          mark_page_stamp t table p (snapshot_exn t))
+    (List.sort_uniq compare (access.Btree.path @ access.Btree.leaves));
+  check_doom t
+
+let same_walk (_, a, _) (_, b, _) = a.Btree.path = b.Btree.path && a.Btree.leaves = b.Btree.leaves
+
+(* One row or gap of a row-mode scan. *)
+let lock_scan_row ?source t r =
+  match t.isolation with
+  | S2pl ->
+      acquire_prepaid t Lockmgr.S r;
+      check_doom t
+  | _ ->
+      acquire_siread ~charge:false t r;
+      mark_x_holders ?source t r
+
+let rec lock_scan_keys t table_name gaps = function
+  | [] -> ()
+  | (key, chain) :: visited ->
+      lock_scan_row t (row_resource table_name key);
+      if gaps then lock_scan_row ~source:Obs.Gap t (gap_resource table_name key);
+      if is_ssi t then mark_newer_versions t table_name key chain (snapshot_exn t);
+      lock_scan_keys t table_name gaps visited
+
+(* Row: each visited row and, with gap locking, its gap and the terminal
+   gap, unless a LIMIT stopped the walk (the examined range then ends at
+   the last visited row). *)
+let lock_scan_rows t table (_, hi, _) (visited, _, exhausted) =
+  let table_name = Mvstore.name table in
+  let gaps = t.db.config.Config.gap_locking in
+  lock_scan_keys t table_name gaps visited;
+  if exhausted && gaps then
+    match t.isolation with
+    | S2pl ->
+        ignore (locked_gap t acquire_prepaid Lockmgr.S table_name table (past_range hi));
+        check_doom t
+    | _ -> lock_scan_row ~source:Obs.Gap t (committed_gap table_name table (past_range hi))
+
+let same_rows (va, _, ea) (vb, _, eb) =
+  Bool.equal ea eb && List.equal (fun (a, _) (b, _) -> String.equal a b) va vb
+
 let do_scan ?lo ?hi ?limit t table_name =
   guard t (fun () ->
       let db = t.db in
       let config = db.config in
       let table = table_exn db table_name in
-      let snap =
-        match t.isolation with
-        | Snapshot | Serializable -> ensure_snapshot t
-        | Read_committed | S2pl -> 0
-      in
-      (* Collect the index entries atomically, then pay costs and run the
-         locking protocol; committed changes racing with the scan are caught
-         by the newer-version checks. With [limit], stop as soon as enough
-         visible rows have been seen (next-key locks then cover only the
-         examined prefix, like a LIMIT scan). *)
-      let visited = ref [] in
-      let visible_seen = ref 0 in
-      let row_visible key chain =
-        match own_write t table_name key with
-        | Some (Some _) -> true
-        | Some None -> false
-        | None -> (
-            match t.isolation with
-            | Read_committed | S2pl -> (
-                match Mvstore.latest chain with Some { value = Some _; _ } -> true | _ -> false)
-            | Snapshot | Serializable -> (
-                match Mvstore.visible chain ~snapshot:snap with
-                | Some { value = Some _; _ } -> true
-                | _ -> false))
-      in
-      let access =
-        Mvstore.scan_chains table ?lo ?hi (fun k c ->
-            visited := (k, c) :: !visited;
-            match limit with
-            | Some n ->
-                if row_visible k c then begin
-                  incr visible_seen;
-                  if !visible_seen >= n then raise Exit
-                end
-            | None -> ())
-      in
-      let visited = List.rev !visited in
+      if t.isolation = Snapshot || is_ssi t then ignore (ensure_snapshot t);
+      (* Collect the index entries atomically, pay costs, run the locking
+         protocol, then read. The structure stamp is taken at collection, as
+         paying costs can wait too: S2PL collects again if it has moved by
+         the time its locks are held. Under SSI, committed changes racing
+         with the scan are caught by the newer-version checks. *)
+      let range = (lo, hi, limit) in
+      let stamp = Mvstore.stamp table in
+      let ((visited, access, exhausted) as found) = collect_range t table range in
       (* Footprint: a scan reads every visited chain and the gaps between
          them regardless of isolation level (SI/RC scans take no locks); the
-         names are recorded before the locking loop below so they are
-         visible even if an acquisition blocks. *)
+         names are recorded before the locking below so they are visible
+         even if an acquisition blocks. *)
       if db.on_touch <> None then begin
         List.iter
           (fun (key, _) ->
             touch t (row_resource table_name key);
-            if config.Config.granularity = Config.Row then
-              touch t (gap_resource table_name key))
+            if config.Config.granularity = Config.Row then touch t (gap_resource table_name key))
           visited;
-        (match config.Config.granularity with
+        match config.Config.granularity with
         | Config.Page ->
             List.iter
               (fun p -> touch t (page_resource table_name p))
               (access.Btree.path @ access.Btree.leaves)
         | Config.Row ->
-            let stopped_early =
-              match limit with None -> false | Some n -> !visible_seen >= n
-            in
-            if not stopped_early then
-              let from = match hi with Some h -> h | None -> "\xff\xff(sup)" in
-              touch t (committed_gap table_name table from))
+            if exhausted then touch t (committed_gap table_name table (past_range hi))
       end;
       touch_pages db table_name access;
       let n = List.length visited in
-      charge_cpu db (float_of_int (max 1 n) *. config.Config.cost.Config.c_scan_row);
+      charge_cpu db (float_of_int (max 1 n) *. Config.c_scan_row);
       charge_row_io db n;
       check_doom t;
-      let gap_lockable = config.Config.gap_locking && config.Config.granularity = Config.Row in
       (* Pre-charge the lock-manager work for the whole scan. *)
-      (match t.isolation with
-      | S2pl | Serializable ->
-          let per_row = if gap_lockable then 2 else 1 in
+      if t.isolation = S2pl || is_ssi t then
+        charge_lock_ops db
           (match config.Config.granularity with
-          | Config.Row -> charge_lock_ops db ((n * per_row) + if gap_lockable then 1 else 0)
-          | Config.Page -> charge_lock_ops db (List.length access.Btree.leaves))
-      | Snapshot | Read_committed -> ());
+          | Config.Row -> if config.Config.gap_locking then (2 * n) + 1 else n
+          | Config.Page -> List.length access.Btree.leaves);
       check_doom t;
-      (match (t.isolation, config.Config.granularity) with
-      | (S2pl | Serializable), Config.Page ->
-          (* Page locks cover both the rows and the gaps (§3.5). *)
-          let pages =
-            List.sort_uniq compare (access.Btree.path @ access.Btree.leaves)
-          in
-          List.iter
-            (fun p ->
-              let r = page_resource table_name p in
-              match t.isolation with
-              | S2pl -> Lockmgr.acquire db.locks ~owner:t.id ~mode:Lockmgr.S r
-              | _ ->
-                  acquire_siread ~charge:false t r;
-                  mark_x_holders t r;
-                  mark_page_stamp t table p snap)
-            pages;
-          check_doom t
-      | _ -> ());
-      let results = ref [] in
-      List.iter
-        (fun (key, chain) ->
-          (match (t.isolation, config.Config.granularity) with
-          | S2pl, Config.Row ->
-              Lockmgr.acquire db.locks ~owner:t.id ~mode:Lockmgr.S (row_resource table_name key);
-              check_doom t;
-              if gap_lockable then begin
-                Lockmgr.acquire db.locks ~owner:t.id ~mode:Lockmgr.S (gap_resource table_name key);
-                check_doom t
-              end
-          | Serializable, Config.Row ->
-              let r = row_resource table_name key in
-              acquire_siread ~charge:false t r;
-              mark_x_holders t r;
-              if gap_lockable then begin
-                let g = gap_resource table_name key in
-                acquire_siread ~charge:false t g;
-                mark_x_holders ~source:Obs.Gap t g
-              end;
-              mark_newer_versions t table_name key chain snap
-          | _ -> ());
-          let v =
-            match own_write t table_name key with
-            | Some v -> v
-            | None -> (
-                match t.isolation with
-                | Read_committed | S2pl -> visible_value (Mvstore.latest chain)
-                | Snapshot | Serializable ->
-                    visible_value (Mvstore.visible chain ~snapshot:snap))
-          in
-          (if config.Config.record_history then
-             let ver =
-               match t.isolation with
-               | Read_committed | S2pl -> version_ts (Mvstore.latest chain)
-               | Snapshot | Serializable -> version_ts (Mvstore.visible chain ~snapshot:snap)
-             in
-             log_read t table_name key ver);
-          match v with Some v -> results := (key, v) :: !results | None -> ())
-        visited;
-      (* Terminal gap: protects inserts beyond the last visited key
-         (including into an empty range). Not needed if a LIMIT stopped the
-         scan early — the examined range ends at the last visited row. *)
-      let exhausted = match limit with None -> true | Some n -> !visible_seen < n in
-      if exhausted && gap_lockable && (t.isolation = S2pl || is_ssi t) then begin
-        let from = match hi with Some h -> h | None -> "\xff\xff(sup)" in
-        let resolve () = committed_gap table_name table from in
+      let page_mode = config.Config.granularity = Config.Page in
+      let lock = if page_mode then lock_scan_pages else lock_scan_rows in
+      let visited, _, _ =
         match t.isolation with
         | S2pl ->
-            (* Blocking acquire: re-resolve the gap name until stable, as in
-               [lock_gap_for_write]. *)
-            let rec locked_terminal () =
-              let terminal = resolve () in
-              Lockmgr.acquire db.locks ~owner:t.id ~mode:Lockmgr.S terminal;
-              if resolve () <> terminal then locked_terminal ()
-            in
-            locked_terminal ();
-            check_doom t
-        | _ ->
-            let terminal = resolve () in
-            acquire_siread ~charge:false t terminal;
-            mark_x_holders ~source:Obs.Gap t terminal
-      end;
+            let same = if page_mode then same_walk else same_rows in
+            locked_until_stable t table stamp ~find:collect_range ~same ~lock range found
+        | Serializable ->
+            lock t table range found;
+            found
+        | Snapshot | Read_committed -> found
+      in
+      let results =
+        List.fold_left
+          (fun results (key, chain) ->
+            let v = read_version t chain in
+            log_read t table_name key (version_ts v);
+            let v = match own_write t table_name key with Some v -> v | None -> visible_value v in
+            match v with Some v -> (key, v) :: results | None -> results)
+          [] visited
+      in
       (* Buffered inserts of our own that fall inside the range. *)
       let own_inserts =
         List.filter_map
@@ -911,7 +909,7 @@ let do_scan ?lo ?hi ?limit t table_name =
             else None)
           t.write_order
       in
-      let all = List.sort (fun (a, _) (b, _) -> compare a b) (own_inserts @ List.rev !results) in
+      let all = List.sort (fun (a, _) (b, _) -> compare a b) (own_inserts @ List.rev results) in
       match limit with
       | None -> all
       | Some n -> List.filteri (fun i _ -> i < n) all)
@@ -1086,8 +1084,8 @@ let do_commit t =
       let config = db.config in
       let n_writes = List.length t.write_order in
       charge_cpu db
-        (config.Config.cost.Config.c_txn
-        +. (float_of_int n_writes *. config.Config.cost.Config.c_commit_install));
+        (Config.c_txn
+        +. (float_of_int n_writes *. Config.c_commit_install));
       check_doom t;
       (* Footprint: committing publishes every buffered version (writes of
          the updated rows), retires the held locks and reads the conflict

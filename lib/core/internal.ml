@@ -272,9 +272,9 @@ let charge_cpu db cost = if cost > 0.0 then Resource.consume db.cpu cost
    kernel mutex (§4.4), charging its CPU inside the critical section. *)
 let with_lock_mutex db f =
   match db.lock_mutex with
-  | Some m -> Resource.use m db.config.Config.cost.Config.c_lock f
+  | Some m -> Resource.use m Config.c_lock f
   | None ->
-      charge_cpu db db.config.Config.cost.Config.c_lock;
+      charge_cpu db Config.c_lock;
       f ()
 
 (* Probabilistic buffer-cache model: each of [n] row touches misses with
@@ -285,7 +285,7 @@ let charge_row_io db n =
   if p > 0.0 && db.cache = None then
     for _ = 1 to n do
       if Random.State.float db.io_rng 1.0 < p then
-        Resource.consume db.disk db.config.Config.miss_latency
+        Resource.consume db.disk Config.miss_latency
     done
 
 (* Real buffer pool: run every page of an access footprint through the LRU

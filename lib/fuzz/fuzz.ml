@@ -53,7 +53,7 @@ type progress = { pr_done : int; pr_total : int; pr_anomalies : int; pr_unsafe :
    byte-identical between [-j 1] and [-j N]):
 
    - Case [i] of a [(seed, cases)] campaign is generated from its own RNG
-     state, seeded [seed * cases + i], so the case stream does not depend
+     state ([Fuzzgen.campaign_case]), so the case stream does not depend
      on who runs which range. (Before the parallel harness the whole
      campaign threaded one sequential RNG.)
 
@@ -81,17 +81,13 @@ type shard = {
   sh_anomalies : (string * (int * Fuzzcase.t)) list; (* class -> (case idx, shrunk) *)
 }
 
-let case_rng ~seed ~cases i = Random.State.make [| 0x5551f; (seed * cases) + i |]
-
 let run_shard ~profile ~shrink_anomalies ~seed ~cases ~points ~lo ~hi () : shard =
   let si_anomalies = ref 0 and unsafe = ref 0 and false_pos = ref 0 in
   let failures = ref [] in
   let anomalies = ref [] in
   let missing cls = List.assoc_opt cls !anomalies = None in
   for i = lo to hi - 1 do
-    let st = case_rng ~seed ~cases i in
-    let cfg = points.(i mod Array.length points) in
-    let c = Fuzzgen.case ~profile st ~cfg in
+    let c = Fuzzgen.campaign_case ~profile ~seed ~cases points i in
     let v = Fuzzrun.check c in
     if v.Fuzzrun.v_si_anomaly then incr si_anomalies;
     if v.Fuzzrun.v_ssi_unsafe then incr unsafe;
@@ -124,8 +120,7 @@ let run_campaign ?pool ?(shard_size = default_shard_size)
     ?(profile = Fuzzgen.default_profile) ?(shrink_anomalies = false)
     ?(on_progress = fun (_ : progress) -> ()) ~seed ~cases ~matrix () : summary =
   if shard_size < 1 then invalid_arg "run_campaign: shard_size must be >= 1";
-  let points = Array.of_list matrix in
-  if Array.length points = 0 then invalid_arg "run_campaign: empty matrix";
+  let points = Fuzzgen.matrix_points ~who:"run_campaign" matrix in
   let rec ranges lo = if lo >= cases then [] else (lo, min cases (lo + shard_size)) :: ranges (lo + shard_size) in
   let thunks =
     List.map

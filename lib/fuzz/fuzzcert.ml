@@ -175,26 +175,19 @@ type campaign = {
   ca_failures : (string * string) list;  (** (codec line, reason) per failing case *)
 }
 
-(* Same per-case seeding as [Fuzz.run_shard], so a certified campaign over
-   [(seed, cases, matrix)] visits the exact case stream of the differential
-   campaign with those parameters. *)
-let case_rng ~seed ~cases i = Random.State.make [| 0x5551f; (seed * cases) + i |]
-
-(* Fixed-seed campaign: generate [cases] cases round-robin over the matrix
-   and run the full per-case check on each. A failure records the case's
-   codec line so it can be replayed from the command line. *)
-let campaign ?(profile = Fuzzgen.default_profile) ~seed ~cases ~matrix () : campaign =
-  let points = Array.of_list matrix in
-  if Array.length points = 0 then invalid_arg "Fuzzcert.campaign: empty matrix";
+(* Fixed-seed campaign: run the full per-case check on each case of the
+   differential campaign with the same [(seed, cases, matrix)]
+   ([Fuzzgen.campaign_case]). A failure records the case's codec line so it
+   can be replayed from the command line. *)
+let campaign ?profile ~seed ~cases ~matrix () : campaign =
+  let points = Fuzzgen.matrix_points ~who:"Fuzzcert.campaign" matrix in
   let total_certs = ref 0
   and certified = ref 0
   and checked = ref 0
   and matched = ref 0
   and failures = ref [] in
   for i = 0 to cases - 1 do
-    let st = case_rng ~seed ~cases i in
-    let cfg = points.(i mod Array.length points) in
-    let c = Fuzzgen.case ~profile st ~cfg in
+    let c = Fuzzgen.campaign_case ?profile ~seed ~cases points i in
     let cc = check_case c in
     total_certs := !total_certs + cc.cc_certs;
     if cc.cc_certs > 0 then incr certified;
@@ -220,15 +213,11 @@ let campaign ?(profile = Fuzzgen.default_profile) ~seed ~cases ~matrix () : camp
 (* Certificates of a fixed-seed campaign, each paired with its case's codec
    line (the repro): the raw material for the report's provenance section.
    No oracle/replay checking — use {!campaign} for that. *)
-let collect_certs ?(profile = Fuzzgen.default_profile) ~seed ~cases ~matrix () :
-    (Obs.certificate * string) list =
-  let points = Array.of_list matrix in
-  if Array.length points = 0 then invalid_arg "Fuzzcert.collect_certs: empty matrix";
+let collect_certs ?profile ~seed ~cases ~matrix () : (Obs.certificate * string) list =
+  let points = Fuzzgen.matrix_points ~who:"Fuzzcert.collect_certs" matrix in
   let out = ref [] in
   for i = 0 to cases - 1 do
-    let st = case_rng ~seed ~cases i in
-    let cfg = points.(i mod Array.length points) in
-    let c = Fuzzgen.case ~profile st ~cfg in
+    let c = Fuzzgen.campaign_case ?profile ~seed ~cases points i in
     match certified_run c with
     | _, [] -> ()
     | _, certs ->

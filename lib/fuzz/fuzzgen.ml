@@ -81,3 +81,20 @@ let case ?(profile = default_profile) st ~(cfg : Fuzzcase.cfg_point) : Fuzzcase.
   in
   let schedule = gen_schedule st (List.map List.length specs) in
   { Fuzzcase.specs; ro; init; schedule; cfg }
+
+(* {1 Campaign cases}
+
+   Case [i] of a [(seed, cases)] campaign over a matrix runs under point
+   [i mod] the matrix's length and is drawn from its own RNG state, seeded
+   [seed * cases + i], so the case stream does not depend on who runs which
+   range of indices. The differential and certificate campaigns share this
+   stream; the crash campaign draws from its own family (Fuzzrecover). *)
+
+(* The matrix as an array of points; [who] names the caller when empty. *)
+let matrix_points ~who matrix =
+  if matrix = [] then invalid_arg (who ^ ": empty matrix");
+  Array.of_list matrix
+
+let campaign_case ?profile ~seed ~cases points i =
+  let st = Random.State.make [| 0x5551f; (seed * cases) + i |] in
+  case ?profile st ~cfg:points.(i mod Array.length points)

@@ -275,8 +275,7 @@ let run_shard ~profile ~seed ~cases ~points ~lo ~hi () : shard =
 let run_campaign ?pool ?(shard_size = 250) ?(profile = Fuzzgen.default_profile)
     ?(on_progress = fun (_ : progress) -> ()) ~seed ~cases ~matrix () : summary =
   if shard_size < 1 then invalid_arg "Fuzzrecover.run_campaign: shard_size must be >= 1";
-  let points = Array.of_list matrix in
-  if Array.length points = 0 then invalid_arg "Fuzzrecover.run_campaign: empty matrix";
+  let points = Fuzzgen.matrix_points ~who:"Fuzzrecover.run_campaign" matrix in
   let rec ranges lo =
     if lo >= cases then [] else (lo, min cases (lo + shard_size)) :: ranges (lo + shard_size)
   in

@@ -185,6 +185,27 @@ let test_s2pl_insert_outside_range_not_blocked () =
   Alcotest.(check bool) "insert outside range proceeded" true
     (!insert_done > 0.0 && !insert_done < 0.3)
 
+let test_s2pl_scan_sees_insert_it_waited_for () =
+  (* T0 w(k3); T1's scan up to k4 waits for k3's row lock; T0 inserts k2,
+     whose gap T1 has not locked yet, and commits. Once its locks are held
+     the scan must find k2 too, not return the k3 and k4 it collected
+     before the wait. *)
+  let env = make_env ~tables:[ "t" ] ~rows:[ ("t", [ ("k3", "0"); ("k4", "0") ]) ] () in
+  let rows = ref [] in
+  let r0 =
+    script env ~at:0.0 ~gap:0.2 ~isolation:s2pl
+      [ (fun t -> Txn.write t "t" "k3" "1"); (fun t -> Txn.insert t "t" "k2" "1") ]
+  in
+  let r1 =
+    script env ~at:0.1 ~isolation:s2pl
+      [ (fun t -> rows := Txn.scan ~hi:"k4" t "t"); (fun t -> ignore (Txn.read t "t" "k2")) ]
+  in
+  run_procs env [];
+  check_outcome "writer commits" Committed r0;
+  check_outcome "scanner commits" Committed r1;
+  Alcotest.(check (list (pair string string)))
+    "scan rows" [ ("k2", "1"); ("k3", "1"); ("k4", "0") ] !rows
+
 let test_rc_scan_sees_latest () =
   let env = make_env ~tables:[ "t" ] ~rows:[ many_rows ] () in
   Sim.spawn env.sim (fun () ->
@@ -600,6 +621,7 @@ let suite =
     ("scan limit locks only prefix", `Quick, test_scan_limit_locks_only_prefix);
     ("S2PL gap lock blocks insert", `Quick, test_s2pl_gap_lock_blocks_insert);
     ("S2PL insert outside range not blocked", `Quick, test_s2pl_insert_outside_range_not_blocked);
+    ("S2PL scan sees the insert it waited for", `Quick, test_s2pl_scan_sees_insert_it_waited_for);
     ("RC scan sees latest", `Quick, test_rc_scan_sees_latest);
     ("read-only txn rejects writes", `Quick, test_ro_txn_rejects_writes);
     ("page mode write skew prevented", `Quick, test_page_mode_write_skew_prevented);

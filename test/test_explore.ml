@@ -113,6 +113,47 @@ let test_equivalence_property () =
       v.Explore.v_dpor
   done
 
+(* {1 An S2PL page scan locks the pages it reads after a wait}
+
+   The shrunk failure of `fuzz --cases 10000 --seed 1 --matrix full`. T2's
+   scan waits for an S lock on the fanout-4 leaf T0 X-locked; T0's second
+   write creates k4, which splits that leaf and moves k3 to a new page. A
+   scan that locks only the pages it collected before the wait leaves k3
+   open to T1's delete: T2 then reads k3 at two versions and misses T0's
+   k4. Explored to completion, no schedule may commit a non-serializable
+   history. *)
+
+let page_scan_case =
+  {|ssi-fuzz-repro v3
+cfg granularity=page ssi=basic gap_locking=0 abort_early=1 victim=younger ro_refinement=0 upgrade_siread=0 memory_budget=0 wal_flush=0 checkpoint_interval=0
+init k1=0
+init k2=0
+init k3=0
+txn ro=0 w(k0);w(k4)
+txn ro=0 r(k2);del(k3)
+txn ro=0 scan(-,k4,-);r(k3)
+schedule 0 2 1 1 2 0
+|}
+
+let test_page_scan_after_split () =
+  let c =
+    match Fuzzcase.of_string page_scan_case with Ok (c, _) -> c | Error e -> Alcotest.fail e
+  in
+  let config = Fuzzcase.config_of_point c.Fuzzcase.cfg in
+  List.iter
+    (fun iso ->
+      let violations = ref 0 in
+      let _, st =
+        Explore.explore ~config ~init:c.Fuzzcase.init ~ro:c.Fuzzcase.ro ~isolation:iso
+          ~on_run:(fun r -> if not r.Interleave.serializable then incr violations)
+          c.Fuzzcase.specs
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: non-serializable among %d explored schedules" (level_name iso)
+           st.Explore.executed)
+        0 !violations)
+    levels
+
 (* {1 Parallel frontier determinism} *)
 
 let test_parallel_determinism () =
@@ -174,6 +215,7 @@ let () =
           ("reduction factor on the 5-chain", `Quick, test_reduction_factor);
           ("no MVSG violations among explored schedules", `Slow, test_no_mvsg_violations_explored);
           ("equivalence property on generated programs", `Slow, test_equivalence_property);
+          ("S2PL page scan after a split", `Quick, test_page_scan_after_split);
           ("parallel frontier determinism", `Quick, test_parallel_determinism);
         ] );
       ( "streaming",
