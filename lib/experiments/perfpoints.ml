@@ -10,9 +10,9 @@
    [ssi_bench perf] prints them beside wall-clock times.
 
    The unit of work is a transaction for the engine points; an
-   acquire-upgrade-release for the lock point; an insert for the B+tree; a
-   graph check for MVSG; an update for the sketch; a schedule for the
-   exploration. *)
+   acquire-upgrade-release for the lock point; a charge for the simulator
+   point; an insert for the B+tree; a graph check for MVSG; an update for
+   the sketch; a schedule for the exploration. *)
 
 open Core
 
@@ -124,6 +124,24 @@ let lock_path ?obs runs =
       done);
   Sim.run sim;
   stop ~units:runs ~check:runs
+
+(* The simulator kernel alone: 20 processes each make [charges] charges
+   of 1 or 3 us in turn on a 1-server resource, so the server passes from
+   process to process: each charge suspends behind the holder, is woken by
+   its release and delays for its service time. The check is the final
+   clock in us. *)
+let sim_handoff charges =
+  let sim = Sim.create () in
+  let cpu = Resource.create sim ~name:"cpu" ~capacity:1 in
+  let stop = start (fun () -> [ ("events", Sim.events sim) ]) in
+  for p = 0 to 19 do
+    Sim.spawn sim (fun () ->
+        for i = 0 to charges - 1 do
+          Resource.consume cpu (if (p + i) land 1 = 0 then 1e-6 else 3e-6)
+        done)
+  done;
+  Sim.run sim;
+  stop ~units:(20 * charges) ~check:(Float.to_int (Float.round (Sim.now sim *. 1e6)))
 
 (* The bounded-memory hot path (§4.8): SSI transactions over 32 hot keys
    under a pinned snapshot and a budget of 64, so every commit exercises
@@ -258,6 +276,7 @@ let points =
   [
     ("commit-path", fun () -> commit_path 1000);
     ("lock-acquire-release", fun () -> lock_path 5000);
+    ("sim-handoff", fun () -> sim_handoff 1000);
     ("siread-bookkeeping", fun () -> siread_path 1000);
     ("summarize-path", fun () -> summarize_path 1000);
     ("btree-insert-scan", fun () -> btree_insert_scan 20_000);

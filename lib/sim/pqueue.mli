@@ -4,7 +4,15 @@
     [seq] number supplied at push time, so two runs of the same program pop
     events in exactly the same order. *)
 
-type 'a t
+(** The heap, as parallel arrays over its first [size] slots. The type is
+    private so that the simulator can read [times.(0)] in place: a call to
+    {!min_time} from another module returns its float boxed. *)
+type 'a t = private {
+  mutable times : float array;  (** unboxed; [times.(0)] is the smallest *)
+  mutable seqs : int array;
+  mutable payloads : 'a array;
+  mutable size : int;
+}
 
 val create : unit -> 'a t
 

@@ -1,15 +1,21 @@
 (* A k-server FIFO resource: models CPU cores, a disk, or a global mutex
    (capacity 1, e.g. InnoDB's kernel mutex). *)
 
+(* Total server-seconds consumed, in a record of floats only so that it is
+   stored unboxed and adding to it allocates nothing. *)
+type busy = { mutable seconds : float }
+
 type t = {
   sim : Sim.t;
   name : string;
   capacity : int;
   mutable in_use : int;
   queue : Sim.waker Queue.t;
-  mutable busy_time : float; (* total server-seconds consumed *)
+  enqueue : Sim.waker -> unit;
+      (* queues a suspending waiter; made once, so a wait allocates no
+         closure *)
+  busy : busy;
   mutable acquisitions : int;
-  mutable last_acquire : float;
   mutable obs : Obs.t;
       (* profiler sink: a state sample (servers busy, queue depth) is
          emitted on every acquire/release state change, but only when the
@@ -17,26 +23,32 @@ type t = {
          simulated time. *)
 }
 
-let create sim ~name ~capacity =
-  if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
-  {
-    sim;
-    name;
-    capacity;
-    in_use = 0;
-    queue = Queue.create ();
-    busy_time = 0.0;
-    acquisitions = 0;
-    last_acquire = 0.0;
-    obs = Obs.disabled;
-  }
-
-let set_obs t obs = t.obs <- obs
-
 let sample t =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim)
       (Obs.Res_sample { res = t.name; in_use = t.in_use; queued = Queue.length t.queue })
+
+let create sim ~name ~capacity =
+  if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
+  let rec t =
+    {
+      sim;
+      name;
+      capacity;
+      in_use = 0;
+      queue = Queue.create ();
+      enqueue =
+        (fun w ->
+          Queue.add w t.queue;
+          sample t);
+      busy = { seconds = 0.0 };
+      acquisitions = 0;
+      obs = Obs.disabled;
+    }
+  in
+  t
+
+let set_obs t obs = t.obs <- obs
 
 let name t = t.name
 
@@ -51,59 +63,57 @@ let acquire t =
     t.in_use <- t.in_use + 1;
     sample t
   end
-  else begin
-    Sim.suspend t.sim (fun w ->
-        Queue.add w t.queue;
-        sample t);
-    (* The releaser transferred its slot to us; in_use stays constant. *)
-  end;
+  else
+    (* The releaser transfers its slot to us; in_use stays constant. *)
+    Sim.suspend t.sim t.enqueue;
   t.acquisitions <- t.acquisitions + 1
 
+(* Hand the server to the first waiter still suspended, skipping killed
+   ones, or free it when none is left. *)
+let rec hand_over t =
+  if Queue.is_empty t.queue then t.in_use <- t.in_use - 1
+  else begin
+    let w = Queue.take t.queue in
+    if Sim.waker_fired w then hand_over t else Sim.wake t.sim w
+  end
+
 let release t =
-  let rec go () =
-    match Queue.take_opt t.queue with
-    | None -> t.in_use <- t.in_use - 1
-    | Some w ->
-        if Sim.waker_fired w then go () (* waiter was killed; skip it *)
-        else Sim.wake t.sim w
-  in
-  go ();
+  hand_over t;
   sample t
+
+let finish t dt =
+  t.busy.seconds <- t.busy.seconds +. dt;
+  release t
 
 let use t dt f =
   acquire t;
-  let finish () =
-    t.busy_time <- t.busy_time +. dt;
-    release t
-  in
   match
     Sim.delay t.sim dt;
     f ()
   with
   | v ->
-      finish ();
+      finish t dt;
       v
   | exception e ->
-      finish ();
+      finish t dt;
       raise e
 
-(* [use] with nothing to run: no closures, and no handler (a delay cannot
+(* [use] with nothing to run: no closure, and no handler (a delay cannot
    raise). *)
 let consume t dt =
   acquire t;
   Sim.delay t.sim dt;
-  t.busy_time <- t.busy_time +. dt;
-  release t
+  finish t dt
 
-let busy_time t = t.busy_time
+let busy_time t = t.busy.seconds
 
 let acquisitions t = t.acquisitions
 
 (* Utilisation over a window of [elapsed] seconds. *)
 let utilisation t ~elapsed =
   if elapsed <= 0.0 then 0.0
-  else t.busy_time /. (elapsed *. float_of_int t.capacity)
+  else t.busy.seconds /. (elapsed *. float_of_int t.capacity)
 
 let reset_stats t =
-  t.busy_time <- 0.0;
+  t.busy.seconds <- 0.0;
   t.acquisitions <- 0

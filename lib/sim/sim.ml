@@ -6,91 +6,123 @@
    hands a {!waker} to [register]; whoever holds the waker later resumes (or
    kills) the process.  Everything runs on one OS thread, so code between two
    effect performs is atomic — this stands in for the latches of the paper's
-   "atomic begin/end" blocks. *)
+   "atomic begin/end" blocks.
+
+   Events are data: the heap holds a continuation to resume, a continuation
+   to fail with an exception, or a thunk to call. A delay whose event would
+   be the next one popped anyway skips the heap and the effect (see
+   [delay]). *)
+
+open Effect.Deep
+
+type event =
+  | Resume of (unit, unit) continuation
+  | Fail of (unit, unit) continuation * exn
+  | Call of (unit -> unit)
 
 type waker = {
   mutable fired : bool;
-  fire : (unit, exn) result -> unit;
+  k : (unit, unit) continuation;
+}
+
+(* A record of floats only is stored unboxed, so advancing the clock
+   allocates nothing. [horizon] is the running [run]'s [until], and
+   [neg_infinity] outside [run]. *)
+type clock = {
+  mutable now : float;
+  mutable horizon : float;
 }
 
 type t = {
-  mutable now : float;
+  clock : clock;
   mutable seq : int;
-  events : (unit -> unit) Pqueue.t;
+  events : event Pqueue.t;
   mutable live_procs : int;
 }
 
 type _ Effect.t +=
   | Delay : t * float -> unit Effect.t
-  | Suspend : t * (waker -> unit) -> unit Effect.t
+  | Suspend : (waker -> unit) -> unit Effect.t
 
-let create () = { now = 0.0; seq = 0; events = Pqueue.create (); live_procs = 0 }
+let create () =
+  {
+    clock = { now = 0.0; horizon = neg_infinity };
+    seq = 0;
+    events = Pqueue.create ();
+    live_procs = 0;
+  }
 
-let now t = t.now
+let now t = t.clock.now
 
 let live_procs t = t.live_procs
 
-let schedule t ~after thunk =
-  if after < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  t.seq <- t.seq + 1;
-  Pqueue.push t.events ~time:(t.now +. after) ~seq:t.seq thunk
+(* The earliest queued time, read in place ([Pqueue.min_time] would box
+   it). *)
+let next_time t =
+  let q = t.events in
+  if q.Pqueue.size = 0 then infinity else Array.unsafe_get q.Pqueue.times 0
 
-let delay t dt = Effect.perform (Delay (t, dt))
+let push t ~after ev =
+  if not (after >= 0.0) then invalid_arg "Sim.schedule: negative or NaN delay";
+  t.seq <- t.seq + 1;
+  Pqueue.push t.events ~time:(t.clock.now +. after) ~seq:t.seq ev
+
+let schedule t ~after thunk = push t ~after (Call thunk)
+
+(* Resume in place: when [now + dt] is within the running [run]'s horizon
+   and strictly before every queued event, the event [Delay] would push is
+   the next one [run] pops (a new event loses every tie on its sequence
+   number), and nothing runs in between. So advancing the clock and
+   counting the event here is exactly what the round trip through the heap
+   would do. Outside [run] the horizon is [neg_infinity], and a negative or
+   NaN [dt] fails the first test; both perform the effect as before. *)
+let delay t dt =
+  let c = t.clock in
+  let at = c.now +. dt in
+  if dt >= 0.0 && at <= c.horizon && at < next_time t then begin
+    c.now <- at;
+    t.seq <- t.seq + 1
+  end
+  else Effect.perform (Delay (t, dt))
 
 let yield t = delay t 0.0
 
-let suspend t register = Effect.perform (Suspend (t, register))
+let suspend _t register = Effect.perform (Suspend register)
 
 let wake t w =
   if not w.fired then begin
     w.fired <- true;
-    schedule t ~after:0.0 (fun () -> w.fire (Ok ()))
+    push t ~after:0.0 (Resume w.k)
   end
 
 let kill t w exn =
   if not w.fired then begin
     w.fired <- true;
-    schedule t ~after:0.0 (fun () -> w.fire (Error exn))
+    push t ~after:0.0 (Fail (w.k, exn))
   end
 
 let waker_fired w = w.fired
 
 let spawn t f =
-  let open Effect.Deep in
   t.live_procs <- t.live_procs + 1;
-  let body () =
-    match_with f ()
-      {
-        retc = (fun () -> t.live_procs <- t.live_procs - 1);
-        exnc =
-          (fun e ->
-            t.live_procs <- t.live_procs - 1;
-            raise e);
-        effc =
-          (fun (type b) (eff : b Effect.t) ->
-            match eff with
-            | Delay (sim, dt) ->
-                Some
-                  (fun (k : (b, unit) continuation) ->
-                    schedule sim ~after:dt (fun () -> continue k ()))
-            | Suspend (sim, register) ->
-                Some
-                  (fun (k : (b, unit) continuation) ->
-                    let w =
-                      {
-                        fired = false;
-                        fire =
-                          (function
-                          | Ok () -> continue k ()
-                          | Error e -> discontinue k e);
-                      }
-                    in
-                    ignore sim;
-                    register w)
-            | _ -> None);
-      }
+  let handler =
+    {
+      retc = (fun () -> t.live_procs <- t.live_procs - 1);
+      exnc =
+        (fun e ->
+          t.live_procs <- t.live_procs - 1;
+          raise e);
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Delay (sim, dt) ->
+              Some (fun (k : (b, unit) continuation) -> push sim ~after:dt (Resume k))
+          | Suspend register ->
+              Some (fun (k : (b, unit) continuation) -> register { fired = false; k })
+          | _ -> None);
+    }
   in
-  schedule t ~after:0.0 body
+  push t ~after:0.0 (Call (fun () -> match_with f () handler))
 
 (* Condition variables: wakeups over a FIFO queue of waiters. Waking only
    schedules the waiter, so nothing joins the queue while it drains. *)
@@ -109,23 +141,31 @@ let broadcast t c =
 let signal t c = if not (Queue.is_empty c.waiters) then wake t (Queue.pop c.waiters)
 
 let run ?(until = infinity) t =
-  let continue_ = ref true in
-  while !continue_ do
-    if Pqueue.is_empty t.events then continue_ := false
-    else begin
-      let time = Pqueue.min_time t.events in
-      if time > until then begin
+  let c = t.clock in
+  let outer = c.horizon in
+  c.horizon <- until;
+  let rec loop () =
+    if t.events.Pqueue.size > 0 then begin
+      let time = next_time t in
+      if time > until then
         (* Leave the clock at the horizon; remaining events stay queued
            (look, don't pop: a later [run] must be able to resume). *)
-        t.now <- until;
-        continue_ := false
-      end
+        c.now <- until
       else begin
-        t.now <- time;
-        (Pqueue.pop t.events) ()
+        c.now <- time;
+        (match Pqueue.pop t.events with
+        | Resume k -> continue k ()
+        | Fail (k, e) -> discontinue k e
+        | Call f -> f ());
+        loop ()
       end
     end
-  done
+  in
+  match loop () with
+  | () -> c.horizon <- outer
+  | exception e ->
+      c.horizon <- outer;
+      raise e
 
 let pending_events t = Pqueue.length t.events
 

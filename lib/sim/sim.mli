@@ -23,7 +23,9 @@ val live_procs : t -> int
 (** Number of events still queued. *)
 val pending_events : t -> int
 
-(** Events scheduled so far: one per spawn, delay, wake, kill or schedule. *)
+(** Events scheduled so far: one per spawn, delay, wake, kill or schedule.
+    A delay that resumes in place (see {!delay}) is counted too, so the
+    count does not depend on which path a delay took. *)
 val events : t -> int
 
 (** [spawn t f] creates a process running [f ()]; it starts when the event
@@ -32,10 +34,21 @@ val events : t -> int
 val spawn : t -> (unit -> unit) -> unit
 
 (** [schedule t ~after thunk] runs [thunk] (plain callback, not a process)
-    [after] seconds from now. *)
+    [after] seconds from now.
+    @raise Invalid_argument if [after] is negative or NaN. *)
 val schedule : t -> after:float -> (unit -> unit) -> unit
 
-(** Advance simulated time by [dt] seconds (process context only). *)
+(** Advance simulated time by [dt] seconds (process context only).
+
+    Inside {!run}, when [now + dt] is within the run's [until] and strictly
+    before every queued event, the process resumes in place: the clock
+    advances and the event is counted, with no trip through the event
+    queue. That event would have been the next one popped (a new event
+    loses every tie), so the order of everything is the same either way.
+    Otherwise the delay is queued. Outside {!run} it performs an effect
+    that only a process's handler can take, so called there it raises
+    [Effect.Unhandled].
+    @raise Invalid_argument from {!run} if [dt] is negative or NaN. *)
 val delay : t -> float -> unit
 
 (** Let other ready processes run at the same timestamp. *)

@@ -296,6 +296,141 @@ let test_live_procs_accounting () =
   Sim.run sim;
   Alcotest.(check int) "all finished" 0 (Sim.live_procs sim)
 
+(* A delay must be at least zero on every path: the in-place check of a
+   process's delay, the heap push it falls back to, and [schedule]. NaN
+   compares false with everything, so only [not (dt >= 0.0)] catches it. *)
+let test_bad_delay dt () =
+  let rejected = Invalid_argument "Sim.schedule: negative or NaN delay" in
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () -> Sim.delay sim dt);
+  Alcotest.check_raises "delay in a process" rejected (fun () -> Sim.run sim);
+  Alcotest.check_raises "schedule" rejected (fun () -> Sim.schedule sim ~after:dt ignore);
+  Alcotest.(check (float 0.0)) "clock unmoved" 0.0 (Sim.now sim)
+
+(* Outside [Sim.run] there is no event loop to resume the caller, so a
+   delay still performs its effect and raises. A resume-in-place rule that
+   skipped the horizon check would return instead. *)
+let test_delay_outside_run () =
+  let sim = Sim.create () in
+  let raises when_ =
+    match Sim.delay sim 1.0 with
+    | () -> Alcotest.failf "Sim.delay %s returned" when_
+    | exception Effect.Unhandled _ -> ()
+  in
+  raises "before any run";
+  Sim.spawn sim (fun () -> Sim.delay sim 1.0);
+  Sim.run sim;
+  raises "after a run";
+  Sim.spawn sim (fun () -> failwith "boom");
+  Alcotest.check_raises "process failure" (Failure "boom") (fun () -> Sim.run sim);
+  raises "after a run that raised";
+  Alcotest.(check (float 0.0)) "clock" 1.0 (Sim.now sim);
+  Alcotest.(check int) "events" 3 (Sim.events sim)
+
+(* A delay that ends exactly at a queued event's time runs after it: the
+   new event's sequence number loses the tie, so it may not resume in
+   place. *)
+let test_delay_tie_queues () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 1.0;
+      log := "queued" :: !log);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 0.5;
+      Sim.delay sim 0.5;
+      log := "tied" :: !log);
+  Sim.run sim;
+  Alcotest.(check (list string)) "queued event first" [ "queued"; "tied" ] (List.rev !log);
+  Alcotest.(check int) "events" 5 (Sim.events sim)
+
+(* The kernel's exact order under a seeded mix of everything a process can
+   do: delays that are zero, tied on exact binary fractions or distinct,
+   yields, service on a 1- and a 2-server resource, cond wait, signal and
+   broadcast, parking and being woken or killed. 200 processes each log
+   (pid, step, clock) after every step, over three runs that stop at
+   horizons the tied delays land on. The digest and event count are those
+   of the simulator that took every delay through the heap. *)
+exception Killed of int
+
+let kernel_trace () =
+  let st = Random.State.make [| 19 |] in
+  let sim = Sim.create () in
+  let r1 = Resource.create sim ~name:"r1" ~capacity:1 in
+  let r2 = Resource.create sim ~name:"r2" ~capacity:2 in
+  let c = Sim.cond () in
+  let parked = Queue.create () in
+  let log = Buffer.create 65536 in
+  let dur () =
+    match Random.State.int st 4 with
+    | 0 -> 0.0
+    | 1 -> 0.5
+    | 2 -> 1.0
+    | _ -> Random.State.float st 1.0
+  in
+  for pid = 1 to 200 do
+    let start = dur () in
+    let steps =
+      List.init
+        (1 + Random.State.int st 12)
+        (fun _ ->
+          match Random.State.int st 10 with
+          | 0 | 1 ->
+              let d = dur () in
+              `Delay d
+          | 2 -> `Yield
+          | 3 ->
+              let r = if Random.State.bool st then r1 else r2 in
+              let d = dur () in
+              `Use (r, d)
+          | 4 -> `Wait
+          | 5 -> if Random.State.int st 3 = 0 then `Broadcast else `Signal
+          | 6 -> `Park
+          | 7 -> `Kill
+          | 8 -> `Wake
+          | _ -> `Use (r1, 0.25))
+    in
+    Sim.spawn sim (fun () ->
+        let note step = Printf.bprintf log "%d %d %h\n" pid step (Sim.now sim) in
+        Sim.delay sim start;
+        List.iteri
+          (fun i step ->
+            (match step with
+            | `Delay d -> Sim.delay sim d
+            | `Yield -> Sim.yield sim
+            | `Use (r, d) -> Resource.use r d (fun () -> note (-1 - i))
+            | `Wait -> Sim.wait sim c
+            | `Signal -> Sim.signal sim c
+            | `Broadcast -> Sim.broadcast sim c
+            | `Park -> (
+                try Sim.suspend sim (fun w -> Queue.add (pid, w) parked)
+                with Killed by -> Printf.bprintf log "%d killed by %d\n" pid by)
+            | `Kill | `Wake as op ->
+                let rec next () =
+                  match Queue.take_opt parked with
+                  | Some (_, w) when Sim.waker_fired w -> next ()
+                  | Some (_, w) ->
+                      if op = `Kill then Sim.kill sim w (Killed pid) else Sim.wake sim w
+                  | None -> ()
+                in
+                next ());
+            note i)
+          steps)
+  done;
+  Sim.run ~until:2.0 sim;
+  Sim.run ~until:4.5 sim;
+  Sim.run sim;
+  Printf.bprintf log "end %h %d %d %h %h\n" (Sim.now sim) (Sim.live_procs sim)
+    (Sim.pending_events sim) (Resource.busy_time r1) (Resource.busy_time r2);
+  (Digest.to_hex (Digest.string (Buffer.contents log)), Sim.events sim)
+
+let test_kernel_trace () =
+  let digest, events = kernel_trace () in
+  Alcotest.(check (pair string int))
+    "digest and events"
+    ("6e0e3cb5100f01ef7cea0dbca162db8d", 1552)
+    (digest, events)
+
 (* Property: under random arrivals, group commit never loses a committer
    (everyone returns after a flush that covers their append), and the number
    of physical flushes never exceeds the number of commits. *)
@@ -349,6 +484,11 @@ let suite =
     ("nested spawn", `Quick, test_nested_spawn);
     ("live procs accounting", `Quick, test_live_procs_accounting);
     ("event count", `Quick, test_events_count);
+    ("negative delay rejected", `Quick, test_bad_delay (-1.0));
+    ("NaN delay rejected", `Quick, test_bad_delay nan);
+    ("delay outside run raises", `Quick, test_delay_outside_run);
+    ("delay tied with a queued event queues", `Quick, test_delay_tie_queues);
+    ("kernel trace", `Quick, test_kernel_trace);
   ]
   @ [ qcheck_group_commit ]
 
