@@ -75,7 +75,8 @@ let schedule t ~after thunk = push t ~after (Call thunk)
    number), and nothing runs in between. So advancing the clock and
    counting the event here is exactly what the round trip through the heap
    would do. Outside [run] the horizon is [neg_infinity], and a negative or
-   NaN [dt] fails the first test; both perform the effect as before. *)
+   NaN [dt] fails the first test; both take the effect path, where [push]
+   rejects a bad [dt]. *)
 let delay t dt =
   let c = t.clock in
   let at = c.now +. dt in
@@ -142,7 +143,6 @@ let signal t c = if not (Queue.is_empty c.waiters) then wake t (Queue.pop c.wait
 
 let run ?(until = infinity) t =
   let c = t.clock in
-  let outer = c.horizon in
   c.horizon <- until;
   let rec loop () =
     if t.events.Pqueue.size > 0 then begin
@@ -161,11 +161,7 @@ let run ?(until = infinity) t =
       end
     end
   in
-  match loop () with
-  | () -> c.horizon <- outer
-  | exception e ->
-      c.horizon <- outer;
-      raise e
+  Fun.protect ~finally:(fun () -> c.horizon <- neg_infinity) loop
 
 let pending_events t = Pqueue.length t.events
 
