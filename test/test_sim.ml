@@ -349,11 +349,12 @@ let test_delay_tie_queues () =
    yields, service on a 1- and a 2-server resource, cond wait, signal and
    broadcast, parking and being woken or killed. 200 processes each log
    (pid, step, clock) after every step, over three runs that stop at
-   horizons the tied delays land on. The digest and event count are those
-   of the simulator that took every delay through the heap. *)
+   horizons the tied delays land on. The digest and event count were
+   computed with every delay taken through the heap, so resuming in place
+   must not move them. *)
 exception Killed of int
 
-let kernel_trace () =
+let test_kernel_trace () =
   let st = Random.State.make [| 19 |] in
   let sim = Sim.create () in
   let r1 = Resource.create sim ~name:"r1" ~capacity:1 in
@@ -375,9 +376,7 @@ let kernel_trace () =
         (1 + Random.State.int st 12)
         (fun _ ->
           match Random.State.int st 10 with
-          | 0 | 1 ->
-              let d = dur () in
-              `Delay d
+          | 0 | 1 -> `Delay (dur ())
           | 2 -> `Yield
           | 3 ->
               let r = if Random.State.bool st then r1 else r2 in
@@ -422,14 +421,10 @@ let kernel_trace () =
   Sim.run sim;
   Printf.bprintf log "end %h %d %d %h %h\n" (Sim.now sim) (Sim.live_procs sim)
     (Sim.pending_events sim) (Resource.busy_time r1) (Resource.busy_time r2);
-  (Digest.to_hex (Digest.string (Buffer.contents log)), Sim.events sim)
-
-let test_kernel_trace () =
-  let digest, events = kernel_trace () in
   Alcotest.(check (pair string int))
     "digest and events"
     ("6e0e3cb5100f01ef7cea0dbca162db8d", 1552)
-    (digest, events)
+    (Digest.to_hex (Digest.string (Buffer.contents log)), Sim.events sim)
 
 (* Property: under random arrivals, group commit never loses a committer
    (everyone returns after a flush that covers their append), and the number
