@@ -6,7 +6,8 @@
 
 (** The heap, as parallel arrays over its first [size] slots. The type is
     private so that the simulator can read [times.(0)] in place: a call to
-    {!min_time} from another module returns its float boxed. *)
+    {!min_time} from another module that is not inlined returns its float
+    boxed. *)
 type 'a t = private {
   mutable times : float array;  (** unboxed; [times.(0)] is the smallest *)
   mutable seqs : int array;
