@@ -102,12 +102,20 @@ let plan =
    -j N runs to enforce it. *)
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt count 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Run independent jobs on $(docv) domains (output is identical for any $(docv))")
 
+(* A pool the runtime cannot start is a bad [-j] value too: one line naming
+   the flag, exit 124. *)
 let with_jobs j f =
-  if j <= 1 then f None else Par.with_pool ~j (fun p -> f (Some p))
+  if j = 1 then f None
+  else
+    match Par.create j with
+    | exception Invalid_argument e ->
+        Printf.eprintf "ssi_bench: option '-j': %s\n" e;
+        exit Cmd.Exit.cli_error
+    | pool -> Fun.protect ~finally:(fun () -> Par.shutdown pool) (fun () -> f (Some pool))
 
 let metrics_arg =
   Arg.(

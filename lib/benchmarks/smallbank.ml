@@ -178,17 +178,4 @@ let mix ?(fix = No_fix) ~customers ?(ops_per_txn = 1) () =
           done);
     ]
 
-(* Total money across all accounts — conserved by Bal/Amg/WC+DC pairs is not
-   an invariant of the mix (deposits and checks change totals), but the
-   overdraft penalty logic gives the serializability probe used in tests:
-   under a serializable schedule, a customer whose combined balance covers
-   the check never pays the penalty. *)
-let total_money db =
-  let sum table =
-    let t = Db.table_exn db table in
-    Btree.fold_range (Mvstore.index t) ?lo:None ?hi:None ~init:0 ~f:(fun acc _ chain ->
-        match Mvstore.latest chain with
-        | Some { Mvstore.value = Some v; _ } -> acc + int_of_string v
-        | _ -> acc)
-  in
-  sum saving + sum checking
+

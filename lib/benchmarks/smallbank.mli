@@ -48,6 +48,3 @@ val wc : ?fix:fix -> string -> int -> Txn.t -> unit
 (** The uniform 20% mix (§5.1.1); [ops_per_txn > 1] gives the complex
     transactions of §6.1.4. *)
 val mix : ?fix:fix -> customers:int -> ?ops_per_txn:int -> unit -> Driver.program list
-
-(** Sum of all committed balances (final-state inspection). *)
-val total_money : Db.t -> int

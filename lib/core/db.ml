@@ -34,8 +34,6 @@ let create ?(config = Config.test ()) sim =
     active = Hashtbl.create 256;
     suspended = Queue.create ();
     n_retained_siread = 0;
-    n_retained_record = 0;
-    n_siread_entries = 0;
     n_promotions = 0;
     n_summarized = 0;
     snap_order = Queue.create ();
@@ -50,15 +48,15 @@ let create ?(config = Config.test ()) sim =
     work_ledger = 0.0;
   }
 
-(* Attach an observability sink; shared with the lock manager, WAL and the
-   simulated resources (CPU k-server, disk, kernel mutex) so lock-wait,
-   flush and utilization/queue-depth samples land in the same trace. *)
 (* Install (or remove) the DPOR footprint hook on the engine and its lock
    manager in one step; the explorer is the only caller. *)
 let set_on_touch (t : t) f =
   t.Internal.on_touch <- f;
   Lockmgr.set_on_touch t.Internal.locks f
 
+(* Attach an observability sink; shared with the lock manager, WAL and the
+   simulated resources (CPU k-server, disk, kernel mutex) so lock-wait,
+   flush and utilization/queue-depth samples land in the same trace. *)
 let set_obs (t : t) obs =
   t.Internal.obs <- obs;
   Lockmgr.set_obs t.Internal.locks obs;
@@ -101,7 +99,6 @@ let begin_txn ?(read_only = false) (t : t) isolation =
       out_conflict = No_conflict;
       writes = Hashtbl.create 8;
       write_order = [];
-      siread_count = 0;
       logged = false;
       touched_pages = [];
       reads_log = [];
@@ -168,13 +165,10 @@ let active_count (t : t) = Hashtbl.length t.Internal.active
    until cleanup. *)
 let suspended_count (t : t) = t.Internal.n_retained_siread
 
-let retained_siread_count (t : t) = t.Internal.n_retained_siread
-
-let retained_record_count (t : t) = t.Internal.n_retained_record
-
 let retained_count (t : t) = Queue.length t.Internal.suspended
 
-let siread_entry_count (t : t) = t.Internal.n_siread_entries
+let siread_entry_count (t : t) = Lockmgr.siread_entries t.Internal.locks
+
 let summarized_count (t : t) = t.Internal.n_summarized
 
 let promotion_count (t : t) = t.Internal.n_promotions

@@ -86,21 +86,13 @@ val last_commit_ts : t -> int
 val active_count : t -> int
 
 (** Committed SSI transactions still suspended with their SIREAD locks
-    (§3.3). Same value as {!retained_siread_count}. *)
+    (§3.3) — the memory the paper's retention rule actually pins. *)
 val suspended_count : t -> int
 
-(** Retained committed transactions that still hold SIREAD locks — the
-    memory the paper's §3.3 retention rule actually pins. *)
-val retained_siread_count : t -> int
-
-(** Retained committed transactions holding no SIREAD locks: plain records
-    kept only until no active transaction overlaps them (precise-mode
-    commit-time comparisons may still reference them). *)
-val retained_record_count : t -> int
-
 (** All committed transaction records retained for conflict detection
-    (§4.8): cleaned up once no active transaction overlaps them. Equals
-    [retained_siread_count + retained_record_count]. *)
+    (§4.8): cleaned up once no active transaction overlaps them. Those
+    beyond {!suspended_count} hold no SIREAD locks; precise-mode
+    commit-time comparisons may still reference them. *)
 val retained_count : t -> int
 
 (** {1 Bounded-memory mode introspection} ([Config.memory_budget]) *)

@@ -43,8 +43,6 @@ let rollback_now t reason =
         Wal.append t.db.wal (Wal.Abort { txn = t.id });
         t.logged <- false
       end;
-      t.db.n_siread_entries <- t.db.n_siread_entries - t.siread_count;
-      t.siread_count <- 0;
       (* Footprint: releasing locks changes state every waiter and later
          acquirer of these resources observes. Read-strength touches are
          enough: any waiter or conflicting acquirer touched the resource
@@ -110,12 +108,16 @@ let acquire t mode resource =
 let acquire_siread ?(charge = true) t resource =
   if not (Lockmgr.holds_mode t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource) then begin
     if charge then charge_lock_ops t.db 1;
-    Lockmgr.acquire t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource;
-    t.siread_count <- t.siread_count + 1;
-    t.db.n_siread_entries <- t.db.n_siread_entries + 1;
+    let locks = t.db.locks in
+    Lockmgr.acquire locks ~owner:t.id ~mode:Lockmgr.Siread resource;
     if Obs.on t.db.obs then
       Obs.emit t.db.obs ~ts:(Sim.now t.db.sim)
-        (Obs.Siread_grant { resource; held = t.siread_count; live = t.db.n_siread_entries })
+        (Obs.Siread_grant
+           {
+             resource;
+             held = Lockmgr.sireads_of locks t.id;
+             live = Lockmgr.siread_entries locks;
+           })
   end
 
 (* {1 Granularity promotion (bounded-memory mode)}
@@ -134,12 +136,7 @@ let promote_page t table_name page pr =
   let db = t.db in
   List.iter
     (fun key ->
-      let r = row_resource table_name key in
-      if Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r then begin
-        Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
-        t.siread_count <- t.siread_count - 1;
-        db.n_siread_entries <- db.n_siread_entries - 1
-      end)
+      Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread (row_resource table_name key))
     pr.pr_rows;
   pr.pr_rows <- [];
   pr.pr_promoted <- true;
@@ -304,13 +301,7 @@ let propagate_splits db table (access : Btree.access) =
             if
               mode = Lockmgr.Siread
               && not (Lockmgr.holds_mode db.locks ~owner ~mode:Lockmgr.Siread new_r)
-            then begin
-              Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r;
-              db.n_siread_entries <- db.n_siread_entries + 1;
-              match find_txn db owner with
-              | Some reader -> reader.siread_count <- reader.siread_count + 1
-              | None -> ()
-            end)
+            then Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r)
           (Lockmgr.holders db.locks old_r))
       access.Btree.splits
 
@@ -481,14 +472,8 @@ let do_read t table_name key =
    upgrade optimisation (§3.7.3) applies. *)
 let acquire_x_for_write t ~will_write r =
   let db = t.db in
-  if
-    db.config.Config.upgrade_siread && is_ssi t && will_write
-    && Lockmgr.holds_mode db.locks ~owner:t.id ~mode:Lockmgr.Siread r
-  then begin
+  if db.config.Config.upgrade_siread && is_ssi t && will_write then
     Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
-    t.siread_count <- t.siread_count - 1;
-    db.n_siread_entries <- db.n_siread_entries - 1
-  end;
   acquire t Lockmgr.X r
 
 let rec x_lock_pages t ~will_write table_name = function
@@ -987,19 +972,14 @@ let record_history t =
    handled by dooming the live endpoint (see [Conflict.mark_summarized_*]). *)
 let summarize_oldest db =
   let s = Queue.pop db.suspended in
-  if s.siread_count > 0 then db.n_retained_siread <- db.n_retained_siread - 1
-  else db.n_retained_record <- db.n_retained_record - 1;
+  if Lockmgr.sireads_of db.locks s.id > 0 then db.n_retained_siread <- db.n_retained_siread - 1;
   let commit_ts = match s.commit_ts with Some c -> c | None -> db.last_commit_ts in
   let in_conflict = ref_is_set s.in_conflict in
   let out_conflict = ref_is_set s.out_conflict in
   let moved = Lockmgr.transfer_sireads db.locks ~owner:s.id ~to_owner:summary_owner in
-  s.siread_count <- 0;
   let entries = ref 0 in
   List.iter
-    (fun (resource, merged) ->
-      (* Merging into an existing sentinel SIREAD frees one lock-table
-         entry; a fresh sentinel entry keeps the count unchanged. *)
-      if merged then db.n_siread_entries <- db.n_siread_entries - 1;
+    (fun resource ->
       summary_add db resource ~commit_ts ~in_conflict ~out_conflict;
       if Obs.on db.obs then Obs.emit db.obs ~ts:(Sim.now db.sim) (Obs.Summarized { resource });
       incr entries)
@@ -1037,11 +1017,7 @@ let drain_summary db min_snap =
         (match Hashtbl.find_opt db.summary resource with
         | Some s when s.sm_commit_ts <= min_snap ->
             Hashtbl.remove db.summary resource;
-            if Lockmgr.holds_mode db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource
-            then begin
-              Lockmgr.release_one db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource;
-              db.n_siread_entries <- db.n_siread_entries - 1
-            end
+            Lockmgr.release_one db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource
         | _ -> ());
         go ()
     | _ -> ()
@@ -1060,12 +1036,8 @@ let cleanup_suspended db =
     match Queue.peek_opt db.suspended with
     | Some s when (match s.commit_ts with Some c -> c <= min_snap | None -> false) ->
         ignore (Queue.pop db.suspended);
-        if s.siread_count > 0 then begin
+        if Lockmgr.sireads_of db.locks s.id > 0 then
           db.n_retained_siread <- db.n_retained_siread - 1;
-          db.n_siread_entries <- db.n_siread_entries - s.siread_count;
-          s.siread_count <- 0
-        end
-        else db.n_retained_record <- db.n_retained_record - 1;
         Lockmgr.release_all db.locks s.id;
         Hashtbl.remove db.txn_by_id s.id;
         incr released;
@@ -1189,8 +1161,8 @@ let do_commit t =
       Conflict.seal_references t;
       Lockmgr.release_all ~keep_siread:(is_ssi t) db.locks t.id;
       Queue.add t db.suspended;
-      if t.siread_count > 0 then db.n_retained_siread <- db.n_retained_siread + 1
-      else db.n_retained_record <- db.n_retained_record + 1;
+      if Lockmgr.sireads_of db.locks t.id > 0 then
+        db.n_retained_siread <- db.n_retained_siread + 1;
       let obs = db.obs in
       if Obs.on obs then
         Obs.emit obs ~ts:commit_now
@@ -1201,7 +1173,7 @@ let do_commit t =
                commit_ts;
                n_writes;
                retained_siread = db.n_retained_siread;
-               retained_record = db.n_retained_record;
+               retained_record = Queue.length db.suspended - db.n_retained_siread;
              });
       cleanup_suspended db;
       (* Budget enforcement: after the watermark cleanup, if retained records
@@ -1212,7 +1184,7 @@ let do_commit t =
       (match config.Config.memory_budget with
       | None -> ()
       | Some budget ->
-          let pressure () = Queue.length db.suspended + db.n_siread_entries in
+          let pressure () = Queue.length db.suspended + Lockmgr.siread_entries db.locks in
           if pressure () > budget && Queue.length db.suspended > 0 then begin
             let txns = ref 0 and entries = ref 0 in
             while Queue.length db.suspended > 0 && pressure () > budget do
@@ -1236,9 +1208,9 @@ let do_commit t =
         Obs.emit obs ~ts:(Sim.now db.sim)
           (Obs.Mem_sample
              {
-               siread = db.n_siread_entries;
+               siread = Lockmgr.siread_entries db.locks;
                retained_siread = db.n_retained_siread;
-               retained_record = db.n_retained_record;
+               retained_record = Queue.length db.suspended - db.n_retained_siread;
                summary = Hashtbl.length db.summary;
              });
       (* Periodic checkpoint: every [checkpoint_interval] commits, harden

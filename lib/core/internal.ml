@@ -30,7 +30,6 @@ and txn = {
   writes : (string * string, write_entry) Hashtbl.t;
       (* every key X-locked for writing, by (table, key) *)
   mutable write_order : write_entry list; (* buffered writes, newest first *)
-  mutable siread_count : int; (* distinct resources SIREAD-locked *)
   mutable logged : bool; (* redo records appended to the WAL this commit *)
   mutable touched_pages : (string * int) list; (* pages split by our writes *)
   mutable reads_log : read_record list; (* only when record_history *)
@@ -109,8 +108,6 @@ and db = {
       (* suspended entries still holding SIREAD locks; the rest are plain
          committed records awaiting overlap cleanup (kept incrementally so
          per-commit budget checks stay O(1)) *)
-  mutable n_retained_record : int;
-  mutable n_siread_entries : int; (* live SIREAD lock-table entries *)
   mutable n_promotions : int; (* row->page SIREAD promotions performed *)
   mutable n_summarized : int; (* committed txns folded into [summary] *)
   snap_order : txn Queue.t;

@@ -326,9 +326,12 @@ let run_campaign ?pool ?(shard_size = 250) ?(profile = Fuzzgen.default_profile)
 
 let crash_comment plan = "crash " ^ Wal.plan_to_string plan
 
+(* The plan of a ["crash <plan>"] comment, or [None] for another comment. *)
 let plan_of_comment cm =
   match String.split_on_char ' ' (String.trim cm) with
-  | [ "crash"; p ] -> Wal.plan_of_string p
+  | [ "crash"; p ] ->
+      let bad = Printf.sprintf "bad crash plan '%s'" p in
+      Some (Option.to_result ~none:bad (Wal.plan_of_string p))
   | _ -> None
 
 let repro_string (f : failure) =
@@ -381,7 +384,8 @@ let replay_string content : (outcome, string) result =
   in
   match plan with
   | None -> Error "no '# crash <plan>' comment in repro"
-  | Some plan ->
+  | Some (Error e) -> Error e
+  | Some (Ok plan) ->
       Result.bind (Fuzzcase.of_string content) (fun (c, _expect) ->
           let reference = reference_run c in
           Ok (check_crash c ~reference plan))

@@ -29,23 +29,23 @@ let blocks requested held =
   | X, X | X, S | S, X -> true
   | S, S | Siread, _ | _, Siread -> false
 
-type counts = { mutable s : int; mutable x : int; mutable siread : int }
+(* The modes one owner holds on one resource. An entry in a lock's holder
+   table has at least one flag set. *)
+type hold = { mutable s : bool; mutable x : bool; mutable siread : bool }
 
-let count_of c = function S -> c.s | X -> c.x | Siread -> c.siread
+let has h = function S -> h.s | X -> h.x | Siread -> h.siread
 
-let add_count c m n =
-  match m with
-  | S -> c.s <- c.s + n
-  | X -> c.x <- c.x + n
-  | Siread -> c.siread <- c.siread + n
+type waiter = { wowner : owner; wmode : mode; waker : Sim.waker; wlock : lock }
 
-type waiter = { wowner : owner; wmode : mode; waker : Sim.waker }
-
-type lock = {
+and lock = {
   mutable resource : string; (* reassigned when a free-listed entry is reused *)
-  holds : (owner, counts) Hashtbl.t;
-  mutable queue : waiter list; (* FIFO: head is served first *)
+  holds : (owner, hold) Hashtbl.t;
+  mutable queue : waiter list; (* FIFO: head is served first; blocked owners only *)
 }
+
+(* What one owner holds: the resources it holds a mode on, and how many of
+   those holds include SIREAD. *)
+type held = { resources : (string, unit) Hashtbl.t; mutable sireads : int }
 
 type detection = Immediate | Periodic of float
 
@@ -53,8 +53,8 @@ type t = {
   sim : Sim.t;
   detection : detection;
   table : (string, lock) Hashtbl.t;
-  owned : (owner, (string, unit) Hashtbl.t) Hashtbl.t;
-  waiting : (owner, string) Hashtbl.t; (* owner -> resource it blocks on *)
+  owned : (owner, held) Hashtbl.t;
+  waiting : (owner, waiter) Hashtbl.t; (* blocked owner -> its queue entry *)
   (* Lock entries and held sets are recycled instead of allocated afresh for
      every new lock and owner. Each is reset to its initial size before it
      is pooled, so a reused table iterates exactly like a fresh one: the
@@ -62,7 +62,8 @@ type t = {
      conflict-marking order and wake order, which are part of the
      simulation. *)
   free_locks : lock Stack.t;
-  free_sets : (string, unit) Hashtbl.t Stack.t;
+  free_sets : held Stack.t;
+  mutable siread_total : int; (* SIREAD holds in the whole table *)
   mutable requests : int;
   mutable waits : int;
   mutable deadlocks : int;
@@ -85,6 +86,7 @@ let create ?(detection = Immediate) sim =
     waiting = Hashtbl.create 16;
     free_locks = Stack.create ();
     free_sets = Stack.create ();
+    siread_total = 0;
     requests = 0;
     waits = 0;
     deadlocks = 0;
@@ -102,7 +104,12 @@ let set_on_touch t f = t.on_touch <- f
 let owned_resources t owner =
   match Hashtbl.find_opt t.owned owner with
   | None -> []
-  | Some set -> List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) set [])
+  | Some held -> List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) held.resources [])
+
+let sireads_of t owner =
+  match Hashtbl.find t.owned owner with held -> held.sireads | exception Not_found -> 0
+
+let siread_entries t = t.siread_total
 
 let get_lock t resource =
   match Hashtbl.find t.table resource with
@@ -127,30 +134,43 @@ let drop_if_unused t l =
     Stack.push l t.free_locks
   end
 
+(* Record that [owner] holds a mode on [resource]; returns its held set. *)
 let note_owned t owner resource =
-  let set =
+  let held =
     match Hashtbl.find t.owned owner with
-    | s -> s
+    | held -> held
     | exception Not_found ->
-        let s =
-          if Stack.is_empty t.free_sets then Hashtbl.create 16 else Stack.pop t.free_sets
+        let held =
+          if Stack.is_empty t.free_sets then { resources = Hashtbl.create 16; sireads = 0 }
+          else Stack.pop t.free_sets
         in
-        Hashtbl.replace t.owned owner s;
-        s
+        Hashtbl.replace t.owned owner held;
+        held
   in
-  Hashtbl.replace set resource ()
+  Hashtbl.replace held.resources resource ();
+  held
 
 (* Forget an owner whose held set emptied, keeping the set for reuse. *)
-let drop_owned_if_empty t owner set =
-  if Hashtbl.length set = 0 then begin
+let drop_owned_if_empty t owner held =
+  if Hashtbl.length held.resources = 0 then begin
     Hashtbl.remove t.owned owner;
-    Hashtbl.reset set;
-    Stack.push set t.free_sets
+    Hashtbl.reset held.resources;
+    Stack.push held t.free_sets
+  end
+
+(* The one place a hold's SIREAD flag changes, so both counts follow it.
+   [held] is the set of the hold's owner. *)
+let set_siread t held h on =
+  if h.siread <> on then begin
+    h.siread <- on;
+    let d = if on then 1 else -1 in
+    held.sireads <- held.sireads + d;
+    t.siread_total <- t.siread_total + d
   end
 
 let holds_mode t ~owner ~mode resource =
   match Hashtbl.find t.table resource with
-  | l -> ( match Hashtbl.find l.holds owner with c -> count_of c mode > 0 | exception Not_found -> false)
+  | l -> ( match Hashtbl.find l.holds owner with h -> has h mode | exception Not_found -> false)
   | exception Not_found -> false
 
 (* Modes currently held by [owner] on [resource]. *)
@@ -162,60 +182,64 @@ let holders t resource =
   | None -> []
   | Some l ->
       Hashtbl.fold
-        (fun owner c acc ->
+        (fun owner h acc ->
           List.fold_left
-            (fun acc m -> if count_of c m > 0 then (owner, m) :: acc else acc)
+            (fun acc m -> if has h m then (owner, m) :: acc else acc)
             acc [ X; S; Siread ])
         l.holds []
 
 let queued t resource =
   match Hashtbl.find_opt t.table resource with
   | None -> []
-  | Some l ->
-      List.filter_map
-        (fun w -> if Sim.waker_fired w.waker then None else Some (w.wowner, w.wmode))
-        l.queue
+  | Some l -> List.map (fun w -> (w.wowner, w.wmode)) l.queue
 
-(* Whether holding [c] blocks a request for [mode]. SIREAD blocks nothing. *)
-let holding_blocks c mode = (c.x > 0 && blocks mode X) || (c.s > 0 && blocks mode S)
-
-let live w = not (Sim.waker_fired w.waker)
+(* Whether holding [h] blocks a request for [mode]. SIREAD blocks nothing. *)
+let holding_blocks h mode = (h.x && blocks mode X) || (h.s && blocks mode S)
 
 (* Would a request by [owner] for [mode] conflict with current holders? *)
 let conflicts_with_holders l ~owner ~mode =
-  Hashtbl.fold (fun o c acc -> acc || (o <> owner && holding_blocks c mode)) l.holds false
+  Hashtbl.fold (fun o h acc -> acc || (o <> owner && holding_blocks h mode)) l.holds false
 
 let conflicts_with_queue l ~owner ~mode =
-  List.exists (fun w -> live w && w.wowner <> owner && blocks mode w.wmode) l.queue
+  List.exists (fun w -> w.wowner <> owner && blocks mode w.wmode) l.queue
 
+(* [owner]'s hold on [l], added with no flag set if it has none; the caller
+   sets one. *)
+let hold_of l owner =
+  match Hashtbl.find l.holds owner with
+  | h -> h
+  | exception Not_found ->
+      let h = { s = false; x = false; siread = false } in
+      Hashtbl.replace l.holds owner h;
+      h
+
+(* Forget [owner]'s hold [h] on [l] once it holds no mode there; [held] is
+   [owner]'s held set. *)
+let drop_hold_if_empty l held owner h =
+  if not (h.s || h.x || h.siread) then begin
+    Hashtbl.remove l.holds owner;
+    Hashtbl.remove held.resources l.resource
+  end
+
+(* Grant [mode]; granting a mode already held changes nothing. *)
 let do_grant t l ~owner ~mode =
-  let c =
-    match Hashtbl.find l.holds owner with
-    | c -> c
-    | exception Not_found ->
-        let c = { s = 0; x = 0; siread = 0 } in
-        Hashtbl.replace l.holds owner c;
-        c
-  in
-  add_count c mode 1;
-  note_owned t owner l.resource
+  let h = hold_of l owner in
+  let held = note_owned t owner l.resource in
+  match mode with S -> h.s <- true | X -> h.x <- true | Siread -> set_siread t held h true
 
 (* The one definition of a waits-for edge. A request by [owner] for [mode]
    on [l] waits for every other owner holding a mode it conflicts with, and
-   for every live waiter in [ahead] that asks for a conflicting mode, up to
+   for every waiter in [ahead] that asks for a conflicting mode, up to
    the request's own entry: [ahead] is the whole queue for a request not yet
    queued, or [[]] for a conversion, which goes to the queue front. [f] is
    called once per edge. *)
 let iter_blockers l ~owner ~mode ahead f =
-  Hashtbl.iter (fun o c -> if o <> owner && holding_blocks c mode then f o) l.holds;
+  Hashtbl.iter (fun o h -> if o <> owner && holding_blocks h mode then f o) l.holds;
   let rec go = function
-    | [] -> ()
-    | w :: rest ->
-        if not (live w) then go rest
-        else if w.wowner <> owner then begin
-          if blocks mode w.wmode then f w.wowner;
-          go rest
-        end
+    | w :: rest when w.wowner <> owner ->
+        if blocks mode w.wmode then f w.wowner;
+        go rest
+    | _ -> ()
   in
   go ahead
 
@@ -227,9 +251,8 @@ let waits_for_edges t =
     (fun _ l ->
       List.iter
         (fun w ->
-          if live w then
-            iter_blockers l ~owner:w.wowner ~mode:w.wmode l.queue (fun o ->
-                edges := (w.wowner, o) :: !edges))
+          iter_blockers l ~owner:w.wowner ~mode:w.wmode l.queue (fun o ->
+              edges := (w.wowner, o) :: !edges))
         l.queue)
     t.table;
   !edges
@@ -242,9 +265,10 @@ let request_edges l ~owner ~mode ahead =
 
 (* Would [owner], waiting on [l] for [mode] behind [ahead], close a
    waits-for cycle? A depth-first search from the requester: a blocked
-   owner's successors are the blockers of its one live request. It visits
-   only what the requester can reach, instead of building the graph of the
-   whole lock table. *)
+   owner's successors are the blockers of its one request. It visits only
+   what the requester can reach, instead of building the graph of the
+   whole lock table. Both detectors use it: [Immediate] before a request
+   waits, [Periodic] for an owner already queued. *)
 let closes_cycle t l ~owner ~mode ahead =
   let visited = Hashtbl.create 8 in
   let rec reaches_owner l ~owner:o ~mode ahead =
@@ -258,48 +282,16 @@ let closes_cycle t l ~owner ~mode ahead =
             Hashtbl.replace visited b ();
             match Hashtbl.find_opt t.waiting b with
             | None -> false
-            | Some r -> (
-                match Hashtbl.find_opt t.table r with
-                | None -> false
-                | Some l' -> (
-                    match List.find_opt (fun w -> live w && w.wowner = b) l'.queue with
-                    | None -> false
-                    | Some w -> reaches_owner l' ~owner:b ~mode:w.wmode l'.queue))
+            | Some w -> reaches_owner w.wlock ~owner:b ~mode:w.wmode w.wlock.queue
           end
   in
   reaches_owner l ~owner ~mode ahead
-
-(* Is [start] part of a waits-for cycle reachable from itself? *)
-let in_cycle edges start =
-  let adj = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      let cur = try Hashtbl.find adj a with Not_found -> [] in
-      Hashtbl.replace adj a (b :: cur))
-    edges;
-  let visited = Hashtbl.create 16 in
-  let rec dfs node =
-    if node = start then true
-    else if Hashtbl.mem visited node then false
-    else begin
-      Hashtbl.replace visited node ();
-      let succs = try Hashtbl.find adj node with Not_found -> [] in
-      List.exists dfs succs
-    end
-  in
-  let succs = try Hashtbl.find adj start with Not_found -> [] in
-  List.exists dfs succs
-
-(* Find all cycles' members: owners that can reach themselves. *)
-let cycle_members edges =
-  let owners = List.sort_uniq compare (List.map fst edges) in
-  List.filter (fun o -> in_cycle edges o) owners
 
 (* The actual waits-for cycle through [start]: a path [start; a; b; ...]
    where each owner waits for the next and the last waits for [start].
    Successors are explored in sorted order so the extracted witness is
    deterministic. Returns [[start]] if no cycle exists (defensive; callers
-   only ask after {!in_cycle}). *)
+   only ask after {!closes_cycle}). *)
 let cycle_path edges start =
   let adj = Hashtbl.create 16 in
   List.iter
@@ -336,7 +328,7 @@ let cycle_waits t ?extra cycle =
     (fun o ->
       match extra with
       | Some (o', r) when o' = o -> Some (o, r)
-      | _ -> ( match Hashtbl.find_opt t.waiting o with Some r -> Some (o, r) | None -> None))
+      | _ -> Option.map (fun w -> (o, w.wlock.resource)) (Hashtbl.find_opt t.waiting o))
     cycle
 
 (* DOT snapshot of the waits-for graph at deadlock time: every blocked owner
@@ -369,72 +361,61 @@ let waits_dot t ?extra ~victim ~cycle edges =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Build and record the deadlock certificate: the cycle through [victim]
+(* Record the deadlock certificate: the cycle through [victim] in [edges]
    (owners in wait order), each member's blocked resource, and a waits-for
-   DOT snapshot. Only does work when the sink has provenance on. *)
+   DOT snapshot. Callers build [edges] only when the sink has provenance
+   on. *)
 let emit_deadlock_cert t ?extra ~victim edges =
-  if Obs.provenance_on t.obs then begin
-    let cycle = cycle_path edges victim in
-    Obs.add_cert t.obs
-      {
-        Obs.c_ts = Sim.now t.sim;
-        c_reason = "deadlock";
-        c_cert =
-          Obs.Deadlock_cycle
-            { dc_victim = victim; dc_cycle = cycle; dc_waits = cycle_waits t ?extra cycle };
-        c_dot = waits_dot t ?extra ~victim ~cycle edges;
-      }
-  end
+  let cycle = cycle_path edges victim in
+  Obs.add_cert t.obs
+    {
+      Obs.c_ts = Sim.now t.sim;
+      c_reason = "deadlock";
+      c_cert =
+        Obs.Deadlock_cycle
+          { dc_victim = victim; dc_cycle = cycle; dc_waits = cycle_waits t ?extra cycle };
+      c_dot = waits_dot t ?extra ~victim ~cycle edges;
+    }
 
+(* FIFO: grant from the head while compatible; stop at the first waiter
+   that must still wait. *)
 let grant_waiters t l =
-  (* FIFO: grant from the head while compatible; stop at the first blocked
-     live waiter. Fired (killed) waiters are discarded. *)
-  let rec go queue =
-    match queue with
-    | [] -> []
-    | w :: rest ->
-        if Sim.waker_fired w.waker then go rest
-        else if conflicts_with_holders l ~owner:w.wowner ~mode:w.wmode then w :: rest
-        else begin
-          do_grant t l ~owner:w.wowner ~mode:w.wmode;
-          Hashtbl.remove t.waiting w.wowner;
-          Sim.wake t.sim w.waker;
-          go rest
-        end
+  let rec go = function
+    | w :: rest when not (conflicts_with_holders l ~owner:w.wowner ~mode:w.wmode) ->
+        do_grant t l ~owner:w.wowner ~mode:w.wmode;
+        Hashtbl.remove t.waiting w.wowner;
+        Sim.wake t.sim w.waker;
+        go rest
+    | queue -> queue
   in
   l.queue <- go l.queue
 
+(* Raise [exn] in blocked waiter [w]. Its entry leaves the queue at once, so
+   a queue holds only waiters that can still be granted. *)
+let kill_waiter t w exn =
+  Hashtbl.remove t.waiting w.wowner;
+  w.wlock.queue <- List.filter (fun w' -> w' != w) w.wlock.queue;
+  Sim.kill t.sim w.waker exn;
+  grant_waiters t w.wlock
+
+(* Kill the youngest (largest id) blocked owner on a waits-for cycle, if
+   any. Killing one may break several cycles; the next pass handles the
+   rest. *)
 let run_detector_pass t =
-  let edges = waits_for_edges t in
-  let victims = cycle_members edges in
-  (* Kill the youngest (largest id) member of each cycle; killing one may
-     break several cycles, which is fine — the next pass handles the rest. *)
-  match List.rev (List.sort compare victims) with
-  | [] -> 0
-  | v :: _ ->
-      (match Hashtbl.find_opt t.waiting v with
-      | None -> 0
-      | Some resource -> (
-          match Hashtbl.find_opt t.table resource with
-          | None -> 0
-          | Some l ->
-              let found = ref 0 in
-              List.iter
-                (fun w ->
-                  if w.wowner = v && not (Sim.waker_fired w.waker) then begin
-                    t.deadlocks <- t.deadlocks + 1;
-                    incr found;
-                    (* Certificate before the victim is removed from
-                       [t.waiting], so its own blocked resource is cited. *)
-                    emit_deadlock_cert t ~victim:v edges;
-                    Hashtbl.remove t.waiting v;
-                    if Obs.tracing t.obs then
-                      Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Deadlock { victim = v; resource });
-                    Sim.kill t.sim w.waker Deadlock_victim
-                  end)
-                l.queue;
-              grant_waiters t l;
-              !found))
+  let blocked = Hashtbl.fold (fun _ w acc -> w :: acc) t.waiting [] in
+  let on_cycle w = closes_cycle t w.wlock ~owner:w.wowner ~mode:w.wmode w.wlock.queue in
+  match List.find_opt on_cycle (List.sort (fun a b -> compare b.wowner a.wowner) blocked) with
+  | None -> false
+  | Some w ->
+      let victim = w.wowner in
+      t.deadlocks <- t.deadlocks + 1;
+      (* Certificate before the victim is removed from [t.waiting], so its
+         own blocked resource is cited. *)
+      if Obs.provenance_on t.obs then emit_deadlock_cert t ~victim (waits_for_edges t);
+      if Obs.tracing t.obs then
+        Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Deadlock { victim; resource = w.wlock.resource });
+      kill_waiter t w Deadlock_victim;
+      true
 
 let start_detector t =
   match t.detection with
@@ -447,8 +428,9 @@ let start_detector t =
            it. *)
         let rec loop () =
           Sim.delay t.sim dt;
-          let rec drain () = if run_detector_pass t > 0 then drain () in
-          drain ();
+          while run_detector_pass t do
+            ()
+          done;
           if Hashtbl.length t.waiting > 0 then loop () else t.detector_running <- false
         in
         Sim.spawn t.sim loop
@@ -462,11 +444,7 @@ let acquire t ~owner ~mode resource =
      behind strangers (a holder waiting behind someone who waits for it
      would self-deadlock); they only wait for conflicting *holders*, and
      when they do wait, they wait at the front of the queue. *)
-  let already_holds =
-    match Hashtbl.find l.holds owner with
-    | c -> c.s > 0 || c.x > 0 || c.siread > 0
-    | exception Not_found -> false
-  in
+  let already_holds = Hashtbl.mem l.holds owner in
   if
     mode = Siread
     || (not (conflicts_with_holders l ~owner ~mode))
@@ -498,19 +476,18 @@ let acquire t ~owner ~mode resource =
           raise Deadlock_victim
         end
     | Periodic _ -> start_detector t);
-    Hashtbl.replace t.waiting owner resource;
     let blocked_at = Sim.now t.sim in
     if Obs.tracing t.obs then
       Obs.emit t.obs ~ts:blocked_at
         (Obs.Lock_block { owner; mode = mode_to_string mode; resource });
-    let enqueue w =
-      let entry = { wowner = owner; wmode = mode; waker = w } in
-      if already_holds then l.queue <- entry :: l.queue
-      else l.queue <- l.queue @ [ entry ]
+    let enqueue waker =
+      let w = { wowner = owner; wmode = mode; waker; wlock = l } in
+      Hashtbl.replace t.waiting owner w;
+      if already_holds then l.queue <- w :: l.queue else l.queue <- l.queue @ [ w ]
     in
+    (* Only {!kill_waiter} raises here, and it has already dequeued us. *)
     (try Sim.suspend t.sim enqueue
      with e ->
-       Hashtbl.remove t.waiting owner;
        if Obs.tracing t.obs then
          Obs.emit t.obs ~ts:(Sim.now t.sim)
            (Obs.Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
@@ -529,19 +506,17 @@ let release_one t ~owner ~mode resource =
   | exception Not_found -> ()
   | l -> (
       match Hashtbl.find l.holds owner with
-      | exception Not_found -> ()
-      | c ->
-          if count_of c mode > 0 then begin
-            add_count c mode (-count_of c mode);
-            if c.s = 0 && c.x = 0 && c.siread = 0 then begin
-              Hashtbl.remove l.holds owner;
-              match Hashtbl.find t.owned owner with
-              | set -> Hashtbl.remove set resource
-              | exception Not_found -> ()
-            end;
-            grant_waiters t l;
-            drop_if_unused t l
-          end)
+      | h when has h mode ->
+          let held = Hashtbl.find t.owned owner in
+          (match mode with
+          | S -> h.s <- false
+          | X -> h.x <- false
+          | Siread -> set_siread t held h false);
+          drop_hold_if_empty l held owner h;
+          grant_waiters t l;
+          drop_if_unused t l
+      | _ -> ()
+      | exception Not_found -> ())
 
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
    committing SSI transaction keeps them while suspended, §3.3). *)
@@ -550,27 +525,19 @@ let release_all ?(keep_siread = false) t owner =
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
   match Hashtbl.find t.owned owner with
   | exception Not_found -> ()
-  | set ->
-      let resources = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
+  | held ->
       List.iter
         (fun resource ->
-          match Hashtbl.find t.table resource with
-          | exception Not_found -> Hashtbl.remove set resource
-          | l -> (
-              match Hashtbl.find l.holds owner with
-              | exception Not_found -> Hashtbl.remove set resource
-              | c ->
-                  c.s <- 0;
-                  c.x <- 0;
-                  if not keep_siread then c.siread <- 0;
-                  if c.siread = 0 then begin
-                    Hashtbl.remove l.holds owner;
-                    Hashtbl.remove set resource
-                  end;
-                  grant_waiters t l;
-                  drop_if_unused t l))
-        resources;
-      drop_owned_if_empty t owner set
+          let l = Hashtbl.find t.table resource in
+          let h = Hashtbl.find l.holds owner in
+          h.s <- false;
+          h.x <- false;
+          if not keep_siread then set_siread t held h false;
+          drop_hold_if_empty l held owner h;
+          grant_waiters t l;
+          drop_if_unused t l)
+        (Hashtbl.fold (fun r () acc -> r :: acc) held.resources []);
+      drop_owned_if_empty t owner held
 
 (* Move every SIREAD annotation of [owner] onto [to_owner], merging with any
    the target already holds there (SIREAD is a set-like annotation: one entry
@@ -578,71 +545,37 @@ let release_all ?(keep_siread = false) t owner =
    transfer only committed suspended owners, which hold nothing else. SIREAD
    blocks nobody, so no waiter can become grantable. Used by
    committed-transaction summarization to pool old owners' entries under one
-   sentinel owner, bounding the lock table. Returns each transferred
-   resource paired with whether the target already held a SIREAD there (the
-   table shrinks by one entry in that case). *)
+   sentinel owner, bounding the lock table. Returns the transferred
+   resources. *)
 let transfer_sireads t ~owner ~to_owner =
   match Hashtbl.find t.owned owner with
   | exception Not_found -> []
-  | set ->
-      let resources = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
+  | held ->
       let moved =
-        List.filter_map
+        List.filter
           (fun resource ->
-            match Hashtbl.find t.table resource with
-            | exception Not_found ->
-                Hashtbl.remove set resource;
-                None
-            | l -> (
-                match Hashtbl.find l.holds owner with
-                | exception Not_found ->
-                    Hashtbl.remove set resource;
-                    None
-                | c ->
-                    if c.siread = 0 then None
-                    else begin
-                      c.siread <- 0;
-                      if c.s = 0 && c.x = 0 then begin
-                        Hashtbl.remove l.holds owner;
-                        Hashtbl.remove set resource
-                      end;
-                      let merged =
-                        match Hashtbl.find l.holds to_owner with
-                        | tc ->
-                            let had = tc.siread > 0 in
-                            if not had then tc.siread <- 1;
-                            had
-                        | exception Not_found ->
-                            Hashtbl.replace l.holds to_owner { s = 0; x = 0; siread = 1 };
-                            false
-                      in
-                      note_owned t to_owner resource;
-                      Some (resource, merged)
-                    end))
-          resources
+            let l = Hashtbl.find t.table resource in
+            let h = Hashtbl.find l.holds owner in
+            h.siread
+            && begin
+                 set_siread t held h false;
+                 drop_hold_if_empty l held owner h;
+                 let target = hold_of l to_owner in
+                 set_siread t (note_owned t to_owner resource) target true;
+                 true
+               end)
+          (Hashtbl.fold (fun r () acc -> r :: acc) held.resources [])
       in
-      drop_owned_if_empty t owner set;
+      drop_owned_if_empty t owner held;
       moved
 
 (* Abort an owner that is currently blocked: raise [exn] inside it. *)
 let cancel_wait t owner exn =
   match Hashtbl.find_opt t.waiting owner with
   | None -> false
-  | Some resource -> (
-      Hashtbl.remove t.waiting owner;
-      match Hashtbl.find_opt t.table resource with
-      | None -> false
-      | Some l ->
-          let found = ref false in
-          List.iter
-            (fun w ->
-              if w.wowner = owner && not (Sim.waker_fired w.waker) then begin
-                found := true;
-                Sim.kill t.sim w.waker exn
-              end)
-            l.queue;
-          grant_waiters t l;
-          !found)
+  | Some w ->
+      kill_waiter t w exn;
+      true
 
 let is_waiting t owner = Hashtbl.mem t.waiting owner
 

@@ -8,7 +8,8 @@
     the engine layer, which inspects {!holders} after each grant.
 
     Re-entrant: an owner may hold several modes on one resource; its own
-    holds never block it (so an S→X upgrade waits only for other owners). *)
+    holds never block it (so an S→X upgrade waits only for other owners).
+    A held mode is held once: acquiring it again changes nothing. *)
 
 type mode = S | X | Siread
 
@@ -62,8 +63,8 @@ val holds_of : t -> owner:owner -> string -> mode list
     list. *)
 val holds_mode : t -> owner:owner -> mode:mode -> string -> bool
 
-(** Drop one mode (all its recursive acquisitions) of [owner] on [resource];
-    wakes newly compatible waiters. *)
+(** Drop one mode of [owner] on [resource]; wakes newly compatible
+    waiters. *)
 val release_one : t -> owner:owner -> mode:mode -> string -> unit
 
 (** Release everything [owner] holds. With [~keep_siread:true], SIREAD
@@ -77,34 +78,36 @@ val cancel_wait : t -> owner -> exn -> bool
 
 (** [transfer_sireads t ~owner ~to_owner] moves every SIREAD annotation of
     [owner] onto [to_owner], merging where the target already holds one.
-    Returns the transferred resources, each paired with [true] when it was
-    merged (the table shrank by one entry). Used by committed-transaction
+    Returns the transferred resources. Used by committed-transaction
     summarization to pool old owners' SIREADs under a sentinel owner. *)
-val transfer_sireads : t -> owner:owner -> to_owner:owner -> (string * bool) list
+val transfer_sireads : t -> owner:owner -> to_owner:owner -> string list
 
 (** {1 Waits-for introspection} *)
 
 (** Current waits-for edges over the whole lock table: a blocked owner
     points at every conflicting holder and every conflicting earlier waiter.
-    [Immediate] detection does not build this graph; it searches it from the
-    requester, and builds it only for a deadlock certificate. *)
+    Neither detector builds this graph: both search it from one blocked
+    owner (the requester, or each queued owner from the largest id down),
+    and build it only for a deadlock certificate. *)
 val waits_for_edges : t -> (owner * owner) list
 
-(** The live waiters queued on a resource, head (next served) first. *)
+(** The waiters queued on a resource, head (next served) first. A killed
+    waiter leaves its queue at once. *)
 val queued : t -> string -> (owner * mode) list
-
-(** The waits-for cycle through [start] in [edges]: a path
-    [[start; a; b; ...]] where each owner waits for the next and the last
-    waits for [start]; [[start]] if there is none. Deterministic
-    (successors explored in sorted order). *)
-val cycle_path : (owner * owner) list -> owner -> owner list
 
 val is_waiting : t -> owner -> bool
 
 (** {1 Statistics} *)
 
-(** Total (owner, resource, mode) holds currently in the table. *)
+(** Total (owner, resource) pairs currently holding a mode. *)
 val lock_table_size : t -> int
+
+(** SIREAD holds in the whole table, suspended and summary owners
+    included: one per (owner, resource) pair. *)
+val siread_entries : t -> int
+
+(** Resources [owner] holds SIREAD on. *)
+val sireads_of : t -> owner -> int
 
 val requests : t -> int
 

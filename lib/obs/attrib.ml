@@ -100,37 +100,6 @@ let render_table buf ?top sk =
       Buffer.add_char buf '\n')
     rows
 
-let to_csv buf ?top sk =
-  Buffer.add_string buf "resource";
-  List.iter
-    (fun c ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf c)
-    columns;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (r, s) ->
-      Buffer.add_string buf (Obs.res_id_escape r);
-      List.iter
-        (fun c ->
-          Buffer.add_char buf ',';
-          Buffer.add_string buf c)
-        (cells s);
-      Buffer.add_char buf '\n')
-    (table ?top sk)
-
-let to_ndjson buf ?top sk =
-  List.iter
-    (fun (r, s) ->
-      Printf.bprintf buf
-        {|{"resource":"%s","count":%d,"err":%d,"conflicts":%d,"blame_in":%d,"blame_out":%d,"blame_fcw":%d,"lock_waits":%d,"lock_wait_s":%s,"siread":%d,"promoted":%d,"summarized":%d}|}
-        (Obs.res_id_escape r) s.Sketch.st_count s.Sketch.st_err s.Sketch.st_conflicts
-        s.Sketch.st_blame_in s.Sketch.st_blame_out s.Sketch.st_blame_fcw s.Sketch.st_lock_waits
-        (num s.Sketch.st_lock_wait) s.Sketch.st_siread s.Sketch.st_promotions
-        s.Sketch.st_summarized;
-      Buffer.add_char buf '\n')
-    (table ?top sk)
-
 (* {1 Per-window blame series} *)
 
 type wblame = {

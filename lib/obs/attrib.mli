@@ -29,12 +29,6 @@ val render_summary : Buffer.t -> Sketch.t -> unit
 (** Aligned text contention table (header + one row per entry). *)
 val render_table : Buffer.t -> ?top:int -> Sketch.t -> unit
 
-(** CSV export of the same columns. *)
-val to_csv : Buffer.t -> ?top:int -> Sketch.t -> unit
-
-(** One JSON object per entry per line. *)
-val to_ndjson : Buffer.t -> ?top:int -> Sketch.t -> unit
-
 (** {1 Per-window blame series}
 
     The certificates folded onto the PR 8 timeline's window grid:

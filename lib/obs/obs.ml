@@ -843,13 +843,6 @@ let cert_to_json c =
   Printf.sprintf {|{"ts":%.9f,"reason":%s,%s,"shape":%s,"dot":%s}|} c.c_ts (str c.c_reason) body
     (str (cert_shape c)) (str c.c_dot)
 
-let write_certs oc t =
-  List.iter
-    (fun c ->
-      output_string oc (cert_to_json c);
-      output_char oc '\n')
-    (certs t)
-
 (* {1 Resource series}
 
    Chronological (ts, in_use, queued) samples per resource name, extracted

@@ -296,9 +296,6 @@ val cert_count : t -> int
 (** Chronological certificate list. *)
 val certs : t -> certificate list
 
-(** Certificates as JSON, one object per line. *)
-val write_certs : out_channel -> t -> unit
-
 (** Pass an event at simulated time [ts] to every installed consumer. Call
     sites guard with {!on} or {!tracing} to avoid building the event. *)
 val emit : t -> ts:float -> event -> unit

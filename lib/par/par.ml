@@ -52,6 +52,14 @@ let rec worker_loop t =
     worker_loop t
   end
 
+let shutdown t =
+  Mutex.lock t.m;
+  t.stopping <- true;
+  Condition.broadcast t.nonempty;
+  Mutex.unlock t.m;
+  List.iter Domain.join t.workers;
+  t.workers <- []
+
 let create n =
   if n < 1 then invalid_arg "Par.create: size must be >= 1";
   let t =
@@ -66,16 +74,18 @@ let create n =
       workers = [];
     }
   in
-  if n > 1 then t.workers <- List.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  (* A spawn the runtime refuses stops and joins the workers already
+     started, so a pool that cannot start leaks no blocked domain. *)
+  (try
+     for _ = 2 to n do
+       t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+     done
+   with e ->
+     shutdown t;
+     invalid_arg
+       (Printf.sprintf "Par.create: cannot start a pool of %d domains (%s)" n
+          (Printexc.to_string e)));
   t
-
-let shutdown t =
-  Mutex.lock t.m;
-  t.stopping <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.m;
-  List.iter Domain.join t.workers;
-  t.workers <- []
 
 let with_pool ~j f =
   let t = create j in

@@ -22,13 +22,17 @@ type t
 (** [create n] builds a pool of total parallelism [n >= 1]: [n - 1] worker
     domains plus the submitting thread, which participates in every batch.
     [n = 1] spawns no domains at all: {!run} then executes jobs inline, in
-    order — the [-j 1] fallback path. *)
+    order — the [-j 1] fallback path.
+
+    Raises [Invalid_argument] if [n < 1], or if the runtime cannot start
+    [n - 1] more domains; the workers it did start are stopped and joined
+    first. *)
 val create : int -> t
 
 (** Total parallelism the pool was created with. *)
 val size : t -> int
 
-(** [Domain.recommended_domain_count ()] — the default for [-j 0]. *)
+(** [Domain.recommended_domain_count ()]. *)
 val recommended : unit -> int
 
 (** [run pool thunks] executes every thunk (in any order, on any domain)

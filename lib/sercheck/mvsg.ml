@@ -27,9 +27,6 @@ type edge = {
   key : string;
 }
 
-let pp_edge fmt e =
-  Fmt.pf fmt "T%d -%s-> T%d on %s/%s" e.src (edge_kind_to_string e.kind) e.dst e.table e.key
-
 type t = {
   txns : (int, committed_record) Hashtbl.t;
   edges : edge list;

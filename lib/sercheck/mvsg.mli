@@ -17,8 +17,6 @@ val edge_kind_to_string : edge_kind -> string
 
 type edge = { src : int; dst : int; kind : edge_kind; table : string; key : string }
 
-val pp_edge : Format.formatter -> edge -> unit
-
 type t
 
 val build : committed_record list -> t

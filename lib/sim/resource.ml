@@ -15,7 +15,6 @@ type t = {
       (* queues a suspending waiter; made once, so a wait allocates no
          closure *)
   busy : busy;
-  mutable acquisitions : int;
   mutable obs : Obs.t;
       (* profiler sink: a state sample (servers busy, queue depth) is
          emitted on every acquire/release state change, but only when the
@@ -42,7 +41,6 @@ let create sim ~name ~capacity =
           Queue.add w t.queue;
           sample t);
       busy = { seconds = 0.0 };
-      acquisitions = 0;
       obs = Obs.disabled;
     }
   in
@@ -65,8 +63,7 @@ let acquire t =
   end
   else
     (* The releaser transfers its slot to us; in_use stays constant. *)
-    Sim.suspend t.sim t.enqueue;
-  t.acquisitions <- t.acquisitions + 1
+    Sim.suspend t.sim t.enqueue
 
 (* Hand the server to the first waiter still suspended, skipping killed
    ones, or free it when none is left. *)
@@ -107,13 +104,9 @@ let consume t dt =
 
 let busy_time t = t.busy.seconds
 
-let acquisitions t = t.acquisitions
-
 (* Utilisation over a window of [elapsed] seconds. *)
 let utilisation t ~elapsed =
   if elapsed <= 0.0 then 0.0
   else t.busy.seconds /. (elapsed *. float_of_int t.capacity)
 
-let reset_stats t =
-  t.busy.seconds <- 0.0;
-  t.acquisitions <- 0
+let reset_stats t = t.busy.seconds <- 0.0

@@ -40,8 +40,6 @@ val consume : t -> float -> unit
 (** Total server-seconds consumed through {!use}/{!consume}. *)
 val busy_time : t -> float
 
-val acquisitions : t -> int
-
 (** Fraction of capacity busy over an [elapsed]-second window. *)
 val utilisation : t -> elapsed:float -> float
 

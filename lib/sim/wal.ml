@@ -255,14 +255,18 @@ let plan_to_string = function
   | Crash_mid_flush { flush; keep; torn } -> Printf.sprintf "flush:%d:%d:%d" flush keep torn
   | Crash_at_commit_window n -> Printf.sprintf "window:%d" n
 
+(* Trigger counts are 1-based; [keep] and [torn] may be 0. *)
 let plan_of_string s =
+  let at_least min n =
+    match int_of_string_opt n with Some n when n >= min -> Some n | _ -> None
+  in
   match String.split_on_char ':' s with
-  | [ "append"; n ] -> Option.map (fun n -> Crash_on_append n) (int_of_string_opt n)
+  | [ "append"; n ] -> Option.map (fun n -> Crash_on_append n) (at_least 1 n)
   | [ "flush"; f; k; t ] -> (
-      match (int_of_string_opt f, int_of_string_opt k, int_of_string_opt t) with
+      match (at_least 1 f, at_least 0 k, at_least 0 t) with
       | Some flush, Some keep, Some torn -> Some (Crash_mid_flush { flush; keep; torn })
       | _ -> None)
-  | [ "window"; n ] -> Option.map (fun n -> Crash_at_commit_window n) (int_of_string_opt n)
+  | [ "window"; n ] -> Option.map (fun n -> Crash_at_commit_window n) (at_least 1 n)
   | _ -> None
 
 (* {1 The log} *)
@@ -280,8 +284,6 @@ type t = {
   durable : Buffer.t; (* the durable log image, header included *)
   mutable appends : int;
   mutable flushes : int;
-  mutable checkpoints : int;
-  mutable windows : int;
   mutable plan : plan option;
   (* Trigger counters, zeroed by [arm] so fault plans count from the arming
      point (after Db.load), not from db creation. *)
@@ -305,8 +307,6 @@ let create sim ~mode =
     durable;
     appends = 0;
     flushes = 0;
-    checkpoints = 0;
-    windows = 0;
     plan = None;
     p_appends = 0;
     p_flushes = 0;
@@ -404,7 +404,6 @@ let commit_flush t =
   | Flush_per_commit latency -> ensure_flushed t ~latency ~upto:t.epoch
 
 let commit_window_check t =
-  t.windows <- t.windows + 1;
   match t.plan with
   | Some (Crash_at_commit_window n as p) ->
       t.p_windows <- t.p_windows + 1;
@@ -423,7 +422,6 @@ let checkpoint t ~watermark ~next_ts =
   let target = t.epoch in
   t.epoch <- t.epoch + 1;
   harden_upto t target;
-  t.checkpoints <- t.checkpoints + 1;
   if Obs.on t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim)
       (Obs.Wal_checkpoint { epoch = target; watermark; next_ts })
@@ -441,10 +439,6 @@ let appends t = t.appends
 
 let flushes t = t.flushes
 
-let checkpoints t = t.checkpoints
-
-let commit_windows t = t.windows
-
 (* Events seen since [arm] — the trigger-counter values a fault plan indexes
    into. Arming a plan that can never fire (e.g. [Crash_on_append max_int])
    turns a crash-free run into a census of its crashable points. *)
@@ -460,6 +454,4 @@ let armed_windows t = t.p_windows
    batch — pinned by test_recovery's reset_stats regression. *)
 let reset_stats t =
   t.appends <- 0;
-  t.flushes <- 0;
-  t.checkpoints <- 0;
-  t.windows <- 0
+  t.flushes <- 0

@@ -79,6 +79,9 @@ val arm : t -> plan -> unit
     ["window:1"]; [plan_of_string] inverts it. *)
 val plan_to_string : plan -> string
 
+(** [None] for a malformed string, and for a plan that can never fire: an
+    append, flush or window count below 1, or a negative [keep] or
+    [torn]. *)
 val plan_of_string : string -> plan option
 
 (** {1 Log lifecycle} *)
@@ -100,7 +103,8 @@ val commit_flush : t -> unit
 
 (** Crash-injection probe for the window between commit-ts assignment and
     the commit flush; fires {!Crash} when a [Crash_at_commit_window] plan
-    matches, counts the window otherwise. *)
+    matches, and counts the window toward {!armed_windows} while any plan
+    is armed. *)
 val commit_window_check : t -> unit
 
 (** Seal the open batch and harden it together with a [Checkpoint] record,
@@ -126,12 +130,6 @@ val appends : t -> int
 (** Physical flushes performed; [appends / flushes] is the group-commit
     batching factor. *)
 val flushes : t -> int
-
-val checkpoints : t -> int
-
-(** Commit windows observed (commit-ts assigned, flush not yet issued);
-    the sample space for [Crash_at_commit_window]. *)
-val commit_windows : t -> int
 
 (** {2 Since-arm trigger counters}
 

@@ -451,22 +451,24 @@ module Ref = struct
                         Hashtbl.remove holds owner;
                         Hashtbl.remove set r
                       end;
-                      let merged =
-                        match Hashtbl.find_opt holds to_owner with
-                        | Some tc ->
-                            let had = tc.siread > 0 in
-                            tc.siread <- 1;
-                            had
-                        | None ->
-                            Hashtbl.replace holds to_owner { s = 0; x = 0; siread = 1 };
-                            false
-                      in
+                      (match Hashtbl.find_opt holds to_owner with
+                      | Some tc -> tc.siread <- 1
+                      | None -> Hashtbl.replace holds to_owner { s = 0; x = 0; siread = 1 });
                       note_owned t to_owner r;
-                      Some (r, merged)))
+                      Some r))
             (Hashtbl.fold (fun r () acc -> r :: acc) set [])
         in
         if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner;
         moved
+
+  (* SIREAD holds per owner, indexed by owner id. *)
+  let sireads t n_owners =
+    let per_owner = Array.make n_owners 0 in
+    Hashtbl.iter
+      (fun _ holds ->
+        Hashtbl.iter (fun o c -> if c.siread > 0 then per_owner.(o) <- per_owner.(o) + 1) holds)
+      t.table;
+    per_owner
 end
 
 type op =
@@ -513,7 +515,8 @@ let arb_ops =
     QCheck.Gen.(list_size (int_range 50 300) op_gen)
 
 (* Apply [ops] to a lock manager and to the reference, checking after every
-   step that they agree: [holders] (order included) on every resource,
+   step that they agree: [holders] (order included) on every resource, the
+   SIREAD counts ([siread_entries] and each owner's [sireads_of]),
    [holds_mode] against [holds_of] and the reference, [transfer_sireads]
    results, the table size and each owner's held resources. *)
 let prop_matches_reference =
@@ -531,14 +534,22 @@ let prop_matches_reference =
         Lockmgr.release_all ~keep_siread lm owner;
         Ref.release_all ~keep_siread rf owner
       in
-      (* Holders are compared after every step, the rest every 20 steps
-         and at the end. *)
+      (* Holders and SIREAD counts are compared after every step, the rest
+         every 20 steps and at the end. *)
       let check_holders () =
         for i = 0 to n_resources - 1 do
           let r = resource i in
           if Lockmgr.holders lm r <> Ref.holders rf r then
             QCheck.Test.fail_reportf "holders of %s differ" r
-        done
+        done;
+        let sireads = Ref.sireads rf n_owners in
+        if Lockmgr.siread_entries lm <> Array.fold_left ( + ) 0 sireads then
+          QCheck.Test.fail_reportf "siread_entries differs";
+        Array.iteri
+          (fun owner n ->
+            if Lockmgr.sireads_of lm owner <> n then
+              QCheck.Test.fail_reportf "sireads_of %d differs" owner)
+          sireads
       in
       let check_all () =
         for i = 0 to n_resources - 1 do
@@ -688,6 +699,56 @@ let test_immediate_verdict =
       Alcotest.(check bool) "some requests waited" true (!waited > 0);
       Alcotest.(check bool) "some requests closed a cycle" true (!cycles > 0) )
 
+(* Periodic detection: every request lands before t = 100 and the detector
+   first runs a full interval after the first block (t >= 1000), so at
+   t = 500 the waits-for graph is the one the first pass sees. Its first
+   victim must be the largest owner on a cycle in that graph, or there is
+   none when the graph has no cycle. A waiter off every cycle may wait
+   forever and keep the detector running, so the run stops at [until]. *)
+let prop_periodic_victim ~cycles =
+  QCheck.Test.make ~name:"periodic detection kills the largest owner on a cycle" ~count:300
+    arb_steps (fun steps ->
+      let sim = Sim.create () in
+      let lm = Lockmgr.create ~detection:(Lockmgr.Periodic 1000.) sim in
+      let busy = Array.make 5 false in
+      let victims = ref [] and expected = ref None in
+      List.iteri
+        (fun i step ->
+          Sim.schedule sim ~after:(float_of_int i) (fun () ->
+              Sim.spawn sim (fun () ->
+                  match step with
+                  | Release o -> if not busy.(o) then Lockmgr.release_all lm o
+                  | Request (owner, mode, r) when not busy.(owner) ->
+                      busy.(owner) <- true;
+                      (match Lockmgr.acquire lm ~owner ~mode (resource r) with
+                      | () -> ()
+                      | exception Lockmgr.Deadlock_victim ->
+                          victims := owner :: !victims;
+                          Lockmgr.release_all lm owner);
+                      busy.(owner) <- false
+                  | Request _ -> ())))
+        steps;
+      Sim.schedule sim ~after:500. (fun () ->
+          let edges = Lockmgr.waits_for_edges lm in
+          expected :=
+            List.fold_left
+              (fun acc o -> if reaches edges ~from:o ~target:o then Some o else acc)
+              None [ 1; 2; 3; 4 ]);
+      Sim.run ~until:10_000. sim;
+      if !expected <> None then incr cycles;
+      match List.rev !victims with
+      | [] -> !expected = None
+      | first :: _ -> !expected = Some first)
+
+let test_periodic_victim =
+  let cycles = ref 0 in
+  let name, speed, run = QCheck_alcotest.to_alcotest (prop_periodic_victim ~cycles) in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Alcotest.(check bool) "some runs had a cycle" true (!cycles > 0) )
+
 let suite =
   [
     ("conflict matrix", `Quick, test_conflict_matrix);
@@ -709,6 +770,7 @@ let suite =
     ("retained SIREAD visible to X", `Quick, test_siread_retained_vs_new_x);
     QCheck_alcotest.to_alcotest prop_matches_reference;
     test_immediate_verdict;
+    test_periodic_victim;
   ]
 
 let () = Alcotest.run "lockmgr" [ ("lockmgr", suite) ]

@@ -113,6 +113,21 @@ let test_shutdown_idempotent () =
   | _ -> Alcotest.fail "run after shutdown must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* A pool the runtime cannot start (more domains than it allows) raises
+   [Invalid_argument] and leaves no worker behind: a later pool still
+   starts and runs a batch. *)
+let test_create_failure_joins_workers () =
+  (match Par.create 1000 with
+  | p ->
+      Par.shutdown p;
+      Alcotest.fail "a pool of 1000 domains should not start"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        "names the size" true
+        (String.starts_with ~prefix:"Par.create: cannot start a pool of 1000 domains" msg));
+  Par.with_pool ~j:4 (fun p ->
+      Alcotest.(check (list int)) "later pool" (expected 6) (Par.run p (adversarial_jobs 6)))
+
 (* End to end through a real consumer: a parallel Driver.run_seeds summary
    equals the sequential one (the lib-level half of the -j determinism
    contract; bin/dune diffs the CLI output too). *)
@@ -156,6 +171,8 @@ let () =
             test_on_result_streams_in_order;
           Alcotest.test_case "map" `Quick test_map;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
+          Alcotest.test_case "failed create joins its workers" `Quick
+            test_create_failure_joins_workers;
         ] );
       ( "consumers",
         [

@@ -416,6 +416,31 @@ let test_crash_repro_roundtrip () =
       Alcotest.(check bool) "same plan" true (o.Fuzzrecover.o_plan = d.Fuzzrecover.d_plan);
       Alcotest.(check bool) "oracle passes" true (o.Fuzzrecover.o_violation = None)
 
+(* Every plan the crash fuzzer samples prints as a string that parses back
+   to it. A plan that cannot fire is rejected: by the parser, and by a crash
+   repro that carries it, in one line naming the plan. *)
+let test_plan_strings () =
+  let kinds = Hashtbl.create 3 in
+  for seed = 1 to 8 do
+    let d = Fuzzrecover.demo ~seed () in
+    let wal = Db.wal (Fuzzrecover.reference_run d.Fuzzrecover.d_case).Interleave.db in
+    List.iter
+      (fun p ->
+        Hashtbl.replace kinds (List.hd (String.split_on_char ':' (Wal.plan_to_string p))) ();
+        if Wal.plan_of_string (Wal.plan_to_string p) <> Some p then
+          Alcotest.failf "plan %s does not round-trip" (Wal.plan_to_string p))
+      (Fuzzrecover.sample_plans (Random.State.make [| seed |]) wal)
+  done;
+  Alcotest.(check int) "append, flush and window plans sampled" 3 (Hashtbl.length kinds);
+  List.iter
+    (fun s -> Alcotest.(check bool) s true (Wal.plan_of_string s = None))
+    [ "append:0"; "append:-1"; "window:0"; "flush:0:0:0"; "flush:1:-1:0"; "flush:1:0:-2" ];
+  let d = Fuzzrecover.demo ~seed:1 () in
+  let repro = Fuzzcase.to_string ~comment:[ "crash append:0" ] d.Fuzzrecover.d_case in
+  match Fuzzrecover.replay_string repro with
+  | Error e -> Alcotest.(check string) "replay error" "bad crash plan 'append:0'" e
+  | Ok _ -> Alcotest.fail "a repro with plan append:0 replayed"
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "recovery"
@@ -451,6 +476,7 @@ let () =
           Alcotest.test_case "v3 durability fields roundtrip" `Quick
             test_codec_v3_durability_roundtrip;
           Alcotest.test_case "crash repro roundtrip" `Quick test_crash_repro_roundtrip;
+          Alcotest.test_case "crash plans that cannot fire rejected" `Quick test_plan_strings;
         ] );
       ( "campaign",
         [
