@@ -61,21 +61,53 @@ let all_tables =
 
 (* {1 Keys and records} *)
 
-let wkey w = Printf.sprintf "w%03d" w
+(* A key is a run of fields, each a tag and then a number [n >= 0]
+   zero-padded to a width, or wider when [n] has more digits: the string
+   Printf's "%0*d" gives, written in one allocation. [len] is a field's
+   length; [put] writes one at [pos] and returns the position after it. *)
+let len tag n w = String.length tag + max w (Decimal.length n)
 
-let dkey w d = Printf.sprintf "w%03d:d%02d" w d
+let put b pos tag n w =
+  let p = pos + String.length tag and w = max w (Decimal.length n) in
+  Bytes.blit_string tag 0 b pos (String.length tag);
+  Decimal.blit n b ~pos:p ~width:w;
+  p + w
 
-let ckey w d c = Printf.sprintf "w%03d:d%02d:c%05d" w d c
+let key1 t1 n1 w1 =
+  let b = Bytes.create (len t1 n1 w1) in
+  ignore (put b 0 t1 n1 w1);
+  Bytes.unsafe_to_string b
 
-let ikey i = Printf.sprintf "i%06d" i
+let key2 t1 n1 w1 t2 n2 w2 =
+  let b = Bytes.create (len t1 n1 w1 + len t2 n2 w2) in
+  ignore (put b (put b 0 t1 n1 w1) t2 n2 w2);
+  Bytes.unsafe_to_string b
 
-let skey w i = Printf.sprintf "w%03d:%s" w (ikey i)
+let key3 t1 n1 w1 t2 n2 w2 t3 n3 w3 =
+  let b = Bytes.create (len t1 n1 w1 + len t2 n2 w2 + len t3 n3 w3) in
+  ignore (put b (put b (put b 0 t1 n1 w1) t2 n2 w2) t3 n3 w3);
+  Bytes.unsafe_to_string b
 
-let okey w d o = Printf.sprintf "w%03d:d%02d:o%08d" w d o
+let key4 t1 n1 w1 t2 n2 w2 t3 n3 w3 t4 n4 w4 =
+  let b = Bytes.create (len t1 n1 w1 + len t2 n2 w2 + len t3 n3 w3 + len t4 n4 w4) in
+  ignore (put b (put b (put b (put b 0 t1 n1 w1) t2 n2 w2) t3 n3 w3) t4 n4 w4);
+  Bytes.unsafe_to_string b
 
-let olkey w d o n = Printf.sprintf "%s:%02d" (okey w d o) n
+let wkey w = key1 "w" w 3
 
-let cokey w d c o = Printf.sprintf "%s:o%08d" (ckey w d c) o
+let dkey w d = key2 "w" w 3 ":d" d 2
+
+let ckey w d c = key3 "w" w 3 ":d" d 2 ":c" c 5
+
+let ikey i = key1 "i" i 6
+
+let skey w i = key2 "w" w 3 ":i" i 6
+
+let okey w d o = key3 "w" w 3 ":d" d 2 ":o" o 8
+
+let olkey w d o n = key4 "w" w 3 ":d" d 2 ":o" o 8 ":" n 2
+
+let cokey w d c o = key4 "w" w 3 ":d" d 2 ":c" c 5 ":o" o 8
 
 let fields s = String.split_on_char '|' s
 

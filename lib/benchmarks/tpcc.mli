@@ -35,22 +35,34 @@ val cust_orders : string
 
 val all_tables : string list
 
-(** {1 Keys and records} *)
+(** {1 Keys and records}
 
+    Key builders take numbers [>= 0] and give the strings of the formats
+    named below, which pad each number with zeros to a width and widen it
+    when it has more digits. *)
+
+(** ["w%03d"] *)
 val wkey : int -> string
 
+(** ["w%03d:d%02d"] *)
 val dkey : int -> int -> string
 
+(** ["w%03d:d%02d:c%05d"] *)
 val ckey : int -> int -> int -> string
 
+(** ["i%06d"] *)
 val ikey : int -> string
 
+(** ["w%03d:i%06d"] *)
 val skey : int -> int -> string
 
+(** ["w%03d:d%02d:o%08d"] *)
 val okey : int -> int -> int -> string
 
+(** ["w%03d:d%02d:o%08d:%02d"] *)
 val olkey : int -> int -> int -> int -> string
 
+(** ["w%03d:d%02d:c%05d:o%08d"] *)
 val cokey : int -> int -> int -> int -> string
 
 val district_row : next_o:int -> ytd:int -> string

@@ -181,12 +181,12 @@ let siread_row t table_name key ~leaves =
 let mark_x_holders ?(source = Obs.Siread_vs_x) t resource =
   touch t resource;
   List.iter
-    (fun (owner, mode) ->
-      if mode = Lockmgr.X && owner <> t.id then
+    (fun owner ->
+      if owner <> t.id then
         match find_txn t.db owner with
         | Some writer -> Conflict.mark ~source ~resource ~self:t ~reader:t ~writer
         | None -> ())
-    (Lockmgr.holders t.db.locks resource)
+    (Lockmgr.holders_with t.db.locks resource Lockmgr.X)
 
 (* Fig 3.5 lines 4-6 / Fig 3.7: after taking X, every SIREAD on the resource
    whose owner overlaps us (not yet committed, or committed after our read
@@ -198,8 +198,8 @@ let mark_siread_holders ?(source = Obs.Siread_vs_x) t resource =
   touch t resource;
   let snap = snapshot_exn t in
   List.iter
-    (fun (owner, mode) ->
-      if mode = Lockmgr.Siread && owner <> t.id then
+    (fun owner ->
+      if owner <> t.id then
         match find_txn t.db owner with
         | Some reader ->
             if (not (has_committed reader)) || commit_time reader > float_of_int snap then
@@ -210,7 +210,7 @@ let mark_siread_holders ?(source = Obs.Siread_vs_x) t resource =
               | Some s when s.sm_commit_ts > snap ->
                   Conflict.mark_summarized_reader ~source ~resource ~self:t ~sm_in:s.sm_in
               | _ -> ()))
-    (Lockmgr.holders t.db.locks resource)
+    (Lockmgr.holders_with t.db.locks resource Lockmgr.Siread)
 
 (* Fig 3.4 lines 8-9: versions of the item newer than our snapshot were
    ignored by this read; each marks an rw-edge from us to its creator.
@@ -297,12 +297,10 @@ let propagate_splits db table (access : Btree.access) =
               ~out_conflict:s.sm_out
         | None -> ());
         List.iter
-          (fun (owner, mode) ->
-            if
-              mode = Lockmgr.Siread
-              && not (Lockmgr.holds_mode db.locks ~owner ~mode:Lockmgr.Siread new_r)
-            then Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r)
-          (Lockmgr.holders db.locks old_r))
+          (fun owner ->
+            if not (Lockmgr.holds_mode db.locks ~owner ~mode:Lockmgr.Siread new_r) then
+              Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r)
+          (Lockmgr.holders_with db.locks old_r Lockmgr.Siread))
       access.Btree.splits
 
 let is_ssi t = t.isolation = Serializable
@@ -311,11 +309,16 @@ let log_read t table_name key version =
   if t.db.config.Config.record_history then
     t.reads_log <- { r_table = table_name; r_key = key; r_version = version } :: t.reads_log
 
-(* The write this transaction buffered for the key, if any. *)
+(* The write this transaction buffered for the key, if any. Only buffered
+   entries are in [write_order], so a transaction that buffered none skips
+   the lookup. *)
 let own_write t table_name key =
-  match Hashtbl.find_opt t.writes (table_name, key) with
-  | Some e when e.w_buffered -> Some e.w_value
-  | _ -> None
+  if t.write_order = [] then None
+  else
+    match Hashtbl.find t.writes (table_name, key) with
+    | e when e.w_buffered -> Some e.w_value
+    | _ -> None
+    | exception Not_found -> None
 
 let buffer_write t e value =
   if not e.w_buffered then begin

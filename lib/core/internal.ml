@@ -297,9 +297,9 @@ let touch_pages ?(dirty = false) db table_name (access : Btree.access) =
         (access.Btree.leaves @ access.Btree.modified)
 
 let table_exn db name =
-  match Hashtbl.find_opt db.tables name with
-  | Some t -> t
-  | None -> raise (Abort (Internal_error ("no such table: " ^ name)))
+  match Hashtbl.find db.tables name with
+  | t -> t
+  | exception Not_found -> raise (Abort (Internal_error ("no such table: " ^ name)))
 
 (* Read view: latest commit timestamp at assignment time. Lazy (§4.5): the
    caller must only invoke this *after* acquiring any lock needed by the

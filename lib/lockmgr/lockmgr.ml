@@ -5,7 +5,8 @@
    handling. SIREAD (§3.2) never blocks and never delays anyone; it is a
    lock-table *annotation* recording that an SI transaction read an item, so
    that a later X acquisition can detect the rw-dependency. The engine layer
-   inspects {!holders} after each grant to run markConflict.
+   lists the owners of the other mode with {!holders_with} after each grant
+   to run markConflict.
 
    Resources are strings; the engine encodes row keys, gap keys and page ids
    into them. Owners are integer transaction ids.
@@ -29,23 +30,38 @@ let blocks requested held =
   | X, X | X, S | S, X -> true
   | S, S | Siread, _ | _, Siread -> false
 
-(* The modes one owner holds on one resource. An entry in a lock's holder
-   table has at least one flag set. *)
-type hold = { mutable s : bool; mutable x : bool; mutable siread : bool }
+(* A mode is one bit of a hold's [modes]. *)
+let s_bit = 1
 
-let has h = function S -> h.s | X -> h.x | Siread -> h.siread
+let x_bit = 2
 
-type waiter = { wowner : owner; wmode : mode; waker : Sim.waker; wlock : lock }
+let siread_bit = 4
+
+let bit = function S -> s_bit | X -> x_bit | Siread -> siread_bit
+
+(* 1 if [modes] has [b], else 0. *)
+let count b modes = if modes land b = 0 then 0 else 1
+
+(* The modes one owner holds on one lock, and that lock, so a release goes
+   straight to it. An entry in a lock's holder table has at least one mode;
+   a hold leaves the table when its last mode goes. *)
+type hold = { mutable modes : int; hlock : lock }
+
+and waiter = { wowner : owner; wmode : mode; waker : Sim.waker; wlock : lock }
 
 and lock = {
   mutable resource : string; (* reassigned when a free-listed entry is reused *)
   holds : (owner, hold) Hashtbl.t;
   mutable queue : waiter list; (* FIFO: head is served first; blocked owners only *)
+  mutable n_s : int; (* holds with S *)
+  mutable n_x : int; (* holds with X *)
 }
 
-(* What one owner holds: the resources it holds a mode on, and how many of
-   those holds include SIREAD. *)
-type held = { resources : (string, unit) Hashtbl.t; mutable sireads : int }
+let has h mode = h.modes land bit mode <> 0
+
+(* What one owner holds: its hold on each resource, and how many of those
+   holds include SIREAD. *)
+type held = { resources : (string, hold) Hashtbl.t; mutable sireads : int }
 
 type detection = Immediate | Periodic of float
 
@@ -104,7 +120,7 @@ let set_on_touch t f = t.on_touch <- f
 let owned_resources t owner =
   match Hashtbl.find_opt t.owned owner with
   | None -> []
-  | Some held -> List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) held.resources [])
+  | Some held -> List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) held.resources [])
 
 let sireads_of t owner =
   match Hashtbl.find t.owned owner with held -> held.sireads | exception Not_found -> 0
@@ -116,7 +132,8 @@ let get_lock t resource =
   | l -> l
   | exception Not_found ->
       let l =
-        if Stack.is_empty t.free_locks then { resource; holds = Hashtbl.create 4; queue = [] }
+        if Stack.is_empty t.free_locks then
+          { resource; holds = Hashtbl.create 4; queue = []; n_s = 0; n_x = 0 }
         else begin
           let l = Stack.pop t.free_locks in
           l.resource <- resource;
@@ -134,21 +151,17 @@ let drop_if_unused t l =
     Stack.push l t.free_locks
   end
 
-(* Record that [owner] holds a mode on [resource]; returns its held set. *)
-let note_owned t owner resource =
-  let held =
-    match Hashtbl.find t.owned owner with
-    | held -> held
-    | exception Not_found ->
-        let held =
-          if Stack.is_empty t.free_sets then { resources = Hashtbl.create 16; sireads = 0 }
-          else Stack.pop t.free_sets
-        in
-        Hashtbl.replace t.owned owner held;
-        held
-  in
-  Hashtbl.replace held.resources resource ();
-  held
+(* [owner]'s held set, made (or taken from the pool) if it has none. *)
+let held_set t owner =
+  match Hashtbl.find t.owned owner with
+  | held -> held
+  | exception Not_found ->
+      let held =
+        if Stack.is_empty t.free_sets then { resources = Hashtbl.create 16; sireads = 0 }
+        else Stack.pop t.free_sets
+      in
+      Hashtbl.replace t.owned owner held;
+      held
 
 (* Forget an owner whose held set emptied, keeping the set for reuse. *)
 let drop_owned_if_empty t owner held =
@@ -158,15 +171,25 @@ let drop_owned_if_empty t owner held =
     Stack.push held t.free_sets
   end
 
-(* The one place a hold's SIREAD flag changes, so both counts follow it.
-   [held] is the set of the hold's owner. *)
-let set_siread t held h on =
-  if h.siread <> on then begin
-    h.siread <- on;
-    let d = if on then 1 else -1 in
-    held.sireads <- held.sireads + d;
-    t.siread_total <- t.siread_total + d
-  end
+(* The one place a hold's modes change, so every count follows them: its
+   lock's S and X counts, and the SIREAD counts of the whole table and of
+   [held], the held set of the hold's owner. *)
+let set_modes t held h modes =
+  let l = h.hlock and was = h.modes in
+  h.modes <- modes;
+  l.n_s <- l.n_s + count s_bit modes - count s_bit was;
+  l.n_x <- l.n_x + count x_bit modes - count x_bit was;
+  let d = count siread_bit modes - count siread_bit was in
+  held.sireads <- held.sireads + d;
+  t.siread_total <- t.siread_total + d
+
+(* Take [bits] off [owner]'s hold [h]. A hold left with no mode leaves its
+   lock, and the result says whether it stays in [held], the owner's held
+   set; the caller takes it out of that set. *)
+let clear_modes t held ~owner h bits =
+  set_modes t held h (h.modes land lnot bits);
+  if h.modes = 0 then Hashtbl.remove h.hlock.holds owner;
+  h.modes <> 0
 
 let holds_mode t ~owner ~mode resource =
   match Hashtbl.find t.table resource with
@@ -176,6 +199,16 @@ let holds_mode t ~owner ~mode resource =
 (* Modes currently held by [owner] on [resource]. *)
 let holds_of t ~owner resource =
   List.filter (fun mode -> holds_mode t ~owner ~mode resource) [ X; S; Siread ]
+
+let holders_with t resource mode =
+  match Hashtbl.find t.table resource with
+  | exception Not_found -> []
+  | l when (mode = X && l.n_x = 0) || (mode = S && l.n_s = 0) -> []
+  | l ->
+      let b = bit mode in
+      Hashtbl.fold
+        (fun owner h acc -> if h.modes land b = 0 then acc else owner :: acc)
+        l.holds []
 
 let holders t resource =
   match Hashtbl.find_opt t.table resource with
@@ -194,38 +227,34 @@ let queued t resource =
   | Some l -> List.map (fun w -> (w.wowner, w.wmode)) l.queue
 
 (* Whether holding [h] blocks a request for [mode]. SIREAD blocks nothing. *)
-let holding_blocks h mode = (h.x && blocks mode X) || (h.s && blocks mode S)
+let holding_blocks h mode = (has h X && blocks mode X) || (has h S && blocks mode S)
 
-(* Would a request by [owner] for [mode] conflict with current holders? *)
-let conflicts_with_holders l ~owner ~mode =
-  Hashtbl.fold (fun o h acc -> acc || (o <> owner && holding_blocks h mode)) l.holds false
+(* The modes [owner] holds on [l]. *)
+let own_modes l owner =
+  match Hashtbl.find l.holds owner with h -> h.modes | exception Not_found -> 0
+
+(* Would a request for [mode] by an owner holding [own] on [l] conflict
+   with another owner's hold? The S and X counts include the requester's
+   own hold, which never blocks it. *)
+let conflicts_with_holders l ~own ~mode =
+  (blocks mode X && l.n_x > count x_bit own) || (blocks mode S && l.n_s > count s_bit own)
 
 let conflicts_with_queue l ~owner ~mode =
   List.exists (fun w -> w.wowner <> owner && blocks mode w.wmode) l.queue
 
-(* [owner]'s hold on [l], added with no flag set if it has none; the caller
-   sets one. *)
-let hold_of l owner =
-  match Hashtbl.find l.holds owner with
-  | h -> h
-  | exception Not_found ->
-      let h = { s = false; x = false; siread = false } in
-      Hashtbl.replace l.holds owner h;
-      h
-
-(* Forget [owner]'s hold [h] on [l] once it holds no mode there; [held] is
-   [owner]'s held set. *)
-let drop_hold_if_empty l held owner h =
-  if not (h.s || h.x || h.siread) then begin
-    Hashtbl.remove l.holds owner;
-    Hashtbl.remove held.resources l.resource
-  end
-
-(* Grant [mode]; granting a mode already held changes nothing. *)
+(* Grant [mode]; granting a mode already held touches no table. A new hold
+   joins its owner's held set with [Hashtbl.add]: its resource cannot be
+   there yet. *)
 let do_grant t l ~owner ~mode =
-  let h = hold_of l owner in
-  let held = note_owned t owner l.resource in
-  match mode with S -> h.s <- true | X -> h.x <- true | Siread -> set_siread t held h true
+  let b = bit mode in
+  match Hashtbl.find l.holds owner with
+  | h -> if h.modes land b = 0 then set_modes t (Hashtbl.find t.owned owner) h (h.modes lor b)
+  | exception Not_found ->
+      let h = { modes = 0; hlock = l } in
+      Hashtbl.add l.holds owner h;
+      let held = held_set t owner in
+      Hashtbl.add held.resources l.resource h;
+      set_modes t held h b
 
 (* The one definition of a waits-for edge. A request by [owner] for [mode]
    on [l] waits for every other owner holding a mode it conflicts with, and
@@ -381,7 +410,7 @@ let emit_deadlock_cert t ?extra ~victim edges =
    that must still wait. *)
 let grant_waiters t l =
   let rec go = function
-    | w :: rest when not (conflicts_with_holders l ~owner:w.wowner ~mode:w.wmode) ->
+    | w :: rest when not (conflicts_with_holders l ~own:(own_modes l w.wowner) ~mode:w.wmode) ->
         do_grant t l ~owner:w.wowner ~mode:w.wmode;
         Hashtbl.remove t.waiting w.wowner;
         Sim.wake t.sim w.waker;
@@ -444,10 +473,11 @@ let acquire t ~owner ~mode resource =
      behind strangers (a holder waiting behind someone who waits for it
      would self-deadlock); they only wait for conflicting *holders*, and
      when they do wait, they wait at the front of the queue. *)
-  let already_holds = Hashtbl.mem l.holds owner in
+  let own = own_modes l owner in
+  let already_holds = own <> 0 in
   if
     mode = Siread
-    || (not (conflicts_with_holders l ~owner ~mode))
+    || (not (conflicts_with_holders l ~own ~mode))
        && (already_holds || not (conflicts_with_queue l ~owner ~mode))
   then begin
     do_grant t l ~owner ~mode;
@@ -501,42 +531,49 @@ let acquire t ~owner ~mode resource =
     end
   end
 
+(* An owner whose last hold goes here keeps its (empty) held set. *)
 let release_one t ~owner ~mode resource =
-  match Hashtbl.find t.table resource with
+  match Hashtbl.find t.owned owner with
   | exception Not_found -> ()
-  | l -> (
-      match Hashtbl.find l.holds owner with
+  | held -> (
+      match Hashtbl.find held.resources resource with
       | h when has h mode ->
-          let held = Hashtbl.find t.owned owner in
-          (match mode with
-          | S -> h.s <- false
-          | X -> h.x <- false
-          | Siread -> set_siread t held h false);
-          drop_hold_if_empty l held owner h;
+          let l = h.hlock in
+          if not (clear_modes t held ~owner h (bit mode)) then
+            Hashtbl.remove held.resources resource;
           grant_waiters t l;
           drop_if_unused t l
       | _ -> ()
       | exception Not_found -> ())
 
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
-   committing SSI transaction keeps them while suspended, §3.3). *)
+   committing SSI transaction keeps them while suspended, §3.3).
+
+   The walk goes through the held set in place, in its [fold] order. A
+   release touches only its own lock, so that order changes nothing but
+   the order in which waiters wake, which is part of the simulation: locks
+   with waiters are served after the walk, last visited first, the order
+   of a list of the set's resources built by [fold]. *)
 let release_all ?(keep_siread = false) t owner =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
   match Hashtbl.find t.owned owner with
   | exception Not_found -> ()
   | held ->
+      let bits = if keep_siread then s_bit lor x_bit else s_bit lor x_bit lor siread_bit in
+      let waited = ref [] in
+      Hashtbl.filter_map_inplace
+        (fun _ h ->
+          let l = h.hlock in
+          let kept = clear_modes t held ~owner h bits in
+          if l.queue = [] then drop_if_unused t l else waited := l :: !waited;
+          if kept then Some h else None)
+        held.resources;
       List.iter
-        (fun resource ->
-          let l = Hashtbl.find t.table resource in
-          let h = Hashtbl.find l.holds owner in
-          h.s <- false;
-          h.x <- false;
-          if not keep_siread then set_siread t held h false;
-          drop_hold_if_empty l held owner h;
+        (fun l ->
           grant_waiters t l;
           drop_if_unused t l)
-        (Hashtbl.fold (fun r () acc -> r :: acc) held.resources []);
+        !waited;
       drop_owned_if_empty t owner held
 
 (* Move every SIREAD annotation of [owner] onto [to_owner], merging with any
@@ -551,23 +588,21 @@ let transfer_sireads t ~owner ~to_owner =
   match Hashtbl.find t.owned owner with
   | exception Not_found -> []
   | held ->
-      let moved =
-        List.filter
-          (fun resource ->
-            let l = Hashtbl.find t.table resource in
-            let h = Hashtbl.find l.holds owner in
-            h.siread
-            && begin
-                 set_siread t held h false;
-                 drop_hold_if_empty l held owner h;
-                 let target = hold_of l to_owner in
-                 set_siread t (note_owned t to_owner resource) target true;
-                 true
-               end)
-          (Hashtbl.fold (fun r () acc -> r :: acc) held.resources [])
-      in
+      (* Taken off in [fold] order, given to [to_owner] last taken first, as
+         in [release_all]: that is the order of the returned list and of
+         [to_owner]'s new holds. *)
+      let taken = ref [] in
+      Hashtbl.filter_map_inplace
+        (fun _ h ->
+          if h.modes land siread_bit = 0 then Some h
+          else begin
+            taken := h.hlock :: !taken;
+            if clear_modes t held ~owner h siread_bit then Some h else None
+          end)
+        held.resources;
+      List.iter (fun l -> do_grant t l ~owner:to_owner ~mode:Siread) !taken;
       drop_owned_if_empty t owner held;
-      moved
+      List.map (fun l -> l.resource) !taken
 
 (* Abort an owner that is currently blocked: raise [exn] inside it. *)
 let cancel_wait t owner exn =

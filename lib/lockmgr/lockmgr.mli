@@ -5,7 +5,8 @@
     strict-2PL lock manager with FIFO queues; SIREAD grants instantly, delays
     nobody, and exists only so a later X acquisition can observe that a
     concurrent SI transaction read the item. Conflict *flagging* is done by
-    the engine layer, which inspects {!holders} after each grant.
+    the engine layer: after each grant it lists the owners of the mode the
+    grant conflicts with through {!holders_with}.
 
     Re-entrant: an owner may hold several modes on one resource; its own
     holds never block it (so an S→X upgrade waits only for other owners).
@@ -54,6 +55,13 @@ val acquire : t -> owner:owner -> mode:mode -> string -> unit
 (** All (owner, mode) holds on a resource, including suspended committed
     SIREAD owners. *)
 val holders : t -> string -> (owner * mode) list
+
+(** [holders_with t resource mode] lists the owners holding [mode] on
+    [resource], in the order {!holders} lists their [(owner, mode)] pairs:
+    the same as keeping the pairs of [holders t resource] whose mode is
+    [mode] and dropping the modes, without building the pairs. The engine
+    marks conflicts in this order, so it is part of the simulation. *)
+val holders_with : t -> string -> mode -> owner list
 
 (** Modes [owner] currently holds on [resource]. *)
 val holds_of : t -> owner:owner -> string -> mode list

@@ -281,7 +281,11 @@ type t = {
   pending : (int * record) Queue.t;
       (* (epoch, record) in append order; epochs never decrease, so every
          sealed batch is a prefix *)
-  durable : Buffer.t; (* the durable log image, header included *)
+  mutable durable : string list;
+      (* the durable log image as the pieces each harden wrote, newest
+         first; the oldest is the header. Kept in pieces so that a harden
+         never copies the image. *)
+  mutable durable_bytes : int; (* the image's length *)
   mutable appends : int;
   mutable flushes : int;
   mutable plan : plan option;
@@ -294,8 +298,6 @@ type t = {
 }
 
 let create sim ~mode =
-  let durable = Buffer.create 1024 in
-  Buffer.add_string durable header;
   {
     sim;
     mode;
@@ -304,7 +306,8 @@ let create sim ~mode =
     flusher_active = false;
     flushed_cond = Sim.cond ();
     pending = Queue.create ();
-    durable;
+    durable = [ header ];
+    durable_bytes = String.length header;
     appends = 0;
     flushes = 0;
     plan = None;
@@ -342,12 +345,22 @@ let append t r =
   Queue.add (t.epoch, r) t.pending;
   t.appends <- t.appends + 1
 
+let add_durable t piece =
+  t.durable <- piece :: t.durable;
+  t.durable_bytes <- t.durable_bytes + String.length piece
+
 (* Move every pending record of epoch <= target into the durable image, in
-   append order: they are a prefix of [pending], since epochs only grow. *)
+   append order: they are a prefix of [pending], since epochs only grow.
+   They become one piece. *)
 let harden_upto t target =
-  while (not (Queue.is_empty t.pending)) && fst (Queue.peek t.pending) <= target do
-    add_frame t.durable (snd (Queue.pop t.pending))
-  done;
+  let hardens () = (not (Queue.is_empty t.pending)) && fst (Queue.peek t.pending) <= target in
+  if hardens () then begin
+    let buf = Buffer.create 1024 in
+    while hardens () do
+      add_frame buf (snd (Queue.pop t.pending))
+    done;
+    add_durable t (Buffer.contents buf)
+  end;
   if t.flushed < target then t.flushed <- target
 
 (* Injected mid-flush failure: harden [keep] whole frames of the sealed
@@ -359,11 +372,11 @@ let tear_and_crash t target ~keep ~torn plan =
     List.rev (Queue.fold (fun acc (e, r) -> if e <= target then frame r :: acc else acc) [] t.pending)
   in
   let keep = max 0 (min keep (List.length frames)) in
-  List.iteri (fun i f -> if i < keep then Buffer.add_string t.durable f) frames;
+  List.iteri (fun i f -> if i < keep then add_durable t f) frames;
   (match List.nth_opt frames keep with
   | Some f when torn > 0 ->
       let torn = min torn (String.length f - 1) in
-      Buffer.add_string t.durable (String.sub f 0 torn)
+      add_durable t (String.sub f 0 torn)
   | _ -> ());
   crash t plan
 
@@ -431,9 +444,9 @@ let harden t =
   t.epoch <- t.epoch + 1;
   harden_upto t target
 
-let durable_log t = Buffer.contents t.durable
+let durable_log t = String.concat "" (List.rev t.durable)
 
-let durable_bytes t = Buffer.length t.durable
+let durable_bytes t = t.durable_bytes
 
 let appends t = t.appends
 

@@ -118,7 +118,8 @@ val checkpoint : t -> watermark:int -> next_ts:int -> unit
     block); not a substitute for {!commit_flush}. *)
 val harden : t -> unit
 
-(** The durable log image: exactly the bytes that survive a crash. *)
+(** The durable log image: exactly the bytes that survive a crash. Joined
+    from the hardened pieces on every call. *)
 val durable_log : t -> string
 
 val durable_bytes : t -> int

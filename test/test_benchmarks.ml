@@ -592,10 +592,27 @@ let test_smallbank_names () =
     ([ 0; 9; 10; 99_999; 999_999; 1_000_000; 1_234_567; max_int ]
     @ List.init 1000 (fun i -> i * 37))
 
+(* Each TPC-C key builder writes the string of its Printf format, numbers
+   wider than their padding included (warehouse 1234, order 10^9). *)
+let prop_tpcc_keys =
+  let num = QCheck.Gen.(oneof [ int_bound 150; int_bound 10_000_000_000; return 1234 ]) in
+  QCheck.Test.make ~name:"tpcc keys match printf" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(quad int int int int) QCheck.Gen.(quad num num num num))
+    (fun (w, d, c, o) ->
+      Tpcc.wkey w = Printf.sprintf "w%03d" w
+      && Tpcc.dkey w d = Printf.sprintf "w%03d:d%02d" w d
+      && Tpcc.ckey w d c = Printf.sprintf "w%03d:d%02d:c%05d" w d c
+      && Tpcc.ikey c = Printf.sprintf "i%06d" c
+      && Tpcc.skey w c = Printf.sprintf "w%03d:i%06d" w c
+      && Tpcc.okey w d o = Printf.sprintf "w%03d:d%02d:o%08d" w d o
+      && Tpcc.olkey w d o c = Printf.sprintf "w%03d:d%02d:o%08d:%02d" w d o c
+      && Tpcc.cokey w d c o = Printf.sprintf "w%03d:d%02d:c%05d:o%08d" w d c o)
+
 let suite =
   [
     ("smallbank program semantics", `Quick, test_smallbank_programs);
     ("smallbank names match printf", `Quick, test_smallbank_names);
+    QCheck_alcotest.to_alcotest prop_tpcc_keys;
     ("smallbank TS overdraft rolls back", `Quick, test_smallbank_ts_overdraft_rolls_back);
     ("smallbank write skew under SI", `Quick, test_smallbank_skew_si);
     ("smallbank skew prevented under SSI", `Quick, test_smallbank_skew_ssi);

@@ -515,19 +515,31 @@ let arb_ops =
     QCheck.Gen.(list_size (int_range 50 300) op_gen)
 
 (* Apply [ops] to a lock manager and to the reference, checking after every
-   step that they agree: [holders] (order included) on every resource, the
-   SIREAD counts ([siread_entries] and each owner's [sireads_of]),
-   [holds_mode] against [holds_of] and the reference, [transfer_sireads]
-   results, the table size and each owner's held resources. *)
+   step that they agree: [holders] and [holders_with] (order included) on
+   every resource, the SIREAD counts ([siread_entries] and each owner's
+   [sireads_of]), [holds_mode] against [holds_of] and the reference,
+   [transfer_sireads] results, the table size and each owner's held
+   resources. A request the reference refuses runs in a process, must
+   wait, and is then cancelled: the lock manager decides from its S and X
+   counts what the reference decides from a scan of the holders. *)
 let prop_matches_reference =
   QCheck.Test.make ~name:"holders and holds_mode match a fresh-table reference" ~count:100
     arb_ops (fun ops ->
-      let lm = Lockmgr.create (Sim.create ()) and rf = Ref.create () in
+      let sim = Sim.create () in
+      let lm = Lockmgr.create sim and rf = Ref.create () in
       let acquire owner mode r =
         let r = resource r in
         if not (Ref.would_block rf ~owner ~mode r) then begin
           Lockmgr.acquire lm ~owner ~mode r;
           Ref.acquire rf ~owner ~mode r
+        end
+        else begin
+          Sim.spawn sim (fun () -> try Lockmgr.acquire lm ~owner ~mode r with Exit -> ());
+          Sim.run sim;
+          if not (Lockmgr.cancel_wait lm owner Exit) then
+            QCheck.Test.fail_reportf "%d %s on %s was granted over a conflicting holder" owner
+              (Lockmgr.mode_to_string mode) r;
+          Sim.run sim
         end
       in
       let release_all owner keep_siread =
@@ -539,8 +551,16 @@ let prop_matches_reference =
       let check_holders () =
         for i = 0 to n_resources - 1 do
           let r = resource i in
-          if Lockmgr.holders lm r <> Ref.holders rf r then
-            QCheck.Test.fail_reportf "holders of %s differ" r
+          let ref_holders = Ref.holders rf r in
+          if Lockmgr.holders lm r <> ref_holders then
+            QCheck.Test.fail_reportf "holders of %s differ" r;
+          List.iter
+            (fun mode ->
+              let owners = List.filter_map (fun (o, m) -> if m = mode then Some o else None) in
+              if Lockmgr.holders_with lm r mode <> owners ref_holders then
+                QCheck.Test.fail_reportf "holders_with %s of %s differ"
+                  (Lockmgr.mode_to_string mode) r)
+            all_modes
         done;
         let sireads = Ref.sireads rf n_owners in
         if Lockmgr.siread_entries lm <> Array.fold_left ( + ) 0 sireads then
@@ -603,6 +623,47 @@ let prop_matches_reference =
         ops;
       check_all ();
       true)
+
+(* [release_all] frees each lock as its walk of the held set reaches it,
+   but serves the waiters of those locks in the order of a list of the
+   held set's resources built by [fold], as the reference's [release_all]
+   visits them: the order waiters wake is part of the simulation. Owner 0
+   holds X (and SIREAD under [keep_siread]) on every resource, and one S
+   waiter queues on each. *)
+let prop_release_wake_order =
+  QCheck.Test.make ~name:"release_all wakes waiters in held-set order" ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 2 60) (int_bound 9999)) bool)
+    (fun (ids, keep_siread) ->
+      let rs =
+        List.rev
+          (List.fold_left
+             (fun acc i -> if List.mem (resource i) acc then acc else resource i :: acc)
+             [] ids)
+      in
+      QCheck.assume (List.length rs >= 2);
+      let sim = Sim.create () in
+      let lm = Lockmgr.create sim and rf = Ref.create () in
+      let hold mode r =
+        Lockmgr.acquire lm ~owner:0 ~mode r;
+        Ref.acquire rf ~owner:0 ~mode r
+      in
+      List.iter
+        (fun r ->
+          hold Lockmgr.X r;
+          if keep_siread then hold Lockmgr.Siread r)
+        rs;
+      let woken = ref [] in
+      List.iteri
+        (fun i r ->
+          Sim.spawn sim (fun () ->
+              Lockmgr.acquire lm ~owner:(i + 1) ~mode:Lockmgr.S r;
+              woken := r :: !woken))
+        rs;
+      Sim.run sim;
+      let expected = Hashtbl.fold (fun r () acc -> r :: acc) (Hashtbl.find rf.Ref.owned 0) [] in
+      Lockmgr.release_all ~keep_siread lm 0;
+      Sim.run sim;
+      List.rev !woken = expected)
 
 (* Immediate detection: a request raises [Deadlock_victim] exactly when the
    whole waits-for graph plus the request's own edges has a cycle through
@@ -769,6 +830,7 @@ let suite =
     ("conversion at queue front", `Quick, test_conversion_goes_to_queue_front);
     ("retained SIREAD visible to X", `Quick, test_siread_retained_vs_new_x);
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_release_wake_order;
     test_immediate_verdict;
     test_periodic_victim;
   ]
