@@ -624,10 +624,9 @@ let attribute_cmd =
     export_rows "ndjson" Attrib.windows_ndjson ndjson;
     if flightrec > 0 then begin
       let o = List.hd per_seed in
-      let certs = Obs.certs o in
-      let recorder, incident =
-        Flightrec.run ~capacity:flightrec ~window ~horizon ~trigger (Obs.events o) certs
-      in
+      let certs = Obs.certs o and events = Obs.events o in
+      let tl = Timeline.of_events ~window ~horizon events certs in
+      let recorder, incident = Flightrec.run ~capacity:flightrec ~trigger tl events in
       match incident with
       | None ->
           Printf.printf "flight-recorder: no incident (trigger %s; ring %d/%d, %d dropped)\n"

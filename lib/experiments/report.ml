@@ -187,7 +187,8 @@ let bench_md buf ~bins (b : bench_section) =
      (warmup included, unlike the resource timelines above), each series
      self-normalised; `^` marks are Page–Hinkley regime shifts detected on
      the throughput series. *)
-  (match Timeline.of_obs ~window:(b.b_t1 /. float_of_int bins) ~horizon:b.b_t1 b.b_obs with
+  let timeline = Timeline.of_obs ~window:(b.b_t1 /. float_of_int bins) ~horizon:b.b_t1 b.b_obs in
+  (match timeline with
   | None -> ()
   | Some tl ->
       let pick =
@@ -254,28 +255,25 @@ let bench_md buf ~bins (b : bench_section) =
               s.Sketch.st_blame_fcw s.Sketch.st_lock_wait s.Sketch.st_siread)
           rows
       end);
-  (* Incidents: replay the run through an abort-storm flight recorder on
-     the sparkline window grid; report the firing (or its absence) so a
-     quiet run still shows the trigger that was armed. *)
-  (if Obs.tracing b.b_obs then begin
-     let window = b.b_t1 /. 64.0 in
-     let trigger = Flightrec.Abort_storm 0.3 in
-     let recorder, incident =
-       Flightrec.run ~capacity:64 ~window ~horizon:b.b_t1 ~trigger (Obs.events b.b_obs)
-         (Obs.certs b.b_obs)
-     in
-     match incident with
-     | None ->
-         bpf buf "\nIncidents: none (flight recorder armed with trigger `%s`, ring %d/%d).\n"
-           (Flightrec.trigger_to_string trigger)
-           (Flightrec.length recorder) (Flightrec.capacity recorder)
-     | Some inc ->
-         bpf buf "\nIncidents: trigger `%s` fired at window %d (t=%.4fs): %s; frozen ring %d/%d \
-                  (%d dropped).\n"
-           inc.Flightrec.in_trigger inc.Flightrec.in_window inc.Flightrec.in_ts
-           inc.Flightrec.in_detail (Flightrec.length recorder) (Flightrec.capacity recorder)
-           (Flightrec.drops recorder)
-   end);
+  (* Incidents: check an abort-storm flight recorder on the sparkline
+     timeline; report the firing (or its absence) so a quiet run still
+     shows the trigger that was armed. *)
+  Option.iter
+    (fun tl ->
+      let trigger = Flightrec.Abort_storm 0.3 in
+      let recorder, incident = Flightrec.run ~capacity:64 ~trigger tl (Obs.events b.b_obs) in
+      match incident with
+      | None ->
+          bpf buf "\nIncidents: none (flight recorder armed with trigger `%s`, ring %d/%d).\n"
+            (Flightrec.trigger_to_string trigger)
+            (Flightrec.length recorder) (Flightrec.capacity recorder)
+      | Some inc ->
+          bpf buf "\nIncidents: trigger `%s` fired at window %d (t=%.4fs): %s; frozen ring %d/%d \
+                   (%d dropped).\n"
+            inc.Flightrec.in_trigger inc.Flightrec.in_window inc.Flightrec.in_ts
+            inc.Flightrec.in_detail (Flightrec.length recorder) (Flightrec.capacity recorder)
+            (Flightrec.drops recorder))
+    timeline;
   bpf buf "\n"
 
 (* {1 Abort-provenance section} *)

@@ -8,8 +8,6 @@
    uses one numeric format and {!Obs.res_id_escape}, so equal data prints
    byte-identically (the -j1/-j4 diff rules lean on this). *)
 
-let num v = Printf.sprintf "%.9g" v
-
 let blame sk certs =
   List.iter
     (fun c ->
@@ -62,7 +60,7 @@ let cells (s : Sketch.stats) =
     string_of_int s.Sketch.st_blame_out;
     string_of_int s.Sketch.st_blame_fcw;
     string_of_int s.Sketch.st_lock_waits;
-    num s.Sketch.st_lock_wait;
+    Timeline.num s.Sketch.st_lock_wait;
     string_of_int s.Sketch.st_siread;
     string_of_int s.Sketch.st_promotions;
     string_of_int s.Sketch.st_summarized;
@@ -118,11 +116,7 @@ let blame_windows ~window ?horizon certs =
     | Some h -> h
     | None -> List.fold_left (fun acc c -> Float.max acc c.Obs.c_ts) 0.0 certs
   in
-  let n = max 1 (int_of_float (Float.ceil (horizon /. window))) in
-  let idx ts =
-    let i = int_of_float (Float.floor (ts /. window)) in
-    if i < 0 then 0 else if i >= n then n - 1 else i
-  in
+  let idx = Timeline.window_of ~window ~count:(Timeline.window_count ~window ~horizon) in
   let tbl : (int * string, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   let bump key f =
     let cur = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0, 0) in
@@ -163,7 +157,7 @@ let windows_csv buf rows =
   Buffer.add_string buf "window,t0,resource,blame_in,blame_out,blame_fcw\n";
   List.iter
     (fun r ->
-      Printf.bprintf buf "%d,%s,%s,%d,%d,%d\n" r.wb_window (num r.wb_t0)
+      Printf.bprintf buf "%d,%s,%s,%d,%d,%d\n" r.wb_window (Timeline.num r.wb_t0)
         (Obs.res_id_escape r.wb_resource)
         r.wb_in r.wb_out r.wb_fcw)
     rows
@@ -173,7 +167,7 @@ let windows_ndjson buf rows =
     (fun r ->
       Printf.bprintf buf
         {|{"window":%d,"t0":%s,"resource":"%s","blame_in":%d,"blame_out":%d,"blame_fcw":%d}|}
-        r.wb_window (num r.wb_t0)
+        r.wb_window (Timeline.num r.wb_t0)
         (Obs.res_id_escape r.wb_resource)
         r.wb_in r.wb_out r.wb_fcw;
       Buffer.add_char buf '\n')

@@ -31,9 +31,9 @@ val render_table : Buffer.t -> ?top:int -> Sketch.t -> unit
 
 (** {1 Per-window blame series}
 
-    The certificates folded onto the PR 8 timeline's window grid:
-    [floor(ts / window)] clamped into [ceil(horizon / window)] windows
-    (horizon defaults to the last certificate timestamp). *)
+    The certificates folded onto the timeline's window grid
+    ({!Timeline.window_count} windows, {!Timeline.window_of}; horizon
+    defaults to the last certificate timestamp). *)
 
 type wblame = {
   wb_window : int;

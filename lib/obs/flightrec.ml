@@ -1,64 +1,27 @@
-(* Flight recorder: bounded ring of recent events + anomaly triggers that
-   freeze it into a post-mortem bundle (see flightrec.mli and DESIGN.md
-   "Attribution & flight recorder").
+(* Flight recorder: anomaly triggers read off a run's timeline, and the cut
+   of the trace they freeze into a post-mortem bundle (see flightrec.mli and
+   DESIGN.md "Attribution & flight recorder").
 
-   Consumption is a pure chronological fold: the trigger state advances at
-   window boundaries only, and the first firing freezes the ring before the
-   next event is pushed — so the frozen contents are exactly the stream up
-   to the end of the triggering window, independent of how the run was
-   scheduled. *)
+   The timeline is the one fold of the trace into windows; a trigger only
+   reads its windows in order. The ring is the last [capacity] events up to
+   the end of the firing window — the same events a drop-oldest ring would
+   hold had it been fed the stream and frozen at the firing boundary. *)
 
-type t = {
-  fr_cap : int;
-  fr_ring : (float * Obs.event) option array;
-  mutable fr_next : int; (* next write slot *)
-  mutable fr_len : int;
-  mutable fr_drops : int;
-  mutable fr_frozen : bool;
-}
-
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Flightrec.create: capacity must be >= 1";
-  {
-    fr_cap = capacity;
-    fr_ring = Array.make capacity None;
-    fr_next = 0;
-    fr_len = 0;
-    fr_drops = 0;
-    fr_frozen = false;
-  }
+type t = { fr_cap : int; fr_events : (float * Obs.event) list; fr_drops : int }
 
 let capacity t = t.fr_cap
 
-let length t = t.fr_len
+let length t = List.length t.fr_events
 
 let drops t = t.fr_drops
 
-let frozen t = t.fr_frozen
-
-let push t ts e =
-  if not t.fr_frozen then begin
-    if t.fr_len = t.fr_cap then t.fr_drops <- t.fr_drops + 1 else t.fr_len <- t.fr_len + 1;
-    t.fr_ring.(t.fr_next) <- Some (ts, e);
-    t.fr_next <- (t.fr_next + 1) mod t.fr_cap
-  end
-
-let freeze t = t.fr_frozen <- true
-
-let contents t =
-  let out = ref [] in
-  (* Newest entry sits just before fr_next; walk backwards fr_len slots. *)
-  for i = 1 to t.fr_len do
-    let slot = (t.fr_next - i + (2 * t.fr_cap)) mod t.fr_cap in
-    match t.fr_ring.(slot) with Some ev -> out := ev :: !out | None -> ()
-  done;
-  !out
+let contents t = t.fr_events
 
 (* {1 Triggers} *)
 
 type trigger = Abort_storm of float | Slo_violation of Timeline.slo | Regime of string
 
-let num v = Printf.sprintf "%.9g" v
+let num = Timeline.num
 
 let trigger_to_string = function
   | Abort_storm x -> Printf.sprintf "abort_rate:%s" (num x)
@@ -91,150 +54,77 @@ type incident = {
   in_detail : string;
 }
 
-(* Per-class accumulation for the SLO trigger (one window's worth). *)
-type cls_state = { mutable cs_commits : int; mutable cs_aborts : int; cs_lat : Obs.hist }
-
-(* Build (note, eval) for a trigger: [note] folds one event into the
-   current window's state, [eval w] closes window [w] — returning the
-   firing evidence if the predicate holds — and resets the state. *)
-let make_trigger trigger ~window ?horizon events certs =
+(* [check w] is the firing evidence of window [w], if the trigger holds
+   there. *)
+let check trigger tl =
   match trigger with
   | Abort_storm thr ->
-      let commits = ref 0 and aborts = ref 0 in
-      let note _ts e =
-        match e with
-        | Obs.Txn_commit _ -> incr commits
-        | Obs.Txn_abort { reason; _ } when reason <> "user-abort" -> incr aborts
-        | _ -> ()
-      in
-      let eval _w =
-        let c = !commits and a = !aborts in
-        commits := 0;
-        aborts := 0;
-        if a > 0 && float_of_int a /. float_of_int (c + a) >= thr then
+      let rate = Timeline.series tl "abort-rate" in
+      let aborts = Timeline.series tl "aborts" and commits = Timeline.series tl "commits" in
+      fun w ->
+        if aborts.(w) > 0.0 && rate.(w) >= thr then
           Some
-            (Printf.sprintf "abort-rate %s >= %s (%d error aborts / %d commits)"
-               (num (float_of_int a /. float_of_int (c + a)))
-               (num thr) a c)
+            (Printf.sprintf "abort-rate %s >= %s (%d error aborts / %d commits)" (num rate.(w))
+               (num thr) (int_of_float aborts.(w)) (int_of_float commits.(w)))
         else None
-      in
-      (note, eval)
   | Slo_violation slo ->
-      let tbl : (string, cls_state) Hashtbl.t = Hashtbl.create 8 in
-      let state cls =
-        match Hashtbl.find_opt tbl cls with
-        | Some s -> s
-        | None ->
-            let s = { cs_commits = 0; cs_aborts = 0; cs_lat = Obs.hist_create () } in
-            Hashtbl.add tbl cls s;
-            s
-      in
-      let note _ts e =
-        match e with
-        | Obs.Class_outcome { cls; outcome; latency } -> (
-            let s = state cls in
-            match outcome with
-            | "commit" | "user-abort" ->
-                s.cs_commits <- s.cs_commits + 1;
-                Obs.hist_add s.cs_lat latency
-            | _ -> s.cs_aborts <- s.cs_aborts + 1)
-        | _ -> ()
-      in
-      let eval _w =
-        let classes =
-          Hashtbl.fold (fun cls s acc -> (cls, s) :: acc) tbl []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        Hashtbl.reset tbl;
-        List.fold_left
-          (fun acc (cls, s) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                if s.cs_commits + s.cs_aborts = 0 then None
-                else
-                  let rate =
-                    if s.cs_commits > 0 then
-                      float_of_int s.cs_aborts /. float_of_int s.cs_commits
-                    else if s.cs_aborts > 0 then infinity
-                    else 0.0
-                  in
-                  let p95 =
-                    if Obs.hist_count s.cs_lat = 0 then 0.0
-                    else Obs.hist_percentile s.cs_lat 0.95
-                  in
-                  if rate > slo.Timeline.slo_abort_rate then
-                    Some
-                      (Printf.sprintf "class %s abort-rate %s > %s" cls (num rate)
-                         (num slo.Timeline.slo_abort_rate))
-                  else if p95 > slo.Timeline.slo_p95 then
-                    Some
-                      (Printf.sprintf "class %s p95 %s > %s" cls (num p95)
-                         (num slo.Timeline.slo_p95))
-                  else None)
-          None classes
-      in
-      (note, eval)
-  | Regime series ->
-      (* Page–Hinkley is itself a streaming fold; running it over the built
-         timeline first and replaying to the earliest mark gives the same
-         firing window deterministically. *)
-      let tl = Timeline.of_events ~window ?horizon events certs in
-      let mark =
-        match Timeline.change_points tl ~series with m :: _ -> Some m | [] -> None
-      in
-      let note _ts _e = () in
-      let eval w =
-        match mark with
-        | Some mk when w >= mk.Timeline.mk_window ->
-            Some
-              (Printf.sprintf "page-hinkley %s mark on %s at window %d"
-                 (match mk.Timeline.mk_direction with `Up -> "up" | `Down -> "down")
-                 series mk.Timeline.mk_window)
-        | _ -> None
-      in
-      (note, eval)
+      fun w ->
+        List.find_map
+          (fun (cls, rows) ->
+            match Timeline.class_rates rows.(w) with
+            | Some (rate, _) when rate > slo.Timeline.slo_abort_rate ->
+                Some
+                  (Printf.sprintf "class %s abort-rate %s > %s" cls (num rate)
+                     (num slo.Timeline.slo_abort_rate))
+            | Some (_, p95) when p95 > slo.Timeline.slo_p95 ->
+                Some
+                  (Printf.sprintf "class %s p95 %s > %s" cls (num p95)
+                     (num slo.Timeline.slo_p95))
+            | _ -> None)
+          tl.Timeline.tl_classes
+  | Regime series -> (
+      match Timeline.change_points tl ~series with
+      | [] -> fun _ -> None
+      | mk :: _ ->
+          fun w ->
+            if w = mk.Timeline.mk_window then
+              Some
+                (Printf.sprintf "page-hinkley %s mark on %s at window %d"
+                   (match mk.Timeline.mk_direction with `Up -> "up" | `Down -> "down")
+                   series w)
+            else None)
 
-let run ~capacity ~window ?horizon ~trigger events certs =
-  if not (window > 0.0) then invalid_arg "Flightrec.run: window width must be positive";
-  let rc = create ~capacity in
-  let idx ts =
-    let i = int_of_float (Float.floor (ts /. window)) in
-    if i < 0 then 0 else i
-  in
-  let note, eval = make_trigger trigger ~window ?horizon events certs in
-  let fired = ref None in
-  let cur = ref 0 in
-  (* Close (evaluate + reset) every window in [!cur, target). *)
-  let close_up_to target =
-    while !fired = None && !cur < target do
-      (match eval !cur with
+let run ~capacity ~trigger tl events =
+  if capacity < 1 then invalid_arg "Flightrec.run: capacity must be >= 1";
+  let width = tl.Timeline.tl_width in
+  let window_of = Timeline.window_of ~window:width ~count:(Array.length tl.Timeline.tl_windows) in
+  (* A window is checked once the trace has reached it: windows past the
+     last event's are never checked, and with no events window 0 is. *)
+  let last = List.fold_left (fun acc (ts, _) -> max acc (window_of ts)) 0 events in
+  let check = check trigger tl in
+  let rec first w =
+    if w > last then None
+    else
+      match check w with
       | Some detail ->
-          freeze rc;
-          fired :=
-            Some
-              {
-                in_trigger = trigger_to_string trigger;
-                in_window = !cur;
-                in_ts = float_of_int (!cur + 1) *. window;
-                in_detail = detail;
-              }
-      | None -> ());
-      incr cur
-    done
+          Some
+            {
+              in_trigger = trigger_to_string trigger;
+              in_window = w;
+              in_ts = float_of_int (w + 1) *. width;
+              in_detail = detail;
+            }
+      | None -> first (w + 1)
   in
-  List.iter
-    (fun (ts, e) ->
-      if !fired = None then begin
-        close_up_to (idx ts);
-        if !fired = None then begin
-          push rc ts e;
-          note ts e
-        end
-      end)
-    events;
-  if !fired = None then close_up_to (!cur + 1);
-  (rc, !fired)
+  let incident = first 0 in
+  let upto =
+    match incident with
+    | None -> events
+    | Some i -> List.filter (fun (ts, _) -> window_of ts <= i.in_window) events
+  in
+  let drops = max 0 (List.length upto - capacity) in
+  ({ fr_cap = capacity; fr_events = List.filteri (fun i _ -> i >= drops) upto; fr_drops = drops },
+   incident)
 
 (* {1 Bundle} *)
 

@@ -1,36 +1,29 @@
-(** Always-on flight recorder: a fixed-capacity ring of recent events with
-    anomaly triggers that freeze the ring and dump a self-contained
-    post-mortem bundle.
+(** Flight recorder: anomaly triggers read off a run's {!Timeline}, and a
+    self-contained post-mortem bundle of the trace up to the first firing.
 
-    The ring is O(capacity) memory whatever the run length: a push over a
-    full ring drops the oldest entry and counts it ({!drops}), so an
-    operator can keep a recorder attached without retaining the full trace.
-    Triggers fire at window boundaries while the event stream is consumed;
-    the first firing freezes the ring (trigger-once) — later pushes are
-    ignored and the frozen contents are exactly the events up to the end of
-    the triggering window.
+    The timeline is the one fold of the trace into windows; {!run} checks
+    its windows in order and fires on the first that meets the trigger
+    (trigger-once). The ring is a cut of the trace: the last [capacity]
+    events up to the end of the firing window — exactly what a drop-oldest
+    ring fed the stream would hold when frozen at that boundary — with the
+    older events counted as {!drops}.
 
-    Deterministic end to end: consumption is a pure fold over the stream
+    Windows and numbers come from {!Timeline.window_of} and
+    {!Timeline.num}, so an event at or after the timeline's horizon counts
+    in the last window, as it does in the timeline itself.
+
+    Deterministic end to end: the recorder is a pure function of the trace
     (no clock, no RNG), and the bundle renders with fixed formats — the
     same seed yields byte-identical bundles anywhere. *)
 
 type t
 
-val create : capacity:int -> t
-
 val capacity : t -> int
 
 val length : t -> int
 
-(** Oldest entries overwritten so far. *)
+(** Events up to the end of the cut that fell outside the ring. *)
 val drops : t -> int
-
-val frozen : t -> bool
-
-(** Append one event; drop-oldest over a full ring; no-op once frozen. *)
-val push : t -> float -> Obs.event -> unit
-
-val freeze : t -> unit
 
 (** Ring contents, oldest first. *)
 val contents : t -> (float * Obs.event) list
@@ -39,10 +32,11 @@ val contents : t -> (float * Obs.event) list
 
 type trigger =
   | Abort_storm of float
-      (** per-window error-abort rate (aborts / (commits + aborts), the
-          timeline's definition) at or above the threshold *)
+      (** per-window error-abort rate (the timeline's ["abort-rate"]) at or
+          above the threshold *)
   | Slo_violation of Timeline.slo
-      (** any transaction class violating either target in a window *)
+      (** any transaction class violating either target in a window
+          ({!Timeline.class_rates}, classes in sorted order) *)
   | Regime of string
       (** first Page–Hinkley change point on the named timeline series
           (default parameters of {!Timeline.change_points}) *)
@@ -61,26 +55,19 @@ type incident = {
   in_detail : string;  (** human-readable evidence, fixed format *)
 }
 
-(** Stream chronological [events] through a fresh recorder, evaluating
-    [trigger] at every window boundary (and once at end of stream); freeze
-    on the first firing. [horizon] bounds the window grid for the [Regime]
-    timeline build. Returns the recorder and the incident, if any — with no
-    incident the ring simply holds the last [capacity] events. *)
+(** [run ~capacity ~trigger tl events] checks [trigger] on the windows of
+    [tl] in order, up to the window of the last of [events] (window 0 when
+    there are none), and cuts the ring from [events]. [tl] must be the
+    timeline of the same chronological [events]. With no incident the ring
+    holds the last [capacity] events. *)
 val run :
-  capacity:int ->
-  window:float ->
-  ?horizon:float ->
-  trigger:trigger ->
-  (float * Obs.event) list ->
-  Obs.certificate list ->
-  t * incident option
+  capacity:int -> trigger:trigger -> Timeline.t -> (float * Obs.event) list -> t * incident option
 
 (** Render the self-contained post-mortem bundle: trigger + incident
-    header, the frozen ring (one {!Obs.event_json} line per event, drop
-    counter included), the current top-[top] contention table with its
-    sketch summary, and the DOT snapshot of the last certificate at or
-    before the firing instant (["none"] when there is no such
-    snapshot). *)
+    header, the ring (one {!Obs.event_json} line per event, drop counter
+    included), the current top-[top] contention table with its sketch
+    summary, and the DOT snapshot of the last certificate at or before the
+    firing instant (["none"] when there is no such snapshot). *)
 val write_bundle :
   Buffer.t ->
   recorder:t ->

@@ -90,6 +90,24 @@ let window_create () =
 
 let class_window_create () = { cw_commits = 0; cw_aborts = 0; cw_latency = Obs.hist_create () }
 
+(* {1 The window grid} *)
+
+let window_count ~window ~horizon = max 1 (int_of_float (Float.ceil (horizon /. window)))
+
+(* floor(ts / width), clamped: an event exactly at k*window lands in window
+   k (lower-inclusive), and events at or past the horizon (e.g. the closing
+   instant itself) clamp into the last window rather than growing the
+   array. *)
+let window_of ~window ~count ts =
+  let i = int_of_float (Float.floor (ts /. window)) in
+  if i < 0 then 0 else if i >= count then count - 1 else i
+
+(* One fixed numeric format for every telemetry export ("%.9g": enough
+   digits to round-trip the counts and sim-time sums that actually occur,
+   no trailing-zero noise), so equal data prints byte-identically — the
+   property the -j1/-j4 diff rules pin. *)
+let num v = Printf.sprintf "%.9g" v
+
 (* {1 Construction} *)
 
 let of_events ~window ?horizon events certs =
@@ -101,16 +119,9 @@ let of_events ~window ?horizon events certs =
         let last = List.fold_left (fun acc (ts, _) -> Float.max acc ts) 0.0 events in
         List.fold_left (fun acc c -> Float.max acc c.Obs.c_ts) last certs
   in
-  let n = max 1 (int_of_float (Float.ceil (horizon /. window))) in
+  let n = window_count ~window ~horizon in
   let w = Array.init n (fun _ -> window_create ()) in
-  (* Window of a timestamp: floor(ts / width), clamped — an event exactly
-     at k*window lands in window k (lower-inclusive), and events at or past
-     the horizon (e.g. the closing instant itself) clamp into the last
-     window rather than growing the array. *)
-  let idx ts =
-    let i = int_of_float (Float.floor (ts /. window)) in
-    if i < 0 then 0 else if i >= n then n - 1 else i
-  in
+  let idx ts = window_of ~window ~count:n ts in
   let has_mem = Array.make n false in
   let classes : (string, class_window array) Hashtbl.t = Hashtbl.create 8 in
   let class_rows cls =
@@ -402,14 +413,7 @@ let totals tl =
     { tt_commits = 0; tt_aborts = 0; tt_user = 0; tt_work_committed = 0.0; tt_work_wasted = 0.0 }
     tl.tl_windows
 
-(* {1 Export}
-
-   One fixed numeric format ("%.9g": enough digits to round-trip the
-   counts and sim-time sums that actually occur, no trailing-zero noise)
-   so equal timelines print byte-identically — the property the -j1/-j4
-   diff rules pin. *)
-
-let num v = Printf.sprintf "%.9g" v
+(* {1 Export} *)
 
 let to_csv ?(columns = series_names) buf tl =
   let cols = List.map (fun c -> (c, series tl c)) columns in
@@ -474,6 +478,18 @@ type slo_report = {
   sr_worst_p95 : float;
 }
 
+let class_rates cw =
+  if cw.cw_commits + cw.cw_aborts = 0 then None
+  else
+    let rate =
+      if cw.cw_commits > 0 then float_of_int cw.cw_aborts /. float_of_int cw.cw_commits
+      else infinity
+    in
+    let p95 =
+      if Obs.hist_count cw.cw_latency = 0 then 0.0 else Obs.hist_percentile cw.cw_latency 0.95
+    in
+    Some (rate, p95)
+
 let slo_eval tl slo =
   List.map
     (fun (name, rows) ->
@@ -481,25 +497,17 @@ let slo_eval tl slo =
       let worst_rate = ref 0.0 and worst_p95 = ref 0.0 in
       Array.iter
         (fun cw ->
-          if cw.cw_commits + cw.cw_aborts > 0 then begin
-            incr active;
-            let rate =
-              if cw.cw_commits > 0 then float_of_int cw.cw_aborts /. float_of_int cw.cw_commits
-              else if cw.cw_aborts > 0 then infinity
-              else 0.0
-            in
-            let p95 =
-              if Obs.hist_count cw.cw_latency = 0 then 0.0
-              else Obs.hist_percentile cw.cw_latency 0.95
-            in
-            if rate > !worst_rate then worst_rate := rate;
-            if p95 > !worst_p95 then worst_p95 := p95;
-            let av = rate > slo.slo_abort_rate in
-            let pv = p95 > slo.slo_p95 in
-            if av then incr aviol;
-            if pv then incr pviol;
-            if av || pv then incr viol
-          end)
+          match class_rates cw with
+          | None -> ()
+          | Some (rate, p95) ->
+              incr active;
+              if rate > !worst_rate then worst_rate := rate;
+              if p95 > !worst_p95 then worst_p95 := p95;
+              let av = rate > slo.slo_abort_rate in
+              let pv = p95 > slo.slo_p95 in
+              if av then incr aviol;
+              if pv then incr pviol;
+              if av || pv then incr viol)
         rows;
       {
         sr_class = name;

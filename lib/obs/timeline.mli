@@ -74,13 +74,30 @@ type t = {
   tl_classes : (string * class_window array) list;  (** sorted by name *)
 }
 
+(** {1 The window grid}
+
+    Every per-window view of a trace — this module, {!Attrib.blame_windows}
+    and {!Flightrec.run} — slices time with these two functions and prints
+    numbers with {!num}. *)
+
+(** [ceil (horizon / window)], minimum 1. *)
+val window_count : window:float -> horizon:float -> int
+
+(** [floor (ts / window)] clamped into [[0, count - 1]]: windows are
+    lower-inclusive, and a timestamp at or beyond the horizon lands in the
+    last window. *)
+val window_of : window:float -> count:int -> float -> int
+
+(** The one numeric format of every telemetry export (["%.9g"]). *)
+val num : float -> string
+
 (** {1 Construction} *)
 
 (** Build a timeline from chronological events and certificates. [horizon]
-    fixes the window count ([ceil (horizon / window)], minimum 1) so
-    trailing quiet windows are materialised (densification); it defaults to
-    the last event timestamp. Events at or beyond the horizon clamp into
-    the last window. [window] must be positive. *)
+    fixes the window count ({!window_count}) so trailing quiet windows are
+    materialised (densification); it defaults to the last event or
+    certificate timestamp. Events at or beyond the horizon clamp into the
+    last window. [window] must be positive. *)
 val of_events :
   window:float ->
   ?horizon:float ->
@@ -155,9 +172,13 @@ type slo_report = {
   sr_worst_p95 : float;
 }
 
-(** Evaluate [slo] per class per window. A window with completions but no
-    commits and at least one error abort counts as an abort-rate violation
-    (rate is taken as infinite). Quiet windows are skipped. *)
+(** Error aborts per completed transaction and p95 response of one class
+    window, [None] when the class was quiet in it. With error aborts and
+    no completions the rate is [infinity]. *)
+val class_rates : class_window -> (float * float) option
+
+(** Evaluate [slo] per class per window ({!class_rates} against each
+    target; quiet windows skipped). *)
 val slo_eval : t -> slo -> slo_report list
 
 (** {1 Change-point detection}

@@ -1,7 +1,7 @@
 (* Root-cause attribution: space-saving sketch guarantees (qcheck'd against
    an exact counter), blame-pass edge-role semantics, the canonical
-   resource-id escape, and the flight recorder (ring arithmetic, trigger
-   evaluation, bundle determinism).
+   resource-id escape, and the flight recorder (the ring cut, trigger
+   evaluation against a streaming reference, bundle determinism).
 
    Everything here is synthetic — events and certificates are constructed
    directly, so each expectation is exact. End-to-end coverage of the live
@@ -233,29 +233,20 @@ let prop_escape_embeddable =
 
 (* {1 Flight recorder: ring} *)
 
+(* The recorder over its own trace's timeline. *)
+let record ?(certs = []) ~capacity ~window ~trigger events =
+  Flightrec.run ~capacity ~trigger (Timeline.of_events ~window events certs) events
+
 let test_ring_wraparound () =
-  let r = Flightrec.create ~capacity:3 in
-  for i = 1 to 5 do
-    Flightrec.push r (float_of_int i) (ev i)
-  done;
+  let r, inc =
+    record ~capacity:3 ~window:1.0 ~trigger:(Flightrec.Abort_storm 0.5)
+      (List.init 5 (fun i -> (float_of_int (i + 1), ev (i + 1))))
+  in
+  Alcotest.(check bool) "no incident" true (inc = None);
   Alcotest.(check int) "length saturates" 3 (Flightrec.length r);
   Alcotest.(check int) "oldest dropped" 2 (Flightrec.drops r);
   Alcotest.(check (list (Alcotest.float 0.0)))
     "contents oldest first" [ 3.0; 4.0; 5.0 ]
-    (List.map fst (Flightrec.contents r))
-
-let test_ring_freeze () =
-  let r = Flightrec.create ~capacity:3 in
-  for i = 1 to 5 do
-    Flightrec.push r (float_of_int i) (ev i)
-  done;
-  Flightrec.freeze r;
-  Flightrec.push r 6.0 (ev 6);
-  Alcotest.(check bool) "frozen" true (Flightrec.frozen r);
-  Alcotest.(check int) "push after freeze ignored" 3 (Flightrec.length r);
-  Alcotest.(check int) "drop counter untouched" 2 (Flightrec.drops r);
-  Alcotest.(check (list (Alcotest.float 0.0)))
-    "contents unchanged" [ 3.0; 4.0; 5.0 ]
     (List.map fst (Flightrec.contents r))
 
 (* {1 Flight recorder: triggers} *)
@@ -273,35 +264,28 @@ let test_abort_storm_fires () =
       commit ~ts:0.12;
     ]
   in
-  let rc, inc =
-    Flightrec.run ~capacity:16 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4) events []
-  in
+  let rc, inc = record ~capacity:16 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4) events in
   match inc with
   | None -> Alcotest.fail "abort storm did not fire"
   | Some i ->
       Alcotest.(check int) "fires on window 1" 1 i.Flightrec.in_window;
       Alcotest.check feq "incident ts = end of window" 0.1 i.Flightrec.in_ts;
       Alcotest.(check bool) "detail names the rate" true (has_sub i.Flightrec.in_detail "abort-rate 0.5");
-      Alcotest.(check bool) "ring frozen" true (Flightrec.frozen rc);
       Alcotest.(check int) "ring holds exactly the pre-fire stream" 4 (Flightrec.length rc)
 
 let test_abort_storm_user_excluded () =
   let events =
     [ commit ~ts:0.01; abort ~ts:0.02 "user-abort"; abort ~ts:0.03 "user-abort" ]
   in
-  let rc, inc =
-    Flightrec.run ~capacity:16 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.1) events []
-  in
+  let rc, inc = record ~capacity:16 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.1) events in
   Alcotest.(check bool) "application rollbacks are not a storm" true (inc = None);
-  Alcotest.(check bool) "ring left running" false (Flightrec.frozen rc);
   Alcotest.(check int) "ring holds the tail" 3 (Flightrec.length rc)
 
 let test_abort_storm_final_window () =
   (* end of stream must close the final partial window *)
   let _, inc =
-    Flightrec.run ~capacity:4 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4)
+    record ~capacity:4 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4)
       [ abort ~ts:0.01 "unsafe" ]
-      []
   in
   match inc with
   | None -> Alcotest.fail "final partial window not evaluated"
@@ -319,9 +303,7 @@ let test_slo_trigger_fires () =
     ]
   in
   let slo = { Timeline.slo_abort_rate = 0.5; slo_p95 = 10.0 } in
-  let _, inc =
-    Flightrec.run ~capacity:8 ~window:0.05 ~trigger:(Flightrec.Slo_violation slo) events []
-  in
+  let _, inc = record ~capacity:8 ~window:0.05 ~trigger:(Flightrec.Slo_violation slo) events in
   match inc with
   | None -> Alcotest.fail "slo violation did not fire"
   | Some i ->
@@ -352,6 +334,133 @@ let test_trigger_parse () =
       | Error _ -> ())
     [ "abort_rate:1.5"; "abort_rate:0"; "regime:bogus-series"; "garbage"; "slo:x:y" ]
 
+(* {1 Flight recorder: streaming reference}
+
+   The recorder as a fold over the event stream, with counters of its own:
+   a window closes when an event of a later window arrives or the stream
+   ends, the first window that meets the trigger stops the stream, and the
+   ring holds the last [capacity] events pushed before that. *)
+
+let reference ~capacity ~window ~trigger events =
+  let num = Timeline.num in
+  let eval evs =
+    match trigger with
+    | Flightrec.Abort_storm thr ->
+        let count p = List.length (List.filter p evs) in
+        let c = count (function Obs.Txn_commit _ -> true | _ -> false) in
+        let a =
+          count (function Obs.Txn_abort { reason; _ } -> reason <> "user-abort" | _ -> false)
+        in
+        let rate = float_of_int a /. float_of_int (c + a) in
+        if a > 0 && rate >= thr then
+          Some
+            (Printf.sprintf "abort-rate %s >= %s (%d error aborts / %d commits)" (num rate)
+               (num thr) a c)
+        else None
+    | Flightrec.Slo_violation { Timeline.slo_abort_rate = max_rate; slo_p95 = max_p95 } ->
+        let check name =
+          let c = ref 0 and a = ref 0 and h = Obs.hist_create () in
+          List.iter
+            (function
+              | Obs.Class_outcome { cls; outcome = "commit" | "user-abort"; latency }
+                when cls = name ->
+                  incr c;
+                  Obs.hist_add h latency
+              | Obs.Class_outcome { cls; _ } when cls = name -> incr a
+              | _ -> ())
+            evs;
+          let rate = if !c > 0 then float_of_int !a /. float_of_int !c else infinity in
+          let p95 = if !c > 0 then Obs.hist_percentile h 0.95 else 0.0 in
+          if !c + !a = 0 then None
+          else if rate > max_rate then
+            Some (Printf.sprintf "class %s abort-rate %s > %s" name (num rate) (num max_rate))
+          else if p95 > max_p95 then
+            Some (Printf.sprintf "class %s p95 %s > %s" name (num p95) (num max_p95))
+          else None
+        in
+        List.find_map check [ "a"; "b"; "c" ]
+    | Flightrec.Regime _ -> None
+  in
+  let pushed = ref [] and win = ref [] and cur = ref 0 and fired = ref None in
+  let close_up_to target =
+    while !fired = None && !cur < target do
+      Option.iter (fun d -> fired := Some (!cur, d)) (eval (List.rev !win));
+      win := [];
+      incr cur
+    done
+  in
+  List.iter
+    (fun (ts, e) ->
+      if !fired = None then close_up_to (int_of_float (Float.floor (ts /. window)));
+      if !fired = None then begin
+        pushed := (ts, e) :: !pushed;
+        win := e :: !win
+      end)
+    events;
+  if !fired = None then close_up_to (!cur + 1);
+  let ring = List.rev (List.filteri (fun i _ -> i < capacity) !pushed) in
+  (!fired, ring, max 0 (List.length !pushed - capacity))
+
+(* Strictly rising timestamps below the horizon 1.0, over commits, error
+   aborts of every reason, user aborts and class outcomes of three
+   classes. *)
+let gen_stream =
+  let open QCheck.Gen in
+  let event =
+    frequency
+      [
+        (3, return (fun ts -> commit ~ts));
+        ( 2,
+          map
+            (fun r ts -> abort ~ts r)
+            (oneofl [ "deadlock"; "update-conflict"; "unsafe"; "duplicate-key" ]) );
+        (1, return (fun ts -> abort ~ts "user-abort"));
+        ( 4,
+          map3
+            (fun name outcome lat ts -> cls ~ts name outcome lat)
+            (oneofl [ "a"; "b"; "c" ])
+            (oneofl [ "commit"; "user-abort"; "unsafe"; "deadlock" ])
+            (float_bound_inclusive 0.01) );
+      ]
+  in
+  let* ticks = map (List.sort_uniq compare) (list_size (int_bound 300) (int_bound 99_999)) in
+  let* makers = flatten_l (List.map (fun _ -> event) ticks) in
+  let events = List.map2 (fun k mk -> mk (float_of_int k *. 1e-5)) ticks makers in
+  let* window = float_range 0.01 0.1 and* capacity = int_range 1 10 in
+  let* trigger =
+    oneof
+      [
+        map (fun x -> Flightrec.Abort_storm x) (float_range 0.05 1.0);
+        map2
+          (fun r p -> Flightrec.Slo_violation { Timeline.slo_abort_rate = r; slo_p95 = p })
+          (float_range 0.0 2.0) (float_range 0.001 0.01);
+      ]
+  in
+  return (events, window, capacity, trigger)
+
+let prop_matches_streaming_reference =
+  QCheck.Test.make ~name:"triggers and ring match a streaming reference" ~count:500
+    (QCheck.make
+       ~print:(fun (evs, w, cap, tr) ->
+         Printf.sprintf "%d events, window %g, capacity %d, trigger %s" (List.length evs) w cap
+           (Flightrec.trigger_to_string tr))
+       gen_stream)
+    (fun (events, window, capacity, trigger) ->
+      let tl = Timeline.of_events ~window ~horizon:1.0 events [] in
+      let rc, inc = Flightrec.run ~capacity ~trigger tl events in
+      let fired, ring, drops = reference ~capacity ~window ~trigger events in
+      let got =
+        Option.map (fun i -> Flightrec.(i.in_window, i.in_ts, i.in_detail)) inc
+      and want = Option.map (fun (w, d) -> (w, float_of_int (w + 1) *. window, d)) fired in
+      let show = Option.fold ~none:"none" ~some:(fun (w, _, d) -> Printf.sprintf "%d %s" w d) in
+      if got <> want then
+        QCheck.Test.fail_reportf "incident %s, reference %s" (show got) (show want);
+      if List.map fst (Flightrec.contents rc) <> List.map fst ring then
+        QCheck.Test.fail_report "ring differs from the reference";
+      if Flightrec.drops rc <> drops then
+        QCheck.Test.fail_reportf "drops %d, reference %d" (Flightrec.drops rc) drops;
+      true)
+
 (* {1 Bundle} *)
 
 let test_bundle_deterministic () =
@@ -368,7 +477,7 @@ let test_bundle_deterministic () =
   Attrib.blame sk certs;
   let events = [ commit ~ts:0.01; abort ~ts:0.03 "unsafe" ] in
   let rc, inc =
-    Flightrec.run ~capacity:4 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4) events certs
+    record ~certs ~capacity:4 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4) events
   in
   let incident =
     match inc with Some i -> i | None -> Alcotest.fail "expected an incident"
@@ -423,7 +532,6 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "wraparound drops oldest" `Quick test_ring_wraparound;
-          Alcotest.test_case "freeze stops the world" `Quick test_ring_freeze;
         ] );
       ( "triggers",
         [
@@ -433,6 +541,7 @@ let () =
             test_abort_storm_final_window;
           Alcotest.test_case "slo violation fires" `Quick test_slo_trigger_fires;
           Alcotest.test_case "trigger parsing" `Quick test_trigger_parse;
+          qt prop_matches_streaming_reference;
         ] );
       ("bundle", [ Alcotest.test_case "deterministic, self-contained" `Quick test_bundle_deterministic ]);
     ]
