@@ -314,8 +314,7 @@ let recover ?(config = Config.test ()) ?obs sim ~log =
           | Wal.Begin { txn } ->
               Hashtbl.replace buffered txn [];
               if txn > !max_txn then max_txn := txn
-          | Wal.Write { txn; table; key; value } | Wal.Insert { txn; table; key; value } ->
-              buffer txn (table, key, Some value)
+          | Wal.Write { txn; table; key; value } -> buffer txn (table, key, Some value)
           | Wal.Delete { txn; table; key } -> buffer txn (table, key, None)
           | Wal.Abort { txn } ->
               if Hashtbl.mem buffered txn then begin

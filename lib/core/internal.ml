@@ -265,15 +265,6 @@ let touch_doom_read t =
 
 let charge_cpu db cost = if cost > 0.0 then Resource.consume db.cpu cost
 
-(* One lock-manager interaction: optionally serialised through the global
-   kernel mutex (§4.4), charging its CPU inside the critical section. *)
-let with_lock_mutex db f =
-  match db.lock_mutex with
-  | Some m -> Resource.use m Config.c_lock f
-  | None ->
-      charge_cpu db Config.c_lock;
-      f ()
-
 (* Probabilistic buffer-cache model: each of [n] row touches misses with
    probability [read_miss] and pays a disk read (§6.4.1's I/O-bound
    configurations). Inactive when a real buffer pool is configured. *)

@@ -585,64 +585,78 @@ let ablation_ro (budget : budget) =
         [ ("refinement-off", false); ("refinement-on", true) ];
   }
 
-(* Bounded-memory SIREAD retention (Config.memory_budget): a pinned
-   read-only snapshot keeps the oldest-active-snapshot watermark from
-   reclaiming anything, so unbounded SSI retention (§4.8) grows with every
-   commit for as long as the pin holds. The budget caps it with row->page
-   promotion and committed-transaction summarization, at the price of
-   conservative (false-positive) unsafe aborts. The driver applies one
-   isolation level per run and has no pinned client, so this figure runs a
-   custom loop like ablation-mixed; the "(locks)" column reports the
-   retained-records + live-SIREAD-entries high-water mark. *)
-let ablation_retention (budget : budget) =
+(* The pinned-snapshot world of the retention experiments: 256 keys on an
+   InnoDB engine without log flushes, one read-only SSI reader that reads 8
+   keys and then holds its snapshot for [hold now] seconds ([now] is when
+   its reads finished), and [mpl] clients running read-one-write-one SSI
+   transactions until [horizon], each result passed to [outcome]. The pin
+   keeps the oldest-active-snapshot watermark from reclaiming anything, so
+   unbounded SSI retention (§4.8) grows with every commit while it holds. *)
+let pinned_snapshot_run ?memory_budget ?obs ~hold ~outcome ~mpl ~horizon ~seed () =
   let keys = 256 in
   let key i = Printf.sprintf "k%03d" i in
-  let run_bounded ~memory_budget mpl seed =
-    let sim = Sim.create () in
-    let config =
-      {
-        (Config.innodb ~wal_mode:Wal.No_flush ()) with
-        Config.lock_mutex = false;
-        memory_budget;
-        promote_threshold = 4;
-      }
-    in
-    let db = Db.create ~config sim in
-    ignore (Db.create_table db "t");
-    Db.load db "t" (List.init keys (fun i -> (key i, "0")));
-    let horizon = budget.warmup +. budget.duration in
-    (* the pin: a read-only SSI snapshot held for the whole window *)
+  let sim = Sim.create () in
+  let config =
+    {
+      (Config.innodb ~wal_mode:Wal.No_flush ()) with
+      Config.lock_mutex = false;
+      memory_budget;
+      promote_threshold = 4;
+    }
+  in
+  let db = Db.create ~config sim in
+  Option.iter (Db.set_obs db) obs;
+  ignore (Db.create_table db "t");
+  Db.load db "t" (List.init keys (fun i -> (key i, "0")));
+  Sim.spawn sim (fun () ->
+      ignore
+        (Db.run db Types.Serializable (fun t ->
+             for i = 0 to 7 do
+               ignore (Txn.read t "t" (key i))
+             done;
+             Sim.delay sim (hold (Sim.now sim)))));
+  for client = 1 to mpl do
     Sim.spawn sim (fun () ->
-        ignore
-          (Db.run db Types.Serializable (fun t ->
-               for i = 0 to 7 do
-                 ignore (Txn.read t "t" (key i))
-               done;
-               Sim.delay sim horizon)));
+        let st = Random.State.make [| seed; client |] in
+        let rec loop () =
+          if Sim.now sim < horizon then begin
+            let r = key (Random.State.int st keys) in
+            let w = key (Random.State.int st keys) in
+            outcome db
+              (Db.run db Types.Serializable (fun t ->
+                   ignore (Txn.read t "t" r);
+                   Txn.write t "t" w "1"));
+            loop ()
+          end
+        in
+        loop ())
+  done;
+  Sim.run ~until:horizon sim;
+  db
+
+(* Bounded-memory SIREAD retention (Config.memory_budget) under a pin held
+   for the whole window. The budget caps retention with row->page
+   promotion and committed-transaction summarization, at the price of
+   conservative (false-positive) unsafe aborts. The driver applies one
+   isolation level per run and has no pinned client, so this figure runs
+   its own loop like ablation-mixed; the "(locks)" column reports the
+   retained-records + live-SIREAD-entries high-water mark. *)
+let ablation_retention (budget : budget) =
+  let run_bounded ~memory_budget mpl seed =
+    let horizon = budget.warmup +. budget.duration in
     let commits = ref 0 and unsafe = ref 0 and hwm = ref 0 in
-    for client = 1 to mpl do
-      Sim.spawn sim (fun () ->
-          let st = Random.State.make [| seed; client |] in
-          let rec loop () =
-            if Sim.now sim < horizon then begin
-              let r = key (Random.State.int st keys) in
-              let w = key (Random.State.int st keys) in
-              (match
-                 Db.run db Types.Serializable (fun t ->
-                     ignore (Txn.read t "t" r);
-                     Txn.write t "t" w "1")
-               with
-              | Ok () -> if Sim.now sim >= budget.warmup then incr commits
-              | Error Types.Unsafe -> if Sim.now sim >= budget.warmup then incr unsafe
-              | Error _ -> ());
-              let p = Db.retained_count db + Db.siread_entry_count db in
-              if p > !hwm then hwm := p;
-              loop ()
-            end
-          in
-          loop ())
-    done;
-    Sim.run ~until:horizon sim;
+    let outcome db result =
+      let measured = Sim.now (Db.sim db) >= budget.warmup in
+      (match result with
+      | Ok () -> if measured then incr commits
+      | Error Types.Unsafe -> if measured then incr unsafe
+      | Error _ -> ());
+      hwm := max !hwm (Db.retained_count db + Db.siread_entry_count db)
+    in
+    ignore
+      (pinned_snapshot_run ?memory_budget
+         ~hold:(fun _ -> horizon)
+         ~outcome ~mpl ~horizon ~seed ());
     (float_of_int !commits /. budget.duration, !unsafe, !commits, !hwm)
   in
   let bounded_point memory_budget mpl =
@@ -678,57 +692,24 @@ let ablation_retention (budget : budget) =
       [ ("unbounded", bounded_point None); ("budget=256", bounded_point (Some 256)) ];
   }
 
-(* Timeline variant of the retention experiment: the same bounded-memory
-   loop, but the pinned read-only snapshot RELEASES at 60% of the horizon
-   and the run carries a tracing+provenance sink. The timeline's retention
-   gauges then show the §4.8 mechanism as a time series instead of a single
-   high-water mark: SIREAD/retained ramp monotonically while the pin holds
-   the oldest-active-snapshot watermark back, then fall after the release
+(* Timeline variant of the retention experiment: the same pinned-snapshot
+   world, but the pin RELEASES at 60% of the horizon and the run carries a
+   tracing+provenance sink. The timeline's retention gauges then show the
+   §4.8 mechanism as a time series instead of a single high-water mark:
+   SIREAD/retained ramp monotonically while the pin holds the
+   oldest-active-snapshot watermark back, then fall after the release
    drains the suspended queue. Returns the sink and the horizon (pass both
    to [Timeline.of_obs ~horizon] so trailing quiet windows materialise). *)
 let retention_timeline_run ?memory_budget ~mpl ~warmup ~duration ~seed () =
-  let keys = 256 in
-  let key i = Printf.sprintf "k%03d" i in
-  let sim = Sim.create () in
-  let config =
-    {
-      (Config.innodb ~wal_mode:Wal.No_flush ()) with
-      Config.lock_mutex = false;
-      memory_budget;
-      promote_threshold = 4;
-    }
-  in
-  let db = Db.create ~config sim in
   let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
-  Db.set_obs db obs;
-  ignore (Db.create_table db "t");
-  Db.load db "t" (List.init keys (fun i -> (key i, "0")));
   let horizon = warmup +. duration in
   let pin_release = warmup +. (0.6 *. duration) in
-  Sim.spawn sim (fun () ->
-      ignore
-        (Db.run db Types.Serializable (fun t ->
-             for i = 0 to 7 do
-               ignore (Txn.read t "t" (key i))
-             done;
-             Sim.delay sim (pin_release -. Sim.now sim))));
-  for client = 1 to mpl do
-    Sim.spawn sim (fun () ->
-        let st = Random.State.make [| seed; client |] in
-        let rec loop () =
-          if Sim.now sim < horizon then begin
-            let r = key (Random.State.int st keys) in
-            let w = key (Random.State.int st keys) in
-            ignore
-              (Db.run db Types.Serializable (fun t ->
-                   ignore (Txn.read t "t" r);
-                   Txn.write t "t" w "1"));
-            loop ()
-          end
-        in
-        loop ())
-  done;
-  Sim.run ~until:horizon sim;
+  let db =
+    pinned_snapshot_run ?memory_budget ~obs
+      ~hold:(fun now -> pin_release -. now)
+      ~outcome:(fun _ _ -> ())
+      ~mpl ~horizon ~seed ()
+  in
   if not (Db.work_conserved db) then
     failwith "retention_timeline_run: wasted-work conservation violated";
   (obs, horizon)

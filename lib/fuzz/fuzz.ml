@@ -81,7 +81,7 @@ type shard = {
   sh_anomalies : (string * (int * Fuzzcase.t)) list; (* class -> (case idx, shrunk) *)
 }
 
-let run_shard ~profile ~shrink_anomalies ~seed ~cases ~points ~lo ~hi () : shard =
+let run_shard ~profile ~shrink_anomalies ~seed ~cases ~points ~lo ~hi : shard =
   let si_anomalies = ref 0 and unsafe = ref 0 and false_pos = ref 0 in
   let failures = ref [] in
   let anomalies = ref [] in
@@ -119,14 +119,7 @@ let default_shard_size = 250
 let run_campaign ?pool ?(shard_size = default_shard_size)
     ?(profile = Fuzzgen.default_profile) ?(shrink_anomalies = false)
     ?(on_progress = fun (_ : progress) -> ()) ~seed ~cases ~matrix () : summary =
-  if shard_size < 1 then invalid_arg "run_campaign: shard_size must be >= 1";
   let points = Fuzzgen.matrix_points ~who:"run_campaign" matrix in
-  let rec ranges lo = if lo >= cases then [] else (lo, min cases (lo + shard_size)) :: ranges (lo + shard_size) in
-  let thunks =
-    List.map
-      (fun (lo, hi) -> run_shard ~profile ~shrink_anomalies ~seed ~cases ~points ~lo ~hi)
-      (ranges 0)
-  in
   (* Progress streams per completed shard prefix, in case order (stderr
      liveness only; the summary below is what the stdout contract covers). *)
   let done_cases = ref 0 and done_anoms = ref 0 and done_unsafe = ref 0 in
@@ -138,15 +131,8 @@ let run_campaign ?pool ?(shard_size = default_shard_size)
       { pr_done = !done_cases; pr_total = cases; pr_anomalies = !done_anoms; pr_unsafe = !done_unsafe }
   in
   let shards =
-    match pool with
-    | Some p -> Par.run ~on_result:(fun _ sh -> report sh) p thunks
-    | None ->
-        List.map
-          (fun th ->
-            let sh = th () in
-            report sh;
-            sh)
-          thunks
+    Fuzzgen.run_shards ?pool ~who:"run_campaign" ~shard_size ~cases ~on_shard:report
+      (run_shard ~profile ~shrink_anomalies ~seed ~cases ~points)
   in
   let merged_anomalies =
     (* per class, the smallest case index across all shards; emitted in

@@ -98,3 +98,24 @@ let matrix_points ~who matrix =
 let campaign_case ?profile ~seed ~cases points i =
   let st = Random.State.make [| 0x5551f; (seed * cases) + i |] in
   case ?profile st ~cfg:points.(i mod Array.length points)
+
+(* Both campaigns cut [0, cases) into contiguous shards of [shard_size]
+   cases, run [shard ~lo ~hi] for each on [pool] (in order without one),
+   and hand each result to [on_shard] in case order — Par delivers a
+   completed prefix — so progress output is the same at any [-j]. Returns
+   the shard results in case order. *)
+let run_shards ?pool ~who ~shard_size ~cases ~on_shard shard =
+  if shard_size < 1 then invalid_arg (who ^ ": shard_size must be >= 1");
+  let rec ranges lo =
+    if lo >= cases then [] else (lo, min cases (lo + shard_size)) :: ranges (lo + shard_size)
+  in
+  let thunks = List.map (fun (lo, hi) () -> shard ~lo ~hi) (ranges 0) in
+  match pool with
+  | Some p -> Par.run ~on_result:(fun _ sh -> on_shard sh) p thunks
+  | None ->
+      List.map
+        (fun th ->
+          let sh = th () in
+          on_shard sh;
+          sh)
+        thunks

@@ -74,9 +74,7 @@ let synthesize_committed records =
   in
   List.iter
     (function
-      | Wal.Write { txn; table; key; _ } | Wal.Insert { txn; table; key; _ } ->
-          add txn table key
-      | Wal.Delete { txn; table; key } -> add txn table key
+      | Wal.Write { txn; table; key; _ } | Wal.Delete { txn; table; key } -> add txn table key
       | _ -> ())
     records;
   List.filter_map
@@ -230,7 +228,7 @@ let durability_point rng (cfg : Fuzzcase.cfg_point) =
     checkpoint_interval = [| 0; 0; 2; 3 |].(Random.State.int rng 4);
   }
 
-let run_shard ~profile ~seed ~cases ~points ~lo ~hi () : shard =
+let run_shard ~profile ~seed ~cases ~points ~lo ~hi : shard =
   let runs = ref 0 and crashes = ref 0 and torn = ref 0 in
   let committed = ref 0 and in_doubt = ref 0 and aborted = ref 0 and replayed = ref 0 in
   let failures = ref [] in
@@ -274,14 +272,7 @@ let run_shard ~profile ~seed ~cases ~points ~lo ~hi () : shard =
 
 let run_campaign ?pool ?(shard_size = 250) ?(profile = Fuzzgen.default_profile)
     ?(on_progress = fun (_ : progress) -> ()) ~seed ~cases ~matrix () : summary =
-  if shard_size < 1 then invalid_arg "Fuzzrecover.run_campaign: shard_size must be >= 1";
   let points = Fuzzgen.matrix_points ~who:"Fuzzrecover.run_campaign" matrix in
-  let rec ranges lo =
-    if lo >= cases then [] else (lo, min cases (lo + shard_size)) :: ranges (lo + shard_size)
-  in
-  let thunks =
-    List.map (fun (lo, hi) -> run_shard ~profile ~seed ~cases ~points ~lo ~hi) (ranges 0)
-  in
   let done_cases = ref 0 and done_runs = ref 0 and done_failures = ref 0 in
   let report sh =
     done_cases := !done_cases + sh.sh_cases;
@@ -296,15 +287,8 @@ let run_campaign ?pool ?(shard_size = 250) ?(profile = Fuzzgen.default_profile)
       }
   in
   let shards =
-    match pool with
-    | Some p -> Par.run ~on_result:(fun _ sh -> report sh) p thunks
-    | None ->
-        List.map
-          (fun th ->
-            let sh = th () in
-            report sh;
-            sh)
-          thunks
+    Fuzzgen.run_shards ?pool ~who:"Fuzzrecover.run_campaign" ~shard_size ~cases ~on_shard:report
+      (run_shard ~profile ~seed ~cases ~points)
   in
   let sum f = List.fold_left (fun acc sh -> acc + f sh) 0 shards in
   {

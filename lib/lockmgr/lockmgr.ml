@@ -472,8 +472,9 @@ let acquire t ~owner ~mode resource =
   (* Re-entrant and conversion requests by an existing holder must not queue
      behind strangers (a holder waiting behind someone who waits for it
      would self-deadlock); they only wait for conflicting *holders*, and
-     when they do wait, they wait at the front of the queue. *)
-  let own = own_modes l owner in
+     when they do wait, they wait at the front of the queue. A SIREAD
+     request is granted at once, so only S and X look up their own hold. *)
+  let own = if mode = Siread then 0 else own_modes l owner in
   let already_holds = own <> 0 in
   if
     mode = Siread

@@ -30,7 +30,6 @@ type mode =
 type record =
   | Begin of { txn : int }
   | Write of { txn : int; table : string; key : string; value : string }
-  | Insert of { txn : int; table : string; key : string; value : string }
   | Delete of { txn : int; table : string; key : string }
   | Commit of { txn : int; ts : int }
   | Abort of { txn : int }
@@ -86,7 +85,7 @@ let payload_length r =
   +
   match r with
   | Begin { txn } | Abort { txn } -> int_length txn
-  | Write { txn; table; key; value } | Insert { txn; table; key; value } ->
+  | Write { txn; table; key; value } ->
       int_length txn + esc_length table + esc_length key + esc_length value + 3
   | Delete { txn; table; key } -> int_length txn + esc_length table + esc_length key + 2
   | Commit { txn; ts } -> int_length txn + int_length ts + 1
@@ -105,8 +104,8 @@ let add_payload buf r =
   | Begin { txn } ->
       Buffer.add_char buf 'B';
       add_int_field buf txn
-  | Write { txn; table; key; value } | Insert { txn; table; key; value } ->
-      Buffer.add_char buf (match r with Insert _ -> 'I' | _ -> 'W');
+  | Write { txn; table; key; value } ->
+      Buffer.add_char buf 'W';
       add_int_field buf txn;
       add_field buf table;
       add_field buf key;
@@ -171,10 +170,6 @@ let record_of_payload p =
   | [ "W"; txn; table; key; value ] -> (
       match (int_of txn, unesc table, unesc key, unesc value) with
       | Some txn, Some table, Some key, Some value -> Some (Write { txn; table; key; value })
-      | _ -> None)
-  | [ "I"; txn; table; key; value ] -> (
-      match (int_of txn, unesc table, unesc key, unesc value) with
-      | Some txn, Some table, Some key, Some value -> Some (Insert { txn; table; key; value })
       | _ -> None)
   | [ "D"; txn; table; key ] -> (
       match (int_of txn, unesc table, unesc key) with

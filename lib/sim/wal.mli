@@ -24,7 +24,6 @@ type t
 type record =
   | Begin of { txn : int }
   | Write of { txn : int; table : string; key : string; value : string }
-  | Insert of { txn : int; table : string; key : string; value : string }
   | Delete of { txn : int; table : string; key : string }
   | Commit of { txn : int; ts : int }
   | Abort of { txn : int }

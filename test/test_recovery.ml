@@ -30,13 +30,9 @@ let gen_record =
   frequency
     [
       (2, map (fun txn -> Wal.Begin { txn }) small_nat);
-      ( 4,
+      ( 6,
         map
           (fun (txn, (table, key, value)) -> Wal.Write { txn; table; key; value })
-          (pair small_nat (triple gen_bytes gen_bytes gen_bytes)) );
-      ( 2,
-        map
-          (fun (txn, (table, key, value)) -> Wal.Insert { txn; table; key; value })
           (pair small_nat (triple gen_bytes gen_bytes gen_bytes)) );
       ( 2,
         map
@@ -105,8 +101,6 @@ let printf_frame r =
     | Wal.Begin { txn } -> Printf.sprintf "B %d" txn
     | Wal.Write { txn; table; key; value } ->
         Printf.sprintf "W %d %s %s %s" txn (esc table) (esc key) (esc value)
-    | Wal.Insert { txn; table; key; value } ->
-        Printf.sprintf "I %d %s %s %s" txn (esc table) (esc key) (esc value)
     | Wal.Delete { txn; table; key } -> Printf.sprintf "D %d %s %s" txn (esc table) (esc key)
     | Wal.Commit { txn; ts } -> Printf.sprintf "C %d %d" txn ts
     | Wal.Abort { txn } -> Printf.sprintf "A %d" txn
