@@ -234,8 +234,8 @@ let prop_escape_embeddable =
 (* {1 Flight recorder: ring} *)
 
 (* The recorder over its own trace's timeline. *)
-let record ?(certs = []) ~capacity ~window ~trigger events =
-  Flightrec.run ~capacity ~trigger (Timeline.of_events ~window events certs) events
+let record ~capacity ~window ~trigger events =
+  Flightrec.run ~capacity ~trigger (Timeline.of_events ~window events []) events
 
 let test_ring_wraparound () =
   let r, inc =
@@ -476,9 +476,7 @@ let test_bundle_deterministic () =
   let sk = Sketch.create ~capacity:8 in
   Attrib.blame sk certs;
   let events = [ commit ~ts:0.01; abort ~ts:0.03 "unsafe" ] in
-  let rc, inc =
-    record ~certs ~capacity:4 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4) events
-  in
+  let rc, inc = record ~capacity:4 ~window:0.05 ~trigger:(Flightrec.Abort_storm 0.4) events in
   let incident =
     match inc with Some i -> i | None -> Alcotest.fail "expected an incident"
   in
