@@ -1,10 +1,15 @@
 (* Operation execution for the four concurrency control algorithms.
 
-   Each public operation runs inside [guard], which converts lock-manager
-   deadlock victims into aborts, notices dooming by other transactions, and
-   rolls the transaction back before letting the Abort exception escape.
-   Simulated CPU is charged before each critical section, so the conflict
-   bookkeeping itself runs atomically (the simulator is cooperative). *)
+   Each public operation checks its transaction on entry ([enter]), which
+   notices dooming by other transactions, and runs its body under one
+   handler ([aborted]), which converts lock-manager deadlock victims into
+   aborts and rolls the transaction back before letting the Abort exception
+   escape. Simulated CPU is charged before each critical section, so the
+   conflict bookkeeping itself runs atomically (the simulator is
+   cooperative).
+
+   The bodies and the walks over holders, pages and writes are top-level
+   functions given their arguments, so an operation builds no closure. *)
 
 open Types
 open Internal
@@ -67,21 +72,24 @@ let rollback_now t reason =
 let reject_ro t =
   if t.declared_ro then raise (Abort (Internal_error "write in a READ ONLY transaction"))
 
-let guard t f =
+(* A public operation's entry check: a doomed transaction rolls back and
+   raises its reason, and only an active one may go on. *)
+let enter t =
   touch_doom_read t;
   (match t.doomed with
   | Some r ->
       rollback_now t r;
       raise (Abort r)
   | None -> ());
-  if t.state <> Active then raise (Abort (Internal_error "transaction is not active"));
-  try f () with
-  | Abort r ->
-      rollback_now t r;
-      raise (Abort r)
-  | Lockmgr.Deadlock_victim ->
-      rollback_now t Deadlock;
-      raise (Abort Deadlock)
+  if t.state <> Active then raise (Abort (Internal_error "transaction is not active"))
+
+(* The public operations' one handler, for [Abort] and
+   [Lockmgr.Deadlock_victim] raised by a body: roll back, then raise the
+   abort. *)
+let aborted t e =
+  let r = match e with Abort r -> r | Lockmgr.Deadlock_victim -> Deadlock | e -> raise e in
+  rollback_now t r;
+  raise (Abort r)
 
 (* {1 Lock helpers} *)
 
@@ -174,19 +182,38 @@ let siread_row t table_name key ~leaves =
       end
   | _ -> acquire_siread t (row_resource table_name key)
 
+let rec mark_x_owners source t resource = function
+  | [] -> ()
+  | owner :: owners ->
+      (if owner <> t.id then
+         match Hashtbl.find t.db.txn_by_id owner with
+         | writer -> Conflict.mark ~source ~resource ~self:t ~reader:t ~writer
+         | exception Not_found -> ());
+      mark_x_owners source t resource owners
+
 (* Fig 3.4 line 3 / Fig 3.6 line 3: after taking SIREAD, every concurrently
    held X lock on the resource marks an rw-edge from us to its owner.
    [source] tags the edge for the conflict-source counters (a gap resource
    passes [Obs.Gap]). *)
 let mark_x_holders ?(source = Obs.Siread_vs_x) t resource =
   touch t resource;
-  List.iter
-    (fun owner ->
-      if owner <> t.id then
-        match find_txn t.db owner with
-        | Some writer -> Conflict.mark ~source ~resource ~self:t ~reader:t ~writer
-        | None -> ())
-    (Lockmgr.holders_with t.db.locks resource Lockmgr.X)
+  mark_x_owners source t resource (Lockmgr.holders_with t.db.locks resource Lockmgr.X)
+
+let rec mark_siread_owners source t resource snap = function
+  | [] -> ()
+  | owner :: owners ->
+      (if owner <> t.id then
+         match Hashtbl.find t.db.txn_by_id owner with
+         | reader ->
+             if (not (has_committed reader)) || commit_time reader > float_of_int snap then
+               Conflict.mark ~source ~resource ~self:t ~reader ~writer:t
+         | exception Not_found ->
+             if owner = summary_owner then (
+               match find_summary t.db resource with
+               | Some s when s.sm_commit_ts > snap ->
+                   Conflict.mark_summarized_reader ~source ~resource ~self:t ~sm_in:s.sm_in
+               | _ -> ()));
+      mark_siread_owners source t resource snap owners
 
 (* Fig 3.5 lines 4-6 / Fig 3.7: after taking X, every SIREAD on the resource
    whose owner overlaps us (not yet committed, or committed after our read
@@ -197,20 +224,14 @@ let mark_x_holders ?(source = Obs.Siread_vs_x) t resource =
 let mark_siread_holders ?(source = Obs.Siread_vs_x) t resource =
   touch t resource;
   let snap = snapshot_exn t in
-  List.iter
-    (fun owner ->
-      if owner <> t.id then
-        match find_txn t.db owner with
-        | Some reader ->
-            if (not (has_committed reader)) || commit_time reader > float_of_int snap then
-              Conflict.mark ~source ~resource ~self:t ~reader ~writer:t
-        | None ->
-            if owner = summary_owner then (
-              match find_summary t.db resource with
-              | Some s when s.sm_commit_ts > snap ->
-                  Conflict.mark_summarized_reader ~source ~resource ~self:t ~sm_in:s.sm_in
-              | _ -> ()))
+  mark_siread_owners source t resource snap
     (Lockmgr.holders_with t.db.locks resource Lockmgr.Siread)
+
+let rec mark_siread_pages t table_name = function
+  | [] -> ()
+  | p :: pages ->
+      mark_siread_holders t (page_resource table_name p);
+      mark_siread_pages t table_name pages
 
 (* Fig 3.4 lines 8-9: versions of the item newer than our snapshot were
    ignored by this read; each marks an rw-edge from us to its creator.
@@ -280,7 +301,7 @@ let propagate_splits db table (access : Btree.access) =
   (* Bounded row mode holds page SIREADs too (granularity promotion and the
      summarized-reader pool), so splits must propagate them there as well;
      page version stamps remain a page-mode mechanism. *)
-  if page_mode || bounded db then
+  if access.Btree.splits <> [] && (page_mode || bounded db) then
     List.iter
       (fun (old_page, new_page) ->
         (if page_mode then
@@ -376,6 +397,21 @@ let same_leaves (_, a) (_, b) = a.Btree.leaves = b.Btree.leaves
 
 (* {1 Read} *)
 
+let rec s_lock_pages t table_name = function
+  | [] -> ()
+  | p :: pages ->
+      acquire t Lockmgr.S (page_resource table_name p);
+      s_lock_pages t table_name pages
+
+(* SIREAD each page, charged for already, and mark the X holders met. *)
+let rec siread_pages t table_name = function
+  | [] -> ()
+  | p :: pages ->
+      let r = page_resource table_name p in
+      acquire_siread ~charge:false t r;
+      mark_x_holders t r;
+      siread_pages t table_name pages
+
 (* Page-mode helper: read-lock (S or SIREAD) the leaf pages, as Berkeley DB
    does (internal pages are only latched during the descent). Version-based
    conflicts with structural changes to internal pages are caught by the
@@ -383,17 +419,17 @@ let same_leaves (_, a) (_, b) = a.Btree.leaves = b.Btree.leaves
 let lock_pages_for_read t table_name (access : Btree.access) =
   let pages = access.Btree.leaves in
   match t.isolation with
-  | S2pl ->
-      List.iter (fun p -> acquire t Lockmgr.S (page_resource table_name p)) pages
+  | S2pl -> s_lock_pages t table_name pages
   | Serializable ->
       charge_lock_ops t.db (List.length pages);
-      List.iter
-        (fun p ->
-          let r = page_resource table_name p in
-          acquire_siread ~charge:false t r;
-          mark_x_holders t r)
-        pages
+      siread_pages t table_name pages
   | Snapshot | Read_committed -> ()
+
+let rec mark_page_stamps t table snap = function
+  | [] -> ()
+  | p :: pages ->
+      mark_page_stamp t table p snap;
+      mark_page_stamps t table snap pages
 
 (* A page anywhere on the descent path updated since our snapshot is an
    ignored newer page version — including root/internal pages modified by
@@ -401,8 +437,8 @@ let lock_pages_for_read t table_name (access : Btree.access) =
    which is checked again with the leaves (and its rw-edges counted
    twice). *)
 let mark_path_stamps t table (access : Btree.access) snap =
-  List.iter (fun p -> mark_page_stamp t table p snap) access.Btree.path;
-  List.iter (fun p -> mark_page_stamp t table p snap) access.Btree.leaves
+  mark_page_stamps t table snap access.Btree.path;
+  mark_page_stamps t table snap access.Btree.leaves
 
 (* The version of [chain] this transaction reads: the newest committed one
    under RC and S2PL, the one its snapshot sees under SI and SSI. *)
@@ -411,8 +447,7 @@ let read_version t chain =
   | Read_committed | S2pl -> Mvstore.latest chain
   | Snapshot | Serializable -> Mvstore.visible chain ~snapshot:(snapshot_exn t)
 
-let visible_value (v : Mvstore.version option) =
-  match v with Some { value = Some s; _ } -> Some s | _ -> None
+let visible_value (v : Mvstore.version option) = match v with Some v -> v.value | None -> None
 
 let version_ts (v : Mvstore.version option) = match v with Some v -> v.commit_ts | None -> 0
 
@@ -423,51 +458,54 @@ let s_lock_key t table key (_, access) =
   | Config.Row -> acquire t Lockmgr.S (row_resource table_name key)
   | Config.Page -> lock_pages_for_read t table_name access
 
+let read t table_name key =
+  match own_write t table_name key with
+  | Some v -> v
+  | None ->
+      let db = t.db in
+      let table = table_exn db table_name in
+      charge_cpu db Config.c_read;
+      charge_row_io db 1;
+      check_doom t;
+      (* Footprint: every isolation level reads this key's version
+         chain, with or without locks (RC/SI take none). *)
+      touch_row t table_name key;
+      let chain =
+        match t.isolation with
+        | S2pl ->
+            let stamp = Mvstore.stamp table in
+            let chain, access =
+              locked_until_stable t table stamp ~find:find_key ~same:same_leaves ~lock:s_lock_key
+                key (find_key t table key)
+            in
+            let stamp = Mvstore.stamp table in
+            touch_pages db table_name access;
+            if Mvstore.stamp table = stamp then chain else Mvstore.find_chain table key
+        | Read_committed | Snapshot | Serializable ->
+            let snap = if t.isolation = Read_committed then 0 else ensure_snapshot t in
+            let chain, access = Mvstore.find_chain_path table key in
+            touch_pages db table_name access;
+            if is_ssi t then begin
+              (match db.config.Config.granularity with
+              | Config.Row ->
+                  siread_row t table_name key ~leaves:access.Btree.leaves;
+                  mark_x_holders t (row_resource table_name key)
+              | Config.Page ->
+                  lock_pages_for_read t table_name access;
+                  mark_path_stamps t table access snap);
+              match chain with
+              | Some c -> mark_newer_versions t table_name key c snap
+              | None -> ()
+            end;
+            chain
+      in
+      let v = match chain with Some c -> read_version t c | None -> None in
+      log_read t table_name key (version_ts v);
+      visible_value v
+
 let do_read t table_name key =
-  guard t (fun () ->
-      match own_write t table_name key with
-      | Some v -> v
-      | None ->
-          let db = t.db in
-          let table = table_exn db table_name in
-          charge_cpu db Config.c_read;
-          charge_row_io db 1;
-          check_doom t;
-          (* Footprint: every isolation level reads this key's version
-             chain, with or without locks (RC/SI take none). *)
-          touch_row t table_name key;
-          let chain =
-            match t.isolation with
-            | S2pl ->
-                let stamp = Mvstore.stamp table in
-                let chain, access =
-                  locked_until_stable t table stamp ~find:find_key ~same:same_leaves
-                    ~lock:s_lock_key key (find_key t table key)
-                in
-                let stamp = Mvstore.stamp table in
-                touch_pages db table_name access;
-                if Mvstore.stamp table = stamp then chain else Mvstore.find_chain table key
-            | Read_committed | Snapshot | Serializable ->
-                let snap = if t.isolation = Read_committed then 0 else ensure_snapshot t in
-                let chain, access = Mvstore.find_chain_path table key in
-                touch_pages db table_name access;
-                if is_ssi t then begin
-                  (match db.config.Config.granularity with
-                  | Config.Row ->
-                      siread_row t table_name key ~leaves:access.Btree.leaves;
-                      mark_x_holders t (row_resource table_name key)
-                  | Config.Page ->
-                      lock_pages_for_read t table_name access;
-                      mark_path_stamps t table access snap);
-                  match chain with
-                  | Some c -> mark_newer_versions t table_name key c snap
-                  | None -> ()
-                end;
-                chain
-          in
-          let v = match chain with Some c -> read_version t c | None -> None in
-          log_read t table_name key (version_ts v);
-          visible_value v)
+  enter t;
+  try read t table_name key with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
 
 (* {1 Write (update / logical delete of an existing key)} *)
 
@@ -493,6 +531,20 @@ let x_lock_to_write t table _ (_, access) =
 
 let x_lock_to_read t table _ (_, access) =
   x_lock_pages t ~will_write:false (Mvstore.name table) access.Btree.leaves
+
+(* First-committer-wins at Page granularity: a page stamped after our read
+   view is a newer version of everything on it. *)
+let rec check_page_stamps t table snap = function
+  | [] -> ()
+  | p :: pages ->
+      let ts = Mvstore.page_ts table p in
+      if ts > snap then begin
+        Provenance.emit_fcw t
+          ~resource:(page_resource (Mvstore.name table) p)
+          ~blocking_commit:ts ~blocking_writer:(Mvstore.page_writer table p);
+        raise (Abort Update_conflict)
+      end;
+      check_page_stamps t table snap pages
 
 (* Acquire the X lock protecting [key]'s row or page, honouring the SIREAD
    upgrade optimisation (§3.7.3), then run first-committer-wins and the
@@ -583,12 +635,11 @@ let lock_for_write t table_name key ~will_write =
      modified pages; a root split therefore conflicts with every reader.
      The pages are remembered so commit can stamp them with the new
      version's timestamp. *)
-  (match config.Config.granularity with
-  | Config.Page ->
-      List.iter (fun p -> acquire t Lockmgr.X (page_resource table_name p)) access.Btree.modified;
-      t.touched_pages <-
-        List.map (fun p -> (table_name, p)) access.Btree.modified @ t.touched_pages
-  | Config.Row -> ());
+  (match (config.Config.granularity, access.Btree.modified) with
+  | Config.Page, (_ :: _ as modified) ->
+      List.iter (fun p -> acquire t Lockmgr.X (page_resource table_name p)) modified;
+      t.touched_pages <- List.map (fun p -> (table_name, p)) modified @ t.touched_pages
+  | _ -> ());
   (* First-committer-wins (§2.5): a version committed after our read view.
      The abort certificate names the blocking version (its commit timestamp
      and writer) — the evidence that FCW, not SSI, killed this txn. *)
@@ -604,17 +655,7 @@ let lock_for_write t table_name key ~will_write =
         raise (Abort Update_conflict)
       end;
       (match config.Config.granularity with
-      | Config.Page ->
-          List.iter
-            (fun p ->
-              let ts = Mvstore.page_ts table p in
-              if ts > snap then begin
-                Provenance.emit_fcw t
-                  ~resource:(page_resource table_name p)
-                  ~blocking_commit:ts ~blocking_writer:(Mvstore.page_writer table p);
-                raise (Abort Update_conflict)
-              end)
-            access.Btree.leaves
+      | Config.Page -> check_page_stamps t table snap access.Btree.leaves
       | Config.Row -> ())
   | Read_committed | S2pl -> ());
   if is_ssi t then begin
@@ -625,16 +666,18 @@ let lock_for_write t table_name key ~will_write =
            pool hold page SIREADs instead of row SIREADs, so the write must
            also be checked against the page resources of the leaves it
            lands on. *)
-        if bounded db then
-          List.iter
-            (fun p -> mark_siread_holders t (page_resource table_name p))
-            access.Btree.leaves
+        if bounded db then mark_siread_pages t table_name access.Btree.leaves
     | Config.Page ->
-        let mark p = mark_siread_holders t (page_resource table_name p) in
-        List.iter mark access.Btree.leaves;
-        List.iter mark access.Btree.modified)
+        mark_siread_pages t table_name access.Btree.leaves;
+        mark_siread_pages t table_name access.Btree.modified)
   end;
   e
+
+let rec siread_pages_after_x t table_name = function
+  | [] -> ()
+  | p :: pages ->
+      acquire_siread t (page_resource table_name p);
+      siread_pages_after_x t table_name pages
 
 (* The SIREAD trace of a locking read that installs no version: the X lock
    subsumes SIREAD only while held, and write locks are released at commit.
@@ -645,40 +688,47 @@ let siread_after_x t e =
   | Config.Row -> acquire_siread t (row_resource e.w_table e.w_key)
   | Config.Page ->
       let access = entry_access (table_exn t.db e.w_table) e in
-      List.iter (fun p -> acquire_siread t (page_resource e.w_table p)) access.Btree.leaves
+      siread_pages_after_x t e.w_table access.Btree.leaves
 
 (* Locking read (SELECT ... FOR UPDATE / the read half of an UPDATE): takes
    the exclusive lock first, then reads. Under SI/SSI this is the §4.5 fast
    path — the snapshot is chosen after the lock, so a transaction whose
    first statement is an update never aborts under first-committer-wins —
    and it subsumes the SIREAD upgrade of §3.7.3. *)
+let read_for_update t table_name key =
+  reject_ro t;
+  let db = t.db in
+  charge_cpu db Config.c_read;
+  charge_row_io db 1;
+  check_doom t;
+  match own_write t table_name key with
+  | Some v -> v
+  | None ->
+      let e = lock_for_write t table_name key ~will_write:false in
+      if is_ssi t then siread_after_x t e;
+      (* Under SI and SSI, the FCW check in lock_for_write guarantees the
+         snapshot version is also the latest committed one. *)
+      let v = read_version t e.w_chain in
+      log_read t table_name key (version_ts v);
+      visible_value v
+
 let do_read_for_update t table_name key =
-  guard t (fun () ->
-      reject_ro t;
-      let db = t.db in
-      charge_cpu db Config.c_read;
-      charge_row_io db 1;
-      check_doom t;
-      match own_write t table_name key with
-      | Some v -> v
-      | None ->
-          let e = lock_for_write t table_name key ~will_write:false in
-          if is_ssi t then siread_after_x t e;
-          (* Under SI and SSI, the FCW check in lock_for_write guarantees the
-             snapshot version is also the latest committed one. *)
-          let v = read_version t e.w_chain in
-          log_read t table_name key (version_ts v);
-          visible_value v)
+  enter t;
+  try read_for_update t table_name key
+  with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
+
+let write t table_name key value =
+  reject_ro t;
+  let db = t.db in
+  charge_cpu db Config.c_write;
+  charge_row_io db 1;
+  check_doom t;
+  let e = lock_for_write t table_name key ~will_write:true in
+  buffer_write t e (Some value)
 
 let do_write t table_name key value =
-  guard t (fun () ->
-      reject_ro t;
-      let db = t.db in
-      charge_cpu db Config.c_write;
-      charge_row_io db 1;
-      check_doom t;
-      let e = lock_for_write t table_name key ~will_write:true in
-      buffer_write t e (Some value))
+  enter t;
+  try write t table_name key value with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
 
 (* {1 Insert / Delete with phantom protection (Fig 3.7)} *)
 
@@ -693,44 +743,50 @@ let lock_gap_for_write t table_name key =
     if is_ssi t then mark_siread_holders ~source:Obs.Gap t gap
   end
 
+let insert t table_name key value =
+  reject_ro t;
+  let db = t.db in
+  charge_cpu db Config.c_write;
+  check_doom t;
+  (* Gap lock first (before the index entry appears), then the row. *)
+  lock_gap_for_write t table_name key;
+  let e = lock_for_write t table_name key ~will_write:true in
+  (* Duplicate detection: a live committed latest version, or our own
+     buffered live write; our own buffered delete makes the key free. *)
+  (if e.w_buffered then (if Option.is_some e.w_value then raise (Abort Duplicate_key))
+   else
+     match Mvstore.latest e.w_chain with
+     | Some { value = Some _; _ } -> raise (Abort Duplicate_key)
+     | _ -> ());
+  buffer_write t e (Some value)
+
 let do_insert t table_name key value =
-  guard t (fun () ->
-      reject_ro t;
-      let db = t.db in
-      charge_cpu db Config.c_write;
-      check_doom t;
-      (* Gap lock first (before the index entry appears), then the row. *)
-      lock_gap_for_write t table_name key;
-      let e = lock_for_write t table_name key ~will_write:true in
-      (* Duplicate detection: a live committed latest version, or our own
-         buffered live write; our own buffered delete makes the key free. *)
-      (if e.w_buffered then (if Option.is_some e.w_value then raise (Abort Duplicate_key))
-       else
-         match Mvstore.latest e.w_chain with
-         | Some { value = Some _; _ } -> raise (Abort Duplicate_key)
-         | _ -> ());
-      buffer_write t e (Some value))
+  enter t;
+  try insert t table_name key value with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
+
+let delete t table_name key =
+  reject_ro t;
+  let db = t.db in
+  charge_cpu db Config.c_write;
+  check_doom t;
+  lock_gap_for_write t table_name key;
+  let e = lock_for_write t table_name key ~will_write:false in
+  (* A delete is a locking read of the row's visibility followed by a
+     conditional write; the read is logged so the MVSG checker sees the
+     rw-edge when someone re-creates the key. *)
+  let existed =
+    if e.w_buffered then Option.is_some e.w_value
+    else
+      let v = read_version t e.w_chain in
+      log_read t table_name key (version_ts v);
+      match v with Some { value = Some _; _ } -> true | _ -> false
+  in
+  if existed then buffer_write t e None else if is_ssi t then siread_after_x t e;
+  existed
 
 let do_delete t table_name key =
-  guard t (fun () ->
-      reject_ro t;
-      let db = t.db in
-      charge_cpu db Config.c_write;
-      check_doom t;
-      lock_gap_for_write t table_name key;
-      let e = lock_for_write t table_name key ~will_write:false in
-      (* A delete is a locking read of the row's visibility followed by a
-         conditional write; the read is logged so the MVSG checker sees the
-         rw-edge when someone re-creates the key. *)
-      let existed =
-        if e.w_buffered then Option.is_some e.w_value
-        else
-          let v = read_version t e.w_chain in
-          log_read t table_name key (version_ts v);
-          match v with Some { value = Some _; _ } -> true | _ -> false
-      in
-      if existed then buffer_write t e None else if is_ssi t then siread_after_x t e;
-      existed)
+  enter t;
+  try delete t table_name key with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
 
 (* {1 Predicate read (range scan) with next-key gap locking (Fig 3.6)} *)
 
@@ -818,129 +874,159 @@ let lock_scan_rows t table (_, hi, _) (visited, _, exhausted) =
 let same_rows (va, _, ea) (vb, _, eb) =
   Bool.equal ea eb && List.equal (fun (a, _) (b, _) -> String.equal a b) va vb
 
-let do_scan ?lo ?hi ?limit t table_name =
-  guard t (fun () ->
-      let db = t.db in
-      let config = db.config in
-      let table = table_exn db table_name in
-      if t.isolation = Snapshot || is_ssi t then ignore (ensure_snapshot t);
-      (* Collect the index entries atomically, pay costs, run the locking
-         protocol, then read. The structure stamp is taken at collection, as
-         paying costs can wait too: S2PL collects again if it has moved by
-         the time its locks are held. Under SSI, committed changes racing
-         with the scan are caught by the newer-version checks. *)
-      let range = (lo, hi, limit) in
-      let stamp = Mvstore.stamp table in
-      let ((visited, access, exhausted) as found) = collect_range t table range in
-      (* Footprint: a scan reads every visited chain and the gaps between
-         them regardless of isolation level (SI/RC scans take no locks); the
-         names are recorded before the locking below so they are visible
-         even if an acquisition blocks. *)
-      if db.on_touch <> None then begin
+let scan t table_name lo hi limit =
+  let db = t.db in
+  let config = db.config in
+  let table = table_exn db table_name in
+  if t.isolation = Snapshot || is_ssi t then ignore (ensure_snapshot t);
+  (* Collect the index entries atomically, pay costs, run the locking
+     protocol, then read. The structure stamp is taken at collection, as
+     paying costs can wait too: S2PL collects again if it has moved by
+     the time its locks are held. Under SSI, committed changes racing
+     with the scan are caught by the newer-version checks. *)
+  let range = (lo, hi, limit) in
+  let stamp = Mvstore.stamp table in
+  let ((visited, access, exhausted) as found) = collect_range t table range in
+  (* Footprint: a scan reads every visited chain and the gaps between
+     them regardless of isolation level (SI/RC scans take no locks); the
+     names are recorded before the locking below so they are visible
+     even if an acquisition blocks. *)
+  if db.on_touch <> None then begin
+    List.iter
+      (fun (key, _) ->
+        touch t (row_resource table_name key);
+        if config.Config.granularity = Config.Row then touch t (gap_resource table_name key))
+      visited;
+    match config.Config.granularity with
+    | Config.Page ->
         List.iter
-          (fun (key, _) ->
-            touch t (row_resource table_name key);
-            if config.Config.granularity = Config.Row then touch t (gap_resource table_name key))
-          visited;
-        match config.Config.granularity with
-        | Config.Page ->
-            List.iter
-              (fun p -> touch t (page_resource table_name p))
-              (access.Btree.path @ access.Btree.leaves)
-        | Config.Row ->
-            if exhausted then touch t (committed_gap table_name table (past_range hi))
-      end;
-      touch_pages db table_name access;
-      let n = List.length visited in
-      charge_cpu db (float_of_int (max 1 n) *. Config.c_scan_row);
-      charge_row_io db n;
-      check_doom t;
-      (* Pre-charge the lock-manager work for the whole scan. *)
-      if t.isolation = S2pl || is_ssi t then
-        charge_lock_ops db
-          (match config.Config.granularity with
-          | Config.Row -> if config.Config.gap_locking then (2 * n) + 1 else n
-          | Config.Page -> List.length access.Btree.leaves);
-      check_doom t;
-      let page_mode = config.Config.granularity = Config.Page in
-      let lock = if page_mode then lock_scan_pages else lock_scan_rows in
-      let visited, _, _ =
-        match t.isolation with
-        | S2pl ->
-            let same = if page_mode then same_walk else same_rows in
-            locked_until_stable t table stamp ~find:collect_range ~same ~lock range found
-        | Serializable ->
-            lock t table range found;
-            found
-        | Snapshot | Read_committed -> found
-      in
-      let results =
-        List.fold_left
-          (fun results (key, chain) ->
-            let v = read_version t chain in
-            log_read t table_name key (version_ts v);
-            let v = match own_write t table_name key with Some v -> v | None -> visible_value v in
-            match v with Some v -> (key, v) :: results | None -> results)
-          [] visited
-      in
-      (* Buffered inserts of our own that fall inside the range. *)
-      let own_inserts =
-        List.filter_map
-          (fun e ->
-            let k = e.w_key in
-            if
-              e.w_table = table_name
-              && (match lo with Some lo -> k >= lo | None -> true)
-              && (match hi with Some hi -> k <= hi | None -> true)
-              && not (List.exists (fun (k', _) -> k' = k) visited)
-            then Option.map (fun v -> (k, v)) e.w_value
-            else None)
-          t.write_order
-      in
-      let all = List.sort (fun (a, _) (b, _) -> compare a b) (own_inserts @ List.rev results) in
-      match limit with
-      | None -> all
-      | Some n -> List.filteri (fun i _ -> i < n) all)
+          (fun p -> touch t (page_resource table_name p))
+          (access.Btree.path @ access.Btree.leaves)
+    | Config.Row -> if exhausted then touch t (committed_gap table_name table (past_range hi))
+  end;
+  touch_pages db table_name access;
+  let n = List.length visited in
+  charge_cpu db (float_of_int (max 1 n) *. Config.c_scan_row);
+  charge_row_io db n;
+  check_doom t;
+  (* Pre-charge the lock-manager work for the whole scan. *)
+  if t.isolation = S2pl || is_ssi t then
+    charge_lock_ops db
+      (match config.Config.granularity with
+      | Config.Row -> if config.Config.gap_locking then (2 * n) + 1 else n
+      | Config.Page -> List.length access.Btree.leaves);
+  check_doom t;
+  let page_mode = config.Config.granularity = Config.Page in
+  let lock = if page_mode then lock_scan_pages else lock_scan_rows in
+  let visited, _, _ =
+    match t.isolation with
+    | S2pl ->
+        let same = if page_mode then same_walk else same_rows in
+        locked_until_stable t table stamp ~find:collect_range ~same ~lock range found
+    | Serializable ->
+        lock t table range found;
+        found
+    | Snapshot | Read_committed -> found
+  in
+  let results =
+    List.fold_left
+      (fun results (key, chain) ->
+        let v = read_version t chain in
+        log_read t table_name key (version_ts v);
+        let v = match own_write t table_name key with Some v -> v | None -> visible_value v in
+        match v with Some v -> (key, v) :: results | None -> results)
+      [] visited
+  in
+  (* Buffered inserts of our own that fall inside the range. *)
+  let own_inserts =
+    List.filter_map
+      (fun e ->
+        let k = e.w_key in
+        if
+          e.w_table = table_name
+          && (match lo with Some lo -> k >= lo | None -> true)
+          && (match hi with Some hi -> k <= hi | None -> true)
+          && not (List.exists (fun (k', _) -> k' = k) visited)
+        then Option.map (fun v -> (k, v)) e.w_value
+        else None)
+      t.write_order
+  in
+  let all = List.sort (fun (a, _) (b, _) -> compare a b) (own_inserts @ List.rev results) in
+  match limit with
+  | None -> all
+  | Some n -> List.filteri (fun i _ -> i < n) all
+
+let do_scan ?lo ?hi ?limit t table_name =
+  enter t;
+  try scan t table_name lo hi limit with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
 
 (* {1 Commit / rollback} *)
+
+(* Whether [(table_name, page)] is in [pages], without building the pair. *)
+let rec mem_page table_name page = function
+  | [] -> false
+  | (tbl, p) :: pages ->
+      (p = page && String.equal tbl table_name) || mem_page table_name page pages
+
+(* Stamp the leaves a write lands on with its commit. *)
+let rec stamp_leaves t table commit_ts = function
+  | [] -> ()
+  | p :: pages ->
+      let table_name = Mvstore.name table in
+      Mvstore.stamp_page table p ~ts:commit_ts ~writer:t.id;
+      (* Remembered so a later summarization of this transaction can
+         leave its out-flag on the stamped pages' summary entries. *)
+      if not (mem_page table_name p t.touched_pages) then
+        t.touched_pages <- (table_name, p) :: t.touched_pages;
+      stamp_leaves t table commit_ts pages
+
+let install_write t commit_ts page_mode e =
+  let db = t.db in
+  let table = table_exn db e.w_table in
+  let chain =
+    if e.w_stamp = Mvstore.stamp table then e.w_chain
+    else begin
+      let chain, access = Mvstore.ensure_chain table e.w_key in
+      propagate_splits db table access;
+      chain
+    end
+  in
+  Mvstore.install chain ~value:e.w_value ~commit_ts ~creator:t.id;
+  if page_mode then stamp_leaves t table commit_ts (entry_access table e).Btree.leaves
+
+(* Install a newest-first list of writes, like [write_order], oldest
+   first. *)
+let rec install_in_order t commit_ts page_mode = function
+  | [] -> ()
+  | e :: older ->
+      install_in_order t commit_ts page_mode older;
+      install_write t commit_ts page_mode e
 
 (* [write_order] holds each written key once ([buffer_write]). A key's chain
    and leaf come from its entry unless the structure stamp moved since it
    was locked. *)
 let install_writes t commit_ts =
-  let db = t.db in
-  let page_mode = db.config.Config.granularity = Config.Page in
+  let page_mode = t.db.config.Config.granularity = Config.Page in
   (* The pages our inserts split while locking are stamped after the
      writes' leaves, as a split below copies their earlier stamp to its new
      page; the leaves are stamped as they are found. *)
   let split_pages = t.touched_pages in
-  List.iter
-    (fun e ->
-      let table_name = e.w_table in
-      let table = table_exn db table_name in
-      let chain =
-        if e.w_stamp = Mvstore.stamp table then e.w_chain
-        else begin
-          let chain, access = Mvstore.ensure_chain table e.w_key in
-          propagate_splits db table access;
-          chain
-        end
-      in
-      Mvstore.install chain ~value:e.w_value ~commit_ts ~creator:t.id;
-      if page_mode then
-        List.iter
-          (fun p ->
-            Mvstore.stamp_page table p ~ts:commit_ts ~writer:t.id;
-            (* Remembered so a later summarization of this transaction can
-               leave its out-flag on the stamped pages' summary entries. *)
-            if not (List.mem (table_name, p) t.touched_pages) then
-              t.touched_pages <- (table_name, p) :: t.touched_pages)
-          (entry_access table e).Btree.leaves)
-    (List.rev t.write_order);
-  if page_mode then
+  install_in_order t commit_ts page_mode t.write_order;
+  if page_mode && split_pages <> [] then
     List.iter
-      (fun (tbl, p) -> Mvstore.stamp_page (table_exn db tbl) p ~ts:commit_ts ~writer:t.id)
+      (fun (tbl, p) -> Mvstore.stamp_page (table_exn t.db tbl) p ~ts:commit_ts ~writer:t.id)
       split_pages
+
+(* Append the redo records of a newest-first list of writes, like
+   [write_order], oldest first. *)
+let rec log_in_order t = function
+  | [] -> ()
+  | e :: older -> (
+      log_in_order t older;
+      let table = e.w_table and key = e.w_key in
+      match e.w_value with
+      | Some value -> Wal.append t.db.wal (Wal.Write { txn = t.id; table; key; value })
+      | None -> Wal.append t.db.wal (Wal.Delete { txn = t.id; table; key }))
 
 let record_history t =
   let db = t.db in
@@ -1032,200 +1118,193 @@ let drain_summary db min_snap =
    commit. The queue is ordered by commit timestamp (commits append in
    timestamp order), so draining eligible entries from the front preserves
    the oldest-commit-first discipline and keeps each pass O(released). *)
+let rec release_suspended db min_snap released =
+  match Queue.peek db.suspended with
+  | s when (match s.commit_ts with Some c -> c <= min_snap | None -> false) ->
+      ignore (Queue.pop db.suspended);
+      if Lockmgr.sireads_of db.locks s.id > 0 then
+        db.n_retained_siread <- db.n_retained_siread - 1;
+      Lockmgr.release_all db.locks s.id;
+      Hashtbl.remove db.txn_by_id s.id;
+      release_suspended db min_snap (released + 1)
+  | _ | (exception Queue.Empty) -> released
+
 let cleanup_suspended db =
   let min_snap = min_active_snapshot db in
-  let released = ref 0 in
-  let rec drain () =
-    match Queue.peek_opt db.suspended with
-    | Some s when (match s.commit_ts with Some c -> c <= min_snap | None -> false) ->
-        ignore (Queue.pop db.suspended);
-        if Lockmgr.sireads_of db.locks s.id > 0 then
-          db.n_retained_siread <- db.n_retained_siread - 1;
-        Lockmgr.release_all db.locks s.id;
-        Hashtbl.remove db.txn_by_id s.id;
-        incr released;
-        drain ()
-    | _ -> ()
-  in
-  drain ();
+  let released = release_suspended db min_snap 0 in
   if bounded db then drain_summary db min_snap;
-  if !released > 0 && Obs.on db.obs then
+  if released > 0 && Obs.on db.obs then
     Obs.emit db.obs ~ts:(Sim.now db.sim)
-      (Obs.Cleanup { released = !released; retained = Queue.length db.suspended })
+      (Obs.Cleanup { released; retained = Queue.length db.suspended })
+
+let commit t =
+  let db = t.db in
+  let config = db.config in
+  let n_writes = List.length t.write_order in
+  charge_cpu db (Config.c_txn +. (float_of_int n_writes *. Config.c_commit_install));
+  check_doom t;
+  (* Footprint: committing publishes every buffered version (writes of
+     the updated rows), retires the held locks and reads the conflict
+     flags other transactions set through those resources. Held locks
+     are read-strength touches: every conflicting peer (a writer of a
+     row this transaction SIREAD-holds, a waiter on an X entry) touched
+     the resource at write strength itself, while two readers' commits
+     must stay commuting. *)
+  if db.on_touch <> None then begin
+    List.iter (touch t) (Lockmgr.owned_resources db.locks t.id);
+    List.iter (fun e -> touch_w t (row_resource e.w_table e.w_key)) t.write_order
+  end;
+  (* Fig 3.2 atomic block: dangerous-structure check, then mark committed
+     so later conflicts treat us as such. *)
+  if is_ssi t then Conflict.check_commit t;
+  t.state <- Committing;
+  (* Durability before visibility (§4.4: locks released after the log
+     flush; group commit batches concurrent committers). The flush is a
+     profiler span: its duration is where group-commit batching shows
+     up in a trace.
+
+     Writing transactions draw their commit timestamp *before* the
+     flush so the WAL Commit record can carry it; allocation and the
+     appends are one atomic simulated step, which keeps Commit records
+     in timestamp order in the log (recovery's prefix oracle relies on
+     this). The timestamp stays unpublished — invisible to snapshots
+     and comparing as +infinity — until the versions install below. *)
+  let commit_ts =
+    if n_writes > 0 then begin
+      let commit_ts = alloc_commit_ts db in
+      t.commit_ts <- Some commit_ts;
+      if Obs.tracing db.obs then
+        Obs.emit db.obs ~ts:(Sim.now db.sim)
+          (Obs.Span_b { tid = t.id; name = "log-flush"; cat = "wal" });
+      Wal.append db.wal (Wal.Begin { txn = t.id });
+      log_in_order t t.write_order;
+      Wal.append db.wal (Wal.Commit { txn = t.id; ts = commit_ts });
+      t.logged <- true;
+      Wal.commit_window_check db.wal;
+      Wal.commit_flush db.wal;
+      if Obs.tracing db.obs then
+        Obs.emit db.obs ~ts:(Sim.now db.sim)
+          (Obs.Span_e { tid = t.id; name = "log-flush"; cat = "wal" });
+      commit_ts
+    end
+    else begin
+      (* Read-only / no-write commit: nothing to log, so allocation and
+         publication collapse into the atomic block below. A fresh
+         timestamp is still taken — overlap tests ("commit(owner) >
+         begin(T)", Fig 3.5) need commits and begins totally ordered. *)
+      let commit_ts = alloc_commit_ts db in
+      t.commit_ts <- Some commit_ts;
+      commit_ts
+    end
+  in
+  (* Atomic publication: install all versions and advance the snapshot
+     horizon in one step, so snapshots are consistent. *)
+  if n_writes > 0 then install_writes t commit_ts;
+  (* Footprint: pages stamped during install (Page granularity; includes
+     split-allocated siblings not known before install). *)
+  if db.on_touch <> None then
+    List.iter (fun (tbl, p) -> touch_w t (page_resource tbl p)) t.touched_pages;
+  publish_commit_ts db commit_ts;
+  (* Footprint: publication advances what later snapshots observe, and
+     the overlap tests of Fig 3.5 compare this commit against other
+     transactions' begins. Both are per-resource facts, so the commit
+     writes a visibility shadow ["c/<resource>"] for everything it
+     published or held — a transaction whose read view covers one of
+     these resources reads the same shadow at its snapshot-pin turn
+     (the explorer adds those reads from the recorded footprint). A
+     single global clock resource would order every commit against
+     every begin and destroy the reduction. *)
+  if db.on_touch <> None then begin
+    List.iter (fun res -> touch_w t ("c/" ^ res)) (Lockmgr.owned_resources db.locks t.id);
+    List.iter (fun e -> touch_w t ("c/" ^ row_resource e.w_table e.w_key)) t.write_order;
+    List.iter
+      (fun (tbl, p) -> touch_w t ("c/" ^ page_resource tbl p))
+      t.touched_pages
+  end;
+  t.logged <- false;
+  t.state <- Committed;
+  db.stats.commits <- db.stats.commits + 1;
+  let commit_now = Sim.now db.sim in
+  db.work_committed <- db.work_committed +. (commit_now -. t.start_time);
+  db.work_ledger <- db.work_ledger +. commit_now;
+  record_history t;
+  Hashtbl.remove db.active t.id;
+  (* Retention (§3.3, §4.8): every committed transaction's record (its
+     conflict flags and commit time) must survive while any overlapping
+     transaction is active — even a pure writer can sit inside a cycle
+     through its wr-edges, so a later reader that ignores its version
+     must still find it and set its own outgoing flag. SSI transactions
+     additionally keep their SIREAD locks (suspension); everyone else
+     releases all locks now. *)
+  Conflict.seal_references t;
+  Lockmgr.release_all ~keep_siread:(is_ssi t) db.locks t.id;
+  Queue.add t db.suspended;
+  if Lockmgr.sireads_of db.locks t.id > 0 then
+    db.n_retained_siread <- db.n_retained_siread + 1;
+  let obs = db.obs in
+  if Obs.on obs then
+    Obs.emit obs ~ts:commit_now
+      (Obs.Txn_commit
+         {
+           txn = t.id;
+           start = t.start_time;
+           commit_ts;
+           n_writes;
+           retained_siread = db.n_retained_siread;
+           retained_record = Queue.length db.suspended - db.n_retained_siread;
+         });
+  cleanup_suspended db;
+  (* Budget enforcement: after the watermark cleanup, if retained records
+     plus live SIREAD lock-table entries still exceed the budget, fold
+     oldest committed transactions into the summary until under budget or
+     the suspended queue is empty (the summary's own sentinel entries are
+     bounded by the resource universe, not by transaction count). *)
+  (match config.Config.memory_budget with
+  | None -> ()
+  | Some budget ->
+      let pressure () = Queue.length db.suspended + Lockmgr.siread_entries db.locks in
+      if pressure () > budget && Queue.length db.suspended > 0 then begin
+        let txns = ref 0 and entries = ref 0 in
+        while Queue.length db.suspended > 0 && pressure () > budget do
+          entries := !entries + summarize_oldest db;
+          incr txns
+        done;
+        if Obs.on obs then
+          Obs.emit obs ~ts:(Sim.now db.sim)
+            (Obs.Summarize
+               {
+                 txns = !txns;
+                 entries = !entries;
+                 retained = Queue.length db.suspended;
+                 summary = Hashtbl.length db.summary;
+               })
+      end);
+  (* Retention gauges for the timeline: sample after watermark cleanup
+     and budget enforcement, so the point reflects the state actually
+     left in force by this commit. Trace-only, like the other events. *)
+  if Obs.tracing obs then
+    Obs.emit obs ~ts:(Sim.now db.sim)
+      (Obs.Mem_sample
+         {
+           siread = Lockmgr.siread_entries db.locks;
+           retained_siread = db.n_retained_siread;
+           retained_record = Queue.length db.suspended - db.n_retained_siread;
+           summary = Hashtbl.length db.summary;
+         });
+  (* Periodic checkpoint: every [checkpoint_interval] commits, harden
+     the open WAL batch together with a checkpoint record carrying the
+     oldest-active-snapshot watermark and the commit-ts allocator. In
+     No_flush mode this is what bounds the crash loss window; recovery
+     restores the watermark that retention cleans up against. *)
+  match config.Config.checkpoint_interval with
+  | Some k when k > 0 && db.stats.commits mod k = 0 ->
+      let watermark = min (min_active_snapshot db) db.last_commit_ts in
+      Wal.checkpoint db.wal ~watermark ~next_ts:db.next_commit_ts
+  | _ -> ()
 
 let do_commit t =
-  guard t (fun () ->
-      let db = t.db in
-      let config = db.config in
-      let n_writes = List.length t.write_order in
-      charge_cpu db
-        (Config.c_txn
-        +. (float_of_int n_writes *. Config.c_commit_install));
-      check_doom t;
-      (* Footprint: committing publishes every buffered version (writes of
-         the updated rows), retires the held locks and reads the conflict
-         flags other transactions set through those resources. Held locks
-         are read-strength touches: every conflicting peer (a writer of a
-         row this transaction SIREAD-holds, a waiter on an X entry) touched
-         the resource at write strength itself, while two readers' commits
-         must stay commuting. *)
-      if db.on_touch <> None then begin
-        List.iter (touch t) (Lockmgr.owned_resources db.locks t.id);
-        List.iter (fun e -> touch_w t (row_resource e.w_table e.w_key)) t.write_order
-      end;
-      (* Fig 3.2 atomic block: dangerous-structure check, then mark committed
-         so later conflicts treat us as such. *)
-      if is_ssi t then Conflict.check_commit t;
-      t.state <- Committing;
-      (* Durability before visibility (§4.4: locks released after the log
-         flush; group commit batches concurrent committers). The flush is a
-         profiler span: its duration is where group-commit batching shows
-         up in a trace.
-
-         Writing transactions draw their commit timestamp *before* the
-         flush so the WAL Commit record can carry it; allocation and the
-         appends are one atomic simulated step, which keeps Commit records
-         in timestamp order in the log (recovery's prefix oracle relies on
-         this). The timestamp stays unpublished — invisible to snapshots
-         and comparing as +infinity — until the versions install below. *)
-      let commit_ts =
-        if n_writes > 0 then begin
-          let commit_ts = alloc_commit_ts db in
-          t.commit_ts <- Some commit_ts;
-          if Obs.tracing db.obs then
-            Obs.emit db.obs ~ts:(Sim.now db.sim)
-              (Obs.Span_b { tid = t.id; name = "log-flush"; cat = "wal" });
-          Wal.append db.wal (Wal.Begin { txn = t.id });
-          List.iter
-            (fun e ->
-              let table = e.w_table and key = e.w_key in
-              match e.w_value with
-              | Some value -> Wal.append db.wal (Wal.Write { txn = t.id; table; key; value })
-              | None -> Wal.append db.wal (Wal.Delete { txn = t.id; table; key }))
-            (List.rev t.write_order);
-          Wal.append db.wal (Wal.Commit { txn = t.id; ts = commit_ts });
-          t.logged <- true;
-          Wal.commit_window_check db.wal;
-          Wal.commit_flush db.wal;
-          if Obs.tracing db.obs then
-            Obs.emit db.obs ~ts:(Sim.now db.sim)
-              (Obs.Span_e { tid = t.id; name = "log-flush"; cat = "wal" });
-          commit_ts
-        end
-        else begin
-          (* Read-only / no-write commit: nothing to log, so allocation and
-             publication collapse into the atomic block below. A fresh
-             timestamp is still taken — overlap tests ("commit(owner) >
-             begin(T)", Fig 3.5) need commits and begins totally ordered. *)
-          let commit_ts = alloc_commit_ts db in
-          t.commit_ts <- Some commit_ts;
-          commit_ts
-        end
-      in
-      (* Atomic publication: install all versions and advance the snapshot
-         horizon in one step, so snapshots are consistent. *)
-      if n_writes > 0 then install_writes t commit_ts;
-      (* Footprint: pages stamped during install (Page granularity; includes
-         split-allocated siblings not known before install). *)
-      if db.on_touch <> None then
-        List.iter (fun (tbl, p) -> touch_w t (page_resource tbl p)) t.touched_pages;
-      publish_commit_ts db commit_ts;
-      (* Footprint: publication advances what later snapshots observe, and
-         the overlap tests of Fig 3.5 compare this commit against other
-         transactions' begins. Both are per-resource facts, so the commit
-         writes a visibility shadow ["c/<resource>"] for everything it
-         published or held — a transaction whose read view covers one of
-         these resources reads the same shadow at its snapshot-pin turn
-         (the explorer adds those reads from the recorded footprint). A
-         single global clock resource would order every commit against
-         every begin and destroy the reduction. *)
-      if db.on_touch <> None then begin
-        List.iter (fun res -> touch_w t ("c/" ^ res)) (Lockmgr.owned_resources db.locks t.id);
-        List.iter (fun e -> touch_w t ("c/" ^ row_resource e.w_table e.w_key)) t.write_order;
-        List.iter
-          (fun (tbl, p) -> touch_w t ("c/" ^ page_resource tbl p))
-          t.touched_pages
-      end;
-      t.logged <- false;
-      t.state <- Committed;
-      db.stats.commits <- db.stats.commits + 1;
-      let commit_now = Sim.now db.sim in
-      db.work_committed <- db.work_committed +. (commit_now -. t.start_time);
-      db.work_ledger <- db.work_ledger +. commit_now;
-      record_history t;
-      Hashtbl.remove db.active t.id;
-      (* Retention (§3.3, §4.8): every committed transaction's record (its
-         conflict flags and commit time) must survive while any overlapping
-         transaction is active — even a pure writer can sit inside a cycle
-         through its wr-edges, so a later reader that ignores its version
-         must still find it and set its own outgoing flag. SSI transactions
-         additionally keep their SIREAD locks (suspension); everyone else
-         releases all locks now. *)
-      Conflict.seal_references t;
-      Lockmgr.release_all ~keep_siread:(is_ssi t) db.locks t.id;
-      Queue.add t db.suspended;
-      if Lockmgr.sireads_of db.locks t.id > 0 then
-        db.n_retained_siread <- db.n_retained_siread + 1;
-      let obs = db.obs in
-      if Obs.on obs then
-        Obs.emit obs ~ts:commit_now
-          (Obs.Txn_commit
-             {
-               txn = t.id;
-               start = t.start_time;
-               commit_ts;
-               n_writes;
-               retained_siread = db.n_retained_siread;
-               retained_record = Queue.length db.suspended - db.n_retained_siread;
-             });
-      cleanup_suspended db;
-      (* Budget enforcement: after the watermark cleanup, if retained records
-         plus live SIREAD lock-table entries still exceed the budget, fold
-         oldest committed transactions into the summary until under budget or
-         the suspended queue is empty (the summary's own sentinel entries are
-         bounded by the resource universe, not by transaction count). *)
-      (match config.Config.memory_budget with
-      | None -> ()
-      | Some budget ->
-          let pressure () = Queue.length db.suspended + Lockmgr.siread_entries db.locks in
-          if pressure () > budget && Queue.length db.suspended > 0 then begin
-            let txns = ref 0 and entries = ref 0 in
-            while Queue.length db.suspended > 0 && pressure () > budget do
-              entries := !entries + summarize_oldest db;
-              incr txns
-            done;
-            if Obs.on obs then
-              Obs.emit obs ~ts:(Sim.now db.sim)
-                (Obs.Summarize
-                   {
-                     txns = !txns;
-                     entries = !entries;
-                     retained = Queue.length db.suspended;
-                     summary = Hashtbl.length db.summary;
-                   })
-          end);
-      (* Retention gauges for the timeline: sample after watermark cleanup
-         and budget enforcement, so the point reflects the state actually
-         left in force by this commit. Trace-only, like the other events. *)
-      if Obs.tracing obs then
-        Obs.emit obs ~ts:(Sim.now db.sim)
-          (Obs.Mem_sample
-             {
-               siread = Lockmgr.siread_entries db.locks;
-               retained_siread = db.n_retained_siread;
-               retained_record = Queue.length db.suspended - db.n_retained_siread;
-               summary = Hashtbl.length db.summary;
-             });
-      (* Periodic checkpoint: every [checkpoint_interval] commits, harden
-         the open WAL batch together with a checkpoint record carrying the
-         oldest-active-snapshot watermark and the commit-ts allocator. In
-         No_flush mode this is what bounds the crash loss window; recovery
-         restores the watermark for PR 5-style retention. *)
-      match config.Config.checkpoint_interval with
-      | Some k when k > 0 && db.stats.commits mod k = 0 ->
-          let watermark = min (min_active_snapshot db) db.last_commit_ts in
-          Wal.checkpoint db.wal ~watermark ~next_ts:db.next_commit_ts
-      | _ -> ())
+  enter t;
+  try commit t with (Abort _ | Lockmgr.Deadlock_victim) as e -> aborted t e
 
 let do_rollback t reason =
   match t.state with

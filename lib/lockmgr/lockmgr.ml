@@ -49,10 +49,15 @@ type hold = { mutable modes : int; hlock : lock }
 
 and waiter = { wowner : owner; wmode : mode; waker : Sim.waker; wlock : lock }
 
+(* A lock's queue holds blocked owners only, served first to last. It is
+   [front @ List.rev back], so a waiter joins at the back in O(1) and a
+   conversion at the front; a walk that needs the order normalises it
+   first ({!waiters}). *)
 and lock = {
   mutable resource : string; (* reassigned when a free-listed entry is reused *)
   holds : (owner, hold) Hashtbl.t;
-  mutable queue : waiter list; (* FIFO: head is served first; blocked owners only *)
+  mutable front : waiter list;
+  mutable back : waiter list; (* newest first *)
   mutable n_s : int; (* holds with S *)
   mutable n_x : int; (* holds with X *)
 }
@@ -64,6 +69,9 @@ let has h mode = h.modes land bit mode <> 0
 type held = { resources : (string, hold) Hashtbl.t; mutable sireads : int }
 
 type detection = Immediate | Periodic of float
+
+(* [q_lock] until a lock manager's first wait; nothing is queued on it. *)
+let no_lock = { resource = ""; holds = Hashtbl.create 1; front = []; back = []; n_s = 0; n_x = 0 }
 
 type t = {
   sim : Sim.t;
@@ -89,27 +97,50 @@ type t = {
      the owner, whether the access is a write (X; S and SIREAD are reads)
      and the resource. [None] (the default) costs one branch per request. *)
   mutable on_touch : (int -> bool -> string -> unit) option;
+  (* The request [acquire] is queuing while its process suspends: its
+     owner, mode and lock, and whether it goes to the queue front.
+     [enqueue], made once, queues it when the simulator hands over the
+     waker, so a wait builds no closure. *)
+  mutable q_owner : owner;
+  mutable q_mode : mode;
+  mutable q_lock : lock;
+  mutable q_front : bool;
+  enqueue : Sim.waker -> unit;
 }
+
+let enqueue t waker =
+  let l = t.q_lock in
+  let w = { wowner = t.q_owner; wmode = t.q_mode; waker; wlock = l } in
+  Hashtbl.replace t.waiting w.wowner w;
+  if t.q_front then l.front <- w :: l.front else l.back <- w :: l.back
 
 (* The lock table starts small: nothing depends on its iteration order, and
    the DPOR explorer builds one engine per schedule. *)
 let create ?(detection = Immediate) sim =
-  {
-    sim;
-    detection;
-    table = Hashtbl.create 64;
-    owned = Hashtbl.create 16;
-    waiting = Hashtbl.create 16;
-    free_locks = Stack.create ();
-    free_sets = Stack.create ();
-    siread_total = 0;
-    requests = 0;
-    waits = 0;
-    deadlocks = 0;
-    detector_running = false;
-    obs = Obs.disabled;
-    on_touch = None;
-  }
+  let rec t =
+    {
+      sim;
+      detection;
+      table = Hashtbl.create 64;
+      owned = Hashtbl.create 16;
+      waiting = Hashtbl.create 16;
+      free_locks = Stack.create ();
+      free_sets = Stack.create ();
+      siread_total = 0;
+      requests = 0;
+      waits = 0;
+      deadlocks = 0;
+      detector_running = false;
+      obs = Obs.disabled;
+      on_touch = None;
+      q_owner = 0;
+      q_mode = S;
+      q_lock = no_lock;
+      q_front = false;
+      enqueue = (fun waker -> enqueue t waker);
+    }
+  in
+  t
 
 let set_obs t obs = t.obs <- obs
 
@@ -133,7 +164,7 @@ let get_lock t resource =
   | exception Not_found ->
       let l =
         if Stack.is_empty t.free_locks then
-          { resource; holds = Hashtbl.create 4; queue = []; n_s = 0; n_x = 0 }
+          { resource; holds = Hashtbl.create 4; front = []; back = []; n_s = 0; n_x = 0 }
         else begin
           let l = Stack.pop t.free_locks in
           l.resource <- resource;
@@ -143,9 +174,19 @@ let get_lock t resource =
       Hashtbl.replace t.table resource l;
       l
 
+let no_waiters l = l.front = [] && l.back = []
+
+(* The queue in order, first served first. *)
+let waiters l =
+  if l.back <> [] then begin
+    l.front <- l.front @ List.rev l.back;
+    l.back <- []
+  end;
+  l.front
+
 (* Drop an entry nobody holds or waits for, keeping it for reuse. *)
 let drop_if_unused t l =
-  if Hashtbl.length l.holds = 0 && l.queue = [] then begin
+  if Hashtbl.length l.holds = 0 && no_waiters l then begin
     Hashtbl.remove t.table l.resource;
     Hashtbl.reset l.holds;
     Stack.push l t.free_locks
@@ -200,15 +241,22 @@ let holds_mode t ~owner ~mode resource =
 let holds_of t ~owner resource =
   List.filter (fun mode -> holds_mode t ~owner ~mode resource) [ X; S; Siread ]
 
+(* Add [owner] to [acc] if its hold [h] has the mode: one function per
+   mode, so a fold over a lock's holders builds no closure. *)
+let add_s owner h acc = if h.modes land s_bit = 0 then acc else owner :: acc
+
+let add_x owner h acc = if h.modes land x_bit = 0 then acc else owner :: acc
+
+let add_siread owner h acc = if h.modes land siread_bit = 0 then acc else owner :: acc
+
 let holders_with t resource mode =
   match Hashtbl.find t.table resource with
   | exception Not_found -> []
-  | l when (mode = X && l.n_x = 0) || (mode = S && l.n_s = 0) -> []
-  | l ->
-      let b = bit mode in
-      Hashtbl.fold
-        (fun owner h acc -> if h.modes land b = 0 then acc else owner :: acc)
-        l.holds []
+  | l -> (
+      match mode with
+      | S -> if l.n_s = 0 then [] else Hashtbl.fold add_s l.holds []
+      | X -> if l.n_x = 0 then [] else Hashtbl.fold add_x l.holds []
+      | Siread -> Hashtbl.fold add_siread l.holds [])
 
 let holders t resource =
   match Hashtbl.find_opt t.table resource with
@@ -224,7 +272,7 @@ let holders t resource =
 let queued t resource =
   match Hashtbl.find_opt t.table resource with
   | None -> []
-  | Some l -> List.map (fun w -> (w.wowner, w.wmode)) l.queue
+  | Some l -> List.map (fun w -> (w.wowner, w.wmode)) (waiters l)
 
 (* Whether holding [h] blocks a request for [mode]. SIREAD blocks nothing. *)
 let holding_blocks h mode = (has h X && blocks mode X) || (has h S && blocks mode S)
@@ -239,8 +287,13 @@ let own_modes l owner =
 let conflicts_with_holders l ~own ~mode =
   (blocks mode X && l.n_x > count x_bit own) || (blocks mode S && l.n_s > count s_bit own)
 
+let rec queue_conflicts owner mode = function
+  | [] -> false
+  | w :: ws -> (w.wowner <> owner && blocks mode w.wmode) || queue_conflicts owner mode ws
+
+(* Order does not matter here, so the queue is not normalised. *)
 let conflicts_with_queue l ~owner ~mode =
-  List.exists (fun w -> w.wowner <> owner && blocks mode w.wmode) l.queue
+  queue_conflicts owner mode l.front || queue_conflicts owner mode l.back
 
 (* Grant [mode]; granting a mode already held touches no table. A new hold
    joins its owner's held set with [Hashtbl.add]: its resource cannot be
@@ -280,9 +333,9 @@ let waits_for_edges t =
     (fun _ l ->
       List.iter
         (fun w ->
-          iter_blockers l ~owner:w.wowner ~mode:w.wmode l.queue (fun o ->
+          iter_blockers l ~owner:w.wowner ~mode:w.wmode (waiters l) (fun o ->
               edges := (w.wowner, o) :: !edges))
-        l.queue)
+        (waiters l))
     t.table;
   !edges
 
@@ -311,7 +364,7 @@ let closes_cycle t l ~owner ~mode ahead =
             Hashtbl.replace visited b ();
             match Hashtbl.find_opt t.waiting b with
             | None -> false
-            | Some w -> reaches_owner w.wlock ~owner:b ~mode:w.wmode w.wlock.queue
+            | Some w -> reaches_owner w.wlock ~owner:b ~mode:w.wmode (waiters w.wlock)
           end
   in
   reaches_owner l ~owner ~mode ahead
@@ -407,23 +460,22 @@ let emit_deadlock_cert t ?extra ~victim edges =
     }
 
 (* FIFO: grant from the head while compatible; stop at the first waiter
-   that must still wait. *)
-let grant_waiters t l =
-  let rec go = function
-    | w :: rest when not (conflicts_with_holders l ~own:(own_modes l w.wowner) ~mode:w.wmode) ->
-        do_grant t l ~owner:w.wowner ~mode:w.wmode;
-        Hashtbl.remove t.waiting w.wowner;
-        Sim.wake t.sim w.waker;
-        go rest
-    | queue -> queue
-  in
-  l.queue <- go l.queue
+   that must still wait. Returns the waiters left. *)
+let rec grant_from t l = function
+  | w :: rest when not (conflicts_with_holders l ~own:(own_modes l w.wowner) ~mode:w.wmode) ->
+      do_grant t l ~owner:w.wowner ~mode:w.wmode;
+      Hashtbl.remove t.waiting w.wowner;
+      Sim.wake t.sim w.waker;
+      grant_from t l rest
+  | queue -> queue
+
+let grant_waiters t l = if not (no_waiters l) then l.front <- grant_from t l (waiters l)
 
 (* Raise [exn] in blocked waiter [w]. Its entry leaves the queue at once, so
    a queue holds only waiters that can still be granted. *)
 let kill_waiter t w exn =
   Hashtbl.remove t.waiting w.wowner;
-  w.wlock.queue <- List.filter (fun w' -> w' != w) w.wlock.queue;
+  w.wlock.front <- List.filter (fun w' -> w' != w) (waiters w.wlock);
   Sim.kill t.sim w.waker exn;
   grant_waiters t w.wlock
 
@@ -432,7 +484,7 @@ let kill_waiter t w exn =
    rest. *)
 let run_detector_pass t =
   let blocked = Hashtbl.fold (fun _ w acc -> w :: acc) t.waiting [] in
-  let on_cycle w = closes_cycle t w.wlock ~owner:w.wowner ~mode:w.wmode w.wlock.queue in
+  let on_cycle w = closes_cycle t w.wlock ~owner:w.wowner ~mode:w.wmode (waiters w.wlock) in
   match List.find_opt on_cycle (List.sort (fun a b -> compare b.wowner a.wowner) blocked) with
   | None -> false
   | Some w ->
@@ -493,7 +545,7 @@ let acquire t ~owner ~mode resource =
         (* Would waiting close a cycle? A conversion (already_holds) goes to
            the queue front: it never waits behind queued strangers, so they
            add no edges. *)
-        let ahead = if already_holds then [] else l.queue in
+        let ahead = if already_holds then [] else waiters l in
         if closes_cycle t l ~owner ~mode ahead then begin
           (* Certificate first: the requester is the victim, and its wait is
              only hypothetical (never entered into [t.waiting]), so the
@@ -511,13 +563,12 @@ let acquire t ~owner ~mode resource =
     if Obs.tracing t.obs then
       Obs.emit t.obs ~ts:blocked_at
         (Obs.Lock_block { owner; mode = mode_to_string mode; resource });
-    let enqueue waker =
-      let w = { wowner = owner; wmode = mode; waker; wlock = l } in
-      Hashtbl.replace t.waiting owner w;
-      if already_holds then l.queue <- w :: l.queue else l.queue <- l.queue @ [ w ]
-    in
+    t.q_owner <- owner;
+    t.q_mode <- mode;
+    t.q_lock <- l;
+    t.q_front <- already_holds;
     (* Only {!kill_waiter} raises here, and it has already dequeued us. *)
-    (try Sim.suspend t.sim enqueue
+    (try Sim.suspend t.sim t.enqueue
      with e ->
        if Obs.tracing t.obs then
          Obs.emit t.obs ~ts:(Sim.now t.sim)
@@ -567,7 +618,7 @@ let release_all ?(keep_siread = false) t owner =
         (fun _ h ->
           let l = h.hlock in
           let kept = clear_modes t held ~owner h bits in
-          if l.queue = [] then drop_if_unused t l else waited := l :: !waited;
+          if no_waiters l then drop_if_unused t l else waited := l :: !waited;
           if kept then Some h else None)
         held.resources;
       List.iter

@@ -1,12 +1,18 @@
 (* Discrete-event simulator.
 
    Processes are direct-style OCaml functions run under an effect handler.
-   Two effects exist: [Delay dt], which reschedules the process [dt] simulated
-   seconds in the future, and [Suspend register], which parks the process and
-   hands a {!waker} to [register]; whoever holds the waker later resumes (or
-   kills) the process.  Everything runs on one OS thread, so code between two
-   effect performs is atomic — this stands in for the latches of the paper's
+   Two effects exist: [Delay], which reschedules the process [dt] simulated
+   seconds in the future, and [Suspend], which parks the process and hands a
+   {!waker} to [register]; whoever holds the waker later resumes (or kills)
+   the process. Everything runs on one OS thread, so code between two effect
+   performs is atomic — this stands in for the latches of the paper's
    "atomic begin/end" blocks.
+
+   Both effects are constants: their operands ([dt], [register]) are stored
+   in the simulator just before the perform, where the process's handler
+   reads them, and each process's handler is built once, at [spawn]. So a
+   delay through the heap allocates only its continuation and its event,
+   and a suspension its continuation, its waker and, when woken, its event.
 
    Events are data: the heap holds a continuation to resume, a continuation
    to fail with an exception, or a thunk to call. A delay whose event would
@@ -25,12 +31,14 @@ type waker = {
   k : (unit, unit) continuation;
 }
 
-(* A record of floats only is stored unboxed, so advancing the clock
-   allocates nothing. [horizon] is the running [run]'s [until], and
-   [neg_infinity] outside [run]. *)
+(* A record of floats only is stored unboxed, so advancing the clock or
+   setting [delay] allocates nothing. [horizon] is the running [run]'s
+   [until], and [neg_infinity] outside [run]. [delay] is the operand of the
+   [Delay] being performed. *)
 type clock = {
   mutable now : float;
   mutable horizon : float;
+  mutable delay : float;
 }
 
 type t = {
@@ -38,18 +46,23 @@ type t = {
   mutable seq : int;
   events : event Pqueue.t;
   mutable live_procs : int;
+  mutable register : waker -> unit; (* the operand of the [Suspend] being performed *)
+  mutable performing : bool;
+      (* set just before an effect is performed on behalf of this simulator,
+         and cleared by the handler that takes it: a handler that finds its
+         own flag clear was reached through another simulator *)
 }
 
-type _ Effect.t +=
-  | Delay : t * float -> unit Effect.t
-  | Suspend : (waker -> unit) -> unit Effect.t
+type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
 
 let create () =
   {
-    clock = { now = 0.0; horizon = neg_infinity };
+    clock = { now = 0.0; horizon = neg_infinity; delay = 0.0 };
     seq = 0;
     events = Pqueue.create ();
     live_procs = 0;
+    register = ignore;
+    performing = false;
   }
 
 let now t = t.clock.now
@@ -69,6 +82,17 @@ let push t ~after ev =
 
 let schedule t ~after thunk = push t ~after (Call thunk)
 
+(* Perform [eff], whose operands are already stored in [t]. The flag is
+   cleared again if the perform raises, so a call that reached another
+   simulator's handler (or none) leaves no stale flag behind. *)
+let perform t eff =
+  t.performing <- true;
+  match Effect.perform eff with
+  | () -> ()
+  | exception e ->
+      t.performing <- false;
+      raise e
+
 (* Resume in place: when [now + dt] is within the running [run]'s horizon
    and strictly before every queued event, the event [Delay] would push is
    the next one [run] pops (a new event loses every tie on its sequence
@@ -84,11 +108,16 @@ let delay t dt =
     c.now <- at;
     t.seq <- t.seq + 1
   end
-  else Effect.perform (Delay (t, dt))
+  else begin
+    c.delay <- dt;
+    perform t Delay
+  end
 
 let yield t = delay t 0.0
 
-let suspend _t register = Effect.perform (Suspend register)
+let suspend t register =
+  t.register <- register;
+  perform t Suspend
 
 let wake t w =
   if not w.fired then begin
@@ -104,8 +133,31 @@ let kill t w exn =
 
 let waker_fired w = w.fired
 
+(* Whether the effect being handled was performed on [t]; clears the flag. *)
+let taken t =
+  let mine = t.performing in
+  t.performing <- false;
+  mine
+
+let other_simulator = "the calling process was spawned on another simulator"
+
+(* The handler and the functions it hands back are built here, once per
+   process: an effect returns the same [Some] each time instead of a new
+   closure. *)
 let spawn t f =
   t.live_procs <- t.live_procs + 1;
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        if taken t then push t ~after:t.clock.delay (Resume k)
+        else discontinue k (Invalid_argument ("Sim.delay: " ^ other_simulator)))
+  in
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        if taken t then t.register { fired = false; k }
+        else discontinue k (Invalid_argument ("Sim.suspend: " ^ other_simulator)))
+  in
   let handler =
     {
       retc = (fun () -> t.live_procs <- t.live_procs - 1);
@@ -114,13 +166,8 @@ let spawn t f =
           t.live_procs <- t.live_procs - 1;
           raise e);
       effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Delay (sim, dt) ->
-              Some (fun (k : (b, unit) continuation) -> push sim ~after:dt (Resume k))
-          | Suspend register ->
-              Some (fun (k : (b, unit) continuation) -> register { fired = false; k })
-          | _ -> None);
+        (fun (type b) (eff : b Effect.t) : ((b, unit) continuation -> unit) option ->
+          match eff with Delay -> on_delay | Suspend -> on_suspend | _ -> None);
     }
   in
   push t ~after:0.0 (Call (fun () -> match_with f () handler))
@@ -128,11 +175,16 @@ let spawn t f =
 (* Condition variables: wakeups over a FIFO queue of waiters. Waking only
    schedules the waiter, so nothing joins the queue while it drains. *)
 
-type cond = { waiters : waker Queue.t }
+type cond = {
+  waiters : waker Queue.t;
+  enqueue : waker -> unit; (* made once, so a wait builds no closure *)
+}
 
-let cond () = { waiters = Queue.create () }
+let cond () =
+  let waiters = Queue.create () in
+  { waiters; enqueue = (fun w -> Queue.add w waiters) }
 
-let wait t c = suspend t (fun w -> Queue.add w c.waiters)
+let wait t c = suspend t c.enqueue
 
 let broadcast t c =
   while not (Queue.is_empty c.waiters) do

@@ -4,7 +4,22 @@
     client sessions, the deadlock detector and the log flusher are processes;
     CPU, disk and mutexes are {!Resource} values layered on top. All events
     run on one OS thread in a total deterministic order, so code between two
-    simulator calls is atomic — the moral equivalent of holding a latch. *)
+    simulator calls is atomic — the moral equivalent of holding a latch.
+
+    {b One simulator per process.} A process may {!delay} and {!suspend}
+    only on the simulator it was spawned on. Both reach the process's
+    effect handler with their operands stored in the simulator they were
+    called on, and the handler reads its own simulator's; so a call on
+    another simulator raises [Invalid_argument] naming it, instead of
+    using the wrong clock. A delay that resumes in place on the other
+    simulator is the exception: that needs the other simulator's {!run} to
+    be active, which happens only when runs are nested.
+
+    {b What a wait allocates.} Each process's handler is built once, when
+    it is spawned. A delay that resumes in place allocates nothing; one
+    that is queued allocates its continuation and its event; a suspension
+    allocates its continuation, its waker and, when woken or killed, its
+    event. *)
 
 type t
 
@@ -48,7 +63,9 @@ val schedule : t -> after:float -> (unit -> unit) -> unit
     Otherwise the delay is queued. Outside {!run} it performs an effect
     that only a process's handler can take, so called there it raises
     [Effect.Unhandled].
-    @raise Invalid_argument from {!run} if [dt] is negative or NaN. *)
+    @raise Invalid_argument from {!run} if [dt] is negative or NaN.
+    @raise Invalid_argument in the calling process if it was spawned on
+    another simulator and the delay is queued. *)
 val delay : t -> float -> unit
 
 (** Let other ready processes run at the same timestamp. *)
@@ -56,7 +73,11 @@ val yield : t -> unit
 
 (** [suspend t register] parks the calling process and passes its waker to
     [register]; the process resumes when {!wake} is called on the waker, or
-    raises when {!kill} is called. *)
+    raises when {!kill} is called. [register] runs in the event loop, not
+    in the process; a [register] made once (not per call) lets a wait build
+    no closure.
+    @raise Invalid_argument if the calling process was spawned on another
+    simulator. *)
 val suspend : t -> (waker -> unit) -> unit
 
 (** Resume a suspended process. No-op if it was already woken or killed. *)

@@ -83,15 +83,16 @@ let default_config =
     max_retries = 1000;
   }
 
+(* The first program of [progs] whose running weight total, from [acc],
+   passes [x]; the head of [mix] if none does. *)
+let rec pick_from mix x acc = function
+  | [] -> List.hd mix
+  | p :: progs -> if x < acc +. p.p_weight then p else pick_from mix x (acc +. p.p_weight) progs
+
 (* Weighted choice from the mix. *)
 let pick mix st =
   let total = List.fold_left (fun acc p -> acc +. p.p_weight) 0.0 mix in
-  let x = Random.State.float st total in
-  let rec go acc = function
-    | [] -> List.hd mix
-    | p :: rest -> if x < acc +. p.p_weight then p else go (acc +. p.p_weight) rest
-  in
-  go 0.0 mix
+  pick_from mix (Random.State.float st total) 0.0 mix
 
 let program_stats c name =
   match Hashtbl.find_opt c.by_program name with
@@ -108,6 +109,32 @@ let program_stats c name =
       in
       Hashtbl.replace c.by_program name ps;
       ps
+
+(* Driver-level lifecycle span: one [prog:<name>] B/E pair per program
+   execution, spanning every retry. Out-of-band like all obs recording —
+   derives only from simulated time, so traced and untraced runs measure
+   identically. [tracing] is the run's sink when it traces, so nothing is
+   built for a sink that does not. *)
+let span tracing sim ~client prog which =
+  match tracing with
+  | Some o ->
+      let name = "prog:" ^ prog.p_name in
+      Obs.emit o ~ts:(Sim.now sim)
+        (match which with
+        | `B -> Obs.Span_b { tid = client; name; cat = "driver" }
+        | `E -> Obs.Span_e { tid = client; name; cat = "driver" })
+  | None -> ()
+
+(* Class-outcome event for the timeline: one per transaction attempt
+   outcome, tagged with the program (class) name, whose latency runs from
+   [since]. Not gated by the measurement window — the timeline covers the
+   whole run, warmup included. *)
+let class_outcome tracing sim prog outcome ~since =
+  match tracing with
+  | Some o ->
+      Obs.emit o ~ts:(Sim.now sim)
+        (Obs.Class_outcome { cls = prog.p_name; outcome; latency = Sim.now sim -. since })
+  | None -> ()
 
 (* Run one (db, mix, config) measurement: returns counters over the window
    [warmup, warmup + duration]. [make_db] builds and populates the database
@@ -164,59 +191,38 @@ let run_once ?obs ~make_db ~mix (cfg : config) : result =
       Obs.hist_add ps.ps_latency latency
     end
   in
+  let tracing = match obs with Some o when Obs.tracing o -> obs | Some _ | None -> None in
   for client = 1 to cfg.mpl do
     Sim.spawn sim (fun () ->
         let st = Random.State.make [| cfg.seed; client; 0x551 |] in
+        (* Built once per client, so a transaction builds no closure. *)
+        let rec attempt prog started retries =
+          let attempt_start = Sim.now sim in
+          match Db.run ~read_only:prog.p_read_only db cfg.isolation (prog.p_body st) with
+          | Ok () ->
+              class_outcome tracing sim prog "commit" ~since:started;
+              count_commit prog.p_name started
+          | Error Types.User_abort ->
+              (* Application rollback (e.g. SmallBank insufficient funds):
+                 completed work, not an error — but counted apart so abort
+                 accounting stays honest. *)
+              class_outcome tracing sim prog "user-abort" ~since:started;
+              count_commit ~user_abort:true prog.p_name started
+          | Error reason ->
+              class_outcome tracing sim prog (Types.abort_reason_to_string reason)
+                ~since:attempt_start;
+              count_abort prog.p_name reason;
+              if retries < cfg.max_retries && Sim.now sim < horizon then
+                attempt prog started (retries + 1)
+        in
         let rec session () =
           if Sim.now sim < horizon then begin
             if cfg.think_time > 0.0 then Sim.delay sim (Random.State.float st (2.0 *. cfg.think_time));
             let prog = pick mix st in
             let started = Sim.now sim in
-            (* Driver-level lifecycle span: one [prog:<name>] B/E pair per
-               program execution, spanning every retry. Out-of-band like
-               all obs recording — derives only from simulated time, so
-               traced and untraced runs measure identically. *)
-            let span which =
-              match obs with
-              | Some o when Obs.tracing o ->
-                  let name = "prog:" ^ prog.p_name in
-                  Obs.emit o ~ts:(Sim.now sim)
-                    (match which with
-                    | `B -> Obs.Span_b { tid = client; name; cat = "driver" }
-                    | `E -> Obs.Span_e { tid = client; name; cat = "driver" })
-              | _ -> ()
-            in
-            span `B;
-            (* Class-outcome event for the timeline: one per transaction
-               attempt outcome, tagged with the program (class) name. Not
-               gated by the measurement window — the timeline covers the
-               whole run, warmup included. *)
-            let class_emit outcome latency =
-              match obs with
-              | Some o when Obs.tracing o ->
-                  Obs.emit o ~ts:(Sim.now sim)
-                    (Obs.Class_outcome { cls = prog.p_name; outcome; latency })
-              | _ -> ()
-            in
-            let rec attempt retries =
-              let attempt_start = Sim.now sim in
-              match Db.run ~read_only:prog.p_read_only db cfg.isolation (prog.p_body st) with
-              | Ok () ->
-                  class_emit "commit" (Sim.now sim -. started);
-                  count_commit prog.p_name started
-              | Error Types.User_abort ->
-                  (* Application rollback (e.g. SmallBank insufficient
-                     funds): completed work, not an error — but counted
-                     apart so abort accounting stays honest. *)
-                  class_emit "user-abort" (Sim.now sim -. started);
-                  count_commit ~user_abort:true prog.p_name started
-              | Error reason ->
-                  class_emit (Types.abort_reason_to_string reason) (Sim.now sim -. attempt_start);
-                  count_abort prog.p_name reason;
-                  if retries < cfg.max_retries && Sim.now sim < horizon then attempt (retries + 1)
-            in
-            attempt 0;
-            span `E;
+            span tracing sim ~client prog `B;
+            attempt prog started 0;
+            span tracing sim ~client prog `E;
             if Sim.now sim = started then Sim.delay sim min_step;
             session ()
           end

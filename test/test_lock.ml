@@ -810,6 +810,152 @@ let test_periodic_victim =
       run ();
       Alcotest.(check bool) "some runs had a cycle" true (!cycles > 0) )
 
+(* Lock queues against the plain list they used to be: a waiter appended
+   with [@], a conversion (a request by an owner that already holds a mode
+   there) put at the front, a cancelled waiter filtered out, and waiters
+   served from the head while they do not conflict with another owner's
+   hold. Random S/X requests, releases, [cancel_wait] calls and looks at
+   [queued] over two resources run one per step; each resource's grants,
+   in the order the processes were granted, and each look must match.
+   Looks are steps of their own because reading [queued] puts a queue in
+   order, so looking after every step would hide a queue that is out of
+   order in between. The detector runs too late to kill anyone, so only
+   cancels end a wait. *)
+module Qref = struct
+  type lock = {
+    mutable held : (int * Lockmgr.mode) list;
+    mutable queue : (int * Lockmgr.mode) list;
+  }
+
+  let blocked l ~owner ~mode =
+    List.exists (fun (o, m) -> o <> owner && Lockmgr.blocks mode m) l.held
+
+  let grant l granted owner mode =
+    if not (List.mem (owner, mode) l.held) then l.held <- (owner, mode) :: l.held;
+    granted := (owner, mode) :: !granted
+
+  let rec serve l granted =
+    match l.queue with
+    | (o, m) :: rest when not (blocked l ~owner:o ~mode:m) ->
+        l.queue <- rest;
+        grant l granted o m;
+        serve l granted
+    | _ -> ()
+
+  (* Whether the request waits, and whether it is a conversion. *)
+  let request l granted ~owner ~mode =
+    let holds = List.mem_assoc owner l.held in
+    let queue_blocks = List.exists (fun (o, m) -> o <> owner && Lockmgr.blocks mode m) l.queue in
+    if (not (blocked l ~owner ~mode)) && (holds || not queue_blocks) then begin
+      grant l granted owner mode;
+      (false, holds)
+    end
+    else begin
+      l.queue <- (if holds then (owner, mode) :: l.queue else l.queue @ [ (owner, mode) ]);
+      (true, holds)
+    end
+
+  let release l granted owner =
+    l.held <- List.filter (fun (o, _) -> o <> owner) l.held;
+    serve l granted
+
+  let cancel l granted owner =
+    l.queue <- List.filter (fun (o, _) -> o <> owner) l.queue;
+    serve l granted
+end
+
+type qstep = Ask of int * Lockmgr.mode * int | Drop of int | Cancel of int | Look
+
+let arb_qsteps =
+  let open QCheck.Gen in
+  let owner = int_range 1 5 in
+  let step =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun o m r -> Ask (o, m, r))
+            owner
+            (oneofl [ Lockmgr.S; Lockmgr.X ])
+            (int_bound 1) );
+        (2, map (fun o -> Drop o) owner);
+        (2, map (fun o -> Cancel o) owner);
+        (1, return Look);
+      ]
+  in
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "; "
+        (List.map
+           (function
+             | Ask (o, m, r) -> Printf.sprintf "%d %s r%d" o (Lockmgr.mode_to_string m) r
+             | Drop o -> Printf.sprintf "%d release" o
+             | Cancel o -> Printf.sprintf "cancel %d" o
+             | Look -> "look")
+           steps))
+    (list_size (int_range 5 60) step)
+
+exception Cancelled
+
+(* [converted] and [cancelled] count the conversions that queued and the
+   cancels that found a waiter, to show the property saw both. *)
+let prop_queue_matches_list ~converted ~cancelled =
+  QCheck.Test.make ~name:"lock queues match a plain-list reference" ~count:300 arb_qsteps
+    (fun steps ->
+      let sim = Sim.create () in
+      let lm = Lockmgr.create ~detection:(Lockmgr.Periodic 1e9) sim in
+      let refs = Array.init 2 (fun _ -> { Qref.held = []; queue = [] }) in
+      let granted = Array.init 2 (fun _ -> ref []) in
+      let expected = Array.init 2 (fun _ -> ref []) in
+      let waiting = Array.make 6 None in
+      let ok = ref true in
+      List.iteri
+        (fun i step ->
+          Sim.schedule sim ~after:(float_of_int i) (fun () ->
+              Sim.spawn sim (fun () ->
+                  match step with
+                  | Ask (owner, mode, r) when waiting.(owner) = None -> (
+                      let waits, conversion = Qref.request refs.(r) expected.(r) ~owner ~mode in
+                      if waits && conversion then incr converted;
+                      waiting.(owner) <- Some r;
+                      match Lockmgr.acquire lm ~owner ~mode (resource r) with
+                      | () ->
+                          waiting.(owner) <- None;
+                          granted.(r) := (owner, mode) :: !(granted.(r))
+                      | exception Cancelled -> waiting.(owner) <- None)
+                  | Drop owner when waiting.(owner) = None ->
+                      Array.iteri (fun r l -> Qref.release l expected.(r) owner) refs;
+                      Lockmgr.release_all lm owner
+                  | Cancel owner -> (
+                      let found = Lockmgr.cancel_wait lm owner Cancelled in
+                      match waiting.(owner) with
+                      | Some r ->
+                          incr cancelled;
+                          Qref.cancel refs.(r) expected.(r) owner;
+                          if not found then ok := false
+                      | None -> if found then ok := false)
+                  | Look ->
+                      Array.iteri
+                        (fun r l ->
+                          if Lockmgr.queued lm (resource r) <> l.Qref.queue then ok := false)
+                        refs
+                  | Ask _ | Drop _ -> ())))
+        steps;
+      Sim.run ~until:(float_of_int (List.length steps)) sim;
+      !ok && Array.for_all2 (fun g e -> !g = !e) granted expected)
+
+let test_queue_matches_list =
+  let converted = ref 0 and cancelled = ref 0 in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest (prop_queue_matches_list ~converted ~cancelled)
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Alcotest.(check bool) "some conversions queued" true (!converted > 0);
+      Alcotest.(check bool) "some cancels found a waiter" true (!cancelled > 0) )
+
 let suite =
   [
     ("conflict matrix", `Quick, test_conflict_matrix);
@@ -833,6 +979,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_release_wake_order;
     test_immediate_verdict;
     test_periodic_victim;
+    test_queue_matches_list;
   ]
 
 let () = Alcotest.run "lockmgr" [ ("lockmgr", suite) ]

@@ -327,6 +327,47 @@ let test_delay_outside_run () =
   Alcotest.(check (float 0.0)) "clock" 1.0 (Sim.now sim);
   Alcotest.(check int) "events" 3 (Sim.events sim)
 
+(* A process's effects are taken by the handler of the simulator it was
+   spawned on, which reads their operands from its own simulator. A delay
+   or a suspension called on another simulator raises [Invalid_argument]
+   in the process instead of using that simulator's operands, and leaves
+   no stale state behind: the processes go on with their own simulators,
+   and the mismatch is caught again the other way round. *)
+let test_other_simulator () =
+  let a = Sim.create () and b = Sim.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let other name call =
+    match call () with
+    | () -> note (name ^ " returned")
+    | exception Invalid_argument m -> note m
+  in
+  Sim.spawn a (fun () ->
+      other "delay" (fun () -> Sim.delay b 1.0);
+      other "suspend" (fun () -> Sim.suspend b (fun _ -> note "registered"));
+      Sim.delay a 1.0;
+      note (Printf.sprintf "a at %g" (Sim.now a)));
+  (* Queues an event at 0.5, so the delay above goes through the heap. *)
+  Sim.spawn a (fun () -> Sim.delay a 0.5);
+  Sim.run a;
+  Sim.spawn b (fun () ->
+      other "delay" (fun () -> Sim.delay a 1.0);
+      Sim.delay b 2.0;
+      note (Printf.sprintf "b at %g" (Sim.now b)));
+  Sim.spawn b (fun () -> Sim.delay b 0.5);
+  Sim.run b;
+  Alcotest.(check (list string))
+    "each call on the other simulator raised"
+    [
+      "Sim.delay: the calling process was spawned on another simulator";
+      "Sim.suspend: the calling process was spawned on another simulator";
+      "a at 1";
+      "Sim.delay: the calling process was spawned on another simulator";
+      "b at 2";
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "no process left" 0 (Sim.live_procs a + Sim.live_procs b)
+
 (* A delay that ends exactly at a queued event's time runs after it: the
    new event's sequence number loses the tie, so it may not resume in
    place. *)
@@ -483,6 +524,7 @@ let suite =
     ("NaN delay rejected", `Quick, test_bad_delay nan);
     ("delay outside run raises", `Quick, test_delay_outside_run);
     ("delay tied with a queued event queues", `Quick, test_delay_tie_queues);
+    ("delay or suspend on another simulator raises", `Quick, test_other_simulator);
     ("kernel trace", `Quick, test_kernel_trace);
   ]
   @ [ qcheck_group_commit ]
