@@ -49,15 +49,10 @@ type hold = { mutable modes : int; hlock : lock }
 
 and waiter = { wowner : owner; wmode : mode; waker : Sim.waker; wlock : lock }
 
-(* A lock's queue holds blocked owners only, served first to last. It is
-   [front @ List.rev back], so a waiter joins at the back in O(1) and a
-   conversion at the front; a walk that needs the order normalises it
-   first ({!waiters}). *)
 and lock = {
   mutable resource : string; (* reassigned when a free-listed entry is reused *)
   holds : (owner, hold) Hashtbl.t;
-  mutable front : waiter list;
-  mutable back : waiter list; (* newest first *)
+  mutable queue : waiter list; (* FIFO: head is served first; blocked owners only *)
   mutable n_s : int; (* holds with S *)
   mutable n_x : int; (* holds with X *)
 }
@@ -69,9 +64,6 @@ let has h mode = h.modes land bit mode <> 0
 type held = { resources : (string, hold) Hashtbl.t; mutable sireads : int }
 
 type detection = Immediate | Periodic of float
-
-(* [q_lock] until a lock manager's first wait; nothing is queued on it. *)
-let no_lock = { resource = ""; holds = Hashtbl.create 1; front = []; back = []; n_s = 0; n_x = 0 }
 
 type t = {
   sim : Sim.t;
@@ -97,50 +89,27 @@ type t = {
      the owner, whether the access is a write (X; S and SIREAD are reads)
      and the resource. [None] (the default) costs one branch per request. *)
   mutable on_touch : (int -> bool -> string -> unit) option;
-  (* The request [acquire] is queuing while its process suspends: its
-     owner, mode and lock, and whether it goes to the queue front.
-     [enqueue], made once, queues it when the simulator hands over the
-     waker, so a wait builds no closure. *)
-  mutable q_owner : owner;
-  mutable q_mode : mode;
-  mutable q_lock : lock;
-  mutable q_front : bool;
-  enqueue : Sim.waker -> unit;
 }
-
-let enqueue t waker =
-  let l = t.q_lock in
-  let w = { wowner = t.q_owner; wmode = t.q_mode; waker; wlock = l } in
-  Hashtbl.replace t.waiting w.wowner w;
-  if t.q_front then l.front <- w :: l.front else l.back <- w :: l.back
 
 (* The lock table starts small: nothing depends on its iteration order, and
    the DPOR explorer builds one engine per schedule. *)
 let create ?(detection = Immediate) sim =
-  let rec t =
-    {
-      sim;
-      detection;
-      table = Hashtbl.create 64;
-      owned = Hashtbl.create 16;
-      waiting = Hashtbl.create 16;
-      free_locks = Stack.create ();
-      free_sets = Stack.create ();
-      siread_total = 0;
-      requests = 0;
-      waits = 0;
-      deadlocks = 0;
-      detector_running = false;
-      obs = Obs.disabled;
-      on_touch = None;
-      q_owner = 0;
-      q_mode = S;
-      q_lock = no_lock;
-      q_front = false;
-      enqueue = (fun waker -> enqueue t waker);
-    }
-  in
-  t
+  {
+    sim;
+    detection;
+    table = Hashtbl.create 64;
+    owned = Hashtbl.create 16;
+    waiting = Hashtbl.create 16;
+    free_locks = Stack.create ();
+    free_sets = Stack.create ();
+    siread_total = 0;
+    requests = 0;
+    waits = 0;
+    deadlocks = 0;
+    detector_running = false;
+    obs = Obs.disabled;
+    on_touch = None;
+  }
 
 let set_obs t obs = t.obs <- obs
 
@@ -164,7 +133,7 @@ let get_lock t resource =
   | exception Not_found ->
       let l =
         if Stack.is_empty t.free_locks then
-          { resource; holds = Hashtbl.create 4; front = []; back = []; n_s = 0; n_x = 0 }
+          { resource; holds = Hashtbl.create 4; queue = []; n_s = 0; n_x = 0 }
         else begin
           let l = Stack.pop t.free_locks in
           l.resource <- resource;
@@ -174,19 +143,9 @@ let get_lock t resource =
       Hashtbl.replace t.table resource l;
       l
 
-let no_waiters l = l.front = [] && l.back = []
-
-(* The queue in order, first served first. *)
-let waiters l =
-  if l.back <> [] then begin
-    l.front <- l.front @ List.rev l.back;
-    l.back <- []
-  end;
-  l.front
-
 (* Drop an entry nobody holds or waits for, keeping it for reuse. *)
 let drop_if_unused t l =
-  if Hashtbl.length l.holds = 0 && no_waiters l then begin
+  if Hashtbl.length l.holds = 0 && l.queue = [] then begin
     Hashtbl.remove t.table l.resource;
     Hashtbl.reset l.holds;
     Stack.push l t.free_locks
@@ -272,7 +231,7 @@ let holders t resource =
 let queued t resource =
   match Hashtbl.find_opt t.table resource with
   | None -> []
-  | Some l -> List.map (fun w -> (w.wowner, w.wmode)) (waiters l)
+  | Some l -> List.map (fun w -> (w.wowner, w.wmode)) l.queue
 
 (* Whether holding [h] blocks a request for [mode]. SIREAD blocks nothing. *)
 let holding_blocks h mode = (has h X && blocks mode X) || (has h S && blocks mode S)
@@ -291,9 +250,7 @@ let rec queue_conflicts owner mode = function
   | [] -> false
   | w :: ws -> (w.wowner <> owner && blocks mode w.wmode) || queue_conflicts owner mode ws
 
-(* Order does not matter here, so the queue is not normalised. *)
-let conflicts_with_queue l ~owner ~mode =
-  queue_conflicts owner mode l.front || queue_conflicts owner mode l.back
+let conflicts_with_queue l ~owner ~mode = queue_conflicts owner mode l.queue
 
 (* Grant [mode]; granting a mode already held touches no table. A new hold
    joins its owner's held set with [Hashtbl.add]: its resource cannot be
@@ -333,9 +290,9 @@ let waits_for_edges t =
     (fun _ l ->
       List.iter
         (fun w ->
-          iter_blockers l ~owner:w.wowner ~mode:w.wmode (waiters l) (fun o ->
+          iter_blockers l ~owner:w.wowner ~mode:w.wmode l.queue (fun o ->
               edges := (w.wowner, o) :: !edges))
-        (waiters l))
+        l.queue)
     t.table;
   !edges
 
@@ -364,7 +321,7 @@ let closes_cycle t l ~owner ~mode ahead =
             Hashtbl.replace visited b ();
             match Hashtbl.find_opt t.waiting b with
             | None -> false
-            | Some w -> reaches_owner w.wlock ~owner:b ~mode:w.wmode (waiters w.wlock)
+            | Some w -> reaches_owner w.wlock ~owner:b ~mode:w.wmode w.wlock.queue
           end
   in
   reaches_owner l ~owner ~mode ahead
@@ -469,13 +426,13 @@ let rec grant_from t l = function
       grant_from t l rest
   | queue -> queue
 
-let grant_waiters t l = if not (no_waiters l) then l.front <- grant_from t l (waiters l)
+let grant_waiters t l = l.queue <- grant_from t l l.queue
 
 (* Raise [exn] in blocked waiter [w]. Its entry leaves the queue at once, so
    a queue holds only waiters that can still be granted. *)
 let kill_waiter t w exn =
   Hashtbl.remove t.waiting w.wowner;
-  w.wlock.front <- List.filter (fun w' -> w' != w) (waiters w.wlock);
+  w.wlock.queue <- List.filter (fun w' -> w' != w) w.wlock.queue;
   Sim.kill t.sim w.waker exn;
   grant_waiters t w.wlock
 
@@ -484,7 +441,7 @@ let kill_waiter t w exn =
    rest. *)
 let run_detector_pass t =
   let blocked = Hashtbl.fold (fun _ w acc -> w :: acc) t.waiting [] in
-  let on_cycle w = closes_cycle t w.wlock ~owner:w.wowner ~mode:w.wmode (waiters w.wlock) in
+  let on_cycle w = closes_cycle t w.wlock ~owner:w.wowner ~mode:w.wmode w.wlock.queue in
   match List.find_opt on_cycle (List.sort (fun a b -> compare b.wowner a.wowner) blocked) with
   | None -> false
   | Some w ->
@@ -545,7 +502,7 @@ let acquire t ~owner ~mode resource =
         (* Would waiting close a cycle? A conversion (already_holds) goes to
            the queue front: it never waits behind queued strangers, so they
            add no edges. *)
-        let ahead = if already_holds then [] else waiters l in
+        let ahead = if already_holds then [] else l.queue in
         if closes_cycle t l ~owner ~mode ahead then begin
           (* Certificate first: the requester is the victim, and its wait is
              only hypothetical (never entered into [t.waiting]), so the
@@ -563,12 +520,13 @@ let acquire t ~owner ~mode resource =
     if Obs.tracing t.obs then
       Obs.emit t.obs ~ts:blocked_at
         (Obs.Lock_block { owner; mode = mode_to_string mode; resource });
-    t.q_owner <- owner;
-    t.q_mode <- mode;
-    t.q_lock <- l;
-    t.q_front <- already_holds;
+    let enqueue waker =
+      let w = { wowner = owner; wmode = mode; waker; wlock = l } in
+      Hashtbl.replace t.waiting owner w;
+      if already_holds then l.queue <- w :: l.queue else l.queue <- l.queue @ [ w ]
+    in
     (* Only {!kill_waiter} raises here, and it has already dequeued us. *)
-    (try Sim.suspend t.sim t.enqueue
+    (try Sim.suspend t.sim enqueue
      with e ->
        if Obs.tracing t.obs then
          Obs.emit t.obs ~ts:(Sim.now t.sim)
@@ -618,7 +576,7 @@ let release_all ?(keep_siread = false) t owner =
         (fun _ h ->
           let l = h.hlock in
           let kept = clear_modes t held ~owner h bits in
-          if no_waiters l then drop_if_unused t l else waited := l :: !waited;
+          if l.queue = [] then drop_if_unused t l else waited := l :: !waited;
           if kept then Some h else None)
         held.resources;
       List.iter

@@ -810,17 +810,18 @@ let test_periodic_victim =
       run ();
       Alcotest.(check bool) "some runs had a cycle" true (!cycles > 0) )
 
-(* Lock queues against the plain list they used to be: a waiter appended
-   with [@], a conversion (a request by an owner that already holds a mode
-   there) put at the front, a cancelled waiter filtered out, and waiters
-   served from the head while they do not conflict with another owner's
-   hold. Random S/X requests, releases, [cancel_wait] calls and looks at
-   [queued] over two resources run one per step; each resource's grants,
-   in the order the processes were granted, and each look must match.
-   Looks are steps of their own because reading [queued] puts a queue in
-   order, so looking after every step would hide a queue that is out of
-   order in between. The detector runs too late to kill anyone, so only
-   cancels end a wait. *)
+(* Lock queues against a reference that keeps each queue as a plain list:
+   a waiter appended with [@], a conversion (a request by an owner that
+   already holds a mode there) put at the front, a cancelled waiter
+   filtered out, and waiters served from the head while they do not
+   conflict with another owner's hold. Random S/X requests, releases,
+   [cancel_wait] calls and looks at [queued] over two resources run one per
+   step; each resource's grants, in the order the processes were granted,
+   and each look must match. Under [Periodic] the detector runs too late to
+   kill anyone, so only cancels end a wait. Under [Immediate] a request
+   that would close a cycle raises [Deadlock_victim] without queuing, so
+   the reference withdraws it; only a request the reference queued may be
+   refused that way. *)
 module Qref = struct
   type lock = {
     mutable held : (int * Lockmgr.mode) list;
@@ -897,13 +898,13 @@ let arb_qsteps =
 
 exception Cancelled
 
-(* [converted] and [cancelled] count the conversions that queued and the
-   cancels that found a waiter, to show the property saw both. *)
-let prop_queue_matches_list ~converted ~cancelled =
-  QCheck.Test.make ~name:"lock queues match a plain-list reference" ~count:300 arb_qsteps
-    (fun steps ->
+(* [converted], [cancelled] and [victims] count the conversions that
+   queued, the cancels that found a waiter and the requests refused as
+   deadlock victims, to show the property saw them. *)
+let prop_queue_matches_list ~name ~detection ~converted ~cancelled ~victims =
+  QCheck.Test.make ~name ~count:300 arb_qsteps (fun steps ->
       let sim = Sim.create () in
-      let lm = Lockmgr.create ~detection:(Lockmgr.Periodic 1e9) sim in
+      let lm = Lockmgr.create ~detection sim in
       let refs = Array.init 2 (fun _ -> { Qref.held = []; queue = [] }) in
       let granted = Array.init 2 (fun _ -> ref []) in
       let expected = Array.init 2 (fun _ -> ref []) in
@@ -922,7 +923,12 @@ let prop_queue_matches_list ~converted ~cancelled =
                       | () ->
                           waiting.(owner) <- None;
                           granted.(r) := (owner, mode) :: !(granted.(r))
-                      | exception Cancelled -> waiting.(owner) <- None)
+                      | exception Cancelled -> waiting.(owner) <- None
+                      | exception Lockmgr.Deadlock_victim ->
+                          waiting.(owner) <- None;
+                          incr victims;
+                          if not waits then ok := false;
+                          Qref.cancel refs.(r) expected.(r) owner)
                   | Drop owner when waiting.(owner) = None ->
                       Array.iteri (fun r l -> Qref.release l expected.(r) owner) refs;
                       Lockmgr.release_all lm owner
@@ -944,17 +950,20 @@ let prop_queue_matches_list ~converted ~cancelled =
       Sim.run ~until:(float_of_int (List.length steps)) sim;
       !ok && Array.for_all2 (fun g e -> !g = !e) granted expected)
 
-let test_queue_matches_list =
-  let converted = ref 0 and cancelled = ref 0 in
+let test_queue_matches_list ~name ~detection =
+  let converted = ref 0 and cancelled = ref 0 and victims = ref 0 in
   let name, speed, run =
-    QCheck_alcotest.to_alcotest (prop_queue_matches_list ~converted ~cancelled)
+    QCheck_alcotest.to_alcotest
+      (prop_queue_matches_list ~name ~detection ~converted ~cancelled ~victims)
   in
   ( name,
     speed,
     fun () ->
       run ();
       Alcotest.(check bool) "some conversions queued" true (!converted > 0);
-      Alcotest.(check bool) "some cancels found a waiter" true (!cancelled > 0) )
+      Alcotest.(check bool) "some cancels found a waiter" true (!cancelled > 0);
+      if detection = Lockmgr.Immediate then
+        Alcotest.(check bool) "some requests were deadlock victims" true (!victims > 0) )
 
 let suite =
   [
@@ -979,7 +988,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_release_wake_order;
     test_immediate_verdict;
     test_periodic_victim;
-    test_queue_matches_list;
+    test_queue_matches_list ~name:"lock queues match a plain-list reference"
+      ~detection:(Lockmgr.Periodic 1e9);
+    test_queue_matches_list
+      ~name:"lock queues match a plain-list reference, immediate detection"
+      ~detection:Lockmgr.Immediate;
   ]
 
 let () = Alcotest.run "lockmgr" [ ("lockmgr", suite) ]
