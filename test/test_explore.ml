@@ -154,6 +154,54 @@ let test_page_scan_after_split () =
         0 !violations)
     levels
 
+(* {1 Corpus pin}
+
+   A fixed Fuzzgen corpus explored over the unbounded points of the full
+   matrix (both granularities, both victim policies, both deadlock
+   detectors) at every level. Every program's reduction counts and digest
+   set fold into one MD5, so a change to the explorer's bookkeeping that
+   moves any count, or any outcome, on any of these programs fails here.
+   The canonical specs alone never run Prefer_younger victims. *)
+
+let corpus_fingerprint () =
+  let points =
+    Array.of_list (List.filter (fun p -> p.Fuzzcase.memory_budget = 0) Fuzzcase.matrix_full)
+  in
+  let st = Random.State.make [| 0xC0_2B05 |] in
+  let programs = 60 in
+  let b = Buffer.create 65536 in
+  let executed = ref 0 in
+  for i = 0 to programs - 1 do
+    let cfg = points.(i * Array.length points / programs) in
+    (* Programs past 3,000 interleavings are redrawn; the rest stay small
+       enough that the corpus runs about 9,000 schedules. *)
+    let rec draw () =
+      let c = Fuzzgen.case st ~cfg in
+      if Interleave.count_interleavings c.Fuzzcase.specs > 3000 then draw () else c
+    in
+    let case = draw () in
+    let config = Fuzzcase.config_of_point cfg in
+    List.iter
+      (fun iso ->
+        let digests, s =
+          Explore.explore ~config ~init:case.Fuzzcase.init ~ro:case.Fuzzcase.ro ~isolation:iso
+            case.Fuzzcase.specs
+        in
+        executed := !executed + s.Explore.executed;
+        Printf.bprintf b "%d %s %d %d %d %d %d\n" i (level_name iso) s.Explore.executed
+          s.Explore.backtracks s.Explore.sleep_hits s.Explore.sleep_blocked s.Explore.duplicates;
+        List.iter (fun d -> Printf.bprintf b " %s\n" d) digests)
+      levels
+  done;
+  (!executed, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_corpus_pin () =
+  let executed, fingerprint = corpus_fingerprint () in
+  Alcotest.(check (pair int string))
+    "schedules executed and fingerprint of counts and digests"
+    (9129, "093f6cd10320bc8fcaeba14bad5e0089")
+    (executed, fingerprint)
+
 (* {1 Parallel frontier determinism} *)
 
 let test_parallel_determinism () =
@@ -216,6 +264,7 @@ let () =
           ("no MVSG violations among explored schedules", `Slow, test_no_mvsg_violations_explored);
           ("equivalence property on generated programs", `Slow, test_equivalence_property);
           ("S2PL page scan after a split", `Quick, test_page_scan_after_split);
+          ("corpus pin over the full matrix", `Quick, test_corpus_pin);
           ("parallel frontier determinism", `Quick, test_parallel_determinism);
         ] );
       ( "streaming",
