@@ -2,6 +2,17 @@ open Types
 
 type t = Internal.db
 
+(* Every engine's I/O-miss stream starts from this state: copying it is
+   cheaper than seeding a fresh one, and draws the same sequence. It is
+   only ever copied, so domains may share it. *)
+let io_rng_start = Random.State.make [| 0xD15C |]
+
+(* Tables sized for a few transactions: the DPOR explorer, fuzz and
+   perfbench's explore set-up build an engine per schedule, case or
+   program, and a large bucket array would go straight to the major heap.
+   [txn_by_id] grows as needed; nothing prints its iteration order
+   (Provenance sorts it). [active] keeps 256 buckets: the work-ledger folds
+   sum floats in its iteration order, which reaches printed numbers. *)
 let create ?(config = Config.test ()) sim =
   let open Internal in
   let disk = Resource.create sim ~name:"disk" ~capacity:Config.disk_arms in
@@ -20,7 +31,7 @@ let create ?(config = Config.test ()) sim =
     cpu = Resource.create sim ~name:"cpu" ~capacity:config.Config.n_cpus;
     disk;
     cache;
-    io_rng = Random.State.make [| 0xD15C |];
+    io_rng = Random.State.copy io_rng_start;
     lock_mutex =
       (if config.Config.lock_mutex then
          Some (Resource.create sim ~name:"lock-mutex" ~capacity:1)
@@ -30,7 +41,7 @@ let create ?(config = Config.test ()) sim =
     next_commit_ts = 0;
     published = Hashtbl.create 16;
     next_txn_id = 0;
-    txn_by_id = Hashtbl.create 1024;
+    txn_by_id = Hashtbl.create 8;
     active = Hashtbl.create 256;
     suspended = Queue.create ();
     n_retained_siread = 0;

@@ -52,6 +52,11 @@ type stats = {
    each committed read as (table, key, writer index), the final store as
    the per-key last writer index, and the MVSG serializability verdict. *)
 
+(* Non-negative [i] in decimal. *)
+let rec add_int b i =
+  if i >= 10 then add_int b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
 let outcome_digest (r : Interleave.result) : string =
   let id_to_index = Hashtbl.create 8 in
   List.iteri (fun i id -> if id >= 0 then Hashtbl.replace id_to_index id i) r.txn_ids;
@@ -66,19 +71,15 @@ let outcome_digest (r : Interleave.result) : string =
       | Some i -> Hashtbl.replace commit_writer h.Types.h_commit i
       | None -> ())
     r.history;
-  let writer_name ts =
-    match Hashtbl.find_opt commit_writer ts with
-    | Some i -> "t" ^ string_of_int i
-    | None -> "init"
-  in
   let b = Buffer.create 256 in
   List.iteri
     (fun i o ->
+      Buffer.add_char b 'o';
+      add_int b i;
+      Buffer.add_char b '=';
       Buffer.add_string b
-        (Printf.sprintf "o%d=%s\n" i
-           (match o with
-           | None -> "commit"
-           | Some reason -> Types.abort_reason_to_string reason)))
+        (match o with None -> "commit" | Some reason -> Types.abort_reason_to_string reason);
+      Buffer.add_char b '\n')
     r.outcomes;
   let recs =
     List.filter_map
@@ -91,12 +92,21 @@ let outcome_digest (r : Interleave.result) : string =
   let recs = List.sort (fun (a, _) (b, _) -> compare a b) recs in
   List.iter
     (fun (i, h) ->
-      Buffer.add_string b (Printf.sprintf "r%d:" i);
+      Buffer.add_char b 'r';
+      add_int b i;
+      Buffer.add_char b ':';
       List.iter
         (fun rr ->
-          Buffer.add_string b
-            (Printf.sprintf " %s/%s=%s" rr.Types.r_table rr.Types.r_key
-               (writer_name rr.Types.r_version)))
+          Buffer.add_char b ' ';
+          Buffer.add_string b rr.Types.r_table;
+          Buffer.add_char b '/';
+          Buffer.add_string b rr.Types.r_key;
+          Buffer.add_char b '=';
+          match Hashtbl.find commit_writer rr.Types.r_version with
+          | i ->
+              Buffer.add_char b 't';
+              add_int b i
+          | exception Not_found -> Buffer.add_string b "init")
         h.Types.h_reads;
       Buffer.add_char b '\n')
     recs;
@@ -114,7 +124,16 @@ let outcome_digest (r : Interleave.result) : string =
   let final_rows =
     List.sort compare (Hashtbl.fold (fun (t, k) (_, i) acc -> (t, k, i) :: acc) final [])
   in
-  List.iter (fun (t, k, i) -> Buffer.add_string b (Printf.sprintf "f %s/%s=t%d\n" t k i)) final_rows;
+  List.iter
+    (fun (t, k, i) ->
+      Buffer.add_string b "f ";
+      Buffer.add_string b t;
+      Buffer.add_char b '/';
+      Buffer.add_string b k;
+      Buffer.add_string b "=t";
+      add_int b i;
+      Buffer.add_char b '\n')
+    final_rows;
   Buffer.add_string b (if r.serializable then "ser\n" else "non-ser\n");
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -124,21 +143,20 @@ let outcome_digest (r : Interleave.result) : string =
    order) or their observed footprints intersect on a resource at least one
    of them wrote. Read-read sharing commutes — this is where most of the
    reduction comes from (every SIREAD acquisition of a hot row would
-   otherwise order all readers). *)
+   otherwise order all readers).
 
-(* Visibility shadows ("c/<resource>", written by commits at publication,
+   Visibility shadows ("c/<resource>", written by commits at publication,
    read at snapshot-pin turns) get one special rule: the write/read pair is
    a real dependency — it decides whether the commit is inside the reader's
    snapshot; the write-skew serial orders hinge on it — but two shadow
    *writes* commute: the horizon is monotonic, and every observer orders
    itself against each advance through its own pin-read race. Without the
    exemption any two commits touching the same data would be dependent
-   even when the row-level races already order them. *)
-let shadowed res = String.length res >= 2 && res.[0] = 'c' && res.[1] = '/'
+   even when the row-level races already order them.
 
-let fp_conflict (r1, w1) (r2, w2) =
-  List.exists (fun res -> List.mem res r2 || ((not (shadowed res)) && List.mem res w2)) w1
-  || List.exists (fun res -> List.mem res r1) w2
+   Footprints are interned ({!Footprint}): an exploration maps every name
+   it analyzes to one int, so the test is {!Footprint.conflict}'s merge
+   walks over sorted id arrays. *)
 
 (* Configurations whose behaviour depends on transaction-id *order* need the
    begin marker: ids are handed out in begin order, so two first turns must
@@ -150,8 +168,11 @@ let needs_begin_marker (config : Config.t) =
 
 (* A sleep entry: transaction [sl_txn] was explored from the node at free
    depth [sl_depth] with final footprint [sl_fp]; re-picking it is redundant
-   until some later turn conflicts with that footprint. *)
-type sentry = { sl_txn : int; sl_depth : int; sl_fp : string list * string list }
+   until some later turn conflicts with that footprint. The footprint keeps
+   the engine's names, doom flags "x/<engine id>" included: sleep sets
+   compare them across runs unrenamed, and renaming them here would change
+   which branches sleep. *)
+type sentry = { sl_txn : int; sl_depth : int; sl_fp : Footprint.t }
 
 type branch = { br_prefix : int list (* oldest first *); br_sleep : sentry list }
 
@@ -159,31 +180,26 @@ type branch = { br_prefix : int list (* oldest first *); br_sleep : sentry list 
    execution through this node has completed, with final footprints (these
    seed sibling sleep sets); [nd_sched] is every choice explored or already
    enqueued from here, the dedup set. *)
-type node = { mutable nd_done : (int * (string list * string list)) list; mutable nd_sched : ISet.t }
+type node = { mutable nd_done : (int * Footprint.t) list; mutable nd_sched : ISet.t }
 
 let default_config () = { (Config.test ()) with Config.record_history = true }
 
 (* {1 One directed execution}
 
-   Pure: fresh simulator and engine per run, no shared state — safe to farm
-   out to a {!Par} pool. Returns the run result, the recorded schedule
-   (footprints final) and the number of sleep-blocked picks. *)
-let execute ~config ~begin_marker ?init ?ro ~isolation (specs : Interleave.spec list)
-    (br : branch) =
+   Fresh simulator and engine per run, and no writes to shared state: the
+   sleep-set wake check only looks names up in the exploration's table
+   [names], which analysis alone writes, between frontier batches. So runs
+   can be farmed out to a {!Par} pool. Returns the run result, the recorded
+   schedule (footprints final, as the engine named them) and the number of
+   sleep-blocked picks. [structural.(i).(k)] is true when operation [k] of
+   transaction [i] inserts or deletes. *)
+let execute ~config ~begin_marker ~names ~structural ?init ?ro ~isolation
+    (specs : Interleave.spec list) (br : branch) =
   let prefix = Array.of_list br.br_prefix in
-  let structural =
-    Array.of_list
-      (List.map
-         (fun spec ->
-           Array.of_list
-             (List.map
-                (function Interleave.Insert _ | Interleave.Delete _ -> true | _ -> false)
-                spec))
-         specs)
-  in
   let sleep_blocked = ref 0 in
   let pick ~step ~enabled ~steps =
     if step < Array.length prefix then prefix.(step)
+    else if br.br_sleep = [] then List.hd enabled
     else begin
       (* Recompute wakes from scratch at every pick: footprints of parked
          operations keep growing as they resume, so incremental removal
@@ -204,7 +220,8 @@ let execute ~config ~begin_marker ?init ?ro ~isolation (specs : Interleave.spec 
         let s = sarr.(k) in
         s.Interleave.ds_txn = entry.sl_txn
         || structural.(s.Interleave.ds_txn).(op_index k)
-        || fp_conflict (s.Interleave.ds_reads, s.Interleave.ds_writes) entry.sl_fp
+        || Footprint.live_conflict names ~reads:s.Interleave.ds_reads
+             ~writes:s.Interleave.ds_writes entry.sl_fp
       in
       let asleep entry =
         let awake = ref false in
@@ -231,39 +248,6 @@ let execute ~config ~begin_marker ?init ?ro ~isolation (specs : Interleave.spec 
   let result, steps =
     Interleave.run_directed ~config ~begin_marker ?init ?ro ~isolation specs ~pick
   in
-  (* Snapshot-pin rewrite: the turn that pinned a transaction's read view
-     (marked "clock" by the engine) logically performed the visibility
-     check for everything the transaction goes on to observe. Give it a
-     read of the visibility shadow of every data resource in the
-     transaction's cumulative footprint, so a commit publishing any of
-     them races with the pin itself — reversing that pair is what makes
-     both serial orders of disjoint-footprint begin/commit turns
-     reachable. (Engine pseudo-resources — doom flags, the begin marker,
-     shadows themselves — are not data and are skipped.) *)
-  let data_resource res =
-    res <> "clock" && res <> "tid"
-    && not (String.length res >= 2 && res.[1] = '/' && (res.[0] = 'x' || res.[0] = 'c'))
-  in
-  let cumulative = Array.make (List.length specs) [] in
-  List.iter
-    (fun s ->
-      let add res =
-        if data_resource res && not (List.mem res cumulative.(s.Interleave.ds_txn)) then
-          cumulative.(s.Interleave.ds_txn) <- res :: cumulative.(s.Interleave.ds_txn)
-      in
-      List.iter add s.Interleave.ds_reads;
-      List.iter add s.Interleave.ds_writes)
-    steps;
-  let pinned = Array.make (List.length specs) false in
-  List.iter
-    (fun s ->
-      let i = s.Interleave.ds_txn in
-      if (not pinned.(i)) && List.mem "clock" s.Interleave.ds_reads then begin
-        pinned.(i) <- true;
-        s.Interleave.ds_reads <-
-          List.rev_append (List.rev_map (fun res -> "c/" ^ res) cumulative.(i)) s.Interleave.ds_reads
-      end)
-    steps;
   (result, steps, !sleep_blocked)
 
 (* {1 Race analysis}
@@ -275,7 +259,12 @@ let execute ~config ~begin_marker ?init ?ro ~isolation (specs : Interleave.spec 
    other side go first. Candidate selection prefers the racing turn's own
    transaction, falls back to the earliest transaction that reaches it, and
    conservatively adds every enabled alternative when no candidate was
-   enabled at the branch point. *)
+   enabled at the branch point.
+
+   Analysis runs on the submitting thread, between frontier batches, and is
+   the only writer of the exploration's name table. *)
+
+module Traces = Hashtbl.Make (String)
 
 type world = {
   mutable executed : int;
@@ -284,7 +273,11 @@ type world = {
   mutable sleep_blocked : int;
   mutable duplicates : int;
   mutable digests : SSet.t;
-  mutable traces : SSet.t;  (* canonical trace signatures already analyzed *)
+  names : Footprint.names;
+  clock : int;  (* id of the snapshot-pin marker *)
+  renamed : int array;  (* by spec index i: the id of "x/T<i>" *)
+  key : Buffer.t;  (* trace_key's buffer, reused *)
+  traces : unit Traces.t;  (* exact keys of the traces already analyzed *)
   nodes : (int list, node) Hashtbl.t;  (* keyed by reversed choice prefix *)
   queue : branch Queue.t;
 }
@@ -297,56 +290,128 @@ let get_node w key =
       Hashtbl.add w.nodes key n;
       n
 
-(* Canonical signature of a run's Mazurkiewicz trace: the turns named
-   schedule-independently as (spec index, per-transaction turn number) with
-   their footprints, plus the orientation of every cross-transaction
-   dependent pair. Two runs with equal signatures are linearizations of the
-   same trace — they commute into each other, reach identical engine states
-   and carry identical races. Doom resources embed engine transaction ids
-   (begin-order-dependent), so they are renamed through the spec index to
-   keep the signature linearization-free. *)
-let trace_signature (result : Interleave.result) sarr dep =
+(* Snapshot-pin rewrite: the turn that pinned a transaction's read view
+   (the engine marks it with a "clock" read) logically performed the
+   visibility check for everything the transaction goes on to observe. Give
+   it a read of the visibility shadow of every data resource in the
+   transaction's cumulative footprint, so a commit publishing any of them
+   races with the pin itself — reversing that pair is what makes both
+   serial orders of disjoint-footprint begin/commit turns reachable. (Engine
+   pseudo-resources — doom flags, the begin markers, shadows themselves —
+   are not data and are skipped.) Only the footprints analysis reads get
+   the rewrite; the live turns a wake check sees never do. *)
+let pin_shadows w sarr (fps : Footprint.t array) =
   let n = Array.length sarr in
-  let rename =
-    let tbl = Hashtbl.create 8 in
-    List.iteri
-      (fun i id ->
-        if id >= 0 then Hashtbl.replace tbl ("x/" ^ string_of_int id) ("x/T" ^ string_of_int i))
-      result.Interleave.txn_ids;
-    fun res -> match Hashtbl.find_opt tbl res with Some r -> r | None -> res
+  let pinned = Array.make (Array.length w.renamed) false in
+  for k = 0 to n - 1 do
+    let i = sarr.(k).Interleave.ds_txn in
+    if (not pinned.(i)) && Array.mem w.clock fps.(k).Footprint.reads then begin
+      pinned.(i) <- true;
+      let shadows = ref [] in
+      let add id =
+        if Footprint.is_data id then shadows := Footprint.shadow w.names id :: !shadows
+      in
+      for m = 0 to n - 1 do
+        if sarr.(m).Interleave.ds_txn = i then begin
+          Array.iter add fps.(m).Footprint.reads;
+          Array.iter add fps.(m).Footprint.writes
+        end
+      done;
+      fps.(k) <- Footprint.add_reads fps.(k) (Array.of_list !shadows)
+    end
+  done
+
+(* {2 Exact trace keys}
+
+   A key names a run's Mazurkiewicz trace: its turns, named
+   schedule-independently as (spec index, per-transaction turn number),
+   with their footprints, plus the orientation of every cross-transaction
+   dependent pair. Two runs with equal keys are linearizations of the same
+   trace — they commute into each other, reach identical engine states and
+   carry identical races. Doom flags embed engine transaction ids
+   (begin-order-dependent), so the key renames them through the spec index
+   to "x/T<i>" to stay linearization-free.
+
+   The key is a string of non-negative ints, each written as a varint:
+   - the turn count;
+   - each turn in (spec index, turn number) order, as its spec index, then
+     its renamed read ids and write ids, each set sorted and preceded by
+     its size;
+   - the number of oriented pairs, then their codes in ascending order, a
+     pair of turns at positions [a] before [c] in that order coded
+     [a * n + c].
+   Within one exploration names and ids are in one-to-one correspondence,
+   so two keys are equal exactly when the runs have the same turns with the
+   same renamed footprints and the same oriented pairs. *)
+
+let rec add_varint b x =
+  if x < 0x80 then Buffer.add_char b (Char.unsafe_chr x)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (0x80 lor (x land 0x7f)));
+    add_varint b (x lsr 7)
+  end
+
+let rec spec_of engine_id i = function
+  | [] -> -1
+  | id :: rest -> if id = engine_id then i else spec_of engine_id (i + 1) rest
+
+let rename w txn_ids id =
+  let owner = Footprint.doom_owner w.names id in
+  if owner < 0 then id
+  else
+    let i = spec_of owner 0 txn_ids in
+    if i < 0 then id else w.renamed.(i)
+
+let add_renamed_set w txn_ids ids =
+  let renames = ref false in
+  Array.iter (fun id -> if rename w txn_ids id <> id then renames := true) ids;
+  let ids =
+    if !renames then begin
+      let a = Array.map (rename w txn_ids) ids in
+      Array.sort Int.compare a;
+      a
+    end
+    else ids
   in
-  let opidx = Array.make n 0 in
-  let counts = Hashtbl.create 8 in
-  for k = 0 to n - 1 do
-    let t = sarr.(k).Interleave.ds_txn in
-    let c = try Hashtbl.find counts t with Not_found -> 0 in
-    opidx.(k) <- c;
-    Hashtbl.replace counts t (c + 1)
-  done;
-  let b = Buffer.create 512 in
-  let lines = ref [] in
-  for k = 0 to n - 1 do
-    lines :=
-      Printf.sprintf "T%d.%d r[%s] w[%s]\n" sarr.(k).Interleave.ds_txn opidx.(k)
-        (String.concat " " (List.sort_uniq compare (List.map rename sarr.(k).Interleave.ds_reads)))
-        (String.concat " " (List.sort_uniq compare (List.map rename sarr.(k).Interleave.ds_writes)))
-      :: !lines
-  done;
-  List.iter (Buffer.add_string b) (List.sort compare !lines);
-  let pairs = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let ti = sarr.(i).Interleave.ds_txn and tj = sarr.(j).Interleave.ds_txn in
-      if ti <> tj && dep.(i).(j) then
-        pairs := Printf.sprintf "T%d.%d<T%d.%d" ti opidx.(i) tj opidx.(j) :: !pairs
+  add_varint w.key (Array.length ids);
+  Array.iter (add_varint w.key) ids
+
+let trace_key w (result : Interleave.result) sarr (fps : Footprint.t array) dep =
+  let n = Array.length sarr in
+  let txn_ids = result.Interleave.txn_ids in
+  let b = w.key in
+  Buffer.clear b;
+  add_varint b n;
+  let order = Array.make n 0 in
+  let p = ref 0 in
+  for t = 0 to Array.length w.renamed - 1 do
+    for k = 0 to n - 1 do
+      if sarr.(k).Interleave.ds_txn = t then begin
+        order.(!p) <- k;
+        incr p;
+        add_varint b t;
+        add_renamed_set w txn_ids fps.(k).Footprint.reads;
+        add_renamed_set w txn_ids fps.(k).Footprint.writes
+      end
     done
   done;
-  List.iter
-    (fun p ->
-      Buffer.add_string b p;
-      Buffer.add_char b '\n')
-    (List.sort compare !pairs);
-  Digest.string (Buffer.contents b)
+  let oriented a c =
+    let i = order.(a) and j = order.(c) in
+    i < j && sarr.(i).Interleave.ds_txn <> sarr.(j).Interleave.ds_txn && dep.(i).(j)
+  in
+  let pairs = ref 0 in
+  for a = 0 to n - 1 do
+    for c = 0 to n - 1 do
+      if oriented a c then incr pairs
+    done
+  done;
+  add_varint b !pairs;
+  for a = 0 to n - 1 do
+    for c = 0 to n - 1 do
+      if oriented a c then add_varint b ((a * n) + c)
+    done
+  done;
+  Buffer.contents b
 
 let analyze ?(on_run = fun _ -> ()) w br (result, steps, sleep_blocked) =
   on_run result;
@@ -355,14 +420,20 @@ let analyze ?(on_run = fun _ -> ()) w br (result, steps, sleep_blocked) =
   w.digests <- SSet.add (outcome_digest result) w.digests;
   let sarr = Array.of_list steps in
   let n = Array.length sarr in
-  let fp k = (sarr.(k).Interleave.ds_reads, sarr.(k).Interleave.ds_writes) in
+  let fps =
+    Array.map
+      (fun s ->
+        Footprint.of_names w.names ~reads:s.Interleave.ds_reads ~writes:s.Interleave.ds_writes)
+      sarr
+  in
+  pin_shadows w sarr fps;
   let txn k = sarr.(k).Interleave.ds_txn in
   (* Dependence and its transitive closure (happens-before). *)
   let dep = Array.make_matrix n n false in
   let hb = Array.make_matrix n n false in
   for j = 1 to n - 1 do
     for i = 0 to j - 1 do
-      dep.(i).(j) <- txn i = txn j || fp_conflict (fp i) (fp j);
+      dep.(i).(j) <- txn i = txn j || Footprint.conflict fps.(i) fps.(j);
       if dep.(i).(j) then hb.(i).(j) <- true
       else begin
         let k = ref (i + 1) in
@@ -382,10 +453,10 @@ let analyze ?(on_run = fun _ -> ()) w br (result, steps, sleep_blocked) =
      subtrees. One representative per class spawns children; the rest stop
      here (measured: ~12x fewer executions on the §4.7 5-chain, with digest
      sets unchanged across the cross-validation matrix). *)
-  let sg = trace_signature result sarr dep in
-  if SSet.mem sg w.traces then w.duplicates <- w.duplicates + 1
+  let key = trace_key w result sarr fps dep in
+  if Traces.mem w.traces key then w.duplicates <- w.duplicates + 1
   else begin
-  w.traces <- SSet.add sg w.traces;
+  Traces.add w.traces key ();
   (* Free-depth of each turn, and the (reversed) choice prefix before it. *)
   let freedepth = Array.make n (-1) in
   let prefix_of = Array.make n [] in
@@ -401,7 +472,7 @@ let analyze ?(on_run = fun _ -> ()) w br (result, steps, sleep_blocked) =
       let node = get_node w prefix_of.(k) in
       node.nd_sched <- ISet.add (txn k) node.nd_sched;
       if not (List.mem_assoc (txn k) node.nd_done) then
-        node.nd_done <- (txn k, fp k) :: node.nd_done
+        node.nd_done <- (txn k, fps.(k)) :: node.nd_done
     end
   done;
   let schedule_alternative i q =
@@ -466,6 +537,17 @@ let explore ?config ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.spec 
   let config = match config with Some c -> c | None -> default_config () in
   let config = { config with Config.record_history = true } in
   let begin_marker = needs_begin_marker config in
+  let structural =
+    Array.of_list
+      (List.map
+         (fun spec ->
+           Array.of_list
+             (List.map
+                (function Interleave.Insert _ | Interleave.Delete _ -> true | _ -> false)
+                spec))
+         specs)
+  in
+  let names = Footprint.create () in
   let w =
     {
       executed = 0;
@@ -474,7 +556,13 @@ let explore ?config ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.spec 
       sleep_blocked = 0;
       duplicates = 0;
       digests = SSet.empty;
-      traces = SSet.empty;
+      names;
+      clock = Footprint.intern names "clock";
+      renamed =
+        Array.init (List.length specs) (fun i ->
+            Footprint.intern names ("x/T" ^ string_of_int i));
+      key = Buffer.create 256;
+      traces = Traces.create 64;
       nodes = Hashtbl.create 64;
       queue = Queue.create ();
     }
@@ -490,7 +578,9 @@ let explore ?config ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.spec 
     done;
     let batch = List.rev !batch in
     let runs =
-      Par.map ?pool (execute ~config ~begin_marker ?init ?ro ~isolation specs) batch
+      Par.map ?pool
+        (execute ~config ~begin_marker ~names ~structural ?init ?ro ~isolation specs)
+        batch
     in
     List.iter2 (analyze ?on_run w) batch runs
   done;

@@ -83,16 +83,28 @@ let default_config =
     max_retries = 1000;
   }
 
-(* The first program of [progs] whose running weight total, from [acc],
-   passes [x]; the head of [mix] if none does. *)
-let rec pick_from mix x acc = function
-  | [] -> List.hd mix
-  | p :: progs -> if x < acc +. p.p_weight then p else pick_from mix x (acc +. p.p_weight) progs
-
-(* Weighted choice from the mix. *)
-let pick mix st =
-  let total = List.fold_left (fun acc p -> acc +. p.p_weight) 0.0 mix in
-  pick_from mix (Random.State.float st total) 0.0 mix
+(* Weighted choice from the mix. The running weight totals are summed
+   once, left to right, so [pick mix] applied once per run and then to a
+   state per choice draws what summing them again on every pick would:
+   the first program whose running total passes a uniform draw below the
+   last total, or the head of [mix] if none does. *)
+let pick mix =
+  let progs = Array.of_list mix in
+  let totals = Array.make (Array.length progs) 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i p ->
+      acc := !acc +. p.p_weight;
+      totals.(i) <- !acc)
+    progs;
+  let total = !acc in
+  fun st ->
+    let x = Random.State.float st total in
+    let i = ref 0 in
+    while !i < Array.length totals && not (x < totals.(!i)) do
+      incr i
+    done;
+    if !i < Array.length progs then progs.(!i) else List.hd mix
 
 let program_stats c name =
   match Hashtbl.find_opt c.by_program name with
@@ -192,6 +204,7 @@ let run_once ?obs ~make_db ~mix (cfg : config) : result =
     end
   in
   let tracing = match obs with Some o when Obs.tracing o -> obs | Some _ | None -> None in
+  let pick = pick mix in
   for client = 1 to cfg.mpl do
     Sim.spawn sim (fun () ->
         let st = Random.State.make [| cfg.seed; client; 0x551 |] in
@@ -218,7 +231,7 @@ let run_once ?obs ~make_db ~mix (cfg : config) : result =
         let rec session () =
           if Sim.now sim < horizon then begin
             if cfg.think_time > 0.0 then Sim.delay sim (Random.State.float st (2.0 *. cfg.think_time));
-            let prog = pick mix st in
+            let prog = pick st in
             let started = Sim.now sim in
             span tracing sim ~client prog `B;
             attempt prog started 0;

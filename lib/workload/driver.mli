@@ -16,7 +16,8 @@ type program = {
 val program :
   ?weight:float -> ?read_only:bool -> string -> (Random.State.t -> Core.Txn.t -> unit) -> program
 
-(** Weighted random choice from a mix. *)
+(** Weighted random choice from a mix. [pick mix] sums the running weight
+    totals once; apply the result to a state for each choice. *)
 val pick : program list -> Random.State.t -> program
 
 (** Per-program measurement over the window. *)

@@ -202,6 +202,66 @@ let test_corpus_pin () =
     (9129, "093f6cd10320bc8fcaeba14bad5e0089")
     (executed, fingerprint)
 
+(* {1 The interned dependency test}
+
+   [Footprint.conflict], and the wake check's [Footprint.live_conflict],
+   against the string-list definition they replace: a write meets a read
+   or a write of the same name, except that two writes of one visibility
+   shadow commute (a shadow write still meets a shadow read). Names repeat
+   and include shadows and pseudo-resources; the entry side also gets the
+   snapshot-pin reads of its data names' shadows, built through the table;
+   the live side draws some names the table has never seen. *)
+
+let shadowed res = String.length res >= 2 && res.[0] = 'c' && res.[1] = '/'
+
+let data_name res =
+  res <> "clock" && res <> "tid"
+  && not (String.length res >= 2 && res.[1] = '/' && (res.[0] = 'x' || res.[0] = 'c'))
+
+let string_conflict (r1, w1) (r2, w2) =
+  List.exists (fun res -> List.mem res r2 || ((not (shadowed res)) && List.mem res w2)) w1
+  || List.exists (fun res -> List.mem res r1) w2
+
+let seen_names =
+  [|
+    "r/t/k0"; "r/t/k1"; "g/t/k1"; "p/t/0"; "c/r/t/k0"; "c/r/t/k1"; "c/p/t/0"; "x/3"; "clock"; "tid";
+  |]
+
+let unseen_names = [| "r/t/k7"; "c/r/t/k7"; "c/g/t/k1"; "x/9" |]
+
+let arb_footprints =
+  let names pool = QCheck.Gen.(list_size (int_bound 6) (oneofa pool)) in
+  let fp pool = QCheck.Gen.pair (names pool) (names pool) in
+  let print_fp (r, w) = "r[" ^ String.concat " " r ^ "] w[" ^ String.concat " " w ^ "]" in
+  QCheck.make
+    ~print:(fun (a, b, pin, live) ->
+      String.concat " / " [ print_fp a; print_fp b; string_of_bool pin; print_fp live ])
+    QCheck.Gen.(
+      quad (fp seen_names) (fp seen_names) bool (fp (Array.append seen_names unseen_names)))
+
+let prop_footprint_conflict =
+  QCheck.Test.make ~name:"interned conflicts match the string-list definition" ~count:2000
+    arb_footprints (fun ((r1, w1), (r2, w2), pin, (lr, lw)) ->
+      let names = Footprint.create () in
+      let f1 = Footprint.of_names names ~reads:r1 ~writes:w1 in
+      let f2 = Footprint.of_names names ~reads:r2 ~writes:w2 in
+      let f2, r2 =
+        if not pin then (f2, r2)
+        else
+          let ids = Array.to_list (Array.append f2.Footprint.reads f2.Footprint.writes) in
+          let shadows =
+            List.filter_map
+              (fun id -> if Footprint.is_data id then Some (Footprint.shadow names id) else None)
+              ids
+          in
+          ( Footprint.add_reads f2 (Array.of_list shadows),
+            List.map (fun res -> "c/" ^ res) (List.filter data_name (r2 @ w2)) @ r2 )
+      in
+      Footprint.conflict f1 f2 = string_conflict (r1, w1) (r2, w2)
+      && Footprint.conflict f2 f1 = string_conflict (r2, w2) (r1, w1)
+      && Footprint.live_conflict names ~reads:lr ~writes:lw f2
+         = string_conflict (lr, lw) (r2, w2))
+
 (* {1 Parallel frontier determinism} *)
 
 let test_parallel_determinism () =
@@ -267,6 +327,7 @@ let () =
           ("corpus pin over the full matrix", `Quick, test_corpus_pin);
           ("parallel frontier determinism", `Quick, test_parallel_determinism);
         ] );
+      ("footprints", [ QCheck_alcotest.to_alcotest prop_footprint_conflict ]);
       ( "streaming",
         [
           ("streamed enumeration count", `Quick, test_streaming_count);
