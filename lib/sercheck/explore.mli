@@ -44,7 +44,11 @@ val needs_begin_marker : Core.Config.t -> bool
     sorted set of distinct outcome digests plus reduction metrics.
     [config] defaults to the history-recording test configuration
     ([record_history] is forced on regardless). [pool] parallelises
-    frontier batches — results are byte-identical at any pool size.
+    frontier batches — results are byte-identical at any pool size. A
+    batch's runs are not quite isolated worlds: their sleep-set wake
+    checks read the exploration's table of interned resource names. Race
+    analysis, the table's only writer, runs on the submitting thread
+    between batches, so the pool's domains only ever read it.
     [on_run] fires once per executed
     schedule, on the submitting thread, in deterministic order (oracles over
     explored runs — e.g. asserting zero MVSG violations). [init]/[ro] as in

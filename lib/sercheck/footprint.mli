@@ -20,8 +20,6 @@ val intern : names -> string -> int
 (** The id of ["c/" ^ name]: the shadow's name is built once per table. *)
 val shadow : names -> int -> int
 
-val is_shadow : int -> bool
-
 (** False for the snapshot-pin marker, the begin marker, doom flags and
     shadows. *)
 val is_data : int -> bool

@@ -83,11 +83,11 @@ let default_config =
     max_retries = 1000;
   }
 
-(* Weighted choice from the mix. The running weight totals are summed
-   once, left to right, so [pick mix] applied once per run and then to a
-   state per choice draws what summing them again on every pick would:
-   the first program whose running total passes a uniform draw below the
-   last total, or the head of [mix] if none does. *)
+(* Weighted choice from the mix: the first program whose running weight
+   total passes a uniform draw below the last total, or the head of [mix]
+   if none does. [pick mix] sums the running totals once, left to right,
+   the same float sums a walk of the list makes, so the driver applies it
+   once per run. *)
 let pick mix =
   let progs = Array.of_list mix in
   let totals = Array.make (Array.length progs) 0.0 in
