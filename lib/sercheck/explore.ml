@@ -52,11 +52,6 @@ type stats = {
    each committed read as (table, key, writer index), the final store as
    the per-key last writer index, and the MVSG serializability verdict. *)
 
-(* Non-negative [i] in decimal. *)
-let rec add_int b i =
-  if i >= 10 then add_int b (i / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
-
 let outcome_digest (r : Interleave.result) : string =
   let id_to_index = Hashtbl.create 8 in
   List.iteri (fun i id -> if id >= 0 then Hashtbl.replace id_to_index id i) r.txn_ids;
@@ -75,7 +70,7 @@ let outcome_digest (r : Interleave.result) : string =
   List.iteri
     (fun i o ->
       Buffer.add_char b 'o';
-      add_int b i;
+      Decimal.add b i;
       Buffer.add_char b '=';
       Buffer.add_string b
         (match o with None -> "commit" | Some reason -> Types.abort_reason_to_string reason);
@@ -93,7 +88,7 @@ let outcome_digest (r : Interleave.result) : string =
   List.iter
     (fun (i, h) ->
       Buffer.add_char b 'r';
-      add_int b i;
+      Decimal.add b i;
       Buffer.add_char b ':';
       List.iter
         (fun rr ->
@@ -105,7 +100,7 @@ let outcome_digest (r : Interleave.result) : string =
           match Hashtbl.find commit_writer rr.Types.r_version with
           | i ->
               Buffer.add_char b 't';
-              add_int b i
+              Decimal.add b i
           | exception Not_found -> Buffer.add_string b "init")
         h.Types.h_reads;
       Buffer.add_char b '\n')
@@ -131,7 +126,7 @@ let outcome_digest (r : Interleave.result) : string =
       Buffer.add_char b '/';
       Buffer.add_string b k;
       Buffer.add_string b "=t";
-      add_int b i;
+      Decimal.add b i;
       Buffer.add_char b '\n')
     final_rows;
   Buffer.add_string b (if r.serializable then "ser\n" else "non-ser\n");
