@@ -22,7 +22,6 @@ type names = {
   mutable name_of : string array;  (* by index (id lsr 2) *)
   mutable shadows : int array;  (* by index: the shadow's id, or -1 until built *)
   mutable dooms : int array;  (* by index: the engine id of a doom flag, else -1 *)
-  mutable count : int;
   mutable scratch : int array;  (* of_names's sort buffer *)
 }
 
@@ -32,7 +31,6 @@ let create () =
     name_of = Array.make 64 "";
     shadows = Array.make 64 (-1);
     dooms = Array.make 64 (-1);
-    count = 0;
     scratch = Array.make 32 0;
   }
 
@@ -62,7 +60,7 @@ let intern t name =
   match Names.find t.ids name with
   | id -> id
   | exception Not_found ->
-      let i = t.count in
+      let i = Names.length t.ids in
       if i = Array.length t.name_of then begin
         let n = Array.length t.name_of in
         t.name_of <- grow t.name_of "" n;
@@ -71,7 +69,6 @@ let intern t name =
       end;
       t.name_of.(i) <- name;
       t.dooms.(i) <- doom_of name;
-      t.count <- i + 1;
       let id = (i lsl 2) lor flags name in
       Names.add t.ids name id;
       id
