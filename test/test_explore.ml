@@ -327,7 +327,7 @@ let () =
           ("corpus pin over the full matrix", `Quick, test_corpus_pin);
           ("parallel frontier determinism", `Quick, test_parallel_determinism);
         ] );
-      ("footprints", [ QCheck_alcotest.to_alcotest prop_footprint_conflict ]);
+      ("footprint", [ QCheck_alcotest.to_alcotest prop_footprint_conflict ]);
       ( "streaming",
         [
           ("streamed enumeration count", `Quick, test_streaming_count);
