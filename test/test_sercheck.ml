@@ -298,6 +298,48 @@ let test_blocking_fcw_after_wait () =
     (List.nth r.Interleave.outcomes 1 = Some Update_conflict);
   Alcotest.(check bool) "serializable" true r.Interleave.serializable
 
+let test_blocking_skip_and_drain () =
+  (* T1's first turn parks it behind T0's X lock on x, so the turn list's
+     second turn for T1 finds it parked and is skipped: no operation runs
+     and no simulated time passes. T0's last turn commits and releases x;
+     T1's write resumes, and its remaining read of z runs in the drain.
+     The outcomes, commit order and final clock are pinned, and the same
+     list without the skipped turn must reach the same clock. *)
+  let spec = [ [ Interleave.W "x"; Interleave.R "y" ]; [ Interleave.W "x"; Interleave.R "z" ] ] in
+  let with_skip =
+    [ (0, Interleave.W "x"); (1, Interleave.W "x"); (1, Interleave.R "z"); (0, Interleave.R "y") ]
+  in
+  let without_skip = [ (0, Interleave.W "x"); (1, Interleave.W "x"); (0, Interleave.R "y") ] in
+  List.iter
+    (fun isolation ->
+      let level = isolation_to_string isolation in
+      let run order =
+        let r = Interleave.run_interleaving ~isolation spec order in
+        (r, Sim.now (Db.sim r.Interleave.db))
+      in
+      let r, now = run with_skip in
+      let spec_index id =
+        let rec find i = function
+          | [] -> -1
+          | x :: rest -> if x = id then i else find (i + 1) rest
+        in
+        find 0 r.Interleave.txn_ids
+      in
+      Alcotest.(check bool) (level ^ ": both commit") true (r.Interleave.outcomes = [ None; None ]);
+      Alcotest.(check (list int))
+        (level ^ ": commit order") [ 0; 1 ]
+        (List.map (fun h -> spec_index h.h_id) r.Interleave.history);
+      Alcotest.(check bool)
+        (level ^ ": T1 read z") true
+        (List.exists
+           (fun h ->
+             spec_index h.h_id = 1 && List.exists (fun rr -> rr.r_key = "z") h.h_reads)
+           r.Interleave.history);
+      Alcotest.(check (float 0.0)) (level ^ ": final clock") 2.800000000000001e-05 now;
+      Alcotest.(check (float 0.0)) (level ^ ": the skipped turn costs no time") now
+        (snd (run without_skip)))
+    [ S2pl; Snapshot; Serializable ]
+
 (* {1 Random-order sampling uniformity} *)
 
 let test_random_order_uniform () =
@@ -459,6 +501,7 @@ let suite =
     ("explore 4-5 txn specs beyond enumeration", `Quick, test_explore_large_specs);
     ("blocking: crossed writes deadlock", `Quick, test_blocking_deadlock);
     ("blocking: FCW after lock wait", `Quick, test_blocking_fcw_after_wait);
+    ("blocking: skipped turn, drained rest", `Quick, test_blocking_skip_and_drain);
     ("random_order is uniform (chi-square)", `Quick, test_random_order_uniform);
     ("random SSI always serializable", `Slow, test_random_ssi_always_serializable);
     ("random S2PL always serializable", `Slow, test_random_s2pl_always_serializable);
