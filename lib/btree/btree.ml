@@ -165,8 +165,6 @@ let find t key =
   let i = search_keys leaf.lkeys key in
   if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None
 
-let mem t key = find t key <> None
-
 let split_leaf t l : string * 'a node =
   let n = Array.length l.lkeys in
   let mid = (n + 1) / 2 in

@@ -62,8 +62,6 @@ val find : 'a t -> string -> 'a option
 (** Like {!find} but also reports the pages read. *)
 val find_path : 'a t -> string -> 'a option * access
 
-val mem : 'a t -> string -> bool
-
 (** Insert or replace, in one walk from the root. The returned access is the
     walk's path and the leaf it reached (before any split), and lists
     split-modified pages, which is how page-level writers conflict with

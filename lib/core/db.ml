@@ -10,9 +10,9 @@ let io_rng_start = Random.State.make [| 0xD15C |]
 (* Tables sized for a few transactions: the DPOR explorer, fuzz and
    perfbench's explore set-up build an engine per schedule, case or
    program, and a large bucket array would go straight to the major heap.
-   [txn_by_id] grows as needed; nothing prints its iteration order
-   (Provenance sorts it). [active] keeps 256 buckets: the work-ledger folds
-   sum floats in its iteration order, which reaches printed numbers. *)
+   Both grow as needed. Nothing prints [txn_by_id]'s iteration order
+   (Provenance sorts it); [active]'s reaches only the work-ledger folds,
+   whose float sums [work_conserved] compares within a tolerance. *)
 let create ?(config = Config.test ()) sim =
   let open Internal in
   let disk = Resource.create sim ~name:"disk" ~capacity:Config.disk_arms in
@@ -42,7 +42,7 @@ let create ?(config = Config.test ()) sim =
     published = Hashtbl.create 16;
     next_txn_id = 0;
     txn_by_id = Hashtbl.create 8;
-    active = Hashtbl.create 256;
+    active = Hashtbl.create 8;
     suspended = Queue.create ();
     n_retained_siread = 0;
     n_promotions = 0;
@@ -60,7 +60,8 @@ let create ?(config = Config.test ()) sim =
   }
 
 (* Install (or remove) the DPOR footprint hook on the engine and its lock
-   manager in one step; the explorer is the only caller. *)
+   manager in one step; only Interleave's scheduler calls it, with a hook
+   for the explorer's runs. *)
 let set_on_touch (t : t) f =
   t.Internal.on_touch <- f;
   Lockmgr.set_on_touch t.Internal.locks f
@@ -189,8 +190,6 @@ let summary_size (t : t) = Hashtbl.length t.Internal.summary
 let lock_table_size (t : t) = Lockmgr.lock_table_size t.Internal.locks
 
 let locks (t : t) = t.Internal.locks
-
-let cpu (t : t) = t.Internal.cpu
 
 let wal (t : t) = t.Internal.wal
 
@@ -397,30 +396,6 @@ let gc (t : t) =
    self-conflict flags). Independent of any abort — useful for ad-hoc
    inspection and the `report` subcommand's DOT output. *)
 let dot_snapshot (t : t) = Provenance.dot_snapshot t
-
-let reset_stats (t : t) =
-  let s = t.Internal.stats in
-  s.Internal.commits <- 0;
-  s.Internal.aborts_deadlock <- 0;
-  s.Internal.aborts_conflict <- 0;
-  s.Internal.aborts_unsafe <- 0;
-  s.Internal.aborts_user <- 0;
-  s.Internal.aborts_other <- 0;
-  Lockmgr.reset_stats t.Internal.locks;
-  Wal.reset_stats t.Internal.wal;
-  Resource.reset_stats t.Internal.cpu;
-  (match t.Internal.lock_mutex with Some m -> Resource.reset_stats m | None -> ());
-  (* Wasted-work ledger: zero the banked sums and REBASE the ledger so the
-     conservation invariant keeps holding for transactions already in
-     flight — their spans will be banked against the post-reset epoch. A
-     plain zero here would leave the ledger owing the in-flight start
-     times and every later conservation check would fail. *)
-  t.Internal.work_committed <- 0.0;
-  t.Internal.work_wasted <- 0.0;
-  t.Internal.work_ledger <-
-    Hashtbl.fold
-      (fun _ txn acc -> acc -. txn.Internal.start_time)
-      t.Internal.active 0.0
 
 (* {1 Wasted-work accounting} *)
 

@@ -72,7 +72,7 @@ val load : t -> string -> (string * string) list -> unit
 
 (** {1 Introspection} *)
 
-(** Commit/abort counters since creation (or {!reset_stats}). *)
+(** Commit/abort counters since creation. *)
 val stats : t -> Internal.stats
 
 (** Committed-transaction log, oldest first (only populated when
@@ -113,8 +113,6 @@ val summary_size : t -> int
 val lock_table_size : t -> int
 
 val locks : t -> Lockmgr.t
-
-val cpu : t -> Resource.t
 
 val wal : t -> Wal.t
 
@@ -169,12 +167,6 @@ val gc : t -> int
     sinks only) and squashed self-conflict flags as edges. Deterministic
     (nodes sorted by id, edges deduplicated). *)
 val dot_snapshot : t -> string
-
-(** Zero the counters above (plus the lock manager's, the WAL's and the CPU
-    resource's) and the wasted-work sums. The work ledger is rebased over
-    the transactions currently in flight, so {!work_conserved} keeps
-    holding across a mid-run reset. *)
-val reset_stats : t -> unit
 
 (** {1 Wasted-work accounting}
 

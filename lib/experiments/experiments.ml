@@ -783,37 +783,6 @@ let all_figures =
     ("retention-budget", ablation_retention);
   ]
 
-(* Static titles so `list` does not need to run anything. *)
-let titles =
-  [
-    ("fig6.1", "Berkeley DB SmallBank, no log flush");
-    ("fig6.2", "Berkeley DB SmallBank, log flushed at commit");
-    ("fig6.3", "Berkeley DB SmallBank, complex transactions, log flush");
-    ("fig6.4", "Berkeley DB SmallBank, low contention (10x accounts)");
-    ("fig6.5", "Berkeley DB SmallBank, complex + low contention");
-    ("fig6.6", "InnoDB sibench, 10 items, mixed workload");
-    ("fig6.7", "InnoDB sibench, 100 items, mixed workload");
-    ("fig6.8", "InnoDB sibench, 1000 items, mixed workload");
-    ("fig6.9", "InnoDB sibench, 10 items, query-mostly");
-    ("fig6.10", "InnoDB sibench, 100 items, query-mostly");
-    ("fig6.11", "InnoDB sibench, 1000 items, query-mostly");
-    ("fig6.12", "TPC-C++ 1 warehouse, skip ytd");
-    ("fig6.13", "TPC-C++ 10 warehouses (I/O bound)");
-    ("fig6.14", "TPC-C++ 10 warehouses, skip ytd");
-    ("fig6.15", "TPC-C++ tiny scaling (high contention)");
-    ("fig6.16", "TPC-C++ tiny scaling, skip ytd");
-    ("fig6.17", "TPC-C++ Stock Level mix, 10 warehouses");
-    ("fig6.18", "TPC-C++ Stock Level mix, tiny scaling");
-    ("ablation-precise", "SSI basic vs precise conflict tracking (3.6)");
-    ("ablation-upgrade", "SIREAD upgrade optimisation on/off (3.7.3)");
-    ("ablation-fixes", "SmallBank static fixes at SI vs SSI (2.8.5)");
-    ("ablation-mutex", "lock-manager kernel mutex on/off (6.3)");
-    ("ablation-mixed", "SI queries mixed with SSI updates (3.8)");
-    ("ablation-bufferpool", "probabilistic read_miss vs real LRU buffer pool");
-    ("ablation-ro", "read-only snapshot refinement on/off (extension)");
-    ("retention-budget", "bounded SIREAD memory: unbounded vs budget (4.8 extension)");
-  ]
-
 let find_figure id = List.assoc_opt id all_figures
 
 (* {1 Single-point workloads}

@@ -141,23 +141,10 @@ type t = {
   ro : bool list;  (** declared READ ONLY at begin; same length as [specs] *)
   init : (string * string) list;  (** rows loaded before the run *)
   schedule : int list;
-      (** turn order: transaction indices; index [i] appears exactly
-          [List.length (List.nth specs i)] times *)
+      (** the turn list {!Interleave.run_interleaving} takes: index [i]
+          appears exactly [List.length (List.nth specs i)] times *)
   cfg : cfg_point;
 }
-
-(* Pair each turn with its transaction's next pending operation — the
-   (int * op) form {!Interleave.run_interleaving} takes. *)
-let schedule_ops (specs : Interleave.spec list) (schedule : int list) =
-  let pending = Array.of_list (List.map ref specs) in
-  List.map
-    (fun i ->
-      match !(pending.(i)) with
-      | op :: rest ->
-          pending.(i) := rest;
-          (i, op)
-      | [] -> invalid_arg "schedule_ops: schedule has too many turns for a transaction")
-    schedule
 
 let total_ops c = List.fold_left (fun a s -> a + List.length s) 0 c.specs
 

@@ -24,13 +24,8 @@ open Core.Types
 (* Run one case at SSI with abort provenance enabled. Returns the engine
    result plus the certificates in emission order. *)
 let certified_run (c : Fuzzcase.t) : Interleave.result * Obs.certificate list =
-  let config = Fuzzcase.config_of_point c.Fuzzcase.cfg in
-  let order = Fuzzcase.schedule_ops c.Fuzzcase.specs c.Fuzzcase.schedule in
   let obs = Obs.create ~trace:false ~metrics:false ~provenance:true () in
-  let r =
-    Interleave.run_interleaving ~config ~obs ~init:c.Fuzzcase.init ~ro:c.Fuzzcase.ro
-      ~isolation:Serializable c.Fuzzcase.specs order
-  in
+  let r = Fuzzrun.run_case ~obs ~isolation:Serializable c in
   (r, Obs.certs obs)
 
 (* "r/<table>/<key>" -> Some (table, key). *)

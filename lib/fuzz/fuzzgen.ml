@@ -46,26 +46,6 @@ let gen_spec st ~nkeys ~max_ops ~ro : Interleave.spec =
   (* occasionally end with a user rollback (work that must leave no trace) *)
   if Random.State.int st 12 = 0 then ops @ [ Interleave.Abort_op ] else ops
 
-(* A uniform random merge of the scripts' turn sequences: the next turn goes
-   to transaction [i] with probability remaining_i / total_remaining (see
-   Interleave.random_order for why this is uniform over interleavings). *)
-let gen_schedule st (lengths : int list) : int list =
-  let remaining = Array.of_list lengths in
-  let total = ref (Array.fold_left ( + ) 0 remaining) in
-  let order = ref [] in
-  while !total > 0 do
-    let u = Random.State.int st !total in
-    let i = ref 0 and acc = ref 0 in
-    while u >= !acc + remaining.(!i) do
-      acc := !acc + remaining.(!i);
-      incr i
-    done;
-    remaining.(!i) <- remaining.(!i) - 1;
-    order := !i :: !order;
-    decr total
-  done;
-  List.rev !order
-
 (* One case under the given matrix point. *)
 let case ?(profile = default_profile) st ~(cfg : Fuzzcase.cfg_point) : Fuzzcase.t =
   let nkeys = 2 + Random.State.int st (max 1 (profile.p_max_keys - 1)) in
@@ -79,7 +59,7 @@ let case ?(profile = default_profile) st ~(cfg : Fuzzcase.cfg_point) : Fuzzcase.
       (fun i -> if Random.State.int st 4 < 3 then Some (key_name i, "0") else None)
       (List.init nkeys Fun.id)
   in
-  let schedule = gen_schedule st (List.map List.length specs) in
+  let schedule = Interleave.random_order st specs in
   { Fuzzcase.specs; ro; init; schedule; cfg }
 
 (* {1 Campaign cases}

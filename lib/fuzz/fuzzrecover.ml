@@ -96,10 +96,7 @@ let synthesize_committed records =
 (* Run [c] to completion with the census probe armed; the result's engine
    carries the since-arm counters the plan sampler draws from. *)
 let reference_run (c : Fuzzcase.t) : Interleave.result =
-  let config = Fuzzcase.config_of_point c.Fuzzcase.cfg in
-  let order = Fuzzcase.schedule_ops c.Fuzzcase.specs c.Fuzzcase.schedule in
-  Interleave.run_interleaving ~config ~init:c.Fuzzcase.init ~ro:c.Fuzzcase.ro
-    ~crash:probe_plan ~isolation:Types.Serializable c.Fuzzcase.specs order
+  Fuzzrun.run_case ~crash:probe_plan ~isolation:Types.Serializable c
 
 (* Sample fault plans from the census of a completed reference run: a
    couple of append points, a mid-flush tear when the mode flushes at all,
@@ -131,17 +128,12 @@ let sample_plans rng (wal : Wal.t) : Wal.plan list =
 (* Crash [c] at [plan], recover from the durable prefix, apply the oracle.
    [reference] must be a completed {!reference_run} of the same case. *)
 let check_crash (c : Fuzzcase.t) ~(reference : Interleave.result) plan : outcome =
-  let config = Fuzzcase.config_of_point c.Fuzzcase.cfg in
-  let order = Fuzzcase.schedule_ops c.Fuzzcase.specs c.Fuzzcase.schedule in
-  let r =
-    Interleave.run_interleaving ~config ~init:c.Fuzzcase.init ~ro:c.Fuzzcase.ro
-      ~crash:plan ~isolation:Types.Serializable c.Fuzzcase.specs order
-  in
+  let r = Fuzzrun.run_case ~crash:plan ~isolation:Types.Serializable c in
   if not r.Interleave.crashed then
     { o_plan = plan; o_report = None; o_violation = Some No_crash }
   else
     let log = Wal.durable_log (Db.wal r.Interleave.db) in
-    match Db.recover ~config (Sim.create ()) ~log with
+    match Db.recover ~config:(Db.config r.Interleave.db) (Sim.create ()) ~log with
     | Error e -> { o_plan = plan; o_report = None; o_violation = Some (Recover_error e) }
     | Ok (db, report) ->
         let violation =
@@ -161,10 +153,7 @@ let check_crash (c : Fuzzcase.t) ~(reference : Interleave.result) plan : outcome
               | Ok (records, _) -> synthesize_committed records
               | Error _ -> [] (* unreachable: recovery decoded the same log *)
             in
-            let cont =
-              Interleave.run_interleaving ~db ~ro:c.Fuzzcase.ro
-                ~isolation:Types.Serializable c.Fuzzcase.specs order
-            in
+            let cont = Fuzzrun.run_case ~db ~isolation:Types.Serializable c in
             let internal =
               List.find_map
                 (function Some (Types.Internal_error e) -> Some e | _ -> None)

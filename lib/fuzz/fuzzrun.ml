@@ -41,12 +41,15 @@ let history_to_string (h : committed_record list) =
 
 let history_digest h = Digest.to_hex (Digest.string (history_to_string h))
 
-(* Run one case at one isolation level. *)
-let run_case ~isolation (c : Fuzzcase.t) : Interleave.result =
-  let config = Fuzzcase.config_of_point c.Fuzzcase.cfg in
-  let order = Fuzzcase.schedule_ops c.Fuzzcase.specs c.Fuzzcase.schedule in
-  Interleave.run_interleaving ~config ~init:c.Fuzzcase.init ~ro:c.Fuzzcase.ro ~isolation
-    c.Fuzzcase.specs order
+(* Run one case at one isolation level: how every fuzz campaign runs a
+   case. [obs] attaches a sink, [crash] arms a fault plan, and [db]
+   continues the case's scripts on an existing (recovered) engine, as in
+   {!Interleave.run_interleaving}. *)
+let run_case ?obs ?crash ?db ~isolation (c : Fuzzcase.t) : Interleave.result =
+  Interleave.run_interleaving
+    ~config:(Fuzzcase.config_of_point c.Fuzzcase.cfg)
+    ?obs ?crash ?db ~init:c.Fuzzcase.init ~ro:c.Fuzzcase.ro ~isolation c.Fuzzcase.specs
+    c.Fuzzcase.schedule
 
 (* Shrinking predicate for SI anomalies (cheap: one run, no matrix). *)
 let si_nonserializable c = not (run_case ~isolation:Snapshot c).Interleave.serializable

@@ -632,8 +632,3 @@ let requests t = t.requests
 let waits t = t.waits
 
 let deadlocks t = t.deadlocks
-
-let reset_stats t =
-  t.requests <- 0;
-  t.waits <- 0;
-  t.deadlocks <- 0

@@ -124,5 +124,3 @@ val waits : t -> int
 
 (** Deadlock victims chosen. *)
 val deadlocks : t -> int
-
-val reset_stats : t -> unit

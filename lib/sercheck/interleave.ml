@@ -3,16 +3,19 @@
    a fresh database and check that (a) the committed history is always
    serializable under SSI/S2PL, and (b) the known anomalies appear under SI.
 
-   Scheduling is blocking-capable. Every transaction runs in its own
-   simulator process; a scheduler process hands out one-operation turns
-   following the requested order. An operation that blocks (a write-write
-   lock wait, S2PL read locks, gap locks, page locks) parks its transaction
-   inside the lock manager; the scheduler detects this via
-   {!Lockmgr.is_waiting} and moves on to the next runnable turn, so scripts
-   with cross-transaction write-write conflicts — which the original §4.7
-   harness could not express — execute deterministically. Blocked
-   transactions resume when their lock is granted (or the deadlock detector
-   kills them) and consume any remaining turns in a final drain phase. *)
+   A schedule is a turn list: spec indices in turn order, each entry
+   granting its transaction the next operation of its script. Scheduling
+   is blocking-capable. Every transaction runs in its own simulator
+   process; a scheduler process hands out one-operation turns through one
+   grant loop, from a turn list or the explorer's pick callback. An
+   operation that blocks (a write-write lock wait, S2PL read locks, gap
+   locks, page locks) parks its transaction inside the lock manager; the
+   scheduler detects this via {!Lockmgr.is_waiting} and moves on to the
+   next runnable turn, so scripts with cross-transaction write-write
+   conflicts — which the original §4.7 harness could not express — execute
+   deterministically. Blocked transactions resume when their lock is
+   granted (or the deadlock detector kills them) and consume any remaining
+   turns in a final drain phase. *)
 
 open Core
 
@@ -56,31 +59,24 @@ let default_init (specs : spec list) =
   in
   List.map (fun k -> (k, "0")) (List.sort_uniq compare keys)
 
-(* All merges of the transactions' op sequences, each op tagged with its
-   transaction index, produced lazily in lexicographic transaction-index
-   order. Count = multinomial coefficient; memory is O(total ops) — one
-   path through the merge tree — however many interleavings there are, so
-   sweeps over 4-txn specs no longer materialize hundreds of thousands of
-   schedules up front. *)
-let interleavings_seq (specs : spec list) : (int * op) list Seq.t =
-  let rec go (pending : (int * op list) list) : (int * op) list Seq.t =
-    if List.for_all (fun (_, ops) -> ops = []) pending then Seq.return []
+(* All merges of the scripts' turn sequences, produced lazily in
+   lexicographic order. Count = multinomial coefficient; memory is
+   O(total ops) — one path through the merge tree — however many
+   interleavings there are, so sweeps over 4-txn specs never materialize
+   hundreds of thousands of schedules up front. *)
+let interleavings_seq (specs : spec list) : int list Seq.t =
+  let rec go (left : (int * int) list) : int list Seq.t =
+    if List.for_all (fun (_, k) -> k = 0) left then Seq.return []
     else
       Seq.concat_map
-        (fun (i, ops) ->
-          match ops with
-          | [] -> Seq.empty
-          | op :: rest ->
-              let pending' =
-                List.map (fun (j, ops') -> if j = i then (j, rest) else (j, ops')) pending
-              in
-              Seq.map (fun tail -> (i, op) :: tail) (go pending'))
-        (List.to_seq pending)
+        (fun (i, k) ->
+          if k = 0 then Seq.empty
+          else
+            let left' = List.map (fun (j, k') -> if j = i then (j, k' - 1) else (j, k')) left in
+            Seq.map (List.cons i) (go left'))
+        (List.to_seq left)
   in
-  go (List.mapi (fun i s -> (i, s)) specs)
-
-let interleavings (specs : spec list) : (int * op) list list =
-  List.of_seq (interleavings_seq specs)
+  go (List.mapi (fun i s -> (i, List.length s)) specs)
 
 (* Multinomial schedule count (total ops)! / prod (len_i!), computed as a
    product of binomials so intermediate values stay integral. *)
@@ -102,17 +98,17 @@ let count_interleavings (specs : spec list) : int =
   in
   count
 
-(* A single random merge of the op sequences, for sampled sweeps where the
-   full interleaving set is too large.
+(* A single random merge of the scripts' turn sequences, for sampled
+   sweeps where the full interleaving set is too large, and the fuzzer's
+   schedules.
 
-   The transaction supplying the next operation is chosen with probability
+   The transaction taking the next turn is chosen with probability
    proportional to its *remaining* operation count, not uniformly over
    nonempty transactions: a complete merge is then drawn with probability
    (Π len_i!) / total!, i.e. uniformly over the multinomial set of
    interleavings. (The old uniform-over-transactions rule oversampled
    orders that exhaust short transactions late.) *)
-let random_order st (specs : spec list) : (int * op) list =
-  let pending = Array.of_list (List.map (fun s -> ref s) specs) in
+let random_order st (specs : spec list) : int list =
   let remaining = Array.of_list (List.map List.length specs) in
   let total = ref (Array.fold_left ( + ) 0 remaining) in
   let order = ref [] in
@@ -123,13 +119,8 @@ let random_order st (specs : spec list) : (int * op) list =
       acc := !acc + remaining.(!i);
       incr i
     done;
-    let i = !i in
-    (match !(pending.(i)) with
-    | op :: rest ->
-        pending.(i) := rest;
-        remaining.(i) <- remaining.(i) - 1;
-        order := (i, op) :: !order
-    | [] -> assert false);
+    remaining.(!i) <- remaining.(!i) - 1;
+    order := !i :: !order;
     decr total
   done;
   List.rev !order
@@ -145,32 +136,32 @@ type result = {
          outcome digests can rename schedule-dependent ids back to indices *)
 }
 
-(* Scheduler context handed to a driver (the scheduler process body):
-   [x_idle i] is true when transaction [i] can be granted a turn; [x_issue i]
-   grants one and returns when the operation settles (completes, aborts, or
-   parks in the lock manager); [x_unfinished ()] is true while any script has
-   ops (or its commit) left. *)
-type sched_ctx = {
-  x_n : int;
-  x_sim : Sim.t;
-  x_db : Db.t;
-  x_txn_ids : int array;
-  x_granted : int array;
-  x_idle : int -> bool;
-  x_issue : int -> unit;
-  x_unfinished : unit -> bool;
-}
+(* The spec index of engine transaction [id] in [txn_ids], or -1 (the
+   summarization sentinel, the bulk load). *)
+let rec spec_index (txn_ids : int array) id i =
+  if i >= Array.length txn_ids then -1
+  else if txn_ids.(i) = id then i
+  else spec_index txn_ids id (i + 1)
 
-(* Execute the scripts at [isolation] under a caller-supplied scheduler.
-   [init] rows are bulk-loaded first (default: value "0" for every key named
-   by a read/write/delete). Each transaction commits right after its last
+(* Execute the scripts at [isolation] through one grant loop. [init] rows
+   are bulk-loaded first (default: value "0" for every key named by a
+   read/write/delete). Each transaction commits right after its last
    operation; [ro] marks transactions declared READ ONLY at begin (enabling
-   the read-only refinement when configured). [driver] runs as the scheduler
-   process and decides which transaction each turn goes to;
-   [run_interleaving] drives it from an order list, [run_directed] from a
-   pick callback. *)
-let run_driven ?config ?obs ?init ?ro ?db ?crash ~isolation (specs : spec list)
-    ~(driver : sched_ctx -> unit) : result =
+   the read-only refinement when configured).
+
+   Turns are granted in two phases. While [choose idle] names a
+   transaction ([idle i] is true when [i] can take a turn), that
+   transaction gets the next free turn; once it returns -1 the run
+   switches for good to the canonical drain, which grants leftover turns
+   in index order and, when every remaining transaction is mid-operation,
+   advances time so lock grants and the (possibly periodic) deadlock
+   detector can make progress. [on_grant i free] fires just before each
+   grant ([free] is false in the drain); [on_touch i is_write resource]
+   sees every resource the engine touches for spec index [i] while the
+   scheduler runs. [run_interleaving] chooses from a turn list,
+   [run_directed] through a pick callback. *)
+let run_driven ?config ?obs ?init ?ro ?db ?crash ?(on_grant = fun _ _ -> ()) ?on_touch
+    ~isolation (specs : spec list) ~(choose : (int -> bool) -> int) : result =
   let sim, db =
     match db with
     | Some db ->
@@ -260,7 +251,8 @@ let run_driven ?config ?obs ?init ?ro ?db ?crash ~isolation (specs : spec list)
   (* Grant one turn and wait until the operation settles: completes, aborts,
      or parks in the lock manager. Operation work is simulated CPU/IO time,
      so settling is driven by small clock ticks. *)
-  let issue i =
+  let grant i free =
+    on_grant i free;
     granted.(i) <- granted.(i) + 1;
     Sim.broadcast sim turn;
     while
@@ -271,18 +263,35 @@ let run_driven ?config ?obs ?init ?ro ?db ?crash ~isolation (specs : spec list)
       Sim.delay sim tick
     done
   in
+  (* The footprint hook is live while the scheduler runs; touches by ids
+     that name no spec are dropped. *)
+  let hook =
+    match on_touch with
+    | Some f ->
+        Some
+          (fun id is_write resource ->
+            let i = spec_index txn_ids id 0 in
+            if i >= 0 then f i is_write resource)
+    | None -> None
+  in
   Sim.spawn sim (fun () ->
-      driver
-        {
-          x_n = n;
-          x_sim = sim;
-          x_db = db;
-          x_txn_ids = txn_ids;
-          x_granted = granted;
-          x_idle = idle;
-          x_issue = issue;
-          x_unfinished = unfinished;
-        });
+      Db.set_on_touch db hook;
+      let free = ref true in
+      while !free && unfinished () do
+        let i = choose idle in
+        if i < 0 then free := false else grant i true
+      done;
+      while unfinished () do
+        let made = ref false in
+        for i = 0 to n - 1 do
+          if idle i then begin
+            made := true;
+            grant i false
+          end
+        done;
+        if (not !made) && unfinished () then Sim.delay sim 0.01
+      done;
+      Db.set_on_touch db None);
   let crashed =
     (* An injected crash escapes the faulting transaction's process and
        aborts the whole simulated machine: the run ends here with whatever
@@ -313,44 +322,46 @@ let run_driven ?config ?obs ?init ?ro ?db ?crash ~isolation (specs : spec list)
     txn_ids = Array.to_list txn_ids;
   }
 
-(* The canonical drain loop shared by both schedulers: grant leftover turns
-   in index order; when every remaining transaction is mid-operation,
-   advance time so lock grants and the (possibly periodic) deadlock
-   detector can make progress. [on_grant] fires just before each grant. *)
-let drain_loop ?(on_grant = fun _ -> ()) (c : sched_ctx) =
-  while c.x_unfinished () do
-    let made = ref false in
-    for i = 0 to c.x_n - 1 do
-      if c.x_idle i then begin
-        made := true;
-        on_grant i;
-        c.x_issue i
-      end
-    done;
-    if (not !made) && c.x_unfinished () then Sim.delay c.x_sim 0.01
-  done
+(* Every turn must name a script, and no script may get more turns than it
+   has operations; checked before anything runs. *)
+let check_turns (specs : spec list) (turns : int list) =
+  let left = Array.of_list (List.map List.length specs) in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= Array.length left then
+        invalid_arg (Printf.sprintf "run_interleaving: turn %d names no script" i);
+      if left.(i) = 0 then
+        invalid_arg
+          (Printf.sprintf "run_interleaving: more turns for script %d than it has operations" i);
+      left.(i) <- left.(i) - 1)
+    turns
 
 let run_interleaving ?config ?obs ?init ?ro ?db ?crash ~isolation (specs : spec list)
-    (order : (int * op) list) : result =
-  run_driven ?config ?obs ?init ?ro ?db ?crash ~isolation specs ~driver:(fun c ->
-      (* The [order] list is a sequence of turns: each entry grants its
-         transaction permission to run its *next* pending operation (the op
-         component of the pair is advisory — execution always follows the
-         script). A turn offered to a transaction that is still blocked
-         inside a previous operation is skipped (costing no simulated time);
-         leftover operations run in the drain phase, so every transaction
-         always finishes (commit or abort) before the function returns. *)
-      List.iter (fun (i, _) -> if c.x_idle i then c.x_issue i) order;
-      drain_loop c)
+    (turns : int list) : result =
+  check_turns specs turns;
+  (* Each entry of [turns] grants its transaction its next pending
+     operation. A turn offered to a transaction still blocked inside a
+     previous operation is skipped (costing no simulated time); leftover
+     operations run in the drain, so every transaction always finishes
+     (commit or abort) before the function returns. *)
+  let left = ref turns in
+  let rec next idle =
+    match !left with
+    | [] -> -1
+    | i :: rest ->
+        left := rest;
+        if idle i then i else next idle
+  in
+  run_driven ?config ?obs ?init ?ro ?db ?crash ~isolation specs ~choose:next
 
 (* {1 Directed execution with footprint capture (the DPOR explorer's engine
    interface)} *)
 
 (* One scheduler turn of a directed run. [ds_free] distinguishes genuine
    choice points from drain-phase grants: once every unfinished transaction
-   is simultaneously parked, any order list would consume its remaining
-   entries without advancing time and fall into the same canonical drain
-   loop, so drain grants are not schedule branch points — this is how the
+   is simultaneously parked, any turn list would consume its remaining
+   entries without advancing time and fall into the same canonical drain,
+   so drain grants are not schedule branch points — this is how the
    skipped-turn/drain semantics fold into the happens-before relation.
    Footprints are mutable because a parked operation keeps touching
    resources when it resumes during later turns; readers of a trace must
@@ -367,8 +378,8 @@ type dstep = {
    [enabled] is the ascending list of grantable transactions, [steps] the
    turns recorded so far (newest first, footprints partial for parked ops).
    Once no transaction is grantable the run switches permanently to the
-   canonical drain loop (see {!dstep}). Returns the recorded schedule
-   alongside the result.
+   canonical drain (see {!dstep}). Returns the recorded schedule alongside
+   the result.
 
    [begin_marker] makes every transaction's first turn write a shared "tid"
    pseudo-resource: engine transaction ids are handed out in begin order, so
@@ -379,56 +390,43 @@ type dstep = {
 let run_directed ?config ?obs ?init ?ro ?(begin_marker = false) ~isolation (specs : spec list)
     ~(pick : step:int -> enabled:int list -> steps:dstep list -> int) :
     result * dstep list =
+  let n = List.length specs in
   let steps = ref [] in
+  let cur = Array.make n None in
+  let stepno = ref 0 in
+  let last_enabled = ref [] in
+  let choose idle =
+    let enabled = ref [] in
+    for i = n - 1 downto 0 do
+      if idle i then enabled := i :: !enabled
+    done;
+    match !enabled with
+    | [] -> -1
+    | enabled ->
+        let i = pick ~step:!stepno ~enabled ~steps:!steps in
+        if not (List.mem i enabled) then
+          invalid_arg "run_directed: pick chose a non-enabled transaction";
+        incr stepno;
+        last_enabled := enabled;
+        i
+  in
+  let on_grant i free =
+    let enabled = if free then !last_enabled else [ i ] in
+    let s = { ds_txn = i; ds_enabled = enabled; ds_free = free; ds_reads = []; ds_writes = [] } in
+    if begin_marker && Option.is_none cur.(i) then s.ds_writes <- [ "tid" ];
+    steps := s :: !steps;
+    cur.(i) <- Some s
+  in
+  (* Footprint hook: attribute each touch to the transaction's newest turn. *)
+  let on_touch i is_write resource =
+    match cur.(i) with
+    | Some s ->
+        if is_write then s.ds_writes <- resource :: s.ds_writes
+        else s.ds_reads <- resource :: s.ds_reads
+    | None -> ()
+  in
   let result =
-    run_driven ?config ?obs ?init ?ro ~isolation specs ~driver:(fun c ->
-        let cur = Array.make c.x_n None in
-        (* Footprint hook: attribute each touch to the owner's newest turn.
-           Unknown owners (the summarization sentinel, bulk load) have no
-           turn and are ignored. *)
-        Db.set_on_touch c.x_db
-          (Some
-             (fun id is_write resource ->
-               let rec find i =
-                 if i >= c.x_n then ()
-                 else if c.x_txn_ids.(i) = id then (
-                   match cur.(i) with
-                   | Some s ->
-                       if is_write then s.ds_writes <- resource :: s.ds_writes
-                       else s.ds_reads <- resource :: s.ds_reads
-                   | None -> ())
-                 else find (i + 1)
-               in
-               find 0));
-        let record i enabled free =
-          let s =
-            { ds_txn = i; ds_enabled = enabled; ds_free = free; ds_reads = []; ds_writes = [] }
-          in
-          if begin_marker && c.x_granted.(i) = 0 then s.ds_writes <- [ "tid" ];
-          steps := s :: !steps;
-          cur.(i) <- Some s
-        in
-        let stepno = ref 0 in
-        let free = ref true in
-        while c.x_unfinished () do
-          if !free then begin
-            let enabled = ref [] in
-            for i = c.x_n - 1 downto 0 do
-              if c.x_idle i then enabled := i :: !enabled
-            done;
-            match !enabled with
-            | [] -> free := false (* permanent: fall to the canonical drain *)
-            | enabled ->
-                let i = pick ~step:!stepno ~enabled ~steps:!steps in
-                if not (List.mem i enabled) then
-                  invalid_arg "run_directed: pick chose a non-enabled transaction";
-                incr stepno;
-                record i enabled true;
-                c.x_issue i
-          end
-          else drain_loop ~on_grant:(fun i -> record i [ i ] false) c
-        done;
-        Db.set_on_touch c.x_db None)
+    run_driven ?config ?obs ?init ?ro ~on_grant ~on_touch ~isolation specs ~choose
   in
   (result, List.rev !steps)
 

@@ -3,13 +3,15 @@
     against a fresh engine and verify serializability outcomes per isolation
     level.
 
-    Scheduling is blocking-capable: each transaction runs in its own
-    simulator process and a scheduler process grants one-operation turns in
-    the requested order. Operations that block (write-write lock waits, S2PL
-    read locks, gap and page locks) park their transaction; its remaining
-    turns are skipped until the lock is granted and any leftovers run in a
-    final drain phase, so scripts with cross-transaction write-write
-    conflicts execute deterministically and always terminate. *)
+    A schedule is a turn list: spec indices in turn order. Scheduling is
+    blocking-capable: each transaction runs in its own simulator process
+    and a scheduler process grants one-operation turns, from a turn list
+    or a pick callback, through one grant loop. Operations that block
+    (write-write lock waits, S2PL read locks, gap and page locks) park
+    their transaction; its remaining turns are skipped until the lock is
+    granted and any leftovers run in a final drain phase, so scripts with
+    cross-transaction write-write conflicts execute deterministically and
+    always terminate. *)
 
 type op =
   | R of string  (** point read *)
@@ -36,14 +38,10 @@ val spec_to_string : spec -> string
     are excluded so inserts have fresh keys to create. *)
 val default_init : spec list -> (string * string) list
 
-(** All merges of the scripts' operation sequences, produced lazily in
-    lexicographic transaction-index order; memory is O(total ops) however
-    many interleavings there are. *)
-val interleavings_seq : spec list -> (int * op) list Seq.t
-
-(** {!interleavings_seq} materialized (multinomial count — keep the specs
-    small). *)
-val interleavings : spec list -> (int * op) list list
+(** All merges of the scripts' turn sequences, produced lazily in
+    lexicographic order; memory is O(total ops) however many
+    interleavings there are. *)
+val interleavings_seq : spec list -> int list Seq.t
 
 (** Multinomial schedule count [(Σ len_i)! / Π len_i!] — the brute-force
     bound the explorer's reduction factor is measured against. *)
@@ -51,7 +49,7 @@ val count_interleavings : spec list -> int
 
 (** One random merge, uniform over the multinomial interleaving set (the
     next transaction is weighted by its remaining-operation count). *)
-val random_order : Random.State.t -> spec list -> (int * op) list
+val random_order : Random.State.t -> spec list -> int list
 
 type result = {
   outcomes : Core.Types.abort_reason option list;  (** [None] = committed *)
@@ -64,14 +62,19 @@ type result = {
           outcome digests can rename schedule-dependent ids to indices *)
 }
 
-(** Execute one interleaving at the given isolation. [init] overrides the
-    {!default_init} rows; [ro] declares transactions READ ONLY at begin
-    (must match the spec count). [obs] attaches an observability sink to the
-    freshly created engine before any transaction starts (abort-provenance
+(** Execute one interleaving at the given isolation. [turns] is the
+    schedule: spec indices in turn order, each entry granting that
+    transaction its next operation. [init] overrides the {!default_init}
+    rows; [ro] declares transactions READ ONLY at begin (must match the
+    spec count). [obs] attaches an observability sink to the freshly
+    created engine before any transaction starts (abort-provenance
     certificates, trace spans). Each transaction commits right after its
-    last operation. Turns offered to a blocked transaction are skipped and
-    its remaining operations run in a drain phase, so every transaction
-    terminates (commit or abort) before the call returns.
+    last operation. A turn offered to a transaction blocked in the lock
+    manager is skipped at no simulated cost, and leftover operations run
+    in a drain phase in index order, so every transaction terminates
+    (commit or abort) before the call returns. Raises [Invalid_argument]
+    before anything runs if a turn names no script or a script gets more
+    turns than it has operations.
 
     [db] switches to continuation mode: the interleaving runs against the
     given (e.g. freshly recovered) engine and its simulation instead of a
@@ -89,12 +92,12 @@ val run_interleaving :
   ?crash:Wal.plan ->
   isolation:Core.Types.isolation ->
   spec list ->
-  (int * op) list ->
+  int list ->
   result
 
 (** One scheduler turn of a {!run_directed} run. [ds_free] distinguishes
     genuine choice points from canonical drain-phase grants (once every
-    unfinished transaction is parked, any order list falls into the same
+    unfinished transaction is parked, any turn list falls into the same
     index-order drain — those grants are not schedule branch points).
     Footprints are mutable: a parked operation keeps touching resources as
     it resumes during later turns, so they are only complete once the run
@@ -111,12 +114,13 @@ type dstep = {
     ([enabled] ascending and non-empty, [steps] newest first with partial
     footprints), recording each turn's observed read/write footprint via the
     engine's [Db.set_on_touch] hook. Once no transaction is grantable the
-    run switches permanently to the canonical drain loop. [begin_marker]
-    makes every transaction's first turn write a shared ["tid"]
-    pseudo-resource, for configurations whose behaviour depends on
-    transaction-id order (Prefer_younger victims, the periodic detector's
-    kill-the-youngest rule). Raises [Invalid_argument] if [pick] returns a
-    transaction not in [enabled]. *)
+    run switches permanently to the canonical drain; the grant loop is the
+    one {!run_interleaving} drives. [begin_marker] makes every
+    transaction's first turn write a shared ["tid"] pseudo-resource, for
+    configurations whose behaviour depends on transaction-id order
+    (Prefer_younger victims, the periodic detector's kill-the-youngest
+    rule). Raises [Invalid_argument] if [pick] returns a transaction not in
+    [enabled]. *)
 val run_directed :
   ?config:Core.Config.t ->
   ?obs:Obs.t ->

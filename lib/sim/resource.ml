@@ -108,5 +108,3 @@ let busy_time t = t.busy.seconds
 let utilisation t ~elapsed =
   if elapsed <= 0.0 then 0.0
   else t.busy.seconds /. (elapsed *. float_of_int t.capacity)
-
-let reset_stats t = t.busy.seconds <- 0.0

@@ -42,5 +42,3 @@ val busy_time : t -> float
 
 (** Fraction of capacity busy over an [elapsed]-second window. *)
 val utilisation : t -> elapsed:float -> float
-
-val reset_stats : t -> unit

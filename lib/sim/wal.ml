@@ -455,11 +455,3 @@ let armed_appends t = t.p_appends
 let armed_flushes t = t.p_flushes
 
 let armed_windows t = t.p_windows
-
-(* Counters only. The buffered batch, durable image and epoch/flush
-   bookkeeping survive a reset: zeroing [epoch]/[flushed] here (or dropping
-   [pending]) while a group flush is in flight would lose the in-flight
-   batch — pinned by test_recovery's reset_stats regression. *)
-let reset_stats t =
-  t.appends <- 0;
-  t.flushes <- 0

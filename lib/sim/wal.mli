@@ -144,8 +144,3 @@ val armed_appends : t -> int
 val armed_flushes : t -> int
 
 val armed_windows : t -> int
-
-(** Zero the counters only. Never touches the buffered batch, the durable
-    image or the epoch/flush bookkeeping, so a reset concurrent with an
-    in-flight group flush cannot lose records. *)
-val reset_stats : t -> unit

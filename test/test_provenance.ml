@@ -54,8 +54,7 @@ let contains_sub s sub =
    first, becoming a committed pivot (in-edge from T1's read of k0, out-edge
    to T1's write of k1); T1's final write must then abort Unsafe and emit an
    [Ssi_pivot] certificate naming T0 as the pivot and T1 as the victim. *)
-let write_skew_order =
-  Interleave.[ (0, R "x"); (0, R "y"); (1, R "x"); (1, R "y"); (0, W "x"); (1, W "y") ]
+let write_skew_order = [ 0; 0; 1; 1; 0; 1 ]
 
 let run_write_skew () =
   let obs = prov_obs () in

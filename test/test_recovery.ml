@@ -13,8 +13,6 @@
      conservative summary-table entries for recovered commits, and the
      publish-skip that lets the snapshot horizon advance past a rolled-back
      commit timestamp.
-   - The reset_stats regression: a counter reset concurrent with an
-     in-flight group flush must not lose the flushing batch.
    - The fixed-seed crash-point campaign: >= 10k crash runs with zero
      recovery-oracle failures, identical with and without a domain pool. *)
 
@@ -143,8 +141,8 @@ let flush_config =
     checkpoint_interval = None;
   }
 
-let run_with_crash ?(config = Config.test ()) specs order crash =
-  Interleave.run_interleaving ~config ~crash ~isolation:Types.Serializable specs order
+let run_with_crash ?(config = Config.test ()) specs turns crash =
+  Interleave.run_interleaving ~config ~crash ~isolation:Types.Serializable specs turns
 
 let recover_result (r : Interleave.result) =
   match Db.recover (Sim.create ()) ~log:(Wal.durable_log (Db.wal r.Interleave.db)) with
@@ -160,7 +158,7 @@ let contains s sub =
    crashed in its commit window — txn 1 must survive, txn 2 must not. *)
 let test_flushed_commit_survives () =
   let specs = Interleave.[ [ W "x" ]; [ W "y" ] ] in
-  let order = Interleave.[ (0, W "x"); (1, W "y") ] in
+  let order = [ 0; 1 ] in
   let r = run_with_crash ~config:flush_config specs order (Wal.Crash_at_commit_window 2) in
   Alcotest.(check bool) "crashed" true r.Interleave.crashed;
   let db, rep = recover_result r in
@@ -174,7 +172,7 @@ let test_flushed_commit_survives () =
    reached the durable image. *)
 let test_commit_window_crash_lost () =
   let specs = Interleave.[ [ W "x" ] ] in
-  let order = Interleave.[ (0, W "x") ] in
+  let order = [ 0 ] in
   let r = run_with_crash ~config:flush_config specs order (Wal.Crash_at_commit_window 1) in
   Alcotest.(check bool) "crashed" true r.Interleave.crashed;
   let db, rep = recover_result r in
@@ -190,7 +188,7 @@ let test_commit_window_crash_lost () =
    the single in-flight transaction. *)
 let test_no_flush_expected_loss () =
   let specs = Interleave.[ [ W "x" ]; [ W "y" ] ] in
-  let order = Interleave.[ (0, W "x"); (1, W "y") ] in
+  let order = [ 0; 1 ] in
   (* No checkpointing: everything after the bulk load is lost. *)
   let cfg = { (Config.test ()) with Config.checkpoint_interval = None } in
   let r = run_with_crash ~config:cfg specs order (Wal.Crash_at_commit_window 2) in
@@ -212,7 +210,7 @@ let test_no_flush_expected_loss () =
    doubt (no durable Commit) and must be rolled back entirely. *)
 let test_torn_flush_in_doubt () =
   let specs = Interleave.[ [ W "x" ] ] in
-  let order = Interleave.[ (0, W "x") ] in
+  let order = [ 0 ] in
   let r =
     run_with_crash ~config:flush_config specs order
       (Wal.Crash_mid_flush { flush = 1; keep = 1; torn = 3 })
@@ -275,28 +273,6 @@ let test_publish_skip_horizon () =
   (* the rollback path publish-skips the abandoned timestamp *)
   Internal.publish_commit_ts db a;
   Alcotest.(check int) "horizon jumps past the hole" b (Db.last_commit_ts db)
-
-(* reset_stats concurrent with an in-flight group flush: the reset zeroes
-   counters only; the sealed batch must still harden. *)
-let test_reset_stats_inflight_flush () =
-  let sim = Sim.create () in
-  let wal = Wal.create sim ~mode:(Wal.Flush_per_commit 0.01) in
-  Sim.spawn sim (fun () ->
-      Wal.append wal (Wal.Begin { txn = 1 });
-      Wal.commit_flush wal);
-  Sim.spawn sim (fun () ->
-      Sim.delay sim 0.005;
-      (* mid-flight: the leader sealed the batch and is sleeping in the
-         simulated flush latency *)
-      Wal.reset_stats wal);
-  Sim.run sim;
-  (* the append predates the reset, so its counter is zeroed; the flush
-     completes after and is counted afresh *)
-  Alcotest.(check int) "append counter was reset" 0 (Wal.appends wal);
-  Alcotest.(check int) "post-reset flush still counted" 1 (Wal.flushes wal);
-  match Wal.decode (Wal.durable_log wal) with
-  | Ok (rs, 0) when rs = [ Wal.Begin { txn = 1 } ] -> ()
-  | _ -> Alcotest.fail "in-flight batch lost by a concurrent reset_stats"
 
 (* {1 Repro codec cross-version} *)
 
@@ -461,8 +437,6 @@ let () =
             test_recovery_conservative_summary;
           Alcotest.test_case "publish-skip advances the horizon" `Quick
             test_publish_skip_horizon;
-          Alcotest.test_case "reset_stats vs in-flight flush" `Quick
-            test_reset_stats_inflight_flush;
         ] );
       ( "repro codec",
         [

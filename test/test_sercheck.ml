@@ -85,10 +85,9 @@ let test_three_txn_read_only_anomaly_graph () =
 
 let test_interleaving_count () =
   (* 1 + 2 + 1 ops: 4!/(1!2!1!) = 12 interleavings. *)
-  let n = List.length (Interleave.interleavings Interleave.paper_spec) in
-  Alcotest.(check int) "multinomial count" 12 n;
-  let n2 = List.length (Interleave.interleavings Interleave.write_skew_spec) in
-  Alcotest.(check int) "6!/(3!3!) = 20" 20 n2
+  let count spec = Seq.length (Interleave.interleavings_seq spec) in
+  Alcotest.(check int) "multinomial count" 12 (count Interleave.paper_spec);
+  Alcotest.(check int) "6!/(3!3!) = 20" 20 (count Interleave.write_skew_spec)
 
 let test_paper_spec_detection () =
   (* The §4.7 set is a dependency *path* — always serializable — but SSI
@@ -144,12 +143,12 @@ let test_si_cycles_satisfy_theorem2 () =
      structure with Tout committing first (Theorem 2). *)
   List.iter
     (fun spec ->
-      List.iter
-        (fun order ->
-          let r = Interleave.run_interleaving ~isolation:Snapshot spec order in
+      Seq.iter
+        (fun turns ->
+          let r = Interleave.run_interleaving ~isolation:Snapshot spec turns in
           if not r.Interleave.serializable then
             Alcotest.(check bool) "theorem 2" true (Mvsg.check_theorem2 r.Interleave.history))
-        (Interleave.interleavings spec))
+        (Interleave.interleavings_seq spec))
     [ Interleave.paper_spec; Interleave.write_skew_spec; Interleave.read_only_anomaly_spec ]
 
 let test_basic_mode_more_aborts_than_precise () =
@@ -270,12 +269,9 @@ let test_blocking_deadlock () =
      The scheduler must park both, the detector must kill exactly one, and
      the survivor's history must be serializable. *)
   let spec = [ [ Interleave.W "x"; Interleave.W "y" ]; [ Interleave.W "y"; Interleave.W "x" ] ] in
-  let order =
-    [ (0, Interleave.W "x"); (1, Interleave.W "y"); (0, Interleave.W "y"); (1, Interleave.W "x") ]
-  in
   List.iter
     (fun isolation ->
-      let r = Interleave.run_interleaving ~isolation spec order in
+      let r = Interleave.run_interleaving ~isolation spec [ 0; 1; 0; 1 ] in
       let commits = List.length (List.filter (( = ) None) r.Interleave.outcomes) in
       let deadlocks = List.length (List.filter (( = ) (Some Deadlock)) r.Interleave.outcomes) in
       Alcotest.(check int) "one commit" 1 commits;
@@ -289,10 +285,7 @@ let test_blocking_fcw_after_wait () =
      newly committed version and abort T1 — the resumed transaction may not
      act on its pre-wait view. *)
   let spec = [ [ Interleave.W "x"; Interleave.R "y" ]; [ Interleave.R "y"; Interleave.W "x" ] ] in
-  let order =
-    [ (0, Interleave.W "x"); (1, Interleave.R "y"); (1, Interleave.W "x"); (0, Interleave.R "y") ]
-  in
-  let r = Interleave.run_interleaving ~isolation:Snapshot spec order in
+  let r = Interleave.run_interleaving ~isolation:Snapshot spec [ 0; 1; 1; 0 ] in
   Alcotest.(check bool) "T0 commits" true (List.nth r.Interleave.outcomes 0 = None);
   Alcotest.(check bool) "T1 aborts on first-committer-wins" true
     (List.nth r.Interleave.outcomes 1 = Some Update_conflict);
@@ -306,18 +299,14 @@ let test_blocking_skip_and_drain () =
      The outcomes, commit order and final clock are pinned, and the same
      list without the skipped turn must reach the same clock. *)
   let spec = [ [ Interleave.W "x"; Interleave.R "y" ]; [ Interleave.W "x"; Interleave.R "z" ] ] in
-  let with_skip =
-    [ (0, Interleave.W "x"); (1, Interleave.W "x"); (1, Interleave.R "z"); (0, Interleave.R "y") ]
-  in
-  let without_skip = [ (0, Interleave.W "x"); (1, Interleave.W "x"); (0, Interleave.R "y") ] in
   List.iter
     (fun isolation ->
       let level = isolation_to_string isolation in
-      let run order =
-        let r = Interleave.run_interleaving ~isolation spec order in
+      let run turns =
+        let r = Interleave.run_interleaving ~isolation spec turns in
         (r, Sim.now (Db.sim r.Interleave.db))
       in
-      let r, now = run with_skip in
+      let r, now = run [ 0; 1; 1; 0 ] in
       let spec_index id =
         let rec find i = function
           | [] -> -1
@@ -337,8 +326,21 @@ let test_blocking_skip_and_drain () =
            r.Interleave.history);
       Alcotest.(check (float 0.0)) (level ^ ": final clock") 2.800000000000001e-05 now;
       Alcotest.(check (float 0.0)) (level ^ ": the skipped turn costs no time") now
-        (snd (run without_skip)))
+        (snd (run [ 0; 1; 0 ])))
     [ S2pl; Snapshot; Serializable ]
+
+(* A turn list that names no script, or gives a script more turns than it
+   has operations, is rejected before any engine is built. *)
+let test_bad_turn_lists () =
+  let spec = [ [ Interleave.W "x"; Interleave.R "y" ]; [ Interleave.R "y" ] ] in
+  let rejects name msg turns =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Interleave.run_interleaving ~isolation:Serializable spec turns))
+  in
+  rejects "turn past the last script" "run_interleaving: turn 2 names no script" [ 0; 2; 1 ];
+  rejects "negative turn" "run_interleaving: turn -1 names no script" [ -1 ];
+  rejects "one turn too many"
+    "run_interleaving: more turns for script 1 than it has operations" [ 0; 1; 1; 0 ]
 
 (* {1 Random-order sampling uniformity} *)
 
@@ -353,13 +355,13 @@ let test_random_order_uniform () =
   let spec =
     [ [ Interleave.R "a"; Interleave.W "a" ]; [ Interleave.R "b" ]; [ Interleave.R "c" ] ]
   in
-  Alcotest.(check int) "12 interleavings" 12 (List.length (Interleave.interleavings spec));
+  Alcotest.(check int) "12 interleavings" 12 (Seq.length (Interleave.interleavings_seq spec));
   let counts = Hashtbl.create 12 in
   let n = 12_000 in
   let st = Random.State.make [| 42 |] in
   for _ = 1 to n do
     let key =
-      String.concat "" (List.map (fun (i, _) -> string_of_int i) (Interleave.random_order st spec))
+      String.concat "" (List.map string_of_int (Interleave.random_order st spec))
     in
     Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
   done;
@@ -414,9 +416,9 @@ let prop_random_specs spec =
   let st = Random.State.make [| Hashtbl.hash spec |] in
   List.for_all
     (fun _ ->
-      let order = Interleave.random_order st spec in
-      let ssi = Interleave.run_interleaving ~isolation:Serializable spec order in
-      let si = Interleave.run_interleaving ~isolation:Snapshot spec order in
+      let turns = Interleave.random_order st spec in
+      let ssi = Interleave.run_interleaving ~isolation:Serializable spec turns in
+      let si = Interleave.run_interleaving ~isolation:Snapshot spec turns in
       ssi.Interleave.serializable
       && (si.Interleave.serializable || Mvsg.check_theorem2 si.Interleave.history))
     (List.init 10 Fun.id)
@@ -502,6 +504,7 @@ let suite =
     ("blocking: crossed writes deadlock", `Quick, test_blocking_deadlock);
     ("blocking: FCW after lock wait", `Quick, test_blocking_fcw_after_wait);
     ("blocking: skipped turn, drained rest", `Quick, test_blocking_skip_and_drain);
+    ("bad turn lists are rejected", `Quick, test_bad_turn_lists);
     ("random_order is uniform (chi-square)", `Quick, test_random_order_uniform);
     ("random SSI always serializable", `Slow, test_random_ssi_always_serializable);
     ("random S2PL always serializable", `Slow, test_random_s2pl_always_serializable);

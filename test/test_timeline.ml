@@ -355,30 +355,6 @@ let test_work_in_flight () =
   Alcotest.(check bool) "conserved after drain" true (Db.work_conserved db);
   Alcotest.(check bool) "span banked as committed" true (wp2.Db.wp_committed >= 1.0)
 
-(* reset_stats regression (the PR 6 lesson, extended to the work ledger):
-   a mid-flight reset must zero the sums AND rebase the ledger over open
-   transactions, or every later conservation check fails. *)
-let test_reset_stats_rebases_ledger () =
-  let sim = Sim.create () in
-  let db = Db.create ~config:(Config.test ()) sim in
-  ignore (Db.create_table db "t");
-  Db.load db "t" [ ("k", "0") ];
-  Sim.spawn sim (fun () ->
-      ignore
-        (Db.run db Types.Serializable (fun t ->
-             ignore (Txn.read t "t" "k");
-             Sim.delay sim 1.0)));
-  Sim.run ~until:0.5 sim;
-  Db.reset_stats db;
-  let wp = Db.work_profile db in
-  Alcotest.check feq "committed zeroed" 0.0 wp.Db.wp_committed;
-  Alcotest.check feq "wasted zeroed" 0.0 wp.Db.wp_wasted;
-  Alcotest.(check bool) "conserved immediately after reset" true (Db.work_conserved db);
-  Sim.run sim;
-  Alcotest.(check bool) "conserved after the open txn commits" true (Db.work_conserved db);
-  (* the full span (including pre-reset time) lands on the committed side *)
-  Alcotest.(check bool) "span banked post-reset" true ((Db.work_profile db).Db.wp_committed >= 1.0)
-
 (* {1 Purity and merge} *)
 
 let test_of_obs_requires_tracing () =
@@ -483,7 +459,6 @@ let () =
         [
           ("conservation end to end", `Quick, test_work_conservation_e2e);
           ("in-flight accounting", `Quick, test_work_in_flight);
-          ("reset_stats rebases the ledger", `Quick, test_reset_stats_rebases_ledger);
         ] );
       ( "structure",
         [
