@@ -290,6 +290,98 @@ let test_remove_then_reinsert () =
   Btree.check_invariants t;
   Alcotest.(check (option int)) "reinserted" (Some 14) (Btree.find t (key 7))
 
+(* The tree's layout, pinned as one MD5: pseudo-random, ascending and
+   descending key runs with removes (a third of the random keys, then a
+   contiguous block, so whole leaves empty) and re-inserts, at fanouts 4, 8
+   and 64. The digest covers every reported access of the inserts (path,
+   leaves, modified pages and split pairs), each remove's result, each
+   remaining key's path and leaf, and the final page count, height, stamp
+   and descent count. Descending runs matter: TPC-C++ loads its order tables
+   newest key first. A change to how leaves store their keys must keep
+   every page id, split and count. *)
+let layout_digest () =
+  let buf = Buffer.create 65536 in
+  let ints l =
+    List.iter (fun i -> Buffer.add_string buf (string_of_int i ^ ",")) l;
+    Buffer.add_char buf ';'
+  in
+  let access (a : Btree.access) =
+    ints a.path;
+    ints a.leaves;
+    ints a.modified;
+    List.iter (fun (o, n) -> ints [ o; n ]) a.splits;
+    Buffer.add_char buf '\n'
+  in
+  List.iter
+    (fun fanout ->
+      let t = Btree.create ~fanout () in
+      let x = ref 7 in
+      let rand () =
+        x := ((!x * 1103515245) + 12345) land 0xFFFFFF;
+        !x mod 5000
+      in
+      let random = List.init 700 (fun _ -> rand ()) in
+      let insert i = access (Btree.insert t (key i) i) in
+      let remove i = Buffer.add_string buf (if Btree.remove t (key i) then "r" else "-") in
+      List.iter insert random;
+      List.iter insert (List.init 300 (fun i -> 5000 + i));
+      List.iter insert (List.init 300 (fun i -> 9999 - i));
+      List.iter insert (List.init 200 (fun i -> 4800 - (7 * i)));
+      List.iteri (fun j i -> if j mod 3 = 0 then remove i) random;
+      List.iter remove (List.init 150 (fun i -> 5100 + i));
+      List.iter remove (List.init 120 (fun i -> 9999 - i));
+      List.iter insert (List.init 60 (fun i -> 5249 - (2 * i)));
+      List.iter insert (List.init 40 (fun i -> 9900 + i));
+      Btree.check_invariants t;
+      List.iter
+        (fun (k, _) ->
+          let _, a = Btree.find_path t k in
+          ints a.Btree.path;
+          ints a.Btree.leaves)
+        (Btree.to_list t);
+      ints [ Btree.page_count t; Btree.height t; Btree.stamp t; Btree.descents t ])
+    [ 4; 8; 64 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_layout_pin () =
+  Alcotest.(check string) "layout digest" "6613c198777faf1ede929994fb873a44" (layout_digest ())
+
+(* Put a fresh value under [k] and return only a weak pointer to it, so
+   the tree holds the one strong reference. *)
+let[@inline never] add_weak t k =
+  let v = ref (String.length k) in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  ignore (Btree.insert t k v);
+  w
+
+let freed w =
+  Gc.full_major ();
+  not (Weak.check w 0)
+
+(* A removed or replaced value is not kept alive by the tree: not in the
+   middle of a leaf, not as a leaf's last key, not when a leaf empties. *)
+let test_removed_value_freed () =
+  let t = Btree.create ~fanout:8 () in
+  (* keys 0..8 split the root leaf into [0..4] and [5..8]; 9 then lands in
+     the right leaf, which has room to spare after it *)
+  let ws = Array.init 12 (fun i -> add_weak t (key i)) in
+  ignore (Btree.remove t (key 11));
+  Alcotest.(check bool) "leaf's last key" true (freed ws.(11));
+  ignore (Btree.remove t (key 7));
+  Alcotest.(check bool) "middle of a leaf" true (freed ws.(7));
+  ignore (add_weak t (key 2));
+  Alcotest.(check bool) "replaced value" true (freed ws.(2));
+  List.iter (fun i -> ignore (Btree.remove t (key i))) [ 5; 6; 8; 9; 10 ];
+  Btree.check_invariants t;
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "emptied leaf, key %d" i) true (freed ws.(i)))
+    [ 5; 6; 8; 9; 10 ];
+  Alcotest.(check bool) "a kept value stays" false (freed ws.(3));
+  Alcotest.(check (option int)) "kept value found" (Some 7)
+    (Option.map ( ! ) (Btree.find t (key 3)))
+
 (* Model-based qcheck properties: a script of inserts/removes against the
    tree must agree with a reference assoc-list model. *)
 
@@ -483,6 +575,8 @@ let suite =
     ("long and binary keys", `Quick, test_long_and_binary_keys);
     ("scan early exit", `Quick, test_scan_early_exit);
     ("remove then reinsert", `Quick, test_remove_then_reinsert);
+    ("layout pin", `Quick, test_layout_pin);
+    ("removed value freed", `Quick, test_removed_value_freed);
   ]
 
 let () = Alcotest.run "btree" [ ("btree", suite); ("btree-props", qcheck_tests) ]

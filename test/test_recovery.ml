@@ -132,6 +132,199 @@ let test_codec_corruption () =
   | Ok (rs, 2) when rs = [ Wal.Begin { txn = 1 } ] -> ()
   | _ -> Alcotest.fail "digit-only tail should decode as torn"
 
+(* {1 The durable image of a running log} *)
+
+(* One log driven by an appender and [commit_flush] callers, each caller a
+   process of its own that calls once. The appender's steps fall on whole
+   seconds, calls on whole seconds plus 0.1 to 0.9 s, and a flush lasts
+   0.7071 s, so no call and no appender step meets a flush's end or each
+   other (calls may meet calls, which the reference may take in either
+   order), and the reference below can replay the group commit in time
+   order. *)
+type step = Append of Wal.record | Harden | Checkpoint of int * int | Pause of int
+
+type script = {
+  flush : bool;  (** [Flush_per_commit] (else [No_flush]) *)
+  steps : step list;
+  calls : float list;  (** the times of the [commit_flush] calls *)
+  tear : (int * int * int) option;  (** a [Crash_mid_flush] plan: flush, keep, torn *)
+}
+
+let latency = 0.7071
+
+(* The image and byte count after each appender step but a pause, and at
+   the end (after the crash, under a plan that fired). *)
+let run_script sc =
+  let sim = Sim.create () in
+  let mode = if sc.flush then Wal.Flush_per_commit latency else Wal.No_flush in
+  let wal = Wal.create sim ~mode in
+  Option.iter
+    (fun (flush, keep, torn) -> Wal.arm wal (Wal.Crash_mid_flush { flush; keep; torn }))
+    sc.tear;
+  let seen = ref [] in
+  let look () = seen := (Wal.durable_log wal, Wal.durable_bytes wal) :: !seen in
+  Sim.spawn sim (fun () ->
+      List.iter
+        (function
+          | Pause p -> Sim.delay sim (float_of_int p)
+          | step ->
+              (match step with
+              | Append r -> Wal.append wal r
+              | Harden -> Wal.harden wal
+              | Checkpoint (watermark, next_ts) -> Wal.checkpoint wal ~watermark ~next_ts
+              | Pause _ -> ());
+              look ())
+        sc.steps);
+  List.iter
+    (fun at ->
+      Sim.spawn sim (fun () ->
+          Sim.delay sim at;
+          Wal.commit_flush wal))
+    sc.calls;
+  (try Sim.run sim with Wal.Crash -> ());
+  look ();
+  List.rev !seen
+
+(* The reference: the records appended, how many of them are hardened, and
+   the image as [Wal.encode] of those. A seal (a flush leader's start, a
+   checkpoint, a harden) closes the open batch at the log's current length.
+   A flush hardens its batch when its delay ends, so records appended
+   during the delay stay out of it, and a checkpoint during the delay
+   hardens that batch first. A call waits for the batch open when it was
+   made; at a flush's end, a waiter whose batch is still open leads the
+   next flush. A [Crash_mid_flush] plan's flush hardens [keep] frames of
+   its batch and [torn] bytes of the next, and the run stops. *)
+let reference sc =
+  let log = ref [] and len = ref 0 and hardened = ref 0 in
+  let epoch = ref 0 and flushed = ref (-1) and flushes = ref 0 in
+  let records n = List.filteri (fun i _ -> i < n) (List.rev !log) in
+  let image () = Wal.encode (records !hardened) in
+  let frame r =
+    let s = Wal.encode [ r ] and h = String.length Wal.header in
+    String.sub s h (String.length s - h)
+  in
+  let seal () =
+    let target = !epoch in
+    incr epoch;
+    (target, !len)
+  in
+  let harden (target, upto) =
+    hardened := max !hardened upto;
+    flushed := max !flushed target
+  in
+  let append r =
+    log := r :: !log;
+    incr len
+  in
+  let steps =
+    let t = ref 0.0 in
+    List.filter_map
+      (function
+        | Pause p ->
+            t := !t +. float_of_int p;
+            None
+        | s -> Some (!t, s))
+      sc.steps
+  in
+  let seen = ref [] in
+  let look img = seen := (img, String.length img) :: !seen in
+  (* the flush in flight: its seal and end; the open batches waited for *)
+  let in_flight = ref None and waiters = ref [] in
+  let lead now = in_flight := Some (seal (), now +. latency) in
+  let rec loop steps calls =
+    let step_at = match steps with (t, _) :: _ -> t | [] -> infinity in
+    let call_at = match calls with t :: _ -> t | [] -> infinity in
+    let end_at = match !in_flight with Some (_, e) -> e | None -> infinity in
+    if step_at < min call_at end_at then begin
+      (match List.hd steps with
+      | _, Append r -> append r
+      | _, Harden -> harden (seal ())
+      | _, Checkpoint (watermark, next_ts) ->
+          append (Wal.Checkpoint { watermark; next_ts });
+          harden (seal ())
+      | _, Pause _ -> ());
+      look (image ());
+      loop (List.tl steps) calls
+    end
+    else if call_at < end_at then begin
+      if sc.flush then
+        if !in_flight = None then lead call_at else waiters := !epoch :: !waiters;
+      loop steps (List.tl calls)
+    end
+    else if end_at < infinity then begin
+      let ((_, sealed) as s), _ = Option.get !in_flight in
+      in_flight := None;
+      incr flushes;
+      match sc.tear with
+      | Some (f, keep, torn) when f = !flushes ->
+          let batch = max 0 (sealed - !hardened) in
+          let keep = max 0 (min keep batch) in
+          let tail =
+            if torn > 0 && keep < batch then
+              let f = frame (List.nth (List.rev !log) (!hardened + keep)) in
+              String.sub f 0 (min torn (String.length f - 1))
+            else ""
+          in
+          look (Wal.encode (records (!hardened + keep)) ^ tail)
+      | _ ->
+          harden s;
+          waiters := List.filter (fun upto -> !flushed < upto) !waiters;
+          if !waiters <> [] then lead end_at;
+          loop steps calls
+    end
+    else look (image ())
+  in
+  loop steps (List.sort compare sc.calls);
+  List.rev !seen
+
+let gen_script =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (6, map (fun r -> Append r) gen_record);
+        (1, return Harden);
+        (1, map (fun (w, n) -> Checkpoint (w, n)) (pair small_nat small_nat));
+        (3, map (fun p -> Pause p) (int_range 1 2));
+      ]
+  in
+  let call =
+    map
+      (fun (s, m) -> float_of_int s +. (0.1 *. float_of_int m))
+      (pair (int_bound 20) (int_range 1 9))
+  in
+  let* flush = bool in
+  let* steps = list_size (int_bound 40) step in
+  let* calls = list_size (int_bound 12) call in
+  let* tear =
+    if flush then
+      frequency
+        [
+          (2, return None);
+          (1, map Option.some (triple (int_range 1 4) (int_bound 4) (int_bound 12)));
+        ]
+    else return None
+  in
+  return { flush; steps; calls; tear }
+
+let print_script sc =
+  let step = function
+    | Append r -> "append " ^ String.escaped (Wal.encode [ r ])
+    | Harden -> "harden"
+    | Checkpoint (w, n) -> Printf.sprintf "checkpoint %d %d" w n
+    | Pause p -> Printf.sprintf "pause %d" p
+  in
+  Printf.sprintf "%s\nsteps: %s\ncalls: %s\ntear: %s"
+    (if sc.flush then "flush per commit" else "no flush")
+    (String.concat "; " (List.map step sc.steps))
+    (String.concat " " (List.map (Printf.sprintf "%.1f") sc.calls))
+    (match sc.tear with None -> "none" | Some (f, k, t) -> Printf.sprintf "flush:%d:%d:%d" f k t)
+
+let prop_durable_image =
+  QCheck.Test.make ~name:"durable image is the codec's image of the hardened records" ~count:500
+    (QCheck.make ~print:print_script gen_script)
+    (fun sc -> run_script sc = reference sc)
+
 (* {1 Durability boundaries} *)
 
 let flush_config =
@@ -421,6 +614,7 @@ let () =
           qt prop_codec_torn_tail;
           qt prop_codec_matches_printf;
           Alcotest.test_case "corruption rejected" `Quick test_codec_corruption;
+          qt prop_durable_image;
         ] );
       ( "durability",
         [
