@@ -10,10 +10,20 @@
    Deletion removes the key from its leaf without rebalancing (lazy
    deletion); the MVCC layer above keeps tombstone version chains in place,
    so index entries are removed only by garbage collection and underflow is
-   harmless. *)
+   harmless.
+
+   A leaf's arrays have room to spare: an insert or a remove shifts the
+   keys after it in place, and a full leaf grows, to at most [fanout + 1]
+   slots, the size at which it splits. A split copies each half into
+   arrays of its exact size, and internal nodes are copied on every
+   change, so the tree's shape, page ids and splits are those of a tree
+   that copies every leaf on every change. A spare value slot holds a copy
+   of a value still in the leaf, so it never keeps a removed value
+   alive. *)
 
 type 'a leaf = {
   lid : int;
+  mutable ln : int; (* keys in use: [lkeys] and [lvals] past [ln] are spare *)
   mutable lkeys : string array;
   mutable lvals : 'a array;
   mutable lnext : 'a leaf option;
@@ -62,7 +72,7 @@ let fresh_id t =
 
 let create ?(fanout = 64) () =
   if fanout < 4 then invalid_arg "Btree.create: fanout must be >= 4";
-  let leaf = { lid = 0; lkeys = [||]; lvals = [||]; lnext = None } in
+  let leaf = { lid = 0; ln = 0; lkeys = [||]; lvals = [||]; lnext = None } in
   {
     root = Leaf leaf;
     fanout;
@@ -95,9 +105,10 @@ let child_index n key =
   done;
   !lo
 
-(* Position of [key] in a sorted array, or the insertion point. *)
-let search_keys keys key =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+(* Position of [key] among a leaf's keys, or the insertion point. *)
+let search_keys l key =
+  let keys = l.lkeys in
+  let lo = ref 0 and hi = ref l.ln in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if keys.(mid) < key then lo := mid + 1 else hi := mid
@@ -105,8 +116,9 @@ let search_keys keys key =
   !lo
 
 (* Whether position [i] (from [search_keys]) holds [key] itself. *)
-let found_at keys i key = i < Array.length keys && String.equal keys.(i) key
+let found_at l i key = i < l.ln && String.equal l.lkeys.(i) key
 
+(* Internal nodes are copied on every insert. *)
 let array_insert a i x =
   let n = Array.length a in
   let b = Array.make (n + 1) x in
@@ -114,11 +126,46 @@ let array_insert a i x =
   Array.blit a i b (i + 1) (n - i);
   b
 
-let array_remove a i =
-  let n = Array.length a in
-  let b = Array.sub a 0 (n - 1) in
-  Array.blit a (i + 1) b i (n - 1 - i);
-  b
+(* Put [key] and [v] at position [i] of [l]. A full leaf grows first:
+   doubling while small, then straight to the [fanout + 1] slots at which
+   it splits. Spare value slots get [v]. *)
+let leaf_insert t l i key v =
+  let n = l.ln in
+  if n = Array.length l.lkeys then begin
+    let size = if 2 * n >= t.fanout then t.fanout + 1 else max 4 (2 * n) in
+    let keys = Array.make size "" and vals = Array.make size v in
+    Array.blit l.lkeys 0 keys 0 i;
+    Array.blit l.lkeys i keys (i + 1) (n - i);
+    Array.blit l.lvals 0 vals 0 i;
+    Array.blit l.lvals i vals (i + 1) (n - i);
+    l.lkeys <- keys;
+    l.lvals <- vals
+  end
+  else begin
+    Array.blit l.lkeys i l.lkeys (i + 1) (n - i);
+    Array.blit l.lvals i l.lvals (i + 1) (n - i)
+  end;
+  l.lkeys.(i) <- key;
+  l.lvals.(i) <- v;
+  l.ln <- n + 1
+
+(* Point every spare value slot of [l] at [v], a value in the leaf, after
+   a value left it: a spare slot may have held a copy. *)
+let refill l v = Array.fill l.lvals l.ln (Array.length l.lvals - l.ln) v
+
+let leaf_remove l i =
+  let n = l.ln - 1 in
+  Array.blit l.lkeys (i + 1) l.lkeys i (n - i);
+  Array.blit l.lvals (i + 1) l.lvals i (n - i);
+  l.ln <- n;
+  if n = 0 then begin
+    l.lkeys <- [||];
+    l.lvals <- [||]
+  end
+  else begin
+    l.lkeys.(n) <- "";
+    refill l l.lvals.(0)
+  end
 
 (* The leaf covering [key]. *)
 let rec leaf_of node key =
@@ -155,27 +202,29 @@ let find_path t key =
   t.descents <- t.descents + 1;
   let path = trail_path t (walk t key t.root 0) in
   let leaf = t.last_leaf in
-  let i = search_keys leaf.lkeys key in
-  let v = if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None in
+  let i = search_keys leaf key in
+  let v = if found_at leaf i key then Some leaf.lvals.(i) else None in
   (v, { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
 
 let find t key =
   t.descents <- t.descents + 1;
   let leaf = leaf_of t.root key in
-  let i = search_keys leaf.lkeys key in
-  if found_at leaf.lkeys i key then Some leaf.lvals.(i) else None
+  let i = search_keys leaf key in
+  if found_at leaf i key then Some leaf.lvals.(i) else None
 
 let split_leaf t l : string * 'a node =
-  let n = Array.length l.lkeys in
+  let n = l.ln in
   let mid = (n + 1) / 2 in
   let right =
     {
       lid = fresh_id t;
+      ln = n - mid;
       lkeys = Array.sub l.lkeys mid (n - mid);
       lvals = Array.sub l.lvals mid (n - mid);
       lnext = l.lnext;
     }
   in
+  l.ln <- mid;
   l.lkeys <- Array.sub l.lkeys 0 mid;
   l.lvals <- Array.sub l.lvals 0 mid;
   l.lnext <- Some right;
@@ -203,11 +252,10 @@ let split_internal t n : string * 'a node =
    absorbed, and each split as (old page, new right sibling). *)
 let add t depth i key v ~path =
   let l = t.last_leaf in
-  l.lkeys <- array_insert l.lkeys i key;
-  l.lvals <- array_insert l.lvals i v;
+  leaf_insert t l i key v;
   t.size <- t.size + 1;
   t.stamp <- t.stamp + 1;
-  if Array.length l.lkeys <= t.fanout then
+  if l.ln <= t.fanout then
     { path; leaves = [ l.lid ]; modified = []; splits = [] }
   else begin
     let sep, right = split_leaf t l in
@@ -244,9 +292,10 @@ let insert t key v =
   let depth = walk t key t.root 0 in
   let leaf = t.last_leaf in
   let path = trail_path t depth in
-  let i = search_keys leaf.lkeys key in
-  if found_at leaf.lkeys i key then begin
+  let i = search_keys leaf key in
+  if found_at leaf i key then begin
     leaf.lvals.(i) <- v;
+    refill leaf v;
     { path; leaves = [ leaf.lid ]; modified = []; splits = [] }
   end
   else add t depth i key v ~path
@@ -256,8 +305,8 @@ let find_or_add t key make =
   let depth = walk t key t.root 0 in
   let leaf = t.last_leaf in
   let path = trail_path t depth in
-  let i = search_keys leaf.lkeys key in
-  if found_at leaf.lkeys i key then
+  let i = search_keys leaf key in
+  if found_at leaf i key then
     (leaf.lvals.(i), { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
   else
     let v = make () in
@@ -267,10 +316,9 @@ let remove t key =
   let rec go node =
     match node with
     | Leaf l ->
-        let i = search_keys l.lkeys key in
-        if found_at l.lkeys i key then begin
-          l.lkeys <- array_remove l.lkeys i;
-          l.lvals <- array_remove l.lvals i;
+        let i = search_keys l key in
+        if found_at l i key then begin
+          leaf_remove l i;
           true
         end
         else false
@@ -290,7 +338,7 @@ let rec leftmost_leaf = function
 
 let min_key t =
   let rec first_nonempty l =
-    if Array.length l.lkeys > 0 then Some l.lkeys.(0)
+    if l.ln > 0 then Some l.lkeys.(0)
     else match l.lnext with None -> None | Some l' -> first_nonempty l'
   in
   first_nonempty (leftmost_leaf t.root)
@@ -298,7 +346,7 @@ let min_key t =
 let max_key t =
   let rec go node =
     match node with
-    | Leaf l -> if Array.length l.lkeys = 0 then None else Some l.lkeys.(Array.length l.lkeys - 1)
+    | Leaf l -> if l.ln = 0 then None else Some l.lkeys.(l.ln - 1)
     | Internal n -> go n.ichildren.(Array.length n.ichildren - 1)
   in
   (* Lazy deletion can empty a rightmost leaf; fall back to a full scan of
@@ -308,7 +356,7 @@ let max_key t =
   | None ->
       let best = ref None in
       let rec walk l =
-        if Array.length l.lkeys > 0 then best := Some l.lkeys.(Array.length l.lkeys - 1);
+        if l.ln > 0 then best := Some l.lkeys.(l.ln - 1);
         match l.lnext with None -> () | Some l' -> walk l'
       in
       walk (leftmost_leaf t.root);
@@ -320,11 +368,11 @@ let successor_where t key p =
   t.descents <- t.descents + 1;
   let leaf = leaf_of t.root key in
   let rec from_leaf l i =
-    if i < Array.length l.lkeys then
+    if i < l.ln then
       if l.lkeys.(i) > key && p l.lvals.(i) then Some l.lkeys.(i) else from_leaf l (i + 1)
     else match l.lnext with None -> None | Some l' -> from_leaf l' 0
   in
-  from_leaf leaf (search_keys leaf.lkeys key)
+  from_leaf leaf (search_keys leaf key)
 
 let successor t key = successor_where t key (fun _ -> true)
 
@@ -338,7 +386,7 @@ let iter_range_access t ?lo ?hi f =
   let leaves = ref [] in
   let rec visit l i =
     if i = 0 then leaves := l.lid :: !leaves;
-    if i < Array.length l.lkeys then begin
+    if i < l.ln then begin
       let k = l.lkeys.(i) in
       let below_hi = match hi with None -> true | Some h -> k <= h in
       if below_hi then begin
@@ -353,7 +401,7 @@ let iter_range_access t ?lo ?hi f =
       | Some l' -> (
           (* Only continue if the next leaf can contain in-range keys. *)
           match hi with
-          | Some h when Array.length l'.lkeys > 0 && l'.lkeys.(0) > h -> ()
+          | Some h when l'.ln > 0 && l'.lkeys.(0) > h -> ()
           | _ -> visit l' 0)
   in
   (* [f] may raise [Exit] to stop the scan early (LIMIT queries); the access
@@ -410,16 +458,23 @@ let check_invariants t =
     match node with
     | Leaf l ->
         if level <> d then fail "leaf at level %d, expected %d" level d;
-        if Array.length l.lkeys <> Array.length l.lvals then fail "leaf key/val mismatch";
-        if Array.length l.lkeys > t.fanout then
-          fail "leaf overflow: %d keys for fanout %d" (Array.length l.lkeys) t.fanout;
-        check_sorted l.lkeys "leaf";
+        let size = Array.length l.lkeys in
+        if size <> Array.length l.lvals then fail "leaf key/val mismatch";
+        if l.ln > t.fanout then fail "leaf overflow: %d keys for fanout %d" l.ln t.fanout;
+        if l.ln > size || size > t.fanout + 1 then fail "leaf of %d keys in %d slots" l.ln size;
+        if l.ln = 0 && size > 0 then fail "empty leaf keeps %d slots" size;
+        let keys = Array.sub l.lkeys 0 l.ln and vals = Array.sub l.lvals 0 l.ln in
+        for i = l.ln to size - 1 do
+          if not (Array.exists (fun v -> v == l.lvals.(i)) vals) then
+            fail "spare slot %d of leaf %d holds a value not in the leaf" i l.lid
+        done;
+        check_sorted keys "leaf";
         Array.iter
           (fun k ->
             (match lo with Some lo when k < lo -> fail "leaf key below bound" | _ -> ());
             match hi with Some hi when k >= hi -> fail "leaf key above bound" | _ -> ())
-          l.lkeys;
-        count := !count + Array.length l.lkeys
+          keys;
+        count := !count + l.ln
     | Internal n ->
         let nk = Array.length n.ikeys and nc = Array.length n.ichildren in
         if nc <> nk + 1 then fail "internal child count %d for %d keys" nc nk;
@@ -436,7 +491,9 @@ let check_invariants t =
   (* Leaf chain must enumerate exactly the sorted key set. *)
   let chain = ref [] in
   let rec walk l =
-    Array.iter (fun k -> chain := k :: !chain) l.lkeys;
+    for i = 0 to l.ln - 1 do
+      chain := l.lkeys.(i) :: !chain
+    done;
     match l.lnext with None -> () | Some l' -> walk l'
   in
   walk (leftmost_leaf t.root);

@@ -7,15 +7,17 @@
    it was issued, so concurrent committers share flushes (group commit,
    enabled by default in both Berkeley DB and InnoDB).
 
-   Since PR 6 the log carries logical redo records: appends buffer encoded
-   frames into the open epoch, a physical flush (or a checkpoint / an
-   explicit harden) moves whole epochs into the durable image, and a seeded
-   crash plan can cut the run at a chosen append, mid-flush with a torn
-   tail, or inside the commit window. Two invariants matter for recovery:
+   The log carries logical redo records: appends add records to the open
+   batch (epoch), a physical flush (or a checkpoint / an explicit harden)
+   hardens whole batches, and a seeded crash plan can cut the run at a
+   chosen append, mid-flush with a torn tail, or inside the commit window.
+   The log keeps the records and a hardened count; the durable image is
+   encoded from them only when it is read. Two invariants matter for
+   recovery:
 
-   - Epochs are sealed in order and hardened whole (except for the injected
-     torn tail), so [durable_log] is always a byte-prefix of the log a
-     crash-free run would have written.
+   - Batches are sealed in order and hardened whole (except for the
+     injected torn tail), so [durable_log] is always a byte-prefix of the
+     log a crash-free run would have written.
 
    - Commit records are appended in commit-ts order (the engine allocates
      the ts and appends in one atomic simulated step), so the durable
@@ -49,8 +51,8 @@ let plain c =
 
    A frame is "<payload length>:<payload>\n". The payload's length is
    computed first, so the frame is written straight into the destination
-   buffer: no payload string, no Printf. Every group flush and [Db.load]
-   (which hardens every loaded row) go through here. *)
+   buffer: no payload string, no Printf. [durable_log] and [encode] go
+   through here; [durable_bytes] sums [payload_length]s. *)
 
 let hex = "0123456789ABCDEF"
 
@@ -266,6 +268,10 @@ let plan_of_string s =
 
 (* {1 The log} *)
 
+(* The log is every record appended, in order, plus how many of them are
+   hardened: a seal (a flush leader's, a checkpoint's, a harden's) closes
+   the open batch at the log's length, and hardening the batch raises the
+   count to that length. Nothing is encoded until the image is read. *)
 type t = {
   sim : Sim.t;
   mode : mode;
@@ -273,14 +279,11 @@ type t = {
   mutable flushed : int; (* highest hardened batch *)
   mutable flusher_active : bool;
   flushed_cond : Sim.cond;
-  pending : (int * record) Queue.t;
-      (* (epoch, record) in append order; epochs never decrease, so every
-         sealed batch is a prefix *)
-  mutable durable : string list;
-      (* the durable log image as the pieces each harden wrote, newest
-         first; the oldest is the header. Kept in pieces so that a harden
-         never copies the image. *)
-  mutable durable_bytes : int; (* the image's length *)
+  mutable log : record array; (* records appended, [0, len) in use *)
+  mutable len : int;
+  mutable hardened : int; (* the durable prefix of [log]; never falls *)
+  mutable torn : string;
+      (* the prefix of frame [hardened] that a mid-flush crash wrote *)
   mutable appends : int;
   mutable flushes : int;
   mutable plan : plan option;
@@ -292,6 +295,9 @@ type t = {
   mutable obs : Obs.t; (* observability sink; Obs.disabled costs one branch *)
 }
 
+(* Fills the unused tail of [log]. *)
+let spare = Abort { txn = -1 }
+
 let create sim ~mode =
   {
     sim;
@@ -300,9 +306,10 @@ let create sim ~mode =
     flushed = -1;
     flusher_active = false;
     flushed_cond = Sim.cond ();
-    pending = Queue.create ();
-    durable = [ header ];
-    durable_bytes = String.length header;
+    log = Array.make 16 spare;
+    len = 0;
+    hardened = 0;
+    torn = "";
     appends = 0;
     flushes = 0;
     plan = None;
@@ -327,6 +334,15 @@ let crash t plan =
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Crash_inject { plan = plan_to_string plan });
   raise Crash
 
+let push t r =
+  if t.len = Array.length t.log then begin
+    let log = Array.make (2 * t.len) spare in
+    Array.blit t.log 0 log 0 t.len;
+    t.log <- log
+  end;
+  t.log.(t.len) <- r;
+  t.len <- t.len + 1
+
 (* Buffer a log record; cheap, cost accounted by the caller's CPU model.
    A matching [Crash_on_append] fires *instead of* the append: the record
    is never buffered, modeling a failure before the in-memory log write. *)
@@ -337,42 +353,34 @@ let append t r =
       if t.p_appends = n then crash t p
   | Some _ -> t.p_appends <- t.p_appends + 1
   | None -> ());
-  Queue.add (t.epoch, r) t.pending;
+  push t r;
   t.appends <- t.appends + 1
 
-let add_durable t piece =
-  t.durable <- piece :: t.durable;
-  t.durable_bytes <- t.durable_bytes + String.length piece
+(* Close the open batch: returns it and the log length it ends at. *)
+let seal t =
+  let target = t.epoch in
+  t.epoch <- t.epoch + 1;
+  (target, t.len)
 
-(* Move every pending record of epoch <= target into the durable image, in
-   append order: they are a prefix of [pending], since epochs only grow.
-   They become one piece. *)
-let harden_upto t target =
-  let hardens () = (not (Queue.is_empty t.pending)) && fst (Queue.peek t.pending) <= target in
-  if hardens () then begin
-    let buf = Buffer.create 1024 in
-    while hardens () do
-      add_frame buf (snd (Queue.pop t.pending))
-    done;
-    add_durable t (Buffer.contents buf)
-  end;
+(* Harden a sealed batch and every record before it. Both counts are
+   max-guarded: a checkpoint may harden a batch an in-flight flush sealed
+   earlier, before that flush ends. *)
+let harden_upto t (target, upto) =
+  if t.hardened < upto then t.hardened <- upto;
   if t.flushed < target then t.flushed <- target
 
 (* Injected mid-flush failure: harden [keep] whole frames of the sealed
    batch plus [torn] bytes of the following frame, then crash. Clamped so
    the tear is always a strict frame prefix (a whole extra frame would be a
    clean boundary, not a tear). *)
-let tear_and_crash t target ~keep ~torn plan =
-  let frames =
-    List.rev (Queue.fold (fun acc (e, r) -> if e <= target then frame r :: acc else acc) [] t.pending)
-  in
-  let keep = max 0 (min keep (List.length frames)) in
-  List.iteri (fun i f -> if i < keep then add_durable t f) frames;
-  (match List.nth_opt frames keep with
-  | Some f when torn > 0 ->
-      let torn = min torn (String.length f - 1) in
-      add_durable t (String.sub f 0 torn)
-  | _ -> ());
+let tear_and_crash t (_, upto) ~keep ~torn plan =
+  let batch = max 0 (upto - t.hardened) in
+  let keep = max 0 (min keep batch) in
+  t.hardened <- t.hardened + keep;
+  if torn > 0 && keep < batch then begin
+    let f = frame t.log.(t.hardened) in
+    t.torn <- String.sub f 0 (min torn (String.length f - 1))
+  end;
   crash t plan
 
 let rec ensure_flushed t ~latency ~upto =
@@ -385,20 +393,19 @@ let rec ensure_flushed t ~latency ~upto =
     (* Become the flush leader: seal the open batch, write it, repeat while
        our own record is still unhardened. *)
     t.flusher_active <- true;
-    let target = t.epoch in
-    t.epoch <- t.epoch + 1;
+    let batch = seal t in
     Sim.delay t.sim latency;
     t.flushes <- t.flushes + 1;
     (match t.plan with
     | Some (Crash_mid_flush { flush; keep; torn } as p) ->
         t.p_flushes <- t.p_flushes + 1;
-        if t.p_flushes = flush then tear_and_crash t target ~keep ~torn p
+        if t.p_flushes = flush then tear_and_crash t batch ~keep ~torn p
     | Some _ -> t.p_flushes <- t.p_flushes + 1
     | None -> ());
-    harden_upto t target;
+    harden_upto t batch;
     if Obs.on t.obs then
       Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Wal_flush { epoch = target; latency; queued = Queue.length t.pending });
+        (Obs.Wal_flush { epoch = fst batch; latency; queued = t.len - t.hardened });
     t.flusher_active <- false;
     Sim.broadcast t.sim t.flushed_cond;
     ensure_flushed t ~latency ~upto
@@ -420,28 +427,39 @@ let commit_window_check t =
   | None -> ()
 
 (* Checkpoints model background I/O that overlaps normal processing, so
-   they take no simulated time: seal the open batch (records of an epoch an
-   in-flight group flush already sealed may be hardened here first; the
-   flush leader's later [harden_upto] then finds them gone and the
-   max-guard on [flushed] keeps the watermark monotone) and write it plus
-   the checkpoint record synchronously. *)
+   they take no simulated time: seal the open batch (which hardens any
+   batch an in-flight group flush sealed before it; the flush leader's
+   later [harden_upto] is then a no-op) and write it plus the checkpoint
+   record synchronously. *)
 let checkpoint t ~watermark ~next_ts =
-  Queue.add (t.epoch, Checkpoint { watermark; next_ts }) t.pending;
-  let target = t.epoch in
-  t.epoch <- t.epoch + 1;
-  harden_upto t target;
+  push t (Checkpoint { watermark; next_ts });
+  let batch = seal t in
+  harden_upto t batch;
   if Obs.on t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim)
-      (Obs.Wal_checkpoint { epoch = target; watermark; next_ts })
+      (Obs.Wal_checkpoint { epoch = fst batch; watermark; next_ts })
 
-let harden t =
-  let target = t.epoch in
-  t.epoch <- t.epoch + 1;
-  harden_upto t target
+let harden t = harden_upto t (seal t)
 
-let durable_log t = String.concat "" (List.rev t.durable)
+let frame_length r =
+  let p = payload_length r in
+  int_length p + p + 2
 
-let durable_bytes t = t.durable_bytes
+let durable_bytes t =
+  let n = ref (String.length header + String.length t.torn) in
+  for i = 0 to t.hardened - 1 do
+    n := !n + frame_length t.log.(i)
+  done;
+  !n
+
+let durable_log t =
+  let buf = Buffer.create (durable_bytes t) in
+  Buffer.add_string buf header;
+  for i = 0 to t.hardened - 1 do
+    add_frame buf t.log.(i)
+  done;
+  Buffer.add_string buf t.torn;
+  Buffer.contents buf
 
 let appends t = t.appends
 
