@@ -306,9 +306,12 @@ let list_cmd =
   let run () =
     print_endline "Available experiments (see DESIGN.md for the per-figure index):";
     (* Building a plan runs nothing: its points are closures. *)
+    let width =
+      List.fold_left (fun w (id, _) -> max w (String.length id)) 0 Experiments.all_figures
+    in
     List.iter
       (fun (id, plan) ->
-        Printf.printf "  %-18s %s\n" id (plan Experiments.quick_budget).Experiments.pl_title)
+        Printf.printf "  %-*s %s\n" width id (plan Experiments.quick_budget).Experiments.pl_title)
       Experiments.all_figures
   in
   Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const run $ const ())

@@ -59,7 +59,6 @@ type result = {
   end_retained : int; (* committed transaction records still retained *)
   work_committed : float; (* engine ledger: begin->commit spans, sim s *)
   work_wasted : float; (* begin->abort spans (any reason), sim s *)
-  work_in_flight : float; (* partial spans still open at the horizon *)
 }
 
 type config = {
@@ -259,7 +258,6 @@ let run_once ?obs ~make_db ~mix (cfg : config) : result =
     end_retained = Db.retained_count db;
     work_committed = wp.Db.wp_committed;
     work_wasted = wp.Db.wp_wasted;
-    work_in_flight = wp.Db.wp_in_flight;
     mpl = cfg.mpl;
     seed = cfg.seed;
     elapsed = cfg.duration;

@@ -52,7 +52,6 @@ type result = {
       (** engine wasted-work ledger: begin→commit spans, simulated seconds
           (whole run, not just the measurement window) *)
   work_wasted : float;  (** begin→abort spans, any abort reason *)
-  work_in_flight : float;  (** partial spans still open at the horizon *)
 }
 
 type config = {
