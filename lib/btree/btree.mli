@@ -74,7 +74,9 @@ val insert : 'a t -> string -> 'a -> access
 val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * access
 
 (** Physically remove a key (used by garbage collection, not by transactions,
-    which write tombstones instead). Returns whether the key was present. *)
+    which write tombstones instead). Returns whether the key was present.
+    The tree keeps no reference to the removed value (nor to a value
+    {!insert} replaced). *)
 val remove : 'a t -> string -> bool
 
 val min_key : 'a t -> string option

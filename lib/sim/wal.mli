@@ -93,7 +93,7 @@ val set_obs : t -> Obs.t -> unit
 
 val mode : t -> mode
 
-(** Buffer one logical record into the open batch. *)
+(** Add one logical record to the open batch. *)
 val append : t -> record -> unit
 
 (** Block until every record appended so far is durable (no-op for
@@ -117,10 +117,13 @@ val checkpoint : t -> watermark:int -> next_ts:int -> unit
     block); not a substitute for {!commit_flush}. *)
 val harden : t -> unit
 
-(** The durable log image: exactly the bytes that survive a crash. Joined
-    from the hardened pieces on every call. *)
+(** The durable log image: exactly the bytes that survive a crash. The log
+    keeps records, not bytes: every call encodes the header, the hardened
+    records' frames and a mid-flush crash's torn tail afresh. *)
 val durable_log : t -> string
 
+(** [String.length (durable_log t)], from a walk over the hardened records
+    that sums their frame lengths without encoding them. *)
 val durable_bytes : t -> int
 
 (** {1 Statistics} *)

@@ -4,6 +4,10 @@
      and the torn-tail contract — every strict prefix of a valid image
      decodes to a record-prefix with the remainder reported as torn, never
      as an error; in-bounds corruption is an error.
+   - The durable image of a running log, under group-commit callers,
+     checkpoints and mid-flush tears, against a reference model of which
+     records are hardened: the log encodes its image only when read, and
+     must encode exactly the hardened records.
    - Durability boundaries in both WAL modes: a commit that returned under
      Flush_per_commit survives, one that crashed inside the commit window
      does not; in No_flush mode unhardened commits are lost by design and
