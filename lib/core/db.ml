@@ -43,13 +43,13 @@ let create ?(config = Config.test ()) sim =
     next_txn_id = 0;
     txn_by_id = Hashtbl.create 8;
     active = Hashtbl.create 8;
-    suspended = Queue.create ();
+    suspended = Fifo.create ();
     n_retained_siread = 0;
     n_promotions = 0;
     n_summarized = 0;
-    snap_order = Queue.create ();
+    snap_order = Fifo.create ();
     summary = Hashtbl.create 64;
-    summary_expiry = Queue.create ();
+    summary_expiry = Fifo.create ();
     obs = Obs.disabled;
     history = [];
     stats = Internal.new_stats ();
@@ -170,14 +170,14 @@ let last_commit_ts (t : t) = t.Internal.last_commit_ts
 let active_count (t : t) = Hashtbl.length t.Internal.active
 
 (* Committed SSI transactions still holding SIREAD locks. Kept as an
-   incremental counter (the Queue.fold this replaced was O(retained) per
-   probe — quadratic over a pinned-snapshot run); the class of a suspended
-   txn is stable, since only holders that already have a SIREAD can gain
-   more (page-split propagation), so the commit-time classification holds
-   until cleanup. *)
+   incremental counter (the fold over the queue that this replaced was
+   O(retained) per probe — quadratic over a pinned-snapshot run); the class
+   of a suspended txn is stable, since only holders that already have a
+   SIREAD can gain more (page-split propagation), so the commit-time
+   classification holds until cleanup. *)
 let suspended_count (t : t) = t.Internal.n_retained_siread
 
-let retained_count (t : t) = Queue.length t.Internal.suspended
+let retained_count (t : t) = Fifo.length t.Internal.suspended
 
 let siread_entry_count (t : t) = Lockmgr.siread_entries t.Internal.locks
 

@@ -1060,7 +1060,7 @@ let record_history t =
    first), so the fold always captures that flag; late-forming in-edges are
    handled by dooming the live endpoint (see [Conflict.mark_summarized_*]). *)
 let summarize_oldest db =
-  let s = Queue.pop db.suspended in
+  let s = Fifo.pop db.suspended in
   if Lockmgr.sireads_of db.locks s.id > 0 then db.n_retained_siread <- db.n_retained_siread - 1;
   let commit_ts = match s.commit_ts with Some c -> c | None -> db.last_commit_ts in
   let in_conflict = ref_is_set s.in_conflict in
@@ -1100,9 +1100,9 @@ let summarize_oldest db =
    too new) and are skipped. *)
 let drain_summary db min_snap =
   let rec go () =
-    match Queue.peek_opt db.summary_expiry with
+    match Fifo.peek_opt db.summary_expiry with
     | Some (ts, resource) when ts <= min_snap ->
-        ignore (Queue.pop db.summary_expiry);
+        ignore (Fifo.pop db.summary_expiry);
         (match Hashtbl.find_opt db.summary resource with
         | Some s when s.sm_commit_ts <= min_snap ->
             Hashtbl.remove db.summary resource;
@@ -1119,15 +1119,15 @@ let drain_summary db min_snap =
    timestamp order), so draining eligible entries from the front preserves
    the oldest-commit-first discipline and keeps each pass O(released). *)
 let rec release_suspended db min_snap released =
-  match Queue.peek db.suspended with
-  | s when (match s.commit_ts with Some c -> c <= min_snap | None -> false) ->
-      ignore (Queue.pop db.suspended);
+  match Fifo.peek_opt db.suspended with
+  | Some s when (match s.commit_ts with Some c -> c <= min_snap | None -> false) ->
+      ignore (Fifo.pop db.suspended);
       if Lockmgr.sireads_of db.locks s.id > 0 then
         db.n_retained_siread <- db.n_retained_siread - 1;
       Lockmgr.release_all db.locks s.id;
       Hashtbl.remove db.txn_by_id s.id;
       release_suspended db min_snap (released + 1)
-  | _ | (exception Queue.Empty) -> released
+  | _ -> released
 
 let cleanup_suspended db =
   let min_snap = min_active_snapshot db in
@@ -1135,7 +1135,7 @@ let cleanup_suspended db =
   if bounded db then drain_summary db min_snap;
   if released > 0 && Obs.on db.obs then
     Obs.emit db.obs ~ts:(Sim.now db.sim)
-      (Obs.Cleanup { released; retained = Queue.length db.suspended })
+      (Obs.Cleanup { released; retained = Fifo.length db.suspended })
 
 let commit t =
   let db = t.db in
@@ -1238,7 +1238,7 @@ let commit t =
      releases all locks now. *)
   Conflict.seal_references t;
   Lockmgr.release_all ~keep_siread:(is_ssi t) db.locks t.id;
-  Queue.add t db.suspended;
+  Fifo.push db.suspended t;
   if Lockmgr.sireads_of db.locks t.id > 0 then
     db.n_retained_siread <- db.n_retained_siread + 1;
   let obs = db.obs in
@@ -1251,7 +1251,7 @@ let commit t =
            commit_ts;
            n_writes;
            retained_siread = db.n_retained_siread;
-           retained_record = Queue.length db.suspended - db.n_retained_siread;
+           retained_record = Fifo.length db.suspended - db.n_retained_siread;
          });
   cleanup_suspended db;
   (* Budget enforcement: after the watermark cleanup, if retained records
@@ -1262,10 +1262,10 @@ let commit t =
   (match config.Config.memory_budget with
   | None -> ()
   | Some budget ->
-      let pressure () = Queue.length db.suspended + Lockmgr.siread_entries db.locks in
-      if pressure () > budget && Queue.length db.suspended > 0 then begin
+      let pressure () = Fifo.length db.suspended + Lockmgr.siread_entries db.locks in
+      if pressure () > budget && Fifo.length db.suspended > 0 then begin
         let txns = ref 0 and entries = ref 0 in
-        while Queue.length db.suspended > 0 && pressure () > budget do
+        while Fifo.length db.suspended > 0 && pressure () > budget do
           entries := !entries + summarize_oldest db;
           incr txns
         done;
@@ -1275,7 +1275,7 @@ let commit t =
                {
                  txns = !txns;
                  entries = !entries;
-                 retained = Queue.length db.suspended;
+                 retained = Fifo.length db.suspended;
                  summary = Hashtbl.length db.summary;
                })
       end);
@@ -1288,7 +1288,7 @@ let commit t =
          {
            siread = Lockmgr.siread_entries db.locks;
            retained_siread = db.n_retained_siread;
-           retained_record = Queue.length db.suspended - db.n_retained_siread;
+           retained_record = Fifo.length db.suspended - db.n_retained_siread;
            summary = Hashtbl.length db.summary;
          });
   (* Periodic checkpoint: every [checkpoint_interval] commits, harden

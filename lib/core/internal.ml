@@ -101,22 +101,23 @@ and db = {
   mutable next_txn_id : int;
   txn_by_id : (int, txn) Hashtbl.t; (* active + committing + suspended *)
   active : (int, txn) Hashtbl.t;
-  suspended : txn Queue.t;
-      (* retained committed txns, oldest commit first; a Queue so that the
-         per-commit append is O(1) (a list append was quadratic over a run) *)
+  suspended : txn Fifo.t;
+      (* retained committed txns, oldest commit first. A Fifo: the
+         per-commit append is O(1), and a released txn keeps neither a slot
+         nor a link to the txns after it (see lib/sim/fifo.mli) *)
   mutable n_retained_siread : int;
       (* suspended entries still holding SIREAD locks; the rest are plain
          committed records awaiting overlap cleanup (kept incrementally so
          per-commit budget checks stay O(1)) *)
   mutable n_promotions : int; (* row->page SIREAD promotions performed *)
   mutable n_summarized : int; (* committed txns folded into [summary] *)
-  snap_order : txn Queue.t;
+  snap_order : txn Fifo.t;
       (* txns in snapshot-assignment order (snapshots are handed out
          monotonically), drained lazily: the front active entry is the
          oldest-active-snapshot watermark, so cleanup no longer scans the
          whole active table per commit *)
   summary : (string, summary) Hashtbl.t;
-  summary_expiry : (int * string) Queue.t;
+  summary_expiry : (int * string) Fifo.t;
       (* (commit_ts, resource) records in nondecreasing ts order; drained
          against the watermark to expire summary entries *)
   mutable obs : Obs.t;
@@ -307,7 +308,7 @@ let ensure_snapshot t =
       touch t "clock";
       let s = t.db.last_commit_ts in
       t.snapshot <- Some s;
-      Queue.add t t.db.snap_order;
+      Fifo.push t.db.snap_order t;
       s
 
 let snapshot_exn t =
@@ -324,9 +325,9 @@ let snapshot_exn t =
    cleanup. *)
 let min_active_snapshot db =
   let rec front () =
-    match Queue.peek_opt db.snap_order with
+    match Fifo.peek_opt db.snap_order with
     | Some t when not (Hashtbl.mem db.active t.id) ->
-        ignore (Queue.pop db.snap_order);
+        ignore (Fifo.pop db.snap_order);
         front ()
     | Some t -> ( match t.snapshot with Some s -> s | None -> max_int)
     | None -> max_int
@@ -388,7 +389,7 @@ let summary_add db resource ~commit_ts ~in_conflict ~out_conflict =
   | None ->
       Hashtbl.replace db.summary resource
         { sm_commit_ts = commit_ts; sm_in = in_conflict; sm_out = out_conflict });
-  Queue.add (commit_ts, resource) db.summary_expiry
+  Fifo.push db.summary_expiry (commit_ts, resource)
 
 (* Known read-only: declared so at begin, or committed without writes. *)
 let known_read_only t = t.declared_ro || (has_committed t && t.write_order = [])

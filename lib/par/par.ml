@@ -18,6 +18,8 @@ type t = {
   nonempty : Condition.t; (* a job was queued, or the pool is stopping *)
   progress : Condition.t; (* a job finished *)
   queue : (unit -> unit) Queue.t;
+      (* a stdlib Queue: this library does not depend on des, and each
+         batch drains it *)
   mutable stopping : bool;
   mutable remaining : int; (* jobs of the in-flight batch not yet finished *)
   mutable workers : unit Domain.t list;

@@ -275,6 +275,8 @@ type world = {
   traces : unit Traces.t;  (* exact keys of the traces already analyzed *)
   nodes : (int list, node) Hashtbl.t;  (* keyed by reversed choice prefix *)
   queue : branch Queue.t;
+      (* a stdlib Queue, not a Fifo: each round empties it first, so no
+         popped cell stays linked into the next round *)
 }
 
 let get_node w key =

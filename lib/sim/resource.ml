@@ -10,7 +10,7 @@ type t = {
   name : string;
   capacity : int;
   mutable in_use : int;
-  queue : Sim.waker Queue.t;
+  queue : Sim.waker Fifo.t;
   enqueue : Sim.waker -> unit;
       (* queues a suspending waiter; made once, so a wait allocates no
          closure *)
@@ -25,7 +25,7 @@ type t = {
 let sample t =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim)
-      (Obs.Res_sample { res = t.name; in_use = t.in_use; queued = Queue.length t.queue })
+      (Obs.Res_sample { res = t.name; in_use = t.in_use; queued = Fifo.length t.queue })
 
 let create sim ~name ~capacity =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
@@ -35,10 +35,10 @@ let create sim ~name ~capacity =
       name;
       capacity;
       in_use = 0;
-      queue = Queue.create ();
+      queue = Fifo.create ();
       enqueue =
         (fun w ->
-          Queue.add w t.queue;
+          Fifo.push t.queue w;
           sample t);
       busy = { seconds = 0.0 };
       obs = Obs.disabled;
@@ -54,7 +54,7 @@ let capacity t = t.capacity
 
 let in_use t = t.in_use
 
-let queued t = Queue.length t.queue
+let queued t = Fifo.length t.queue
 
 let acquire t =
   if t.in_use < t.capacity then begin
@@ -68,9 +68,9 @@ let acquire t =
 (* Hand the server to the first waiter still suspended, skipping killed
    ones, or free it when none is left. *)
 let rec hand_over t =
-  if Queue.is_empty t.queue then t.in_use <- t.in_use - 1
+  if Fifo.is_empty t.queue then t.in_use <- t.in_use - 1
   else begin
-    let w = Queue.take t.queue in
+    let w = Fifo.pop t.queue in
     if Sim.waker_fired w then hand_over t else Sim.wake t.sim w
   end
 

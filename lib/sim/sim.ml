@@ -176,22 +176,22 @@ let spawn t f =
    schedules the waiter, so nothing joins the queue while it drains. *)
 
 type cond = {
-  waiters : waker Queue.t;
+  waiters : waker Fifo.t;
   enqueue : waker -> unit; (* made once, so a wait builds no closure *)
 }
 
 let cond () =
-  let waiters = Queue.create () in
-  { waiters; enqueue = (fun w -> Queue.add w waiters) }
+  let waiters = Fifo.create () in
+  { waiters; enqueue = Fifo.push waiters }
 
 let wait t c = suspend t c.enqueue
 
 let broadcast t c =
-  while not (Queue.is_empty c.waiters) do
-    wake t (Queue.pop c.waiters)
+  while not (Fifo.is_empty c.waiters) do
+    wake t (Fifo.pop c.waiters)
   done
 
-let signal t c = if not (Queue.is_empty c.waiters) then wake t (Queue.pop c.waiters)
+let signal t c = if not (Fifo.is_empty c.waiters) then wake t (Fifo.pop c.waiters)
 
 let run ?(until = infinity) t =
   let c = t.clock in

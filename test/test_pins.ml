@@ -74,6 +74,46 @@ let test_quiet_sink () =
   same "lock-acquire-release" ~none:(Perfpoints.lock_path 5000)
     ~off:(Perfpoints.lock_path ~obs:(channels_off ()) 5000)
 
+(* What a short smallbank run promotes to the major heap per commit,
+   measured from a compacted heap after set-up, with the minor heap at
+   OCaml 5.1's default size. A committed transaction is garbage once it is
+   released, so little of what a commit allocates should be promoted: 42
+   words here. The bound, 100, fails a queue whose popped cells keep their
+   links, such as the stdlib Queue: once one cell is promoted, so is every
+   transaction queued after it, and this run promotes 212. *)
+let test_smallbank_promotion () =
+  let customers = 20_000 in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 262_144 };
+  let promoted = ref 0.0 in
+  let make_db sim =
+    let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
+    Smallbank.setup db ~customers ();
+    Gc.compact ();
+    promoted := (Gc.quick_stat ()).Gc.promoted_words;
+    db
+  in
+  let r =
+    Driver.run_once ~make_db ~mix:(Smallbank.mix ~customers ())
+      {
+        Driver.default_config with
+        Driver.isolation = Core.Types.Serializable;
+        mpl = 20;
+        warmup = 0.0;
+        duration = 0.25;
+        think_time = 0.0;
+        seed = 1;
+      }
+  in
+  let per_commit =
+    ((Gc.quick_stat ()).Gc.promoted_words -. !promoted) /. float_of_int r.Driver.commits
+  in
+  Gc.set gc;
+  Printf.printf "smallbank promoted words per commit: %.1f over %d commits\n" per_commit
+    r.Driver.commits;
+  if per_commit >= 100.0 then
+    Alcotest.failf "smallbank promoted %.1f words per commit, 100 or more" per_commit
+
 let () =
   Alcotest.run "pins"
     [
@@ -82,5 +122,6 @@ let () =
         @ [
             ("every pin has a point", `Quick, test_pins_have_points);
             ("no words from a channels-off sink", `Quick, test_quiet_sink);
+            ("smallbank promotes little per commit", `Quick, test_smallbank_promotion);
           ] );
     ]

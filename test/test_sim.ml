@@ -496,6 +496,55 @@ let qcheck_group_commit =
        QCheck.(list_of_size Gen.(int_bound 30) (int_bound 300))
        prop_group_commit)
 
+(* Property: a Fifo answers a random run of pushes, pops, peeks, emptiness
+   and length queries as the stdlib Queue does, [Empty] on an empty pop
+   included. Pushes outnumber pops, so runs grow the array and wrap around
+   it. *)
+let prop_fifo_matches_queue ops =
+  let f = Fifo.create () and q = Queue.create () in
+  List.for_all
+    (fun (op, v) ->
+      match op with
+      | 0 | 1 | 2 | 3 ->
+          Fifo.push f v;
+          Queue.add v q;
+          true
+      | 4 | 5 | 6 ->
+          let fifo = match Fifo.pop f with x -> Some x | exception Fifo.Empty -> None in
+          let queue = match Queue.pop q with x -> Some x | exception Queue.Empty -> None in
+          fifo = queue
+      | 7 -> Fifo.peek_opt f = Queue.peek_opt q
+      | 8 -> Fifo.is_empty f = Queue.is_empty q
+      | _ -> Fifo.length f = Queue.length q)
+    ops
+
+let qcheck_fifo =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"fifo matches stdlib Queue"
+       QCheck.(list_of_size Gen.(int_bound 300) (pair (int_bound 9) small_int))
+       prop_fifo_matches_queue)
+
+(* A popped element keeps nothing alive. The queue and its one element are
+   promoted; then 1,000 young 100-word blocks pass through it, each pushed
+   before the previous one is popped, so the queue is never empty, and the
+   last is popped too. The next minor collection promotes fewer words than
+   one block holds. The stdlib Queue promotes all 1,000 (104,024 words):
+   its promoted cell links to the first young one, and each popped cell to
+   the next. *)
+let test_fifo_promotes_nothing () =
+  let q = Fifo.create () in
+  Fifo.push q (Array.make 100 0);
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  for i = 1 to 1000 do
+    Fifo.push q (Array.make 100 i);
+    ignore (Fifo.pop q)
+  done;
+  ignore (Fifo.pop q);
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before.Gc.promoted_words in
+  if promoted >= 101.0 then Alcotest.failf "promoted %.0f words" promoted
+
 let suite =
   [
     ("pqueue ordering", `Quick, test_pqueue_ordering);
@@ -526,7 +575,8 @@ let suite =
     ("delay tied with a queued event queues", `Quick, test_delay_tie_queues);
     ("delay or suspend on another simulator raises", `Quick, test_other_simulator);
     ("kernel trace", `Quick, test_kernel_trace);
+    ("fifo promotes nothing it popped", `Quick, test_fifo_promotes_nothing);
   ]
-  @ [ qcheck_group_commit ]
+  @ [ qcheck_group_commit; qcheck_fifo ]
 
 let () = Alcotest.run "sim" [ ("sim", suite) ]
