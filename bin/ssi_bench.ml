@@ -47,10 +47,13 @@ let count = int_at_least 1 ~msg:"must be at least 1"
 (* Sizes where 0 means none or off. *)
 let size = int_at_least 0 ~msg:"must be 0 or more"
 
-(* Simulated seconds. *)
-let positive = float_where (fun x -> x > 0.0) ~msg:"must be positive"
+(* Simulated seconds. [float_of_string] reads "inf" and "nan", and neither
+   would end a run. *)
+let positive =
+  float_where (fun x -> Float.is_finite x && x > 0.0) ~msg:"must be positive and finite"
 
-let non_negative = float_where (fun x -> x >= 0.0) ~msg:"must be 0 or more"
+let non_negative =
+  float_where (fun x -> Float.is_finite x && x >= 0.0) ~msg:"must be 0 or more and finite"
 
 (* One converter per name table; [alts] lists a table's names for the help. *)
 let alts table = String.concat " | " (List.map fst table)
