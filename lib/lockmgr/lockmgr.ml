@@ -11,6 +11,18 @@
    Resources are strings; the engine encodes row keys, gap keys and page ids
    into them. Owners are integer transaction ids.
 
+   Storage. A hold (one owner's modes on one lock) is one record that is a
+   cell in two chains: its lock's holders and its owner's held set, as
+   PostgreSQL's SSI links each SIREAD lock on its target's and its
+   transaction's lists. A chain is a hash table threaded through the holds'
+   own links, laid out exactly as a [Stdlib.Hashtbl] with the same inserts
+   and removes, so it is walked in the same order: that order decides
+   conflict-marking order and wake order, which are part of the simulation.
+   The lock table is one open-addressed array of lock entries, probed
+   linearly on each resource's hash, which is computed once when an entry
+   takes its resource; nothing observes its order. Lock entries and held
+   sets that empty are free-listed through themselves for reuse.
+
    Deadlock detection is either [Immediate] (a waits-for cycle check on every
    block, InnoDB-style) or [Periodic dt] (a detector process that scans every
    [dt] simulated seconds, like Berkeley DB's db_perf setup in §6.1 — the
@@ -42,43 +54,151 @@ let bit = function S -> s_bit | X -> x_bit | Siread -> siread_bit
 (* 1 if [modes] has [b], else 0. *)
 let count b modes = if modes land b = 0 then 0 else 1
 
-(* The modes one owner holds on one lock, and that lock, so a release goes
-   straight to it. An entry in a lock's holder table has at least one mode;
-   a hold leaves the table when its last mode goes. *)
-type hold = { mutable modes : int; hlock : lock }
+(* The modes [howner] holds on [hlock], at least one while the hold is in
+   its two chains; it leaves both when its last mode goes. *)
+type hold = {
+  mutable modes : int;
+  howner : owner;
+  hlock : lock;
+  mutable next_holder : hold; (* in [hlock]'s holder chain *)
+  mutable next_held : hold; (* in [howner]'s held set *)
+}
+
+(* A hash table of holds linked through their [side]'s field. A lock's
+   holders are bucketed by [Hashtbl.hash] of the owner, an owner's held set
+   by its locks' [rhash]. *)
+and chain = { side : side; mutable buckets : hold array; mutable count : int }
+
+and side = Holders | Held
 
 and waiter = { wowner : owner; wmode : mode; waker : Sim.waker; wlock : lock }
 
 and lock = {
   mutable resource : string; (* reassigned when a free-listed entry is reused *)
-  holds : (owner, hold) Hashtbl.t;
+  mutable rhash : int; (* [Hashtbl.hash resource] *)
+  holders : chain;
   mutable queue : waiter list; (* FIFO: head is served first; blocked owners only *)
   mutable n_s : int; (* holds with S *)
   mutable n_x : int; (* holds with X *)
+  mutable next_free : lock; (* in the free list, while the entry is there *)
 }
+
+(* The end of a chain, the empty slot of the lock table and the end of the
+   lock free list. *)
+let rec nil = { modes = 0; howner = min_int; hlock = no_lock; next_holder = nil; next_held = nil }
+
+and no_lock =
+  {
+    resource = "";
+    rhash = 0;
+    holders = { side = Holders; buckets = [||]; count = 0 };
+    queue = [];
+    n_s = 0;
+    n_x = 0;
+    next_free = no_lock;
+  }
 
 let has h mode = h.modes land bit mode <> 0
 
-(* What one owner holds: its hold on each resource, and how many of those
-   holds include SIREAD. *)
-type held = { resources : (string, hold) Hashtbl.t; mutable sireads : int }
+(* Chains keep [Stdlib.Hashtbl]'s layout: 16 buckets when made or reset, a
+   new cell at the head of its bucket, and a doubling once the count
+   exceeds twice the buckets that appends each old bucket's cells, in
+   order, to the new buckets. A walk goes from bucket 0 up, each bucket
+   from its head, so it visits cells in [Hashtbl.fold]'s order. *)
+module Chain = struct
+  let create side = { side; buckets = Array.make 16 nil; count = 0 }
+
+  let next c h = match c.side with Holders -> h.next_holder | Held -> h.next_held
+
+  let set_next c h n = match c.side with Holders -> h.next_holder <- n | Held -> h.next_held <- n
+
+  let hash c h = match c.side with Holders -> Hashtbl.hash h.howner | Held -> h.hlock.rhash
+
+  let resize c =
+    let n = 2 * Array.length c.buckets in
+    let old = c.buckets and buckets = Array.make n nil and tails = Array.make n nil in
+    c.buckets <- buckets;
+    for i = 0 to Array.length old - 1 do
+      let h = ref old.(i) in
+      while !h != nil do
+        let cell = !h in
+        h := next c cell;
+        let j = hash c cell land (n - 1) in
+        if tails.(j) == nil then buckets.(j) <- cell else set_next c tails.(j) cell;
+        tails.(j) <- cell
+      done
+    done;
+    Array.iter (fun tail -> if tail != nil then set_next c tail nil) tails
+
+  let add c h =
+    let i = hash c h land (Array.length c.buckets - 1) in
+    set_next c h c.buckets.(i);
+    c.buckets.(i) <- h;
+    c.count <- c.count + 1;
+    if c.count > 2 * Array.length c.buckets then resize c
+
+  (* Unlink [h], which is in [c]. *)
+  let remove c h =
+    let i = hash c h land (Array.length c.buckets - 1) in
+    let first = c.buckets.(i) in
+    if first == h then c.buckets.(i) <- next c h
+    else begin
+      let p = ref first in
+      while next c !p != h do
+        p := next c !p
+      done;
+      set_next c !p (next c h)
+    end;
+    c.count <- c.count - 1
+
+  (* An emptied chain, before it is pooled. *)
+  let reset c = if Array.length c.buckets > 16 then c.buckets <- Array.make 16 nil
+
+  let fold c f acc =
+    let acc = ref acc in
+    for i = 0 to Array.length c.buckets - 1 do
+      let h = ref c.buckets.(i) in
+      while !h != nil do
+        acc := f !h !acc;
+        h := next c !h
+      done
+    done;
+    !acc
+
+  (* Walk [c], unlinking each cell for which [keep] is false. [keep] may
+     change anything but [c]. *)
+  let filter c keep =
+    for i = 0 to Array.length c.buckets - 1 do
+      let prev = ref nil and h = ref c.buckets.(i) in
+      while !h != nil do
+        let cell = !h in
+        h := next c cell;
+        if keep cell then prev := cell
+        else begin
+          if !prev == nil then c.buckets.(i) <- !h else set_next c !prev !h;
+          c.count <- c.count - 1
+        end
+      done
+    done
+end
+
+(* What one owner holds: its holds, and how many of them include SIREAD. *)
+type held = { resources : chain; mutable sireads : int; mutable next_set : held }
+
+let rec no_set =
+  { resources = { side = Held; buckets = [||]; count = 0 }; sireads = 0; next_set = no_set }
 
 type detection = Immediate | Periodic of float
 
 type t = {
   sim : Sim.t;
   detection : detection;
-  table : (string, lock) Hashtbl.t;
+  mutable slots : lock array; (* the lock table; [no_lock] marks a free slot *)
+  mutable n_locks : int;
   owned : (owner, held) Hashtbl.t;
   waiting : (owner, waiter) Hashtbl.t; (* blocked owner -> its queue entry *)
-  (* Lock entries and held sets are recycled instead of allocated afresh for
-     every new lock and owner. Each is reset to its initial size before it
-     is pooled, so a reused table iterates exactly like a fresh one: the
-     order of a lock's holders and of an owner's held set decides
-     conflict-marking order and wake order, which are part of the
-     simulation. *)
-  free_locks : lock Stack.t;
-  free_sets : held Stack.t;
+  mutable free_locks : lock;
+  mutable free_sets : held;
   mutable siread_total : int; (* SIREAD holds in the whole table *)
   mutable requests : int;
   mutable waits : int;
@@ -91,17 +211,18 @@ type t = {
   mutable on_touch : (int -> bool -> string -> unit) option;
 }
 
-(* The lock table starts small: nothing depends on its iteration order, and
-   the DPOR explorer builds one engine per schedule. *)
+(* The lock table starts small: nothing depends on its order, and the DPOR
+   explorer builds one engine per schedule. *)
 let create ?(detection = Immediate) sim =
   {
     sim;
     detection;
-    table = Hashtbl.create 64;
+    slots = Array.make 16 no_lock;
+    n_locks = 0;
     owned = Hashtbl.create 16;
     waiting = Hashtbl.create 16;
-    free_locks = Stack.create ();
-    free_sets = Stack.create ();
+    free_locks = no_lock;
+    free_sets = no_set;
     siread_total = 0;
     requests = 0;
     waits = 0;
@@ -120,35 +241,76 @@ let set_on_touch t f = t.on_touch <- f
 let owned_resources t owner =
   match Hashtbl.find_opt t.owned owner with
   | None -> []
-  | Some held -> List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) held.resources [])
+  | Some held ->
+      List.sort compare (Chain.fold held.resources (fun h acc -> h.hlock.resource :: acc) [])
 
 let sireads_of t owner =
   match Hashtbl.find t.owned owner with held -> held.sireads | exception Not_found -> 0
 
 let siread_entries t = t.siread_total
 
+let rec probe slots hash resource i =
+  let l = slots.(i) in
+  if l == no_lock || (l.rhash = hash && String.equal l.resource resource) then i
+  else probe slots hash resource ((i + 1) land (Array.length slots - 1))
+
+(* The slot of [resource]'s entry, or the free slot that ends its probe. *)
+let slot_of slots hash resource = probe slots hash resource (hash land (Array.length slots - 1))
+
+let find_lock t resource = t.slots.(slot_of t.slots (Hashtbl.hash resource) resource)
+
+(* Double the table once it is half full. *)
+let grow t =
+  let slots = Array.make (2 * Array.length t.slots) no_lock in
+  let place l = if l != no_lock then slots.(slot_of slots l.rhash l.resource) <- l in
+  Array.iter place t.slots;
+  t.slots <- slots
+
 let get_lock t resource =
-  match Hashtbl.find t.table resource with
-  | l -> l
-  | exception Not_found ->
-      let l =
-        if Stack.is_empty t.free_locks then
-          { resource; holds = Hashtbl.create 4; queue = []; n_s = 0; n_x = 0 }
-        else begin
-          let l = Stack.pop t.free_locks in
-          l.resource <- resource;
-          l
-        end
-      in
-      Hashtbl.replace t.table resource l;
-      l
+  let hash = Hashtbl.hash resource and slots = t.slots in
+  let i = slot_of slots hash resource in
+  if slots.(i) != no_lock then slots.(i)
+  else begin
+    let l = t.free_locks in
+    let l =
+      if l == no_lock then { no_lock with holders = Chain.create Holders }
+      else begin
+        t.free_locks <- l.next_free;
+        l
+      end
+    in
+    l.resource <- resource;
+    l.rhash <- hash;
+    slots.(i) <- l;
+    t.n_locks <- t.n_locks + 1;
+    if 2 * t.n_locks > Array.length slots then grow t;
+    l
+  end
+
+(* Free the slot [hole], then scan its cluster from [j] on: an entry whose
+   probe starts after the hole stays, any other moves back into the hole
+   and leaves a new one, so every probe still reaches its entry without
+   passing a free slot. *)
+let rec shift_back slots hole j =
+  let mask = Array.length slots - 1 in
+  let j = (j + 1) land mask in
+  let m = slots.(j) in
+  if m == no_lock then slots.(hole) <- no_lock
+  else if (j - m.rhash) land mask < (j - hole) land mask then shift_back slots hole j
+  else begin
+    slots.(hole) <- m;
+    shift_back slots j j
+  end
 
 (* Drop an entry nobody holds or waits for, keeping it for reuse. *)
 let drop_if_unused t l =
-  if Hashtbl.length l.holds = 0 && l.queue = [] then begin
-    Hashtbl.remove t.table l.resource;
-    Hashtbl.reset l.holds;
-    Stack.push l t.free_locks
+  if l.holders.count = 0 && l.queue = [] then begin
+    let i = slot_of t.slots l.rhash l.resource in
+    shift_back t.slots i i;
+    t.n_locks <- t.n_locks - 1;
+    Chain.reset l.holders;
+    l.next_free <- t.free_locks;
+    t.free_locks <- l
   end
 
 (* [owner]'s held set, made (or taken from the pool) if it has none. *)
@@ -156,19 +318,24 @@ let held_set t owner =
   match Hashtbl.find t.owned owner with
   | held -> held
   | exception Not_found ->
+      let held = t.free_sets in
       let held =
-        if Stack.is_empty t.free_sets then { resources = Hashtbl.create 16; sireads = 0 }
-        else Stack.pop t.free_sets
+        if held == no_set then { resources = Chain.create Held; sireads = 0; next_set = no_set }
+        else begin
+          t.free_sets <- held.next_set;
+          held
+        end
       in
       Hashtbl.replace t.owned owner held;
       held
 
 (* Forget an owner whose held set emptied, keeping the set for reuse. *)
 let drop_owned_if_empty t owner held =
-  if Hashtbl.length held.resources = 0 then begin
+  if held.resources.count = 0 then begin
     Hashtbl.remove t.owned owner;
-    Hashtbl.reset held.resources;
-    Stack.push held t.free_sets
+    Chain.reset held.resources;
+    held.next_set <- t.free_sets;
+    t.free_sets <- held
   end
 
 (* The one place a hold's modes change, so every count follows them: its
@@ -183,62 +350,63 @@ let set_modes t held h modes =
   held.sireads <- held.sireads + d;
   t.siread_total <- t.siread_total + d
 
-(* Take [bits] off [owner]'s hold [h]. A hold left with no mode leaves its
-   lock, and the result says whether it stays in [held], the owner's held
-   set; the caller takes it out of that set. *)
-let clear_modes t held ~owner h bits =
+(* Take [bits] off the hold [h]. A hold left with no mode leaves its lock's
+   holders, and the result says whether it stays in [held], its owner's
+   held set; the caller takes it out of that set. *)
+let clear_modes t held h bits =
   set_modes t held h (h.modes land lnot bits);
-  if h.modes = 0 then Hashtbl.remove h.hlock.holds owner;
+  if h.modes = 0 then Chain.remove h.hlock.holders h;
   h.modes <> 0
 
+(* [owner]'s hold on [l], or [nil], which holds no mode. *)
+let find_hold l owner =
+  let c = l.holders in
+  let h = ref c.buckets.(Hashtbl.hash owner land (Array.length c.buckets - 1)) in
+  while !h != nil && !h.howner <> owner do
+    h := !h.next_holder
+  done;
+  !h
+
 let holds_mode t ~owner ~mode resource =
-  match Hashtbl.find t.table resource with
-  | l -> ( match Hashtbl.find l.holds owner with h -> has h mode | exception Not_found -> false)
-  | exception Not_found -> false
+  let l = find_lock t resource in
+  l != no_lock && has (find_hold l owner) mode
 
 (* Modes currently held by [owner] on [resource]. *)
 let holds_of t ~owner resource =
   List.filter (fun mode -> holds_mode t ~owner ~mode resource) [ X; S; Siread ]
 
-(* Add [owner] to [acc] if its hold [h] has the mode: one function per
+(* Add the owner of [h] to [acc] if [h] has the mode: one function per
    mode, so a fold over a lock's holders builds no closure. *)
-let add_s owner h acc = if h.modes land s_bit = 0 then acc else owner :: acc
+let add_s h acc = if h.modes land s_bit = 0 then acc else h.howner :: acc
 
-let add_x owner h acc = if h.modes land x_bit = 0 then acc else owner :: acc
+let add_x h acc = if h.modes land x_bit = 0 then acc else h.howner :: acc
 
-let add_siread owner h acc = if h.modes land siread_bit = 0 then acc else owner :: acc
+let add_siread h acc = if h.modes land siread_bit = 0 then acc else h.howner :: acc
 
 let holders_with t resource mode =
-  match Hashtbl.find t.table resource with
-  | exception Not_found -> []
-  | l -> (
-      match mode with
-      | S -> if l.n_s = 0 then [] else Hashtbl.fold add_s l.holds []
-      | X -> if l.n_x = 0 then [] else Hashtbl.fold add_x l.holds []
-      | Siread -> Hashtbl.fold add_siread l.holds [])
+  let l = find_lock t resource in
+  if l == no_lock then []
+  else
+    match mode with
+    | S -> if l.n_s = 0 then [] else Chain.fold l.holders add_s []
+    | X -> if l.n_x = 0 then [] else Chain.fold l.holders add_x []
+    | Siread -> Chain.fold l.holders add_siread []
 
 let holders t resource =
-  match Hashtbl.find_opt t.table resource with
-  | None -> []
-  | Some l ->
-      Hashtbl.fold
-        (fun owner h acc ->
-          List.fold_left
-            (fun acc m -> if has h m then (owner, m) :: acc else acc)
-            acc [ X; S; Siread ])
-        l.holds []
+  let add h acc =
+    List.fold_left
+      (fun acc m -> if has h m then (h.howner, m) :: acc else acc)
+      acc [ X; S; Siread ]
+  in
+  Chain.fold (find_lock t resource).holders add []
 
-let queued t resource =
-  match Hashtbl.find_opt t.table resource with
-  | None -> []
-  | Some l -> List.map (fun w -> (w.wowner, w.wmode)) l.queue
+let queued t resource = List.map (fun w -> (w.wowner, w.wmode)) (find_lock t resource).queue
 
 (* Whether holding [h] blocks a request for [mode]. SIREAD blocks nothing. *)
 let holding_blocks h mode = (has h X && blocks mode X) || (has h S && blocks mode S)
 
 (* The modes [owner] holds on [l]. *)
-let own_modes l owner =
-  match Hashtbl.find l.holds owner with h -> h.modes | exception Not_found -> 0
+let own_modes l owner = (find_hold l owner).modes
 
 (* Would a request for [mode] by an owner holding [own] on [l] conflict
    with another owner's hold? The S and X counts include the requester's
@@ -252,19 +420,20 @@ let rec queue_conflicts owner mode = function
 
 let conflicts_with_queue l ~owner ~mode = queue_conflicts owner mode l.queue
 
-(* Grant [mode]; granting a mode already held touches no table. A new hold
-   joins its owner's held set with [Hashtbl.add]: its resource cannot be
-   there yet. *)
+(* Grant [mode]; granting a mode already held touches no chain. A new hold
+   goes at the head of its bucket in both chains. *)
 let do_grant t l ~owner ~mode =
-  let b = bit mode in
-  match Hashtbl.find l.holds owner with
-  | h -> if h.modes land b = 0 then set_modes t (Hashtbl.find t.owned owner) h (h.modes lor b)
-  | exception Not_found ->
-      let h = { modes = 0; hlock = l } in
-      Hashtbl.add l.holds owner h;
-      let held = held_set t owner in
-      Hashtbl.add held.resources l.resource h;
-      set_modes t held h b
+  let b = bit mode and h = find_hold l owner in
+  if h != nil then begin
+    if h.modes land b = 0 then set_modes t (Hashtbl.find t.owned owner) h (h.modes lor b)
+  end
+  else begin
+    let h = { modes = 0; howner = owner; hlock = l; next_holder = nil; next_held = nil } in
+    Chain.add l.holders h;
+    let held = held_set t owner in
+    Chain.add held.resources h;
+    set_modes t held h b
+  end
 
 (* The one definition of a waits-for edge. A request by [owner] for [mode]
    on [l] waits for every other owner holding a mode it conflicts with, and
@@ -273,7 +442,9 @@ let do_grant t l ~owner ~mode =
    queued, or [[]] for a conversion, which goes to the queue front. [f] is
    called once per edge. *)
 let iter_blockers l ~owner ~mode ahead f =
-  Hashtbl.iter (fun o h -> if o <> owner && holding_blocks h mode then f o) l.holds;
+  Chain.fold l.holders
+    (fun h () -> if h.howner <> owner && holding_blocks h mode then f h.howner)
+    ();
   let rec go = function
     | w :: rest when w.wowner <> owner ->
         if blocks mode w.wmode then f w.wowner;
@@ -286,14 +457,14 @@ let iter_blockers l ~owner ~mode ahead f =
    the periodic detector and deadlock certificates need the full graph. *)
 let waits_for_edges t =
   let edges = ref [] in
-  Hashtbl.iter
-    (fun _ l ->
+  Array.iter
+    (fun l ->
       List.iter
         (fun w ->
           iter_blockers l ~owner:w.wowner ~mode:w.wmode l.queue (fun o ->
               edges := (w.wowner, o) :: !edges))
         l.queue)
-    t.table;
+    t.slots;
   !edges
 
 (* The edges a request by [owner] for [mode] on [l] would add. *)
@@ -543,27 +714,24 @@ let acquire t ~owner ~mode resource =
 
 (* An owner whose last hold goes here keeps its (empty) held set. *)
 let release_one t ~owner ~mode resource =
-  match Hashtbl.find t.owned owner with
-  | exception Not_found -> ()
-  | held -> (
-      match Hashtbl.find held.resources resource with
-      | h when has h mode ->
-          let l = h.hlock in
-          if not (clear_modes t held ~owner h (bit mode)) then
-            Hashtbl.remove held.resources resource;
-          grant_waiters t l;
-          drop_if_unused t l
-      | _ -> ()
-      | exception Not_found -> ())
+  let l = find_lock t resource in
+  if l != no_lock then begin
+    let h = find_hold l owner in
+    if has h mode then begin
+      let held = Hashtbl.find t.owned owner in
+      if not (clear_modes t held h (bit mode)) then Chain.remove held.resources h;
+      grant_waiters t l;
+      drop_if_unused t l
+    end
+  end
 
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
    committing SSI transaction keeps them while suspended, §3.3).
 
-   The walk goes through the held set in place, in its [fold] order. A
+   The walk goes through the held set in place, in its walk order. A
    release touches only its own lock, so that order changes nothing but
    the order in which waiters wake, which is part of the simulation: locks
-   with waiters are served after the walk, last visited first, the order
-   of a list of the set's resources built by [fold]. *)
+   with waiters are served after the walk, last visited first. *)
 let release_all ?(keep_siread = false) t owner =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
@@ -572,13 +740,11 @@ let release_all ?(keep_siread = false) t owner =
   | held ->
       let bits = if keep_siread then s_bit lor x_bit else s_bit lor x_bit lor siread_bit in
       let waited = ref [] in
-      Hashtbl.filter_map_inplace
-        (fun _ h ->
+      Chain.filter held.resources (fun h ->
           let l = h.hlock in
-          let kept = clear_modes t held ~owner h bits in
+          let kept = clear_modes t held h bits in
           if l.queue = [] then drop_if_unused t l else waited := l :: !waited;
-          if kept then Some h else None)
-        held.resources;
+          kept);
       List.iter
         (fun l ->
           grant_waiters t l;
@@ -598,18 +764,16 @@ let transfer_sireads t ~owner ~to_owner =
   match Hashtbl.find t.owned owner with
   | exception Not_found -> []
   | held ->
-      (* Taken off in [fold] order, given to [to_owner] last taken first, as
+      (* Taken off in walk order, given to [to_owner] last taken first, as
          in [release_all]: that is the order of the returned list and of
          [to_owner]'s new holds. *)
       let taken = ref [] in
-      Hashtbl.filter_map_inplace
-        (fun _ h ->
-          if h.modes land siread_bit = 0 then Some h
-          else begin
-            taken := h.hlock :: !taken;
-            if clear_modes t held ~owner h siread_bit then Some h else None
-          end)
-        held.resources;
+      Chain.filter held.resources (fun h ->
+          h.modes land siread_bit = 0
+          || begin
+               taken := h.hlock :: !taken;
+               clear_modes t held h siread_bit
+             end);
       List.iter (fun l -> do_grant t l ~owner:to_owner ~mode:Siread) !taken;
       drop_owned_if_empty t owner held;
       List.map (fun l -> l.resource) !taken
@@ -624,8 +788,7 @@ let cancel_wait t owner exn =
 
 let is_waiting t owner = Hashtbl.mem t.waiting owner
 
-let lock_table_size t =
-  Hashtbl.fold (fun _ l acc -> acc + Hashtbl.length l.holds) t.table 0
+let lock_table_size t = Array.fold_left (fun acc l -> acc + l.holders.count) 0 t.slots
 
 let requests t = t.requests
 

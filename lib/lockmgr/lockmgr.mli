@@ -59,8 +59,12 @@ val holders : t -> string -> (owner * mode) list
 (** [holders_with t resource mode] lists the owners holding [mode] on
     [resource], in the order {!holders} lists their [(owner, mode)] pairs:
     the same as keeping the pairs of [holders t resource] whose mode is
-    [mode] and dropping the modes, without building the pairs. The engine
-    marks conflicts in this order, so it is part of the simulation. *)
+    [mode] and dropping the modes, without building the pairs. Both follow
+    the list [Hashtbl.fold (fun o _ acc -> o :: acc)] builds from a table
+    made by [Hashtbl.create 16] when the lock entry was made, given each
+    new holder with [Hashtbl.add] and each hold that lost its last mode
+    with [Hashtbl.remove]. The engine marks conflicts in this order, so it
+    is part of the simulation. *)
 val holders_with : t -> string -> mode -> owner list
 
 (** Modes [owner] currently holds on [resource]. *)
@@ -77,7 +81,13 @@ val release_one : t -> owner:owner -> mode:mode -> string -> unit
 
 (** Release everything [owner] holds. With [~keep_siread:true], SIREAD
     entries survive — a committing SSI transaction keeps them while
-    suspended (§3.3). *)
+    suspended (§3.3). The locks that have waiters are granted after every
+    hold is released, in the order of the list [Hashtbl.fold (fun r _ acc
+    -> r :: acc)] builds from the owner's held set: a table made by
+    [Hashtbl.create 16] at the owner's first grant, or its first since
+    [release_all] or {!transfer_sireads} emptied its holds, given each new
+    hold's resource with [Hashtbl.add] and each hold that lost its last
+    mode with [Hashtbl.remove]. Wake order is part of the simulation. *)
 val release_all : ?keep_siread:bool -> t -> owner -> unit
 
 (** If [owner] is blocked in {!acquire}, raise [exn] inside it and return
@@ -86,8 +96,10 @@ val cancel_wait : t -> owner -> exn -> bool
 
 (** [transfer_sireads t ~owner ~to_owner] moves every SIREAD annotation of
     [owner] onto [to_owner], merging where the target already holds one.
-    Returns the transferred resources. Used by committed-transaction
-    summarization to pool old owners' SIREADs under a sentinel owner. *)
+    Returns the transferred resources, in the order {!release_all} wakes
+    waiters; [to_owner] gets its new holds in that order too. Used by
+    committed-transaction summarization to pool old owners' SIREADs under a
+    sentinel owner. *)
 val transfer_sireads : t -> owner:owner -> to_owner:owner -> string list
 
 (** {1 Waits-for introspection} *)
