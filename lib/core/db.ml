@@ -10,9 +10,10 @@ let io_rng_start = Random.State.make [| 0xD15C |]
 (* Tables sized for a few transactions: the DPOR explorer, fuzz and
    perfbench's explore set-up build an engine per schedule, case or
    program, and a large bucket array would go straight to the major heap.
-   Both grow as needed. Nothing prints [txn_by_id]'s iteration order
+   They grow as needed. Nothing prints [txn_by_id]'s iteration order
    (Provenance sorts it); [active]'s reaches only the work-ledger folds,
-   whose float sums [work_conserved] compares within a tolerance. *)
+   whose float sums [work_conserved] compares within a tolerance; and
+   [summary], which only the bounded mode writes, is never iterated. *)
 let create ?(config = Config.test ()) sim =
   let open Internal in
   let disk = Resource.create sim ~name:"disk" ~capacity:Config.disk_arms in
@@ -48,7 +49,7 @@ let create ?(config = Config.test ()) sim =
     n_promotions = 0;
     n_summarized = 0;
     snap_order = Fifo.create ();
-    summary = Hashtbl.create 64;
+    summary = Hashtbl.create 8;
     summary_expiry = Fifo.create ();
     obs = Obs.disabled;
     history = [];
