@@ -480,15 +480,38 @@ type op =
   | Crowd of int * int  (** owners 0..n-1 SIREAD one resource: grows its holders *)
   | Drain  (** every owner releases everything: all tables go back for reuse *)
 
-let n_owners = 48
+(* Enough owners and names that a [Spread] or a [Crowd] can pass 64 holds,
+   so a held set or a holder chain doubles twice, and that the lock table
+   grows four times and deletes across clusters that wrap. *)
+let n_owners = 96
 
-let n_resources = 40
+let n_resources = 100
 
-let resource i = "r" ^ string_of_int i
+(* Names 0 to 4 are the first "w<i>" whose [Hashtbl.hash] ends in 511 (three
+   of them) or 510 (two) in its low 9 bits, so a lock table of up to 512
+   slots probes them from its last two slots: held together, they make a
+   cluster that wraps past the table's end, and releasing them deletes
+   across it. *)
+let wrapping =
+  let ending tail k =
+    let rec go i acc =
+      if List.length acc = k then List.rev acc
+      else
+        let name = "w" ^ string_of_int i in
+        go (i + 1) (if Hashtbl.hash name land 511 = tail then name :: acc else acc)
+    in
+    go 0 []
+  in
+  Array.of_list (ending 511 3 @ ending 510 2)
 
+let resource i = if i < Array.length wrapping then wrapping.(i) else "r" ^ string_of_int i
+
+(* Half of the single-resource operations go to the ten first names, so
+   the wrapping cluster is often built and deleted across. *)
 let op_gen =
   let open QCheck.Gen in
-  let owner = int_bound (n_owners - 1) and res = int_bound (n_resources - 1) in
+  let owner = int_bound (n_owners - 1)
+  and res = oneof [ int_bound 9; int_bound (n_resources - 1) ] in
   frequency
     [
       (10, map3 (fun o m r -> Acquire (o, m, r)) owner mode_gen res);
@@ -632,7 +655,7 @@ let prop_matches_reference =
    waiter queues on each. *)
 let prop_release_wake_order =
   QCheck.Test.make ~name:"release_all wakes waiters in held-set order" ~count:200
-    QCheck.(pair (list_of_size Gen.(int_range 2 60) (int_bound 9999)) bool)
+    QCheck.(pair (list_of_size Gen.(int_range 2 160) (int_bound 9999)) bool)
     (fun (ids, keep_siread) ->
       let rs =
         List.rev
