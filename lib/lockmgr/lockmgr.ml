@@ -259,7 +259,7 @@ let slot_of slots hash resource = probe slots hash resource (hash land (Array.le
 
 let find_lock t resource = t.slots.(slot_of t.slots (Hashtbl.hash resource) resource)
 
-(* Double the table once it is half full. *)
+(* Twice the slots, for a table more than half full. *)
 let grow t =
   let slots = Array.make (2 * Array.length t.slots) no_lock in
   let place l = if l != no_lock then slots.(slot_of slots l.rhash l.resource) <- l in
@@ -287,7 +287,7 @@ let get_lock t resource =
     l
   end
 
-(* Free the slot [hole], then scan its cluster from [j] on: an entry whose
+(* Free the slot [hole], scanning its cluster past [j]: an entry whose
    probe starts after the hole stays, any other moves back into the hole
    and leaves a new one, so every probe still reaches its entry without
    passing a free slot. *)
