@@ -293,12 +293,15 @@ let test_remove_then_reinsert () =
 (* The tree's layout, pinned as one MD5: pseudo-random, ascending and
    descending key runs with removes (a third of the random keys, then a
    contiguous block, so whole leaves empty) and re-inserts, at fanouts 4, 8
-   and 64. The digest covers every reported access of the inserts (path,
-   leaves, modified pages and split pairs), each remove's result, each
-   remaining key's path and leaf, and the final page count, height, stamp
-   and descent count. Descending runs matter: TPC-C++ loads its order tables
-   newest key first. A change to how leaves store their keys must keep
-   every page id, split and count. *)
+   and 64, then [find_or_add] of new keys (which split) and of present
+   ones, and range scans, some stopped early. The digest covers every
+   reported access of the inserts, of [find_or_add] and of the scans (path,
+   leaves, modified pages and split pairs), each value [find_or_add] gives,
+   each key a scan visits, each remove's result, each remaining key's path
+   and leaf, and the final page count, height, stamp and descent count.
+   Descending runs matter: TPC-C++ loads its order tables newest key first.
+   A change to how leaves store their keys, or to how a lookup reports its
+   pages, must keep every page id, split and count. *)
 let layout_digest () =
   let buf = Buffer.create 65536 in
   let ints l =
@@ -332,6 +335,31 @@ let layout_digest () =
       List.iter remove (List.init 120 (fun i -> 9999 - i));
       List.iter insert (List.init 60 (fun i -> 5249 - (2 * i)));
       List.iter insert (List.init 40 (fun i -> 9900 + i));
+      let find_or_add i =
+        let v, a = Btree.find_or_add t (key i) (fun () -> -i) in
+        ints [ v ];
+        access a
+      in
+      List.iter find_or_add (List.init 120 (fun i -> 10_000 + (3 * i)));
+      List.iter find_or_add (List.init 80 (fun i -> 5101 + (2 * i)));
+      List.iter find_or_add (List.init 100 (fun _ -> rand ()));
+      let scan ?lo ?hi ?stop () =
+        let seen = ref 0 in
+        access
+          (Btree.iter_range_access t ?lo:(Option.map key lo) ?hi:(Option.map key hi) (fun k v ->
+               Buffer.add_string buf k;
+               ints [ v ];
+               incr seen;
+               if Some !seen = stop then raise Exit))
+      in
+      scan ();
+      scan ~lo:4000 ~hi:5300 ();
+      scan ~lo:9950 ();
+      scan ~hi:120 ();
+      scan ~lo:5101 ~hi:5101 ();
+      scan ~lo:9990 ~hi:9000 ();
+      scan ~lo:100 ~stop:7 ();
+      scan ~lo:5000 ~hi:10_300 ~stop:40 ();
       Btree.check_invariants t;
       List.iter
         (fun (k, _) ->
@@ -344,7 +372,7 @@ let layout_digest () =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_layout_pin () =
-  Alcotest.(check string) "layout digest" "6613c198777faf1ede929994fb873a44" (layout_digest ())
+  Alcotest.(check string) "layout digest" "bcb10bc86824f6b94e72504802239754" (layout_digest ())
 
 (* Put a fresh value under [k] and return only a weak pointer to it, so
    the tree holds the one strong reference. *)

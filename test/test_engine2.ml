@@ -343,6 +343,33 @@ let test_page_mode_lock_follows_split () =
         (Mvsg.is_serializable (Db.history env.db)))
     [ s2pl; si; ssi ]
 
+(* An S2PL read at row granularity waits on the row's lock while the
+   holder's insert splits the key's leaf. Once granted, the read finds the
+   key again on its new leaf and, as the leaves differ, takes the row lock a
+   second time before it reads. The eight rows fill one leaf of fanout 8:
+   T1 X-locks k6, then inserts k0a, which splits the leaf and moves k6 to
+   a new page; T2's read of k6 queues behind T1 in between. The lock
+   requests and the final clock pin that second request. *)
+let test_s2pl_row_read_relocks_after_split () =
+  let rows = ("t", List.init 8 (fun i -> (Printf.sprintf "k%d" i, "0"))) in
+  let env = make_env ~tables:[ "t" ] ~rows:[ rows ] () in
+  let table = Db.table_exn env.db "t" in
+  let leaves key = (snd (Mvstore.find_chain_path table key)).Btree.leaves in
+  let before = leaves "k6" in
+  let read = ref None in
+  let r1 =
+    script env ~at:0.0 ~gap:0.1 ~isolation:s2pl
+      [ (fun t -> Txn.write t "t" "k6" "1"); (fun t -> Txn.insert t "t" "k0a" "2") ]
+  in
+  let r2 = script env ~at:0.05 ~isolation:s2pl [ (fun t -> read := Txn.read t "t" "k6") ] in
+  run_procs env [];
+  check_outcome "T1" Committed r1;
+  check_outcome "T2" Committed r2;
+  Alcotest.(check bool) "the insert moved k6 to another leaf" true (leaves "k6" <> before);
+  Alcotest.(check (option string)) "T2 reads T1's write" (Some "1") !read;
+  Alcotest.(check int) "lock requests" 5 (Lockmgr.requests (Db.locks env.db));
+  Alcotest.(check string) "final clock" "0.21002200000000001" (Printf.sprintf "%.17g" (Sim.now env.sim))
+
 let test_page_mode_random_ssi_serializable () =
   (* Whole-engine property at page granularity: SSI histories stay
      serializable even with page-level (coarse) conflict detection. *)
@@ -628,6 +655,7 @@ let suite =
     ("page mode FCW is page-level", `Quick, test_page_mode_fcw_is_page_level);
     ("page splits conflict with readers", `Quick, test_page_mode_split_conflicts_with_readers);
     ("page lock follows a split", `Quick, test_page_mode_lock_follows_split);
+    ("S2PL row read relocks after a split", `Quick, test_s2pl_row_read_relocks_after_split);
     ("page mode random SSI serializable", `Slow, test_page_mode_random_ssi_serializable);
     ("victim prefer pivot", `Quick, test_victim_prefer_pivot);
     ("victim prefer younger", `Quick, test_victim_prefer_younger);
