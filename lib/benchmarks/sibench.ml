@@ -48,8 +48,8 @@ let mix ~items ?(queries_per_update = 1) () =
 let total db =
   let t = Db.table_exn db table in
   Btree.fold_range (Mvstore.index t) ?lo:None ?hi:None ~init:0 ~f:(fun acc _ chain ->
-      match Mvstore.latest chain with
-      | Some { Mvstore.value = Some v; _ } -> acc + int_of_string v
-      | _ -> acc)
+      match (Mvstore.latest chain).Mvstore.value with
+      | Some v -> acc + int_of_string v
+      | None -> acc)
 
 let initial_total ~items = items * (items - 1) / 2

@@ -109,49 +109,104 @@ let olkey w d o n = key4 "w" w 3 ":d" d 2 ":o" o 8 ":" n 2
 
 let cokey w d c o = key4 "w" w 3 ":d" d 2 ":c" c 5 ":o" o 8
 
-let fields s = String.split_on_char '|' s
+(* A row is its numbers in decimal, joined by '|', a negative one with a
+   leading '-': the string [String.concat "|"] makes of [string_of_int]s,
+   written into one string filled with '|'. [int_length] is a number's
+   length; [put_int] writes one at [pos] and returns the position after
+   it. *)
+let int_length n =
+  if n >= 0 then Decimal.length n
+  else if n = min_int then String.length (string_of_int n)
+  else 1 + Decimal.length (-n)
 
-let join = String.concat "|"
+let put_int b pos n =
+  let w = int_length n in
+  if n >= 0 then Decimal.blit n b ~pos ~width:w
+  else if n = min_int then Bytes.blit_string (string_of_int n) 0 b pos w
+  else begin
+    Bytes.unsafe_set b pos '-';
+    Decimal.blit (-n) b ~pos:(pos + 1) ~width:(w - 1)
+  end;
+  pos + w
+
+let row3 x y z =
+  let b = Bytes.make (int_length x + int_length y + int_length z + 2) '|' in
+  ignore (put_int b (put_int b (put_int b 0 x + 1) y + 1) z);
+  Bytes.unsafe_to_string b
+
+(* A row's fields are read in place. [fields s n what] checks that [s] has
+   [n] fields, else fails with [invalid_arg what]; field [i] runs from
+   [field_start s i 0] to [field_end]. A field that is not plain decimal
+   goes through [int_of_string], so a malformed row fails as
+   [int_of_string] does. *)
+let fields s n what =
+  let seps = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = '|' then incr seps
+  done;
+  if !seps <> n - 1 then invalid_arg what
+
+let rec field_end s pos =
+  if pos < String.length s && String.unsafe_get s pos <> '|' then field_end s (pos + 1) else pos
+
+let rec field_start s i pos = if i = 0 then pos else field_start s (i - 1) (field_end s pos + 1)
+
+let int_at s pos stop =
+  let start = if pos < stop && s.[pos] = '-' then pos + 1 else pos in
+  let n = ref 0 and plain = ref (start < stop && stop - start <= 18) in
+  for i = start to stop - 1 do
+    let c = String.unsafe_get s i in
+    if c >= '0' && c <= '9' then n := (10 * !n) + Char.code c - 48 else plain := false
+  done;
+  if not !plain then int_of_string (String.sub s pos (stop - pos))
+  else if start > pos then - !n
+  else !n
+
+let int_field s i =
+  let pos = field_start s i 0 in
+  int_at s pos (field_end s pos)
 
 (* district *)
-let district_row ~next_o ~ytd = join [ string_of_int next_o; string_of_int ytd ]
+let district_row ~next_o ~ytd =
+  let b = Bytes.make (int_length next_o + int_length ytd + 1) '|' in
+  ignore (put_int b (put_int b 0 next_o + 1) ytd);
+  Bytes.unsafe_to_string b
 
 let parse_district s =
-  match fields s with
-  | [ next_o; ytd ] -> (int_of_string next_o, int_of_string ytd)
-  | _ -> invalid_arg "district row"
+  fields s 2 "district row";
+  (int_field s 0, int_field s 1)
+
+let parse3 s what =
+  fields s 3 what;
+  (int_field s 0, int_field s 1, int_field s 2)
 
 (* customer: balance is money owed (grows with deliveries, shrinks with
    payments). *)
-let customer_row ~balance ~credit_lim ~delivery_cnt =
-  join [ string_of_int balance; string_of_int credit_lim; string_of_int delivery_cnt ]
+let customer_row ~balance ~credit_lim ~delivery_cnt = row3 balance credit_lim delivery_cnt
 
-let parse_customer s =
-  match fields s with
-  | [ b; lim; dc ] -> (int_of_string b, int_of_string lim, int_of_string dc)
-  | _ -> invalid_arg "customer row"
+let parse_customer s = parse3 s "customer row"
 
-let stock_row ~qty ~ytd ~cnt = join [ string_of_int qty; string_of_int ytd; string_of_int cnt ]
+let stock_row ~qty ~ytd ~cnt = row3 qty ytd cnt
 
-let parse_stock s =
-  match fields s with
-  | [ q; y; c ] -> (int_of_string q, int_of_string y, int_of_string c)
-  | _ -> invalid_arg "stock row"
+let parse_stock s = parse3 s "stock row"
 
-let order_row ~c ~carrier ~ol_cnt = join [ string_of_int c; string_of_int carrier; string_of_int ol_cnt ]
+let order_row ~c ~carrier ~ol_cnt = row3 c carrier ol_cnt
 
-let parse_order s =
-  match fields s with
-  | [ c; car; n ] -> (int_of_string c, int_of_string car, int_of_string n)
-  | _ -> invalid_arg "order row"
+let parse_order s = parse3 s "order row"
+
+(* The order id that ends an order or customer-order key. *)
+let order_of_key k = int_at k (String.length k - 8) (String.length k)
 
 let ol_row ~i ~qty ~amount ~delivered =
-  join [ string_of_int i; string_of_int qty; string_of_int amount; (if delivered then "1" else "0") ]
+  let b = Bytes.make (int_length i + int_length qty + int_length amount + 4) '|' in
+  let pos = put_int b (put_int b (put_int b 0 i + 1) qty + 1) amount + 1 in
+  Bytes.unsafe_set b pos (if delivered then '1' else '0');
+  Bytes.unsafe_to_string b
 
 let parse_ol s =
-  match fields s with
-  | [ i; q; a; d ] -> (int_of_string i, int_of_string q, int_of_string a, d = "1")
-  | _ -> invalid_arg "order line row"
+  fields s 4 "order line row";
+  let d = field_start s 3 0 in
+  (int_field s 0, int_field s 1, int_field s 2, String.length s = d + 1 && s.[d] = '1')
 
 (* {1 Data scaling (§5.3.6)} *)
 
@@ -280,7 +335,7 @@ let order_status_txn (s : scale) st t =
   | [] -> ()
   | (co_key, _) :: _ ->
       (* recover o from the index key "w:d:c:oNNNNNNNN" *)
-      let o = int_of_string (String.sub co_key (String.length co_key - 8) 8) in
+      let o = order_of_key co_key in
       let _, _, ol_cnt = parse_order (read_exn t orders (okey w d o)) in
       for n = 1 to ol_cnt do
         ignore (read_exn t order_line (olkey w d o n))
@@ -294,7 +349,7 @@ let delivery_txn (s : scale) st t =
   match Txn.scan ~lo:(okey w d 0) ~hi:(okey w d 99_999_999) ~limit:1 t new_order with
   | [] -> () (* DLVY1 *)
   | (no_key, _) :: _ ->
-      let o = int_of_string (String.sub no_key (String.length no_key - 8) 8) in
+      let o = order_of_key no_key in
       ignore (Txn.delete t new_order no_key);
       let c, _, ol_cnt = parse_order (Txn.read_for_update_exn t orders (okey w d o)) in
       Txn.write t orders (okey w d o) (order_row ~c ~carrier ~ol_cnt);
@@ -344,7 +399,7 @@ let credit_check_txn (s : scale) st t =
   let neworder_balance = ref 0 in
   List.iter
     (fun (co_key, _) ->
-      let o = int_of_string (String.sub co_key (String.length co_key - 8) 8) in
+      let o = order_of_key co_key in
       match Txn.read t new_order (okey w d o) with
       | None -> ()
       | Some _ ->
@@ -388,17 +443,14 @@ exception Inconsistent of string
 let latest_of db table key =
   match Mvstore.find_chain (Db.table_exn db table) key with
   | None -> None
-  | Some chain -> ( match Mvstore.latest chain with Some { Mvstore.value; _ } -> value | None -> None)
+  | Some chain -> (Mvstore.latest chain).Mvstore.value
 
 (* Count of live (not deleted) rows of [table] in the inclusive key range,
    judged on the latest committed version of each chain. *)
 let count_live db table ~lo ~hi =
   let n = ref 0 in
-  ignore
-    (Mvstore.scan_chains (Db.table_exn db table) ~lo ~hi (fun _ chain ->
-         match Mvstore.latest chain with
-         | Some { Mvstore.value = Some _; _ } -> incr n
-         | _ -> ()));
+  Mvstore.scan_chains (Db.table_exn db table) ~lo ~hi (fun _ chain ->
+      if Option.is_some (Mvstore.latest chain).Mvstore.value then incr n);
   !n
 
 (* Verify structural invariants of the final database state:

@@ -52,6 +52,11 @@ type 'a t = {
       (* the internal nodes the latest [walk] passed, root first, and the
          child taken at each: the descent path, and the way an insert's
          splits climb back up *)
+  mutable depth : int; (* internal levels the latest [descend] passed *)
+  mutable modified : int list;
+  mutable split_pairs : (int * int) list;
+      (* the pages the latest [descend]'s insert split, as its footprint
+         reports them; [] unless it split *)
 }
 
 type access = {
@@ -83,17 +88,22 @@ let create ?(fanout = 64) () =
     stamp = 0;
     trail = [||];
     trail_ci = [||];
+    depth = 0;
+    modified = [];
+    split_pairs = [];
   }
 
 let length t = t.size
-
-let fanout t = t.fanout
 
 let root_id t = node_id t.root
 
 let descents t = t.descents
 
 let stamp t = t.stamp
+
+(* Each split makes one new page, the new root of a root split included,
+   and nothing else does. *)
+let splits t = t.next_id - 1
 
 (* Index of the child covering [key]: the number of separators <= key. *)
 let child_index n key =
@@ -167,10 +177,6 @@ let leaf_remove l i =
     refill l l.lvals.(0)
   end
 
-(* The leaf covering [key]. *)
-let rec leaf_of node key =
-  match node with Leaf l -> l | Internal n -> leaf_of n.ichildren.(child_index n key) key
-
 (* One descent to the leaf covering [key] that remembers the internal nodes
    and child indices in [t.trail]; leaves the leaf in [t.last_leaf] and
    returns the number of internal levels. *)
@@ -190,27 +196,41 @@ let rec walk t key node d =
       t.trail_ci.(d) <- ci;
       walk t key n.ichildren.(ci) (d + 1)
 
-(* The page ids of a [walk] of [depth] internal levels, root first. *)
-let trail_path t depth =
+(* One counted [walk] to the leaf covering [key], whose footprint
+   [footprint] builds on request. *)
+let descend t key =
+  t.descents <- t.descents + 1;
+  t.modified <- [];
+  t.split_pairs <- [];
+  t.depth <- walk t key t.root 0
+
+(* The page ids of the latest [descend], root first. *)
+let trail_path t =
   let path = ref [ t.last_leaf.lid ] in
-  for d = depth - 1 downto 0 do
+  for d = t.depth - 1 downto 0 do
     path := t.trail.(d).iid :: !path
   done;
   !path
 
-let find_path t key =
-  t.descents <- t.descents + 1;
-  let path = trail_path t (walk t key t.root 0) in
-  let leaf = t.last_leaf in
-  let i = search_keys leaf key in
-  let v = if found_at leaf i key then Some leaf.lvals.(i) else None in
-  (v, { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
+(* The footprint of the latest [descend] and of what it added: its path,
+   the leaf it reached (before any split) and the pages split. *)
+let footprint t =
+  {
+    path = trail_path t;
+    leaves = [ t.last_leaf.lid ];
+    modified = t.modified;
+    splits = t.split_pairs;
+  }
 
 let find t key =
-  t.descents <- t.descents + 1;
-  let leaf = leaf_of t.root key in
+  descend t key;
+  let leaf = t.last_leaf in
   let i = search_keys leaf key in
   if found_at leaf i key then Some leaf.lvals.(i) else None
+
+let find_path t key =
+  let v = find t key in
+  (v, footprint t)
 
 let split_leaf t l : string * 'a node =
   let n = l.ln in
@@ -245,92 +265,83 @@ let split_internal t n : string * 'a node =
   n.ichildren <- Array.sub n.ichildren 0 (mid + 1);
   (promoted, Internal right)
 
-(* Add [key] at position [i] of the leaf a [walk] of [depth] levels reached,
-   splitting back up the trail as far as pages overflow. [path] is the
-   walk's; the leaf reported is the one reached, before any split. Split
-   pages are listed top-down: each parent before the pages it split or
-   absorbed, and each split as (old page, new right sibling). *)
-let add t depth i key v ~path =
+(* The parent at trail level [d] absorbs its child's split into [sep]
+   and [right], splitting in turn if it overflows; past the root, the tree
+   grows a level. Split pages are listed top-down: each parent before the
+   pages it split or absorbed, and each split as (old page, new right
+   sibling). *)
+let rec absorb t d sep right =
+  if d < 0 then begin
+    let old_root_id = node_id t.root in
+    let id = fresh_id t in
+    t.root <- Internal { iid = id; ikeys = [| sep |]; ichildren = [| t.root; right |] };
+    t.modified <- id :: t.modified;
+    t.split_pairs <- (old_root_id, id) :: t.split_pairs
+  end
+  else begin
+    let n = t.trail.(d) and ci = t.trail_ci.(d) in
+    n.ikeys <- array_insert n.ikeys ci sep;
+    n.ichildren <- array_insert n.ichildren (ci + 1) right;
+    if Array.length n.ichildren > t.fanout then begin
+      let sep', right' = split_internal t n in
+      t.modified <- n.iid :: node_id right' :: t.modified;
+      t.split_pairs <- (n.iid, node_id right') :: t.split_pairs;
+      absorb t (d - 1) sep' right'
+    end
+    else t.modified <- n.iid :: t.modified
+  end
+
+(* Add [key] at position [i] of the leaf the latest [descend] reached,
+   splitting back up the trail as far as pages overflow. *)
+let add t i key v =
   let l = t.last_leaf in
   leaf_insert t l i key v;
   t.size <- t.size + 1;
   t.stamp <- t.stamp + 1;
-  if l.ln <= t.fanout then
-    { path; leaves = [ l.lid ]; modified = []; splits = [] }
-  else begin
+  if l.ln > t.fanout then begin
     let sep, right = split_leaf t l in
-    let modified = ref [ l.lid; node_id right ] and splits = ref [ (l.lid, node_id right) ] in
-    (* The parent at trail level [d] absorbs its child's split. *)
-    let rec absorb d sep right =
-      if d < 0 then begin
-        (* Root split: the tree grows a level. *)
-        let old_root_id = node_id t.root in
-        let id = fresh_id t in
-        t.root <- Internal { iid = id; ikeys = [| sep |]; ichildren = [| t.root; right |] };
-        modified := id :: !modified;
-        splits := (old_root_id, id) :: !splits
-      end
-      else begin
-        let n = t.trail.(d) and ci = t.trail_ci.(d) in
-        n.ikeys <- array_insert n.ikeys ci sep;
-        n.ichildren <- array_insert n.ichildren (ci + 1) right;
-        if Array.length n.ichildren > t.fanout then begin
-          let sep', right' = split_internal t n in
-          modified := n.iid :: node_id right' :: !modified;
-          splits := (n.iid, node_id right') :: !splits;
-          absorb (d - 1) sep' right'
-        end
-        else modified := n.iid :: !modified
-      end
-    in
-    absorb (depth - 1) sep right;
-    { path; leaves = [ l.lid ]; modified = !modified; splits = !splits }
+    t.modified <- [ l.lid; node_id right ];
+    t.split_pairs <- [ (l.lid, node_id right) ];
+    absorb t (t.depth - 1) sep right
   end
 
 let insert t key v =
-  t.descents <- t.descents + 1;
-  let depth = walk t key t.root 0 in
+  descend t key;
   let leaf = t.last_leaf in
-  let path = trail_path t depth in
   let i = search_keys leaf key in
   if found_at leaf i key then begin
     leaf.lvals.(i) <- v;
-    refill leaf v;
-    { path; leaves = [ leaf.lid ]; modified = []; splits = [] }
+    refill leaf v
   end
-  else add t depth i key v ~path
+  else add t i key v;
+  footprint t
 
 let find_or_add t key make =
-  t.descents <- t.descents + 1;
-  let depth = walk t key t.root 0 in
+  descend t key;
   let leaf = t.last_leaf in
-  let path = trail_path t depth in
   let i = search_keys leaf key in
-  if found_at leaf i key then
-    (leaf.lvals.(i), { path; leaves = [ leaf.lid ]; modified = []; splits = [] })
-  else
+  if found_at leaf i key then leaf.lvals.(i)
+  else begin
     let v = make () in
-    (v, add t depth i key v ~path)
+    add t i key v;
+    v
+  end
+
+let find_or_add_path t key make =
+  let v = find_or_add t key make in
+  (v, footprint t)
 
 let remove t key =
-  let rec go node =
-    match node with
-    | Leaf l ->
-        let i = search_keys l key in
-        if found_at l i key then begin
-          leaf_remove l i;
-          true
-        end
-        else false
-    | Internal n -> go n.ichildren.(child_index n key)
-  in
-  t.descents <- t.descents + 1;
-  let removed = go t.root in
-  if removed then begin
-    t.size <- t.size - 1;
-    t.stamp <- t.stamp + 1
-  end;
-  removed
+  descend t key;
+  let l = t.last_leaf in
+  let i = search_keys l key in
+  found_at l i key
+  && begin
+       leaf_remove l i;
+       t.size <- t.size - 1;
+       t.stamp <- t.stamp + 1;
+       true
+     end
 
 let rec leftmost_leaf = function
   | Leaf l -> l
@@ -365,8 +376,8 @@ let max_key t =
 (* Least key strictly greater than [key] whose value satisfies [p], if any:
    one descent, then along the leaf chain. *)
 let successor_where t key p =
-  t.descents <- t.descents + 1;
-  let leaf = leaf_of t.root key in
+  descend t key;
+  let leaf = t.last_leaf in
   let rec from_leaf l i =
     if i < l.ln then
       if l.lkeys.(i) > key && p l.lvals.(i) then Some l.lkeys.(i) else from_leaf l (i + 1)
@@ -376,16 +387,15 @@ let successor_where t key p =
 
 let successor t key = successor_where t key (fun _ -> true)
 
-(* Inclusive range iteration; [f] may not modify the tree. Returns the access
-   footprint (descent path for [lo] plus all leaves visited). *)
-let iter_range_access t ?lo ?hi f =
-  let start_key = match lo with Some k -> k | None -> "" in
-  t.descents <- t.descents + 1;
-  let path = trail_path t (walk t start_key t.root 0) in
-  let leaf = t.last_leaf in
+(* Inclusive range iteration; [f] may not modify the tree. With [collect],
+   returns the footprint: the descent path for [lo] and every leaf
+   visited. *)
+let scan t ?lo ?hi f ~collect =
+  descend t (match lo with Some k -> k | None -> "");
+  let path = if collect then trail_path t else [] in
   let leaves = ref [] in
   let rec visit l i =
-    if i = 0 then leaves := l.lid :: !leaves;
+    if collect && i = 0 then leaves := l.lid :: !leaves;
     if i < l.ln then begin
       let k = l.lkeys.(i) in
       let below_hi = match hi with None -> true | Some h -> k <= h in
@@ -406,10 +416,12 @@ let iter_range_access t ?lo ?hi f =
   in
   (* [f] may raise [Exit] to stop the scan early (LIMIT queries); the access
      footprint then covers only the pages actually visited. *)
-  (try visit leaf 0 with Exit -> ());
-  { path; leaves = List.rev !leaves; modified = []; splits = [] }
+  (try visit t.last_leaf 0 with Exit -> ());
+  if collect then { path; leaves = List.rev !leaves; modified = []; splits = [] } else no_access
 
-let iter_range t ?lo ?hi f = ignore (iter_range_access t ?lo ?hi f)
+let iter_range_access t ?lo ?hi f = scan t ?lo ?hi f ~collect:true
+
+let iter_range t ?lo ?hi f = ignore (scan t ?lo ?hi f ~collect:false)
 
 let fold_range t ?lo ?hi ~init ~f =
   let acc = ref init in

@@ -5,19 +5,23 @@
     encoded by the caller); values are arbitrary — the MVCC layer stores
     mutable version chains in them.
 
-    Every page (node) has a stable integer id, and each operation reports its
-    {!access} footprint: the descent path, the leaf pages visited, and any
-    pages structurally modified by splits. The transaction engine uses these
-    ids for page-granularity locking (the Berkeley DB configuration of the
-    paper), where a root-page split conflicts with every concurrent reader.
+    Every page (node) has a stable integer id, and a lookup reports its
+    {!access} footprint on request: the descent path, the leaf pages
+    visited, and any pages structurally modified by splits. The transaction
+    engine uses these ids for page-granularity locking (the Berkeley DB
+    configuration of the paper), where a root-page split conflicts with
+    every concurrent reader. Each lookup comes in two forms: {!find_path},
+    {!find_or_add_path} and {!iter_range_access} build the footprint, and
+    {!find}, {!find_or_add} and {!iter_range}, for callers that read no
+    pages, build none.
 
     Deletion is lazy (no rebalancing): version-chain entries are only removed
     by garbage collection, so underflowing pages are harmless and simply
     stay.
 
-    A tree belongs to one domain: lookups that report a path record the
-    nodes they passed in the tree, so even reads must not run on two domains
-    at once. *)
+    A tree belongs to one domain: every walk from the root records the nodes
+    it passes in the tree, so even reads must not run on two domains at
+    once. *)
 
 type 'a t
 
@@ -40,8 +44,6 @@ val create : ?fanout:int -> unit -> 'a t
 
 val length : 'a t -> int
 
-val fanout : 'a t -> int
-
 (** Current root page id (changes when the root splits). *)
 val root_id : 'a t -> int
 
@@ -57,6 +59,10 @@ val descents : 'a t -> int
     find. *)
 val stamp : 'a t -> int
 
+(** Splits so far: each split of a page, the root's included, makes one
+    new page, so an insert split exactly when this moved. *)
+val splits : 'a t -> int
+
 val find : 'a t -> string -> 'a option
 
 (** Like {!find} but also reports the pages read. *)
@@ -69,9 +75,12 @@ val find_path : 'a t -> string -> 'a option * access
 val insert : 'a t -> string -> 'a -> access
 
 (** [find_or_add t key make] is the value of [key], inserting [make ()] if
-    it is absent, in one walk: the access is {!find_path}'s when the key is
-    present and {!insert}'s when it is added. *)
-val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * access
+    it is absent, in one walk. *)
+val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
+
+(** Like {!find_or_add}, also reporting the footprint: {!find_path}'s when
+    the key is present and {!insert}'s when it is added. *)
+val find_or_add_path : 'a t -> string -> (unit -> 'a) -> 'a * access
 
 (** Physically remove a key (used by garbage collection, not by transactions,
     which write tombstones instead). Returns whether the key was present.
@@ -92,10 +101,12 @@ val successor : 'a t -> string -> string option
     chain. *)
 val successor_where : 'a t -> string -> ('a -> bool) -> string option
 
-(** Inclusive range iteration in key order. *)
+(** Inclusive range iteration in key order; [f] may not change the tree,
+    and may raise [Exit] to stop the scan. *)
 val iter_range : 'a t -> ?lo:string -> ?hi:string -> (string -> 'a -> unit) -> unit
 
-(** Like {!iter_range}, reporting the descent path and leaves visited. *)
+(** Like {!iter_range}, reporting the descent path and leaves visited (of
+    those before the stop, when [f] raises [Exit]). *)
 val iter_range_access : 'a t -> ?lo:string -> ?hi:string -> (string -> 'a -> unit) -> access
 
 val fold_range :

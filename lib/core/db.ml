@@ -213,8 +213,8 @@ let load (t : t) table_name rows =
   Wal.harden t.wal;
   List.iter
     (fun (key, value) ->
-      let chain, _ = Mvstore.ensure_chain table key in
-      Mvstore.install chain ~value:(Some value) ~commit_ts:ts ~creator:0)
+      Mvstore.install (Mvstore.ensure_chain table key) ~value:(Some value) ~commit_ts:ts
+        ~creator:0)
     rows;
   Internal.publish_commit_ts t ts
 
@@ -299,7 +299,7 @@ let recover ?(config = Config.test ()) ?obs sim ~log =
               | Some t -> t
               | None -> create_table db tbl
             in
-            let chain, access = Mvstore.ensure_chain table key in
+            let chain, access = Mvstore.ensure_chain_path table key in
             Mvstore.install chain ~value:(Hashtbl.find final (tbl, key)) ~commit_ts:ts
               ~creator:txn;
             if config.Config.granularity = Config.Page then

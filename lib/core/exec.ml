@@ -155,11 +155,11 @@ let promote_page t table_name page pr =
     Obs.emit db.obs ~ts:(Sim.now db.sim)
       (Obs.Promotion { txn = t.id; table = table_name; page; rows = pr.pr_count; resource })
 
-(* Row SIREAD for a point read, routed through the promotion tracker when a
-   memory budget is configured. A promoted page already covers the row, so
-   no new entry is needed (the caller still runs [mark_x_holders] on the
-   row itself). *)
-let siread_row t table_name key ~leaves =
+(* Row SIREAD on [r], the row [key]'s resource, for a point read, routed
+   through the promotion tracker when a memory budget is configured. A
+   promoted page already covers the row, so no new entry is needed (the
+   caller still runs [mark_x_holders] on the row itself). *)
+let siread_row t table_name key r ~leaves =
   let db = t.db in
   match (leaves, t.page_reads) with
   | page :: _, Some page_reads ->
@@ -172,7 +172,7 @@ let siread_row t table_name key ~leaves =
             pr
       in
       if not pr.pr_promoted then begin
-        acquire_siread t (row_resource table_name key);
+        acquire_siread t r;
         if not (List.mem key pr.pr_rows) then begin
           pr.pr_rows <- key :: pr.pr_rows;
           pr.pr_count <- pr.pr_count + 1;
@@ -180,7 +180,7 @@ let siread_row t table_name key ~leaves =
             promote_page t table_name page pr
         end
       end
-  | _ -> acquire_siread t (row_resource table_name key)
+  | _ -> acquire_siread t r
 
 let rec mark_x_owners source t resource = function
   | [] -> ()
@@ -284,6 +284,13 @@ let mark_page_stamp t table page snap =
                 ~sm_out:s.sm_out t
           | None -> ())
 
+(* Whether this engine reads the pages of a lookup's footprint: page locks
+   and stamps (Page), the page SIREADs of promotion and of the
+   summarized-reader pool (a memory budget), or the buffer pool. Otherwise
+   a lookup builds no footprint. *)
+let reads_pages db =
+  db.config.Config.granularity = Config.Page || bounded db || db.cache <> None
+
 (* Carry page-level conflict state across B+tree splits (the paper's
    Berkeley DB change #3, §4.4: "propagate SIREAD locks appropriately during
    Btree page splits"). A split moves entries to a freshly allocated sibling
@@ -326,9 +333,9 @@ let propagate_splits db table (access : Btree.access) =
 
 let is_ssi t = t.isolation = Serializable
 
-let log_read t table_name key version =
+let log_read t table_name key (v : Mvstore.version) =
   if t.db.config.Config.record_history then
-    t.reads_log <- { r_table = table_name; r_key = key; r_version = version } :: t.reads_log
+    t.reads_log <- { r_table = table_name; r_key = key; r_version = v.commit_ts } :: t.reads_log
 
 (* The write this transaction buffered for the key, if any. Only buffered
    entries are in [write_order], so a transaction that buffered none skips
@@ -447,9 +454,6 @@ let read_version t chain =
   | Read_committed | S2pl -> Mvstore.latest chain
   | Snapshot | Serializable -> Mvstore.visible chain ~snapshot:(snapshot_exn t)
 
-let visible_value (v : Mvstore.version option) = match v with Some v -> v.value | None -> None
-
-let version_ts (v : Mvstore.version option) = match v with Some v -> v.commit_ts | None -> 0
 
 (* S2PL point reads lock the row, or the leaves found (Page). *)
 let s_lock_key t table key (_, access) =
@@ -483,13 +487,17 @@ let read t table_name key =
             if Mvstore.stamp table = stamp then chain else Mvstore.find_chain table key
         | Read_committed | Snapshot | Serializable ->
             let snap = if t.isolation = Read_committed then 0 else ensure_snapshot t in
-            let chain, access = Mvstore.find_chain_path table key in
+            let chain, access =
+              if reads_pages db then Mvstore.find_chain_path table key
+              else (Mvstore.find_chain table key, Btree.no_access)
+            in
             touch_pages db table_name access;
             if is_ssi t then begin
               (match db.config.Config.granularity with
               | Config.Row ->
-                  siread_row t table_name key ~leaves:access.Btree.leaves;
-                  mark_x_holders t (row_resource table_name key)
+                  let r = row_resource table_name key in
+                  siread_row t table_name key r ~leaves:access.Btree.leaves;
+                  mark_x_holders t r
               | Config.Page ->
                   lock_pages_for_read t table_name access;
                   mark_path_stamps t table access snap);
@@ -499,9 +507,9 @@ let read t table_name key =
             end;
             chain
       in
-      let v = match chain with Some c -> read_version t c | None -> None in
-      log_read t table_name key (version_ts v);
-      visible_value v
+      let v = match chain with Some c -> read_version t c | None -> Mvstore.no_version in
+      log_read t table_name key v;
+      v.Mvstore.value
 
 let do_read t table_name key =
   enter t;
@@ -575,6 +583,9 @@ let lock_for_write t table_name key ~will_write =
   let slot = (table_name, key) in
   let entry = Hashtbl.find_opt t.writes slot in
   let stamp = Mvstore.stamp table in
+  (* The row's lock name, built once for the X request and the SIREAD
+     holders it marks: only row granularity locks rows. *)
+  let row = if config.Config.granularity = Config.Row then row_resource table_name key else "" in
   (* What is known of the key before its locks, as of [stamp]. *)
   let known =
     match entry with
@@ -588,7 +599,7 @@ let lock_for_write t table_name key ~will_write =
   let known_chain, known_access =
     match config.Config.granularity with
     | Config.Row ->
-        acquire_x_for_write t ~will_write (row_resource table_name key);
+        acquire_x_for_write t ~will_write row;
         if Mvstore.stamp table = stamp then known else (None, Btree.no_access)
     | Config.Page ->
         locked_until_stable t table stamp ~find:find_key ~same:same_leaves
@@ -599,14 +610,18 @@ let lock_for_write t table_name key ~will_write =
      updates never abort under first-committer-wins. *)
   let snap = ensure_snapshot t in
   check_doom t;
+  let splits = Btree.splits (Mvstore.index table) in
   let chain, access =
     match known_chain with
     | Some c -> (c, known_access)
-    | None -> Mvstore.ensure_chain table key
+    | None when reads_pages db -> Mvstore.ensure_chain_path table key
+    | None -> (Mvstore.ensure_chain table key, Btree.no_access)
   in
   (* An insert that split reports the leaf before the split, which may no
      longer hold the key. *)
-  let found_at = match access.Btree.splits with [] -> Mvstore.stamp table | _ -> -1 in
+  let found_at =
+    if Btree.splits (Mvstore.index table) = splits then Mvstore.stamp table else -1
+  in
   let e =
     match entry with
     | Some e ->
@@ -661,7 +676,7 @@ let lock_for_write t table_name key ~will_write =
   if is_ssi t then begin
     (match config.Config.granularity with
     | Config.Row ->
-        mark_siread_holders t (row_resource table_name key);
+        mark_siread_holders t row;
         (* Bounded-memory mode: promoted readers and the summarized-reader
            pool hold page SIREADs instead of row SIREADs, so the write must
            also be checked against the page resources of the leaves it
@@ -709,8 +724,8 @@ let read_for_update t table_name key =
       (* Under SI and SSI, the FCW check in lock_for_write guarantees the
          snapshot version is also the latest committed one. *)
       let v = read_version t e.w_chain in
-      log_read t table_name key (version_ts v);
-      visible_value v
+      log_read t table_name key v;
+      v.Mvstore.value
 
 let do_read_for_update t table_name key =
   enter t;
@@ -753,11 +768,8 @@ let insert t table_name key value =
   let e = lock_for_write t table_name key ~will_write:true in
   (* Duplicate detection: a live committed latest version, or our own
      buffered live write; our own buffered delete makes the key free. *)
-  (if e.w_buffered then (if Option.is_some e.w_value then raise (Abort Duplicate_key))
-   else
-     match Mvstore.latest e.w_chain with
-     | Some { value = Some _; _ } -> raise (Abort Duplicate_key)
-     | _ -> ());
+  if Option.is_some (if e.w_buffered then e.w_value else (Mvstore.latest e.w_chain).value) then
+    raise (Abort Duplicate_key);
   buffer_write t e (Some value)
 
 let do_insert t table_name key value =
@@ -778,8 +790,8 @@ let delete t table_name key =
     if e.w_buffered then Option.is_some e.w_value
     else
       let v = read_version t e.w_chain in
-      log_read t table_name key (version_ts v);
-      match v with Some { value = Some _; _ } -> true | _ -> false
+      log_read t table_name key v;
+      Option.is_some v.value
   in
   if existed then buffer_write t e None else if is_ssi t then siread_after_x t e;
   existed
@@ -795,23 +807,29 @@ let do_delete t table_name key =
 let sees_row t table_name key chain =
   match own_write t table_name key with
   | Some v -> Option.is_some v
-  | None -> ( match read_version t chain with Some { value = Some _; _ } -> true | _ -> false)
+  | None -> Option.is_some (read_version t chain).value
 
 (* A scan's collection: the index entries of [lo, hi] with their chains,
-   the walk's footprint, and whether the walk reached the end of the range.
-   With [limit] it stops at the [limit]-th row this transaction sees, so
-   next-key locks cover only the examined prefix, like a LIMIT scan. *)
+   the walk's footprint (when the engine reads pages), and whether the walk
+   reached the end of the range. With [limit] it stops at the [limit]-th
+   row this transaction sees, so next-key locks cover only the examined
+   prefix, like a LIMIT scan. *)
 let collect_range t table (lo, hi, limit) =
   let table_name = Mvstore.name table in
   let visited = ref [] and seen = ref 0 in
+  let visit k c =
+    visited := (k, c) :: !visited;
+    match limit with
+    | Some n when sees_row t table_name k c ->
+        incr seen;
+        if !seen >= n then raise Exit
+    | _ -> ()
+  in
   let access =
-    Mvstore.scan_chains table ?lo ?hi (fun k c ->
-        visited := (k, c) :: !visited;
-        match limit with
-        | Some n when sees_row t table_name k c ->
-            incr seen;
-            if !seen >= n then raise Exit
-        | _ -> ())
+    if reads_pages t.db then Mvstore.scan_chains_path table ?lo ?hi visit
+    else (
+      Mvstore.scan_chains table ?lo ?hi visit;
+      Btree.no_access)
   in
   let exhausted = match limit with None -> true | Some n -> !seen < n in
   (List.rev !visited, access, exhausted)
@@ -932,26 +950,33 @@ let scan t table_name lo hi limit =
     List.fold_left
       (fun results (key, chain) ->
         let v = read_version t chain in
-        log_read t table_name key (version_ts v);
-        let v = match own_write t table_name key with Some v -> v | None -> visible_value v in
+        log_read t table_name key v;
+        let v = match own_write t table_name key with Some v -> v | None -> v.value in
         match v with Some v -> (key, v) :: results | None -> results)
       [] visited
   in
-  (* Buffered inserts of our own that fall inside the range. *)
+  (* Buffered inserts of our own that fall inside the range. The visited
+     rows come in key order, so only these make a sort necessary. *)
   let own_inserts =
-    List.filter_map
-      (fun e ->
-        let k = e.w_key in
-        if
-          e.w_table = table_name
-          && (match lo with Some lo -> k >= lo | None -> true)
-          && (match hi with Some hi -> k <= hi | None -> true)
-          && not (List.exists (fun (k', _) -> k' = k) visited)
-        then Option.map (fun v -> (k, v)) e.w_value
-        else None)
-      t.write_order
+    if t.write_order = [] then []
+    else
+      List.filter_map
+        (fun e ->
+          let k = e.w_key in
+          if
+            e.w_table = table_name
+            && (match lo with Some lo -> k >= lo | None -> true)
+            && (match hi with Some hi -> k <= hi | None -> true)
+            && not (List.exists (fun (k', _) -> k' = k) visited)
+          then Option.map (fun v -> (k, v)) e.w_value
+          else None)
+        t.write_order
   in
-  let all = List.sort (fun (a, _) (b, _) -> compare a b) (own_inserts @ List.rev results) in
+  let all =
+    match own_inserts with
+    | [] -> List.rev results
+    | _ -> List.sort (fun (a, _) (b, _) -> compare a b) (own_inserts @ List.rev results)
+  in
   match limit with
   | None -> all
   | Some n -> List.filteri (fun i _ -> i < n) all
@@ -985,11 +1010,12 @@ let install_write t commit_ts page_mode e =
   let table = table_exn db e.w_table in
   let chain =
     if e.w_stamp = Mvstore.stamp table then e.w_chain
-    else begin
-      let chain, access = Mvstore.ensure_chain table e.w_key in
+    else if reads_pages db then begin
+      let chain, access = Mvstore.ensure_chain_path table e.w_key in
       propagate_splits db table access;
       chain
     end
+    else Mvstore.ensure_chain table e.w_key
   in
   Mvstore.install chain ~value:e.w_value ~commit_ts ~creator:t.id;
   if page_mode then stamp_leaves t table commit_ts (entry_access table e).Btree.leaves

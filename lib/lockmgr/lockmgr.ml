@@ -725,13 +725,22 @@ let release_one t ~owner ~mode resource =
     end
   end
 
+let rec wake_waited t = function
+  | [] -> ()
+  | l :: ls ->
+      grant_waiters t l;
+      drop_if_unused t l;
+      wake_waited t ls
+
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
    committing SSI transaction keeps them while suspended, §3.3).
 
    The walk goes through the held set in place, in its walk order. A
    release touches only its own lock, so that order changes nothing but
    the order in which waiters wake, which is part of the simulation: locks
-   with waiters are served after the walk, last visited first. *)
+   with waiters are served after the walk, last visited first. The walk is
+   written out, with no closure, so a release allocates only for the locks
+   with waiters it lists. *)
 let release_all ?(keep_siread = false) t owner =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
@@ -739,17 +748,19 @@ let release_all ?(keep_siread = false) t owner =
   | exception Not_found -> ()
   | held ->
       let bits = if keep_siread then s_bit lor x_bit else s_bit lor x_bit lor siread_bit in
+      let c = held.resources in
       let waited = ref [] in
-      Chain.filter held.resources (fun h ->
-          let l = h.hlock in
-          let kept = clear_modes t held h bits in
-          if l.queue = [] then drop_if_unused t l else waited := l :: !waited;
-          kept);
-      List.iter
-        (fun l ->
-          grant_waiters t l;
-          drop_if_unused t l)
-        !waited;
+      for i = 0 to Array.length c.buckets - 1 do
+        let h = ref c.buckets.(i) in
+        while !h != nil do
+          let cell = !h in
+          h := cell.next_held;
+          if not (clear_modes t held cell bits) then Chain.remove c cell;
+          let l = cell.hlock in
+          if l.queue = [] then drop_if_unused t l else waited := l :: !waited
+        done
+      done;
+      wake_waited t !waited;
       drop_owned_if_empty t owner held
 
 (* Move every SIREAD annotation of [owner] onto [to_owner], merging with any

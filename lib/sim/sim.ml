@@ -70,12 +70,16 @@ let now t = t.clock.now
 let live_procs t = t.live_procs
 
 (* The earliest queued time, read in place ([Pqueue.min_time] would box
-   it). *)
-let next_time t =
+   it). A float that a call returns or takes is boxed unless the call is
+   inlined, and only calls within this module can be: dune's dev profile
+   compiles with [-opaque]. So [next_time] and [push] are inlined into
+   their callers here, and an event boxes one float, the time
+   [Pqueue.push] takes. *)
+let[@inline] next_time t =
   let q = t.events in
   if q.Pqueue.size = 0 then infinity else Array.unsafe_get q.Pqueue.times 0
 
-let push t ~after ev =
+let[@inline] push t ~after ev =
   if not (after >= 0.0) then invalid_arg "Sim.schedule: negative or NaN delay";
   t.seq <- t.seq + 1;
   Pqueue.push t.events ~time:(t.clock.now +. after) ~seq:t.seq ev

@@ -45,9 +45,11 @@ let find_chain_path t key = Btree.find_path t.tree key
 
 let new_chain () = { versions = [] }
 
-(* Chain for [key], creating an empty one (and its index entry) if missing.
-   Returns the btree access so page-level locking can cover index writes. *)
+(* Chain for [key], creating an empty one (and its index entry) if missing;
+   with the btree access, so page-level locking can cover index writes. *)
 let ensure_chain t key = Btree.find_or_add t.tree key new_chain
+
+let ensure_chain_path t key = Btree.find_or_add_path t.tree key new_chain
 
 let stamp t = Btree.stamp t.tree
 
@@ -67,16 +69,20 @@ let stamp_page t page ~ts ~writer =
   t.page_ts.(page) <- ts;
   t.page_writer.(page) <- writer
 
+(* What a read finds in a chain with no version it can see: a tombstone
+   with commit timestamp 0, so a read needs no option. *)
+let no_version = { value = None; commit_ts = 0; creator = 0 }
+
 (* Newest version with commit_ts <= snapshot: what an SI read sees. *)
-let visible chain ~snapshot =
-  let rec go = function
-    | [] -> None
-    | v :: rest -> if v.commit_ts <= snapshot then Some v else go rest
-  in
-  go chain.versions
+let rec visible_in versions snapshot =
+  match versions with
+  | [] -> no_version
+  | v :: rest -> if v.commit_ts <= snapshot then v else visible_in rest snapshot
+
+let visible chain ~snapshot = visible_in chain.versions snapshot
 
 (* Newest committed version regardless of snapshot: what S2PL reads. *)
-let latest chain = match chain.versions with [] -> None | v :: _ -> Some v
+let latest chain = match chain.versions with [] -> no_version | v :: _ -> v
 
 (* Committed versions newer than [than] — the "ignored newer versions" that
    flag rw-dependencies in Fig 3.4 and trigger first-committer-wins. *)
@@ -102,14 +108,9 @@ let install chain ~value ~commit_ts ~creator =
 
 (* Value as of [snapshot], skipping tombstones. *)
 let read t key ~snapshot =
-  match find_chain t key with
-  | None -> None
-  | Some c -> ( match visible c ~snapshot with Some { value = Some v; _ } -> Some v | _ -> None)
+  match find_chain t key with None -> None | Some c -> (visible c ~snapshot).value
 
-let read_latest t key =
-  match find_chain t key with
-  | None -> None
-  | Some c -> ( match latest c with Some { value = Some v; _ } -> Some v | _ -> None)
+let read_latest t key = match find_chain t key with None -> None | Some c -> (latest c).value
 
 (* Next key after [key] with at least one committed version — the
    gap-locking successor; [None] means the supremum (Figs 3.6/3.7). Entries
@@ -120,8 +121,11 @@ let min_key t = Btree.min_key t.tree
 
 (* Iterate index entries in [lo, hi] (inclusive), exposing the whole chain so
    the engine can both read the snapshot-visible version and detect ignored
-   newer versions / tombstones. Returns the btree access footprint. *)
-let scan_chains t ?lo ?hi f = Btree.iter_range_access t.tree ?lo ?hi f
+   newer versions / tombstones; [scan_chains_path] also returns the btree
+   access footprint. *)
+let scan_chains t ?lo ?hi f = Btree.iter_range t.tree ?lo ?hi f
+
+let scan_chains_path t ?lo ?hi f = Btree.iter_range_access t.tree ?lo ?hi f
 
 (* Canonical textual image of the committed store, the recovery oracle's
    store-equivalence witness: one line per version, keys in index order,
@@ -129,19 +133,18 @@ let scan_chains t ?lo ?hi f = Btree.iter_range_access t.tree ?lo ?hi f
    are length-prefixed so arbitrary bytes (fuzzer keys contain anything)
    cannot make two different stores render identically. *)
 let dump ?(max_ts = max_int) t buf =
-  ignore
-    (scan_chains t (fun key chain ->
-         List.iter
-           (fun v ->
-             if v.commit_ts <= max_ts then begin
-               Buffer.add_string buf
-                 (Printf.sprintf "%s/%d:%s@%d=" t.name (String.length key) key v.commit_ts);
-               (match v.value with
-               | Some s -> Buffer.add_string buf (Printf.sprintf "%d:%s" (String.length s) s)
-               | None -> Buffer.add_char buf '~');
-               Buffer.add_char buf '\n'
-             end)
-           (List.rev chain.versions)))
+  scan_chains t (fun key chain ->
+      List.iter
+        (fun v ->
+          if v.commit_ts <= max_ts then begin
+            Buffer.add_string buf
+              (Printf.sprintf "%s/%d:%s@%d=" t.name (String.length key) key v.commit_ts);
+            (match v.value with
+            | Some s -> Buffer.add_string buf (Printf.sprintf "%d:%s" (String.length s) s)
+            | None -> Buffer.add_char buf '~');
+            Buffer.add_char buf '\n'
+          end)
+        (List.rev chain.versions))
 
 (* Number of distinct keys with an index entry (live or tombstoned). *)
 let key_count t = Btree.length t.tree

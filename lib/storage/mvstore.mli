@@ -32,8 +32,13 @@ val find_chain : t -> string -> chain option
 val find_chain_path : t -> string -> chain option * Btree.access
 
 (** Chain for a key, creating an empty one (and the index entry) if missing,
-    in one walk ({!Btree.find_or_add}). *)
-val ensure_chain : t -> string -> chain * Btree.access
+    in one walk ({!Btree.find_or_add}). Whether the walk split a page shows
+    in {!Btree.splits}. *)
+val ensure_chain : t -> string -> chain
+
+(** {!ensure_chain}, also reporting the walk's footprint
+    ({!Btree.find_or_add_path}). *)
+val ensure_chain_path : t -> string -> chain * Btree.access
 
 (** The index's structure stamp ({!Btree.stamp}): while it has not moved, a
     chain and access found earlier are what a new lookup would find. *)
@@ -53,11 +58,18 @@ val page_writer : t -> int -> txn_id
 
 val stamp_page : t -> int -> ts:ts -> writer:txn_id -> unit
 
-(** Newest version with [commit_ts <= snapshot] — what an SI read sees. *)
-val visible : chain -> snapshot:ts -> version option
+(** What {!visible} and {!latest} give for a chain with no version they
+    can see: a tombstone ([value = None]) with [commit_ts = 0] and
+    [creator = 0]. One shared value, so a read allocates no option. *)
+val no_version : version
 
-(** Newest committed version — what an S2PL read sees. *)
-val latest : chain -> version option
+(** Newest version with [commit_ts <= snapshot] — what an SI read sees —
+    or {!no_version}. *)
+val visible : chain -> snapshot:ts -> version
+
+(** Newest committed version — what an S2PL read sees — or
+    {!no_version}. *)
+val latest : chain -> version
 
 (** Committed versions newer than [than], newest first: the ignored newer
     versions of Fig 3.4 and the first-committer-wins witnesses. *)
@@ -80,8 +92,13 @@ val committed_successor : t -> string -> string option
 
 val min_key : t -> string option
 
-(** Inclusive range iteration over chains, reporting the index pages used. *)
-val scan_chains : t -> ?lo:string -> ?hi:string -> (string -> chain -> unit) -> Btree.access
+(** Inclusive range iteration over chains, in key order. *)
+val scan_chains : t -> ?lo:string -> ?hi:string -> (string -> chain -> unit) -> unit
+
+(** {!scan_chains}, also reporting the index pages used
+    ({!Btree.iter_range_access}). *)
+val scan_chains_path :
+  t -> ?lo:string -> ?hi:string -> (string -> chain -> unit) -> Btree.access
 
 (** Append a canonical textual image of the committed store: one line per
     version ([<table>/<len>:<key>@<ts>=<len>:<value>], [~] for a

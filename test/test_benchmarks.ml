@@ -608,11 +608,112 @@ let prop_tpcc_keys =
       && Tpcc.olkey w d o c = Printf.sprintf "w%03d:d%02d:o%08d:%02d" w d o c
       && Tpcc.cokey w d c o = Printf.sprintf "w%03d:d%02d:c%05d:o%08d" w d c o)
 
+(* The row codec TPC-C++ used before its rows were written and read in
+   place, kept as the reference: fields split on '|' and joined with it,
+   each through [string_of_int] or [int_of_string]. *)
+module Split_rows = struct
+  let fields s = String.split_on_char '|' s
+
+  let join = String.concat "|"
+
+  let district_row ~next_o ~ytd = join [ string_of_int next_o; string_of_int ytd ]
+
+  let parse_district s =
+    match fields s with
+    | [ next_o; ytd ] -> (int_of_string next_o, int_of_string ytd)
+    | _ -> invalid_arg "district row"
+
+  let customer_row ~balance ~credit_lim ~delivery_cnt =
+    join [ string_of_int balance; string_of_int credit_lim; string_of_int delivery_cnt ]
+
+  let parse_customer s =
+    match fields s with
+    | [ b; lim; dc ] -> (int_of_string b, int_of_string lim, int_of_string dc)
+    | _ -> invalid_arg "customer row"
+
+  let stock_row ~qty ~ytd ~cnt = join [ string_of_int qty; string_of_int ytd; string_of_int cnt ]
+
+  let parse_stock s =
+    match fields s with
+    | [ q; y; c ] -> (int_of_string q, int_of_string y, int_of_string c)
+    | _ -> invalid_arg "stock row"
+
+  let order_row ~c ~carrier ~ol_cnt =
+    join [ string_of_int c; string_of_int carrier; string_of_int ol_cnt ]
+
+  let parse_order s =
+    match fields s with
+    | [ c; car; n ] -> (int_of_string c, int_of_string car, int_of_string n)
+    | _ -> invalid_arg "order row"
+
+  let ol_row ~i ~qty ~amount ~delivered =
+    join
+      [ string_of_int i; string_of_int qty; string_of_int amount; (if delivered then "1" else "0") ]
+
+  let parse_ol s =
+    match fields s with
+    | [ i; q; a; d ] -> (int_of_string i, int_of_string q, int_of_string a, d = "1")
+    | _ -> invalid_arg "order line row"
+end
+
+(* What a parser gives for a row: its tuple or the exception it raises. *)
+let outcome parse s = match parse s with v -> Ok v | exception e -> Error e
+
+(* Every row builder gives the reference's bytes for any ints, negative
+   ones and [min_int] included, and every parser the reference's tuple on
+   them. On arbitrary rows, with a field too many or too few, an empty
+   field, a non-digit, a sign, an overflow or a form [int_of_string] also
+   accepts ("0x1F", "1_000"), every parser gives the same tuple or raises
+   the same exception: [Invalid_argument] naming the row for a wrong field
+   count, [int_of_string]'s [Failure] for a bad number. *)
+let prop_tpcc_rows =
+  let open QCheck.Gen in
+  let num = oneof [ int; int_range (-1000) 1000; small_nat; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let field =
+    oneof
+      [
+        map string_of_int num;
+        oneofl
+          [ ""; "-"; "+7"; "1a"; "x"; " 3"; "0x1F"; "1_000"; "-0"; "007"; "1"; "0"; "11";
+            "99999999999999999999"; "-9223372036854775809"; "4611686018427387903" ];
+      ]
+  in
+  let row = map (String.concat "|") (list_size (int_range 0 6) field) in
+  let ints = list_repeat 4 num in
+  QCheck.Test.make ~name:"tpcc rows match the split codec" ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int) (list string))
+       (pair ints (list_repeat 5 row)))
+    (fun (ns, rows) ->
+      let a, b, c, d = match ns with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false in
+      let delivered = d mod 2 = 0 in
+      let built =
+        [
+          (Tpcc.district_row ~next_o:a ~ytd:b, Split_rows.district_row ~next_o:a ~ytd:b);
+          ( Tpcc.customer_row ~balance:a ~credit_lim:b ~delivery_cnt:c,
+            Split_rows.customer_row ~balance:a ~credit_lim:b ~delivery_cnt:c );
+          (Tpcc.stock_row ~qty:a ~ytd:b ~cnt:c, Split_rows.stock_row ~qty:a ~ytd:b ~cnt:c);
+          (Tpcc.order_row ~c:a ~carrier:b ~ol_cnt:c, Split_rows.order_row ~c:a ~carrier:b ~ol_cnt:c);
+          ( Tpcc.ol_row ~i:a ~qty:b ~amount:c ~delivered,
+            Split_rows.ol_row ~i:a ~qty:b ~amount:c ~delivered );
+        ]
+      in
+      List.for_all (fun (x, y) -> String.equal x y) built
+      && List.for_all
+           (fun s ->
+             outcome Tpcc.parse_district s = outcome Split_rows.parse_district s
+             && outcome Tpcc.parse_customer s = outcome Split_rows.parse_customer s
+             && outcome Tpcc.parse_stock s = outcome Split_rows.parse_stock s
+             && outcome Tpcc.parse_order s = outcome Split_rows.parse_order s
+             && outcome Tpcc.parse_ol s = outcome Split_rows.parse_ol s)
+           (List.map snd built @ rows))
+
 let suite =
   [
     ("smallbank program semantics", `Quick, test_smallbank_programs);
     ("smallbank names match printf", `Quick, test_smallbank_names);
     QCheck_alcotest.to_alcotest prop_tpcc_keys;
+    QCheck_alcotest.to_alcotest prop_tpcc_rows;
     ("smallbank TS overdraft rolls back", `Quick, test_smallbank_ts_overdraft_rolls_back);
     ("smallbank write skew under SI", `Quick, test_smallbank_skew_si);
     ("smallbank skew prevented under SSI", `Quick, test_smallbank_skew_ssi);

@@ -111,7 +111,7 @@ let test_stamp () =
   moves "find" false (fun () -> ignore (Btree.find t (key 2)));
   moves "find_path" false (fun () -> ignore (Btree.find_path t (key 2)));
   moves "find_or_add of a present key" false (fun () ->
-      Alcotest.(check int) "present value" 2 (fst (Btree.find_or_add t (key 2) (fun () -> -1))));
+      Alcotest.(check int) "present value" 2 (Btree.find_or_add t (key 2) (fun () -> -1)));
   moves "replace" false (fun () -> ignore (Btree.insert t (key 2) 20));
   moves "scan" false (fun () -> Btree.iter_range t (fun _ _ -> ()));
   moves "successor" false (fun () -> ignore (Btree.successor t (key 2)));
@@ -119,7 +119,9 @@ let test_stamp () =
   Btree.check_invariants t
 
 (* One walk finds or adds: the access is find_path's for a present key and
-   insert's for a new one, and [make] runs only for a new key. *)
+   insert's for a new one, and [make] runs only for a new key. Without the
+   access, the value is the same, and [splits] counts the pages the insert
+   split. *)
 let test_find_or_add () =
   let build () =
     let t = Btree.create ~fanout:4 () in
@@ -128,7 +130,7 @@ let test_find_or_add () =
     done;
     t
   in
-  let t = build () and reference = build () in
+  let t = build () and plain = build () and reference = build () in
   let made = ref 0 in
   let make v () =
     incr made;
@@ -136,22 +138,35 @@ let test_find_or_add () =
   in
   for i = 0 to 199 do
     let k = key i in
-    if i mod 2 = 0 then begin
-      let v, a = Btree.find_or_add t k (make (-1)) in
-      let v', a' = Btree.find_path reference k in
-      Alcotest.(check (option int)) "present value" v' (Some v);
-      Alcotest.(check bool) "find_path's access" true (a = a')
-    end
-    else begin
-      let v, a = Btree.find_or_add t k (make i) in
-      let a' = Btree.insert reference k i in
-      Alcotest.(check int) "added value" i v;
-      Alcotest.(check bool) "insert's access" true (a = a')
-    end
+    let splits = Btree.splits plain in
+    let a =
+      if i mod 2 = 0 then begin
+        let v, a = Btree.find_or_add_path t k (make (-1)) in
+        let v', a' = Btree.find_path reference k in
+        Alcotest.(check (option int)) "present value" v' (Some v);
+        Alcotest.(check bool) "find_path's access" true (a = a');
+        Alcotest.(check int) "present value without access" v
+          (Btree.find_or_add plain k (make (-1)));
+        a
+      end
+      else begin
+        let v, a = Btree.find_or_add_path t k (make i) in
+        let a' = Btree.insert reference k i in
+        Alcotest.(check int) "added value" i v;
+        Alcotest.(check bool) "insert's access" true (a = a');
+        Alcotest.(check int) "added value without access" i (Btree.find_or_add plain k (make i));
+        a
+      end
+    in
+    Alcotest.(check int) "one split counted per split pair" (List.length a.Btree.splits)
+      (Btree.splits plain - splits)
   done;
-  Alcotest.(check int) "made once per new key" 100 !made;
+  Alcotest.(check int) "made once per new key" 200 !made;
   Btree.check_invariants t;
-  Alcotest.(check bool) "same tree" true (Btree.to_list t = Btree.to_list reference)
+  Btree.check_invariants plain;
+  Alcotest.(check bool) "same tree" true (Btree.to_list t = Btree.to_list reference);
+  Alcotest.(check bool) "same tree without access" true
+    (Btree.to_list plain = Btree.to_list reference)
 
 let test_reverse_and_random_insertion_orders () =
   let mk order =
@@ -336,7 +351,7 @@ let layout_digest () =
       List.iter insert (List.init 60 (fun i -> 5249 - (2 * i)));
       List.iter insert (List.init 40 (fun i -> 9900 + i));
       let find_or_add i =
-        let v, a = Btree.find_or_add t (key i) (fun () -> -i) in
+        let v, a = Btree.find_or_add_path t (key i) (fun () -> -i) in
         ints [ v ];
         access a
       in

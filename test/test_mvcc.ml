@@ -3,8 +3,7 @@
 let mk () = Mvstore.create ~fanout:4 "t"
 
 let install_value t key ~commit_ts ~creator v =
-  let chain, _ = Mvstore.ensure_chain t key in
-  Mvstore.install chain ~value:v ~commit_ts ~creator
+  Mvstore.install (Mvstore.ensure_chain t key) ~value:v ~commit_ts ~creator
 
 let test_visibility () =
   let t = mk () in
@@ -100,7 +99,7 @@ let test_gc_keeps_recent_tombstones () =
 
 let test_empty_chain_reclaimed () =
   let t = mk () in
-  let _, _ = Mvstore.ensure_chain t "a" in
+  ignore (Mvstore.ensure_chain t "a");
   Alcotest.(check int) "entry exists" 1 (Mvstore.key_count t);
   let removed = Mvstore.gc t ~min_snapshot:1 in
   Alcotest.(check int) "empty chain removed" 1 removed
