@@ -206,6 +206,32 @@ let test_s2pl_scan_sees_insert_it_waited_for () =
   Alcotest.(check (list (pair string string)))
     "scan rows" [ ("k2", "1"); ("k3", "1"); ("k4", "0") ] !rows
 
+(* T0 deletes k2 and commits at 0.2; T1's LIMIT-2 scan at 0.1 collects k1
+   and k2, then waits for k2's row lock. A delete leaves the structure
+   stamp alone, so once the lock is held the scan must notice on its own
+   that k2 is gone and go on to k3. With [own_insert], T1 has first
+   inserted k9, which must not fill the place k2 left: it lies past the
+   rows the scan examined. *)
+let s2pl_limit_scan_after_delete ~own_insert =
+  let rows = ("t", List.init 4 (fun i -> (Printf.sprintf "k%d" (i + 1), "0"))) in
+  let env = make_env ~tables:[ "t" ] ~rows:[ rows ] () in
+  let got = ref [] in
+  let r0 =
+    script env ~at:0.0 ~gap:0.2 ~isolation:s2pl [ (fun t -> ignore (Txn.delete t "t" "k2")) ]
+  in
+  let scan t = got := List.map fst (Txn.scan ~limit:2 t "t") in
+  let steps = if own_insert then [ (fun t -> Txn.insert t "t" "k9" "1"); scan ] else [ scan ] in
+  let r1 = script env ~at:0.1 ~isolation:s2pl steps in
+  run_procs env [];
+  check_outcome "deleter commits" Committed r0;
+  check_outcome "scanner commits" Committed r1;
+  Alcotest.(check (list string)) "scan rows" [ "k1"; "k3" ] !got
+
+let test_s2pl_limit_scan_refills_after_delete () = s2pl_limit_scan_after_delete ~own_insert:false
+
+let test_s2pl_limit_scan_refills_before_own_insert () =
+  s2pl_limit_scan_after_delete ~own_insert:true
+
 let test_rc_scan_sees_latest () =
   let env = make_env ~tables:[ "t" ] ~rows:[ many_rows ] () in
   Sim.spawn env.sim (fun () ->
@@ -649,6 +675,10 @@ let suite =
     ("S2PL gap lock blocks insert", `Quick, test_s2pl_gap_lock_blocks_insert);
     ("S2PL insert outside range not blocked", `Quick, test_s2pl_insert_outside_range_not_blocked);
     ("S2PL scan sees the insert it waited for", `Quick, test_s2pl_scan_sees_insert_it_waited_for);
+    ("S2PL LIMIT scan refills after a delete", `Quick, test_s2pl_limit_scan_refills_after_delete);
+    ( "S2PL LIMIT scan refills before own insert",
+      `Quick,
+      test_s2pl_limit_scan_refills_before_own_insert );
     ("RC scan sees latest", `Quick, test_rc_scan_sees_latest);
     ("read-only txn rejects writes", `Quick, test_ro_txn_rejects_writes);
     ("page mode write skew prevented", `Quick, test_page_mode_write_skew_prevented);
