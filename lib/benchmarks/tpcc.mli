@@ -30,9 +30,6 @@ val new_order : string
 
 val order_line : string
 
-(** Secondary index: customer -> order ids. *)
-val cust_orders : string
-
 val all_tables : string list
 
 (** {1 Keys and records}

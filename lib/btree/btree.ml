@@ -1,8 +1,9 @@
 (* In-memory B+tree with leaf chaining.
 
    This is the ordered-index substrate standing in for Berkeley DB's Btree
-   access method and InnoDB's clustered index. Every operation reports which
-   pages (node ids) it touched and which it structurally modified, so the
+   access method and InnoDB's clustered index. The tree remembers where its
+   latest walk went, and [footprint] reports, on request, which pages (node
+   ids) that walk touched and which it structurally modified, so the
    transaction engine can lock at page granularity and reproduce the paper's
    Berkeley DB results, where root-page splits conflict with every concurrent
    reader (§6.1.5).
@@ -45,6 +46,10 @@ type 'a t = {
   mutable last_leaf : 'a leaf;
       (* the leaf the latest [walk] reached: one descent yields both the
          path and the leaf without a tuple *)
+  mutable end_lid : int;
+      (* the last leaf the latest walk entered: [last_leaf]'s id, or the
+         leaf along the chain where a scan stopped. An id, not the leaf,
+         so a walk writes no pointer for it. *)
   mutable descents : int; (* walks from the root so far *)
   mutable stamp : int; (* structure changes so far: new keys, splits, removes *)
   mutable trail : 'a internal array;
@@ -84,6 +89,7 @@ let create ?(fanout = 64) () =
     next_id = 1;
     size = 0;
     last_leaf = leaf;
+    end_lid = 0;
     descents = 0;
     stamp = 0;
     trail = [||];
@@ -184,6 +190,7 @@ let rec walk t key node d =
   match node with
   | Leaf l ->
       t.last_leaf <- l;
+      t.end_lid <- l.lid;
       d
   | Internal n ->
       if d = Array.length t.trail then begin
@@ -212,12 +219,19 @@ let trail_path t =
   done;
   !path
 
-(* The footprint of the latest [descend] and of what it added: its path,
-   the leaf it reached (before any split) and the pages split. *)
+(* The leaves from [l] along the chain to the last one the latest walk
+   entered. *)
+let rec leaves_to t l =
+  if l.lid = t.end_lid then [ l.lid ]
+  else l.lid :: (match l.lnext with Some l' -> leaves_to t l' | None -> [])
+
+(* The footprint of the latest [descend] and of what followed it: its path,
+   the leaves it entered (an insert's before any split) and the pages
+   split. *)
 let footprint t =
   {
     path = trail_path t;
-    leaves = [ t.last_leaf.lid ];
+    leaves = leaves_to t t.last_leaf;
     modified = t.modified;
     splits = t.split_pairs;
   }
@@ -227,10 +241,6 @@ let find t key =
   let leaf = t.last_leaf in
   let i = search_keys leaf key in
   if found_at leaf i key then Some leaf.lvals.(i) else None
-
-let find_path t key =
-  let v = find t key in
-  (v, footprint t)
 
 let split_leaf t l : string * 'a node =
   let n = l.ln in
@@ -313,8 +323,7 @@ let insert t key v =
     leaf.lvals.(i) <- v;
     refill leaf v
   end
-  else add t i key v;
-  footprint t
+  else add t i key v
 
 let find_or_add t key make =
   descend t key;
@@ -326,10 +335,6 @@ let find_or_add t key make =
     add t i key v;
     v
   end
-
-let find_or_add_path t key make =
-  let v = find_or_add t key make in
-  (v, footprint t)
 
 let remove t key =
   descend t key;
@@ -387,15 +392,12 @@ let successor_where t key p =
 
 let successor t key = successor_where t key (fun _ -> true)
 
-(* Inclusive range iteration; [f] may not modify the tree. With [collect],
-   returns the footprint: the descent path for [lo] and every leaf
-   visited. *)
-let scan t ?lo ?hi f ~collect =
+(* Inclusive range iteration; [f] may not modify the tree, and may raise
+   [Exit] to stop the scan early (LIMIT queries). The leaf where the scan
+   stops is the last its footprint covers. *)
+let iter_range t ?lo ?hi f =
   descend t (match lo with Some k -> k | None -> "");
-  let path = if collect then trail_path t else [] in
-  let leaves = ref [] in
   let rec visit l i =
-    if collect && i = 0 then leaves := l.lid :: !leaves;
     if i < l.ln then begin
       let k = l.lkeys.(i) in
       let below_hi = match hi with None -> true | Some h -> k <= h in
@@ -412,16 +414,11 @@ let scan t ?lo ?hi f ~collect =
           (* Only continue if the next leaf can contain in-range keys. *)
           match hi with
           | Some h when l'.ln > 0 && l'.lkeys.(0) > h -> ()
-          | _ -> visit l' 0)
+          | _ ->
+              t.end_lid <- l'.lid;
+              visit l' 0)
   in
-  (* [f] may raise [Exit] to stop the scan early (LIMIT queries); the access
-     footprint then covers only the pages actually visited. *)
-  (try visit t.last_leaf 0 with Exit -> ());
-  if collect then { path; leaves = List.rev !leaves; modified = []; splits = [] } else no_access
-
-let iter_range_access t ?lo ?hi f = scan t ?lo ?hi f ~collect:true
-
-let iter_range t ?lo ?hi f = ignore (scan t ?lo ?hi f ~collect:false)
+  try visit t.last_leaf 0 with Exit -> ()
 
 let fold_range t ?lo ?hi ~init ~f =
   let acc = ref init in

@@ -5,15 +5,13 @@
     encoded by the caller); values are arbitrary — the MVCC layer stores
     mutable version chains in them.
 
-    Every page (node) has a stable integer id, and a lookup reports its
-    {!access} footprint on request: the descent path, the leaf pages
-    visited, and any pages structurally modified by splits. The transaction
-    engine uses these ids for page-granularity locking (the Berkeley DB
-    configuration of the paper), where a root-page split conflicts with
-    every concurrent reader. Each lookup comes in two forms: {!find_path},
-    {!find_or_add_path} and {!iter_range_access} build the footprint, and
-    {!find}, {!find_or_add} and {!iter_range}, for callers that read no
-    pages, build none.
+    Every page (node) has a stable integer id, and {!footprint} reports
+    the latest walk's {!access} on request: the descent path, the leaf
+    pages visited, and any pages structurally modified by splits. The
+    transaction engine uses these ids for page-granularity locking (the
+    Berkeley DB configuration of the paper), where a root-page split
+    conflicts with every concurrent reader. A lookup builds no footprint
+    itself: a caller that reads pages asks for it after the lookup.
 
     Deletion is lazy (no rebalancing): version-chain entries are only removed
     by garbage collection, so underflowing pages are harmless and simply
@@ -63,24 +61,23 @@ val stamp : 'a t -> int
     new page, so an insert split exactly when this moved. *)
 val splits : 'a t -> int
 
+(** The footprint of the latest walk from the root (a lookup, insert,
+    scan, successor or remove): its descent path, the pages an insert
+    split, which is how page-level writers conflict with concurrent readers
+    of internal pages, and its leaves. A point walk's leaf is the one it
+    reached, an insert's before any split. An {!iter_range}'s leaves run
+    from the first along the chain to the last it entered, the one where
+    [Exit] stopped it included. Built on each call. *)
+val footprint : 'a t -> access
+
 val find : 'a t -> string -> 'a option
 
-(** Like {!find} but also reports the pages read. *)
-val find_path : 'a t -> string -> 'a option * access
-
-(** Insert or replace, in one walk from the root. The returned access is the
-    walk's path and the leaf it reached (before any split), and lists
-    split-modified pages, which is how page-level writers conflict with
-    concurrent readers of internal pages. *)
-val insert : 'a t -> string -> 'a -> access
+(** Insert or replace, in one walk from the root. *)
+val insert : 'a t -> string -> 'a -> unit
 
 (** [find_or_add t key make] is the value of [key], inserting [make ()] if
     it is absent, in one walk. *)
 val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
-
-(** Like {!find_or_add}, also reporting the footprint: {!find_path}'s when
-    the key is present and {!insert}'s when it is added. *)
-val find_or_add_path : 'a t -> string -> (unit -> 'a) -> 'a * access
 
 (** Physically remove a key (used by garbage collection, not by transactions,
     which write tombstones instead). Returns whether the key was present.
@@ -101,13 +98,10 @@ val successor : 'a t -> string -> string option
     chain. *)
 val successor_where : 'a t -> string -> ('a -> bool) -> string option
 
-(** Inclusive range iteration in key order; [f] may not change the tree,
-    and may raise [Exit] to stop the scan. *)
+(** Inclusive range iteration in key order; [f] may not change the tree
+    nor walk it (the scan's {!footprint} would be lost), and may raise
+    [Exit] to stop the scan. *)
 val iter_range : 'a t -> ?lo:string -> ?hi:string -> (string -> 'a -> unit) -> unit
-
-(** Like {!iter_range}, reporting the descent path and leaves visited (of
-    those before the stop, when [f] raises [Exit]). *)
-val iter_range_access : 'a t -> ?lo:string -> ?hi:string -> (string -> 'a -> unit) -> access
 
 val fold_range :
   'a t -> ?lo:string -> ?hi:string -> init:'acc -> f:('acc -> string -> 'a -> 'acc) -> 'acc

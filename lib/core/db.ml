@@ -78,8 +78,6 @@ let set_obs (t : t) obs =
   Resource.set_obs t.Internal.disk obs;
   match t.Internal.lock_mutex with Some m -> Resource.set_obs m obs | None -> ()
 
-let obs (t : t) = t.Internal.obs
-
 let sim (t : t) = t.Internal.sim
 
 let config (t : t) = t.Internal.config
@@ -299,7 +297,8 @@ let recover ?(config = Config.test ()) ?obs sim ~log =
               | Some t -> t
               | None -> create_table db tbl
             in
-            let chain, access = Mvstore.ensure_chain_path table key in
+            let chain = Mvstore.ensure_chain table key in
+            let access = Btree.footprint (Mvstore.index table) in
             Mvstore.install chain ~value:(Hashtbl.find final (tbl, key)) ~commit_ts:ts
               ~creator:txn;
             if config.Config.granularity = Config.Page then

@@ -28,8 +28,6 @@ val set_obs : t -> Obs.t -> unit
     dependency relation between operations. *)
 val set_on_touch : t -> (int -> bool -> string -> unit) option -> unit
 
-val obs : t -> Obs.t
-
 val sim : t -> Sim.t
 
 val config : t -> Config.t

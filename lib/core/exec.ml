@@ -284,12 +284,14 @@ let mark_page_stamp t table page snap =
                 ~sm_out:s.sm_out t
           | None -> ())
 
-(* Whether this engine reads the pages of a lookup's footprint: page locks
-   and stamps (Page), the page SIREADs of promotion and of the
-   summarized-reader pool (a memory budget), or the buffer pool. Otherwise
-   a lookup builds no footprint. *)
-let reads_pages db =
-  db.config.Config.granularity = Config.Page || bounded db || db.cache <> None
+(* The footprint of the latest lookup in [table]'s index, when this engine
+   reads the pages of one: page locks and stamps (Page), the page SIREADs
+   of promotion and of the summarized-reader pool (a memory budget), or the
+   buffer pool. Otherwise none is built. *)
+let pages_read db table =
+  if db.config.Config.granularity = Config.Page || bounded db || db.cache <> None then
+    Btree.footprint (Mvstore.index table)
+  else Btree.no_access
 
 (* Carry page-level conflict state across B+tree splits (the paper's
    Berkeley DB change #3, §4.4: "propagate SIREAD locks appropriately during
@@ -355,12 +357,6 @@ let buffer_write t e value =
   end;
   e.w_value <- value
 
-(* The key's find_path footprint: the entry's while the structure stamp has
-   not moved since the key was locked, else a new descent's. *)
-let entry_access table e =
-  if e.w_stamp = Mvstore.stamp table then e.w_access
-  else snd (Mvstore.find_chain_path table e.w_key)
-
 (* {1 Lock, then look again} *)
 
 (* Lock [found] with [lock], where [find] found it at structure stamp
@@ -398,7 +394,14 @@ let rec locked_gap t lock mode table_name table key =
   else locked_gap t lock mode table_name table key
 
 (* A key's chain and footprint, whose locks are the same while its leaves are. *)
-let find_key _ table key = Mvstore.find_chain_path table key
+let find_key _ table key =
+  let chain = Mvstore.find_chain table key in
+  (chain, Btree.footprint (Mvstore.index table))
+
+(* The key's footprint: the entry's while the structure stamp has not
+   moved since the key was locked, else a new lookup's. *)
+let entry_access table e =
+  if e.w_stamp = Mvstore.stamp table then e.w_access else snd (find_key () table e.w_key)
 
 let same_leaves (_, a) (_, b) = a.Btree.leaves = b.Btree.leaves
 
@@ -487,10 +490,8 @@ let read t table_name key =
             if Mvstore.stamp table = stamp then chain else Mvstore.find_chain table key
         | Read_committed | Snapshot | Serializable ->
             let snap = if t.isolation = Read_committed then 0 else ensure_snapshot t in
-            let chain, access =
-              if reads_pages db then Mvstore.find_chain_path table key
-              else (Mvstore.find_chain table key, Btree.no_access)
-            in
+            let chain = Mvstore.find_chain table key in
+            let access = pages_read db table in
             touch_pages db table_name access;
             if is_ssi t then begin
               (match db.config.Config.granularity with
@@ -614,8 +615,9 @@ let lock_for_write t table_name key ~will_write =
   let chain, access =
     match known_chain with
     | Some c -> (c, known_access)
-    | None when reads_pages db -> Mvstore.ensure_chain_path table key
-    | None -> (Mvstore.ensure_chain table key, Btree.no_access)
+    | None ->
+        let c = Mvstore.ensure_chain table key in
+        (c, pages_read db table)
   in
   (* An insert that split reports the leaf before the split, which may no
      longer hold the key. *)
@@ -825,14 +827,9 @@ let collect_range t table (lo, hi, limit) =
         if !seen >= n then raise Exit
     | _ -> ()
   in
-  let access =
-    if reads_pages t.db then Mvstore.scan_chains_path table ?lo ?hi visit
-    else (
-      Mvstore.scan_chains table ?lo ?hi visit;
-      Btree.no_access)
-  in
+  Mvstore.scan_chains table ?lo ?hi visit;
   let exhausted = match limit with None -> true | Some n -> !seen < n in
-  (List.rev !visited, access, exhausted)
+  (List.rev !visited, pages_read t.db table, exhausted)
 
 (* The key whose gap ends a scan up to [hi]: the terminal gap protects
    inserts past the last visited key, including into an empty range. *)
@@ -892,6 +889,15 @@ let lock_scan_rows t table (_, hi, _) (visited, _, exhausted) =
 let same_rows (va, _, ea) (vb, _, eb) =
   Bool.equal ea eb && List.equal (fun (a, _) (b, _) -> String.equal a b) va vb
 
+(* Whether a LIMIT scan that stopped at its [limit]-th row now sees fewer
+   of the rows it visited: one was deleted while its locks waited, which
+   leaves the structure stamp alone. *)
+let short_of_limit t table_name (_, _, limit) (visited, _, exhausted) =
+  match limit with
+  | Some n when not exhausted ->
+      List.length (List.filter (fun (k, c) -> sees_row t table_name k c) visited) < n
+  | _ -> false
+
 let scan t table_name lo hi limit =
   let db = t.db in
   let config = db.config in
@@ -900,8 +906,9 @@ let scan t table_name lo hi limit =
   (* Collect the index entries atomically, pay costs, run the locking
      protocol, then read. The structure stamp is taken at collection, as
      paying costs can wait too: S2PL collects again if it has moved by
-     the time its locks are held. Under SSI, committed changes racing
-     with the scan are caught by the newer-version checks. *)
+     the time its locks are held, or if a LIMIT scan then sees fewer rows
+     than it counted. Under SSI, committed changes racing with the scan
+     are caught by the newer-version checks. *)
   let range = (lo, hi, limit) in
   let stamp = Mvstore.stamp table in
   let ((visited, access, exhausted) as found) = collect_range t table range in
@@ -940,7 +947,19 @@ let scan t table_name lo hi limit =
     match t.isolation with
     | S2pl ->
         let same = if page_mode then same_walk else same_rows in
-        locked_until_stable t table stamp ~find:collect_range ~same ~lock range found
+        (* A LIMIT scan left short once locked collects again, past the
+           rows its wait lost, and locks what it finds, until it is full
+           or exhausted. *)
+        let rec filled stamp found =
+          let found =
+            locked_until_stable t table stamp ~find:collect_range ~same ~lock range found
+          in
+          if short_of_limit t table_name range found then
+            let stamp = Mvstore.stamp table in
+            filled stamp (collect_range t table range)
+          else found
+        in
+        filled stamp found
     | Serializable ->
         lock t table range found;
         found
@@ -1010,12 +1029,11 @@ let install_write t commit_ts page_mode e =
   let table = table_exn db e.w_table in
   let chain =
     if e.w_stamp = Mvstore.stamp table then e.w_chain
-    else if reads_pages db then begin
-      let chain, access = Mvstore.ensure_chain_path table e.w_key in
-      propagate_splits db table access;
+    else begin
+      let chain = Mvstore.ensure_chain table e.w_key in
+      propagate_splits db table (pages_read db table);
       chain
     end
-    else Mvstore.ensure_chain table e.w_key
   in
   Mvstore.install chain ~value:e.w_value ~commit_ts ~creator:t.id;
   if page_mode then stamp_leaves t table commit_ts (entry_access table e).Btree.leaves

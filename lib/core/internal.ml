@@ -47,7 +47,7 @@ and txn = {
 
 (* A key the transaction X-locked for writing ([Exec.lock_for_write]): the
    value it buffered, if any, and what the lock found. [w_chain] and
-   [w_access] (the key's find_path footprint, [Btree.no_access] when the
+   [w_access] (the key's [Btree.footprint], [Btree.no_access] when the
    engine reads no pages) are what a new lookup would find while the
    table's structure stamp still reads [w_stamp]; -1 marks them stale. *)
 and write_entry = {

@@ -111,10 +111,29 @@ let point ~budget ~make_db ~mix ~isolation mpl =
       duration = budget.duration;
     }
 
-let sweep_series ?(levels = levels) ~make_db ~mix (budget : budget) =
-  List.map
-    (fun (label, isolation) -> (label, point ~budget ~make_db ~mix ~isolation))
-    levels
+(* A figure over the budget's MPLs, one series per [(label, point)]. *)
+let plan ~fig_id ~title ~expected (budget : budget) series =
+  {
+    pl_id = fig_id;
+    pl_title = title;
+    pl_expected = expected;
+    pl_mpls = budget.mpls;
+    pl_series = series;
+  }
+
+(* SI, SSI and S2PL over one workload. *)
+let sweep ~fig_id ~title ~expected ~make_db ~mix budget =
+  plan ~fig_id ~title ~expected budget
+    (List.map (fun (label, isolation) -> (label, point ~budget ~make_db ~mix ~isolation)) levels)
+
+(* SSI alone, one series per [(label, tweak)] of the configuration that
+   [make_db tweak] builds its databases with. *)
+let ssi_per_tweak ~fig_id ~title ~expected ~make_db ~mix ~tweaks budget =
+  plan ~fig_id ~title ~expected budget
+    (List.map
+       (fun (label, tweak) ->
+         (label, point ~budget ~make_db:(make_db tweak) ~mix ~isolation:Types.Serializable))
+       tweaks)
 
 let print_figure fmt f =
   Fmt.pf fmt "@.=== %s: %s ===@." f.fig_id f.title;
@@ -197,101 +216,64 @@ let smallbank_db ?(customers = 20_000) ?(wal_mode = Wal.No_flush) ?(tweak = Fun.
   Smallbank.setup db ~customers ();
   db
 
-let fig6_1 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.1";
-    pl_title = "Berkeley DB SmallBank, no log flush (throughput vs MPL)";
-    pl_expected =
+let smallbank_fig ~fig_id ~title ~expected ~customers ~wal_mode ~ops_per_txn budget =
+  sweep ~fig_id ~title ~expected
+    ~make_db:(smallbank_db ~customers ~wal_mode ())
+    ~mix:(Smallbank.mix ~customers ~ops_per_txn ())
+    (bdb_budget budget)
+
+let flushed = Wal.Flush_per_commit 0.01
+
+let fig6_1 =
+  smallbank_fig ~fig_id:"fig6.1" ~title:"Berkeley DB SmallBank, no log flush (throughput vs MPL)"
+    ~customers:20_000 ~wal_mode:Wal.No_flush ~ops_per_txn:1
+    ~expected:
       "SI and SSI track each other and far exceed S2PL (~10x at MPL 20); S2PL errors are \
-       deadlocks, SSI adds unsafe aborts";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series ~make_db:(smallbank_db ()) ~mix:(Smallbank.mix ~customers:20_000 ()) budget;
-  }
+       deadlocks, SSI adds unsafe aborts"
 
-let fig6_2 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.2";
-    pl_title = "Berkeley DB SmallBank, log flushed at commit";
-    pl_expected =
+let fig6_2 =
+  smallbank_fig ~fig_id:"fig6.2" ~title:"Berkeley DB SmallBank, log flushed at commit"
+    ~customers:20_000 ~wal_mode:flushed ~ops_per_txn:1
+    ~expected:
       "I/O-bound: throughput rises with MPL via group commit; levels close until S2PL's \
-       deadlock stalls bite at high MPL";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:20_000 ())
-        budget;
-  }
+       deadlock stalls bite at high MPL"
 
-let fig6_3 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.3";
-    pl_title = "Berkeley DB SmallBank, complex transactions (10 ops), log flush";
-    pl_expected = "still I/O-bound; results mirror Fig 6.2 though each txn does 10x the work";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:20_000 ~ops_per_txn:10 ())
-        budget;
-  }
+let fig6_3 =
+  smallbank_fig ~fig_id:"fig6.3"
+    ~title:"Berkeley DB SmallBank, complex transactions (10 ops), log flush"
+    ~customers:20_000 ~wal_mode:flushed ~ops_per_txn:10
+    ~expected:"still I/O-bound; results mirror Fig 6.2 though each txn does 10x the work"
 
-let fig6_4 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.4";
-    pl_title = "Berkeley DB SmallBank, 1/10th contention (10x accounts), log flush";
-    pl_expected =
+let fig6_4 =
+  smallbank_fig ~fig_id:"fig6.4"
+    ~title:"Berkeley DB SmallBank, 1/10th contention (10x accounts), log flush"
+    ~customers:200_000 ~wal_mode:flushed ~ops_per_txn:1
+    ~expected:
       "S2PL and SI nearly identical; SSI 10-15% below due to page-level false positives \
-       (higher unsafe rate than true conflicts would justify)";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~customers:200_000 ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:200_000 ())
-        budget;
-  }
+       (higher unsafe rate than true conflicts would justify)"
 
-let fig6_5 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.5";
-    pl_title = "Berkeley DB SmallBank, complex transactions + low contention";
-    pl_expected = "like Fig 6.4 with 10x work per txn; SSI overhead stays in the 10-15% band";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~customers:200_000 ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:200_000 ~ops_per_txn:10 ())
-        budget;
-  }
+let fig6_5 =
+  smallbank_fig ~fig_id:"fig6.5"
+    ~title:"Berkeley DB SmallBank, complex transactions + low contention"
+    ~customers:200_000 ~wal_mode:flushed ~ops_per_txn:10
+    ~expected:"like Fig 6.4 with 10x work per txn; SSI overhead stays in the 10-15% band"
 
 (* {1 InnoDB / sibench experiments (§6.3)} *)
 
-let sibench_db ?(config = Config.innodb ()) ~items () =
+let sibench_db ?(tweak = Fun.id) ~items () =
  fun sim ->
-  let db = Db.create ~config sim in
+  let db = Db.create ~config:(tweak (Config.innodb ())) sim in
   Sibench.setup db ~items ();
   db
 
-let sibench_fig ~fig_id ~items ~queries_per_update ~expected (budget : budget) =
-  {
-    pl_id = fig_id;
-    pl_title =
-      Printf.sprintf "InnoDB sibench, %d items, %d quer%s per update" items queries_per_update
-        (if queries_per_update = 1 then "y" else "ies");
-    pl_expected = expected;
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(sibench_db ~items ())
-        ~mix:(Sibench.mix ~items ~queries_per_update ())
-        budget;
-  }
+let sibench_fig ~fig_id ~items ~queries_per_update ~expected =
+  sweep ~fig_id
+    ~title:
+      (Printf.sprintf "InnoDB sibench, %d items, %d quer%s per update" items queries_per_update
+         (if queries_per_update = 1 then "y" else "ies"))
+    ~expected
+    ~make_db:(sibench_db ~items ())
+    ~mix:(Sibench.mix ~items ~queries_per_update ())
 
 let fig6_6 = sibench_fig ~fig_id:"fig6.6" ~items:10 ~queries_per_update:1
     ~expected:"small table: updates serialise on hot rows; SI and SSI equal, S2PL below \
@@ -315,275 +297,253 @@ let fig6_11 = sibench_fig ~fig_id:"fig6.11" ~items:1000 ~queries_per_update:10
 
 (* {1 InnoDB / TPC-C++ experiments (§6.4)} *)
 
+(* A TPC-C++ database; [tweak] adjusts the configuration, e.g. to give it a
+   buffer pool, which is warmed once the data is loaded. *)
 let tpcc_db ?(read_miss = 0.0) ?(tweak = Fun.id) ~scale () =
  fun sim ->
   let config = tweak { (Config.innodb ()) with Config.read_miss } in
   let db = Db.create ~config sim in
   Tpcc.setup db ~scale ();
+  Db.prewarm_cache db;
   db
 
-let tpcc_fig ~fig_id ~title ~expected ~scale ?(read_miss = 0.0) ?(skip_ytd = false)
-    ?(stock_level = false) (budget : budget) =
+let tpcc_fig ~fig_id ~title ~expected ~scale ~read_miss ~skip_ytd ~stock_level =
   let mix = if stock_level then Tpcc.stock_level_mix scale else Tpcc.mix ~skip_ytd scale in
-  {
-    pl_id = fig_id;
-    pl_title = title;
-    pl_expected = expected;
-    pl_mpls = budget.mpls;
-    pl_series = sweep_series ~make_db:(tpcc_db ~read_miss ~scale ()) ~mix budget;
-  }
+  sweep ~fig_id ~title ~expected ~make_db:(tpcc_db ~read_miss ~scale ()) ~mix
 
-let fig6_12 (budget : budget) =
+let fig6_12 =
   tpcc_fig ~fig_id:"fig6.12" ~title:"TPC-C++ 1 warehouse, skipping year-to-date updates"
-    ~scale:(Tpcc.standard ~warehouses:1) ~skip_ytd:true
+    ~scale:(Tpcc.standard ~warehouses:1) ~read_miss:0.0 ~skip_ytd:true ~stock_level:false
     ~expected:"in-memory, one warehouse: SI and SSI within ~10%; S2PL lower once MPL grows \
                (SLEV/OSTAT read locks block NEWO)"
-    budget
 
-let fig6_13 (budget : budget) =
+let fig6_13 =
   tpcc_fig ~fig_id:"fig6.13" ~title:"TPC-C++ 10 warehouses (larger data volume)"
-    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05
+    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~skip_ytd:false ~stock_level:false
     ~expected:"I/O-bound: all three algorithms nearly indistinguishable; throughput rises \
                with MPL as the disk pipeline fills"
-    budget
 
-let fig6_14 (budget : budget) =
+let fig6_14 =
   tpcc_fig ~fig_id:"fig6.14" ~title:"TPC-C++ 10 warehouses, skipping ytd updates"
-    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~skip_ytd:true
+    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~skip_ytd:true ~stock_level:false
     ~expected:"still I/O-bound; skipping the ytd hotspots changes little at this scale"
-    budget
 
-let fig6_15 (budget : budget) =
+let fig6_15 =
   tpcc_fig ~fig_id:"fig6.15" ~title:"TPC-C++ 10 warehouses, tiny data scaling (high contention)"
-    ~scale:(Tpcc.tiny ~warehouses:10)
+    ~scale:(Tpcc.tiny ~warehouses:10) ~read_miss:0.0 ~skip_ytd:false ~stock_level:false
     ~expected:"in-memory and contended: SI and SSI stay close; S2PL falls behind as blocking \
                grows; SSI unsafe aborts visible but small"
-    budget
 
-let fig6_16 (budget : budget) =
+let fig6_16 =
   tpcc_fig ~fig_id:"fig6.16" ~title:"TPC-C++ tiny scaling, skipping ytd updates"
-    ~scale:(Tpcc.tiny ~warehouses:10) ~skip_ytd:true
+    ~scale:(Tpcc.tiny ~warehouses:10) ~read_miss:0.0 ~skip_ytd:true ~stock_level:false
     ~expected:"removing the Payment ytd hotspot lifts SI/SSI further above S2PL"
-    budget
 
-let fig6_17 (budget : budget) =
+let fig6_17 =
   tpcc_fig ~fig_id:"fig6.17" ~title:"TPC-C++ Stock Level mix, 10 warehouses"
-    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~stock_level:true
+    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~skip_ytd:false ~stock_level:true
     ~expected:"read-mostly mix dominated by large scans: multiversioning wins; S2PL's read \
                locks on stock rows block New Order"
-    budget
 
-let fig6_18 (budget : budget) =
+let fig6_18 =
   tpcc_fig ~fig_id:"fig6.18" ~title:"TPC-C++ Stock Level mix, tiny scaling"
-    ~scale:(Tpcc.tiny ~warehouses:10) ~stock_level:true
+    ~scale:(Tpcc.tiny ~warehouses:10) ~read_miss:0.0 ~skip_ytd:false ~stock_level:true
     ~expected:"in-memory scans: SI clearly ahead of SSI (per-row SIREAD cost), S2PL worst — \
                the sibench 100-item regime writ large"
-    budget
 
 (* {1 Ablations (§3.6, §3.7, §2.8.5)} *)
 
-(* Basic vs precise SSI: false-positive rate and throughput (§3.6). *)
-let ablation_precise (budget : budget) =
-  let budget = bdb_budget budget in
-  (* High contention (few accounts) so that unsafe aborts are frequent
-     enough to show the basic-vs-precise difference. *)
-  let make_db variant sim =
-    let config = { (Config.bdb ()) with Config.ssi = variant } in
-    let db = Db.create ~config sim in
-    Smallbank.setup db ~customers:1_000 ();
-    db
-  in
-  {
-    pl_id = "ablation-precise";
-    pl_title = "SSI basic flags (§3.2) vs precise conflict references (§3.6), SmallBank";
-    pl_expected = "precise mode (conflict references + commit-time tests) has a lower unsafe \
-                rate than the boolean flags at equal or better throughput";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, variant) ->
-          ( label,
-            point ~budget ~make_db:(make_db variant)
-              ~mix:(Smallbank.mix ~customers:1_000 ())
-              ~isolation:Types.Serializable ))
-        [ ("SSI-basic", Config.Basic); ("SSI-precise", Config.Precise) ];
-  }
+(* Basic vs precise SSI: false-positive rate and throughput (§3.6). High
+   contention (few accounts), so that unsafe aborts are frequent enough to
+   show the difference. *)
+let ablation_precise budget =
+  ssi_per_tweak ~fig_id:"ablation-precise"
+    ~title:"SSI basic flags (§3.2) vs precise conflict references (§3.6), SmallBank"
+    ~expected:"precise mode (conflict references + commit-time tests) has a lower unsafe \
+               rate than the boolean flags at equal or better throughput"
+    ~make_db:(fun tweak -> smallbank_db ~customers:1_000 ~tweak ())
+    ~mix:(Smallbank.mix ~customers:1_000 ())
+    ~tweaks:
+      [
+        ("SSI-basic", fun c -> { c with Config.ssi = Config.Basic });
+        ("SSI-precise", fun c -> { c with Config.ssi = Config.Precise });
+      ]
+    (bdb_budget budget)
 
 (* SIREAD upgrade (§3.7.3) on/off. *)
-let ablation_upgrade (budget : budget) =
-  let budget = bdb_budget budget in
-  let make_db upgrade sim =
-    let config = { (Config.bdb ()) with Config.upgrade_siread = upgrade } in
-    let db = Db.create ~config sim in
-    Smallbank.setup db ~customers:20_000 ();
-    db
-  in
-  {
-    pl_id = "ablation-upgrade";
-    pl_title = "SIREAD->X upgrade optimisation (§3.7.3) on vs off, SmallBank SSI";
-    pl_expected = "upgrade reduces retained locks and suspended transactions; throughput equal \
-                or better";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, upgrade) ->
-          ( label,
-            point ~budget ~make_db:(make_db upgrade)
-              ~mix:(Smallbank.mix ~customers:20_000 ())
-              ~isolation:Types.Serializable ))
-        [ ("upgrade-on", true); ("upgrade-off", false) ];
-  }
+let ablation_upgrade budget =
+  ssi_per_tweak ~fig_id:"ablation-upgrade"
+    ~title:"SIREAD->X upgrade optimisation (§3.7.3) on vs off, SmallBank SSI"
+    ~expected:"upgrade reduces retained locks and suspended transactions; throughput equal \
+               or better"
+    ~make_db:(fun tweak -> smallbank_db ~tweak ())
+    ~mix:(Smallbank.mix ~customers:20_000 ())
+    ~tweaks:
+      [
+        ("upgrade-on", fun c -> { c with Config.upgrade_siread = true });
+        ("upgrade-off", fun c -> { c with Config.upgrade_siread = false });
+      ]
+    (bdb_budget budget)
 
 (* The §2.8.5 static fixes under plain SI vs Serializable SI: the
    alternative the paper's approach replaces (cf. Alomari et al. 2008). *)
-let ablation_fixes (budget : budget) =
+let ablation_fixes budget =
   let budget = bdb_budget budget in
-  let make_db sim =
-    let db = Db.create ~config:(Config.bdb ()) sim in
-    Smallbank.setup db ~customers:20_000 ();
-    db
-  in
   let series_of label isolation fix =
-    (label, point ~budget ~make_db ~mix:(Smallbank.mix ~fix ~customers:20_000 ()) ~isolation)
+    ( label,
+      point ~budget ~make_db:(smallbank_db ())
+        ~mix:(Smallbank.mix ~fix ~customers:20_000 ())
+        ~isolation )
   in
-  {
-    pl_id = "ablation-fixes";
-    pl_title = "Making SmallBank serializable: static fixes at SI vs Serializable SI (§2.8.5)";
-    pl_expected = "which fix wins is platform-dependent (Alomari 2008): here promotion beats \
-                materialization (as on PostgreSQL) and PromoteBW adds the most conflicts \
-                (it turns the read-only Bal into an update); SSI is competitive with the \
-                best fix without any application change";
-    pl_mpls = budget.mpls;
-    pl_series =
-      [
-        series_of "SSI" Types.Serializable Smallbank.No_fix;
-        series_of "SI+MatWT" Types.Snapshot Smallbank.Materialize_wt;
-        series_of "SI+PromWT" Types.Snapshot Smallbank.Promote_wt;
-        series_of "SI+MatBW" Types.Snapshot Smallbank.Materialize_bw;
-        series_of "SI+PromBW" Types.Snapshot Smallbank.Promote_bw;
-      ];
-  }
+  plan ~fig_id:"ablation-fixes"
+    ~title:"Making SmallBank serializable: static fixes at SI vs Serializable SI (§2.8.5)"
+    ~expected:"which fix wins is platform-dependent (Alomari 2008): here promotion beats \
+               materialization (as on PostgreSQL) and PromoteBW adds the most conflicts \
+               (it turns the read-only Bal into an update); SSI is competitive with the \
+               best fix without any application change"
+    budget
+    [
+      series_of "SSI" Types.Serializable Smallbank.No_fix;
+      series_of "SI+MatWT" Types.Snapshot Smallbank.Materialize_wt;
+      series_of "SI+PromWT" Types.Snapshot Smallbank.Promote_wt;
+      series_of "SI+MatBW" Types.Snapshot Smallbank.Materialize_bw;
+      series_of "SI+PromBW" Types.Snapshot Smallbank.Promote_bw;
+    ]
 
 (* Kernel-mutex (single-threaded lock manager) ablation for the §6.3
    bottleneck analysis. *)
-let ablation_lock_mutex (budget : budget) =
-  let make_db mutex sim =
-    let config = { (Config.innodb ()) with Config.lock_mutex = mutex } in
-    let db = Db.create ~config sim in
-    Sibench.setup db ~items:1000 ();
-    db
+let ablation_lock_mutex =
+  ssi_per_tweak ~fig_id:"ablation-mutex"
+    ~title:"InnoDB kernel mutex on/off, sibench 1000 items, SSI"
+    ~expected:"serialised lock manager caps SSI scan throughput (§6.3); removing it \
+               recovers most of the gap to SI"
+    ~make_db:(fun tweak -> sibench_db ~tweak ~items:1000 ())
+    ~mix:(Sibench.mix ~items:1000 ())
+    ~tweaks:
+      [
+        ("mutex-on", fun c -> { c with Config.lock_mutex = true });
+        ("mutex-off", fun c -> { c with Config.lock_mutex = false });
+      ]
+
+(* Read-only snapshot refinement (extension) on/off: high-contention
+   SmallBank, where Bal is a declared read-only query, in precise mode,
+   whose conflict-reference tests the refinement extends. *)
+let ablation_ro budget =
+  let refinement on c = { c with Config.ssi = Config.Precise; Config.ro_refinement = on } in
+  ssi_per_tweak ~fig_id:"ablation-ro"
+    ~title:"Read-only snapshot refinement on/off, SmallBank SSI (extension)"
+    ~expected:
+      "pivots whose incoming neighbour is a declared read-only Bal that began before \
+       T_out committed are spared: lower unsafe rate at equal or better throughput"
+    ~make_db:(fun tweak -> smallbank_db ~customers:1_000 ~tweak ())
+    ~mix:(Smallbank.mix ~customers:1_000 ())
+    ~tweaks:[ ("refinement-off", refinement false); ("refinement-on", refinement true) ]
+    (bdb_budget budget)
+
+(* Real LRU buffer pool vs the probabilistic read_miss model on the
+   I/O-bound TPC-C++ configuration of Fig 6.13 — validating the DESIGN.md
+   substitution. *)
+let ablation_bufferpool =
+  let scale = Tpcc.standard ~warehouses:10 in
+  let pool pages c = { c with Config.buffer_pool = Some pages } in
+  ssi_per_tweak ~fig_id:"ablation-bufferpool"
+    ~title:"TPC-C++ 10 warehouses: probabilistic miss model vs real LRU buffer pool"
+    ~expected:
+      "a pool smaller than the hot set is I/O bound and thrashes as MPL grows (locality \
+       dynamics the flat read_miss model cannot show); a pool covering the hot set recovers \
+       in-memory throughput — validating the DESIGN.md substitution for Fig 6.13"
+    ~make_db:(fun tweak -> tpcc_db ~tweak ~scale ())
+    ~mix:(Tpcc.mix scale)
+    ~tweaks:
+      [
+        ("read-miss 5%", fun c -> { c with Config.read_miss = 0.05 });
+        ("LRU small", pool 2_500);
+        ("LRU big", pool 200_000);
+      ]
+
+(* {1 Custom client loops}
+
+   The driver applies one isolation level per run and has no pinned
+   client, so mixed mode and the retention experiments run their own
+   closed loop. *)
+
+(* [mpl] closed-loop clients until [horizon]: client [c] draws from
+   [Random.State.make [| seed; c |]] and runs [txn st] again and again. *)
+let run_clients sim ~mpl ~seed ~horizon txn =
+  for client = 1 to mpl do
+    Sim.spawn sim (fun () ->
+        let st = Random.State.make [| seed; client |] in
+        let rec loop () =
+          if Sim.now sim < horizon then begin
+            txn st;
+            loop ()
+          end
+        in
+        loop ())
+  done;
+  Sim.run ~until:horizon sim
+
+(* What one run of a client loop counted after its warmup, and its peak of
+   retained records plus SIREAD entries. *)
+type tally = { mutable commits : int; mutable unsafe : int; mutable peak : int }
+
+let new_tally () = { commits = 0; unsafe = 0; peak = 0 }
+
+let count tally ~sim ~warmup result =
+  if Sim.now sim >= warmup then
+    match result with
+    | Ok () -> tally.commits <- tally.commits + 1
+    | Error Types.Unsafe -> tally.unsafe <- tally.unsafe + 1
+    | Error _ -> ()
+
+(* One MPL point from [run mpl seed]'s tally for each of the budget's
+   seeds: commits per second of the measured window with their 95%
+   interval, unsafe aborts per commit, and the highest peak as the
+   "(locks)" column. *)
+let tally_point ~(budget : budget) ~run mpl =
+  let tallies = List.map (run mpl) budget.seeds in
+  let m, ci =
+    Stats.ci95 (List.map (fun t -> float_of_int t.commits /. budget.duration) tallies)
   in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 tallies in
+  let commits = sum (fun t -> t.commits) in
   {
-    pl_id = "ablation-mutex";
-    pl_title = "InnoDB kernel mutex on/off, sibench 1000 items, SSI";
-    pl_expected = "serialised lock manager caps SSI scan throughput (§6.3); removing it \
-                recovers most of the gap to SI";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, mutex) ->
-          ( label,
-            point ~budget ~make_db:(make_db mutex)
-              ~mix:(Sibench.mix ~items:1000 ())
-              ~isolation:Types.Serializable ))
-        [ ("mutex-on", true); ("mutex-off", false) ];
+    Driver.s_mpl = mpl;
+    s_throughput = m;
+    s_ci = ci;
+    s_deadlock_rate = 0.0;
+    s_conflict_rate = 0.0;
+    s_unsafe_rate =
+      (if commits > 0 then float_of_int (sum (fun t -> t.unsafe)) /. float_of_int commits
+       else 0.0);
+    s_user_abort_rate = 0.0;
+    s_mean_response = 0.0;
+    s_lock_table = float_of_int (List.fold_left (fun acc t -> max acc t.peak) 0 tallies);
+    s_metrics = None;
   }
 
 (* Mixed mode (§3.8): read-only queries at plain SI alongside SSI updates. *)
-let ablation_mixed (budget : budget) =
-  let make_db sim =
-    let db = Db.create ~config:(Config.innodb ()) sim in
-    Sibench.setup db ~items:1000 ();
-    db
-  in
-  (* The driver applies one isolation level per run; mixed mode is driven by
-     a custom client loop instead. *)
-  let run_mixed ~queries_at mpl seed =
+let ablation_mixed budget =
+  let run queries_at mpl seed =
     let sim = Sim.create () in
-    let db = make_db sim in
-    let commits = ref 0 in
-    let unsafe = ref 0 in
-    let horizon = budget.warmup +. budget.duration in
-    for client = 1 to mpl do
-      Sim.spawn sim (fun () ->
-          let st = Random.State.make [| seed; client |] in
-          let rec loop () =
-            if Sim.now sim < horizon then begin
-              let query = Random.State.bool st in
-              let isolation = if query then queries_at else Types.Serializable in
-              let body t =
-                if query then ignore (Sibench.query t) else Sibench.update ~items:1000 st t
-              in
-              (match Db.run db isolation body with
-              | Ok () -> if Sim.now sim >= budget.warmup then incr commits
-              | Error Types.Unsafe ->
-                  if Sim.now sim >= budget.warmup then incr unsafe
-              | Error _ -> ());
-              loop ()
-            end
-          in
-          loop ())
-    done;
-    Sim.run ~until:horizon sim;
-    (float_of_int !commits /. budget.duration, !unsafe)
+    let db = sibench_db ~items:1000 () sim in
+    let tally = new_tally () in
+    run_clients sim ~mpl ~seed ~horizon:(budget.warmup +. budget.duration) (fun st ->
+        let query = Random.State.bool st in
+        let isolation = if query then queries_at else Types.Serializable in
+        let body t = if query then ignore (Sibench.query t) else Sibench.update ~items:1000 st t in
+        count tally ~sim ~warmup:budget.warmup (Db.run db isolation body));
+    tally
   in
-  let mixed_point queries_at mpl =
-    let tps = List.map (fun seed -> fst (run_mixed ~queries_at mpl seed)) budget.seeds in
-    let m, ci = Stats.ci95 tps in
-    {
-      Driver.s_mpl = mpl;
-      s_throughput = m;
-      s_ci = ci;
-      s_deadlock_rate = 0.0;
-      s_conflict_rate = 0.0;
-      s_unsafe_rate = 0.0;
-      s_user_abort_rate = 0.0;
-      s_mean_response = 0.0;
-      s_lock_table = 0.0;
-      s_metrics = None;
-    }
-  in
-  {
-    pl_id = "ablation-mixed";
-    pl_title = "Queries at plain SI mixed with SSI updates (§3.8), sibench 1000";
-    pl_expected = "running read-only queries at SI removes their SIREAD overhead and unsafe \
-                aborts; total throughput improves";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, queries_at) -> (label, mixed_point queries_at))
-        [ ("queries@SSI", Types.Serializable); ("queries@SI", Types.Snapshot) ];
-  }
-
-(* Read-only snapshot refinement (extension) on/off: high-contention
-   SmallBank, where Bal is a declared read-only query. *)
-let ablation_ro (budget : budget) =
-  let budget = bdb_budget budget in
-  let make_db refinement sim =
-    (* Precise mode: the refinement extends the conflict-reference tests. *)
-    let config =
-      { (Config.bdb ()) with Config.ssi = Config.Precise; Config.ro_refinement = refinement }
-    in
-    let db = Db.create ~config sim in
-    Smallbank.setup db ~customers:1_000 ();
-    db
-  in
-  {
-    pl_id = "ablation-ro";
-    pl_title = "Read-only snapshot refinement on/off, SmallBank SSI (extension)";
-    pl_expected =
-      "pivots whose incoming neighbour is a declared read-only Bal that began before \
-       T_out committed are spared: lower unsafe rate at equal or better throughput";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, refinement) ->
-          ( label,
-            point ~budget ~make_db:(make_db refinement)
-              ~mix:(Smallbank.mix ~customers:1_000 ())
-              ~isolation:Types.Serializable ))
-        [ ("refinement-off", false); ("refinement-on", true) ];
-  }
+  plan ~fig_id:"ablation-mixed"
+    ~title:"Queries at plain SI mixed with SSI updates (§3.8), sibench 1000"
+    ~expected:"running read-only queries at SI removes their SIREAD overhead and unsafe \
+               aborts; total throughput improves"
+    budget
+    [
+      ("queries@SSI", tally_point ~budget ~run:(run Types.Serializable));
+      ("queries@SI", tally_point ~budget ~run:(run Types.Snapshot));
+    ]
 
 (* The pinned-snapshot world of the retention experiments: 256 keys on an
    InnoDB engine without log flushes, one read-only SSI reader that reads 8
@@ -615,82 +575,44 @@ let pinned_snapshot_run ?memory_budget ?obs ~hold ~outcome ~mpl ~horizon ~seed (
                ignore (Txn.read t "t" (key i))
              done;
              Sim.delay sim (hold (Sim.now sim)))));
-  for client = 1 to mpl do
-    Sim.spawn sim (fun () ->
-        let st = Random.State.make [| seed; client |] in
-        let rec loop () =
-          if Sim.now sim < horizon then begin
-            let r = key (Random.State.int st keys) in
-            let w = key (Random.State.int st keys) in
-            outcome db
-              (Db.run db Types.Serializable (fun t ->
-                   ignore (Txn.read t "t" r);
-                   Txn.write t "t" w "1"));
-            loop ()
-          end
-        in
-        loop ())
-  done;
-  Sim.run ~until:horizon sim;
+  run_clients sim ~mpl ~seed ~horizon (fun st ->
+      let r = key (Random.State.int st keys) in
+      let w = key (Random.State.int st keys) in
+      outcome db
+        (Db.run db Types.Serializable (fun t ->
+             ignore (Txn.read t "t" r);
+             Txn.write t "t" w "1")));
   db
 
 (* Bounded-memory SIREAD retention (Config.memory_budget) under a pin held
    for the whole window. The budget caps retention with row->page
    promotion and committed-transaction summarization, at the price of
-   conservative (false-positive) unsafe aborts. The driver applies one
-   isolation level per run and has no pinned client, so this figure runs
-   its own loop like ablation-mixed; the "(locks)" column reports the
-   retained-records + live-SIREAD-entries high-water mark. *)
-let ablation_retention (budget : budget) =
-  let run_bounded ~memory_budget mpl seed =
-    let horizon = budget.warmup +. budget.duration in
-    let commits = ref 0 and unsafe = ref 0 and hwm = ref 0 in
+   conservative (false-positive) unsafe aborts. The "(locks)" column
+   reports the retained-records + live-SIREAD-entries high-water mark. *)
+let ablation_retention budget =
+  let horizon = budget.warmup +. budget.duration in
+  let run memory_budget mpl seed =
+    let tally = new_tally () in
     let outcome db result =
-      let measured = Sim.now (Db.sim db) >= budget.warmup in
-      (match result with
-      | Ok () -> if measured then incr commits
-      | Error Types.Unsafe -> if measured then incr unsafe
-      | Error _ -> ());
-      hwm := max !hwm (Db.retained_count db + Db.siread_entry_count db)
+      count tally ~sim:(Db.sim db) ~warmup:budget.warmup result;
+      tally.peak <- max tally.peak (Db.retained_count db + Db.siread_entry_count db)
     in
     ignore
-      (pinned_snapshot_run ?memory_budget
-         ~hold:(fun _ -> horizon)
-         ~outcome ~mpl ~horizon ~seed ());
-    (float_of_int !commits /. budget.duration, !unsafe, !commits, !hwm)
+      (pinned_snapshot_run ?memory_budget ~hold:(fun _ -> horizon) ~outcome ~mpl ~horizon ~seed ());
+    tally
   in
-  let bounded_point memory_budget mpl =
-    let runs = List.map (fun seed -> run_bounded ~memory_budget mpl seed) budget.seeds in
-    let m, ci = Stats.ci95 (List.map (fun (tps, _, _, _) -> tps) runs) in
-    let unsafe = List.fold_left (fun acc (_, u, _, _) -> acc + u) 0 runs in
-    let commits = List.fold_left (fun acc (_, _, c, _) -> acc + c) 0 runs in
-    let hwm = List.fold_left (fun acc (_, _, _, h) -> max acc h) 0 runs in
-    {
-      Driver.s_mpl = mpl;
-      s_throughput = m;
-      s_ci = ci;
-      s_deadlock_rate = 0.0;
-      s_conflict_rate = 0.0;
-      s_unsafe_rate =
-        (if commits > 0 then float_of_int unsafe /. float_of_int commits else 0.0);
-      s_user_abort_rate = 0.0;
-      s_mean_response = 0.0;
-      s_lock_table = float_of_int hwm;
-      s_metrics = None;
-    }
-  in
-  {
-    pl_id = "retention-budget";
-    pl_title = "SIREAD retention under a pinned snapshot: unbounded vs memory budget 256";
-    pl_expected =
+  plan ~fig_id:"retention-budget"
+    ~title:"SIREAD retention under a pinned snapshot: unbounded vs memory budget 256"
+    ~expected:
       "unbounded retention grows with every commit while the pin holds (the lock column is \
        the retained+SIREAD high-water mark, far above MPL); the budget caps it near 256 via \
        promotion and summarization, costing a modest rise in conservative unsafe aborts at \
-       similar throughput";
-    pl_mpls = budget.mpls;
-    pl_series =
-      [ ("unbounded", bounded_point None); ("budget=256", bounded_point (Some 256)) ];
-  }
+       similar throughput"
+    budget
+    [
+      ("unbounded", tally_point ~budget ~run:(run None));
+      ("budget=256", tally_point ~budget ~run:(run (Some 256)));
+    ]
 
 (* Timeline variant of the retention experiment: the same pinned-snapshot
    world, but the pin RELEASES at 60% of the horizon and the run carries a
@@ -713,43 +635,6 @@ let retention_timeline_run ?memory_budget ~mpl ~warmup ~duration ~seed () =
   if not (Db.work_conserved db) then
     failwith "retention_timeline_run: wasted-work conservation violated";
   (obs, horizon)
-
-(* Real LRU buffer pool vs the probabilistic read_miss model on the
-   I/O-bound TPC-C++ configuration of Fig 6.13 — validating the DESIGN.md
-   substitution. *)
-let ablation_bufferpool (budget : budget) =
-  let scale = Tpcc.standard ~warehouses:10 in
-  let make_db variant sim =
-    let config =
-      match variant with
-      | `Probabilistic -> { (Config.innodb ()) with Config.read_miss = 0.05 }
-      | `Pool pages -> { (Config.innodb ()) with Config.buffer_pool = Some pages }
-    in
-    let db = Db.create ~config sim in
-    Tpcc.setup db ~scale ();
-    Db.prewarm_cache db;
-    db
-  in
-  {
-    pl_id = "ablation-bufferpool";
-    pl_title = "TPC-C++ 10 warehouses: probabilistic miss model vs real LRU buffer pool";
-    pl_expected =
-      "a pool smaller than the hot set is I/O bound and thrashes as MPL grows (locality \
-       dynamics the flat read_miss model cannot show); a pool covering the hot set recovers \
-       in-memory throughput — validating the DESIGN.md substitution for Fig 6.13";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, variant) ->
-          ( label,
-            point ~budget ~make_db:(make_db variant) ~mix:(Tpcc.mix scale)
-              ~isolation:Types.Serializable ))
-        [
-          ("read-miss 5%", `Probabilistic);
-          ("LRU small", `Pool 2_500);
-          ("LRU big", `Pool 200_000);
-        ];
-  }
 
 (* {1 Registry} *)
 
@@ -797,8 +682,7 @@ let workloads : (string * workload) list =
   [
     ("smallbank", fun tweak -> (smallbank_db ~tweak (), Smallbank.mix ~customers:20_000 ()));
     ( "sibench",
-      fun tweak ->
-        (sibench_db ~config:(tweak (Config.innodb ())) ~items:100 (), Sibench.mix ~items:100 ()) );
+      fun tweak -> (sibench_db ~tweak ~items:100 (), Sibench.mix ~items:100 ()) );
     ("tpcc", fun tweak -> (tpcc_db ~tweak ~scale:tpcc (), Tpcc.mix ~skip_ytd:true tpcc));
   ]
 

@@ -217,7 +217,7 @@ let btree_insert_scan runs =
   let x = ref 12345 in
   for _ = 1 to runs do
     x := ((!x * 1103515245) + 12345) land 0xFFFFFF;
-    ignore (Btree.insert t (Printf.sprintf "k%08d" !x) !x)
+    Btree.insert t (Printf.sprintf "k%08d" !x) !x
   done;
   let n = ref 0 in
   Btree.iter_range t (fun _ _ -> incr n);

@@ -126,14 +126,11 @@ val hist_count : hist -> int
 
 val hist_mean : hist -> float
 
-val hist_max : hist -> float
-
 (** p-quantile estimate, linearly interpolated within the target bucket
     (assuming a uniform spread of ranks across the bucket) and clamped to
-    {!hist_max} — so a one-sample histogram returns the exact value. *)
+    the largest sample — so a one-sample histogram returns the exact
+    value. *)
 val hist_percentile : hist -> float -> float
-
-val hist_copy : hist -> hist
 
 val hist_merge : into:hist -> hist -> unit
 
@@ -169,11 +166,7 @@ type metrics = {
 
 val metrics_create : unit -> metrics
 
-val metrics_copy : metrics -> metrics
-
 val metrics_merge : into:metrics -> metrics -> unit
-
-val conflict_sources : metrics -> (conflict_source * int) list
 
 val conflict_total : metrics -> int
 
@@ -264,7 +257,7 @@ type event =
 type t
 
 (** [create ~trace ~metrics ~provenance ~sketch ()]: [trace] buffers
-    structured events for {!write_trace}; [metrics] installs the
+    structured events for {!write_trace_file}; [metrics] installs the
     counter/histogram fold; [provenance] makes the engine record per-edge
     conflict detail and attach a {!certificate} to every abort; [sketch]
     (a capacity, 0 or absent = off) installs a per-resource attribution
@@ -317,11 +310,10 @@ val metrics_snapshot : t -> metrics
     chrome://tracing and ui.perfetto.dev). Simulated seconds map to trace
     microseconds; [tid] is the transaction (or lock owner) id. *)
 
-(** [extra] is a list of pre-rendered trace records (e.g. from
+(** Write the buffered events as a Chrome-trace JSON array to a file.
+    [extra] is a list of pre-rendered trace records (e.g. from
     {!trace_counter}) appended after the event records, inside the same
-    JSON array. *)
-val write_trace : ?extra:string list -> out_channel -> t -> unit
-
+    array. *)
 val write_trace_file : ?extra:string list -> string -> t -> unit
 
 (** Render one Chrome-trace counter (["C"]) record into [buf] — how the

@@ -32,14 +32,15 @@ type window = {
   mutable w_commits : int;
   w_aborts : reason_counts;
   w_unsafe_src : int array;
-      (** unsafe aborts by certificate edge source — indices follow
-          {!unsafe_src_names}; the last slot is "unattributed" (no
-          certificate, e.g. provenance off) *)
+      (** unsafe aborts by certificate edge source — newer-version,
+          siread-x, page-stamp, gap and unknown-writer, in
+          {!Obs.conflict_source} order; the last slot is "unattributed"
+          (no certificate, e.g. provenance off) *)
   w_unsafe_gran : int array;
       (** the same unsafe aborts by blamed-resource granularity
           (row/page/gap from the canonical id prefix, falling back to the
           other pivot edge when the preferred one has no recognisable
-          prefix) — indices follow {!unsafe_gran_names}; both splits sum
+          prefix) — row, page, gap, then unattributed; both splits sum
           with their unattributed slot to [rc_unsafe] per window *)
   w_response : Obs.hist;  (** begin→commit latency of commits in the window *)
   w_lock_wait : Obs.hist;  (** blocking lock waits granted in the window *)
@@ -54,10 +55,6 @@ type window = {
       (** sim-time span (begin→abort) of transactions aborting here —
           the work thrown away, whatever the abort reason *)
 }
-
-val unsafe_src_names : string array
-
-val unsafe_gran_names : string array
 
 (** Per-class (workload program) per-window state, from [Class_outcome]
     events. [cw_commits] includes application rollbacks (completed work);
@@ -150,7 +147,7 @@ val to_csv : ?columns:string list -> Buffer.t -> t -> unit
 val to_ndjson : Buffer.t -> t -> unit
 
 (** Chrome-trace counter records (one ["C"] record per series per window,
-    named ["tl:<series>"]) for {!Obs.write_trace}'s [extra] — the timeline
+    named ["tl:<series>"]) for {!Obs.write_trace_file}'s [extra] — the timeline
     renders alongside spans and resource counters in one viewer. *)
 val counter_records : ?columns:string list -> t -> string list
 

@@ -3,9 +3,6 @@
     encoded from Figs 2.8 and 5.3 (their full derivation needs the
     flow-sensitive reasoning the paper also did by hand). *)
 
-(** The five SmallBank program specifications of §2.8.2. *)
-val smallbank_programs : Derive.program list
-
 (** Fig 2.9: dangerous, pivot = WC. *)
 val smallbank : unit -> Sdg.t
 

@@ -19,14 +19,6 @@ type program = {
 
 val item : string -> string list -> item
 
-(** All injective partial maps from the first parameter list to the second
-    (the ways two invocations could share arguments). *)
-val scenarios : string list -> string list -> (string * string) list list
-
-(** (ww, wr, rw, rw-vulnerable) existence over all scenarios from the first
-    program to the second. *)
-val analyse : program -> program -> bool * bool * bool * bool
-
 (** Derive the full SDG, including self-edges between two instances of the
     same program with independent parameters. *)
 val derive : program list -> Sdg.t

@@ -28,13 +28,6 @@ type stats = {
           already-analyzed trace (they spawn no further branches) *)
 }
 
-(** Schedule-artifact-free digest of a run's semantic outcome: per-index
-    verdict (committed / abort reason), committed reads as (table, key,
-    writer {e spec index}), final store as per-key last-writer index, and
-    the MVSG serializability verdict. Engine transaction ids and timestamps
-    are renamed out, so observationally identical schedules collide. *)
-val outcome_digest : Interleave.result -> string
-
 (** True when [config] makes behaviour depend on transaction-id order
     (Prefer_younger victims, periodic kill-the-youngest deadlock detection)
     — {!explore} then treats any two transaction begins as dependent. *)

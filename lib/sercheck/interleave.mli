@@ -33,11 +33,6 @@ val op_to_string : op -> string
 (** Ops joined with ";", e.g. ["r(x);w(y)"]. *)
 val spec_to_string : spec -> string
 
-(** The rows loaded by default before an interleaving runs: value ["0"] for
-    every key named by a read, write, locking read or delete. Insert targets
-    are excluded so inserts have fresh keys to create. *)
-val default_init : spec list -> (string * string) list
-
 (** All merges of the scripts' turn sequences, produced lazily in
     lexicographic order; memory is O(total ops) however many
     interleavings there are. *)
@@ -64,8 +59,9 @@ type result = {
 
 (** Execute one interleaving at the given isolation. [turns] is the
     schedule: spec indices in turn order, each entry granting that
-    transaction its next operation. [init] overrides the {!default_init}
-    rows; [ro] declares transactions READ ONLY at begin (must match the
+    transaction its next operation. [init] overrides the rows loaded by
+    default (value ["0"] for every key named by a read, write, locking read
+    or delete; insert targets stay free); [ro] declares transactions READ ONLY at begin (must match the
     spec count). [obs] attaches an observability sink to the freshly
     created engine before any transaction starts (abort-provenance
     certificates, trace spans). Each transaction commits right after its

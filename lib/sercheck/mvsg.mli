@@ -25,9 +25,6 @@ val edges : t -> edge list
 
 val txn : t -> int -> committed_record option
 
-(** Committed transactions with overlapping [begin, commit) intervals. *)
-val concurrent : committed_record -> committed_record -> bool
-
 (** A cycle as transaction ids, or [None] if serializable. *)
 val find_cycle : t -> int list option
 

@@ -48,14 +48,6 @@ let create sim ~name ~capacity =
 
 let set_obs t obs = t.obs <- obs
 
-let name t = t.name
-
-let capacity t = t.capacity
-
-let in_use t = t.in_use
-
-let queued t = Fifo.length t.queue
-
 let acquire t =
   if t.in_use < t.capacity then begin
     t.in_use <- t.in_use + 1;

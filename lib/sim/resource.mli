@@ -13,21 +13,6 @@ val create : Sim.t -> name:string -> capacity:int -> t
     change and never reads simulated time. *)
 val set_obs : t -> Obs.t -> unit
 
-val name : t -> string
-
-val capacity : t -> int
-
-(** Servers currently held. *)
-val in_use : t -> int
-
-(** Processes waiting for a server. *)
-val queued : t -> int
-
-(** Block until a server is free, then hold it (pair with {!release}). *)
-val acquire : t -> unit
-
-val release : t -> unit
-
 (** [use t dt f]: acquire, spend [dt] simulated seconds, run [f], release.
     Releases on exception too. *)
 val use : t -> float -> (unit -> 'a) -> 'a

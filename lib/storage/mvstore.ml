@@ -41,15 +41,10 @@ let index t = t.tree
 (* Chain for [key], if an index entry exists. *)
 let find_chain t key = Btree.find t.tree key
 
-let find_chain_path t key = Btree.find_path t.tree key
-
 let new_chain () = { versions = [] }
 
-(* Chain for [key], creating an empty one (and its index entry) if missing;
-   with the btree access, so page-level locking can cover index writes. *)
+(* Chain for [key], creating an empty one (and its index entry) if missing. *)
 let ensure_chain t key = Btree.find_or_add t.tree key new_chain
-
-let ensure_chain_path t key = Btree.find_or_add_path t.tree key new_chain
 
 let stamp t = Btree.stamp t.tree
 
@@ -121,11 +116,8 @@ let min_key t = Btree.min_key t.tree
 
 (* Iterate index entries in [lo, hi] (inclusive), exposing the whole chain so
    the engine can both read the snapshot-visible version and detect ignored
-   newer versions / tombstones; [scan_chains_path] also returns the btree
-   access footprint. *)
+   newer versions / tombstones. *)
 let scan_chains t ?lo ?hi f = Btree.iter_range t.tree ?lo ?hi f
-
-let scan_chains_path t ?lo ?hi f = Btree.iter_range_access t.tree ?lo ?hi f
 
 (* Canonical textual image of the committed store, the recovery oracle's
    store-equivalence witness: one line per version, keys in index order,

@@ -3,7 +3,11 @@
     Pure data layer — no locking, no simulated time. The transaction engine
     buffers uncommitted writes and installs committed versions here, newest
     first. Deleted keys keep a tombstone version so snapshot reads and
-    conflict detection keep working until {!gc} reclaims them (§3.5). *)
+    conflict detection keep working until {!gc} reclaims them (§3.5).
+
+    A lookup here is one walk of the {!index}: a caller that reads pages
+    takes {!Btree.footprint} of the index after {!find_chain},
+    {!ensure_chain} or {!scan_chains}. *)
 
 type ts = int
 
@@ -29,16 +33,10 @@ val index : t -> chain Btree.t
 
 val find_chain : t -> string -> chain option
 
-val find_chain_path : t -> string -> chain option * Btree.access
-
 (** Chain for a key, creating an empty one (and the index entry) if missing,
     in one walk ({!Btree.find_or_add}). Whether the walk split a page shows
     in {!Btree.splits}. *)
 val ensure_chain : t -> string -> chain
-
-(** {!ensure_chain}, also reporting the walk's footprint
-    ({!Btree.find_or_add_path}). *)
-val ensure_chain_path : t -> string -> chain * Btree.access
 
 (** The index's structure stamp ({!Btree.stamp}): while it has not moved, a
     chain and access found earlier are what a new lookup would find. *)
@@ -92,13 +90,9 @@ val committed_successor : t -> string -> string option
 
 val min_key : t -> string option
 
-(** Inclusive range iteration over chains, in key order. *)
+(** Inclusive range iteration over chains, in key order, under
+    {!Btree.iter_range}'s rules ([f] may raise [Exit] to stop). *)
 val scan_chains : t -> ?lo:string -> ?hi:string -> (string -> chain -> unit) -> unit
-
-(** {!scan_chains}, also reporting the index pages used
-    ({!Btree.iter_range_access}). *)
-val scan_chains_path :
-  t -> ?lo:string -> ?hi:string -> (string -> chain -> unit) -> Btree.access
 
 (** Append a canonical textual image of the committed store: one line per
     version ([<table>/<len>:<key>@<ts>=<len>:<value>], [~] for a

@@ -15,7 +15,7 @@ let test_empty () =
 let test_insert_find () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 99 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
   Btree.check_invariants t;
   Alcotest.(check int) "length" 100 (Btree.length t);
@@ -26,8 +26,8 @@ let test_insert_find () =
 
 let test_replace () =
   let t = Btree.create ~fanout:4 () in
-  ignore (Btree.insert t "a" 1);
-  ignore (Btree.insert t "a" 2);
+  Btree.insert t "a" 1;
+  Btree.insert t "a" 2;
   Alcotest.(check int) "no duplicate" 1 (Btree.length t);
   Alcotest.(check (option int)) "replaced" (Some 2) (Btree.find t "a")
 
@@ -36,8 +36,8 @@ let test_splits_grow_height () =
   Alcotest.(check int) "height 1" 1 (Btree.height t);
   let grew = ref false in
   for i = 0 to 199 do
-    let access = Btree.insert t (key i) i in
-    if access.Btree.modified <> [] then grew := true
+    Btree.insert t (key i) i;
+    if (Btree.footprint t).Btree.modified <> [] then grew := true
   done;
   Btree.check_invariants t;
   Alcotest.(check bool) "splits happened" true !grew;
@@ -49,9 +49,9 @@ let test_root_split_reports_new_root () =
   let old_root = Btree.root_id t in
   let saw_new_root = ref false in
   for i = 0 to 20 do
-    let access = Btree.insert t (key i) i in
-    if List.mem (Btree.root_id t) access.Btree.modified && Btree.root_id t <> old_root then
-      saw_new_root := true
+    Btree.insert t (key i) i;
+    let modified = (Btree.footprint t).Btree.modified in
+    if List.mem (Btree.root_id t) modified && Btree.root_id t <> old_root then saw_new_root := true
   done;
   Alcotest.(check bool) "root changed" true (Btree.root_id t <> old_root);
   Alcotest.(check bool) "new root reported as modified" true !saw_new_root
@@ -59,14 +59,15 @@ let test_root_split_reports_new_root () =
 let test_descent_path () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 199 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
-  let _, access = Btree.find_path t (key 57) in
+  ignore (Btree.find t (key 57));
+  let access = Btree.footprint t in
   Alcotest.(check int) "path length = height" (Btree.height t) (List.length access.Btree.path);
   Alcotest.(check int) "first is root" (Btree.root_id t) (List.hd access.Btree.path)
 
 (* Every operation walks from the root once, at any height, an insert
-   included. *)
+   included; reading the footprint walks nowhere. *)
 let test_descents () =
   let t = Btree.create ~fanout:4 () in
   let adds n what f =
@@ -74,16 +75,16 @@ let test_descents () =
     f ();
     Alcotest.(check int) what n (Btree.descents t - before)
   in
-  adds 1 "insert into a fresh tree" (fun () -> ignore (Btree.insert t (key 0) 0));
+  adds 1 "insert into a fresh tree" (fun () -> Btree.insert t (key 0) 0);
   for i = 1 to 199 do
-    adds 1 "insert" (fun () -> ignore (Btree.insert t (key i) i))
+    adds 1 "insert" (fun () -> Btree.insert t (key i) i)
   done;
   adds 1 "find_or_add of a present key" (fun () ->
       ignore (Btree.find_or_add t (key 57) (fun () -> 57)));
   adds 1 "find_or_add of a new key" (fun () ->
       ignore (Btree.find_or_add t (key 500) (fun () -> 500)));
   adds 1 "find" (fun () -> ignore (Btree.find t (key 57)));
-  adds 1 "find_path" (fun () -> ignore (Btree.find_path t (key 57)));
+  adds 0 "footprint" (fun () -> ignore (Btree.footprint t));
   adds 1 "iter_range" (fun () -> Btree.iter_range t ~lo:(key 10) (fun _ _ -> ()));
   adds 1 "successor" (fun () -> ignore (Btree.successor t (key 57)));
   adds 1 "successor_where" (fun () ->
@@ -100,37 +101,36 @@ let test_stamp () =
     Alcotest.(check bool) what expected (Btree.stamp t <> before)
   in
   for i = 0 to 3 do
-    moves "new key" true (fun () -> ignore (Btree.insert t (key i) i))
+    moves "new key" true (fun () -> Btree.insert t (key i) i)
   done;
   moves "new key that splits" true (fun () ->
-      let a = Btree.insert t (key 4) 4 in
-      Alcotest.(check bool) "split reported" true (a.Btree.splits <> []));
+      Btree.insert t (key 4) 4;
+      Alcotest.(check bool) "split reported" true ((Btree.footprint t).Btree.splits <> []));
   moves "new key by find_or_add" true (fun () ->
       ignore (Btree.find_or_add t (key 5) (fun () -> 5)));
   moves "remove" true (fun () -> ignore (Btree.remove t (key 5)));
   moves "find" false (fun () -> ignore (Btree.find t (key 2)));
-  moves "find_path" false (fun () -> ignore (Btree.find_path t (key 2)));
+  moves "footprint" false (fun () -> ignore (Btree.footprint t));
   moves "find_or_add of a present key" false (fun () ->
       Alcotest.(check int) "present value" 2 (Btree.find_or_add t (key 2) (fun () -> -1)));
-  moves "replace" false (fun () -> ignore (Btree.insert t (key 2) 20));
+  moves "replace" false (fun () -> Btree.insert t (key 2) 20);
   moves "scan" false (fun () -> Btree.iter_range t (fun _ _ -> ()));
   moves "successor" false (fun () -> ignore (Btree.successor t (key 2)));
   moves "remove of an absent key" false (fun () -> ignore (Btree.remove t (key 99)));
   Btree.check_invariants t
 
-(* One walk finds or adds: the access is find_path's for a present key and
-   insert's for a new one, and [make] runs only for a new key. Without the
-   access, the value is the same, and [splits] counts the pages the insert
-   split. *)
+(* One walk finds or adds: its footprint is a find's for a present key and
+   an insert's for a new one, [make] runs only for a new key, and [splits]
+   counts the pages the insert split. *)
 let test_find_or_add () =
   let build () =
     let t = Btree.create ~fanout:4 () in
     for i = 0 to 99 do
-      ignore (Btree.insert t (key (2 * i)) (2 * i))
+      Btree.insert t (key (2 * i)) (2 * i)
     done;
     t
   in
-  let t = build () and plain = build () and reference = build () in
+  let t = build () and reference = build () in
   let made = ref 0 in
   let make v () =
     incr made;
@@ -138,40 +138,28 @@ let test_find_or_add () =
   in
   for i = 0 to 199 do
     let k = key i in
-    let splits = Btree.splits plain in
-    let a =
-      if i mod 2 = 0 then begin
-        let v, a = Btree.find_or_add_path t k (make (-1)) in
-        let v', a' = Btree.find_path reference k in
-        Alcotest.(check (option int)) "present value" v' (Some v);
-        Alcotest.(check bool) "find_path's access" true (a = a');
-        Alcotest.(check int) "present value without access" v
-          (Btree.find_or_add plain k (make (-1)));
-        a
-      end
-      else begin
-        let v, a = Btree.find_or_add_path t k (make i) in
-        let a' = Btree.insert reference k i in
-        Alcotest.(check int) "added value" i v;
-        Alcotest.(check bool) "insert's access" true (a = a');
-        Alcotest.(check int) "added value without access" i (Btree.find_or_add plain k (make i));
-        a
-      end
-    in
+    let splits = Btree.splits t in
+    if i mod 2 = 0 then begin
+      let v = Btree.find_or_add t k (make (-1)) in
+      Alcotest.(check (option int)) "present value" (Btree.find reference k) (Some v)
+    end
+    else begin
+      Alcotest.(check int) "added value" i (Btree.find_or_add t k (make i));
+      Btree.insert reference k i
+    end;
+    let a = Btree.footprint t in
+    Alcotest.(check bool) "a find's or an insert's footprint" true (a = Btree.footprint reference);
     Alcotest.(check int) "one split counted per split pair" (List.length a.Btree.splits)
-      (Btree.splits plain - splits)
+      (Btree.splits t - splits)
   done;
-  Alcotest.(check int) "made once per new key" 200 !made;
+  Alcotest.(check int) "made once per new key" 100 !made;
   Btree.check_invariants t;
-  Btree.check_invariants plain;
-  Alcotest.(check bool) "same tree" true (Btree.to_list t = Btree.to_list reference);
-  Alcotest.(check bool) "same tree without access" true
-    (Btree.to_list plain = Btree.to_list reference)
+  Alcotest.(check bool) "same tree" true (Btree.to_list t = Btree.to_list reference)
 
 let test_reverse_and_random_insertion_orders () =
   let mk order =
     let t = Btree.create ~fanout:5 () in
-    List.iter (fun i -> ignore (Btree.insert t (key i) i)) order;
+    List.iter (fun i -> Btree.insert t (key i) i) order;
     Btree.check_invariants t;
     Btree.to_list t
   in
@@ -189,7 +177,7 @@ let test_reverse_and_random_insertion_orders () =
 let test_remove () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 49 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
   for i = 0 to 49 do
     if i mod 2 = 0 then Alcotest.(check bool) "removed" true (Btree.remove t (key i))
@@ -204,7 +192,7 @@ let test_remove () =
 
 let test_successor () =
   let t = Btree.create ~fanout:4 () in
-  List.iter (fun i -> ignore (Btree.insert t (key i) i)) [ 10; 20; 30; 40 ];
+  List.iter (fun i -> Btree.insert t (key i) i) [ 10; 20; 30; 40 ];
   Alcotest.(check (option string)) "succ below min" (Some (key 10)) (Btree.successor t "");
   Alcotest.(check (option string)) "succ of member" (Some (key 20)) (Btree.successor t (key 10));
   Alcotest.(check (option string)) "succ between" (Some (key 20)) (Btree.successor t (key 15));
@@ -213,7 +201,7 @@ let test_successor () =
 let test_successor_across_leaves () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 99 do
-    ignore (Btree.insert t (key (2 * i)) i)
+    Btree.insert t (key (2 * i)) i
   done;
   for i = 0 to 98 do
     Alcotest.(check (option string))
@@ -225,7 +213,7 @@ let test_successor_across_leaves () =
 let test_range_scan () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 99 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
   let got = ref [] in
   Btree.iter_range t ~lo:(key 10) ~hi:(key 19) (fun _ v -> got := v :: !got);
@@ -240,19 +228,19 @@ let test_range_scan () =
 let test_range_access_leaves () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 99 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
-  let access = Btree.iter_range_access t ~lo:(key 0) ~hi:(key 99) (fun _ _ -> ()) in
+  Btree.iter_range t ~lo:(key 0) ~hi:(key 99) (fun _ _ -> ());
   (* A scan over everything must visit every leaf. *)
-  let leaves = List.length access.Btree.leaves in
+  let leaves = List.length (Btree.footprint t).Btree.leaves in
   Alcotest.(check bool) "visits many leaves" true (leaves >= 25);
-  let point = Btree.iter_range_access t ~lo:(key 5) ~hi:(key 5) (fun _ _ -> ()) in
-  Alcotest.(check int) "point scan one leaf" 1 (List.length point.Btree.leaves)
+  Btree.iter_range t ~lo:(key 5) ~hi:(key 5) (fun _ _ -> ());
+  Alcotest.(check int) "point scan one leaf" 1 (List.length (Btree.footprint t).Btree.leaves)
 
 let test_min_max () =
   let t = Btree.create ~fanout:4 () in
   for i = 5 to 95 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
   Alcotest.(check (option string)) "min" (Some (key 5)) (Btree.min_key t);
   Alcotest.(check (option string)) "max" (Some (key 95)) (Btree.max_key t)
@@ -260,8 +248,8 @@ let test_min_max () =
 
 let test_empty_string_key () =
   let t = Btree.create ~fanout:4 () in
-  ignore (Btree.insert t "" 0);
-  ignore (Btree.insert t "a" 1);
+  Btree.insert t "" 0;
+  Btree.insert t "a" 1;
   Alcotest.(check (option int)) "empty key stored" (Some 0) (Btree.find t "");
   Alcotest.(check (option string)) "min is empty" (Some "") (Btree.min_key t);
   Alcotest.(check (option string)) "successor of empty" (Some "a") (Btree.successor t "")
@@ -269,30 +257,28 @@ let test_empty_string_key () =
 let test_long_and_binary_keys () =
   let t = Btree.create ~fanout:4 () in
   let keys = [ String.make 500 'z'; "\x00\x01"; "\xff\xfe"; "middle" ] in
-  List.iteri (fun i k -> ignore (Btree.insert t k i)) keys;
+  List.iteri (fun i k -> Btree.insert t k i) keys;
   Btree.check_invariants t;
   List.iteri (fun i k -> Alcotest.(check (option int)) "roundtrip" (Some i) (Btree.find t k)) keys
 
 let test_scan_early_exit () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 99 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
   let seen = ref 0 in
-  let access =
-    Btree.iter_range_access t (fun _ _ ->
-        incr seen;
-        if !seen >= 5 then raise Exit)
-  in
+  Btree.iter_range t (fun _ _ ->
+      incr seen;
+      if !seen >= 5 then raise Exit);
   Alcotest.(check int) "stopped after five" 5 !seen;
   (* five keys span at most three tiny leaves; a full scan visits ~30+ *)
   Alcotest.(check bool) "visited only a prefix of leaves" true
-    (List.length access.Btree.leaves <= 3)
+    (List.length (Btree.footprint t).Btree.leaves <= 3)
 
 let test_remove_then_reinsert () =
   let t = Btree.create ~fanout:4 () in
   for i = 0 to 29 do
-    ignore (Btree.insert t (key i) i)
+    Btree.insert t (key i) i
   done;
   for i = 0 to 29 do
     ignore (Btree.remove t (key i))
@@ -300,7 +286,7 @@ let test_remove_then_reinsert () =
   Alcotest.(check int) "emptied" 0 (Btree.length t);
   Btree.check_invariants t;
   for i = 0 to 29 do
-    ignore (Btree.insert t (key i) (i * 2))
+    Btree.insert t (key i) (i * 2)
   done;
   Btree.check_invariants t;
   Alcotest.(check (option int)) "reinserted" (Some 14) (Btree.find t (key 7))
@@ -309,21 +295,22 @@ let test_remove_then_reinsert () =
    descending key runs with removes (a third of the random keys, then a
    contiguous block, so whole leaves empty) and re-inserts, at fanouts 4, 8
    and 64, then [find_or_add] of new keys (which split) and of present
-   ones, and range scans, some stopped early. The digest covers every
-   reported access of the inserts, of [find_or_add] and of the scans (path,
+   ones, and range scans, some stopped early. The digest covers the
+   footprint of every insert, [find_or_add] and scan (path,
    leaves, modified pages and split pairs), each value [find_or_add] gives,
    each key a scan visits, each remove's result, each remaining key's path
    and leaf, and the final page count, height, stamp and descent count.
    Descending runs matter: TPC-C++ loads its order tables newest key first.
-   A change to how leaves store their keys, or to how a lookup reports its
-   pages, must keep every page id, split and count. *)
+   A change to how leaves store their keys, or to how a walk's footprint
+   is found, must keep every page id, split and count. *)
 let layout_digest () =
   let buf = Buffer.create 65536 in
   let ints l =
     List.iter (fun i -> Buffer.add_string buf (string_of_int i ^ ",")) l;
     Buffer.add_char buf ';'
   in
-  let access (a : Btree.access) =
+  let footprint t =
+    let a = Btree.footprint t in
     ints a.path;
     ints a.leaves;
     ints a.modified;
@@ -339,7 +326,10 @@ let layout_digest () =
         !x mod 5000
       in
       let random = List.init 700 (fun _ -> rand ()) in
-      let insert i = access (Btree.insert t (key i) i) in
+      let insert i =
+        Btree.insert t (key i) i;
+        footprint t
+      in
       let remove i = Buffer.add_string buf (if Btree.remove t (key i) then "r" else "-") in
       List.iter insert random;
       List.iter insert (List.init 300 (fun i -> 5000 + i));
@@ -351,21 +341,20 @@ let layout_digest () =
       List.iter insert (List.init 60 (fun i -> 5249 - (2 * i)));
       List.iter insert (List.init 40 (fun i -> 9900 + i));
       let find_or_add i =
-        let v, a = Btree.find_or_add_path t (key i) (fun () -> -i) in
-        ints [ v ];
-        access a
+        ints [ Btree.find_or_add t (key i) (fun () -> -i) ];
+        footprint t
       in
       List.iter find_or_add (List.init 120 (fun i -> 10_000 + (3 * i)));
       List.iter find_or_add (List.init 80 (fun i -> 5101 + (2 * i)));
       List.iter find_or_add (List.init 100 (fun _ -> rand ()));
       let scan ?lo ?hi ?stop () =
         let seen = ref 0 in
-        access
-          (Btree.iter_range_access t ?lo:(Option.map key lo) ?hi:(Option.map key hi) (fun k v ->
-               Buffer.add_string buf k;
-               ints [ v ];
-               incr seen;
-               if Some !seen = stop then raise Exit))
+        Btree.iter_range t ?lo:(Option.map key lo) ?hi:(Option.map key hi) (fun k v ->
+            Buffer.add_string buf k;
+            ints [ v ];
+            incr seen;
+            if Some !seen = stop then raise Exit);
+        footprint t
       in
       scan ();
       scan ~lo:4000 ~hi:5300 ();
@@ -378,7 +367,8 @@ let layout_digest () =
       Btree.check_invariants t;
       List.iter
         (fun (k, _) ->
-          let _, a = Btree.find_path t k in
+          ignore (Btree.find t k);
+          let a = Btree.footprint t in
           ints a.Btree.path;
           ints a.Btree.leaves)
         (Btree.to_list t);
@@ -395,7 +385,7 @@ let[@inline never] add_weak t k =
   let v = ref (String.length k) in
   let w = Weak.create 1 in
   Weak.set w 0 (Some v);
-  ignore (Btree.insert t k v);
+  Btree.insert t k v;
   w
 
 let freed w =
@@ -454,7 +444,7 @@ let prop_model ops =
     (fun op ->
       match op with
       | Insert (k, v) ->
-          ignore (Btree.insert t (key k) v);
+          Btree.insert t (key k) v;
           Hashtbl.replace model (key k) v;
           true
       | Remove k ->
@@ -477,7 +467,7 @@ let prop_successor_matches_model ops =
   List.iter
     (function
       | Insert (k, v) ->
-          ignore (Btree.insert t (key k) v);
+          Btree.insert t (key k) v;
           Hashtbl.replace model (key k) v
       | Remove k ->
           ignore (Btree.remove t (key k));
@@ -505,7 +495,7 @@ let prop_scan_matches_model ops =
   List.iter
     (function
       | Insert (k, v) ->
-          ignore (Btree.insert t (key k) v);
+          Btree.insert t (key k) v;
           Hashtbl.replace model (key k) v
       | Remove k ->
           ignore (Btree.remove t (key k));
@@ -542,7 +532,7 @@ let prop_scan_matches_model ops =
 let prop_insert_only_bounds keys =
   let fanout = 4 in
   let t = Btree.create ~fanout () in
-  List.iter (fun k -> ignore (Btree.insert t (key k) k)) keys;
+  List.iter (fun k -> Btree.insert t (key k) k) keys;
   Btree.check_invariants t;
   let n = Btree.length t in
   let min_fill = (fanout + 1) / 2 in
@@ -564,7 +554,8 @@ let prop_splits_reported keys =
   Hashtbl.replace reported 0 ();
   List.for_all
     (fun k ->
-      let access = Btree.insert t (key k) k in
+      Btree.insert t (key k) k;
+      let access = Btree.footprint t in
       List.for_all
         (fun (old_id, new_id) ->
           let fresh = not (Hashtbl.mem reported new_id) in

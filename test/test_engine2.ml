@@ -346,7 +346,9 @@ let test_page_mode_lock_follows_split () =
           [
             (fun t ->
               read := Txn.read_for_update_exn t "t" "k3";
-              let _, access = Mvstore.find_chain_path (Db.table_exn env.db "t") "k3" in
+              let table = Db.table_exn env.db "t" in
+              ignore (Mvstore.find_chain table "k3");
+              let access = Btree.footprint (Mvstore.index table) in
               holds_leaf :=
                 List.for_all
                   (fun p ->
@@ -380,7 +382,10 @@ let test_s2pl_row_read_relocks_after_split () =
   let rows = ("t", List.init 8 (fun i -> (Printf.sprintf "k%d" i, "0"))) in
   let env = make_env ~tables:[ "t" ] ~rows:[ rows ] () in
   let table = Db.table_exn env.db "t" in
-  let leaves key = (snd (Mvstore.find_chain_path table key)).Btree.leaves in
+  let leaves key =
+    ignore (Mvstore.find_chain table key);
+    (Btree.footprint (Mvstore.index table)).Btree.leaves
+  in
   let before = leaves "k6" in
   let read = ref None in
   let r1 =
